@@ -16,7 +16,6 @@ threads.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 INF = math.inf
 
@@ -943,5 +942,4 @@ __all__ = [
     "RationalFunction", "LaurentFragment", "poly_gcd", "expand_at_infinity",
     "parse_polynomial", "parse_rational", "parse_fragment",
     "format_polynomial", "format_rational", "format_fragment", "INF",
-    "Fraction",
 ]

@@ -192,11 +192,6 @@ class Matrix2:
             format_rational(x) for x in self.entries())
 
 
-# a lattice basis is a nonsingular 2x2 matrix whose columns span the lattice
-# over the valuation ring; it shares all structure with group elements
-LatticeBasis = Matrix2
-
-
 def canonicalize(m):
     """Canonical ball form of the lattice spanned by the columns of m.
 
@@ -315,7 +310,7 @@ def moebius_end(g, xi):
 
 
 __all__ = [
-    "TreeError", "BallVertex", "Matrix2", "LatticeBasis", "canonicalize",
+    "TreeError", "BallVertex", "Matrix2", "canonicalize",
     "act", "distance", "distance_invariant_factors", "distance_bfs",
     "RationalEnd", "moebius_end",
 ]

@@ -55,14 +55,7 @@ def _add_common(sub, level=True, depth=True):
     if depth:
         sub.add_argument("--depth", type=int, default=10)
         sub.add_argument("--window", type=int, default=3)
-    sub.add_argument("--format", dest="fmt", default="text",
-                     choices=["text", "json", "dot"])
     sub.add_argument("--out", default=None, help="output path (default stdout)")
-    sub.add_argument("--brute-force", action="store_true",
-                     help="cross-check with enumeration oracles")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="reserved; execution is sequential and "
-                          "deterministic")
 
 
 def build_parser():
@@ -75,6 +68,8 @@ def build_parser():
 
     sp = sub.add_parser("quotient", help="build and export the quotient graph")
     _add_common(sp)
+    sp.add_argument("--format", dest="fmt", default="text",
+                    choices=["text", "json", "dot"])
 
     sp = sub.add_parser("cusps", help="certify cusps and compare with the "
                                       "closed-form count")
@@ -94,22 +89,27 @@ def build_parser():
 
     sp = sub.add_parser("stab", help="stabilizer of a vertex")
     _add_common(sp, depth=False)
+    sp.add_argument("--brute-force", action="store_true",
+                    help="cross-check with enumeration oracles")
     sp.add_argument("--vertex", required=True)
 
     sp = sub.add_parser("orbit", help="decide orbit equivalence of two "
                                       "vertices")
     _add_common(sp, depth=False)
+    sp.add_argument("--brute-force", action="store_true",
+                    help="cross-check with enumeration oracles")
     sp.add_argument("--vertex", required=True)
     sp.add_argument("--vertex2", required=True)
 
     sp = sub.add_parser("amalgam", help="graph of groups and presentation")
     _add_common(sp)
+    sp.add_argument("--format", dest="fmt", default="text",
+                    choices=["text", "json"])
 
     sp = sub.add_parser("selftest", help="run the acceptance battery")
     sp.add_argument("--fast", action="store_true",
                     help="reduced depths and sample counts")
     sp.add_argument("--out", default=None)
-    sp.add_argument("--threads", type=int, default=1)
     return ap
 
 
@@ -252,12 +252,7 @@ def _cmd_amalgam(args):
 def _cmd_selftest(args):
     from .selftest import run_all
     lines, passed = run_all(fast=args.fast)
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_output(args, "\n".join(lines) + "\n")
     return EXIT_OK if passed else EXIT_INCONSISTENT
 
 
@@ -279,13 +274,9 @@ def main(argv=None):
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    threads = getattr(args, "threads", 1)
-    if threads < 1:
-        sys.stderr.write("--threads must be >= 1\n")
-        return EXIT_USAGE
     try:
         return _DISPATCH[args.command](args)
-    except (AlgebraError, HeckeError, TreeError, ValueError) as exc:
+    except (AlgebraError, HeckeError, TreeError, ValueError, OSError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_USAGE
 

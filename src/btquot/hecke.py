@@ -349,7 +349,6 @@ class StabDescriptor:
             if (ai, bi) != (1, 1) or any(x for x in part):
                 gens.append(self._element_from(ai, bi, part))
             if not hom_done:
-                one = self.field.one
                 for vec in kb:
                     gens.append(self._element_from(1, 1, vec))
                 hom_done = True
@@ -380,7 +379,7 @@ class StabDescriptor:
                    len(self.extra)))
 
 
-def _orbit_linear_data(level, red_src, red_dst):
+def _orbit_linear_data(red_src, red_dst):
     """Shared data for the condition N_D | (g_dst^{-1} s g_src)[2,1].
 
     With W = g_dst^{-1} and (A, C) the first column of g_src, the entry is
@@ -405,7 +404,7 @@ def _stab_solution(level, red_src, red_dst, stabilizer_mode):
     n = red_src.level_n
     modulus = level.modulus
     degm = modulus.degree
-    w21, w22, a, c = _orbit_linear_data(level, red_src, red_dst)
+    w21, w22, a, c = _orbit_linear_data(red_src, red_dst)
     w21a = w21 * a
     w22c = w22 * c
     w21c = w21 * c
@@ -521,11 +520,6 @@ def _ray_stab_tuples(field, n):
                 yield (const[ai], Polynomial(field, coeffs), zero, const[bi])
 
 
-def gl2r_ray_stabilizer_elements(field, n):
-    for a, b, c, d in _ray_stab_tuples(field, n):
-        yield Matrix2.from_polynomials(a, b, c, d)
-
-
 def _sandwich_data(red_src, red_dst):
     """Products turning the lower-left entry of g_dst^{-1} s g_src into the
     linear combination pa*s_a + pb*s_b + pc*s_c + pd*s_d."""
@@ -575,6 +569,5 @@ __all__ = [
     "HeckeError", "SizeError", "Level", "parse_level", "is_member",
     "ReductionResult", "reduce_vertex", "StabDescriptor", "stabilizer",
     "orbit_witness", "orbit_equivalent", "solve_affine",
-    "gl2r_ray_stabilizer_elements", "stabilizer_brute_force",
-    "orbit_equivalent_brute_force",
+    "stabilizer_brute_force", "orbit_equivalent_brute_force",
 ]

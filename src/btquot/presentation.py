@@ -139,16 +139,6 @@ def _maximal_tails(Q):
     return tails
 
 
-def _neighbor_in_class(Q, u, target_cls):
-    for nb in sorted(u.neighbors(), key=lambda x: x.key()):
-        red_nb = reduce_vertex(nb)
-        if red_nb.level_n != target_cls.level_n:
-            continue
-        if orbit_witness(Q.level, red_nb, target_cls.reduction) is not None:
-            return nb
-    return None
-
-
 def build_graph_of_groups(Q):
     """Spanning tree containing every certified tail, a coherent lift of it,
     stabilizers at the lifted vertices, materialized groups on the finite
@@ -210,7 +200,7 @@ def build_graph_of_groups(Q):
         for nb in sorted(adj_tree.get(cur, ())):
             if nb in lifts:
                 continue
-            lifted = _neighbor_in_class(Q, lifts[cur], Q.class_by_id(nb))
+            lifted = Q.neighbor_in_class(lifts[cur], nb)
             if lifted is None:
                 raise PresentationError(
                     "no tree neighbor of the lift of class %d lies in class "
@@ -222,7 +212,9 @@ def build_graph_of_groups(Q):
     if len(lifts) != len(Q.classes):
         raise PresentationError("quotient graph is not connected")
 
-    vertex_stabs = {cid: stabilizer(lifts[cid], level) for cid in order}
+    vertex_stabs = {cid: stabilizer(lifts[cid], level,
+                                    reduction=Q.reduction(lifts[cid]))
+                    for cid in order}
 
     finite_ids = set(y_classes)
     for tail in tails:
@@ -247,8 +239,8 @@ def build_graph_of_groups(Q):
     for e, tree_carries_one in extra_strands:
         for src_id, dst_id, lift_src, lift_dst in _other_strand_lifts(
                 Q, lifts, vertex_stabs, e, tree_carries_one):
-            g_y = orbit_witness(level, reduce_vertex(lifts[dst_id]),
-                                reduce_vertex(lift_dst))
+            g_y = orbit_witness(level, Q.reduction(lifts[dst_id]),
+                                Q.reduction(lift_dst))
             if g_y is None:
                 raise PresentationError("no witness for a non-tree edge "
                                         "between classes %d and %d"
@@ -287,15 +279,12 @@ def _other_strand_lifts(Q, lifts, vertex_stabs, edge, tree_carries_one):
     stab = vertex_stabs[side]
     neighbors = sorted(lift_src.neighbors(), key=lambda x: x.key())
     orbits = _orbit_partition(neighbors, stab.generators())
-    target_cls = Q.class_by_id(other)
     pairs = []
     tree_used = None
     for orbit in orbits:
         rep = neighbors[orbit[0]]
-        red = reduce_vertex(rep)
-        if red.level_n != target_cls.level_n:
-            continue
-        if orbit_witness(Q.level, red, target_cls.reduction) is None:
+        found = Q.locate(rep)
+        if found is None or found[0] != other:
             continue
         if tree_carries_one and tree_used is None \
                 and any(neighbors[i] == lifts[other] for i in orbit):

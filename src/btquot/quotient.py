@@ -1,9 +1,13 @@
 """Quotient graph of the tree under a Hecke congruence group.
 
-The builder runs a breadth-first search over orbit classes starting from the
+The quotient graph owns the one vertex-to-class lookup, `locate`, used by
+the build, by cusp certification and by the graph of groups; it caches the
+reduction of every vertex it has looked up and the class it found.
+
+The build runs a breadth-first search over orbit classes starting from the
 class of the base vertex: each class representative contributes its q+1 tree
 neighbors, the stabilizer partitions them into orbits (one quotient edge per
-orbit), and each orbit representative is matched against known classes of
+orbit), and each orbit representative is located among the known classes of
 the same reduction level or opens a new class.  Classes and edges found at
 depth d are kept when the search is widened, so the output is a growing
 snapshot of the full quotient.
@@ -42,7 +46,6 @@ class Strand:
     orbit_size: int
     orbit_rep: BallVertex
     dst: int
-    witness_to_rep: object  # h in H_D with act(h, orbit_rep) = rep(dst)
 
 
 @dataclass
@@ -79,9 +82,13 @@ class QuotientGraph:
     field: object
     level: object
     depth: int
-    classes: list
-    edges: list
-    cusps: list
+    classes: list = dc_field(default_factory=list)
+    edges: list = dc_field(default_factory=list)
+    cusps: list = dc_field(default_factory=list)
+    buckets: dict = dc_field(default_factory=dict, repr=False)
+    # vertex key -> (class id, h in H_D with act(h, v) = rep(class id))
+    located: dict = dc_field(default_factory=dict, repr=False)
+    reductions: dict = dc_field(default_factory=dict, repr=False)
 
     def class_by_id(self, cid):
         return self.classes[cid]
@@ -96,6 +103,65 @@ class QuotientGraph:
 
     def valency(self, cid):
         return len(self.adjacency()[cid])
+
+    def reduction(self, v):
+        """The cached `reduce_vertex(v)`."""
+        red = self.reductions.get(v.key())
+        if red is None:
+            red = reduce_vertex(v)
+            self.reductions[v.key()] = red
+        return red
+
+    def locate(self, v):
+        """(class id, witness mapping v onto the class representative) for
+        the known class containing v, or None when no class does.
+
+        Classes are distinct orbits, so at most one class of v's reduction
+        level has a witness; that class is the first one found.
+        """
+        found = self.located.get(v.key())
+        if found is not None:
+            return found
+        red = self.reduction(v)
+        for cid in self.buckets.get(red.level_n, ()):
+            h = orbit_witness(self.level, red, self.classes[cid].reduction)
+            if h is not None:
+                found = self.located[v.key()] = (cid, h)
+                return found
+        return None
+
+    def neighbor_in_class(self, u, cid):
+        """The first tree neighbor of u, in key order, lying in class cid,
+        or None."""
+        for nb in sorted(u.neighbors(), key=lambda x: x.key()):
+            found = self.locate(nb)
+            if found is not None and found[0] == cid:
+                return nb
+        return None
+
+    def _classify(self, v, layer):
+        """The class id of v: located, or else a new class at `layer`
+        represented by v."""
+        found = self.locate(v)
+        if found is not None:
+            return found[0]
+        red = self.reduction(v)
+        cid = len(self.classes)
+        self.classes.append(OrbitClass(
+            id=cid, representative=v, level_n=red.level_n, layer=layer,
+            stab=stabilizer(v, self.level, reduction=red), reduction=red))
+        self.buckets.setdefault(red.level_n, []).append(cid)
+        self.located[v.key()] = (cid, Matrix2.identity(self.field))
+        return cid
+
+    def _expand(self, cls):
+        neighbors = sorted(cls.representative.neighbors(),
+                           key=lambda u: u.key())
+        for orbit in _orbit_partition(neighbors, cls.stab.generators()):
+            rep = neighbors[orbit[0]]
+            cls.strands.append(Strand(orbit_size=len(orbit), orbit_rep=rep,
+                                      dst=self._classify(rep, cls.layer + 1)))
+        cls.expanded = True
 
 
 def _orbit_partition(neighbors, generators):
@@ -128,73 +194,18 @@ def _orbit_partition(neighbors, generators):
     return orbits
 
 
-class _Builder:
-    def __init__(self, level):
-        self.level = level
-        self.field = level.field
-        self.classes = []
-        self.buckets = {}          # level_n -> [class ids]
-        self.vertex_class = {}     # vertex key -> (class id, witness_to_rep)
-        self.reductions = {}       # vertex key -> ReductionResult
-
-    def _reduce(self, v):
-        red = self.reductions.get(v.key())
-        if red is None:
-            red = reduce_vertex(v)
-            self.reductions[v.key()] = red
-        return red
-
-    def classify(self, v, layer):
-        """Class id of v, opening a new class at `layer` if needed; also the
-        witness mapping v onto the class representative."""
-        cached = self.vertex_class.get(v.key())
-        if cached is not None:
-            return cached
-        red = self._reduce(v)
-        for cid in self.buckets.get(red.level_n, ()):
-            cls = self.classes[cid]
-            h = orbit_witness(self.level, red, cls.reduction)
-            if h is not None:
-                result = (cid, h)
-                self.vertex_class[v.key()] = result
-                return result
-        cid = len(self.classes)
-        stab = stabilizer(v, self.level, reduction=red)
-        cls = OrbitClass(id=cid, representative=v, level_n=red.level_n,
-                         layer=layer, stab=stab, reduction=red)
-        self.classes.append(cls)
-        self.buckets.setdefault(red.level_n, []).append(cid)
-        result = (cid, Matrix2.identity(self.field))
-        self.vertex_class[v.key()] = result
-        return result
-
-    def expand(self, cls):
-        v = cls.representative
-        neighbors = sorted(v.neighbors(), key=lambda u: u.key())
-        gens = cls.stab.generators()
-        orbits = _orbit_partition(neighbors, gens)
-        for orbit in orbits:
-            rep = neighbors[orbit[0]]
-            cid, witness = self.classify(rep, cls.layer + 1)
-            cls.strands.append(Strand(orbit_size=len(orbit), orbit_rep=rep,
-                                      dst=cid, witness_to_rep=witness))
-        cls.expanded = True
-
-
 def build_quotient(level, depth):
     """Quotient snapshot of radius `depth` around the base vertex class."""
     if depth < 1:
         raise QuotientError("depth must be >= 1")
-    b = _Builder(level)
-    root = BallVertex.base(level.field)
-    b.classify(root, 0)
+    Q = QuotientGraph(field=level.field, level=level, depth=depth)
+    Q._classify(BallVertex.base(level.field), 0)
     for layer in range(depth):
-        for cls in list(b.classes):
+        for cls in list(Q.classes):
             if cls.layer == layer and not cls.expanded:
-                b.expand(cls)
-    edges = _aggregate_edges(b.classes, level.field.q)
-    return QuotientGraph(field=level.field, level=level, depth=depth,
-                         classes=b.classes, edges=edges, cusps=[])
+                Q._expand(cls)
+    Q.edges = _aggregate_edges(Q.classes, level.field.q)
+    return Q
 
 
 def _aggregate_edges(classes, q):
@@ -228,18 +239,6 @@ def _aggregate_edges(classes, q):
 # cusp certification
 
 
-def _lift_step(builder_level, u, target_cls):
-    """The tree neighbor of u lying in target_cls, if any."""
-    for nb in sorted(u.neighbors(), key=lambda x: x.key()):
-        red_nb = reduce_vertex(nb)
-        if red_nb.level_n != target_cls.level_n:
-            continue
-        h = orbit_witness(builder_level, red_nb, target_cls.reduction)
-        if h is not None:
-            return nb
-    return None
-
-
 def _certify_chain(Q, chain, window):
     """Certify the outermost `window` steps of a class chain (inner first).
 
@@ -247,17 +246,15 @@ def _certify_chain(Q, chain, window):
     nested stabilizers Stab(u_k) <= Stab(u_{k+1}), transitivity of Stab(u_k)
     on the q neighbors of u_k away from u_{k+1}, and order ratio exactly q.
     """
-    level = Q.level
     q = Q.field.q
     lifted = [Q.class_by_id(chain[0]).representative]
     stabs = [Q.class_by_id(chain[0]).stab]
-    for k in range(len(chain) - 1):
-        u = lifted[-1]
-        nxt = _lift_step(level, u, Q.class_by_id(chain[k + 1]))
+    for cid in chain[1:]:
+        nxt = Q.neighbor_in_class(lifted[-1], cid)
         if nxt is None:
             return None
         lifted.append(nxt)
-        stabs.append(stabilizer(nxt, level))
+        stabs.append(stabilizer(nxt, Q.level, reduction=Q.reduction(nxt)))
     for k in range(window):
         sk, sk1 = stabs[k], stabs[k + 1]
         if sk1.order != q * sk.order:

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from btquot.cli import main
 
 
@@ -133,6 +135,26 @@ class TestErrors:
     def test_bad_threads(self, capsys):
         assert run_cli(["cusps", "--p", "2", "--level", "t",
                         "--threads", "0"], capsys)[0] == 2
+
+    def test_unwritable_out_exit_2(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            ["formula", "--p", "2", "--level", "t",
+             "--out", str(tmp_path / "missing" / "x.txt")], capsys)
+        assert code == 2
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("args", [
+        ["cusps", "--p", "2", "--level", "t", "--threads", "1"],
+        ["selftest", "--fast", "--threads", "1"],
+        ["amalgam", "--p", "2", "--level", "t", "--format", "dot"],
+        ["cusps", "--p", "2", "--level", "t", "--format", "json"],
+        ["formula", "--p", "2", "--level", "t", "--format", "json"],
+        ["cusps", "--p", "2", "--level", "t", "--brute-force"],
+        ["quotient", "--p", "2", "--level", "t", "--brute-force"],
+        ["amalgam", "--p", "2", "--level", "t", "--brute-force"],
+    ])
+    def test_unread_flags_rejected(self, args, capsys):
+        assert run_cli(args, capsys)[0] == 2
 
     def test_unknown_command(self, capsys):
         code, _, _ = run_cli(["frobnicate"], capsys)

@@ -194,6 +194,8 @@ class TestNonTreeEdges:
         P = emit_presentation(G)
         hnames = [n for n, _ in P.generators if n.startswith("h")]
         assert len(hnames) == len(nontree)
+        golden = (GOLDEN / "amalgam_q2_t3.txt").read_text()
+        assert presentation_text(P, Q) == golden
 
     def test_multi_edge_strands(self):
         # q=3, cubed level: a multiplicity-2 quotient edge; every strand

@@ -191,3 +191,25 @@ class TestInvariants:
         small_edges = {(e.src, e.dst, e.multiplicity) for e in small.edges}
         large_edges = {(e.src, e.dst, e.multiplicity) for e in large.edges}
         assert small_edges <= large_edges
+
+
+class TestLocate:
+    def test_locate_agrees_with_enumeration(self):
+        from btquot.btree import Matrix2, act
+        from btquot.hecke import orbit_equivalent_brute_force
+        Q = build(F2, "t^3", 8)
+        small = [c for c in Q.classes if c.level_n <= 5]
+        assert any(c.expanded for c in small)
+        for c in small:
+            assert Q.locate(c.representative) == (c.id,
+                                                  Matrix2.identity(F2))
+            if not c.expanded:
+                continue
+            for nb in c.representative.neighbors():
+                cid, h = Q.locate(nb)
+                assert act(h, nb) == Q.class_by_id(cid).representative
+                level_n = Q.reduction(nb).level_n
+                hits = [d.id for d in Q.classes if d.level_n == level_n
+                        and orbit_equivalent_brute_force(
+                            nb, d.representative, Q.level) is not None]
+                assert hits == [cid]

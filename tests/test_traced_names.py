@@ -1,0 +1,28 @@
+"""The benchmark tracer rebinds package functions and methods by name; each
+name it lists must still exist, or the traced benchmark run crashes."""
+
+import importlib.util
+import pathlib
+
+import btquot
+
+TRACING = pathlib.Path(__file__).parents[1] / "perfbench" / "tracing.py"
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_names_exist():
+    tracing = _tracing()
+    for home, names in tracing.TRACED.items():
+        module = getattr(btquot, home)
+        for name in names:
+            assert callable(getattr(module, name, None)), (home, name)
+    for home, cls_name, name in tracing.TRACED_METHODS:
+        cls = getattr(getattr(btquot, home), cls_name)
+        assert callable(vars(cls).get(name)), (home, cls_name, name)
