@@ -119,6 +119,10 @@ def _cmd_quotient(args):
     Q = build_quotient(level, args.depth)
     if args.depth >= args.window + 2:
         certify_cusps(Q, args.window)
+    else:
+        sys.stderr.write("note: depth %d is below window + 2 = %d; cusps "
+                         "were not certified\n"
+                         % (args.depth, args.window + 2))
     _write_output(args, export(Q, args.fmt))
     return EXIT_OK
 

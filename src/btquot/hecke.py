@@ -315,9 +315,6 @@ class StabDescriptor:
     def order(self):
         return self._order
 
-    def block_map(self):
-        return {tp: (part, kb) for tp, part, kb in self.blocks}
-
     def unipotent_dim(self):
         """F_q-dimension of the (1,1)-block solution space."""
         for tp, part, kb in self.blocks:

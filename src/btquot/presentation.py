@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .btree import Matrix2, act
-from .hecke import SizeError, orbit_witness, reduce_vertex, stabilizer
+from .hecke import SizeError, StabDescriptor, orbit_witness, reduce_vertex
 from .quotient import SPLIT, extend_tail_inward
 
 
@@ -212,9 +212,15 @@ def build_graph_of_groups(Q):
     if len(lifts) != len(Q.classes):
         raise PresentationError("quotient graph is not connected")
 
-    vertex_stabs = {cid: stabilizer(lifts[cid], level,
-                                    reduction=Q.reduction(lifts[cid]))
-                    for cid in order}
+    # Stab(lift) = h^-1 Stab(rep) h for the witness act(h, lift) = rep: the
+    # class descriptor in the frame stab.conjugator @ h
+    vertex_stabs = {}
+    for cid in order:
+        stab = Q.class_by_id(cid).stab
+        _, h = Q.locate(lifts[cid])
+        vertex_stabs[cid] = StabDescriptor(lifts[cid], stab.conjugator @ h,
+                                           stab.level_n, level, stab.blocks,
+                                           stab.extra)
 
     finite_ids = set(y_classes)
     for tail in tails:

@@ -13,9 +13,11 @@ depth d are kept when the search is widened, so the output is a growing
 snapshot of the full quotient.
 
 Cusp certification walks each boundary-directed chain of valency-2 classes
-and checks, on `window` consecutive lifted vertices, that the stabilizers
-are nested, act transitively on the q remaining neighbors, and grow by a
-factor of exactly q per step.
+and checks, on `window` consecutive classes, that each stabilizer fixes the
+neighbor in the next class, acts transitively on the q remaining neighbors,
+and grows by a factor of exactly q per step.  These are properties of a
+class, so they are read from the orbits and stabilizer orders the build
+recorded for its representative.
 """
 
 from __future__ import annotations
@@ -100,9 +102,6 @@ class QuotientGraph:
             adj[e.src][e.dst] = e.multiplicity
             adj[e.dst][e.src] = e.multiplicity
         return {cid: sorted(d.items()) for cid, d in adj.items()}
-
-    def valency(self, cid):
-        return len(self.adjacency()[cid])
 
     def reduction(self, v):
         """The cached `reduce_vertex(v)`."""
@@ -242,39 +241,27 @@ def _aggregate_edges(classes, q):
 def _certify_chain(Q, chain, window):
     """Certify the outermost `window` steps of a class chain (inner first).
 
-    Returns (tower, unipotent_tower, lifted) or None.  Checks per step k:
-    nested stabilizers Stab(u_k) <= Stab(u_{k+1}), transitivity of Stab(u_k)
-    on the q neighbors of u_k away from u_{k+1}, and order ratio exactly q.
+    Returns (tower, unipotent_tower) or None.  Step k checks, on the classes
+    u_k, u_{k+1} of the chain, that Stab(u_k) fixes the neighbor in u_{k+1}
+    and is transitive on the q others, and that |Stab(u_{k+1})| = q
+    |Stab(u_k)|.  Stab(h u) = h Stab(u) h^-1, so all three are read off the
+    build's strands of u_k: the strands must be one size-1 orbit into
+    u_{k+1} and one size-q orbit elsewhere.  The size-1 strand is the fixed
+    neighbor because it is the only strand into u_{k+1}: `_aggregate_edges`
+    gives an edge one unit of multiplicity per strand, and the chain walk
+    takes only edges of multiplicity 1.  An unexpanded class has no strands
+    and never certifies.
     """
     q = Q.field.q
-    lifted = [Q.class_by_id(chain[0]).representative]
-    stabs = [Q.class_by_id(chain[0]).stab]
-    for cid in chain[1:]:
-        nxt = Q.neighbor_in_class(lifted[-1], cid)
-        if nxt is None:
+    classes = [Q.class_by_id(cid) for cid in chain]
+    for cls, nxt in zip(classes[:window], classes[1:]):
+        if nxt.stab.order != q * cls.stab.order:
             return None
-        lifted.append(nxt)
-        stabs.append(stabilizer(nxt, Q.level, reduction=Q.reduction(nxt)))
-    for k in range(window):
-        sk, sk1 = stabs[k], stabs[k + 1]
-        if sk1.order != q * sk.order:
+        if sorted((st.orbit_size, st.dst == nxt.id)
+                  for st in cls.strands) != [(1, True), (q, False)]:
             return None
-        gens = sk.generators()
-        # (d): every generator fixes the next vertex on the ray
-        if any(act(g, lifted[k + 1]) != lifted[k + 1] for g in gens):
-            return None
-        # (e): the other q neighbors form a single orbit
-        neighbors = sorted(lifted[k].neighbors(), key=lambda x: x.key())
-        orbits = _orbit_partition(neighbors, gens)
-        orbit_keys = [{neighbors[i].key() for i in orbit} for orbit in orbits]
-        target = lifted[k + 1].key()
-        fixed = [ks for ks in orbit_keys if ks == {target}]
-        big = [ks for ks in orbit_keys if target not in ks]
-        if not (len(fixed) == 1 and len(big) == 1 and len(big[0]) == q):
-            return None
-    tower = tuple(s.order for s in stabs)
-    unipotent = tuple(s.unipotent_dim() for s in stabs)
-    return tower, unipotent, lifted
+    return (tuple(c.stab.order for c in classes),
+            tuple(c.stab.unipotent_dim() for c in classes))
 
 
 def certify_cusps(Q, window=3):
@@ -307,7 +294,7 @@ def certify_cusps(Q, window=3):
         res = _certify_chain(Q, chain, window)
         if res is None:
             continue
-        tower, unipotent, lifted = res
+        tower, unipotent = res
         desc = CuspDescriptor(germ=(chain[0], chain[1]),
                               certified_depth=window,
                               splitness=INDETERMINATE,

@@ -90,6 +90,17 @@ class TestQuotient:
         assert code == 0
         assert len(json.loads(out)["classes"]) >= 2
 
+    def test_shallow_depth_notes_skipped_certification(self, capsys):
+        code, out, err = run_cli(
+            ["quotient", "--p", "2", "--level", "t", "--depth", "4"], capsys)
+        assert code == 0
+        assert "certified cusps: 0" in out
+        assert err == ("note: depth 4 is below window + 2 = 5; cusps were "
+                       "not certified\n")
+        code, out, err = run_cli(
+            ["quotient", "--p", "2", "--level", "t", "--depth", "5"], capsys)
+        assert code == 0 and err == ""
+
 
 class TestStabOrbit:
     def test_stab_with_oracle(self, capsys):

@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 
@@ -10,6 +11,7 @@ from btquot.quotient import (INDETERMINATE, NONSPLIT, SPLIT, BoundError,
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 _cache = {}
 
@@ -213,3 +215,146 @@ class TestLocate:
                         and orbit_equivalent_brute_force(
                             nb, d.representative, Q.level) is not None]
                 assert hits == [cid]
+
+
+def cusp_census_text():
+    """Every certified cusp of the `selftest.CUSP_CASES` levels, sorted by
+    germ, with its chain, towers, splitness and maximal inward tail."""
+    from btquot.selftest import CUSP_CASES, _build
+    lines = []
+    for q, lvl, depth, _ in CUSP_CASES:
+        Q = _build(q, lvl, depth)
+        lines.append("q=%d D=%s depth=%d cusps=%d"
+                     % (q, lvl, depth, len(Q.cusps)))
+        for c in sorted(Q.cusps, key=lambda c: c.germ):
+            lines.append("  germ=%r chain=%r stab_tower=%r "
+                         "unipotent_tower=%r split=%s tail=%r"
+                         % (c.germ, c.chain, c.stab_tower,
+                            c.unipotent_tower, c.splitness,
+                            extend_tail_inward(Q, c)))
+    return "\n".join(lines) + "\n"
+
+
+def test_cusp_census_golden():
+    assert cusp_census_text() == (GOLDEN / "cusps_census.txt").read_text()
+
+
+def certify_by_lifting(Q, chain, window, start):
+    """Reference certification on tree vertices: lift `chain` from `start`
+    (a vertex of class chain[0]) one neighbor at a time, solve the
+    stabilizer at every lift, and check on `window` steps that it grows by
+    q, that its generators fix the next lift, and that its orbits on the
+    neighbors are that lift and one orbit of size q.  Returns (tower,
+    unipotent_tower, lifted) or None."""
+    from btquot.btree import act
+    from btquot.hecke import stabilizer
+    from btquot.quotient import _orbit_partition
+    q = Q.field.q
+    lifted = [start]
+    for cid in chain[1:]:
+        nxt = Q.neighbor_in_class(lifted[-1], cid)
+        if nxt is None:
+            return None
+        lifted.append(nxt)
+    stabs = [stabilizer(v, Q.level) for v in lifted]
+    for k in range(window):
+        if stabs[k + 1].order != q * stabs[k].order:
+            return None
+        gens = stabs[k].generators()
+        if any(act(g, lifted[k + 1]) != lifted[k + 1] for g in gens):
+            return None
+        neighbors = sorted(lifted[k].neighbors(), key=lambda x: x.key())
+        orbits = [[neighbors[i] for i in orbit]
+                  for orbit in _orbit_partition(neighbors, gens)]
+        if sorted((len(orbit), lifted[k + 1] in orbit)
+                  for orbit in orbits) != [(1, True), (q, False)]:
+            return None
+    return (tuple(s.order for s in stabs),
+            tuple(s.unipotent_dim() for s in stabs), lifted)
+
+
+ORACLE_CASES = [(2, "t", 10), (3, "t^2", 10), (3, "t^3", 12)]
+
+
+class TestCertifyOracle:
+    """Class-level certification agrees with the reference that lifts each
+    chain into the tree, from the class representative and from the
+    representative moved by [[1, 0], [N_D, 1]] in H_D.  At level 0 the
+    unipotent dimension depends on the frame (the unipotent radical of
+    GL2(F_q) is not normal), so from moved starts it is compared only at
+    level_n >= 1."""
+
+    @pytest.fixture(params=ORACLE_CASES,
+                    ids=["q%d-%s-%d" % case for case in ORACLE_CASES])
+    def Q(self, request):
+        from btquot.selftest import _build
+        return _build(*request.param)
+
+    @staticmethod
+    def start(Q, cid, moved):
+        from btquot.algebra import Polynomial
+        from btquot.btree import Matrix2, act
+        rep = Q.class_by_id(cid).representative
+        if not moved:
+            return rep
+        one = Polynomial.one(Q.field)
+        g = Matrix2.from_polynomials(one, Polynomial.zero(Q.field),
+                                     Q.level.modulus, one)
+        return act(g, rep)
+
+    def check(self, Q, chain, window, moved):
+        """Assert the reference agrees with `_certify_chain` on `chain`;
+        return the reference result."""
+        from btquot.quotient import _certify_chain
+        ours = _certify_chain(Q, chain, window)
+        ref = certify_by_lifting(Q, chain, window,
+                                 self.start(Q, chain[0], moved))
+        assert (ours is None) == (ref is None), chain
+        if ours is not None:
+            assert ref[0] == ours[0]
+            for cid, dim, ref_dim in zip(chain, ours[1], ref[1]):
+                if not moved or Q.class_by_id(cid).level_n >= 1:
+                    assert dim == ref_dim, (chain, cid)
+        return ref
+
+    @staticmethod
+    def off_representative(Q, chain, ref):
+        return any(v != Q.class_by_id(cid).representative
+                   for cid, v in zip(chain, ref[2]))
+
+    @pytest.mark.parametrize("moved", [False, True])
+    def test_accepts_every_certified_chain(self, Q, moved):
+        assert Q.cusps
+        off_rep = False
+        for c in Q.cusps:
+            ref = self.check(Q, c.chain, c.certified_depth, moved)
+            assert ref is not None and ref[0] == c.stab_tower
+            off_rep |= self.off_representative(Q, c.chain, ref)
+        assert off_rep or not moved
+
+    @pytest.mark.parametrize("moved", [False, True])
+    def test_agrees_on_every_tail_window(self, Q, moved):
+        off_rep = False
+        for cusp in Q.cusps:
+            tail = extend_tail_inward(Q, cusp)
+            for i in range(len(tail) - 2):
+                window = tail[i:i + 3]
+                ref = self.check(Q, window, 1, moved)
+                if ref is not None:
+                    off_rep |= self.off_representative(Q, window, ref)
+        assert off_rep or not moved
+
+    @pytest.mark.parametrize("moved", [False, True])
+    def test_rejects_where_tails_stop(self, Q, moved):
+        adj = Q.adjacency()
+        stops = 0
+        for cusp in Q.cusps:
+            tail = extend_tail_inward(Q, cusp)
+            candidates = [cid for cid, _ in adj[tail[0]] if cid != tail[1]]
+            if len(candidates) != 1 or candidates[0] in tail:
+                continue
+            trial = [candidates[0]] + list(tail[:2])
+            assert certify_by_lifting(
+                Q, trial, 1, self.start(Q, trial[0], moved)) is None
+            stops += 1
+        assert stops
