@@ -2,8 +2,9 @@
 
 Every invocation is deterministic: the same arguments produce byte-identical
 output.  Exit codes: 0 success, 2 argument errors, 3 internal consistency
-failures (a certified count disagreeing with an exact closed-form count, or
-a failed self-test), so the tool can serve as a verification oracle in CI.
+failures (a certified count disagreeing with an exact closed-form count, a
+failed self-test, or computed data contradicting each other), so the tool
+can serve as a verification oracle in CI.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from .hecke import (HeckeError, orbit_equivalent, parse_level, reduce_vertex,
                     stabilizer, stabilizer_brute_force)
 from .presentation import (build_graph_of_groups, emit_presentation,
                            presentation_json, presentation_text)
-from .quotient import build_quotient, certify_cusps, export
+from .quotient import (InconsistencyError, build_quotient, certify_cusps,
+                       export)
 
 
 EXIT_OK = 0
@@ -280,6 +282,9 @@ def main(argv=None):
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return _DISPATCH[args.command](args)
+    except InconsistencyError as exc:
+        sys.stderr.write("error: %s\n" % exc)
+        return EXIT_INCONSISTENT
     except (AlgebraError, HeckeError, TreeError, ValueError, OSError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_USAGE

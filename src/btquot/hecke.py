@@ -353,19 +353,25 @@ class StabDescriptor:
             gens.append(self.conjugator_inv @ s @ self.conjugator)
         return gens
 
-    def materialize(self, cap=100000):
-        """Full element list; raises SizeError beyond cap."""
-        if self.order > cap:
-            raise SizeError("stabilizer order %d exceeds cap %d"
-                            % (self.order, cap))
-        out = []
+    def triangular_elements(self):
+        """(alpha_int, beta_int, b) for the frame element
+        [[alpha, b], [0, beta]] of each triangular element, b as its
+        coefficient vector, in `materialize` order."""
         for (ai, bi), part, kb in self.blocks:
             for vec in _span_points(kb, self.field):
                 if vec:
-                    bv = tuple(x + y for x, y in zip(part, vec))
+                    yield ai, bi, tuple(x + y for x, y in zip(part, vec))
                 else:
-                    bv = part
-                out.append(self._element_from(ai, bi, bv))
+                    yield ai, bi, part
+
+    def materialize(self, cap=100000):
+        """Full element list, the triangular elements before the level-0
+        extras; raises SizeError beyond cap."""
+        if self.order > cap:
+            raise SizeError("stabilizer order %d exceeds cap %d"
+                            % (self.order, cap))
+        out = [self._element_from(ai, bi, bv)
+               for ai, bi, bv in self.triangular_elements()]
         for s in self.extra:
             out.append(self.conjugator_inv @ s @ self.conjugator)
         return out

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .btree import Matrix2, act
 from .hecke import SizeError, StabDescriptor, orbit_witness, reduce_vertex
-from .quotient import SPLIT, extend_tail_inward
+from .quotient import SPLIT, extend_tail_inward, frame_fixers, frame_orbits
 
 
 class PresentationError(ValueError):
@@ -235,8 +235,8 @@ def build_graph_of_groups(Q):
             continue
         group = None
         if p in finite_ids and cid in finite_ids:
-            group = [h for h in vertex_groups[p]
-                     if act(h, lifts[cid]) == lifts[cid]]
+            group = frame_fixers(vertex_stabs[p], vertex_groups[p],
+                                 lifts[cid])
         edges.append(GogEdge(src=p, dst=cid, lift_src=lifts[p],
                              lift_dst=lifts[cid], in_tree=True,
                              g_y=Matrix2.identity(Q.field),
@@ -253,8 +253,8 @@ def build_graph_of_groups(Q):
                                         % (src_id, dst_id))
             group = None
             if src_id in finite_ids:
-                group = [h for h in vertex_groups[src_id]
-                         if act(h, lift_dst) == lift_dst]
+                group = frame_fixers(vertex_stabs[src_id],
+                                     vertex_groups[src_id], lift_dst)
             edges.append(GogEdge(src=src_id, dst=dst_id, lift_src=lift_src,
                                  lift_dst=lift_dst, in_tree=False, g_y=g_y,
                                  edge_group=group,
@@ -278,13 +278,11 @@ def _other_strand_lifts(Q, lifts, vertex_stabs, edge, tree_carries_one):
     is in the tree, the orbit containing the other endpoint's (adjacent)
     lift is the tree strand and is dropped.
     """
-    from .quotient import _orbit_partition
     side = edge.src if Q.class_by_id(edge.src).expanded else edge.dst
     other = edge.dst if side == edge.src else edge.src
     lift_src = lifts[side]
-    stab = vertex_stabs[side]
     neighbors = sorted(lift_src.neighbors(), key=lambda x: x.key())
-    orbits = _orbit_partition(neighbors, stab.generators())
+    orbits = frame_orbits(vertex_stabs[side], neighbors)
     pairs = []
     tree_used = None
     for orbit in orbits:

@@ -12,6 +12,16 @@ the same reduction level or opens a new class.  Classes and edges found at
 depth d are kept when the search is widened, so the output is a growing
 snapshot of the full quotient.
 
+The orbits are taken in the frame of the standard ray.  The reduction g of
+a vertex v maps it to v_n, so Stab(v) = g^-1 S g acts on the neighbors of v
+as S acts on those of v_n, which are labelled by P^1(F_q): v_{n+1} is the
+point at infinity and the child c t^n + t^(n-1) O is c.  By Nagao's theorem
+S is triangular, [[alpha, b], [0, beta]] with deg b <= n, or all of GL2(F_q)
+at n = 0; such an element moves the labels by the Moebius map of
+[[alpha, b_n], [0, beta]], b_n the t^n coefficient of b.  So each neighbor
+costs one `act`, by g, and the orbits are read off the solver's blocks
+over F_q.
+
 Cusp certification walks each boundary-directed chain of valency-2 classes
 and checks, on `window` consecutive classes, that each stabilizer fixes the
 neighbor in the next class, acts transitively on the q remaining neighbors,
@@ -37,6 +47,11 @@ class BoundError(QuotientError):
     pass
 
 
+class InconsistencyError(QuotientError):
+    """Computed data contradict each other: an internal error, not bad
+    input."""
+
+
 SPLIT = "split"
 NONSPLIT = "nonsplit"
 INDETERMINATE = "indeterminate"
@@ -46,7 +61,6 @@ INDETERMINATE = "indeterminate"
 class Strand:
     """One stabilizer orbit on the tree neighbors of a class representative."""
     orbit_size: int
-    orbit_rep: BallVertex
     dst: int
 
 
@@ -156,41 +170,107 @@ class QuotientGraph:
     def _expand(self, cls):
         neighbors = sorted(cls.representative.neighbors(),
                            key=lambda u: u.key())
-        for orbit in _orbit_partition(neighbors, cls.stab.generators()):
-            rep = neighbors[orbit[0]]
-            cls.strands.append(Strand(orbit_size=len(orbit), orbit_rep=rep,
-                                      dst=self._classify(rep, cls.layer + 1)))
+        for orbit in frame_orbits(cls.stab, neighbors):
+            cls.strands.append(Strand(
+                orbit_size=len(orbit),
+                dst=self._classify(neighbors[orbit[0]], cls.layer + 1)))
         cls.expanded = True
 
 
-def _orbit_partition(neighbors, generators):
-    """Partition a neighbor list into orbits under the generated group.
+# ---------------------------------------------------------------------------
+# stabilizer action on the neighbors, in the frame of v_n
 
-    The group fixes the central vertex, so every generator permutes the
-    neighbor set; reachability under generator application is the orbit.
+
+def _frame_label(stab, w):
+    """The label in P^1(F_q) of a tree neighbor w of the vertex of `stab`:
+    None (infinity) when the frame g = stab.conjugator maps w to v_{n+1},
+    c when g maps w to the child c t^n + t^(n-1) O of v_n.
+
+    A neighbor mapped anywhere else shows that g does not map the vertex to
+    v_n.
     """
-    keyed = {v.key(): i for i, v in enumerate(neighbors)}
-    unassigned = set(range(len(neighbors)))
+    n = stab.level_n
+    u = act(stab.conjugator, w)
+    terms = u.center.terms
+    if u.r == -n - 1 and not terms:
+        return None
+    if u.r == 1 - n and all(e == -n for e, _ in terms):
+        return terms[0][1] if terms else stab.field.zero
+    raise InconsistencyError(
+        "the frame of vertex %s maps its neighbor %s to %s, which is not a "
+        "neighbor of v_%d" % (stab.base_vertex.to_text(), w.to_text(),
+                              u.to_text(), n))
+
+
+def _moebius(m, x):
+    """Image of the label x under the F_q matrix m = (a, b, c, d)."""
+    a, b, c, d = m
+    if x is None:
+        return a / c if c else None
+    den = c * x + d
+    return (a * x + b) / den if den else None
+
+
+def _extra_matrix(s):
+    """The level-0 extra s, a constant Matrix2, as an F_q matrix."""
+    return tuple(x.as_polynomial().coefficient(0) for x in s.entries())
+
+
+def _triangular_matrix(stab, ai, bi, bvec):
+    """The F_q matrix [[alpha, b_n], [0, beta]] by which the frame element
+    [[alpha, b], [0, beta]] moves the labels."""
+    f = stab.field
+    return (f.element(ai), bvec[stab.level_n], f.zero, f.element(bi))
+
+
+def frame_orbits(stab, neighbors):
+    """Partition `neighbors`, the q+1 tree neighbors of the vertex of
+    `stab`, into Stab-orbits: sorted index lists, ordered by least index.
+
+    The group is generated by each torus block's particular element, the
+    kernel basis of the first block (the unipotent space all blocks share)
+    and the level-0 extras, the elements `stab.generators()` conjugates.
+    """
+    labels = [_frame_label(stab, w) for w in neighbors]
+    index = {x: i for i, x in enumerate(labels)}
+    if len(index) != len(labels):
+        raise InconsistencyError(
+            "two neighbors of vertex %s have the same frame label"
+            % stab.base_vertex.to_text())
+    gens = [_triangular_matrix(stab, ai, bi, part)
+            for (ai, bi), part, _ in stab.blocks]
+    gens.extend(_triangular_matrix(stab, 1, 1, vec)
+                for vec in stab.blocks[0][2])
+    gens.extend(_extra_matrix(s) for s in stab.extra)
     orbits = []
-    while unassigned:
-        start = min(unassigned)
-        frontier = [start]
+    assigned = set()
+    for start in range(len(labels)):
+        if start in assigned:
+            continue
         orbit = {start}
+        frontier = [labels[start]]
         while frontier:
-            i = frontier.pop()
-            for g in generators:
-                img = act(g, neighbors[i])
-                j = keyed.get(img.key())
-                if j is None:
-                    raise QuotientError(
-                        "stabilizer generator moved a neighbor off the "
-                        "neighbor set; stabilizer is wrong")
+            x = frontier.pop()
+            for m in gens:
+                j = index[_moebius(m, x)]
                 if j not in orbit:
                     orbit.add(j)
-                    frontier.append(j)
-        unassigned -= orbit
+                    frontier.append(labels[j])
+        assigned |= orbit
         orbits.append(sorted(orbit))
     return orbits
+
+
+def frame_fixers(stab, elements, w):
+    """The elements of `elements`, which is `stab.materialize()`, that fix
+    the tree neighbor w of the vertex of `stab`, in the same order; each is
+    decided by the label of w and the element's frame data."""
+    x = _frame_label(stab, w)
+    maps = [_triangular_matrix(stab, ai, bi, bvec)
+            for ai, bi, bvec in stab.triangular_elements()]
+    maps.extend(_extra_matrix(s) for s in stab.extra)
+    return [h for h, m in zip(elements, maps, strict=True)
+            if _moebius(m, x) == x]
 
 
 def build_quotient(level, depth):
@@ -218,7 +298,7 @@ def _aggregate_edges(classes, q):
             per_dst[st.dst] = per_dst.get(st.dst, 0) + 1
             total += st.orbit_size
         if total != q + 1:
-            raise QuotientError(
+            raise InconsistencyError(
                 "neighbor orbits of class %d cover %d of %d tree neighbors"
                 % (cls.id, total, q + 1))
         for dst, mult in per_dst.items():
@@ -228,7 +308,7 @@ def _aggregate_edges(classes, q):
     for (a, c), sides in sorted(counted.items()):
         mults = sorted(set(sides.values()))
         if len(mults) != 1:
-            raise QuotientError(
+            raise InconsistencyError(
                 "edge %r has inconsistent multiplicities %r" % ((a, c), sides))
         edges.append(QuotientEdge(src=a, dst=c, multiplicity=mults[0]))
     return edges
@@ -433,8 +513,9 @@ def _export_text(Q):
 
 
 __all__ = [
-    "QuotientError", "BoundError", "SPLIT", "NONSPLIT", "INDETERMINATE",
+    "QuotientError", "BoundError", "InconsistencyError", "SPLIT", "NONSPLIT",
+    "INDETERMINATE",
     "Strand", "OrbitClass", "QuotientEdge", "CuspDescriptor",
     "QuotientGraph", "build_quotient", "certify_cusps", "classify_splitness",
-    "extend_tail_inward", "export",
+    "extend_tail_inward", "export", "frame_orbits", "frame_fixers",
 ]

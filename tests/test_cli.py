@@ -167,6 +167,29 @@ class TestErrors:
     def test_unread_flags_rejected(self, args, capsys):
         assert run_cli(args, capsys)[0] == 2
 
+    def test_internal_inconsistency_exit_3(self, capsys, monkeypatch):
+        """A stabilizer frame that does not map its vertex onto the
+        standard ray is caught by the frame labels: exit 3, not 2."""
+        import btquot.quotient
+        from btquot.algebra import RationalFunction
+        from btquot.btree import Matrix2
+        from btquot.hecke import StabDescriptor, stabilizer
+
+        def wrong_frame(v, level, reduction=None):
+            stab = stabilizer(v, level, reduction)
+            F = level.field
+            scale = Matrix2(RationalFunction.t_power(F, 1),
+                            RationalFunction.zero(F),
+                            RationalFunction.zero(F), RationalFunction.one(F))
+            return StabDescriptor(v, scale @ stab.conjugator, stab.level_n,
+                                  level, stab.blocks, stab.extra)
+
+        monkeypatch.setattr(btquot.quotient, "stabilizer", wrong_frame)
+        code, out, err = run_cli(
+            ["quotient", "--p", "2", "--level", "t", "--depth", "5"], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("error: the frame of vertex ")
+
     def test_unknown_command(self, capsys):
         code, _, _ = run_cli(["frobnicate"], capsys)
         assert code == 2

@@ -239,6 +239,45 @@ def test_cusp_census_golden():
     assert cusp_census_text() == (GOLDEN / "cusps_census.txt").read_text()
 
 
+def orbit_partition_by_act(neighbors, generators):
+    """Reference partition of a neighbor list into orbits under the group
+    the generators generate: reachability under `act`, as sorted index
+    lists ordered by least index.
+
+    The group fixes the central vertex, so every generator permutes the
+    neighbor set.  A partial orbit that covers every neighbor outside the
+    earlier orbits is complete.
+    """
+    from btquot.btree import act
+    keyed = {v.key(): i for i, v in enumerate(neighbors)}
+    unassigned = set(range(len(neighbors)))
+    orbits = []
+    while unassigned:
+        start = min(unassigned)
+        frontier = [start]
+        orbit = {start}
+        while frontier and len(orbit) < len(unassigned):
+            i = frontier.pop()
+            for g in generators:
+                j = keyed[act(g, neighbors[i]).key()]
+                if j not in orbit:
+                    orbit.add(j)
+                    frontier.append(j)
+        unassigned -= orbit
+        orbits.append(sorted(orbit))
+    return orbits
+
+
+def mover(Q):
+    """[[1, 0], [N_D, 1]] in H_D, or [[1, 0], [t, 1]] when D = 0, where
+    N_D = 1 would give a constant matrix, which fixes v_0."""
+    from btquot.algebra import Polynomial
+    from btquot.btree import Matrix2
+    one = Polynomial.one(Q.field)
+    low = Polynomial.t(Q.field) if Q.level.is_zero() else Q.level.modulus
+    return Matrix2.from_polynomials(one, Polynomial.zero(Q.field), low, one)
+
+
 def certify_by_lifting(Q, chain, window, start):
     """Reference certification on tree vertices: lift `chain` from `start`
     (a vertex of class chain[0]) one neighbor at a time, solve the
@@ -248,7 +287,6 @@ def certify_by_lifting(Q, chain, window, start):
     unipotent_tower, lifted) or None."""
     from btquot.btree import act
     from btquot.hecke import stabilizer
-    from btquot.quotient import _orbit_partition
     q = Q.field.q
     lifted = [start]
     for cid in chain[1:]:
@@ -265,7 +303,7 @@ def certify_by_lifting(Q, chain, window, start):
             return None
         neighbors = sorted(lifted[k].neighbors(), key=lambda x: x.key())
         orbits = [[neighbors[i] for i in orbit]
-                  for orbit in _orbit_partition(neighbors, gens)]
+                  for orbit in orbit_partition_by_act(neighbors, gens)]
         if sorted((len(orbit), lifted[k + 1] in orbit)
                   for orbit in orbits) != [(1, True), (q, False)]:
             return None
@@ -292,15 +330,9 @@ class TestCertifyOracle:
 
     @staticmethod
     def start(Q, cid, moved):
-        from btquot.algebra import Polynomial
-        from btquot.btree import Matrix2, act
+        from btquot.btree import act
         rep = Q.class_by_id(cid).representative
-        if not moved:
-            return rep
-        one = Polynomial.one(Q.field)
-        g = Matrix2.from_polynomials(one, Polynomial.zero(Q.field),
-                                     Q.level.modulus, one)
-        return act(g, rep)
+        return act(mover(Q), rep) if moved else rep
 
     def check(self, Q, chain, window, moved):
         """Assert the reference agrees with `_certify_chain` on `chain`;
@@ -358,3 +390,81 @@ class TestCertifyOracle:
                 Q, trial, 1, self.start(Q, trial[0], moved)) is None
             stops += 1
         assert stops
+
+
+FRAME_CASES = [(2, "t", 6), (3, "t^2", 6), (2, "t^3", 8), (4, "t", 4),
+               (9, "t", 2), (2, "0", 5), (3, "0", 5)]
+
+
+class TestFrameOrbits:
+    """The frame-label partition agrees with the `act` closure of the
+    conjugated generators on every class: from the representative in its
+    reduction frame, and from the representative moved by `mover`, in the
+    class frame carried to it as `build_graph_of_groups` carries it."""
+
+    @pytest.fixture(params=FRAME_CASES,
+                    ids=["q%d-%s-%d" % case for case in FRAME_CASES])
+    def Q(self, request):
+        from btquot.selftest import _field
+        q, lvl, depth = request.param
+        return build_quotient(parse_level(lvl, _field(q)), depth)
+
+    @pytest.mark.parametrize("moved", [False, True])
+    def test_agrees_with_act_closure(self, Q, moved):
+        from btquot.btree import act
+        from btquot.hecke import StabDescriptor
+        from btquot.quotient import frame_orbits
+        m = mover(Q)
+        for c in Q.classes:
+            v, stab = c.representative, c.stab
+            if moved:
+                v = act(m, v)
+                stab = StabDescriptor(v, stab.conjugator @ m.inverse(),
+                                      stab.level_n, Q.level, stab.blocks,
+                                      stab.extra)
+            neighbors = sorted(v.neighbors(), key=lambda u: u.key())
+            assert frame_orbits(stab, neighbors) == orbit_partition_by_act(
+                neighbors, stab.generators()), (c.id, v)
+
+    @pytest.mark.parametrize("moved", [False, True])
+    @pytest.mark.parametrize("field,lvl", [(F2, "t^3"), (F3, "t^2"),
+                                           (F3, "0")])
+    def test_fixers_agree_with_act(self, field, lvl, moved):
+        """Edge groups from frame labels agree with filtering by `act`, on
+        the classes of stabilizer order at most 50."""
+        from btquot.btree import act
+        from btquot.hecke import StabDescriptor
+        from btquot.quotient import frame_fixers
+        Q = build(field, lvl, 4)
+        m = mover(Q)
+        for c in [c for c in Q.classes if c.stab.order <= 50]:
+            v, stab = c.representative, c.stab
+            if moved:
+                v = act(m, v)
+                stab = StabDescriptor(v, stab.conjugator @ m.inverse(),
+                                      stab.level_n, Q.level, stab.blocks,
+                                      stab.extra)
+            elements = stab.materialize()
+            for w in v.neighbors():
+                assert frame_fixers(stab, elements, w) == [
+                    h for h in elements if act(h, w) == w], (c.id, w)
+
+    def test_wrong_frame_is_an_inconsistency(self):
+        from btquot.algebra import RationalFunction
+        from btquot.btree import Matrix2
+        from btquot.hecke import StabDescriptor
+        from btquot.quotient import InconsistencyError, frame_orbits
+        Q = build(F3, "t", 4)
+        F = Q.field
+        scale = Matrix2(RationalFunction.t_power(F, 1),
+                        RationalFunction.zero(F), RationalFunction.zero(F),
+                        RationalFunction.one(F))
+        for c in Q.classes:
+            stab = c.stab
+            wrong = StabDescriptor(stab.base_vertex, scale @ stab.conjugator,
+                                   stab.level_n, Q.level, stab.blocks,
+                                   stab.extra)
+            neighbors = sorted(stab.base_vertex.neighbors(),
+                               key=lambda u: u.key())
+            with pytest.raises(InconsistencyError):
+                frame_orbits(wrong, neighbors)
