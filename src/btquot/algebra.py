@@ -705,11 +705,44 @@ class LaurentFragment:
                           [coeffs.get(i, field.zero) for i in range(deg + 1)])
 
     def to_rational(self):
-        out = RationalFunction.zero(self.field)
+        """The fragment as (sum c*t^(K-e)) / t^K, K the largest exponent
+        (at least 0), normalized once."""
+        field = self.field
+        if not self.terms:
+            return RationalFunction.zero(field)
+        k = max(self.terms[-1][0], 0)
+        coeffs = [field.zero] * (k - self.terms[0][0] + 1)
         for e, c in self.terms:
-            out = out + RationalFunction.t_power(self.field, -e) * \
-                RationalFunction.constant(self.field, c)
-        return out
+            coeffs[k - e] = c
+        return RationalFunction(Polynomial(field, coeffs),
+                                Polynomial.one(field).shift(k))
+
+    def reciprocal(self, cutoff):
+        """Truncated series inverse: the fragment b with
+        nu(1/self - b) >= cutoff.
+
+        With self = pi^m * sum_j a_j pi^j (a_0 != 0) the inverse is
+        pi^-m * sum_k b_k pi^k, b_0 = 1/a_0 and
+        b_k = -(1/a_0) * sum_{j=1..k} a_j b_(k-j).  A monomial has the
+        exact inverse b_0 pi^-m.
+        """
+        if not self.terms:
+            raise AlgebraError("inversion of zero")
+        field = self.field
+        m, lead = self.terms[0]
+        inv = lead.inverse()
+        tail = [(e - m, c) for e, c in self.terms[1:]]
+        length = cutoff + m if tail else min(cutoff + m, 1)
+        b = []
+        for k in range(length):
+            acc = field.zero
+            for j, c in tail:
+                if j > k:
+                    break
+                acc = acc + c * b[k - j]
+            b.append(-acc * inv if k else inv)
+        return LaurentFragment(field, [(k - m, c) for k, c in enumerate(b)],
+                               cutoff)
 
     def __add__(self, other):
         if self.field != other.field:

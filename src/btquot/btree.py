@@ -75,6 +75,22 @@ class BallVertex:
             out.append(BallVertex(f, self.r + 1, center))
         return out
 
+    def translated(self, f):
+        """tau_f . v for a polynomial f: the ball (a - f) + pi^r O."""
+        shift = LaurentFragment(
+            self.field, [(-i, -c) for i, c in enumerate(f.coeffs)
+                         if -i < self.r], self.r)
+        return BallVertex(self.field, self.r, self.center + shift)
+
+    def inverted(self):
+        """I . v for I = [[0,1],[1,0]]: with m = nu(a) < r the ball
+        1/a + pi^(r-2m) O; a zero center gives B_0^{|-r|}."""
+        if self.center.is_zero():
+            return BallVertex(self.field, -self.r,
+                              LaurentFragment.zero(self.field, -self.r))
+        r = self.r - 2 * self.center.valuation()
+        return BallVertex(self.field, r, self.center.reciprocal(r))
+
     def neighbors(self):
         """Parent followed by the q children; exactly q+1 vertices."""
         return [self.parent()] + self.children()

@@ -9,6 +9,10 @@ The orbit and stabilizer routines use the finite criterion: every vertex
 reduces to a unique standard-ray vertex v_n = B_0^{|-n|} by a word in the
 moves tau_f and I, and the GL2(R) stabilizer of v_n is explicit (upper
 triangular with a degree-n cap for n >= 1, all of GL2(F_q) for n = 0).
+The moves act on the ball a + pi^r*O itself: tau_f subtracts f from the
+center, and I maps it to 1/a + pi^(r-2m)*O with m = nu(a) < r (to
+B_0^{|-r|} for a zero center), on the truncated pi-expansion; the
+reduction never calls `act`.
 Whether a candidate lies in H_D is a divisibility condition that is affine
 linear over F_q in the unipotent coefficients, so each test is a handful of
 small linear solves instead of a q^(n+3) enumeration.  The enumeration is
@@ -168,33 +172,30 @@ def reduce_vertex(v):
     Returns (n, word, g) with g the composed word, entries in R and
     determinant in F_q*, such that act(g, v) = v_n.  The word alternates
     center-clearing translations tau_f with the inversion I; each I strictly
-    shrinks the radius exponent, so the loop terminates.
+    shrinks the radius exponent, so the loop terminates.  The moves act on
+    the ball itself (`BallVertex.translated`, `BallVertex.inverted`) and g
+    is composed by row operations over R; `act` is not called.
     """
     field = v.field
     inv = Matrix2.involution(field)
     word = []
+    # the rows of g = word[-1] @ ... @ word[0], over F_q[t]
+    a, b = Polynomial.one(field), Polynomial.zero(field)
+    c, d = b, a
     cur = v
     while True:
-        if cur.center.is_zero():
-            if cur.r <= 0:
-                n = -cur.r
-                break
-            word.append(inv)
-            cur = act(inv, cur)
-            continue
         f = cur.center.polynomial_part()
         if not f.is_zero():
-            move = Matrix2.translation(RationalFunction(f))
-            word.append(move)
-            cur = act(move, cur)
-            if cur.center.is_zero():
-                continue
+            word.append(Matrix2.translation(RationalFunction(f)))
+            a, b = a - f * c, b - f * d
+            cur = cur.translated(f)
+        if cur.center.is_zero() and cur.r <= 0:
+            break
         word.append(inv)
-        cur = act(inv, cur)
-    g = Matrix2.identity(field)
-    for move in word:
-        g = move @ g
-    return ReductionResult(n, tuple(word), g)
+        a, b, c, d = c, d, a, b
+        cur = cur.inverted()
+    return ReductionResult(-cur.r, tuple(word),
+                           Matrix2.from_polynomials(a, b, c, d))
 
 
 # ---------------------------------------------------------------------------

@@ -187,6 +187,53 @@ class TestExpansion:
                 assert frag.polynomial_part() == f.num // f.den
 
 
+def rand_fragment(field, rng):
+    cutoff = rng.randint(-10, 25)
+    lo = cutoff - rng.randint(0, 20)
+    return LaurentFragment(field, {e: rng.randrange(field.q)
+                                   for e in range(lo, cutoff)}, cutoff)
+
+
+class TestFragmentArithmetic:
+    FIELDS = (F2, F3, F4, F5, F9)
+
+    def test_to_rational_equals_term_sum(self):
+        rng = random.Random(7)
+        for field in self.FIELDS:
+            for _ in range(24):
+                frag = rand_fragment(field, rng)
+                ref = RationalFunction.zero(field)
+                for e, c in frag.terms:
+                    ref = ref + RationalFunction.t_power(field, -e) * \
+                        RationalFunction.constant(field, c)
+                out = frag.to_rational()
+                assert out.key() == ref.key()
+                assert out.num == ref.num and out.den == ref.den
+
+    def test_reciprocal_remainder_valuation(self):
+        rng = random.Random(8)
+        for field in self.FIELDS:
+            for _ in range(24):
+                frag = rand_fragment(field, rng)
+                if frag.is_zero():
+                    continue
+                cutoff = rng.randint(-10, 25)
+                inv = frag.reciprocal(cutoff)
+                assert inv.cutoff == cutoff
+                diff = frag.to_rational().inverse() - inv.to_rational()
+                assert diff.valuation() >= cutoff
+                assert inv == expand_at_infinity(
+                    frag.to_rational().inverse(), cutoff)
+
+    def test_reciprocal_of_monomial_is_exact(self):
+        x = LaurentFragment(F3, {2: 2}, 5)
+        assert x.reciprocal(10 ** 9).key() == (10 ** 9, (-2, 2))
+
+    def test_reciprocal_of_zero_rejected(self):
+        with pytest.raises(AlgebraError):
+            LaurentFragment.zero(F2, 3).reciprocal(3)
+
+
 class TestPolynomialPart:
     def test_mixed_exponents(self):
         x = LaurentFragment(F2, {-2: 1, -1: 1, 1: 1}, 2)

@@ -1,6 +1,9 @@
 import json
+import pathlib
+import shlex
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -34,6 +37,57 @@ class TestReduce:
         assert code == 0
         assert "level=2" in out
         assert "word=[tau[t], I]" in out
+
+    @pytest.mark.parametrize("vertex,level", [
+        ("r=99999999999;a=0", 99999999999),
+        ("r=99999999999;a=1*s^1", 99999999997),
+    ])
+    def test_huge_radius(self, vertex, level, capsys):
+        """The inversions work on the center, never on t^r: a zero center
+        goes to v_r, and the monomial 1/t inverts exactly to t."""
+        t0 = time.perf_counter()
+        code, out, _ = run_cli(["reduce", "--p", "2", "--vertex", vertex],
+                               capsys)
+        assert time.perf_counter() - t0 < 5.0
+        assert code == 0
+        assert "level=%d" % level in out.splitlines()
+
+
+# reduce, stab and orbit on the README examples, a deep q=3 reduction and
+# two deep orbit pairs (w = x.v for x in H_D) at q=5 and q=9
+CLI_POINTS = [
+    ["reduce", "--p", "2", "--vertex", "r=2;a=1*s^-1"],
+    ["stab", "--p", "2", "--level", "t", "--vertex", "r=-1;a=0",
+     "--brute-force"],
+    ["orbit", "--p", "2", "--level", "t", "--vertex", "r=1;a=0",
+     "--vertex2", "r=-1;a=0"],
+    ["reduce", "--p", "3", "--vertex",
+     "r=40;a=1*s^1+2*s^7+1*s^29+1*s^33+2*s^38"],
+    ["orbit", "--p", "5", "--level", "t^2", "--vertex",
+     "r=17;a=1*s^6+4*s^9+2*s^11+1*s^12+2*s^13+1*s^15+3*s^16",
+     "--vertex2",
+     "r=33;a=2*s^3+1*s^4+3*s^5+4*s^6+1*s^7+4*s^8+4*s^9+3*s^10+1*s^11"
+     "+1*s^12+3*s^13+1*s^14+3*s^16+4*s^17+3*s^23+1*s^24+4*s^26+3*s^27"
+     "+3*s^28+4*s^29+1*s^30+1*s^31"],
+    ["orbit", "--p", "3", "--s", "2", "--level", "t", "--vertex",
+     "r=16;a=6*s^1+8*s^3+2*s^5+6*s^6+1*s^8+7*s^10+3*s^11",
+     "--vertex2",
+     "r=32;a=1*s^2+4*s^3+6*s^4+7*s^5+1*s^6+2*s^7+6*s^8+1*s^9+3*s^10"
+     "+8*s^11+4*s^12+3*s^13+5*s^14+2*s^15+4*s^17+1*s^18+8*s^19+8*s^20"
+     "+6*s^22+3*s^23+8*s^24+4*s^25+7*s^26+4*s^27+4*s^28+4*s^29+6*s^30"
+     "+3*s^31"],
+]
+CLI_POINTS_GOLDEN = pathlib.Path(__file__).parent / "golden" / "cli_points.txt"
+
+
+def test_cli_points_golden(capsys):
+    """One '$ btquot ...' header line per command, then its stdout."""
+    parts = []
+    for args in CLI_POINTS:
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0, args
+        parts.append("$ btquot %s\n%s" % (shlex.join(args), out))
+    assert "".join(parts) == CLI_POINTS_GOLDEN.read_text(encoding="utf-8")
 
 
 class TestFormula:

@@ -5,13 +5,15 @@ import pytest
 from btquot.algebra import (FieldSpec, LaurentFragment, Polynomial,
                             RationalFunction)
 from btquot.btree import BallVertex, Matrix2, act
-from btquot.hecke import (HeckeError, Level, SizeError, is_member,
-                          orbit_equivalent, orbit_equivalent_brute_force,
-                          parse_level, reduce_vertex, solve_affine,
-                          stabilizer, stabilizer_brute_force)
+from btquot.hecke import (HeckeError, Level, ReductionResult, SizeError,
+                          is_member, orbit_equivalent,
+                          orbit_equivalent_brute_force, parse_level,
+                          reduce_vertex, solve_affine, stabilizer,
+                          stabilizer_brute_force)
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
+ORACLE_FIELDS = [F2, F3, FieldSpec(2, 2), FieldSpec(5), FieldSpec(3, 2)]
 
 
 def ball(field, r, terms):
@@ -132,6 +134,91 @@ class TestReduce:
             det = red.g.det()
             assert det.is_polynomial() and det.num.is_constant() and det
             assert red.g.is_polynomial()
+
+
+def reduce_vertex_by_act(v):
+    """Reference reduction: each move goes through the generic `act`, and
+    g is the matrix product of the word."""
+    field = v.field
+    inv = Matrix2.involution(field)
+    word = []
+    cur = v
+    while True:
+        if cur.center.is_zero():
+            if cur.r <= 0:
+                n = -cur.r
+                break
+            word.append(inv)
+            cur = act(inv, cur)
+            continue
+        f = cur.center.polynomial_part()
+        if not f.is_zero():
+            move = Matrix2.translation(RationalFunction(f))
+            word.append(move)
+            cur = act(move, cur)
+            if cur.center.is_zero():
+                continue
+        word.append(inv)
+        cur = act(inv, cur)
+    g = Matrix2.identity(field)
+    for move in word:
+        g = move @ g
+    return ReductionResult(n, tuple(word), g)
+
+
+def oracle_vertices():
+    """Seeded vertices for the ball-native moves: random centers of up to
+    20 terms with r in [-6, 24] (valuations <= 0 included), zero centers
+    on both sides of r = 0, and deep partner-like vertices x.v, x in H_D,
+    as the orbit queries reduce them."""
+    rng = random.Random(31)
+    out = []
+    for field in ORACLE_FIELDS:
+        for r in (-3, 0, 2, 7):
+            out.append(ball(field, r, {}))
+        for _ in range(16):
+            r = rng.randint(-6, 24)
+            lo = r - rng.randint(1, 20)
+            out.append(ball(field, r, {e: rng.randrange(field.q)
+                                       for e in range(lo, r)}))
+        level = parse_level("t^2" if field.q < 5 else "t", field)
+        for _ in range(4):
+            r = rng.randint(5, 10)
+            v = ball(field, r, {e: rng.randrange(1, field.q)
+                                for e in rng.sample(range(1, r), 4)})
+            out.append(act(rand_member(field, level, rng, steps=5), v))
+    return out
+
+
+class TestBallNativeReduction:
+    @pytest.fixture(scope="class")
+    def vertices(self):
+        return oracle_vertices()
+
+    def test_sample_shape(self, vertices):
+        assert len(vertices) >= 120
+        assert sum(v.r >= 16 for v in vertices) >= 20
+        assert any(v.center.valuation() <= 0 for v in vertices)
+        assert {v.field.q for v in vertices} == {2, 3, 4, 5, 9}
+
+    def test_moves_equal_act(self, vertices):
+        rng = random.Random(32)
+        for v in vertices:
+            field = v.field
+            assert v.inverted() == act(Matrix2.involution(field), v)
+            f = Polynomial(field, [rng.randrange(field.q)
+                                   for _ in range(rng.randint(0, 6))])
+            assert v.translated(f) == act(Matrix2.translation(f), v)
+            p = v.center.polynomial_part()
+            assert v.translated(p) == act(Matrix2.translation(p), v)
+
+    def test_reduction_equals_act_oracle(self, vertices):
+        for v in vertices:
+            red, ref = reduce_vertex(v), reduce_vertex_by_act(v)
+            assert red.level_n == ref.level_n, v
+            assert [m.key() for m in red.word] == \
+                [m.key() for m in ref.word], v
+            assert red.g.key() == ref.g.key(), v
 
 
 class TestSolveAffine:
