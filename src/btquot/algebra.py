@@ -431,14 +431,15 @@ class Polynomial:
             raise AlgebraError("polynomial division by zero")
         rem = list(self.coeffs)
         db = other.degree
-        inv_lead = other.leading().inverse()
+        neg_inv_lead = -other.leading().inverse()
+        terms = [(i, b) for i, b in enumerate(other.coeffs) if b]
         quo = [self.field.zero] * max(len(rem) - db, 0)
         while len(rem) - 1 >= db and rem:
-            f = rem[-1] * inv_lead
+            f = rem[-1] * neg_inv_lead
             sh = len(rem) - 1 - db
-            quo[sh] = f
-            for i, b in enumerate(other.coeffs):
-                rem[sh + i] = rem[sh + i] - f * b
+            quo[sh] = -f
+            for i, b in terms:
+                rem[sh + i] = rem[sh + i] + f * b
             while rem and rem[-1].is_zero():
                 rem.pop()
         return (Polynomial(self.field, quo), Polynomial(self.field, rem))
@@ -465,21 +466,24 @@ class Polynomial:
         return self.scale(self.leading().inverse())
 
     def is_irreducible(self):
-        """Trial factorization; intended for small degrees."""
+        """Ben-Or's test: P of degree d >= 1 is irreducible over F_q if and
+        only if gcd(P, t^(q^i) - t mod P) = 1 for every 1 <= i <= d/2."""
         if self.degree < 1:
             return False
-        half = self.degree // 2
-        field = self.field
-        for d in range(1, half + 1):
-            for packed in range(field.q ** d):
-                v = packed
-                low = []
-                for _ in range(d):
-                    low.append(v % field.q)
-                    v //= field.q
-                cand = Polynomial(field, low + [1])
-                if (self % cand).is_zero():
-                    return False
+        t = Polynomial.t(self.field)
+        h = t
+        for _ in range(self.degree // 2):
+            # h = h^q mod P, by square and multiply
+            acc, base, e = Polynomial.one(self.field), h, self.field.q
+            while e:
+                if e & 1:
+                    acc = acc * base % self
+                e >>= 1
+                if e:
+                    base = base * base % self
+            h = acc
+            if poly_gcd(self, h - t).degree != 0:
+                return False
         return True
 
     def _coerce(self, other):
@@ -704,18 +708,22 @@ class LaurentFragment:
         return Polynomial(field,
                           [coeffs.get(i, field.zero) for i in range(deg + 1)])
 
-    def to_rational(self):
-        """The fragment as (sum c*t^(K-e)) / t^K, K the largest exponent
-        (at least 0), normalized once."""
+    def fraction(self):
+        """The fragment as (P, t^K) with value P/t^K, K the largest exponent
+        (at least 0); t does not divide P when K > 0, so the pair is in
+        lowest terms."""
         field = self.field
         if not self.terms:
-            return RationalFunction.zero(field)
+            return Polynomial.zero(field), Polynomial.one(field)
         k = max(self.terms[-1][0], 0)
         coeffs = [field.zero] * (k - self.terms[0][0] + 1)
         for e, c in self.terms:
             coeffs[k - e] = c
-        return RationalFunction(Polynomial(field, coeffs),
-                                Polynomial.one(field).shift(k))
+        return Polynomial(field, coeffs), Polynomial.one(field).shift(k)
+
+    def to_rational(self):
+        """The fragment as the rational function P/t^K of `fraction`."""
+        return RationalFunction(*self.fraction())
 
     def reciprocal(self, cutoff):
         """Truncated series inverse: the fragment b with

@@ -9,6 +9,16 @@ columns (a, 1) and (pi^r, 0), and GL2 acts by g.[L] = [g(L)].
 Neighbor convention: the parent of a vertex is the next larger ball
 (radius exponent r-1); its q children are the maximal sub-balls
 (radius exponent r+1).  Valency is q+1.
+
+Two ways to move a vertex.  `act` is the general one, for any g in GL2 over
+F_q(t): it forms the lattice basis g . (basis of v) and canonicalizes it.
+For g in GL2(F_q[t]) with det g in F_q*, `BallVertex.moved` works on the
+ball itself: Euclid on the left column writes g as a word in translations
+tau_f, the inversion I and a constant upper-triangular matrix (Nagao's
+amalgam, Serre, Trees, II.1.6), and each factor maps a ball to a ball
+(`translated`, `inverted`, `scaled`).  The program moves vertices with
+`moved`; `act` and `canonicalize` are the reference the tests and the
+self-test compare against.
 """
 
 from __future__ import annotations
@@ -90,6 +100,39 @@ class BallVertex:
                               LaurentFragment.zero(self.field, -self.r))
         r = self.r - 2 * self.center.valuation()
         return BallVertex(self.field, r, self.center.reciprocal(r))
+
+    def scaled(self, u):
+        """diag(u, 1) . v for a constant u in F_q*: the ball u*a + pi^r O."""
+        return BallVertex(self.field, self.r, LaurentFragment(
+            self.field, [(e, u * c) for e, c in self.center.terms], self.r))
+
+    def moved(self, g):
+        """g . v for g in GL2(F_q[t]) with det g in F_q*, on the ball.
+
+        Euclid on the left column (a, c): with a = k*c + a' the matrix is
+        g = tau_{-k} . I . [[c, d], [a', b - k*d]], so
+        g = tau_{-k_1} I tau_{-k_2} I ... T with T = [[alpha, b], [0, delta]]
+        and alpha, delta in F_q*.  T moves the center a to
+        (alpha/delta)*a + b/delta, and the factors are applied right to
+        left by `scaled`, `inverted` and `translated`.
+        """
+        if not g.is_polynomial():
+            raise TreeError("matrix %r has a non-polynomial entry" % (g,))
+        a, b, c, d = (x.num for x in g.entries())
+        if (a * d - b * c).degree != 0:
+            raise TreeError("determinant of %r is not a nonzero constant"
+                            % (g,))
+        quotients = []
+        while c:
+            k, rem = divmod(a, c)
+            quotients.append(k)
+            a, b, c, d = c, d, rem, b - k * d
+        delta_inv = d.leading().inverse()
+        v = self.scaled(a.leading() * delta_inv).translated(
+            -b.scale(delta_inv))
+        for k in reversed(quotients):
+            v = v.inverted().translated(-k)
+        return v
 
     def neighbors(self):
         """Parent followed by the q children; exactly q+1 vertices."""

@@ -11,8 +11,8 @@ moves tau_f and I, and the GL2(R) stabilizer of v_n is explicit (upper
 triangular with a degree-n cap for n >= 1, all of GL2(F_q) for n = 0).
 The moves act on the ball a + pi^r*O itself: tau_f subtracts f from the
 center, and I maps it to 1/a + pi^(r-2m)*O with m = nu(a) < r (to
-B_0^{|-r|} for a zero center), on the truncated pi-expansion; the
-reduction never calls `act`.
+B_0^{|-r|} for a zero center), on the exact center P/t^K, so the reduction
+is Euclid's algorithm on (P, t^K) and never calls `act`.
 Whether a candidate lies in H_D is a divisibility condition that is affine
 linear over F_q in the unipotent coefficients, so each test is a handful of
 small linear solves instead of a q^(n+3) enumeration.  The enumeration is
@@ -172,29 +172,44 @@ def reduce_vertex(v):
     Returns (n, word, g) with g the composed word, entries in R and
     determinant in F_q*, such that act(g, v) = v_n.  The word alternates
     center-clearing translations tau_f with the inversion I; each I strictly
-    shrinks the radius exponent, so the loop terminates.  The moves act on
-    the ball itself (`BallVertex.translated`, `BallVertex.inverted`) and g
-    is composed by row operations over R; `act` is not called.
+    shrinks the radius exponent, so the loop terminates.
+
+    The moves run on the ball x + pi^r O with x the exact center P/t^K of
+    v: tau_f subtracts from x the polynomial part f of its truncated
+    expansion (the quotient of the division, without the terms t^i with
+    -i >= r), and I maps x to 1/x and r to r - 2 nu(x) when nu(x) < r, or
+    the ball B_0^{|r|} to B_0^{|-r|}.  That is Euclid's algorithm on (P, t^K)
+    stopped by the radius, so the cost does not depend on r.  g is composed
+    by row operations over R; `act` is not called.
     """
     field = v.field
     inv = Matrix2.involution(field)
+    zero = Polynomial.zero(field)
     word = []
     # the rows of g = word[-1] @ ... @ word[0], over F_q[t]
-    a, b = Polynomial.one(field), Polynomial.zero(field)
+    a, b = Polynomial.one(field), zero
     c, d = b, a
-    cur = v
+    num, den = v.center.fraction()
+    r = v.r
     while True:
-        f = cur.center.polynomial_part()
-        if not f.is_zero():
+        f, num = divmod(num, den)
+        if r <= 0:
+            # the ball drops t^i for i <= -r; what is left of x lies in
+            # pi^r O, so the center is cleared and the loop ends
+            f = (Polynomial(field, (0,) * (1 - r) + f.coeffs[1 - r:])
+                 if f.degree > -r else zero)
+        if f:
             word.append(Matrix2.translation(RationalFunction(f)))
             a, b = a - f * c, b - f * d
-            cur = cur.translated(f)
-        if cur.center.is_zero() and cur.r <= 0:
+        if r <= 0:
             break
         word.append(inv)
         a, b, c, d = c, d, a, b
-        cur = cur.inverted()
-    return ReductionResult(-cur.r, tuple(word),
+        if not num or den.degree - num.degree >= r:
+            num, den, r = zero, Polynomial.one(field), -r
+        else:
+            num, den, r = den, num, r - 2 * (den.degree - num.degree)
+    return ReductionResult(-r, tuple(word),
                            Matrix2.from_polynomials(a, b, c, d))
 
 
@@ -296,13 +311,13 @@ class StabDescriptor:
     separately in `extra`.
     """
 
-    __slots__ = ("base_vertex", "conjugator", "conjugator_inv", "level_n",
+    __slots__ = ("base_vertex", "conjugator", "_conjugator_inv", "level_n",
                  "level", "field", "blocks", "extra", "_order")
 
     def __init__(self, base_vertex, conjugator, level_n, level, blocks, extra):
         self.base_vertex = base_vertex
         self.conjugator = conjugator
-        self.conjugator_inv = conjugator.inverse()
+        self._conjugator_inv = None
         self.level_n = level_n
         self.level = level
         self.field = base_vertex.field
@@ -315,6 +330,14 @@ class StabDescriptor:
     @property
     def order(self):
         return self._order
+
+    @property
+    def conjugator_inv(self):
+        """g^-1, computed on first use: only `generators` and
+        `materialize` conjugate."""
+        if self._conjugator_inv is None:
+            self._conjugator_inv = self.conjugator.inverse()
+        return self._conjugator_inv
 
     def unipotent_dim(self):
         """F_q-dimension of the (1,1)-block solution space."""
@@ -388,11 +411,14 @@ def _orbit_linear_data(red_src, red_dst):
 
     With W = g_dst^{-1} and (A, C) the first column of g_src, the entry is
     alpha*(W21*A) + beta*(W22*C) + b*(W21*C) for triangular s, plus the
-    lower-row terms at level 0.
+    lower-row terms at level 0.  W is read off the adjugate of
+    g_dst = [[a, b], [c, d]]: W21 = -c/delta, W22 = a/delta with
+    delta = det g_dst in F_q*.
     """
-    w = red_dst.g.inverse()
-    w21 = w.c.as_polynomial()
-    w22 = w.d.as_polynomial()
+    ga, gb, gc, gd = (x.as_polynomial() for x in red_dst.g.entries())
+    delta_inv = (ga * gd - gb * gc).leading().inverse()
+    w21 = (-gc).scale(delta_inv)
+    w22 = ga.scale(delta_inv)
     a = red_src.g.a.as_polynomial()
     c = red_src.g.c.as_polynomial()
     return w21, w22, a, c
@@ -469,17 +495,17 @@ def orbit_witness(level, red_src, red_dst):
     field = level.field
     blocks, extra = _stab_solution(level, red_src, red_dst,
                                    stabilizer_mode=False)
-    w_inv = red_dst.g.inverse()
     if blocks:
         (ai, bi), part, _ = blocks[0]
         s = Matrix2(RationalFunction.constant(field, ai),
                     RationalFunction(_poly_from_vector(field, part)),
                     RationalFunction.zero(field),
                     RationalFunction.constant(field, bi))
-        return w_inv @ s @ red_src.g
-    if extra:
-        return w_inv @ extra[0] @ red_src.g
-    return None
+    elif extra:
+        s = extra[0]
+    else:
+        return None
+    return red_dst.g.inverse() @ s @ red_src.g
 
 
 def orbit_equivalent(v, w, level, red_v=None, red_w=None):

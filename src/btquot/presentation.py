@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .btree import Matrix2, act
+from .btree import Matrix2
 from .hecke import SizeError, StabDescriptor, orbit_witness, reduce_vertex
 from .quotient import SPLIT, extend_tail_inward, frame_fixers, frame_orbits
 
@@ -471,7 +471,7 @@ def emit_presentation(G):
                                        for nm, k in reversed(word_dst))
             else:
                 image = e.g_y.inverse() @ c @ e.g_y
-                if act(image, G.lifts[e.dst]) != G.lifts[e.dst]:
+                if G.lifts[e.dst].moved(image) != G.lifts[e.dst]:
                     raise PresentationError(
                         "edge injection image does not stabilize the target")
                 word_dst = _word_search(image, *gen_by_class[e.dst], field)

@@ -19,7 +19,8 @@ point at infinity and the child c t^n + t^(n-1) O is c.  By Nagao's theorem
 S is triangular, [[alpha, b], [0, beta]] with deg b <= n, or all of GL2(F_q)
 at n = 0; such an element moves the labels by the Moebius map of
 [[alpha, b_n], [0, beta]], b_n the t^n coefficient of b.  So each neighbor
-costs one `act`, by g, and the orbits are read off the solver's blocks
+is moved once by g, on the ball (`BallVertex.moved`, Euclid on the left
+column of g, no `act`), and the orbits are read off the solver's blocks
 over F_q.
 
 Cusp certification walks each boundary-directed chain of valency-2 classes
@@ -35,7 +36,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dc_field
 
-from .btree import BallVertex, Matrix2, act
+from .btree import BallVertex, Matrix2, TreeError
 from .hecke import orbit_witness, reduce_vertex, stabilizer
 
 
@@ -184,13 +185,19 @@ class QuotientGraph:
 def _frame_label(stab, w):
     """The label in P^1(F_q) of a tree neighbor w of the vertex of `stab`:
     None (infinity) when the frame g = stab.conjugator maps w to v_{n+1},
-    c when g maps w to the child c t^n + t^(n-1) O of v_n.
+    c when g maps w to the child c t^n + t^(n-1) O of v_n.  The image is
+    `w.moved(g)`, one Euclid decomposition of g applied to the ball.
 
     A neighbor mapped anywhere else shows that g does not map the vertex to
-    v_n.
+    v_n, and a g outside GL2(F_q[t]) with det g in F_q* is no frame at all.
     """
     n = stab.level_n
-    u = act(stab.conjugator, w)
+    try:
+        u = w.moved(stab.conjugator)
+    except TreeError as exc:
+        raise InconsistencyError(
+            "the frame of vertex %s is not a reduction: %s"
+            % (stab.base_vertex.to_text(), exc)) from exc
     terms = u.center.terms
     if u.r == -n - 1 and not terms:
         return None

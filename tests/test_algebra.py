@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -20,6 +21,18 @@ ALL_FIELDS = [F2, F3, F4, F5, FieldSpec(7), F8, F9]
 def rand_poly(field, rng, max_deg=4):
     return Polynomial(field, [rng.randrange(field.q)
                               for _ in range(rng.randint(0, max_deg) + 1)])
+
+
+def irreducible_by_trial_division(p):
+    """Reference irreducibility test: no monic divisor of degree 1..d/2."""
+    if p.degree < 1:
+        return False
+    field = p.field
+    for d in range(1, p.degree // 2 + 1):
+        for low in itertools.product(range(field.q), repeat=d):
+            if (p % Polynomial(field, list(low) + [1])).is_zero():
+                return False
+    return True
 
 
 def rand_rational(field, rng, max_deg=4):
@@ -117,6 +130,21 @@ class TestPolynomial:
         assert parse_polynomial("t^2+t+1", F2).is_irreducible()
         assert not parse_polynomial("t^2+1", F2).is_irreducible()
         assert parse_polynomial("t^2+1", F3).is_irreducible()
+
+    @pytest.mark.parametrize("field,max_deg", [
+        (F2, 5), (F3, 5), (F4, 3), (F5, 3), (F9, 3)])
+    def test_ben_or_equals_trial_division(self, field, max_deg):
+        for d in range(max_deg + 1):
+            for low in itertools.product(range(field.q), repeat=d):
+                p = Polynomial(field, list(low) + [1])
+                expected = irreducible_by_trial_division(p)
+                assert p.is_irreducible() == expected, p
+
+    def test_non_monic_and_degenerate(self):
+        assert parse_polynomial("2*t^2+2", F3).is_irreducible()
+        assert not parse_polynomial("2*t^2+1", F3).is_irreducible()
+        assert not Polynomial.zero(F3).is_irreducible()
+        assert not Polynomial.one(F3).is_irreducible()
 
 
 class TestValuation:

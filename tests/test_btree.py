@@ -7,10 +7,13 @@ from btquot.algebra import (FieldSpec, LaurentFragment, Polynomial,
 from btquot.btree import (BallVertex, Matrix2, RationalEnd, TreeError, act,
                           canonicalize, distance, distance_bfs,
                           distance_invariant_factors, moebius_end)
+from btquot.hecke import parse_level
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
 F4 = FieldSpec(2, 2)
+F5 = FieldSpec(5)
+F9 = FieldSpec(3, 2)
 
 
 def ball(field, r, terms):
@@ -159,6 +162,97 @@ class TestGroupLaws:
                 assert act(g, v).parity() == v.parity()
             else:
                 assert act(g, v).parity() != v.parity()
+
+
+def rand_poly(field, rng, max_deg):
+    return Polynomial(field, [rng.randrange(field.q)
+                              for _ in range(rng.randint(0, max_deg + 1))])
+
+
+def move_cases():
+    """Seeded (g, v) pairs for `moved`: g a product of H_D generators
+    (level t), a constant diagonal with alpha != delta, a pure tau_f or
+    [[1, 0], [N_D, 1]]; v with r in [-6, 12], or deep with r >= 16."""
+    rng = random.Random(41)
+    one = Polynomial.one
+    out = []
+    for field in (F2, F3, F4, F5, F9):
+        modulus = parse_level("t", field).modulus
+        lower = Matrix2.from_polynomials(one(field), Polynomial.zero(field),
+                                         modulus, one(field))
+        units = field.units()
+        for i in range(44):
+            kind = i % 4
+            if kind == 0:
+                g = Matrix2.identity(field)
+                for _ in range(rng.randint(2, 6)):
+                    step = rng.randrange(3)
+                    if step == 0:
+                        m = Matrix2.translation(rand_poly(field, rng, 2))
+                    elif step == 1:
+                        m = Matrix2.from_polynomials(
+                            one(field), Polynomial.zero(field),
+                            modulus * rand_poly(field, rng, 1), one(field))
+                    else:
+                        m = Matrix2.diagonal(field, rng.choice(units),
+                                             rng.choice(units))
+                    g = m @ g
+            elif kind == 1:
+                alpha = rng.choice(units)
+                delta = rng.choice([u for u in units if u != alpha]
+                                   if field.q > 2 else units)
+                g = Matrix2.diagonal(field, alpha, delta)
+            elif kind == 2:
+                g = Matrix2.translation(rand_poly(field, rng, 4))
+            else:
+                g = lower
+            if i % 11 == 10:
+                r = rng.randint(16, 30)
+            else:
+                r = rng.randint(-6, 12)
+            v = rand_vertex(field, rng, rmin=r, rmax=r,
+                            span=rng.randint(0, 12))
+            out.append((g, v))
+    return out
+
+
+class TestBallMove:
+    def test_sample_shape(self):
+        cases = move_cases()
+        assert len(cases) >= 200
+        assert {v.field.q for _, v in cases} == {2, 3, 4, 5, 9}
+        assert sum(v.r >= 16 for _, v in cases) >= 15
+        assert any(g.a != g.d and g.c.is_zero() and g.b.is_zero()
+                   for g, _ in cases)
+
+    def test_moved_equals_act(self):
+        for g, v in move_cases():
+            assert v.moved(g) == act(g, v), (g, v)
+
+    def test_scaled_equals_act(self):
+        rng = random.Random(42)
+        for field in (F3, F4, F5, F9):
+            for _ in range(10):
+                u = rng.choice(field.units())
+                v = rand_vertex(field, rng, rmin=-6, rmax=12, span=8)
+                diag = Matrix2.diagonal(field, u, field.one)
+                assert v.scaled(u) == act(diag, v)
+                assert v.scaled(u).r == v.r
+
+    def test_rejects_non_polynomial(self):
+        t_inv = RationalFunction.t_power(F3, -1)
+        one = RationalFunction.one(F3)
+        zero = RationalFunction.zero(F3)
+        with pytest.raises(TreeError):
+            BallVertex.base(F3).moved(Matrix2(one, t_inv, zero, one))
+
+    def test_rejects_non_constant_determinant(self):
+        t = RationalFunction(Polynomial.t(F3))
+        one = RationalFunction.one(F3)
+        zero = RationalFunction.zero(F3)
+        for g in (Matrix2(t, zero, zero, one), Matrix2(one, one, one, one)):
+            with pytest.raises(TreeError):
+                BallVertex.base(F3).moved(g)
 
 
 class TestEnds:

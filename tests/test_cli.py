@@ -41,10 +41,12 @@ class TestReduce:
     @pytest.mark.parametrize("vertex,level", [
         ("r=99999999999;a=0", 99999999999),
         ("r=99999999999;a=1*s^1", 99999999997),
+        ("r=99999999999;a=1*s^1+1*s^2", 99999999995),
     ])
     def test_huge_radius(self, vertex, level, capsys):
-        """The inversions work on the center, never on t^r: a zero center
-        goes to v_r, and the monomial 1/t inverts exactly to t."""
+        """The inversions work on the exact center, never on t^r: a zero
+        center goes to v_r, the monomial 1/t inverts exactly to t, and
+        (t+1)/t^2 reduces by Euclid's algorithm in three inversions."""
         t0 = time.perf_counter()
         code, out, _ = run_cli(["reduce", "--p", "2", "--vertex", vertex],
                                capsys)

@@ -26,3 +26,12 @@ def test_traced_names_exist():
     for home, cls_name, name in tracing.TRACED_METHODS:
         cls = getattr(getattr(btquot, home), cls_name)
         assert callable(vars(cls).get(name)), (home, cls_name, name)
+
+
+def test_production_modules_do_not_bind_act():
+    """The build, certification and presentation move vertices with
+    `BallVertex.moved`; `act` stays in `btree` as the reference, so the
+    traced `btree.act.calls` counts oracle calls only."""
+    for module in (btquot.quotient, btquot.presentation):
+        assert "act" not in vars(module), module.__name__
+        assert "canonicalize" not in vars(module), module.__name__
