@@ -9,9 +9,9 @@ Run:  python demos/01_tree_basics.py
 """
 
 from btquot import (BallVertex, FieldSpec, LaurentFragment, Matrix2,
-                    Polynomial, RationalFunction, act, distance,
-                    distance_bfs, distance_invariant_factors,
-                    expand_at_infinity, parse_rational)
+                    Polynomial, act, distance, distance_bfs,
+                    distance_invariant_factors, expand_at_infinity,
+                    parse_rational)
 
 F3 = FieldSpec(3)
 
@@ -40,7 +40,7 @@ print("breadth-first walk:", distance_bfs(v0, v))
 
 print()
 print("== the GL2 action ==")
-tau = Matrix2.translation(RationalFunction(Polynomial.t(F3)))
+tau = Matrix2.translation(Polynomial.t(F3))
 inv = Matrix2.involution(F3)
 print("tau_t . B_t^{|2|} =", act(tau, BallVertex(
     F3, 2, LaurentFragment(F3, {-1: 1}, 2))).to_text())

@@ -6,9 +6,8 @@ certified cusp counts against closed forms, and Bass-Serre amalgam data.
 from .algebra import (AlgebraError, FieldSpec, FieldElement, LaurentFragment,
                       ParseError, Polynomial, RationalFunction,
                       expand_at_infinity, parse_polynomial, parse_rational)
-from .btree import (BallVertex, Matrix2, RationalEnd, TreeError, act,
-                    canonicalize, distance, distance_bfs,
-                    distance_invariant_factors, moebius_end)
+from .btree import (BallVertex, Matrix2, TreeError, act, canonicalize,
+                    distance, distance_bfs, distance_invariant_factors)
 from .hecke import (HeckeError, Level, ReductionResult, SizeError,
                     StabDescriptor, is_member, orbit_equivalent, parse_level,
                     reduce_vertex, stabilizer, stabilizer_brute_force)

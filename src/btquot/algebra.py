@@ -404,6 +404,8 @@ class Polynomial:
         return self + (-self._coerce(other))
 
     def __mul__(self, other):
+        if isinstance(other, RationalFunction):
+            return NotImplemented
         other = self._coerce(other)
         if not self.coeffs or not other.coeffs:
             return Polynomial.zero(self.field)
@@ -422,8 +424,7 @@ class Polynomial:
         """Multiply by t^k, k >= 0."""
         if self.is_zero():
             return self
-        return Polynomial(self.field,
-                          (0,) * k + tuple(c.to_int() for c in self.coeffs))
+        return Polynomial(self.field, (self.field.zero,) * k + self.coeffs)
 
     def __divmod__(self, other):
         other = self._coerce(other)
@@ -459,6 +460,25 @@ class Polynomial:
             base = base * base
             e >>= 1
         return out
+
+    # read as P/1 in F_q(t), so a matrix entry is used alike in either ring
+
+    @property
+    def num(self):
+        return self
+
+    def is_polynomial(self):
+        return True
+
+    def valuation(self):
+        """nu at infinity: -deg; +inf for 0."""
+        return INF if self.is_zero() else -self.degree
+
+    def inverse(self):
+        """Inverse of a unit of F_q[t], a nonzero constant."""
+        if self.degree != 0:
+            raise AlgebraError("%s is not a unit of F_q[t]" % self)
+        return Polynomial(self.field, (self.coeffs[0].inverse(),))
 
     def monic(self):
         if self.is_zero():
@@ -621,6 +641,8 @@ class RationalFunction:
     def __mul__(self, other):
         other = self._coerce(other)
         return RationalFunction(self.num * other.num, self.den * other.den)
+
+    __rmul__ = __mul__
 
     def inverse(self):
         if self.is_zero():

@@ -10,21 +10,24 @@ Neighbor convention: the parent of a vertex is the next larger ball
 (radius exponent r-1); its q children are the maximal sub-balls
 (radius exponent r+1).  Valency is q+1.
 
-Two ways to move a vertex.  `act` is the general one, for any g in GL2 over
-F_q(t): it forms the lattice basis g . (basis of v) and canonicalizes it.
-For g in GL2(F_q[t]) with det g in F_q*, `BallVertex.moved` works on the
-ball itself: Euclid on the left column writes g as a word in translations
-tau_f, the inversion I and a constant upper-triangular matrix (Nagao's
-amalgam, Serre, Trees, II.1.6), and each factor maps a ball to a ball
-(`translated`, `inverted`, `scaled`).  The program moves vertices with
-`moved`; `act` and `canonicalize` are the reference the tests and the
-self-test compare against.
+Group elements lie in GL2(F_q[t]) and are `Matrix2`s with `Polynomial`
+entries; F_q(t) appears only in lattice bases, where pi^r does.
+
+Two ways to move a vertex.  `act` forms the lattice basis g . (basis of v),
+a product over F_q(t), and canonicalizes it.  For g in GL2(F_q[t]) with
+det g in F_q*, `BallVertex.moved` works on the ball itself: Euclid on the
+left column writes g as a word in translations tau_f, the inversion I and
+a constant upper-triangular matrix (Nagao's amalgam, Serre, Trees, II.1.6),
+and each factor maps a ball to a ball (`translated`, `inverted`,
+`scaled`).  The program moves vertices with `moved`; `act` and
+`canonicalize` are the reference the tests and the self-test compare
+against.
 """
 
 from __future__ import annotations
 
-from .algebra import (LaurentFragment, Polynomial, RationalFunction,
-                      expand_at_infinity, format_fragment,
+from .algebra import (AlgebraError, LaurentFragment, Polynomial,
+                      RationalFunction, expand_at_infinity, format_fragment,
                       format_rational, parse_fragment)
 
 
@@ -168,7 +171,13 @@ class BallVertex:
 
 
 class Matrix2:
-    """2x2 matrix over F_q(t): [[a, b], [c, d]]."""
+    """2x2 matrix [[a, b], [c, d]] whose four entries lie in one ring.
+
+    An element of GL2(F_q[t]) holds `Polynomial` entries; a lattice basis
+    (`BallVertex.basis`, the input of `canonicalize`) holds
+    `RationalFunction` entries, and a product of the two comes out over
+    F_q(t).
+    """
 
     __slots__ = ("a", "b", "c", "d", "_key")
 
@@ -178,37 +187,28 @@ class Matrix2:
 
     @classmethod
     def identity(cls, field):
-        one = RationalFunction.one(field)
-        zero = RationalFunction.zero(field)
+        one = Polynomial.one(field)
+        zero = Polynomial.zero(field)
         return cls(one, zero, zero, one)
 
     @classmethod
     def involution(cls, field):
         """I = [[0,1],[1,0]]."""
-        one = RationalFunction.one(field)
-        zero = RationalFunction.zero(field)
+        one = Polynomial.one(field)
+        zero = Polynomial.zero(field)
         return cls(zero, one, one, zero)
 
     @classmethod
     def translation(cls, f):
         """tau_f = [[1,-f],[0,1]]; acts on balls by center shift a -> a-f."""
-        if isinstance(f, Polynomial):
-            f = RationalFunction(f)
-        field = f.field
-        one = RationalFunction.one(field)
-        zero = RationalFunction.zero(field)
-        return cls(one, -f, zero, one)
+        one = Polynomial.one(f.field)
+        return cls(one, -f, Polynomial.zero(f.field), one)
 
     @classmethod
     def diagonal(cls, field, alpha, beta):
-        zero = RationalFunction.zero(field)
-        return cls(RationalFunction.constant(field, alpha), zero,
-                   zero, RationalFunction.constant(field, beta))
-
-    @classmethod
-    def from_polynomials(cls, a, b, c, d):
-        return cls(RationalFunction(a), RationalFunction(b),
-                   RationalFunction(c), RationalFunction(d))
+        zero = Polynomial.zero(field)
+        return cls(Polynomial.constant(field, alpha), zero,
+                   zero, Polynomial.constant(field, beta))
 
     @property
     def field(self):
@@ -224,10 +224,15 @@ class Matrix2:
                        self.c * other.b + self.d * other.d)
 
     def inverse(self):
+        """Adjugate over det; over F_q[t] det must be a unit, in F_q*."""
         det = self.det()
         if det.is_zero():
             raise TreeError("singular matrix")
-        inv = det.inverse()
+        try:
+            inv = det.inverse()
+        except AlgebraError:
+            raise TreeError("determinant of %r is not a nonzero constant"
+                            % (self,))
         return Matrix2(self.d * inv, -self.b * inv,
                        -self.c * inv, self.a * inv)
 
@@ -262,7 +267,8 @@ def canonicalize(m):
     """
     if m.det().is_zero():
         raise TreeError("singular lattice basis")
-    a, b, c, d = m.a, m.b, m.c, m.d
+    a, b, c, d = (x if isinstance(x, RationalFunction)
+                  else RationalFunction(x) for x in m.entries())
     if c.valuation() > d.valuation():
         a, b = b, a
         c, d = d, c
@@ -322,54 +328,7 @@ def distance_bfs(v, w, max_depth=8):
     return None
 
 
-class RationalEnd:
-    """Boundary point of the tree defined over F_q(t): an element of k,
-    or the point at infinity."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value=None):
-        self.value = value  # None encodes infinity
-
-    @classmethod
-    def infinity(cls, field=None):
-        return cls(None)
-
-    @classmethod
-    def of(cls, rf):
-        return cls(rf)
-
-    def is_infinity(self):
-        return self.value is None
-
-    def __eq__(self, other):
-        return isinstance(other, RationalEnd) and self.value == other.value
-
-    def __hash__(self):
-        return hash(("end", self.value))
-
-    def __repr__(self):
-        return "End(inf)" if self.value is None \
-            else "End(%s)" % format_rational(self.value)
-
-
-def moebius_end(g, xi):
-    """(a*xi + b) / (c*xi + d) with the usual conventions at infinity."""
-    if g.det().is_zero():
-        raise TreeError("singular matrix cannot act")
-    if xi.is_infinity():
-        if g.c.is_zero():
-            return RationalEnd.infinity()
-        return RationalEnd.of(g.a / g.c)
-    x = xi.value
-    den = g.c * x + g.d
-    if den.is_zero():
-        return RationalEnd.infinity()
-    return RationalEnd.of((g.a * x + g.b) / den)
-
-
 __all__ = [
     "TreeError", "BallVertex", "Matrix2", "canonicalize",
     "act", "distance", "distance_invariant_factors", "distance_bfs",
-    "RationalEnd", "moebius_end",
 ]

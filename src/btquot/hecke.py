@@ -24,8 +24,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .algebra import (AlgebraError, Polynomial, RationalFunction,
-                      format_polynomial, parse_polynomial, poly_gcd)
+from .algebra import (AlgebraError, Polynomial, format_polynomial,
+                      parse_polynomial)
 from .btree import Matrix2, act
 
 
@@ -143,16 +143,8 @@ def parse_level(text, field):
 
 def is_member(g, level):
     """Entries in R, determinant a nonzero constant, N_D divides c."""
-    if not g.is_polynomial():
-        return False
-    det = g.det()
-    if not (det.is_polynomial() and det.num.is_constant()
-            and not det.is_zero()):
-        return False
-    if level.modulus.degree > 0:
-        if not (g.c.as_polynomial() % level.modulus).is_zero():
-            return False
-    return True
+    return (g.is_polynomial() and g.det().num.degree == 0
+            and not g.c.num % level.modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +191,7 @@ def reduce_vertex(v):
             f = (Polynomial(field, (0,) * (1 - r) + f.coeffs[1 - r:])
                  if f.degree > -r else zero)
         if f:
-            word.append(Matrix2.translation(RationalFunction(f)))
+            word.append(Matrix2.translation(f))
             a, b = a - f * c, b - f * d
         if r <= 0:
             break
@@ -209,8 +201,7 @@ def reduce_vertex(v):
             num, den, r = zero, Polynomial.one(field), -r
         else:
             num, den, r = den, num, r - 2 * (den.degree - num.degree)
-    return ReductionResult(-r, tuple(word),
-                           Matrix2.from_polynomials(a, b, c, d))
+    return ReductionResult(-r, tuple(word), Matrix2(a, b, c, d))
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +210,20 @@ def reduce_vertex(v):
 
 def _poly_mod_vector(poly, modulus):
     """Coefficient vector of poly mod modulus, length deg(modulus)."""
-    deg = modulus.degree
     rem = poly % modulus
-    return tuple(rem.coefficient(i) for i in range(deg))
+    return tuple(rem.coefficient(i) for i in range(modulus.degree))
+
+
+def _shifted_mod_vectors(poly, modulus, count):
+    """Coefficient vectors of t^i * poly mod modulus for i < count: each
+    residue is the previous one times t, reduced."""
+    rem = poly % modulus
+    out = []
+    for i in range(count):
+        if i:
+            rem = rem.shift(1) % modulus
+        out.append(tuple(rem.coefficient(j) for j in range(modulus.degree)))
+    return out
 
 
 def solve_affine(columns, rhs, field):
@@ -296,8 +298,11 @@ def _span_points(basis, field):
 # stabilizers
 
 
-def _poly_from_vector(field, vec):
-    return Polynomial(field, vec)
+def _triangular(field, alpha_i, beta_i, bvec):
+    """[[alpha, b], [0, beta]] with b given by its coefficient vector."""
+    return Matrix2(Polynomial.constant(field, alpha_i),
+                   Polynomial(field, bvec), Polynomial.zero(field),
+                   Polynomial.constant(field, beta_i))
 
 
 class StabDescriptor:
@@ -353,11 +358,7 @@ class StabDescriptor:
         return tuple(tp for tp, _, _ in self.blocks)
 
     def _element_from(self, alpha_i, beta_i, bvec):
-        f = self.field
-        s = Matrix2(RationalFunction.constant(f, alpha_i),
-                    RationalFunction(_poly_from_vector(f, bvec)),
-                    RationalFunction.zero(f),
-                    RationalFunction.constant(f, beta_i))
+        s = _triangular(self.field, alpha_i, beta_i, bvec)
         return self.conjugator_inv @ s @ self.conjugator
 
     def generators(self):
@@ -415,13 +416,11 @@ def _orbit_linear_data(red_src, red_dst):
     g_dst = [[a, b], [c, d]]: W21 = -c/delta, W22 = a/delta with
     delta = det g_dst in F_q*.
     """
-    ga, gb, gc, gd = (x.as_polynomial() for x in red_dst.g.entries())
+    ga, gb, gc, gd = red_dst.g.entries()
     delta_inv = (ga * gd - gb * gc).leading().inverse()
     w21 = (-gc).scale(delta_inv)
     w22 = ga.scale(delta_inv)
-    a = red_src.g.a.as_polynomial()
-    c = red_src.g.c.as_polynomial()
-    return w21, w22, a, c
+    return w21, w22, red_src.g.a, red_src.g.c
 
 
 def _stab_solution(level, red_src, red_dst, stabilizer_mode):
@@ -438,10 +437,7 @@ def _stab_solution(level, red_src, red_dst, stabilizer_mode):
     w21a = w21 * a
     w22c = w22 * c
     w21c = w21 * c
-    columns = []
-    for i in range(n + 1):
-        columns.append(_poly_mod_vector(w21c.shift(i) if i else w21c,
-                                        modulus))
+    columns = _shifted_mod_vectors(w21c, modulus, n + 1)
     va = _poly_mod_vector(w21a, modulus)
     vc = _poly_mod_vector(w22c, modulus)
     blocks = []
@@ -458,9 +454,8 @@ def _stab_solution(level, red_src, red_dst, stabilizer_mode):
     extra = []
     if n == 0:
         # ambient stabilizer is GL2(F_q); pick up solutions with s21 != 0
-        w21c0 = _poly_mod_vector(w21c, modulus)
         w22a = _poly_mod_vector(w22 * a, modulus)
-        cols4 = [va, w21c0, w22a, vc]
+        cols4 = [va, columns[0], w22a, vc]
         zero_rhs = tuple(field.zero for _ in range(degm))
         _, kernel4 = solve_affine(cols4, zero_rhs, field)
         for vec in _span_points(kernel4, field):
@@ -472,11 +467,8 @@ def _stab_solution(level, red_src, red_dst, stabilizer_mode):
             det = sa * sd - sb * sc
             if not det:
                 continue
-            s = Matrix2(RationalFunction.constant(field, sa),
-                        RationalFunction.constant(field, sb),
-                        RationalFunction.constant(field, sc),
-                        RationalFunction.constant(field, sd))
-            extra.append(s)
+            extra.append(Matrix2(*(Polynomial.constant(field, x)
+                                   for x in vec)))
             if not stabilizer_mode:
                 return (), tuple(extra)
     return blocks, tuple(extra)
@@ -492,15 +484,11 @@ def stabilizer(v, level, reduction=None):
 def orbit_witness(level, red_src, red_dst):
     """Some h in H_D with act(h, src) = dst, or None, given both
     reductions.  Levels must already agree."""
-    field = level.field
     blocks, extra = _stab_solution(level, red_src, red_dst,
                                    stabilizer_mode=False)
     if blocks:
         (ai, bi), part, _ = blocks[0]
-        s = Matrix2(RationalFunction.constant(field, ai),
-                    RationalFunction(_poly_from_vector(field, part)),
-                    RationalFunction.zero(field),
-                    RationalFunction.constant(field, bi))
+        s = _triangular(level.field, ai, bi, part)
     elif extra:
         s = extra[0]
     else:
@@ -554,9 +542,8 @@ def _sandwich_data(red_src, red_dst):
     """Products turning the lower-left entry of g_dst^{-1} s g_src into the
     linear combination pa*s_a + pb*s_b + pc*s_c + pd*s_d."""
     w = red_dst.g.inverse()
-    wc, wd = w.c.as_polynomial(), w.d.as_polynomial()
-    ga, gc = red_src.g.a.as_polynomial(), red_src.g.c.as_polynomial()
-    return w, (wc * ga, wc * gc, wd * ga, wd * gc)
+    ga, gc = red_src.g.a, red_src.g.c
+    return w, (w.c * ga, w.c * gc, w.d * ga, w.d * gc)
 
 
 def stabilizer_brute_force(v, level, verify_action=False):
@@ -571,7 +558,7 @@ def stabilizer_brute_force(v, level, verify_action=False):
         h21 = pa * sa + pb * sb + pc * sc + pd * sd
         if modulus.degree > 0 and not (h21 % modulus).is_zero():
             continue
-        h = w @ Matrix2.from_polynomials(sa, sb, sc, sd) @ red.g
+        h = w @ Matrix2(sa, sb, sc, sd) @ red.g
         if verify_action and act(h, v) != v:
             raise HeckeError("ambient stabilizer produced a non-fixing "
                              "element; reduction is inconsistent")
@@ -591,7 +578,7 @@ def orbit_equivalent_brute_force(v, w, level):
         h21 = pa * sa + pb * sb + pc * sc + pd * sd
         if modulus.degree > 0 and not (h21 % modulus).is_zero():
             continue
-        return winv @ Matrix2.from_polynomials(sa, sb, sc, sd) @ red_v.g
+        return winv @ Matrix2(sa, sb, sc, sd) @ red_v.g
     return None
 
 

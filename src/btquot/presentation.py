@@ -556,11 +556,9 @@ def _eigenpair_in_frame(h, frame_reduction):
     s = g @ h @ g.inverse()
     if not s.c.is_zero():
         return None
-    a, d = s.a, s.d
-    if not (a.is_polynomial() and a.num.is_constant()
-            and d.is_polynomial() and d.num.is_constant()):
+    if not (s.a.is_constant() and s.d.is_constant()):
         return None
-    return (a.num.coefficient(0), d.num.coefficient(0))
+    return (s.a.coefficient(0), s.d.coefficient(0))
 
 
 def _discrete_logs(field):
@@ -751,11 +749,11 @@ def _borel_consts(field, upper):
                 beta = Polynomial.constant(field, field.element(bi))
                 off = Polynomial.constant(field, field.element(ci))
                 if upper:
-                    out.append(Matrix2.from_polynomials(
-                        alpha, off, Polynomial.zero(field), beta))
+                    out.append(Matrix2(alpha, off, Polynomial.zero(field),
+                                       beta))
                 else:
-                    out.append(Matrix2.from_polynomials(
-                        alpha, Polynomial.zero(field), off * t, beta))
+                    out.append(Matrix2(alpha, Polynomial.zero(field),
+                                       off * t, beta))
     return out
 
 

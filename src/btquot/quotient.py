@@ -220,7 +220,7 @@ def _moebius(m, x):
 
 def _extra_matrix(s):
     """The level-0 extra s, a constant Matrix2, as an F_q matrix."""
-    return tuple(x.as_polynomial().coefficient(0) for x in s.entries())
+    return tuple(x.coefficient(0) for x in s.entries())
 
 
 def _triangular_matrix(stab, ai, bi, bvec):

@@ -68,8 +68,7 @@ def _random_poly(field, rng, max_deg=2):
 
 def _random_invertible_poly_matrix(field, rng, max_deg=2):
     while True:
-        m = Matrix2.from_polynomials(*(
-            _random_poly(field, rng, max_deg) for _ in range(4)))
+        m = Matrix2(*(_random_poly(field, rng, max_deg) for _ in range(4)))
         if not m.det().is_zero():
             return m
 
@@ -80,13 +79,11 @@ def _random_member(field, level, rng, steps=4):
     for _ in range(steps):
         kind = rng.randrange(3)
         if kind == 0:
-            m = Matrix2.translation(RationalFunction(
-                _random_poly(field, rng, 2)))
+            m = Matrix2.translation(_random_poly(field, rng, 2))
         elif kind == 1:
             lower = level.modulus * _random_poly(field, rng, 1)
-            m = Matrix2.from_polynomials(
-                Polynomial.one(field), Polynomial.zero(field),
-                lower, Polynomial.one(field))
+            m = Matrix2(Polynomial.one(field), Polynomial.zero(field),
+                        lower, Polynomial.one(field))
         else:
             m = Matrix2.diagonal(field,
                                  field.element(rng.randrange(1, field.q)),
@@ -226,7 +223,7 @@ def _closed_form_ray_stabilizer(field, n, level_t):
                     for _ in range(budget + 1):
                         coeffs.append(v % field.q)
                         v //= field.q
-                    out.append(Matrix2.from_polynomials(
+                    out.append(Matrix2(
                         Polynomial.constant(field, field.element(ai)),
                         Polynomial(field, coeffs), zero,
                         Polynomial.constant(field, field.element(bi))))
@@ -239,7 +236,7 @@ def _closed_form_ray_stabilizer(field, n, level_t):
                     for _ in range(n):
                         coeffs.append(v % field.q)
                         v //= field.q
-                    out.append(Matrix2.from_polynomials(
+                    out.append(Matrix2(
                         Polynomial.constant(field, field.element(ai)), zero,
                         Polynomial(field, coeffs),
                         Polynomial.constant(field, field.element(bi))))

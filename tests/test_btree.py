@@ -4,9 +4,8 @@ import pytest
 
 from btquot.algebra import (FieldSpec, LaurentFragment, Polynomial,
                             RationalFunction, expand_at_infinity)
-from btquot.btree import (BallVertex, Matrix2, RationalEnd, TreeError, act,
-                          canonicalize, distance, distance_bfs,
-                          distance_invariant_factors, moebius_end)
+from btquot.btree import (BallVertex, Matrix2, TreeError, act, canonicalize,
+                          distance, distance_bfs, distance_invariant_factors)
 from btquot.hecke import parse_level
 
 F2 = FieldSpec(2)
@@ -28,7 +27,7 @@ def rand_vertex(field, rng, rmin=-4, rmax=4, span=4):
 
 def rand_matrix(field, rng, max_deg=2):
     while True:
-        m = Matrix2.from_polynomials(*(
+        m = Matrix2(*(
             Polynomial(field, [rng.randrange(field.q)
                                for _ in range(max_deg + 1)])
             for _ in range(4)))
@@ -64,7 +63,7 @@ class TestCanonicalize:
 
 class TestAction:
     def test_translation_shifts_center(self):
-        tau_t = Matrix2.translation(RationalFunction(Polynomial.t(F2)))
+        tau_t = Matrix2.translation(Polynomial.t(F2))
         assert act(tau_t, ball(F2, 2, {-1: 1})) == ball(F2, 2, {})
 
     def test_involution_on_centered_balls(self):
@@ -178,8 +177,8 @@ def move_cases():
     out = []
     for field in (F2, F3, F4, F5, F9):
         modulus = parse_level("t", field).modulus
-        lower = Matrix2.from_polynomials(one(field), Polynomial.zero(field),
-                                         modulus, one(field))
+        lower = Matrix2(one(field), Polynomial.zero(field), modulus,
+                        one(field))
         units = field.units()
         for i in range(44):
             kind = i % 4
@@ -190,9 +189,9 @@ def move_cases():
                     if step == 0:
                         m = Matrix2.translation(rand_poly(field, rng, 2))
                     elif step == 1:
-                        m = Matrix2.from_polynomials(
-                            one(field), Polynomial.zero(field),
-                            modulus * rand_poly(field, rng, 1), one(field))
+                        m = Matrix2(one(field), Polynomial.zero(field),
+                                    modulus * rand_poly(field, rng, 1),
+                                    one(field))
                     else:
                         m = Matrix2.diagonal(field, rng.choice(units),
                                              rng.choice(units))
@@ -255,29 +254,29 @@ class TestBallMove:
                 BallVertex.base(F3).moved(g)
 
 
-class TestEnds:
-    def test_involution_swaps_zero_and_infinity(self):
-        inv = Matrix2.involution(F2)
-        zero_end = RationalEnd.of(RationalFunction.zero(F2))
-        assert moebius_end(inv, zero_end).is_infinity()
-        assert moebius_end(inv, RationalEnd.infinity()) == zero_end
+class TestPolynomialMatrix:
+    def test_act_equals_act_of_lift(self):
+        """A matrix over F_q[t] acts as its copy over F_q(t) does."""
+        cases = move_cases()
+        assert len(cases) >= 100
+        for g, v in cases:
+            lift = Matrix2(*(RationalFunction(x) for x in g.entries()))
+            assert act(g, v) == act(lift, v), (g, v)
 
-    def test_translation_on_rational_end(self):
-        f = RationalFunction(Polynomial.t(F3))
-        tau = Matrix2.translation(f)
-        xi = RationalEnd.of(RationalFunction.one(F3))
-        assert moebius_end(tau, xi) == RationalEnd.of(
-            RationalFunction.one(F3) - f)
+    def test_inverse_is_the_scaled_adjugate(self):
+        for g, _ in move_cases():
+            inv = g.inverse()
+            assert all(isinstance(x, Polynomial) for x in inv.entries())
+            assert inv @ g == Matrix2.identity(g.field)
 
-    def test_infinity_maps_to_ratio(self):
-        rng = random.Random(16)
-        for _ in range(20):
-            g = rand_matrix(F2, rng)
-            out = moebius_end(g, RationalEnd.infinity())
-            if g.c.is_zero():
-                assert out.is_infinity()
-            else:
-                assert out == RationalEnd.of(g.a / g.c)
+    def test_inverse_rejects_non_constant_determinant(self):
+        t = Polynomial.t(F3)
+        one = Polynomial.one(F3)
+        zero = Polynomial.zero(F3)
+        for g in (Matrix2(t, zero, zero, one), Matrix2(one, t, t, one),
+                  Matrix2(one, one, one, one)):
+            with pytest.raises(TreeError):
+                g.inverse()
 
 
 class TestVertexText:

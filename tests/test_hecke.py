@@ -31,13 +31,12 @@ def rand_member(field, level, rng, steps=4):
         kind = rng.randrange(3)
         if kind == 0:
             f = Polynomial(field, [rng.randrange(field.q) for _ in range(3)])
-            m = Matrix2.translation(RationalFunction(f))
+            m = Matrix2.translation(f)
         elif kind == 1:
             lower = level.modulus * Polynomial(
                 field, [rng.randrange(field.q) for _ in range(2)])
-            m = Matrix2.from_polynomials(Polynomial.one(field),
-                                         Polynomial.zero(field), lower,
-                                         Polynomial.one(field))
+            m = Matrix2(Polynomial.one(field), Polynomial.zero(field), lower,
+                        Polynomial.one(field))
         else:
             m = Matrix2.diagonal(field,
                                  field.element(rng.randrange(1, field.q)),
@@ -83,8 +82,8 @@ class TestLevel:
 class TestMembership:
     def test_examples(self):
         lvl = parse_level("t", F2)
-        m = Matrix2.from_polynomials(Polynomial.one(F2), Polynomial.zero(F2),
-                                     Polynomial.t(F2), Polynomial.one(F2))
+        m = Matrix2(Polynomial.one(F2), Polynomial.zero(F2),
+                    Polynomial.t(F2), Polynomial.one(F2))
         assert is_member(m, lvl)
         assert not is_member(Matrix2.involution(F2), lvl)
         assert not is_member(m, parse_level("t^2", F2))
@@ -92,8 +91,8 @@ class TestMembership:
     def test_determinant_must_be_unit_constant(self):
         lvl = parse_level("0", F2)
         t = Polynomial.t(F2)
-        g = Matrix2.from_polynomials(t, Polynomial.zero(F2),
-                                     Polynomial.zero(F2), Polynomial.one(F2))
+        g = Matrix2(t, Polynomial.zero(F2),
+                    Polynomial.zero(F2), Polynomial.one(F2))
         assert not is_member(g, lvl)
 
     def test_entries_must_be_polynomial(self):
@@ -114,7 +113,7 @@ class TestReduce:
         assert red.level_n == 2
         assert len(red.word) == 2
         expected = (Matrix2.involution(F2)
-                    @ Matrix2.translation(RationalFunction(Polynomial.t(F2))))
+                    @ Matrix2.translation(Polynomial.t(F2)))
         assert red.g == expected
 
     def test_positive_radius_center_zero(self):
@@ -153,7 +152,7 @@ def reduce_vertex_by_act(v):
             continue
         f = cur.center.polynomial_part()
         if not f.is_zero():
-            move = Matrix2.translation(RationalFunction(f))
+            move = Matrix2.translation(f)
             word.append(move)
             cur = act(move, cur)
             if cur.center.is_zero():
@@ -236,6 +235,21 @@ class TestSolveAffine:
         part, kern = solve_affine([(), ()], (), F3)
         assert part == (F3.zero, F3.zero) and len(kern) == 2
 
+    def test_shifted_columns_equal_full_reduction(self):
+        """The solver's columns t^i * P mod N_D, each from the previous
+        residue, equal the full product reduced from scratch."""
+        from btquot.hecke import _poly_mod_vector, _shifted_mod_vectors
+        rng = random.Random(24)
+        for field in ORACLE_FIELDS:
+            for text in ("0", "t", "t^3", "t^2;t+1"):
+                modulus = parse_level(text, field).modulus
+                for _ in range(5):
+                    p = Polynomial(field, [rng.randrange(field.q)
+                                           for _ in range(rng.randint(0, 9))])
+                    assert _shifted_mod_vectors(p, modulus, 7) == [
+                        _poly_mod_vector(p.shift(i), modulus)
+                        for i in range(7)]
+
 
 class TestStabilizer:
     def test_orders_on_the_ray_level_t_q2(self):
@@ -301,7 +315,7 @@ class TestStabilizer:
         gens = sd.generators()
         assert len(gens) == 3
         assert sd.unipotent_dim() == 3
-        assert all(g.c.is_zero() and g.a == RationalFunction.one(F2)
+        assert all(g.c.is_zero() and g.a == Polynomial.one(F2)
                    for g in gens)
 
     def test_generators_generate(self):

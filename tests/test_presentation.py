@@ -3,9 +3,9 @@ import pathlib
 
 import pytest
 
-from btquot.algebra import FieldSpec
+from btquot.algebra import FieldSpec, Polynomial
 from btquot.btree import Matrix2
-from btquot.hecke import parse_level
+from btquot.hecke import orbit_witness, parse_level, reduce_vertex
 from btquot.presentation import (PresentationError,
                                  abelianization_of_line_amalgam,
                                  amalgam_example_check,
@@ -212,3 +212,43 @@ class TestNonTreeEdges:
         for e in nontree:
             assert is_member(e.g_y, Q.level)
             assert act(e.g_y, G.lifts[e.dst]) == e.lift_dst
+
+
+def _polynomial_entries(g):
+    return all(isinstance(x, Polynomial) for x in g.entries())
+
+
+class TestPolynomialEntries:
+    @pytest.mark.parametrize("p,s,level,depth", [
+        (2, 1, "t", 8), (3, 1, "t", 8), (3, 2, "t", 8), (2, 1, "t^3", 12)])
+    def test_group_elements_hold_polynomials(self, p, s, level, depth):
+        """Every element of H_D the program builds, from the Nagao
+        reduction to the presentation generators, is a matrix over F_q[t]:
+        no entry is a RationalFunction."""
+        field = FieldSpec(p, s)
+        Q = build_quotient(parse_level(level, field), depth)
+        certify_cusps(Q, 3)
+        G = build_graph_of_groups(Q)
+        P = emit_presentation(G)
+        one = Polynomial.one(field)
+        low = Q.level.modulus
+        mover = Matrix2(one, Polynomial.zero(field), low, one)
+        for c in Q.classes:
+            v = c.representative
+            red = reduce_vertex(v)
+            assert _polynomial_entries(red.g), v
+            assert all(_polynomial_entries(m) for m in red.word), v
+            assert all(_polynomial_entries(h) for h in c.stab.generators())
+            if c.stab.order <= 1000:
+                assert all(_polynomial_entries(h)
+                           for h in c.stab.materialize())
+            w = v.moved(mover)
+            h = orbit_witness(Q.level, red, reduce_vertex(w))
+            assert h is not None and _polynomial_entries(h), v
+        for group in G.vertex_groups.values():
+            assert all(_polynomial_entries(h) for h in group)
+        for e in G.edges:
+            assert _polynomial_entries(e.g_y)
+            assert all(_polynomial_entries(h) for h in e.edge_group or ())
+        assert P.generators
+        assert all(_polynomial_entries(m) for _, m in P.generators)

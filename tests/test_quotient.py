@@ -275,7 +275,7 @@ def mover(Q):
     from btquot.btree import Matrix2
     one = Polynomial.one(Q.field)
     low = Polynomial.t(Q.field) if Q.level.is_zero() else Q.level.modulus
-    return Matrix2.from_polynomials(one, Polynomial.zero(Q.field), low, one)
+    return Matrix2(one, Polynomial.zero(Q.field), low, one)
 
 
 def certify_by_lifting(Q, chain, window, start):

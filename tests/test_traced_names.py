@@ -35,3 +35,11 @@ def test_production_modules_do_not_bind_act():
     for module in (btquot.quotient, btquot.presentation):
         assert "act" not in vars(module), module.__name__
         assert "canonicalize" not in vars(module), module.__name__
+
+
+def test_group_modules_do_not_bind_rational_functions():
+    """Elements of GL2(F_q[t]) hold `Polynomial` entries; F_q(t) stays in
+    the lattice bases of `btree`, so the Hecke layer, the quotient build
+    and the presentation never name `RationalFunction`."""
+    for module in (btquot.hecke, btquot.quotient, btquot.presentation):
+        assert "RationalFunction" not in vars(module), module.__name__
