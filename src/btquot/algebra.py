@@ -1,8 +1,17 @@
-"""Exact arithmetic over small finite fields F_q, the polynomial ring F_q[t],
+"""Exact arithmetic over finite fields F_q, the polynomial ring F_q[t],
 and the rational function field F_q(t) with its place at infinity.
 
 Conventions used throughout the package:
 
+  * an element of F_q, q = p^s, is its packed int v in 0..q-1, whose
+    base-p digits (little-endian) are its coordinates in the polynomial
+    basis of the field modulus; `FieldElement` is the interned handle of v.
+    A prime field (s = 1) computes mod p and takes any p.  An extension
+    field (s >= 2) looks sums, negatives, products and inverses up in
+    q x q tables built once per `FieldSpec` from the coordinate
+    arithmetic, as the `galois` package (Hostetter) does; the tables cap
+    q at MAX_EXTENSION_Q;
+  * a `Polynomial` holds its coefficients as a tuple of packed ints;
   * the valuation at infinity is nu(f) = deg(den) - deg(num), so nu(t) = -1
     and the uniformizer is pi = 1/t;
   * a finite tail of the pi-expansion of an element of F_q((1/t)) is stored
@@ -16,8 +25,13 @@ threads.
 from __future__ import annotations
 
 import math
+import operator
 
 INF = math.inf
+
+# Largest order of an extension field: its add and mul tables hold q^2
+# entries each, about a million at the cap.
+MAX_EXTENSION_Q = 1024
 
 
 class AlgebraError(ValueError):
@@ -44,55 +58,6 @@ def _is_prime(n):
     return True
 
 
-# ---------------------------------------------------------------------------
-# base-p polynomial helpers for modulus validation (coefficients are plain
-# ints mod p, little-endian)
-
-def _modp_trim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _modp_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _modp_trim(out)
-
-
-def _modp_rem(a, b, p):
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    inv_lb = pow(lb, p - 2, p)
-    while len(a) - 1 >= db and a:
-        f = (a[-1] * inv_lb) % p
-        sh = len(a) - 1 - db
-        for i, y in enumerate(b):
-            a[sh + i] = (a[sh + i] - f * y) % p
-        _modp_trim(a)
-    return a
-
-
-def _modp_irreducible(coeffs, p):
-    """Trial factorization; fine for the degrees (<= 4) used here."""
-    deg = len(coeffs) - 1
-    if deg < 1:
-        return False
-    for d in range(1, deg // 2 + 1):
-        # all monic divisor candidates of degree d
-        stack = [[]]
-        for _ in range(d):
-            stack = [c + [x] for c in stack for x in range(p)]
-        for low in stack:
-            cand = low + [1]
-            if not _modp_rem(coeffs, cand, p):
-                return False
-    return True
-
-
 _BUILTIN_MODULI = {
     (2, 2): (1, 1, 1),      # g^2 + g + 1
     (2, 3): (1, 1, 0, 1),   # g^3 + g + 1
@@ -100,9 +65,63 @@ _BUILTIN_MODULI = {
 }
 
 
+def _extension_tables(p, s, modulus):
+    """Addition, negation, multiplication and inversion tables of
+    F_p[g]/(modulus) on packed ints.
+
+    Sums are digit-wise mod p, built one base-p digit at a time; products
+    and inverses come from the powers (exp/log) of a primitive element,
+    found by multiplying coordinate vectors modulo the modulus.
+    """
+    q = p ** s
+    values = list(range(q))   # table entries share these int objects
+    add = [[(a + b) % p for b in range(p)] for a in range(p)]
+    size = p
+    while size < q:
+        add = [[values[x + (hi + bhi) % p * size]
+                for bhi in range(p) for x in row]
+               for hi in range(p) for row in add]
+        size *= p
+    neg = [row.index(0) for row in add]
+
+    def times(a, b):
+        da = [a // p ** i % p for i in range(s)]
+        db = [b // p ** i % p for i in range(s)]
+        conv = [0] * (2 * s - 1)
+        for i, x in enumerate(da):
+            for j, y in enumerate(db):
+                conv[i + j] += x * y
+        for k in range(2 * s - 2, s - 1, -1):
+            c = conv[k] % p
+            if c:
+                for i, m in enumerate(modulus):
+                    conv[k - s + i] -= c * m
+        return sum(conv[i] % p * p ** i for i in range(s))
+
+    for gen in range(2, q):
+        exp = [1]
+        x = gen
+        while x != 1:
+            exp.append(x)
+            x = times(x, gen)
+        if len(exp) == q - 1:
+            break
+    log = [0] * q
+    for k, x in enumerate(exp):
+        log[x] = k
+    exp = exp + exp
+    logs = log[1:]
+    mul = [[0] * q] + [[0] + [exp[la + lb] for lb in logs] for la in logs]
+    inv = [0] + [exp[q - 1 - la] for la in logs]
+    return add, neg, mul, inv
+
+
 class FieldSpec:
     """The field F_q, q = p^s, with elements in the polynomial basis of a
-    fixed monic irreducible modulus of degree s over F_p (ignored for s=1).
+    fixed monic irreducible modulus of degree s over F_p.
+
+    Besides the `FieldElement` handles (`element`, `zero`, `one`), the
+    field does arithmetic on packed ints: `add`, `neg`, `mul`, `inv`.
     """
 
     def __init__(self, p, s=1, modulus=None):
@@ -110,85 +129,88 @@ class FieldSpec:
             raise AlgebraError("characteristic %r is not prime" % (p,))
         if s < 1:
             raise AlgebraError("extension degree must be >= 1")
+        # an absurd s is refused without computing p^s
+        if s > 1 and (s > 64 or p ** s > MAX_EXTENSION_Q):
+            order = "%d^%d" % (p, s) if s > 64 else "%d" % p ** s
+            raise AlgebraError(
+                "extension field with q=%s is too large: its arithmetic "
+                "tables are capped at q <= %d" % (order, MAX_EXTENSION_Q))
         self.p = p
         self.s = s
         self.q = p ** s
-        if s == 1:
-            self.modulus = None
-        else:
-            if modulus is None:
-                try:
-                    modulus = _BUILTIN_MODULI[(p, s)]
-                except KeyError:
-                    raise AlgebraError(
-                        "no built-in modulus for q=%d^%d; pass one explicitly"
-                        % (p, s))
+        if modulus is None and s > 1:
+            try:
+                modulus = _BUILTIN_MODULI[(p, s)]
+            except KeyError:
+                raise AlgebraError(
+                    "no built-in modulus for q=%d^%d; pass one explicitly"
+                    % (p, s))
+        if modulus is not None:
             modulus = tuple(int(c) % p for c in modulus)
             if len(modulus) != s + 1 or modulus[-1] != 1:
-                raise AlgebraError("modulus must be monic of degree s")
-            if not _modp_irreducible(list(modulus), p):
+                raise AlgebraError("modulus %r must be monic of degree s=%d"
+                                   % (modulus, s))
+            if not Polynomial(FieldSpec(p), modulus).is_irreducible():
                 raise AlgebraError("modulus %r is reducible over F_%d"
                                    % (modulus, p))
-            self.modulus = modulus
-        self._interned = {}
-        self._mul_cache = {}
-        self._inv_cache = {}
-        # reductions of g^k for k = s .. 2s-2, as coord tuples
-        self._gen_pow = None
-        if s > 1:
-            red = {}
-            cur = [(-c) % p for c in self.modulus[:-1]]  # g^s
-            red[s] = tuple(cur)
-            for k in range(s + 1, 2 * s - 1):
-                nxt = [0] + cur[:-1]
-                top = cur[-1]
-                if top:
-                    for i in range(s):
-                        nxt[i] = (nxt[i] + top * red[s][i]) % p
-                cur = nxt
-                red[k] = tuple(cur)
-            self._gen_pow = red
-        self.zero = self.element(0)
-        self.one = self.element(1)
+        # every monic linear modulus gives the same coordinates
+        self.modulus = modulus if s > 1 else None
+        if s == 1:
+            self._add = self._neg = self._mul = self._inv = None
+        else:
+            self._add, self._neg, self._mul, self._inv = _extension_tables(
+                p, s, modulus)
+        self._handles = (_Handles(self) if s == 1 else
+                         [FieldElement(self, v) for v in range(self.q)])
+        self.zero = self._handles[0]
+        self.one = self._handles[1]
 
-    # -- element construction ------------------------------------------------
+    # -- packed ints ----------------------------------------------------------
+
+    def packed(self, value):
+        """The packed int of an element of this field or of an int; an int
+        must lie in 0..q-1, or be -n for the negative of the element n."""
+        if isinstance(value, FieldElement):
+            if value.field is not self and value.field != self:
+                raise AlgebraError("element of a different field")
+            return value.value
+        value = operator.index(value)
+        if 0 <= value < self.q:
+            return value
+        if value < 0:
+            return self.neg(self.packed(-value))
+        raise AlgebraError("packed value %d out of range for q=%d"
+                           % (value, self.q))
+
+    def add(self, a, b):
+        return (a + b) % self.p if self.s == 1 else self._add[a][b]
+
+    def neg(self, a):
+        return -a % self.p if self.s == 1 else self._neg[a]
+
+    def mul(self, a, b):
+        return a * b % self.p if self.s == 1 else self._mul[a][b]
+
+    def inv(self, a):
+        if not a:
+            raise AlgebraError("inversion of zero")
+        return pow(a, self.p - 2, self.p) if self.s == 1 else self._inv[a]
+
+    # -- element handles ------------------------------------------------------
 
     def element(self, value):
-        """Make a field element from packed-int or coordinate-tuple form.
-
-        A packed int encodes base-p digits little-endian, so over F_4 the
-        integer 2 denotes the generator g.
-        """
+        """The interned element of a packed int (see `packed`), so over F_4
+        the integer 2 denotes the generator g; an element of an equal field
+        is returned as it is."""
         if isinstance(value, FieldElement):
-            if value.field is not self:
-                raise AlgebraError("element of a different field")
+            self.packed(value)
             return value
-        if isinstance(value, int):
-            if value < 0:
-                return -self.element(-value)
-            digits = []
-            v = value
-            for _ in range(self.s):
-                digits.append(v % self.p)
-                v //= self.p
-            if v:
-                raise AlgebraError("packed value %d out of range for q=%d"
-                                   % (value, self.q))
-            coords = tuple(digits)
-        else:
-            coords = tuple(int(c) % self.p for c in value)
-            if len(coords) != self.s:
-                raise AlgebraError("expected %d coordinates" % self.s)
-        el = self._interned.get(coords)
-        if el is None:
-            el = FieldElement(self, coords)
-            self._interned[coords] = el
-        return el
+        return self._handles[self.packed(value)]
 
     def generator(self):
         if self.s == 1:
             raise AlgebraError("prime field has no extension generator")
-        return self.element((0, 1) + (0,) * (self.s - 2))
+        return self.element(self.p)
 
     def elements(self):
         return [self.element(i) for i in range(self.q)]
@@ -209,196 +231,211 @@ class FieldSpec:
 
 
 class FieldElement:
-    """Element of F_q as a little-endian digit vector in the polynomial
-    basis.  Instances are interned per field; compare with ==, hash freely.
+    """Interned handle of the packed int `value` of an element of F_q.
+
+    An element equals an element of an equal field with the same value, and
+    an int exactly when the int is its value; it hashes as its value.  Each
+    operator is one modular operation (prime field) or one table lookup
+    (extension field) on the values, and a lookup of the interned result.
     """
 
-    __slots__ = ("field", "coords", "_hash")
+    __slots__ = ("field", "value")
 
-    def __init__(self, field, coords):
+    def __init__(self, field, value):
         self.field = field
-        self.coords = coords
-        self._hash = hash((field.p, field.s, coords))
+        self.value = value
 
     def to_int(self):
-        v = 0
-        for c in reversed(self.coords):
-            v = v * self.field.p + c
-        return v
+        return self.value
 
     def is_zero(self):
-        return all(c == 0 for c in self.coords)
+        return not self.value
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.value)
 
     def __add__(self, other):
-        f = self.field
-        if not isinstance(other, FieldElement):
-            other = f.element(other)
-        return f.element(tuple((a + b) % f.p
-                               for a, b in zip(self.coords, other.coords)))
+        f, a = self.field, self.value
+        b = (other.value if type(other) is FieldElement
+             and other.field is f else f.packed(other))
+        return f._handles[(a + b) % f.p if f.s == 1 else f._add[a][b]]
 
     def __neg__(self):
-        f = self.field
-        return f.element(tuple((-a) % f.p for a in self.coords))
+        f, a = self.field, self.value
+        return f._handles[-a % f.p if f.s == 1 else f._neg[a]]
 
     def __sub__(self, other):
-        if not isinstance(other, FieldElement):
-            other = self.field.element(other)
-        return self + (-other)
+        f, a = self.field, self.value
+        b = (other.value if type(other) is FieldElement
+             and other.field is f else f.packed(other))
+        return f._handles[(a - b) % f.p if f.s == 1
+                          else f._add[a][f._neg[b]]]
 
     def __mul__(self, other):
-        f = self.field
-        if not isinstance(other, FieldElement):
-            other = f.element(other)
-        key = (self.coords, other.coords)
-        cached = f._mul_cache.get(key)
-        if cached is not None:
-            return cached
-        if f.s == 1:
-            out = f.element(((self.coords[0] * other.coords[0]) % f.p,))
-        else:
-            s, p = f.s, f.p
-            conv = [0] * (2 * s - 1)
-            for i, a in enumerate(self.coords):
-                if a:
-                    for j, b in enumerate(other.coords):
-                        conv[i + j] = (conv[i + j] + a * b) % p
-            acc = conv[:s]
-            for k in range(s, 2 * s - 1):
-                c = conv[k]
-                if c:
-                    red = f._gen_pow[k]
-                    for i in range(s):
-                        acc[i] = (acc[i] + c * red[i]) % p
-            out = f.element(tuple(acc))
-        f._mul_cache[key] = out
-        return out
+        f, a = self.field, self.value
+        b = (other.value if type(other) is FieldElement
+             and other.field is f else f.packed(other))
+        return f._handles[a * b % f.p if f.s == 1 else f._mul[a][b]]
 
     def inverse(self):
-        if self.is_zero():
-            raise AlgebraError("inversion of zero")
         f = self.field
-        cached = f._inv_cache.get(self.coords)
-        if cached is not None:
-            return cached
-        if f.s == 1:
-            out = f.element((pow(self.coords[0], f.p - 2, f.p),))
-        else:
-            out = f.one
-            base = self
-            e = f.q - 2
-            while e:
-                if e & 1:
-                    out = out * base
-                base = base * base
-                e >>= 1
-        f._inv_cache[self.coords] = out
-        return out
+        return f._handles[f.inv(self.value)]
 
     def __truediv__(self, other):
-        return self * self.field.element(other).inverse()
+        f = self.field
+        return f._handles[f.mul(self.value, f.inv(f.packed(other)))]
 
     def __pow__(self, e):
-        if e < 0:
-            return self.inverse() ** (-e)
-        out = self.field.one
-        base = self
+        f = self.field
+        base = f.inv(self.value) if e < 0 else self.value
+        e = abs(e)
+        out = 1
         while e:
             if e & 1:
-                out = out * base
-            base = base * base
+                out = f.mul(out, base)
+            base = f.mul(base, base)
             e >>= 1
-        return out
+        return f._handles[out]
 
     def __eq__(self, other):
+        if isinstance(other, FieldElement):
+            return (self.value == other.value
+                    and (self.field is other.field
+                         or self.field == other.field))
         if isinstance(other, int):
-            other = self.field.element(other)
-        return (isinstance(other, FieldElement)
-                and self.field == other.field
-                and self.coords == other.coords)
+            return self.value == other
+        return NotImplemented
 
     def __hash__(self):
-        return self._hash
+        return hash(self.value)
 
     def __repr__(self):
-        return "F%d(%d)" % (self.field.q, self.to_int())
+        return "F%d(%d)" % (self.field.q, self.value)
+
+
+class _Handles(dict):
+    """The interned `FieldElement` of each packed int of a prime field,
+    made on first use; only reduced packed ints are looked up.  An extension
+    field keeps its q handles in a list."""
+
+    __slots__ = ("field",)
+
+    def __init__(self, field):
+        super().__init__()
+        self.field = field
+
+    def __missing__(self, value):
+        el = self[value] = FieldElement(self.field, value)
+        return el
 
 
 # ---------------------------------------------------------------------------
 # polynomials over F_q in the variable t
 
 
+def _times_constant(field, cs, c):
+    """The packed coefficients cs times the packed constant c."""
+    if field.s == 1:
+        p = field.p
+        return [x * c % p for x in cs]
+    return list(map(field._mul[c].__getitem__, cs))
+
+
 class Polynomial:
-    """Element of F_q[t]; coeffs[i] is the coefficient of t^i, trailing zeros
-    stripped so the representation is canonical.
+    """Element of F_q[t]; packed_coeffs[i] is the packed int of the
+    coefficient of t^i, trailing zeros stripped so the representation is
+    canonical.  `coeffs`, `coefficient` and `leading` give `FieldElement`s.
     """
 
-    __slots__ = ("field", "coeffs", "_hash", "_key")
+    __slots__ = ("field", "packed_coeffs")
 
     def __init__(self, field, coeffs=()):
-        cs = [c if isinstance(c, FieldElement) else field.element(c)
-              for c in coeffs]
-        while cs and cs[-1].is_zero():
+        cs = [field.packed(c) for c in coeffs]
+        while cs and not cs[-1]:
             cs.pop()
         self.field = field
-        self.coeffs = tuple(cs)
-        self._hash = hash((field.q,) + tuple(c.coords for c in self.coeffs))
-        self._key = None
+        self.packed_coeffs = tuple(cs)
+
+    @classmethod
+    def _of(cls, field, cs):
+        """Polynomial of a list of packed ints, reduced already."""
+        while cs and not cs[-1]:
+            cs.pop()
+        poly = cls.__new__(cls)
+        poly.field = field
+        poly.packed_coeffs = tuple(cs)
+        return poly
 
     @classmethod
     def zero(cls, field):
-        return cls(field, ())
+        return cls._of(field, [])
 
     @classmethod
     def one(cls, field):
-        return cls(field, (1,))
+        return cls._of(field, [1])
 
     @classmethod
     def t(cls, field):
-        return cls(field, (0, 1))
+        return cls._of(field, [0, 1])
 
     @classmethod
     def constant(cls, field, c):
         return cls(field, (c,))
 
     @property
+    def coeffs(self):
+        handles = self.field._handles
+        return tuple(handles[c] for c in self.packed_coeffs)
+
+    @property
     def degree(self):
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.packed_coeffs) - 1
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.packed_coeffs
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.packed_coeffs)
 
     def is_constant(self):
-        return len(self.coeffs) <= 1
+        return len(self.packed_coeffs) <= 1
 
     def leading(self):
-        if not self.coeffs:
+        if not self.packed_coeffs:
             raise AlgebraError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.field._handles[self.packed_coeffs[-1]]
 
     def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1] == self.field.one
+        return bool(self.packed_coeffs) and self.packed_coeffs[-1] == 1
 
     def coefficient(self, i):
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        if 0 <= i < len(self.packed_coeffs):
+            return self.field._handles[self.packed_coeffs[i]]
         return self.field.zero
 
     def __add__(self, other):
-        other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(self.field,
-                          [self.coefficient(i) + other.coefficient(i)
-                           for i in range(n)])
+        a, b = self.packed_coeffs, self._coerce(other).packed_coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        f = self.field
+        if f.s == 1:
+            p = f.p
+            out = [(x + y) % p for x, y in zip(a, b)]
+        else:
+            add = f._add
+            out = [add[x][y] for x, y in zip(a, b)]
+        out.extend(a[len(b):])
+        return Polynomial._of(f, out)
 
     def __neg__(self):
-        return Polynomial(self.field, [-c for c in self.coeffs])
+        f = self.field
+        if f.s == 1:
+            p = f.p
+            out = [-x % p for x in self.packed_coeffs]
+        else:
+            out = list(map(f._neg.__getitem__, self.packed_coeffs))
+        return Polynomial._of(f, out)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -406,44 +443,72 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, RationalFunction):
             return NotImplemented
-        other = self._coerce(other)
-        if not self.coeffs or not other.coeffs:
-            return Polynomial.zero(self.field)
-        out = [self.field.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-        return Polynomial(self.field, out)
+        a, b = self.packed_coeffs, self._coerce(other).packed_coeffs
+        f = self.field
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) <= 1:
+            return Polynomial._of(f, _times_constant(f, a, b[0]) if b else [])
+        out = [0] * (len(a) + len(b) - 1)
+        if f.s == 1:
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b, i):
+                        out[j] += x * y
+            p = f.p
+            out = [x % p for x in out]
+        else:
+            add, mul = f._add, f._mul
+            for i, x in enumerate(a):
+                if x:
+                    row = mul[x]
+                    for j, y in enumerate(b, i):
+                        out[j] = add[out[j]][row[y]]
+        return Polynomial._of(f, out)
 
     def scale(self, c):
-        c = self.field.element(c)
-        return Polynomial(self.field, [a * c for a in self.coeffs])
+        f = self.field
+        return Polynomial._of(
+            f, _times_constant(f, self.packed_coeffs, f.packed(c)))
 
     def shift(self, k):
         """Multiply by t^k, k >= 0."""
-        if self.is_zero():
+        if not self.packed_coeffs:
             return self
-        return Polynomial(self.field, (self.field.zero,) * k + self.coeffs)
+        return Polynomial._of(self.field, [0] * k + list(self.packed_coeffs))
 
     def __divmod__(self, other):
-        other = self._coerce(other)
-        if other.is_zero():
+        b = self._coerce(other).packed_coeffs
+        if not b:
             raise AlgebraError("polynomial division by zero")
-        rem = list(self.coeffs)
-        db = other.degree
-        neg_inv_lead = -other.leading().inverse()
-        terms = [(i, b) for i, b in enumerate(other.coeffs) if b]
-        quo = [self.field.zero] * max(len(rem) - db, 0)
-        while len(rem) - 1 >= db and rem:
-            f = rem[-1] * neg_inv_lead
-            sh = len(rem) - 1 - db
-            quo[sh] = -f
-            for i, b in terms:
-                rem[sh + i] = rem[sh + i] + f * b
-            while rem and rem[-1].is_zero():
-                rem.pop()
-        return (Polynomial(self.field, quo), Polynomial(self.field, rem))
+        f = self.field
+        rem = list(self.packed_coeffs)
+        db = len(b) - 1
+        quo = [0] * max(len(rem) - db, 0)
+        inv_lead = f.inv(b[-1])
+        if f.s == 1:
+            # remainder entries are reduced mod p only when read
+            p = f.p
+            terms = [(i, y) for i, y in enumerate(b[:-1]) if y]
+            for sh in range(len(quo) - 1, -1, -1):
+                c = rem[sh + db] * inv_lead % p
+                if c:
+                    quo[sh] = c
+                    for i, y in terms:
+                        rem[sh + i] -= c * y
+            rem = [x % p for x in rem[:db]]
+        else:
+            add, mul = f._add, f._mul
+            terms = [(i, f._neg[y]) for i, y in enumerate(b[:-1]) if y]
+            for sh in range(len(quo) - 1, -1, -1):
+                c = mul[rem[sh + db]][inv_lead]
+                if c:
+                    quo[sh] = c
+                    row = mul[c]
+                    for i, y in terms:
+                        rem[sh + i] = add[rem[sh + i]][row[y]]
+            del rem[db:]
+        return Polynomial._of(f, quo), Polynomial._of(f, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -478,12 +543,13 @@ class Polynomial:
         """Inverse of a unit of F_q[t], a nonzero constant."""
         if self.degree != 0:
             raise AlgebraError("%s is not a unit of F_q[t]" % self)
-        return Polynomial(self.field, (self.coeffs[0].inverse(),))
+        return Polynomial._of(self.field,
+                              [self.field.inv(self.packed_coeffs[0])])
 
     def monic(self):
         if self.is_zero():
             return self
-        return self.scale(self.leading().inverse())
+        return self.scale(self.field.inv(self.packed_coeffs[-1]))
 
     def is_irreducible(self):
         """Ben-Or's test: P of degree d >= 1 is irreducible over F_q if and
@@ -508,23 +574,21 @@ class Polynomial:
 
     def _coerce(self, other):
         if isinstance(other, Polynomial):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise AlgebraError("mixed fields")
             return other
         return Polynomial(self.field, (other,))
 
     def __eq__(self, other):
         return (isinstance(other, Polynomial)
-                and self.field == other.field
-                and self.coeffs == other.coeffs)
+                and self.packed_coeffs == other.packed_coeffs
+                and (self.field is other.field or self.field == other.field))
 
     def __hash__(self):
-        return self._hash
+        return hash(self.packed_coeffs)
 
     def key(self):
-        if self._key is None:
-            self._key = tuple(c.to_int() for c in self.coeffs)
-        return self._key
+        return self.packed_coeffs
 
     def __str__(self):
         return format_polynomial(self)
@@ -546,7 +610,7 @@ def poly_gcd(a, b):
 class RationalFunction:
     """Element of F_q(t) in lowest terms with monic denominator; 0 is 0/1."""
 
-    __slots__ = ("num", "den", "_hash", "_key")
+    __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
         if den is None:
@@ -562,14 +626,13 @@ class RationalFunction:
                 if g.degree > 0:
                     num = num // g
                     den = den // g
-            if den.leading() != num.field.one:
-                lead_inv = den.leading().inverse()
+            lead = den.packed_coeffs[-1]
+            if lead != 1:
+                lead_inv = num.field.inv(lead)
                 num = num.scale(lead_inv)
                 den = den.scale(lead_inv)
         self.num = num
         self.den = den
-        self._hash = hash((num._hash, den._hash))
-        self._key = None
 
     @classmethod
     def zero(cls, field):
@@ -659,12 +722,10 @@ class RationalFunction:
                 and self.num == other.num and self.den == other.den)
 
     def __hash__(self):
-        return self._hash
+        return hash(self.key())
 
     def key(self):
-        if self._key is None:
-            self._key = (self.num.key(), self.den.key())
-        return self._key
+        return (self.num.packed_coeffs, self.den.packed_coeffs)
 
     def __str__(self):
         return format_rational(self)
@@ -680,15 +741,18 @@ class RationalFunction:
 class LaurentFragment:
     """Finite piece of a pi-expansion: exponent -> nonzero coefficient, every
     stored exponent strictly below `cutoff`.  The exponent of t^m is -m.
+
+    `packed_terms` holds the (exponent, packed int) pairs in increasing
+    exponent; `terms` gives the same pairs with `FieldElement`s.
     """
 
-    __slots__ = ("field", "terms", "cutoff", "_key")
+    __slots__ = ("field", "packed_terms", "cutoff", "_key")
 
     def __init__(self, field, terms, cutoff):
         items = []
         for e, c in (terms.items() if isinstance(terms, dict) else terms):
-            c = field.element(c)
-            if c.is_zero():
+            c = field.packed(c)
+            if not c:
                 continue
             if e >= cutoff:
                 raise AlgebraError(
@@ -696,52 +760,51 @@ class LaurentFragment:
             items.append((e, c))
         items.sort(key=lambda t: t[0])
         self.field = field
-        self.terms = tuple(items)
+        self.packed_terms = tuple(items)
         self.cutoff = cutoff
-        self._key = (cutoff,) + tuple((e, c.to_int()) for e, c in items)
+        self._key = (cutoff,) + self.packed_terms
 
     @classmethod
     def zero(cls, field, cutoff):
         return cls(field, (), cutoff)
 
+    @property
+    def terms(self):
+        handles = self.field._handles
+        return tuple((e, handles[c]) for e, c in self.packed_terms)
+
     def is_zero(self):
-        return not self.terms
+        return not self.packed_terms
 
     def valuation(self):
-        return self.terms[0][0] if self.terms else INF
+        return self.packed_terms[0][0] if self.packed_terms else INF
 
     def truncate(self, cutoff):
-        return LaurentFragment(self.field,
-                               [(e, c) for e, c in self.terms if e < cutoff],
-                               cutoff)
+        return LaurentFragment(
+            self.field, [(e, c) for e, c in self.packed_terms if e < cutoff],
+            cutoff)
 
     def polynomial_part(self):
         """Sum of the terms with pi-exponent <= 0, as a polynomial in t."""
-        field = self.field
-        if not self.terms:
-            return Polynomial.zero(field)
-        coeffs = {}
-        for e, c in self.terms:
-            if e <= 0:
-                coeffs[-e] = c
-        if not coeffs:
-            return Polynomial.zero(field)
-        deg = max(coeffs)
-        return Polynomial(field,
-                          [coeffs.get(i, field.zero) for i in range(deg + 1)])
+        low = [(e, c) for e, c in self.packed_terms if e <= 0]
+        coeffs = [0] * (1 - low[0][0]) if low else []
+        for e, c in low:
+            coeffs[-e] = c
+        return Polynomial._of(self.field, coeffs)
 
     def fraction(self):
         """The fragment as (P, t^K) with value P/t^K, K the largest exponent
         (at least 0); t does not divide P when K > 0, so the pair is in
         lowest terms."""
         field = self.field
-        if not self.terms:
+        terms = self.packed_terms
+        if not terms:
             return Polynomial.zero(field), Polynomial.one(field)
-        k = max(self.terms[-1][0], 0)
-        coeffs = [field.zero] * (k - self.terms[0][0] + 1)
-        for e, c in self.terms:
+        k = max(terms[-1][0], 0)
+        coeffs = [0] * (k - terms[0][0] + 1)
+        for e, c in terms:
             coeffs[k - e] = c
-        return Polynomial(field, coeffs), Polynomial.one(field).shift(k)
+        return Polynomial._of(field, coeffs), Polynomial.one(field).shift(k)
 
     def to_rational(self):
         """The fragment as the rational function P/t^K of `fraction`."""
@@ -756,40 +819,42 @@ class LaurentFragment:
         b_k = -(1/a_0) * sum_{j=1..k} a_j b_(k-j).  A monomial has the
         exact inverse b_0 pi^-m.
         """
-        if not self.terms:
+        if not self.packed_terms:
             raise AlgebraError("inversion of zero")
         field = self.field
-        m, lead = self.terms[0]
-        inv = lead.inverse()
-        tail = [(e - m, c) for e, c in self.terms[1:]]
+        add, mul = field.add, field.mul
+        m, lead = self.packed_terms[0]
+        neg_inv = field.neg(field.inv(lead))
+        tail = [(e - m, c) for e, c in self.packed_terms[1:]]
         length = cutoff + m if tail else min(cutoff + m, 1)
-        b = []
-        for k in range(length):
-            acc = field.zero
+        b = [field.inv(lead)] if length > 0 else []
+        for k in range(1, length):
+            acc = 0
             for j, c in tail:
                 if j > k:
                     break
-                acc = acc + c * b[k - j]
-            b.append(-acc * inv if k else inv)
+                acc = add(acc, mul(c, b[k - j]))
+            b.append(mul(acc, neg_inv))
         return LaurentFragment(field, [(k - m, c) for k, c in enumerate(b)],
                                cutoff)
 
     def __add__(self, other):
-        if self.field != other.field:
+        field = self.field
+        if other.field is not field and other.field != field:
             raise AlgebraError("mixed fields")
         cut = min(self.cutoff, other.cutoff)
         acc = {}
-        for e, c in self.terms + other.terms:
+        for e, c in self.packed_terms + other.packed_terms:
             if e < cut:
-                acc[e] = acc.get(e, self.field.zero) + c
-        return LaurentFragment(self.field, acc, cut)
+                acc[e] = field.add(acc[e], c) if e in acc else c
+        return LaurentFragment(field, acc, cut)
 
     def __eq__(self, other):
         return (isinstance(other, LaurentFragment)
                 and self.field == other.field and self._key == other._key)
 
     def __hash__(self):
-        return hash((self.field.q, self._key))
+        return hash(self._key)
 
     def key(self):
         return self._key
@@ -802,21 +867,25 @@ class LaurentFragment:
 
 
 def expand_at_infinity(f, cutoff):
-    """Truncated pi-expansion of a rational function, exact at every step:
-    the returned fragment g satisfies nu(f - g) >= cutoff.
+    """Truncated pi-expansion of a rational function f = P/Q: the returned
+    fragment g satisfies nu(f - g) >= cutoff.
+
+    The terms c_e pi^e of f with e <= N = cutoff - 1 are the terms
+    c_e t^(N-e) of the polynomial part of f t^N, which is one polynomial
+    quotient.  A polynomial f is its own expansion.
     """
     field = f.field
-    terms = {}
-    residual = f
-    while not residual.is_zero():
-        e = residual.valuation()
-        if e >= cutoff:
-            break
-        c = residual.leading_coefficient()
-        terms[e] = c
-        residual = residual - (RationalFunction.t_power(field, -e)
-                               * RationalFunction.constant(field, c))
-    return LaurentFragment(field, terms, cutoff)
+    num, den = f.num, f.den
+    if num.is_zero() or den.degree - num.degree >= cutoff:
+        return LaurentFragment.zero(field, cutoff)
+    if den.degree == 0:
+        return LaurentFragment(
+            field, [(-i, c) for i, c in enumerate(num.packed_coeffs)
+                    if -i < cutoff], cutoff)
+    n = cutoff - 1
+    quo = num.shift(n) // den if n >= 0 else num // den.shift(-n)
+    return LaurentFragment(
+        field, [(n - m, c) for m, c in enumerate(quo.packed_coeffs)], cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -833,10 +902,9 @@ def format_polynomial(poly, var="t"):
         return "0"
     parts = []
     for i in range(poly.degree, -1, -1):
-        c = poly.coefficient(i)
-        if c.is_zero():
+        ci = poly.packed_coeffs[i]
+        if not ci:
             continue
-        ci = c.to_int()
         if i == 0:
             parts.append(str(ci))
         elif i == 1:
@@ -852,9 +920,9 @@ def format_rational(rf, var="t"):
         return format_polynomial(rf.num, var)
     num = format_polynomial(rf.num, var)
     den = format_polynomial(rf.den, var)
-    if rf.num.degree > 0 and len(rf.num.coeffs) > 1:
+    if rf.num.degree > 0:
         num = "(%s)" % num
-    if len(rf.den.coeffs) > 1:
+    if rf.den.degree > 0:
         den = "(%s)" % den
     return "%s/%s" % (num, den)
 
@@ -907,7 +975,7 @@ def parse_polynomial(text, field, var="t"):
             raise ParseError("dangling sign", src, pos - 1)
     result = Polynomial.zero(field)
     for sign, chunk, at in terms:
-        coef = field.one
+        coef = 1
         rest = chunk
         if "*" in rest:
             cs, rest = rest.split("*", 1)
@@ -917,7 +985,7 @@ def parse_polynomial(text, field, var="t"):
         if rest == "":
             raise ParseError("missing term body", src, at)
         if rest.isdigit():
-            if coef != field.one or "*" in chunk:
+            if coef != 1 or "*" in chunk:
                 raise ParseError("bad term %r" % chunk, src, at)
             coef = _packed_coefficient(rest, field, src, at)
             exp = 0
@@ -941,7 +1009,7 @@ def _packed_coefficient(digits, field, src, at):
     if value >= field.q:
         raise ParseError("coefficient %d out of range for q=%d"
                          % (value, field.q), src, at)
-    return field.element(value)
+    return value
 
 
 def parse_rational(text, field, var="t"):
@@ -975,7 +1043,7 @@ def parse_rational(text, field, var="t"):
 def format_fragment(fr):
     if not fr.terms:
         return "0"
-    return "+".join("%d*s^%d" % (c.to_int(), e) for e, c in fr.terms)
+    return "+".join("%d*s^%d" % (c, e) for e, c in fr.packed_terms)
 
 
 def parse_fragment(text, field, cutoff):

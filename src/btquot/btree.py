@@ -80,18 +80,14 @@ class BallVertex:
 
     def children(self):
         f = self.field
-        out = []
-        for c in range(f.q):
-            extra = LaurentFragment(f, {self.r: c} if c else {}, self.r + 1)
-            center = LaurentFragment(
-                f, dict(self.center.terms), self.r + 1) + extra
-            out.append(BallVertex(f, self.r + 1, center))
-        return out
+        terms = self.center.packed_terms
+        return [BallVertex(f, self.r + 1, LaurentFragment(
+            f, terms + ((self.r, c),), self.r + 1)) for c in range(f.q)]
 
     def translated(self, f):
         """tau_f . v for a polynomial f: the ball (a - f) + pi^r O."""
         shift = LaurentFragment(
-            self.field, [(-i, -c) for i, c in enumerate(f.coeffs)
+            self.field, [(-i, c) for i, c in enumerate((-f).packed_coeffs)
                          if -i < self.r], self.r)
         return BallVertex(self.field, self.r, self.center + shift)
 
@@ -106,8 +102,11 @@ class BallVertex:
 
     def scaled(self, u):
         """diag(u, 1) . v for a constant u in F_q*: the ball u*a + pi^r O."""
+        f = self.field
+        u = f.packed(u)
         return BallVertex(self.field, self.r, LaurentFragment(
-            self.field, [(e, u * c) for e, c in self.center.terms], self.r))
+            f, [(e, f.mul(u, c)) for e, c in self.center.packed_terms],
+            self.r))
 
     def moved(self, g):
         """g . v for g in GL2(F_q[t]) with det g in F_q*, on the ball.

@@ -33,7 +33,7 @@ def _field_from_args(args):
     if args.modulus:
         coeff_poly = parse_polynomial(args.modulus, FieldSpec(args.p),
                                       var="g")
-        modulus = [c.to_int() for c in coeff_poly.coeffs]
+        modulus = coeff_poly.packed_coeffs
     return FieldSpec(args.p, args.s, modulus)
 
 

@@ -188,7 +188,7 @@ def reduce_vertex(v):
         if r <= 0:
             # the ball drops t^i for i <= -r; what is left of x lies in
             # pi^r O, so the center is cleared and the loop ends
-            f = (Polynomial(field, (0,) * (1 - r) + f.coeffs[1 - r:])
+            f = (Polynomial(field, (0,) * (1 - r) + f.packed_coeffs[1 - r:])
                  if f.degree > -r else zero)
         if f:
             word.append(Matrix2.translation(f))
@@ -208,26 +208,32 @@ def reduce_vertex(v):
 # linear algebra over F_q
 
 
+def _residue_vector(rem, modulus):
+    """Packed coefficient vector of a residue mod modulus, length
+    deg(modulus)."""
+    return rem.packed_coeffs + (0,) * (modulus.degree - len(rem.packed_coeffs))
+
+
 def _poly_mod_vector(poly, modulus):
-    """Coefficient vector of poly mod modulus, length deg(modulus)."""
-    rem = poly % modulus
-    return tuple(rem.coefficient(i) for i in range(modulus.degree))
+    """Packed coefficient vector of poly mod modulus, length deg(modulus)."""
+    return _residue_vector(poly % modulus, modulus)
 
 
 def _shifted_mod_vectors(poly, modulus, count):
-    """Coefficient vectors of t^i * poly mod modulus for i < count: each
-    residue is the previous one times t, reduced."""
+    """Packed coefficient vectors of t^i * poly mod modulus for i < count:
+    each residue is the previous one times t, reduced."""
     rem = poly % modulus
     out = []
     for i in range(count):
         if i:
             rem = rem.shift(1) % modulus
-        out.append(tuple(rem.coefficient(j) for j in range(modulus.degree)))
+        out.append(_residue_vector(rem, modulus))
     return out
 
 
 def solve_affine(columns, rhs, field):
-    """Solve sum_j x_j * columns[j] = rhs over F_q.
+    """Solve sum_j x_j * columns[j] = rhs over F_q, entries given as field
+    elements or packed ints.
 
     Returns (particular, kernel_basis) or (None, kernel_basis) when
     inconsistent; vectors are tuples of field elements of length
@@ -235,10 +241,12 @@ def solve_affine(columns, rhs, field):
     """
     ncols = len(columns)
     nrows = len(rhs)
-    # build augmented rows
+    add, mul, neg, packed = field.add, field.mul, field.neg, field.packed
+    # build augmented rows of packed ints
     rows = []
     for i in range(nrows):
-        rows.append([columns[j][i] for j in range(ncols)] + [rhs[i]])
+        rows.append([packed(columns[j][i]) for j in range(ncols)]
+                    + [packed(rhs[i])])
     pivots = []
     rank = 0
     for col in range(ncols):
@@ -250,12 +258,13 @@ def solve_affine(columns, rhs, field):
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = rows[rank][col].inverse()
-        rows[rank] = [x * inv for x in rows[rank]]
+        inv = field.inv(rows[rank][col])
+        rows[rank] = [mul(x, inv) for x in rows[rank]]
         for ri in range(nrows):
             if ri != rank and rows[ri][col]:
-                f = rows[ri][col]
-                rows[ri] = [x - f * y for x, y in zip(rows[ri], rows[rank])]
+                f = neg(rows[ri][col])
+                rows[ri] = [add(x, mul(f, y))
+                            for x, y in zip(rows[ri], rows[rank])]
         pivots.append(col)
         rank += 1
         if rank == nrows:
@@ -264,33 +273,35 @@ def solve_affine(columns, rhs, field):
     particular = None
     consistent = all(not rows[ri][ncols] for ri in range(rank, nrows))
     if consistent:
-        part = [field.zero] * ncols
+        part = [0] * ncols
         for k, col in enumerate(pivots):
             part[col] = rows[k][ncols]
-        particular = tuple(part)
+        particular = tuple(map(field.element, part))
     free = [c for c in range(ncols) if c not in pivots]
     kernel = []
     for fc in free:
-        vec = [field.zero] * ncols
-        vec[fc] = field.one
+        vec = [0] * ncols
+        vec[fc] = 1
         for k, col in enumerate(pivots):
-            vec[col] = -rows[k][fc]
-        kernel.append(tuple(vec))
+            vec[col] = neg(rows[k][fc])
+        kernel.append(tuple(map(field.element, vec)))
     return particular, tuple(kernel)
 
 
 def _span_points(basis, field):
-    """All F_q-combinations of the basis vectors, deterministic order."""
+    """All F_q-combinations of the basis vectors as packed-int tuples,
+    deterministic order."""
     if not basis:
         yield tuple()
         return
+    add, mul = field.add, field.mul
+    basis = [tuple(map(field.packed, b)) for b in basis]
     n = len(basis[0])
     for coeffs in itertools.product(range(field.q), repeat=len(basis)):
-        vec = [field.zero] * n
-        for ci, b in zip(coeffs, basis):
-            c = field.element(ci)
+        vec = [0] * n
+        for c, b in zip(coeffs, basis):
             if c:
-                vec = [x + c * y for x, y in zip(vec, b)]
+                vec = [add(x, mul(c, y)) for x, y in zip(vec, b)]
         yield tuple(vec)
 
 
@@ -381,13 +392,12 @@ class StabDescriptor:
     def triangular_elements(self):
         """(alpha_int, beta_int, b) for the frame element
         [[alpha, b], [0, beta]] of each triangular element, b as its
-        coefficient vector, in `materialize` order."""
+        packed coefficient vector, in `materialize` order."""
+        f = self.field
         for (ai, bi), part, kb in self.blocks:
-            for vec in _span_points(kb, self.field):
-                if vec:
-                    yield ai, bi, tuple(x + y for x, y in zip(part, vec))
-                else:
-                    yield ai, bi, part
+            part = tuple(map(f.packed, part))
+            for vec in _span_points(kb, f):
+                yield ai, bi, tuple(map(f.add, part, vec)) if vec else part
 
     def materialize(self, cap=100000):
         """Full element list, the triangular elements before the level-0
@@ -440,12 +450,12 @@ def _stab_solution(level, red_src, red_dst, stabilizer_mode):
     columns = _shifted_mod_vectors(w21c, modulus, n + 1)
     va = _poly_mod_vector(w21a, modulus)
     vc = _poly_mod_vector(w22c, modulus)
+    add, mul, neg = field.add, field.mul, field.neg
     blocks = []
     for ai in range(1, field.q):
         for bi in range(1, field.q):
-            alpha = field.element(ai)
-            beta = field.element(bi)
-            rhs = tuple(-(alpha * x + beta * y) for x, y in zip(va, vc))
+            rhs = tuple(neg(add(mul(ai, x), mul(bi, y)))
+                        for x, y in zip(va, vc))
             part, kernel = solve_affine(columns, rhs, field)
             if part is not None:
                 blocks.append(((ai, bi), part, kernel))
@@ -456,7 +466,7 @@ def _stab_solution(level, red_src, red_dst, stabilizer_mode):
         # ambient stabilizer is GL2(F_q); pick up solutions with s21 != 0
         w22a = _poly_mod_vector(w22 * a, modulus)
         cols4 = [va, columns[0], w22a, vc]
-        zero_rhs = tuple(field.zero for _ in range(degm))
+        zero_rhs = (0,) * degm
         _, kernel4 = solve_affine(cols4, zero_rhs, field)
         for vec in _span_points(kernel4, field):
             if not vec:
@@ -464,8 +474,7 @@ def _stab_solution(level, red_src, red_dst, stabilizer_mode):
             sa, sb, sc, sd = vec
             if not sc:
                 continue
-            det = sa * sd - sb * sc
-            if not det:
+            if mul(sa, sd) == mul(sb, sc):
                 continue
             extra.append(Matrix2(*(Polynomial.constant(field, x)
                                    for x in vec)))
@@ -514,16 +523,13 @@ def _ray_stab_tuples(field, n):
     v_n = B_0^{|-n|} with determinant in F_q*: all of GL2(F_q) for n = 0,
     upper triangular [[alpha, b], [0, beta]] with deg b <= n for n >= 1.
     Deterministic order."""
-    const = {i: Polynomial.constant(field, field.element(i))
-             for i in range(field.q)}
+    const = {i: Polynomial.constant(field, i) for i in range(field.q)}
     if n == 0:
         for ai in range(field.q):
             for bi in range(field.q):
                 for ci in range(field.q):
                     for di in range(field.q):
-                        det = (field.element(ai) * field.element(di)
-                               - field.element(bi) * field.element(ci))
-                        if det:
+                        if field.mul(ai, di) != field.mul(bi, ci):
                             yield (const[ai], const[bi], const[ci], const[di])
         return
     zero = Polynomial.zero(field)

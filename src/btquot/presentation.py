@@ -745,9 +745,9 @@ def _borel_consts(field, upper):
     for ai in range(1, field.q):
         for bi in range(1, field.q):
             for ci in range(field.q):
-                alpha = Polynomial.constant(field, field.element(ai))
-                beta = Polynomial.constant(field, field.element(bi))
-                off = Polynomial.constant(field, field.element(ci))
+                alpha = Polynomial.constant(field, ai)
+                beta = Polynomial.constant(field, bi)
+                off = Polynomial.constant(field, ci)
                 if upper:
                     out.append(Matrix2(alpha, off, Polynomial.zero(field),
                                        beta))

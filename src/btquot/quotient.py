@@ -227,7 +227,8 @@ def _triangular_matrix(stab, ai, bi, bvec):
     """The F_q matrix [[alpha, b_n], [0, beta]] by which the frame element
     [[alpha, b], [0, beta]] moves the labels."""
     f = stab.field
-    return (f.element(ai), bvec[stab.level_n], f.zero, f.element(bi))
+    return (f.element(ai), f.element(bvec[stab.level_n]), f.zero,
+            f.element(bi))
 
 
 def frame_orbits(stab, neighbors):

@@ -224,9 +224,9 @@ def _closed_form_ray_stabilizer(field, n, level_t):
                         coeffs.append(v % field.q)
                         v //= field.q
                     out.append(Matrix2(
-                        Polynomial.constant(field, field.element(ai)),
+                        Polynomial.constant(field, ai),
                         Polynomial(field, coeffs), zero,
-                        Polynomial.constant(field, field.element(bi))))
+                        Polynomial.constant(field, bi)))
     else:
         for ai in range(1, field.q):
             for bi in range(1, field.q):
@@ -237,9 +237,9 @@ def _closed_form_ray_stabilizer(field, n, level_t):
                         coeffs.append(v % field.q)
                         v //= field.q
                     out.append(Matrix2(
-                        Polynomial.constant(field, field.element(ai)), zero,
+                        Polynomial.constant(field, ai), zero,
                         Polynomial(field, coeffs),
-                        Polynomial.constant(field, field.element(bi))))
+                        Polynomial.constant(field, bi)))
     return out
 
 

@@ -1,13 +1,15 @@
 import itertools
 import random
+import time
 
 import pytest
 
-from btquot.algebra import (INF, AlgebraError, FieldSpec, LaurentFragment,
-                            ParseError, Polynomial, RationalFunction,
-                            expand_at_infinity, format_polynomial,
-                            format_rational, parse_fragment, parse_polynomial,
-                            parse_rational, poly_gcd)
+from btquot.algebra import (INF, MAX_EXTENSION_Q, AlgebraError, FieldElement,
+                            FieldSpec, LaurentFragment, ParseError, Polynomial,
+                            RationalFunction, expand_at_infinity,
+                            format_polynomial, format_rational,
+                            parse_fragment, parse_polynomial, parse_rational,
+                            poly_gcd)
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -33,6 +35,58 @@ def irreducible_by_trial_division(p):
             if (p % Polynomial(field, list(low) + [1])).is_zero():
                 return False
     return True
+
+
+class CoordinateField:
+    """Reference arithmetic of F_q on packed ints through coordinate
+    vectors in the polynomial basis of the field modulus: digit-wise sums,
+    products reduced by the powers g^k (k >= s) of the generator, powers by
+    repeated products and inverses as a^(q-2)."""
+
+    def __init__(self, field):
+        p, s = self.p, self.s = field.p, field.s
+        self.q = field.q
+        modulus = field.modulus or (0, 1)
+        self.reductions = {}
+        cur = [-c % p for c in modulus[:-1]]
+        for k in range(s, 2 * s - 1):
+            self.reductions[k] = cur
+            top = cur[-1]
+            cur = [(x + top * r) % p
+                   for x, r in zip([0] + cur[:-1], self.reductions[s])]
+
+    def coords(self, v):
+        return [v // self.p ** i % self.p for i in range(self.s)]
+
+    def pack(self, coords):
+        return sum(x % self.p * self.p ** i for i, x in enumerate(coords))
+
+    def add(self, a, b):
+        return self.pack([x + y for x, y in zip(self.coords(a),
+                                                self.coords(b))])
+
+    def neg(self, a):
+        return self.pack([-x for x in self.coords(a)])
+
+    def mul(self, a, b):
+        s = self.s
+        conv = [0] * (2 * s - 1)
+        for i, x in enumerate(self.coords(a)):
+            for j, y in enumerate(self.coords(b)):
+                conv[i + j] += x * y
+        acc = conv[:s]
+        for k in range(s, 2 * s - 1):
+            acc = [x + conv[k] * r for x, r in zip(acc, self.reductions[k])]
+        return self.pack(acc)
+
+    def power(self, a, e):
+        out = 1
+        for _ in range(e):
+            out = self.mul(out, a)
+        return out
+
+    def inverse(self, a):
+        return self.power(a, self.q - 2)
 
 
 def rand_rational(field, rng, max_deg=4):
@@ -65,6 +119,117 @@ class TestFieldSpec:
         g = F4.element(2)
         assert g == F4.generator()
         assert g.to_int() == 2
+
+    def test_prime_field_modulus_is_validated(self):
+        for modulus in ((1, 0, 1), (1, 2), (1,)):
+            with pytest.raises(AlgebraError):
+                FieldSpec(3, 1, modulus=modulus)
+        assert FieldSpec(3, 1, modulus=(1, 1)) == F3
+
+    @pytest.mark.parametrize("p,degrees", [
+        (2, (2, 3, 4)), (3, (2, 3, 4)), (5, (2,)), (7, (2,))])
+    def test_accepts_exactly_the_irreducible_moduli(self, p, degrees):
+        prime = FieldSpec(p)
+        for s in degrees:
+            for low in itertools.product(range(p), repeat=s):
+                modulus = low + (1,)
+                expected = irreducible_by_trial_division(
+                    Polynomial(prime, modulus))
+                try:
+                    FieldSpec(p, s, modulus=modulus)
+                    accepted = True
+                except AlgebraError:
+                    accepted = False
+                assert accepted == expected, modulus
+
+    def test_large_prime_field_builds_no_table(self):
+        t0 = time.perf_counter()
+        F = FieldSpec(1000003)
+        assert time.perf_counter() - t0 < 0.1
+        a = F.element(123456)
+        assert a * a.inverse() == F.one
+        assert a * F.element(1000002) == -a
+        assert (a / a) ** 5 == F.one
+
+    def test_extension_field_cap(self):
+        F = FieldSpec(2, 10, modulus=(1, 0, 0, 1) + (0,) * 6 + (1,))
+        assert F.q == MAX_EXTENSION_Q
+        g = F.generator()
+        assert g ** (F.q - 1) == F.one and g * g.inverse() == F.one
+        with pytest.raises(AlgebraError, match="q=10201"):
+            FieldSpec(101, 2, modulus=(99, 0, 1))
+        with pytest.raises(AlgebraError, match="q=2048"):
+            FieldSpec(2, 11)
+        t0 = time.perf_counter()
+        with pytest.raises(AlgebraError, match="q=2\\^1000000000"):
+            FieldSpec(2, 10 ** 9)
+        assert time.perf_counter() - t0 < 0.1
+
+
+class TestPackedArithmetic:
+    """Each F_q operation is one modular operation (prime fields) or one
+    table lookup (extension fields) on packed ints; the coordinate
+    arithmetic is the reference."""
+
+    @pytest.mark.parametrize("field", ALL_FIELDS, ids=repr)
+    def test_every_pair_equals_coordinate_arithmetic(self, field):
+        ref = CoordinateField(field)
+        for x, y in itertools.product(field.elements(), repeat=2):
+            a, b = x.to_int(), y.to_int()
+            assert (x + y).to_int() == ref.add(a, b)
+            assert (x - y).to_int() == ref.add(a, ref.neg(b))
+            assert (x * y).to_int() == ref.mul(a, b)
+            if b:
+                assert (x / y).to_int() == ref.mul(a, ref.inverse(b))
+        for x in field.elements():
+            a = x.to_int()
+            assert (-x).to_int() == ref.neg(a)
+            for e in range(field.q + 1):
+                assert (x ** e).to_int() == ref.power(a, e)
+            if a:
+                assert x.inverse().to_int() == ref.inverse(a)
+                assert (x ** -3).to_int() == ref.power(ref.inverse(a), 3)
+
+    def test_polynomial_key_is_the_packed_coefficients(self):
+        rng = random.Random(11)
+        for field in ALL_FIELDS:
+            for _ in range(40):
+                p = rand_poly(field, rng, max_deg=6)
+                assert p.key() == tuple(c.to_int() for c in p.coeffs)
+                assert all(isinstance(c, FieldElement) for c in p.coeffs)
+                assert p.is_zero() or p.leading() == p.coeffs[-1]
+
+    def test_equal_fields_mix(self):
+        A, B = FieldSpec(3, 2), FieldSpec(3, 2)
+        assert A is not B and A == B and hash(A) == hash(B)
+        for i in range(A.q):
+            x, y = A.element(i), B.element(i)
+            assert x == y and hash(x) == hash(y)
+            assert x * B.element(5) == A.element(i) * A.element(5)
+            assert x + y == A.element(i) + A.element(i)
+        pa, pb = Polynomial(A, [1, 2, 3]), Polynomial(B, [1, 2, 3])
+        assert pa == pb and hash(pa) == hash(pb)
+        assert pa * pb == pa * pa and (pa + pb) - pb == pa
+        assert divmod(pa * pb, pb) == (pa, Polynomial.zero(A))
+        with pytest.raises(AlgebraError):
+            F3.one + F9.one
+        assert F3.one != F9.one
+
+
+class TestElementEquality:
+    def test_int_equals_only_the_packed_value(self):
+        assert F2.one == 1 and 1 == F2.one
+        assert F9.element(5) == 5
+        for n in (0, 2, 5, -1, 10 ** 20):
+            assert not F2.one == n and F2.one != n
+        assert F3.element(2) != -1
+
+    def test_hash_is_the_hash_of_the_packed_value(self):
+        for field in ALL_FIELDS:
+            for x in field.elements():
+                assert hash(x) == hash(x.to_int())
+        assert 1 in {F2.one} and F2.one in {1}
+        assert {F9.element(5): "g+2"}[5] == "g+2"
 
 
 class TestFieldOps:

@@ -257,6 +257,35 @@ class TestErrors:
         assert code == 0
         assert "c_HD=2" in out
 
+    def test_prime_field_modulus_must_have_degree_one(self, capsys):
+        code, out, err = run_cli(
+            ["formula", "--p", "3", "--s", "1", "--modulus", "g^2+1",
+             "--level", "t"], capsys)
+        assert code == 2 and out == ""
+        assert "monic of degree s=1" in err
+        code, out, _ = run_cli(
+            ["formula", "--p", "3", "--s", "1", "--modulus", "g+1",
+             "--level", "t"], capsys)
+        assert code == 0 and "c_HD=2" in out
+
+    def test_large_prime_field(self, capsys):
+        code, out, _ = run_cli(
+            ["reduce", "--p", "1000003", "--vertex", "r=2;a=5*s^1"], capsys)
+        assert code == 0 and "level=0" in out.splitlines()
+        code, out, _ = run_cli(
+            ["formula", "--p", "1000003", "--level", "t"], capsys)
+        assert code == 0 and "c_HD=2" in out
+
+    def test_extension_field_cap(self, capsys):
+        code, out, _ = run_cli(
+            ["formula", "--p", "2", "--s", "10", "--modulus", "g^10+g^3+1",
+             "--level", "t"], capsys)
+        assert code == 0 and "q=1024" in out and "c_HD=2" in out
+        code, out, err = run_cli(
+            ["formula", "--p", "101", "--s", "2", "--modulus", "g^2+99",
+             "--level", "t"], capsys)
+        assert code == 2 and out == "" and "q=10201" in err
+
 
 def test_console_script_entry_point():
     proc = subprocess.run(
