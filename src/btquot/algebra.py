@@ -471,6 +471,29 @@ class Polynomial:
         return Polynomial._of(
             f, _times_constant(f, self.packed_coeffs, f.packed(c)))
 
+    @classmethod
+    def combination(cls, field, terms):
+        """The sum of c * t^k * P over the triples (c, k, P) in `terms`,
+        each c a packed int, formed in one pass over the coefficients."""
+        terms = [(c, k, P.packed_coeffs) for c, k, P in terms
+                 if c and P.packed_coeffs]
+        if not terms:
+            return cls._of(field, [])
+        out = [0] * max(k + len(cs) for _, k, cs in terms)
+        if field.s == 1:
+            for c, k, cs in terms:
+                for j, x in enumerate(cs, k):
+                    out[j] += c * x
+            p = field.p
+            out = [x % p for x in out]
+        else:
+            add, mul = field._add, field._mul
+            for c, k, cs in terms:
+                row = mul[c]
+                for j, x in enumerate(cs, k):
+                    out[j] = add[out[j]][row[x]]
+        return cls._of(field, out)
+
     def shift(self, k):
         """Multiply by t^k, k >= 0."""
         if not self.packed_coeffs:

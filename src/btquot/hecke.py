@@ -14,9 +14,14 @@ center, and I maps it to 1/a + pi^(r-2m)*O with m = nu(a) < r (to
 B_0^{|-r|} for a zero center), on the exact center P/t^K, so the reduction
 is Euclid's algorithm on (P, t^K) and never calls `act`.
 Whether a candidate lies in H_D is a divisibility condition that is affine
-linear over F_q in the unipotent coefficients, so each test is a handful of
-small linear solves instead of a q^(n+3) enumeration.  The enumeration is
-kept (`brute_force=True` paths) as a correctness oracle.
+linear over F_q in the torus pair (alpha, beta) and the unipotent
+coefficients, so one Gauss-Jordan elimination of the system, with both
+torus terms as right-hand sides, decides every torus pair at once (plus one
+homogeneous solve at level 0) instead of a q^(n+3) enumeration.  The
+enumeration is kept (`brute_force=True` paths) as a correctness oracle.
+A stabilizer element g^{-1} s g is F_q-linear in the frame data of s, so
+`StabDescriptor` forms each element as one combination, per entry, of
+products of the entries of g computed once per descriptor.
 """
 
 from __future__ import annotations
@@ -231,6 +236,51 @@ def _shifted_mod_vectors(poly, modulus, count):
     return out
 
 
+def _eliminate(rows, ncols, field):
+    """Gauss-Jordan elimination, in place, of augmented rows of packed ints:
+    the first `ncols` entries of a row are coefficients, the rest are
+    right-hand sides.
+
+    Pivots are chosen among the coefficient columns only, so the row
+    operations do not depend on the right-hand sides: each side is reduced
+    as if it had been eliminated alone, and a combination of sides reduces
+    to the same combination of the reduced sides.  A side is consistent iff
+    it vanishes on the rows from len(pivots) on, and its particular solution
+    has the entry of row k at column pivots[k] and zeros elsewhere.
+
+    Returns (pivots, kernel): the pivot column of each leading row and a
+    basis of the kernel of the coefficient columns, as packed-int tuples.
+    """
+    nrows = len(rows)
+    add, mul, neg = field.add, field.mul, field.neg
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        if rank == nrows:
+            break
+        piv = next((ri for ri in range(rank, nrows) if rows[ri][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = field.inv(rows[rank][col])
+        rows[rank] = prow = [mul(x, inv) for x in rows[rank]]
+        for ri in range(nrows):
+            if ri != rank and rows[ri][col]:
+                f = neg(rows[ri][col])
+                rows[ri] = [add(x, mul(f, y)) for x, y in zip(rows[ri], prow)]
+        pivots.append(col)
+    kernel = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        vec = [0] * ncols
+        vec[fc] = 1
+        for k, col in enumerate(pivots):
+            vec[col] = neg(rows[k][fc])
+        kernel.append(tuple(vec))
+    return pivots, tuple(kernel)
+
+
 def solve_affine(columns, rhs, field):
     """Solve sum_j x_j * columns[j] = rhs over F_q, entries given as field
     elements or packed ints.
@@ -240,52 +290,51 @@ def solve_affine(columns, rhs, field):
     len(columns).  With an empty equation list everything solves.
     """
     ncols = len(columns)
-    nrows = len(rhs)
-    add, mul, neg, packed = field.add, field.mul, field.neg, field.packed
-    # build augmented rows of packed ints
-    rows = []
-    for i in range(nrows):
-        rows.append([packed(columns[j][i]) for j in range(ncols)]
-                    + [packed(rhs[i])])
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for ri in range(rank, nrows):
-            if rows[ri][col]:
-                piv = ri
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = field.inv(rows[rank][col])
-        rows[rank] = [mul(x, inv) for x in rows[rank]]
-        for ri in range(nrows):
-            if ri != rank and rows[ri][col]:
-                f = neg(rows[ri][col])
-                rows[ri] = [add(x, mul(f, y))
-                            for x, y in zip(rows[ri], rows[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == nrows:
-            break
-    # consistency
-    particular = None
-    consistent = all(not rows[ri][ncols] for ri in range(rank, nrows))
-    if consistent:
-        part = [0] * ncols
-        for k, col in enumerate(pivots):
-            part[col] = rows[k][ncols]
-        particular = tuple(map(field.element, part))
-    free = [c for c in range(ncols) if c not in pivots]
-    kernel = []
-    for fc in free:
-        vec = [0] * ncols
-        vec[fc] = 1
-        for k, col in enumerate(pivots):
-            vec[col] = neg(rows[k][fc])
-        kernel.append(tuple(map(field.element, vec)))
-    return particular, tuple(kernel)
+    packed = field.packed
+    rows = [[packed(col[i]) for col in columns] + [packed(x)]
+            for i, x in enumerate(rhs)]
+    pivots, kernel = _eliminate(rows, ncols, field)
+    kernel = tuple(tuple(map(field.element, vec)) for vec in kernel)
+    if any(row[ncols] for row in rows[len(pivots):]):
+        return None, kernel
+    part = [0] * ncols
+    for row, col in zip(rows, pivots):
+        part[col] = row[ncols]
+    return tuple(map(field.element, part)), kernel
+
+
+def _torus_blocks(columns, va, vc, field, first_only):
+    """The consistent systems sum_j x_j * columns[j] = -(alpha*va + beta*vc)
+    over the torus pairs (alpha, beta) in (F_q*)^2, in pair order, as blocks
+    ((alpha, beta), particular, kernel) of packed ints; with `first_only`
+    the first block alone.
+
+    One elimination of [columns | va | vc] decides every pair: the pair is
+    consistent iff alpha*ra + beta*rc vanishes beyond the rank, ra and rc
+    the reduced va and vc, and its particular solution is
+    -(alpha*ra + beta*rc) on the pivot rows.  Every block shares the kernel.
+    """
+    ncols = len(columns)
+    rows = [[col[i] for col in columns] + [x, y]
+            for i, (x, y) in enumerate(zip(va, vc))]
+    pivots, kernel = _eliminate(rows, ncols, field)
+    rank = len(pivots)
+    ra = [row[ncols] for row in rows]
+    rc = [row[ncols + 1] for row in rows]
+    add, mul, neg = field.add, field.mul, field.neg
+    blocks = []
+    for ai in range(1, field.q):
+        for bi in range(1, field.q):
+            side = [add(mul(ai, x), mul(bi, y)) for x, y in zip(ra, rc)]
+            if any(side[rank:]):
+                continue
+            part = [0] * ncols
+            for col, x in zip(pivots, side):
+                part[col] = neg(x)
+            blocks.append(((ai, bi), tuple(part), kernel))
+            if first_only:
+                return blocks
+    return blocks
 
 
 def _span_points(basis, field):
@@ -309,51 +358,70 @@ def _span_points(basis, field):
 # stabilizers
 
 
-def _triangular(field, alpha_i, beta_i, bvec):
-    """[[alpha, b], [0, beta]] with b given by its coefficient vector."""
-    return Matrix2(Polynomial.constant(field, alpha_i),
-                   Polynomial(field, bvec), Polynomial.zero(field),
-                   Polynomial.constant(field, beta_i))
+def _frame_matrix(field, frame):
+    """The frame element s = [[a, b], [c, d]] of the frame data
+    (a, b, c, d): packed ints, b as its packed coefficient vector."""
+    a, bvec, c, d = frame
+    return Matrix2(Polynomial.constant(field, a), Polynomial(field, bvec),
+                   Polynomial.constant(field, c),
+                   Polynomial.constant(field, d))
+
+
+def _generates_field(field, values):
+    """Whether the packed ints `values` generate F_q as a field over F_p,
+    that is, lie in no proper subfield F_{p^k}, k | s, whose elements are
+    the x with x^(p^k) = x."""
+    p, s = field.p, field.s
+    return not any(
+        s % k == 0 and all(field.element(x) ** p ** k == x for x in values)
+        for k in range(1, s))
 
 
 class StabDescriptor:
     """Compact description of Stab_{H_D}(v).
 
-    Elements are g^{-1} s g for the reduction g of v.  For the triangular
-    part, s = [[alpha, b], [0, beta]] with (alpha, beta) in F_q* x F_q* and b
+    Elements are g^{-1} s g for the reduction g of v, each given by the
+    frame data (a, b, c, d) of s = [[a, b], [c, d]]: packed ints, b as its
+    packed coefficient vector.  For the triangular part,
+    s = [[alpha, b], [0, beta]] with (alpha, beta) in F_q* x F_q* and b
     running over an affine solution space of polynomials of degree <= n
-    (blocks, keyed by the torus pair).  At level 0 the ambient stabilizer is
-    all of GL2(F_q); solutions with a nonzero lower-left entry are kept
-    separately in `extra`.
+    (blocks ((alpha, beta), particular, kernel_basis) of packed ints,
+    keyed by the torus pair).  At level 0 the ambient stabilizer is all of
+    GL2(F_q); the constant solutions with a nonzero lower-left entry are
+    kept separately in `extra`, as frame data.
+
+    With g = [[A, B], [C, D]] and delta = det g in F_q*, the entries of
+    g^{-1} s g are F_q-linear in a, c, d and the coefficients b_i of b:
+
+        (1,1) = a AD - d BC - c AB + b CD
+        (1,2) = (a - d) BD - c BB + b DD
+        (2,1) = (d - a) AC + c AA - b CC
+        (2,2) = d AD - a BC + c AB - b CD
+
+    each product taken times delta^{-1}.  The products are computed once
+    per descriptor, on first use, and each element is one combination of
+    them per entry, b_i contributing t^i times its product.
     """
 
-    __slots__ = ("base_vertex", "conjugator", "_conjugator_inv", "level_n",
-                 "level", "field", "blocks", "extra", "_order")
+    __slots__ = ("base_vertex", "conjugator", "level_n", "level", "field",
+                 "blocks", "extra", "_order", "_products")
 
     def __init__(self, base_vertex, conjugator, level_n, level, blocks, extra):
         self.base_vertex = base_vertex
         self.conjugator = conjugator
-        self._conjugator_inv = None
         self.level_n = level_n
         self.level = level
         self.field = base_vertex.field
-        self.blocks = tuple(blocks)   # ((alpha_int, beta_int), particular, kernel_basis)
-        self.extra = tuple(extra)     # constant s-matrices with s21 != 0
+        self.blocks = tuple(blocks)
+        self.extra = tuple(extra)
         q = self.field.q
         self._order = sum(q ** len(kb) for _, _, kb in self.blocks) \
             + len(self.extra)
+        self._products = None
 
     @property
     def order(self):
         return self._order
-
-    @property
-    def conjugator_inv(self):
-        """g^-1, computed on first use: only `generators` and
-        `materialize` conjugate."""
-        if self._conjugator_inv is None:
-            self._conjugator_inv = self.conjugator.inverse()
-        return self._conjugator_inv
 
     def unipotent_dim(self):
         """F_q-dimension of the (1,1)-block solution space."""
@@ -368,36 +436,99 @@ class StabDescriptor:
     def torus_pairs(self):
         return tuple(tp for tp, _, _ in self.blocks)
 
-    def _element_from(self, alpha_i, beta_i, bvec):
-        s = _triangular(self.field, alpha_i, beta_i, bvec)
-        return self.conjugator_inv @ s @ self.conjugator
+    def _conjugation_products(self):
+        """delta^{-1} times AD, BC, CD, BD, DD, AC, CC, -CD, -CC and, when
+        there are level-0 extras, AB, BB, AA."""
+        if self._products is None:
+            A, B, C, D = self.conjugator.entries()
+            delta_inv = (A * D - B * C).inverse().packed_coeffs[0]
+
+            def prod(x, y):
+                return (x * y).scale(delta_inv)
+
+            cd, cc = prod(C, D), prod(C, C)
+            prods = [prod(A, D), prod(B, C), cd, prod(B, D), prod(D, D),
+                     prod(A, C), cc, -cd, -cc]
+            if self.extra:
+                prods += [prod(A, B), prod(B, B), prod(A, A)]
+            self._products = prods
+        return self._products
+
+    def element(self, frame):
+        """g^{-1} s g for the frame data (a, b, c, d) of s."""
+        f = self.field
+        neg, add = f.neg, f.add
+        prods = self._conjugation_products()
+        AD, BC, CD, BD, DD, AC, CC, nCD, nCC = prods[:9]
+        a, bvec, c, d = frame
+        e11 = [(a, 0, AD), (neg(d), 0, BC)]
+        e12 = [(add(a, neg(d)), 0, BD)]
+        e21 = [(add(d, neg(a)), 0, AC)]
+        e22 = [(d, 0, AD), (neg(a), 0, BC)]
+        if c:
+            AB, BB, AA = prods[9:]
+            e11.append((neg(c), 0, AB))
+            e12.append((neg(c), 0, BB))
+            e21.append((c, 0, AA))
+            e22.append((c, 0, AB))
+        for i, x in enumerate(bvec):
+            if x:
+                e11.append((x, i, CD))
+                e12.append((x, i, DD))
+                e21.append((x, i, nCC))
+                e22.append((x, i, nCD))
+        comb = Polynomial.combination
+        return Matrix2(comb(f, e11), comb(f, e12), comb(f, e21),
+                       comb(f, e22))
+
+    def _unipotent_basis(self):
+        """An F_p-basis of the unipotent space all blocks share.
+
+        Conjugation by the blocks scales the space by the ratios
+        alpha/beta, so its F_q-basis generates it only over the subfield
+        the ratios generate; when that is a proper subfield of F_q, the
+        basis times omega^i, 1 <= i < s, omega the field generator,
+        completes it."""
+        f = self.field
+        kb = self.blocks[0][2]
+        ratios = {f.mul(ai, f.inv(bi)) for ai, bi in self.torus_pairs()}
+        if not kb or _generates_field(f, ratios):
+            return kb
+        basis = list(kb)
+        omega = w = f.packed(f.generator())
+        for _ in range(1, f.s):
+            basis.extend(tuple(f.mul(w, x) for x in vec) for vec in kb)
+            w = f.mul(w, omega)
+        return basis
+
+    def generator_frames(self):
+        """Frame data of a generating set, in `generators` order: each
+        torus block's particular element (the identity left out), after the
+        first one an F_p-basis of the unipotent space all blocks share, and
+        the level-0 extras."""
+        frames = []
+        for k, ((ai, bi), part, _) in enumerate(self.blocks):
+            if (ai, bi) != (1, 1) or any(part):
+                frames.append((ai, part, 0, bi))
+            if k == 0:
+                frames.extend((1, vec, 0, 1)
+                              for vec in self._unipotent_basis())
+        frames.extend(self.extra)
+        return frames
 
     def generators(self):
-        """One representative per torus block plus a basis of the shared
-        homogeneous unipotent space (and the level-0 residual elements);
-        generates the whole group."""
-        gens = []
-        hom_done = False
-        for (ai, bi), part, kb in self.blocks:
-            if (ai, bi) != (1, 1) or any(x for x in part):
-                gens.append(self._element_from(ai, bi, part))
-            if not hom_done:
-                for vec in kb:
-                    gens.append(self._element_from(1, 1, vec))
-                hom_done = True
-        for s in self.extra:
-            gens.append(self.conjugator_inv @ s @ self.conjugator)
-        return gens
+        """The elements of `generator_frames`; they generate the whole
+        group."""
+        return [self.element(fr) for fr in self.generator_frames()]
 
-    def triangular_elements(self):
-        """(alpha_int, beta_int, b) for the frame element
-        [[alpha, b], [0, beta]] of each triangular element, b as its
-        packed coefficient vector, in `materialize` order."""
+    def frames(self):
+        """Frame data of every element, in `materialize` order: the
+        triangular elements block by block, then the level-0 extras."""
         f = self.field
         for (ai, bi), part, kb in self.blocks:
-            part = tuple(map(f.packed, part))
             for vec in _span_points(kb, f):
-                yield ai, bi, tuple(map(f.add, part, vec)) if vec else part
+                yield ai, tuple(map(f.add, part, vec)) if vec else part, 0, bi
+        yield from self.extra
 
     def materialize(self, cap=100000):
         """Full element list, the triangular elements before the level-0
@@ -405,11 +536,7 @@ class StabDescriptor:
         if self.order > cap:
             raise SizeError("stabilizer order %d exceeds cap %d"
                             % (self.order, cap))
-        out = [self._element_from(ai, bi, bv)
-               for ai, bi, bv in self.triangular_elements()]
-        for s in self.extra:
-            out.append(self.conjugator_inv @ s @ self.conjugator)
-        return out
+        return [self.element(fr) for fr in self.frames()]
 
     def __repr__(self):
         return ("StabDescriptor(level_n=%d, order=%d, blocks=%d, extra=%d)"
@@ -442,42 +569,27 @@ def _stab_solution(level, red_src, red_dst, stabilizer_mode):
     field = level.field
     n = red_src.level_n
     modulus = level.modulus
-    degm = modulus.degree
     w21, w22, a, c = _orbit_linear_data(red_src, red_dst)
-    w21a = w21 * a
-    w22c = w22 * c
-    w21c = w21 * c
-    columns = _shifted_mod_vectors(w21c, modulus, n + 1)
-    va = _poly_mod_vector(w21a, modulus)
-    vc = _poly_mod_vector(w22c, modulus)
-    add, mul, neg = field.add, field.mul, field.neg
-    blocks = []
-    for ai in range(1, field.q):
-        for bi in range(1, field.q):
-            rhs = tuple(neg(add(mul(ai, x), mul(bi, y)))
-                        for x, y in zip(va, vc))
-            part, kernel = solve_affine(columns, rhs, field)
-            if part is not None:
-                blocks.append(((ai, bi), part, kernel))
-                if not stabilizer_mode:
-                    return blocks, ()
+    columns = _shifted_mod_vectors(w21 * c, modulus, n + 1)
+    va = _poly_mod_vector(w21 * a, modulus)
+    vc = _poly_mod_vector(w22 * c, modulus)
+    blocks = _torus_blocks(columns, va, vc, field, not stabilizer_mode)
+    if blocks and not stabilizer_mode:
+        return blocks, ()
     extra = []
     if n == 0:
         # ambient stabilizer is GL2(F_q); pick up solutions with s21 != 0
         w22a = _poly_mod_vector(w22 * a, modulus)
         cols4 = [va, columns[0], w22a, vc]
-        zero_rhs = (0,) * degm
-        _, kernel4 = solve_affine(cols4, zero_rhs, field)
+        _, kernel4 = solve_affine(cols4, (0,) * modulus.degree, field)
+        mul = field.mul
         for vec in _span_points(kernel4, field):
             if not vec:
                 continue
             sa, sb, sc, sd = vec
-            if not sc:
+            if not sc or mul(sa, sd) == mul(sb, sc):
                 continue
-            if mul(sa, sd) == mul(sb, sc):
-                continue
-            extra.append(Matrix2(*(Polynomial.constant(field, x)
-                                   for x in vec)))
+            extra.append((sa, (sb,), sc, sd))
             if not stabilizer_mode:
                 return (), tuple(extra)
     return blocks, tuple(extra)
@@ -497,12 +609,13 @@ def orbit_witness(level, red_src, red_dst):
                                    stabilizer_mode=False)
     if blocks:
         (ai, bi), part, _ = blocks[0]
-        s = _triangular(level.field, ai, bi, part)
+        frame = (ai, part, 0, bi)
     elif extra:
-        s = extra[0]
+        frame = extra[0]
     else:
         return None
-    return red_dst.g.inverse() @ s @ red_src.g
+    return (red_dst.g.inverse() @ _frame_matrix(level.field, frame)
+            @ red_src.g)
 
 
 def orbit_equivalent(v, w, level, red_v=None, red_w=None):

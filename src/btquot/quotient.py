@@ -218,26 +218,22 @@ def _moebius(m, x):
     return (a * x + b) / den if den else None
 
 
-def _extra_matrix(s):
-    """The level-0 extra s, a constant Matrix2, as an F_q matrix."""
-    return tuple(x.coefficient(0) for x in s.entries())
-
-
-def _triangular_matrix(stab, ai, bi, bvec):
-    """The F_q matrix [[alpha, b_n], [0, beta]] by which the frame element
-    [[alpha, b], [0, beta]] moves the labels."""
-    f = stab.field
-    return (f.element(ai), f.element(bvec[stab.level_n]), f.zero,
-            f.element(bi))
+def _frame_moebius(stab, frame):
+    """The F_q matrix [[a, b_n], [c, d]] by which the frame element with
+    frame data (a, b, c, d) moves the labels, b_n the t^n coefficient of
+    b."""
+    a, bvec, c, d = frame
+    el = stab.field.element
+    return el(a), el(bvec[stab.level_n]), el(c), el(d)
 
 
 def frame_orbits(stab, neighbors):
     """Partition `neighbors`, the q+1 tree neighbors of the vertex of
     `stab`, into Stab-orbits: sorted index lists, ordered by least index.
 
-    The group is generated by each torus block's particular element, the
-    kernel basis of the first block (the unipotent space all blocks share)
-    and the level-0 extras, the elements `stab.generators()` conjugates.
+    The orbits are closures under the generators of the group, in the
+    frame: the elements of `stab.generator_frames()`, which
+    `stab.generators()` conjugates.
     """
     labels = [_frame_label(stab, w) for w in neighbors]
     index = {x: i for i, x in enumerate(labels)}
@@ -245,11 +241,7 @@ def frame_orbits(stab, neighbors):
         raise InconsistencyError(
             "two neighbors of vertex %s have the same frame label"
             % stab.base_vertex.to_text())
-    gens = [_triangular_matrix(stab, ai, bi, part)
-            for (ai, bi), part, _ in stab.blocks]
-    gens.extend(_triangular_matrix(stab, 1, 1, vec)
-                for vec in stab.blocks[0][2])
-    gens.extend(_extra_matrix(s) for s in stab.extra)
+    gens = [_frame_moebius(stab, fr) for fr in stab.generator_frames()]
     orbits = []
     assigned = set()
     for start in range(len(labels)):
@@ -274,9 +266,7 @@ def frame_fixers(stab, elements, w):
     the tree neighbor w of the vertex of `stab`, in the same order; each is
     decided by the label of w and the element's frame data."""
     x = _frame_label(stab, w)
-    maps = [_triangular_matrix(stab, ai, bi, bvec)
-            for ai, bi, bvec in stab.triangular_elements()]
-    maps.extend(_extra_matrix(s) for s in stab.extra)
+    maps = [_frame_moebius(stab, fr) for fr in stab.frames()]
     return [h for h, m in zip(elements, maps, strict=True)
             if _moebius(m, x) == x]
 

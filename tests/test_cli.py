@@ -29,6 +29,21 @@ class TestCusps:
         assert code == 0
         assert "split=2 nonsplit=0 indeterminate=0" in out
 
+    @pytest.mark.parametrize("p,lvl,certified", [(2, "t^2", 3),
+                                                 (3, "t^2", 3),
+                                                 (2, "t^3", 4)])
+    def test_extension_field_repeated_factor(self, capsys, p, lvl,
+                                             certified):
+        """Over F_4 and F_9 a level factor of multiplicity >= 2 gives
+        stabilizers whose torus ratios lie in F_p; their unipotent
+        generators must still span over F_q, or the neighbor orbits come
+        out too small and the build exits 3."""
+        code, out, err = run_cli(
+            ["cusps", "--p", str(p), "--s", "2", "--level", lvl,
+             "--depth", "8"], capsys)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0].startswith("certified=%d " % certified)
+
 
 class TestReduce:
     def test_documented_example(self, capsys):

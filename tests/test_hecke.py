@@ -235,6 +235,50 @@ class TestSolveAffine:
         part, kern = solve_affine([(), ()], (), F3)
         assert part == (F3.zero, F3.zero) and len(kern) == 2
 
+    def test_torus_blocks_equal_per_pair_solves(self):
+        """One elimination of [columns | va | vc] gives, for every torus
+        pair, the block a solve of that pair's system alone gives, in pair
+        order, and the first consistent pair in witness mode.  The systems
+        are seeded: rank-deficient columns, inconsistent pairs and the
+        empty system of D = 0 all occur."""
+        from btquot.hecke import _torus_blocks
+        rng = random.Random(25)
+        seen = {"deficient": 0, "inconsistent": 0, "empty": 0}
+        for field in ORACLE_FIELDS:
+            for trial in range(40):
+                nrows, ncols = rng.randint(0, 4), rng.randint(1, 5)
+                columns = [[rng.randrange(field.q) for _ in range(nrows)]
+                           for _ in range(ncols)]
+                if ncols > 1 and trial % 2:
+                    # a combination of two other columns
+                    c, x, y = rng.randrange(1, field.q), *rng.sample(
+                        range(ncols), 2)
+                    columns[x] = [field.mul(c, v) for v in columns[y]]
+                va = [rng.randrange(field.q) for _ in range(nrows)]
+                vc = [rng.randrange(field.q) for _ in range(nrows)]
+                expected = []
+                for ai in range(1, field.q):
+                    for bi in range(1, field.q):
+                        rhs = [field.neg(field.add(field.mul(ai, x),
+                                                   field.mul(bi, y)))
+                               for x, y in zip(va, vc)]
+                        part, kernel = solve_affine(columns, rhs, field)
+                        kernel = tuple(tuple(map(field.packed, k))
+                                       for k in kernel)
+                        if part is None:
+                            seen["inconsistent"] += 1
+                            continue
+                        expected.append(((ai, bi),
+                                         tuple(map(field.packed, part)),
+                                         kernel))
+                seen["deficient"] += len(kernel) > max(ncols - nrows, 0)
+                seen["empty"] += nrows == 0
+                assert _torus_blocks(columns, va, vc, field, False) == \
+                    expected, (field, columns, va, vc)
+                assert _torus_blocks(columns, va, vc, field, True) == \
+                    expected[:1]
+        assert all(seen.values()), seen
+
     def test_shifted_columns_equal_full_reduction(self):
         """The solver's columns t^i * P mod N_D, each from the previous
         residue, equal the full product reduced from scratch."""
@@ -325,10 +369,11 @@ class TestStabilizer:
             v = act(rand_member(F3, lvl, rng), BallVertex.standard(F3, n))
             sd = stabilizer(v, lvl)
             gens = sd.generators()
-            # close under multiplication and compare against materialize
+            # close under multiplication and compare against materialize;
+            # stop past the order, should the generators be wrong
             seen = {Matrix2.identity(F3).key()}
             frontier = [Matrix2.identity(F3)]
-            while frontier:
+            while frontier and len(seen) <= sd.order:
                 cur = frontier.pop()
                 for g in gens:
                     nxt = cur @ g

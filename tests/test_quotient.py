@@ -393,7 +393,55 @@ class TestCertifyOracle:
 
 
 FRAME_CASES = [(2, "t", 6), (3, "t^2", 6), (2, "t^3", 8), (4, "t", 4),
-               (9, "t", 2), (2, "0", 5), (3, "0", 5)]
+               (9, "t", 2), (2, "0", 5), (3, "0", 5), (4, "t^2", 4),
+               (9, "t^2", 3), (4, "t^3", 4)]
+
+
+def closure_order(generators, identity, bound):
+    """Order of the group the matrices generate, by Dimino's coset
+    enumeration: a generator outside the group H built so far extends it
+    by cosets H*r, one per new representative r, until every
+    representative times every generator lies in it; a generator already
+    in H costs nothing.  It stops past `bound` elements, so matrices that
+    generate no group of that size cannot run on."""
+    group = {identity.key(): identity}
+    kept = []
+    for g in generators:
+        if g.key() in group:
+            continue
+        kept.append(g)
+        old = list(group.values())
+        reps, pending, i = [identity], [g], 0
+        while pending:
+            r = pending.pop()
+            reps.append(r)
+            for h in old:
+                e = h @ r
+                group[e.key()] = e
+            if len(group) > bound:
+                return len(group)
+            while not pending and i < len(reps):
+                for s in kept:
+                    e = reps[i] @ s
+                    if e.key() not in group:
+                        pending.append(e)
+                        break
+                else:
+                    i += 1
+    return len(group)
+
+
+def moved_descriptor(Q, c):
+    """The descriptor of class c at its representative moved by
+    `mover(Q)`, in the class frame carried to it, as
+    `build_graph_of_groups` carries it."""
+    from btquot.btree import act
+    from btquot.hecke import StabDescriptor
+    m = mover(Q)
+    stab = c.stab
+    return StabDescriptor(act(m, c.representative),
+                          stab.conjugator @ m.inverse(), stab.level_n,
+                          Q.level, stab.blocks, stab.extra)
 
 
 class TestFrameOrbits:
@@ -411,20 +459,44 @@ class TestFrameOrbits:
 
     @pytest.mark.parametrize("moved", [False, True])
     def test_agrees_with_act_closure(self, Q, moved):
-        from btquot.btree import act
-        from btquot.hecke import StabDescriptor
         from btquot.quotient import frame_orbits
-        m = mover(Q)
         for c in Q.classes:
-            v, stab = c.representative, c.stab
-            if moved:
-                v = act(m, v)
-                stab = StabDescriptor(v, stab.conjugator @ m.inverse(),
-                                      stab.level_n, Q.level, stab.blocks,
-                                      stab.extra)
+            stab = moved_descriptor(Q, c) if moved else c.stab
+            v = stab.base_vertex
             neighbors = sorted(v.neighbors(), key=lambda u: u.key())
             assert frame_orbits(stab, neighbors) == orbit_partition_by_act(
                 neighbors, stab.generators()), (c.id, v)
+
+    def test_generators_generate_the_group(self, Q):
+        """The generators close, by matrix products, to a group of order
+        `stab.order`: a set that generates too little passes the closure
+        comparison above on both sides.  Classes of order at most 1000."""
+        from btquot.btree import Matrix2
+        ident = Matrix2.identity(Q.field)
+        for c in Q.classes:
+            if c.stab.order <= 1000:
+                assert closure_order(c.stab.generators(), ident,
+                                     c.stab.order) == c.stab.order, c.id
+
+    @pytest.mark.parametrize("moved", [False, True])
+    def test_linear_conjugation_equals_product(self, Q, moved):
+        """Each element formed linearly from its frame data equals
+        g^-1 s g by matrix products: every generator, and every element
+        of `materialize()` on classes of order at most 300, else its
+        first 300 elements; the generators include every level-0 extra."""
+        import itertools
+        from btquot.hecke import _frame_matrix
+        for c in Q.classes:
+            stab = moved_descriptor(Q, c) if moved else c.stab
+            g = stab.conjugator
+            g_inv = g.inverse()
+            frames = list(itertools.islice(stab.frames(), 300))
+            elements = (stab.materialize() if stab.order <= 300
+                        else [stab.element(fr) for fr in frames])
+            for fr, h in zip(stab.generator_frames() + frames,
+                             stab.generators() + elements, strict=True):
+                assert h == g_inv @ _frame_matrix(Q.field, fr) @ g, \
+                    (c.id, fr)
 
     @pytest.mark.parametrize("moved", [False, True])
     @pytest.mark.parametrize("field,lvl", [(F2, "t^3"), (F3, "t^2"),
@@ -433,17 +505,11 @@ class TestFrameOrbits:
         """Edge groups from frame labels agree with filtering by `act`, on
         the classes of stabilizer order at most 50."""
         from btquot.btree import act
-        from btquot.hecke import StabDescriptor
         from btquot.quotient import frame_fixers
         Q = build(field, lvl, 4)
-        m = mover(Q)
         for c in [c for c in Q.classes if c.stab.order <= 50]:
-            v, stab = c.representative, c.stab
-            if moved:
-                v = act(m, v)
-                stab = StabDescriptor(v, stab.conjugator @ m.inverse(),
-                                      stab.level_n, Q.level, stab.blocks,
-                                      stab.extra)
+            stab = moved_descriptor(Q, c) if moved else c.stab
+            v = stab.base_vertex
             elements = stab.materialize()
             for w in v.neighbors():
                 assert frame_fixers(stab, elements, w) == [
