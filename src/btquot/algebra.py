@@ -689,20 +689,11 @@ class RationalFunction:
     def is_polynomial(self):
         return self.den.degree == 0
 
-    def as_polynomial(self):
-        if not self.is_polynomial():
-            raise AlgebraError("%s is not a polynomial" % self)
-        return self.num
-
     def valuation(self):
         """nu at infinity: deg(den) - deg(num); +inf for 0."""
         if self.is_zero():
             return INF
         return self.den.degree - self.num.degree
-
-    def leading_coefficient(self):
-        """Coefficient of pi^nu(f) in the expansion at infinity."""
-        return self.num.leading() / self.den.leading()
 
     def _coerce(self, other):
         if isinstance(other, RationalFunction):
@@ -833,45 +824,6 @@ class LaurentFragment:
         """The fragment as the rational function P/t^K of `fraction`."""
         return RationalFunction(*self.fraction())
 
-    def reciprocal(self, cutoff):
-        """Truncated series inverse: the fragment b with
-        nu(1/self - b) >= cutoff.
-
-        With self = pi^m * sum_j a_j pi^j (a_0 != 0) the inverse is
-        pi^-m * sum_k b_k pi^k, b_0 = 1/a_0 and
-        b_k = -(1/a_0) * sum_{j=1..k} a_j b_(k-j).  A monomial has the
-        exact inverse b_0 pi^-m.
-        """
-        if not self.packed_terms:
-            raise AlgebraError("inversion of zero")
-        field = self.field
-        add, mul = field.add, field.mul
-        m, lead = self.packed_terms[0]
-        neg_inv = field.neg(field.inv(lead))
-        tail = [(e - m, c) for e, c in self.packed_terms[1:]]
-        length = cutoff + m if tail else min(cutoff + m, 1)
-        b = [field.inv(lead)] if length > 0 else []
-        for k in range(1, length):
-            acc = 0
-            for j, c in tail:
-                if j > k:
-                    break
-                acc = add(acc, mul(c, b[k - j]))
-            b.append(mul(acc, neg_inv))
-        return LaurentFragment(field, [(k - m, c) for k, c in enumerate(b)],
-                               cutoff)
-
-    def __add__(self, other):
-        field = self.field
-        if other.field is not field and other.field != field:
-            raise AlgebraError("mixed fields")
-        cut = min(self.cutoff, other.cutoff)
-        acc = {}
-        for e, c in self.packed_terms + other.packed_terms:
-            if e < cut:
-                acc[e] = field.add(acc[e], c) if e in acc else c
-        return LaurentFragment(field, acc, cut)
-
     def __eq__(self, other):
         return (isinstance(other, LaurentFragment)
                 and self.field == other.field and self._key == other._key)
@@ -890,21 +842,33 @@ class LaurentFragment:
 
 
 def expand_at_infinity(f, cutoff):
-    """Truncated pi-expansion of a rational function f = P/Q: the returned
-    fragment g satisfies nu(f - g) >= cutoff.
+    """Truncated pi-expansion of a rational function f: the returned
+    fragment g satisfies nu(f - g) >= cutoff."""
+    return expand_pair(f.num, f.den, cutoff)
 
-    The terms c_e pi^e of f with e <= N = cutoff - 1 are the terms
-    c_e t^(N-e) of the polynomial part of f t^N, which is one polynomial
-    quotient.  A polynomial f is its own expansion.
+
+def expand_pair(num, den, cutoff):
+    """Truncated pi-expansion of num/den, den != 0, a pair that need not be
+    in lowest terms nor have a monic denominator: the returned fragment g
+    satisfies nu(num/den - g) >= cutoff.
+
+    The terms c_e pi^e of num/den with e <= N = cutoff - 1 are the terms
+    c_e t^(N-e) of the polynomial part of (num/den) t^N, which is one
+    polynomial quotient.  A monomial denominator c*t^K needs no division:
+    num/den is num/c read with every exponent moved by K, so the cost does
+    not depend on the cutoff.
     """
-    field = f.field
-    num, den = f.num, f.den
-    if num.is_zero() or den.degree - num.degree >= cutoff:
+    field = num.field
+    k = den.degree
+    if num.is_zero() or k - num.degree >= cutoff:
         return LaurentFragment.zero(field, cutoff)
-    if den.degree == 0:
+    dcs = den.packed_coeffs
+    if dcs.count(0) == k:
+        inv = field.inv(dcs[-1])
         return LaurentFragment(
-            field, [(-i, c) for i, c in enumerate(num.packed_coeffs)
-                    if -i < cutoff], cutoff)
+            field, [(k - i, field.mul(inv, c))
+                    for i, c in enumerate(num.packed_coeffs)
+                    if c and k - i < cutoff], cutoff)
     n = cutoff - 1
     quo = num.shift(n) // den if n >= 0 else num // den.shift(-n)
     return LaurentFragment(
@@ -1094,6 +1058,6 @@ def parse_fragment(text, field, cutoff):
 __all__ = [
     "AlgebraError", "ParseError", "FieldSpec", "FieldElement", "Polynomial",
     "RationalFunction", "LaurentFragment", "poly_gcd", "expand_at_infinity",
-    "parse_polynomial", "parse_rational", "parse_fragment",
+    "expand_pair", "parse_polynomial", "parse_rational", "parse_fragment",
     "format_polynomial", "format_rational", "format_fragment", "INF",
 ]

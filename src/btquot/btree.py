@@ -18,17 +18,20 @@ a product over F_q(t), and canonicalizes it.  For g in GL2(F_q[t]) with
 det g in F_q*, `BallVertex.moved` works on the ball itself: Euclid on the
 left column writes g as a word in translations tau_f, the inversion I and
 a constant upper-triangular matrix (Nagao's amalgam, Serre, Trees, II.1.6),
-and each factor maps a ball to a ball (`translated`, `inverted`,
-`scaled`).  The program moves vertices with `moved`; `act` and
-`canonicalize` are the reference the tests and the self-test compare
-against.
+and each factor maps the ball x + pi^r O, x the exact center P/t^K of the
+vertex, to a ball whose exact center is again a quotient of polynomials.
+tau_f and the triangular factor move x by a Moebius map and keep r; I
+follows `invert_ball`, the rule `hecke.reduce_vertex` applies too.  The
+center is expanded below the radius once, at the end.  The program moves
+vertices with `moved`; `act` and `canonicalize` are the reference the
+tests and the self-test compare against.
 """
 
 from __future__ import annotations
 
 from .algebra import (AlgebraError, LaurentFragment, Polynomial,
-                      RationalFunction, expand_at_infinity, format_fragment,
-                      format_rational, parse_fragment)
+                      RationalFunction, expand_at_infinity, expand_pair,
+                      format_fragment, format_rational, parse_fragment)
 
 
 class TreeError(ValueError):
@@ -84,39 +87,17 @@ class BallVertex:
         return [BallVertex(f, self.r + 1, LaurentFragment(
             f, terms + ((self.r, c),), self.r + 1)) for c in range(f.q)]
 
-    def translated(self, f):
-        """tau_f . v for a polynomial f: the ball (a - f) + pi^r O."""
-        shift = LaurentFragment(
-            self.field, [(-i, c) for i, c in enumerate((-f).packed_coeffs)
-                         if -i < self.r], self.r)
-        return BallVertex(self.field, self.r, self.center + shift)
-
-    def inverted(self):
-        """I . v for I = [[0,1],[1,0]]: with m = nu(a) < r the ball
-        1/a + pi^(r-2m) O; a zero center gives B_0^{|-r|}."""
-        if self.center.is_zero():
-            return BallVertex(self.field, -self.r,
-                              LaurentFragment.zero(self.field, -self.r))
-        r = self.r - 2 * self.center.valuation()
-        return BallVertex(self.field, r, self.center.reciprocal(r))
-
-    def scaled(self, u):
-        """diag(u, 1) . v for a constant u in F_q*: the ball u*a + pi^r O."""
-        f = self.field
-        u = f.packed(u)
-        return BallVertex(self.field, self.r, LaurentFragment(
-            f, [(e, f.mul(u, c)) for e, c in self.center.packed_terms],
-            self.r))
-
     def moved(self, g):
         """g . v for g in GL2(F_q[t]) with det g in F_q*, on the ball.
 
         Euclid on the left column (a, c): with a = k*c + a' the matrix is
         g = tau_{-k} . I . [[c, d], [a', b - k*d]], so
         g = tau_{-k_1} I tau_{-k_2} I ... T with T = [[alpha, b], [0, delta]]
-        and alpha, delta in F_q*.  T moves the center a to
-        (alpha/delta)*a + b/delta, and the factors are applied right to
-        left by `scaled`, `inverted` and `translated`.
+        and alpha, delta in F_q*.  The factors are applied right to left to
+        the exact center num/den of the ball: T maps the pair to
+        (alpha*num + b*den, delta*den), tau_{-k} maps num to num + k*den,
+        and I follows `invert_ball`.  The pair is expanded below the radius
+        once, at the end.
         """
         if not g.is_polynomial():
             raise TreeError("matrix %r has a non-polynomial entry" % (g,))
@@ -129,12 +110,14 @@ class BallVertex:
             k, rem = divmod(a, c)
             quotients.append(k)
             a, b, c, d = c, d, rem, b - k * d
-        delta_inv = d.leading().inverse()
-        v = self.scaled(a.leading() * delta_inv).translated(
-            -b.scale(delta_inv))
+        num, den = self.center.fraction()
+        num, den = (num.scale(a.packed_coeffs[0]) + b * den,
+                    den.scale(d.packed_coeffs[0]))
+        r = self.r
         for k in reversed(quotients):
-            v = v.inverted().translated(-k)
-        return v
+            num, den, r = invert_ball(num, den, r)
+            num = num + k * den
+        return BallVertex(self.field, r, expand_pair(num, den, r))
 
     def neighbors(self):
         """Parent followed by the q children; exactly q+1 vertices."""
@@ -255,6 +238,19 @@ class Matrix2:
             format_rational(x) for x in self.entries())
 
 
+def invert_ball(num, den, r):
+    """I = [[0, 1], [1, 0]] on the ball x + pi^r O with x = num/den, as the
+    triple (num', den', r') of the image ball x' + pi^r' O.
+
+    A ball holding 0, nu(x) >= r, goes to B_0^{|-r|}; any other goes to
+    1/x + pi^(r-2m) O with m = nu(x) = deg den - deg num.
+    """
+    m = den.degree - num.degree
+    if not num or m >= r:
+        return Polynomial.zero(num.field), Polynomial.one(num.field), -r
+    return den, num, r - 2 * m
+
+
 def canonicalize(m):
     """Canonical ball form of the lattice spanned by the columns of m.
 
@@ -328,6 +324,6 @@ def distance_bfs(v, w, max_depth=8):
 
 
 __all__ = [
-    "TreeError", "BallVertex", "Matrix2", "canonicalize",
+    "TreeError", "BallVertex", "Matrix2", "invert_ball", "canonicalize",
     "act", "distance", "distance_invariant_factors", "distance_bfs",
 ]

@@ -11,8 +11,9 @@ moves tau_f and I, and the GL2(R) stabilizer of v_n is explicit (upper
 triangular with a degree-n cap for n >= 1, all of GL2(F_q) for n = 0).
 The moves act on the ball a + pi^r*O itself: tau_f subtracts f from the
 center, and I maps it to 1/a + pi^(r-2m)*O with m = nu(a) < r (to
-B_0^{|-r|} for a zero center), on the exact center P/t^K, so the reduction
-is Euclid's algorithm on (P, t^K) and never calls `act`.
+B_0^{|-r|} for a ball holding 0), on the exact center P/t^K, so the reduction
+is Euclid's algorithm on (P, t^K) and never calls `act`.  The I rule is
+`btree.invert_ball`, which `BallVertex.moved` follows too.
 Whether a candidate lies in H_D is a divisibility condition that is affine
 linear over F_q in the torus pair (alpha, beta) and the unipotent
 coefficients, so one Gauss-Jordan elimination of the system, with both
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 from .algebra import (AlgebraError, Polynomial, format_polynomial,
                       parse_polynomial)
-from .btree import Matrix2, act
+from .btree import Matrix2, act, invert_ball
 
 
 class HeckeError(ValueError):
@@ -175,7 +176,8 @@ def reduce_vertex(v):
     v: tau_f subtracts from x the polynomial part f of its truncated
     expansion (the quotient of the division, without the terms t^i with
     -i >= r), and I maps x to 1/x and r to r - 2 nu(x) when nu(x) < r, or
-    the ball B_0^{|r|} to B_0^{|-r|}.  That is Euclid's algorithm on (P, t^K)
+    the ball B_0^{|r|} to B_0^{|-r|} (`btree.invert_ball`, the rule
+    `BallVertex.moved` follows too).  That is Euclid's algorithm on (P, t^K)
     stopped by the radius, so the cost does not depend on r.  g is composed
     by row operations over R; `act` is not called.
     """
@@ -202,10 +204,7 @@ def reduce_vertex(v):
             break
         word.append(inv)
         a, b, c, d = c, d, a, b
-        if not num or den.degree - num.degree >= r:
-            num, den, r = zero, Polynomial.one(field), -r
-        else:
-            num, den, r = den, num, r - 2 * (den.degree - num.degree)
+        num, den, r = invert_ball(num, den, r)
     return ReductionResult(-r, tuple(word), Matrix2(a, b, c, d))
 
 
@@ -618,10 +617,10 @@ def orbit_witness(level, red_src, red_dst):
             @ red_src.g)
 
 
-def orbit_equivalent(v, w, level, red_v=None, red_w=None):
+def orbit_equivalent(v, w, level):
     """Some h in H_D with act(h, v) = w, or None."""
-    red_v = red_v if red_v is not None else reduce_vertex(v)
-    red_w = red_w if red_w is not None else reduce_vertex(w)
+    red_v = reduce_vertex(v)
+    red_w = reduce_vertex(w)
     if red_v.level_n != red_w.level_n:
         return None
     return orbit_witness(level, red_v, red_w)

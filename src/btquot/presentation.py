@@ -477,7 +477,6 @@ def emit_presentation(G):
                 word_dst = _word_search(image, *gen_by_class[e.dst], field)
                 rel = (((hname, -1),) + word_src + ((hname, 1),)
                        + tuple((nm, -k) for nm, k in reversed(word_dst)))
-            _verify_relation(rel, all_named, field)
             relations.append(rel)
 
     for rel in relations:

@@ -185,8 +185,9 @@ class QuotientGraph:
 def _frame_label(stab, w):
     """The label in P^1(F_q) of a tree neighbor w of the vertex of `stab`:
     None (infinity) when the frame g = stab.conjugator maps w to v_{n+1},
-    c when g maps w to the child c t^n + t^(n-1) O of v_n.  The image is
-    `w.moved(g)`, one Euclid decomposition of g applied to the ball.
+    the packed int c when g maps w to the child c t^n + t^(n-1) O of v_n.
+    The image is `w.moved(g)`, one Euclid decomposition of g applied to the
+    ball.
 
     A neighbor mapped anywhere else shows that g does not map the vertex to
     v_n, and a g outside GL2(F_q[t]) with det g in F_q* is no frame at all.
@@ -198,33 +199,28 @@ def _frame_label(stab, w):
         raise InconsistencyError(
             "the frame of vertex %s is not a reduction: %s"
             % (stab.base_vertex.to_text(), exc)) from exc
-    terms = u.center.terms
+    terms = u.center.packed_terms
     if u.r == -n - 1 and not terms:
         return None
     if u.r == 1 - n and all(e == -n for e, _ in terms):
-        return terms[0][1] if terms else stab.field.zero
+        return terms[0][1] if terms else 0
     raise InconsistencyError(
         "the frame of vertex %s maps its neighbor %s to %s, which is not a "
         "neighbor of v_%d" % (stab.base_vertex.to_text(), w.to_text(),
                               u.to_text(), n))
 
 
-def _moebius(m, x):
-    """Image of the label x under the F_q matrix m = (a, b, c, d)."""
+def _moebius(field, m, x):
+    """Image of the label x under the F_q matrix m = (a, b, c, d), labels
+    and entries packed ints.  A frame element with frame data
+    (a, b, c, d) moves the labels by (a, b[n], c, d), b[n] the t^n
+    coefficient of b."""
     a, b, c, d = m
+    add, mul = field.add, field.mul
     if x is None:
-        return a / c if c else None
-    den = c * x + d
-    return (a * x + b) / den if den else None
-
-
-def _frame_moebius(stab, frame):
-    """The F_q matrix [[a, b_n], [c, d]] by which the frame element with
-    frame data (a, b, c, d) moves the labels, b_n the t^n coefficient of
-    b."""
-    a, bvec, c, d = frame
-    el = stab.field.element
-    return el(a), el(bvec[stab.level_n]), el(c), el(d)
+        return mul(a, field.inv(c)) if c else None
+    den = add(mul(c, x), d)
+    return mul(add(mul(a, x), b), field.inv(den)) if den else None
 
 
 def frame_orbits(stab, neighbors):
@@ -241,7 +237,8 @@ def frame_orbits(stab, neighbors):
         raise InconsistencyError(
             "two neighbors of vertex %s have the same frame label"
             % stab.base_vertex.to_text())
-    gens = [_frame_moebius(stab, fr) for fr in stab.generator_frames()]
+    n, field = stab.level_n, stab.field
+    gens = [(a, b[n], c, d) for a, b, c, d in stab.generator_frames()]
     orbits = []
     assigned = set()
     for start in range(len(labels)):
@@ -252,7 +249,7 @@ def frame_orbits(stab, neighbors):
         while frontier:
             x = frontier.pop()
             for m in gens:
-                j = index[_moebius(m, x)]
+                j = index[_moebius(field, m, x)]
                 if j not in orbit:
                     orbit.add(j)
                     frontier.append(labels[j])
@@ -266,9 +263,10 @@ def frame_fixers(stab, elements, w):
     the tree neighbor w of the vertex of `stab`, in the same order; each is
     decided by the label of w and the element's frame data."""
     x = _frame_label(stab, w)
-    maps = [_frame_moebius(stab, fr) for fr in stab.frames()]
+    n, field = stab.level_n, stab.field
+    maps = [(a, b[n], c, d) for a, b, c, d in stab.frames()]
     return [h for h, m in zip(elements, maps, strict=True)
-            if _moebius(m, x) == x]
+            if _moebius(field, m, x) == x]
 
 
 def build_quotient(level, depth):

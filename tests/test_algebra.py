@@ -7,7 +7,7 @@ import pytest
 from btquot.algebra import (INF, MAX_EXTENSION_Q, AlgebraError, FieldElement,
                             FieldSpec, LaurentFragment, ParseError, Polynomial,
                             RationalFunction, expand_at_infinity,
-                            format_polynomial, format_rational,
+                            expand_pair, format_polynomial, format_rational,
                             parse_fragment, parse_polynomial, parse_rational,
                             poly_gcd)
 
@@ -370,6 +370,31 @@ class TestExpansion:
                 cases += 1
         assert cases >= 200
 
+    def test_pair_equals_reduced_expansion(self):
+        """An unreduced pair num/den, a common factor and a non-monic
+        denominator, among them the monomials c*t^K with c != 1, expands
+        as its reduced rational function does."""
+        rng = random.Random(9)
+        monomials = 0
+        for field in (F2, F3, F4, F5, F9):
+            for trial in range(40):
+                num = rand_poly(field, rng, 5)
+                if trial % 2:
+                    den = Polynomial(field, [0] * rng.randint(0, 4)
+                                     + [rng.randrange(1, field.q)])
+                    monomials += den.packed_coeffs[-1] != 1
+                else:
+                    den = rand_poly(field, rng, 4)
+                    if den.is_zero():
+                        continue
+                common = rand_poly(field, rng, 2)
+                if common:
+                    num, den = num * common, den * common
+                cutoff = rng.randint(-8, 12)
+                assert expand_pair(num, den, cutoff) == expand_at_infinity(
+                    RationalFunction(num, den), cutoff)
+        assert monomials >= 40
+
     def test_polynomial_part_is_euclidean_quotient(self):
         rng = random.Random(6)
         for field in (F2, F3):
@@ -402,29 +427,6 @@ class TestFragmentArithmetic:
                 out = frag.to_rational()
                 assert out.key() == ref.key()
                 assert out.num == ref.num and out.den == ref.den
-
-    def test_reciprocal_remainder_valuation(self):
-        rng = random.Random(8)
-        for field in self.FIELDS:
-            for _ in range(24):
-                frag = rand_fragment(field, rng)
-                if frag.is_zero():
-                    continue
-                cutoff = rng.randint(-10, 25)
-                inv = frag.reciprocal(cutoff)
-                assert inv.cutoff == cutoff
-                diff = frag.to_rational().inverse() - inv.to_rational()
-                assert diff.valuation() >= cutoff
-                assert inv == expand_at_infinity(
-                    frag.to_rational().inverse(), cutoff)
-
-    def test_reciprocal_of_monomial_is_exact(self):
-        x = LaurentFragment(F3, {2: 2}, 5)
-        assert x.reciprocal(10 ** 9).key() == (10 ** 9, (-2, 2))
-
-    def test_reciprocal_of_zero_rejected(self):
-        with pytest.raises(AlgebraError):
-            LaurentFragment.zero(F2, 3).reciprocal(3)
 
 
 class TestPolynomialPart:

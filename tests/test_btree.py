@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -235,8 +236,42 @@ class TestBallMove:
                 u = rng.choice(field.units())
                 v = rand_vertex(field, rng, rmin=-6, rmax=12, span=8)
                 diag = Matrix2.diagonal(field, u, field.one)
-                assert v.scaled(u) == act(diag, v)
-                assert v.scaled(u).r == v.r
+                assert v.moved(diag) == act(diag, v)
+                assert v.moved(diag).r == v.r
+
+    def test_inversion_of_a_ball_holding_zero(self):
+        """tau_f clears the center down to a nonzero x with nu(x) >= r, so
+        the ball holds 0 and I sends it to B_0^{|-r|}, although the exact
+        center I sees is not 0."""
+        for field in (F2, F3, F9):
+            t = Polynomial.t(field)
+            f = t ** 3 + Polynomial.one(field)
+            g = Matrix2.involution(field) @ Matrix2.translation(f)
+            for r in (-2, -1, 0):
+                v = ball(field, r, {-3: 1})
+                assert v.moved(g) == act(g, v) == BallVertex.standard(
+                    field, r), (field, r)
+
+    def test_huge_radius_triangular_moves(self):
+        """tau_f and constant diagonals on a center near the origin keep
+        the radius and expand x over a monomial denominator, so r = 10^9
+        costs no more than r = 10."""
+        r = 10 ** 9
+        for field in (F3, F9):
+            v = ball(field, r, {-2: 1, 1: 2, 3: 1})
+            f = Polynomial(field, (1, 0, 1))
+            mul, neg, half = field.mul, field.neg, field.inv(2)
+            t0 = time.perf_counter()
+            moved_tau = v.moved(Matrix2.translation(f))
+            moved_diag = v.moved(Matrix2.diagonal(field, 2, 1))
+            moved_both = v.moved(Matrix2.diagonal(field, 1, 2)
+                                 @ Matrix2.translation(f))
+            assert time.perf_counter() - t0 < 1.0
+            assert moved_tau == ball(field, r, {0: neg(1), 1: 2, 3: 1})
+            assert moved_diag == ball(field, r,
+                                      {-2: 2, 1: mul(2, 2), 3: 2})
+            assert moved_both == ball(
+                field, r, {0: neg(half), 1: mul(2, half), 3: half})
 
     def test_rejects_non_polynomial(self):
         t_inv = RationalFunction.t_power(F3, -1)

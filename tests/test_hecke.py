@@ -201,15 +201,19 @@ class TestBallNativeReduction:
         assert {v.field.q for v in vertices} == {2, 3, 4, 5, 9}
 
     def test_moves_equal_act(self, vertices):
+        """The reduction's moves I and tau_f, as `moved` applies them."""
         rng = random.Random(32)
         for v in vertices:
             field = v.field
-            assert v.inverted() == act(Matrix2.involution(field), v)
+            inv = Matrix2.involution(field)
+            assert v.moved(inv) == act(inv, v)
             f = Polynomial(field, [rng.randrange(field.q)
                                    for _ in range(rng.randint(0, 6))])
-            assert v.translated(f) == act(Matrix2.translation(f), v)
+            assert v.moved(Matrix2.translation(f)) == \
+                act(Matrix2.translation(f), v)
             p = v.center.polynomial_part()
-            assert v.translated(p) == act(Matrix2.translation(p), v)
+            assert v.moved(Matrix2.translation(p)) == \
+                act(Matrix2.translation(p), v)
 
     def test_reduction_equals_act_oracle(self, vertices):
         for v in vertices:
