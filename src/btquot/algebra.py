@@ -790,21 +790,10 @@ class LaurentFragment:
     def is_zero(self):
         return not self.packed_terms
 
-    def valuation(self):
-        return self.packed_terms[0][0] if self.packed_terms else INF
-
     def truncate(self, cutoff):
         return LaurentFragment(
             self.field, [(e, c) for e, c in self.packed_terms if e < cutoff],
             cutoff)
-
-    def polynomial_part(self):
-        """Sum of the terms with pi-exponent <= 0, as a polynomial in t."""
-        low = [(e, c) for e, c in self.packed_terms if e <= 0]
-        coeffs = [0] * (1 - low[0][0]) if low else []
-        for e, c in low:
-            coeffs[-e] = c
-        return Polynomial._of(self.field, coeffs)
 
     def fraction(self):
         """The fragment as (P, t^K) with value P/t^K, K the largest exponent

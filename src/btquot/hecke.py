@@ -400,6 +400,11 @@ class StabDescriptor:
     each product taken times delta^{-1}.  The products are computed once
     per descriptor, on first use, and each element is one combination of
     them per entry, b_i contributing t^i times its product.
+
+    Conjugation by g is a group isomorphism, so products and orders of
+    elements are taken on their frame data (`frame_product`,
+    `frame_order`), in the finite group Stab(v_n), without forming any
+    element.
     """
 
     __slots__ = ("base_vertex", "conjugator", "level_n", "level", "field",
@@ -479,6 +484,36 @@ class StabDescriptor:
         comb = Polynomial.combination
         return Matrix2(comb(f, e11), comb(f, e12), comb(f, e21),
                        comb(f, e22))
+
+    def identity_frame(self):
+        """Frame data of the identity."""
+        return 1, (0,) * (self.level_n + 1), 0, 1
+
+    def frame_product(self, x, y):
+        """Frame data of s s' for the frame data x of s and y of s', so
+        that element(x) @ element(y) == element(frame_product(x, y)).
+
+        Every b has n + 1 coefficients, and c is nonzero only at level 0,
+        where b is a constant, so the product is the one of GL2(F_q) with
+        b read as its coefficient vector."""
+        f = self.field
+        add, mul = f.add, f.mul
+        a1, b1, c1, d1 = x
+        a2, b2, c2, d2 = y
+        return (add(mul(a1, a2), mul(b1[0], c2)),
+                tuple(add(mul(a1, u), mul(w, d2)) for u, w in zip(b2, b1)),
+                add(mul(c1, a2), mul(d1, c2)),
+                add(mul(c1, b2[0]), mul(d1, d2)))
+
+    def frame_order(self, frame):
+        """Order of the element of the frame data `frame`, by products in
+        the frame; the element lies in the finite group Stab(v_n)."""
+        ident = self.identity_frame()
+        acc, order = frame, 1
+        while acc != ident:
+            acc = self.frame_product(acc, frame)
+            order += 1
+        return order
 
     def _unipotent_basis(self):
         """An F_p-basis of the unipotent space all blocks share.

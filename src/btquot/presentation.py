@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .btree import Matrix2
-from .hecke import SizeError, StabDescriptor, orbit_witness, reduce_vertex
+from .hecke import StabDescriptor, orbit_witness, reduce_vertex
 from .quotient import SPLIT, extend_tail_inward, frame_fixers, frame_orbits
 
 
@@ -102,6 +102,7 @@ class GogEdge:
     g_y: object               # identity on tree edges; act(g_y, lifts[dst]) = lift_dst
     edge_group: object        # materialized list on the finite part, else None
     edge_order: object
+    edge_frames: object       # frame data of edge_group in the source stab
 
 
 @dataclass
@@ -233,15 +234,16 @@ def build_graph_of_groups(Q):
         p = bfs_parent[cid]
         if p is None:
             continue
-        group = None
+        frames = group = None
         if p in finite_ids and cid in finite_ids:
-            group = frame_fixers(vertex_stabs[p], vertex_groups[p],
-                                 lifts[cid])
+            frames, group = frame_fixers(vertex_stabs[p], vertex_groups[p],
+                                         lifts[cid])
         edges.append(GogEdge(src=p, dst=cid, lift_src=lifts[p],
                              lift_dst=lifts[cid], in_tree=True,
                              g_y=Matrix2.identity(Q.field),
                              edge_group=group,
-                             edge_order=None if group is None else len(group)))
+                             edge_order=None if group is None else len(group),
+                             edge_frames=frames))
     for e, tree_carries_one in extra_strands:
         for src_id, dst_id, lift_src, lift_dst in _other_strand_lifts(
                 Q, lifts, vertex_stabs, e, tree_carries_one):
@@ -251,15 +253,16 @@ def build_graph_of_groups(Q):
                 raise PresentationError("no witness for a non-tree edge "
                                         "between classes %d and %d"
                                         % (src_id, dst_id))
-            group = None
+            frames = group = None
             if src_id in finite_ids:
-                group = frame_fixers(vertex_stabs[src_id],
-                                     vertex_groups[src_id], lift_dst)
+                frames, group = frame_fixers(vertex_stabs[src_id],
+                                             vertex_groups[src_id], lift_dst)
             edges.append(GogEdge(src=src_id, dst=dst_id, lift_src=lift_src,
                                  lift_dst=lift_dst, in_tree=False, g_y=g_y,
                                  edge_group=group,
                                  edge_order=None if group is None
-                                 else len(group)))
+                                 else len(group),
+                                 edge_frames=frames))
 
     tails_out = [_tail_descriptor(Q, cusp, tail, vertex_stabs, edges)
                  for cusp, tail in zip(Q.cusps, tails)]
@@ -342,43 +345,36 @@ class Presentation:
     tail_summaries: list
 
 
-def _element_order(g, field, cap=100000):
-    acc = g
-    ident = Matrix2.identity(field)
-    n = 1
-    while acc != ident:
-        acc = acc @ g
-        n += 1
-        if n > cap:
-            raise PresentationError("element order exceeds cap")
-    return n
-
-
-def _group_closure(gens, field, cap=VERTEX_GROUP_CAP):
-    ident = Matrix2.identity(field)
-    seen = {ident.key(): ident}
-    frontier = [ident]
+def _frame_closure(stab, group, gens):
+    """The least set holding the frames `group` and closed under right
+    multiplication by the frames `gens`: the group they generate when
+    `group` is a group."""
+    seen = set(group)
+    frontier = list(group)
     while frontier:
         cur = frontier.pop()
         for g in gens:
-            nxt = cur @ g
-            if nxt.key() not in seen:
-                if len(seen) >= cap:
-                    raise SizeError("closure exceeded cap")
-                seen[nxt.key()] = nxt
+            nxt = stab.frame_product(cur, g)
+            if nxt not in seen:
+                seen.add(nxt)
                 frontier.append(nxt)
     return seen
 
 
-def _generating_subset(elements, field):
-    """Greedy small generating set of a materialized finite group."""
-    chosen = []
-    have = {Matrix2.identity(field).key()}
-    for e in sorted(elements, key=lambda m: m.key()):
-        if e.key() in have:
+def _generating_subset(stab, frames, elements):
+    """Greedy small generating set of a materialized finite subgroup of
+    `stab`: its elements in `Matrix2.key()` order, each kept when it lies
+    outside the group the kept ones generate.  The closures are taken on
+    the frame data `frames` of the elements."""
+    chosen, gens = [], []
+    have = {stab.identity_frame()}
+    for fr, e in sorted(zip(frames, elements, strict=True),
+                        key=lambda pair: pair[1].key()):
+        if fr in have:
             continue
         chosen.append(e)
-        have = set(_group_closure(chosen, field).keys())
+        gens.append(fr)
+        have = _frame_closure(stab, have, gens)
         if len(have) >= len(elements):
             break
     return chosen
@@ -427,8 +423,11 @@ def emit_presentation(G):
 
     Relations: generator orders, one identification per tree-edge-group
     generator (the same matrix written in both endpoint groups), and the
-    conjugation relation through g_y for every non-tree edge.  Every
-    relation is evaluated in exact arithmetic and must be the identity.
+    conjugation relation through g_y for every non-tree edge.  A
+    generator's order is read off its frame data in Stab(v_n), and an
+    edge group's generators are picked by closures in the frame; every
+    relation is then evaluated by matrix arithmetic over F_q[t] and must
+    be the identity.
     """
     Q = G.base
     field = Q.field
@@ -436,10 +435,12 @@ def emit_presentation(G):
     gen_names = []
     gen_by_class = {}
     all_named = {}
+    relations = []
     for cid in sorted(G.vertex_groups):
         stab = G.vertex_stabs[cid]
         gens, names = [], []
-        for g in stab.generators():
+        for fr, g in zip(stab.generator_frames(), stab.generators(),
+                         strict=True):
             if g == ident or g in gens:
                 continue
             name = "v%d_g%d" % (cid, len(gens))
@@ -447,10 +448,8 @@ def emit_presentation(G):
             names.append(name)
             gen_names.append((name, g))
             all_named[name] = g
+            relations.append(((name, stab.frame_order(fr)),))
         gen_by_class[cid] = (gens, names)
-
-    relations = [((name, _element_order(g, field)),)
-                 for name, g in gen_names]
 
     finite_ids = set(G.vertex_groups)
     edge_counter = 0
@@ -463,7 +462,8 @@ def emit_presentation(G):
             all_named[hname] = e.g_y
         if not both_finite or e.edge_group is None:
             continue
-        for c in _generating_subset(e.edge_group, field):
+        for c in _generating_subset(G.vertex_stabs[e.src], e.edge_frames,
+                                    e.edge_group):
             word_src = _word_search(c, *gen_by_class[e.src], field)
             if e.in_tree:
                 word_dst = _word_search(c, *gen_by_class[e.dst], field)
@@ -486,15 +486,22 @@ def emit_presentation(G):
 
 
 def _verify_relation(rel, named, field):
-    acc = Matrix2.identity(field)
+    """Raise PresentationError unless the word `rel` evaluates to the
+    identity; each power is taken by binary powering."""
+    ident = Matrix2.identity(field)
+    acc = ident
     for name, exp in rel:
         g = named[name]
         if exp < 0:
             g = g.inverse()
             exp = -exp
-        for _ in range(exp):
-            acc = acc @ g
-    if acc != Matrix2.identity(field):
+        while exp:
+            if exp & 1:
+                acc = g if acc is ident else acc @ g
+            exp >>= 1
+            if exp:
+                g = g @ g
+    if acc != ident:
         raise PresentationError("relation %r does not evaluate to the "
                                 "identity" % (rel,))
 

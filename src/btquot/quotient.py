@@ -18,10 +18,13 @@ as S acts on those of v_n, which are labelled by P^1(F_q): v_{n+1} is the
 point at infinity and the child c t^n + t^(n-1) O is c.  By Nagao's theorem
 S is triangular, [[alpha, b], [0, beta]] with deg b <= n, or all of GL2(F_q)
 at n = 0; such an element moves the labels by the Moebius map of
-[[alpha, b_n], [0, beta]], b_n the t^n coefficient of b.  So each neighbor
-is moved once by g, on the ball (`BallVertex.moved`, Euclid on the left
-column of g, no `act`), and the orbits are read off the solver's blocks
-over F_q.
+[[alpha, b_n], [0, beta]], b_n the t^n coefficient of b.  The labels come
+from one residue matrix k in GL2(F_q) per vertex: M = B_n^-1 g B_v, B_v
+and B_n the lattice bases of v and v_n, scaled by its least valuation and
+reduced mod pi.  The neighbors of v are the lines of F_q^2, the parent
+(0 : 1) and the child c (1 : c), and g maps the line l to the neighbor of
+v_n on the line k l, so no neighbor is moved and `act` is not called.  The
+orbits are then read off the solver's blocks over F_q.
 
 Cusp certification walks each boundary-directed chain of valency-2 classes
 and checks, on `window` consecutive classes, that each stabilizer fixes the
@@ -36,7 +39,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dc_field
 
-from .btree import BallVertex, Matrix2, TreeError
+from .btree import BallVertex, Matrix2
 from .hecke import orbit_witness, reduce_vertex, stabilizer
 
 
@@ -182,32 +185,78 @@ class QuotientGraph:
 # stabilizer action on the neighbors, in the frame of v_n
 
 
-def _frame_label(stab, w):
-    """The label in P^1(F_q) of a tree neighbor w of the vertex of `stab`:
-    None (infinity) when the frame g = stab.conjugator maps w to v_{n+1},
-    the packed int c when g maps w to the child c t^n + t^(n-1) O of v_n.
-    The image is `w.moved(g)`, one Euclid decomposition of g applied to the
-    ball.
+def _link_matrix(stab):
+    """The residue matrix k of the frame g = stab.conjugator at the vertex
+    v = B(a, r) of `stab`, packed ints (k11, k12, k21, k22).
 
-    A neighbor mapped anywhere else shows that g does not map the vertex to
-    v_n, and a g outside GL2(F_q[t]) with det g in F_q* is no frame at all.
+    With the lattice bases B_v = [[a, pi^r], [1, 0]] of v and
+    B_n = [[0, pi^-n], [1, 0]] of v_n, g B_v = B_n M for
+    M = B_n^-1 g B_v = [[C a + D, C pi^r], [pi^n (A a + B), A pi^(n+r)]],
+    g = [[A, B], [C, D]] and a = P/t^K the exact center.  g maps v to v_n
+    iff M is a scalar times an element of GL2(O); then k is M scaled by its
+    least valuation and reduced mod pi, and the neighbor of v on the line
+    (x : y) of L_v / pi L_v goes to the neighbor of v_n on the line
+    k (x, y).  A singular k shows that g does not map v to v_n, and a g
+    outside GL2(F_q[t]) with det g in F_q* is no frame at all.
     """
-    n = stab.level_n
-    try:
-        u = w.moved(stab.conjugator)
-    except TreeError as exc:
+    v, n, g = stab.base_vertex, stab.level_n, stab.conjugator
+    if not g.is_polynomial():
         raise InconsistencyError(
-            "the frame of vertex %s is not a reduction: %s"
-            % (stab.base_vertex.to_text(), exc)) from exc
-    terms = u.center.packed_terms
-    if u.r == -n - 1 and not terms:
-        return None
-    if u.r == 1 - n and all(e == -n for e, _ in terms):
-        return terms[0][1] if terms else 0
-    raise InconsistencyError(
-        "the frame of vertex %s maps its neighbor %s to %s, which is not a "
-        "neighbor of v_%d" % (stab.base_vertex.to_text(), w.to_text(),
-                              u.to_text(), n))
+            "the frame of vertex %s is not a reduction: %r has a "
+            "non-polynomial entry" % (v.to_text(), g))
+    A, B, C, D = (x.num for x in g.entries())
+    if (A * D - B * C).degree != 0:
+        raise InconsistencyError(
+            "the frame of vertex %s is not a reduction: the determinant of "
+            "%r is not a nonzero constant" % (v.to_text(), g))
+    num, den = v.center.fraction()
+    K, r = den.degree, v.r
+    # each entry of M as P pi^e, of valuation e - deg P
+    entries = ((C * num + D.shift(K), K), (C, r),
+               (A * num + B.shift(K), n + K), (A, n + r))
+    least = min(e - P.degree for P, e in entries if P)
+    k11, k12, k21, k22 = (P.packed_coeffs[-1] if P and e - P.degree == least
+                          else 0 for P, e in entries)
+    f = stab.field
+    if f.mul(k11, k22) == f.mul(k12, k21):
+        raise InconsistencyError(
+            "the frame of vertex %s does not map it to v_%d: its residue "
+            "matrix is singular" % (v.to_text(), n))
+    return k11, k12, k21, k22
+
+
+def _neighbor_line(v, w):
+    """The line (x : y) of L_v / pi L_v, packed ints, of the tree neighbor
+    w of v: (0 : 1) for the parent and (1 : c) for the child whose center
+    has c at pi^r."""
+    terms = w.center.packed_terms
+    if w.r == v.r + 1:
+        c = terms[-1][1] if terms and terms[-1][0] == v.r else 0
+        if (terms[:-1] if c else terms) == v.center.packed_terms:
+            return 1, c
+    elif w.r == v.r - 1 and w == v.parent():
+        return 0, 1
+    raise InconsistencyError("%s is not a tree neighbor of vertex %s"
+                             % (w.to_text(), v.to_text()))
+
+
+def _frame_labels(stab, neighbors):
+    """The labels in P^1(F_q) of tree neighbors of the vertex of `stab`:
+    None (infinity) when the frame g = stab.conjugator maps the neighbor to
+    v_{n+1}, the packed int c when g maps it to the child
+    c t^n + t^(n-1) O of v_n.  The child c of v_n is the line (1 : c) and
+    v_{n+1} the line (0 : 1), so the label is read off the image line of
+    `_link_matrix`, computed once for all neighbors."""
+    k11, k12, k21, k22 = _link_matrix(stab)
+    f = stab.field
+    add, mul = f.add, f.mul
+    labels = []
+    for w in neighbors:
+        x, y = _neighbor_line(stab.base_vertex, w)
+        top = add(mul(k11, x), mul(k12, y))
+        labels.append(mul(add(mul(k21, x), mul(k22, y)), f.inv(top))
+                      if top else None)
+    return labels
 
 
 def _moebius(field, m, x):
@@ -229,16 +278,23 @@ def frame_orbits(stab, neighbors):
 
     The orbits are closures under the generators of the group, in the
     frame: the elements of `stab.generator_frames()`, which
-    `stab.generators()` conjugates.
+    `stab.generators()` conjugates.  Generators that move the labels by
+    the same Moebius map count once, each map scaled to c = 1, or to d = 1
+    when c = 0, and the identity map is left out.
     """
-    labels = [_frame_label(stab, w) for w in neighbors]
+    labels = _frame_labels(stab, neighbors)
     index = {x: i for i, x in enumerate(labels)}
     if len(index) != len(labels):
         raise InconsistencyError(
             "two neighbors of vertex %s have the same frame label"
             % stab.base_vertex.to_text())
     n, field = stab.level_n, stab.field
-    gens = [(a, b[n], c, d) for a, b, c, d in stab.generator_frames()]
+    mul = field.mul
+    gens = set()
+    for a, b, c, d in stab.generator_frames():
+        u = field.inv(c or d)
+        gens.add((mul(a, u), mul(b[n], u), mul(c, u), mul(d, u)))
+    gens.discard((1, 0, 0, 1))
     orbits = []
     assigned = set()
     for start in range(len(labels)):
@@ -259,14 +315,15 @@ def frame_orbits(stab, neighbors):
 
 
 def frame_fixers(stab, elements, w):
-    """The elements of `elements`, which is `stab.materialize()`, that fix
-    the tree neighbor w of the vertex of `stab`, in the same order; each is
-    decided by the label of w and the element's frame data."""
-    x = _frame_label(stab, w)
+    """(frames, fixers): the elements of `elements`, which is
+    `stab.materialize()`, that fix the tree neighbor w of the vertex of
+    `stab`, in the same order, and their frame data; each is decided by the
+    label of w and the element's frame data."""
+    (x,) = _frame_labels(stab, [w])
     n, field = stab.level_n, stab.field
-    maps = [(a, b[n], c, d) for a, b, c, d in stab.frames()]
-    return [h for h, m in zip(elements, maps, strict=True)
-            if _moebius(field, m, x) == x]
+    kept = [(fr, h) for fr, h in zip(stab.frames(), elements, strict=True)
+            if _moebius(field, (fr[0], fr[1][n], fr[2], fr[3]), x) == x]
+    return [fr for fr, _ in kept], [h for _, h in kept]
 
 
 def build_quotient(level, depth):

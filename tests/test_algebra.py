@@ -395,15 +395,6 @@ class TestExpansion:
                     RationalFunction(num, den), cutoff)
         assert monomials >= 40
 
-    def test_polynomial_part_is_euclidean_quotient(self):
-        rng = random.Random(6)
-        for field in (F2, F3):
-            for _ in range(60):
-                f = rand_rational(field, rng)
-                cutoff = rng.randint(1, 5)
-                frag = expand_at_infinity(f, cutoff)
-                assert frag.polynomial_part() == f.num // f.den
-
 
 def rand_fragment(field, rng):
     cutoff = rng.randint(-10, 25)
@@ -430,16 +421,7 @@ class TestFragmentArithmetic:
 
 
 class TestPolynomialPart:
-    def test_mixed_exponents(self):
-        x = LaurentFragment(F2, {-2: 1, -1: 1, 1: 1}, 2)
-        assert x.polynomial_part() == parse_polynomial("t^2+t", F2)
-
-    def test_positive_only(self):
-        assert LaurentFragment(F2, {1: 1, 2: 1}, 3).polynomial_part().is_zero()
-
-    def test_constant(self):
-        x = LaurentFragment(F5, {0: 3}, 1)
-        assert x.polynomial_part() == Polynomial.constant(F5, 3)
+    """A fragment holds no term at or above its cutoff."""
 
     def test_cutoff_enforced(self):
         with pytest.raises(AlgebraError):

@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import shlex
 import subprocess
@@ -303,8 +304,14 @@ class TestErrors:
 
 
 def test_console_script_entry_point():
+    """The subprocess does not inherit pytest's `pythonpath`, so it gets
+    the sources on PYTHONPATH, as an installed package would have them."""
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "btquot.cli", "formula", "--p", "2",
-         "--level", "t"], capture_output=True, text=True)
+         "--level", "t"], env=env, capture_output=True, text=True)
     assert proc.returncode == 0
     assert "c_HD=2" in proc.stdout

@@ -140,6 +140,63 @@ class TestEmitPresentation:
         assert P.tail_summaries[0].splitness == "indeterminate"
 
 
+class TestRelationCheck:
+    """`emit_presentation` evaluates every relation by matrix arithmetic,
+    powers by binary powering, so a wrong generator order or a wrong edge
+    word raises."""
+
+    def test_every_lowered_order_is_caught(self, monkeypatch):
+        from btquot.hecke import StabDescriptor
+        Q, G = line_setup(5)
+        count = len(emit_presentation(G).generators)
+        frame_order = StabDescriptor.frame_order
+        for target in range(count):
+            seen = []
+
+            def lowered(self, frame):
+                seen.append(frame)
+                order = frame_order(self, frame)
+                return order - 1 if len(seen) == target + 1 else order
+
+            monkeypatch.setattr(StabDescriptor, "frame_order", lowered)
+            with pytest.raises(PresentationError, match="identity"):
+                emit_presentation(G)
+
+    @pytest.mark.parametrize("last", [False, True])
+    def test_wrong_edge_word_is_caught(self, monkeypatch, last):
+        """The first edge word (a tree edge) or the last one (a non-tree
+        edge, conjugated through its g_y) gets one more factor."""
+        import btquot.presentation as presentation
+        key = (3, "t^3", 10)
+        if key not in _cache:
+            Q = build_quotient(parse_level("t^3", FieldSpec(3)), 10)
+            certify_cusps(Q, 3)
+            _cache[key] = (Q, build_graph_of_groups(Q))
+        G = _cache[key][1]
+        word_search = presentation._word_search
+        seen = []
+
+        def recorded(target, gens, names, field):
+            seen.append(target)
+            return word_search(target, gens, names, field)
+
+        monkeypatch.setattr(presentation, "_word_search", recorded)
+        assert emit_presentation(G).relations[-1][0][0] == "h1"
+        target = len(seen) - 1 if last else 0
+        seen.clear()
+
+        def tampered(target_matrix, gens, names, field):
+            word = recorded(target_matrix, gens, names, field)
+            if len(seen) == target + 1:
+                name, k = word[-1]
+                word = word[:-1] + ((name, k + 1),)
+            return word
+
+        monkeypatch.setattr(presentation, "_word_search", tampered)
+        with pytest.raises(PresentationError, match="identity"):
+            emit_presentation(G)
+
+
 class TestAbelianization:
     @pytest.mark.parametrize("q,order", [(3, 4), (4, 9), (5, 16)])
     def test_orders(self, q, order):

@@ -8,6 +8,7 @@ from btquot.hecke import parse_level
 from btquot.quotient import (INDETERMINATE, NONSPLIT, SPLIT, BoundError,
                              QuotientError, build_quotient, certify_cusps,
                              classify_splitness, export, extend_tail_inward)
+from btquot.selftest import CUSP_CASES
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -455,7 +456,10 @@ class TestFrameOrbits:
     def Q(self, request):
         from btquot.selftest import _field
         q, lvl, depth = request.param
-        return build_quotient(parse_level(lvl, _field(q)), depth)
+        key = ("frame",) + request.param
+        if key not in _cache:
+            _cache[key] = build_quotient(parse_level(lvl, _field(q)), depth)
+        return _cache[key]
 
     @pytest.mark.parametrize("moved", [False, True])
     def test_agrees_with_act_closure(self, Q, moved):
@@ -466,6 +470,16 @@ class TestFrameOrbits:
             neighbors = sorted(v.neighbors(), key=lambda u: u.key())
             assert frame_orbits(stab, neighbors) == orbit_partition_by_act(
                 neighbors, stab.generators()), (c.id, v)
+
+    @pytest.mark.parametrize("moved", [False, True])
+    def test_orders_and_labels_in_the_frame(self, Q, moved):
+        """Frame orders equal `Matrix2` orders on every generator, and the
+        residue-matrix labels equal the labels of the neighbors moved on
+        the ball."""
+        for c in Q.classes:
+            stab = moved_descriptor(Q, c) if moved else c.stab
+            assert_orders_agree(stab)
+            assert_labels_agree(stab)
 
     def test_generators_generate_the_group(self, Q):
         """The generators close, by matrix products, to a group of order
@@ -512,8 +526,10 @@ class TestFrameOrbits:
             v = stab.base_vertex
             elements = stab.materialize()
             for w in v.neighbors():
-                assert frame_fixers(stab, elements, w) == [
+                frames, fixers = frame_fixers(stab, elements, w)
+                assert fixers == [
                     h for h in elements if act(h, w) == w], (c.id, w)
+                assert [stab.element(fr) for fr in frames] == fixers
 
     def test_wrong_frame_is_an_inconsistency(self):
         from btquot.algebra import RationalFunction
@@ -534,3 +550,110 @@ class TestFrameOrbits:
                                key=lambda u: u.key())
             with pytest.raises(InconsistencyError):
                 frame_orbits(wrong, neighbors)
+
+    def test_frame_off_the_ray_is_an_inconsistency(self):
+        """A frame in GL2(F_q[t]) with constant determinant that maps the
+        vertex to some vertex other than v_n has a singular residue
+        matrix."""
+        from btquot.algebra import Polynomial
+        from btquot.btree import Matrix2
+        from btquot.hecke import StabDescriptor
+        from btquot.quotient import InconsistencyError, frame_orbits
+        Q = build(F3, "t", 4)
+        for c in Q.classes:
+            stab = c.stab
+            shift = Matrix2.translation(
+                Polynomial.t(Q.field).shift(stab.level_n + 1))
+            wrong = StabDescriptor(stab.base_vertex, shift @ stab.conjugator,
+                                   stab.level_n, Q.level, stab.blocks,
+                                   stab.extra)
+            neighbors = sorted(stab.base_vertex.neighbors(),
+                               key=lambda u: u.key())
+            with pytest.raises(InconsistencyError, match="singular"):
+                frame_orbits(wrong, neighbors)
+
+
+def frame_label_by_move(stab, w):
+    """Reference label of the tree neighbor w of the vertex of `stab`: w
+    moved by the frame on the ball (`BallVertex.moved`) is v_{n+1}, label
+    None, or the child c t^n + t^(n-1) O of v_n, label c."""
+    n = stab.level_n
+    u = w.moved(stab.conjugator)
+    terms = u.center.packed_terms
+    if u.r == -n - 1 and not terms:
+        return None
+    assert u.r == 1 - n and all(e == -n for e, _ in terms), (w, u)
+    return terms[0][1] if terms else 0
+
+
+def matrix_order(g):
+    """Order of g by repeated Matrix2 products."""
+    from btquot.btree import Matrix2
+    ident = Matrix2.identity(g.field)
+    acc, order = g, 1
+    while acc != ident:
+        acc = acc @ g
+        order += 1
+    return order
+
+
+def assert_labels_agree(stab):
+    from btquot.quotient import _frame_labels
+    neighbors = sorted(stab.base_vertex.neighbors(), key=lambda u: u.key())
+    assert _frame_labels(stab, neighbors) == [
+        frame_label_by_move(stab, w) for w in neighbors], stab.base_vertex
+
+
+def assert_orders_agree(stab):
+    for fr, g in zip(stab.generator_frames(), stab.generators(),
+                     strict=True):
+        assert stab.frame_order(fr) == matrix_order(g), (stab, fr)
+
+
+# the census levels and the amalgam levels of the benchmark
+CENSUS_AMALGAM_CASES = ([case[:3] for case in CUSP_CASES] + [(3, "t^2", 10)]
+                        + [(q, "t", 8) for q in (2, 3, 4, 5, 9)])
+
+
+class TestFrameArithmetic:
+    """Frame data against matrices: the residue-matrix labels against
+    moving each neighbor on the ball, frame orders against `Matrix2`
+    powers, and the frame product against the matrix product."""
+
+    @pytest.fixture(params=CENSUS_AMALGAM_CASES,
+                    ids=["q%d-%s-%d" % case for case in CENSUS_AMALGAM_CASES])
+    def Q(self, request):
+        from btquot.selftest import _build
+        return _build(*request.param)
+
+    def test_labels_on_representatives_and_lifts(self, Q):
+        from btquot.presentation import build_graph_of_groups
+        for c in Q.classes:
+            assert_labels_agree(c.stab)
+        G = build_graph_of_groups(Q)
+        assert len(G.vertex_stabs) == len(Q.classes)
+        for stab in G.vertex_stabs.values():
+            assert_labels_agree(stab)
+
+    def test_generator_orders(self, Q):
+        for c in Q.classes:
+            assert_orders_agree(c.stab)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+    def test_product_is_the_matrix_product(self, q):
+        """element(x y) = element(x) @ element(y) on seeded pairs of
+        frames of every class of D = t, levels 0 and n >= 1."""
+        import itertools
+        import random
+        from btquot.selftest import _build
+        rng = random.Random(q)
+        levels = set()
+        for c in _build(q, "t", 8).classes:
+            stab = c.stab
+            frames = list(itertools.islice(stab.frames(), 400))
+            for _ in range(12):
+                x, y = rng.choice(frames), rng.choice(frames)
+                assert stab.element(stab.frame_product(x, y)) == \
+                    stab.element(x) @ stab.element(y), (c.id, x, y)
+            levels.add(min(stab.level_n, 1))
+        assert levels == {0, 1}
