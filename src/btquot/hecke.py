@@ -404,7 +404,7 @@ class StabDescriptor:
     Conjugation by g is a group isomorphism, so products and orders of
     elements are taken on their frame data (`frame_product`,
     `frame_order`), in the finite group Stab(v_n), without forming any
-    element.
+    element; `frame_of` reads the frame data back off an element.
     """
 
     __slots__ = ("base_vertex", "conjugator", "level_n", "level", "field",
@@ -485,6 +485,20 @@ class StabDescriptor:
         return Matrix2(comb(f, e11), comb(f, e12), comb(f, e21),
                        comb(f, e22))
 
+    def frame_of(self, h):
+        """The frame data (a, b, c, d) of s = g h g^{-1}, b padded to n + 1
+        coefficients: the inverse of `element`.  None unless s lies in
+        Stab(v_n), which by Nagao's theorem is whether h fixes the vertex:
+        a, c and d constants, c = 0 when n >= 1, and deg b <= n."""
+        g, n = self.conjugator, self.level_n
+        s = g @ h @ g.inverse()
+        a, b, c, d = (x.num.packed_coeffs for x in s.entries())
+        if not s.is_polynomial() or len(a) > 1 or len(c) > (n == 0) \
+                or len(d) > 1 or len(b) > n + 1:
+            return None
+        return (a[0] if a else 0, b + (0,) * (n + 1 - len(b)),
+                c[0] if c else 0, d[0] if d else 0)
+
     def identity_frame(self):
         """Frame data of the identity."""
         return 1, (0,) * (self.level_n + 1), 0, 1
@@ -564,12 +578,15 @@ class StabDescriptor:
                 yield ai, tuple(map(f.add, part, vec)) if vec else part, 0, bi
         yield from self.extra
 
-    def materialize(self, cap=100000):
-        """Full element list, the triangular elements before the level-0
-        extras; raises SizeError beyond cap."""
+    def check_order(self, cap):
         if self.order > cap:
             raise SizeError("stabilizer order %d exceeds cap %d"
                             % (self.order, cap))
+
+    def materialize(self, cap=100000):
+        """Full element list, the triangular elements before the level-0
+        extras, as an oracle; raises SizeError beyond cap."""
+        self.check_order(cap)
         return [self.element(fr) for fr in self.frames()]
 
     def __repr__(self):

@@ -2,6 +2,12 @@
 vertex and edge groups on the finite part, structural descriptors for the
 infinite cusp tails, and a verified generators-and-relations emission.
 
+A finite vertex group is g^-1 S g for a subgroup S of the finite group
+Stab(v_n) (Nagao), kept as its `StabDescriptor` and worked on in frame
+data: edge groups, words and injections are frames of S.  Matrices over
+F_q[t] are formed only for the printed generators, the witnesses g_y, the
+edge groups and the check of every relation.
+
 The infinite tail groups are never materialized; they are reported through
 their observed structure (torus type and the tower of unipotent dimensions
 along the certified ray), which is exactly what separates the split shape
@@ -13,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 from .btree import Matrix2
 from .hecke import StabDescriptor, orbit_witness, reduce_vertex
@@ -100,8 +107,7 @@ class GogEdge:
     lift_dst: object          # tree neighbor of lift_src lying in class dst
     in_tree: bool
     g_y: object               # identity on tree edges; act(g_y, lifts[dst]) = lift_dst
-    edge_group: object        # materialized list on the finite part, else None
-    edge_order: object
+    edge_group: object        # Matrix2 list if both ends are finite, else None
     edge_frames: object       # frame data of edge_group in the source stab
 
 
@@ -121,7 +127,7 @@ class GraphOfGroups:
     spanning_tree: tuple      # unordered edge keys
     lifts: dict               # class id -> lifted vertex, coherent on the tree
     vertex_stabs: dict        # class id -> StabDescriptor at the lift
-    vertex_groups: dict       # class id -> materialized list (finite part)
+    finite_classes: tuple     # sorted class ids of the finite part
     edges: list
     tails: list
     y_classes: tuple
@@ -142,8 +148,9 @@ def _maximal_tails(Q):
 
 def build_graph_of_groups(Q):
     """Spanning tree containing every certified tail, a coherent lift of it,
-    stabilizers at the lifted vertices, materialized groups on the finite
-    part, and witnesses g_y for the edges outside the tree."""
+    stabilizers at the lifted vertices, edge groups on the finite part, and
+    witnesses g_y for the edges outside the tree.  A finite vertex group
+    of order above VERTEX_GROUP_CAP raises SizeError up front."""
     if not Q.cusps:
         raise PresentationError("quotient has no certified cusps; run "
                                 "certify_cusps first")
@@ -182,8 +189,9 @@ def build_graph_of_groups(Q):
     tree_key_set = {(e.src, e.dst) for e in tree_edges}
     missing = tail_edge_set - tree_key_set
     if missing:
-        raise PresentationError("certified tail edges %r left outside the "
-                                "spanning tree" % (sorted(missing),))
+        raise PresentationError(
+            "certified tail edges %r left outside the spanning tree"
+            % (sorted(missing),))
 
     # coherent lift: BFS over the spanning tree from the base class, each
     # child lifted to an actual tree neighbor of its parent's lift
@@ -223,58 +231,47 @@ def build_graph_of_groups(Q):
                                            stab.level_n, level, stab.blocks,
                                            stab.extra)
 
-    finite_ids = set(y_classes)
-    for tail in tails:
-        finite_ids.add(tail[0])
-    vertex_groups = {cid: vertex_stabs[cid].materialize(VERTEX_GROUP_CAP)
-                     for cid in sorted(finite_ids)}
+    finite_classes = tuple(sorted(set(y_classes).union(t[0] for t in tails)))
+    for cid in finite_classes:
+        vertex_stabs[cid].check_order(VERTEX_GROUP_CAP)
 
-    edges = []
-    for cid in order:
-        p = bfs_parent[cid]
-        if p is None:
-            continue
-        frames = group = None
-        if p in finite_ids and cid in finite_ids:
-            frames, group = frame_fixers(vertex_stabs[p], vertex_groups[p],
-                                         lifts[cid])
-        edges.append(GogEdge(src=p, dst=cid, lift_src=lifts[p],
-                             lift_dst=lifts[cid], in_tree=True,
-                             g_y=Matrix2.identity(Q.field),
-                             edge_group=group,
-                             edge_order=None if group is None else len(group),
-                             edge_frames=frames))
+    # (src, dst, lifted dst, g_y): the tree edges from the BFS, g_y None,
+    # then every strand outside the tree with its witness
+    strands = [(bfs_parent[cid], cid, lifts[cid], None) for cid in order[1:]]
     for e, tree_carries_one in extra_strands:
-        for src_id, dst_id, lift_src, lift_dst in _other_strand_lifts(
+        for src_id, dst_id, lift_dst in _other_strand_lifts(
                 Q, lifts, vertex_stabs, e, tree_carries_one):
             g_y = orbit_witness(level, Q.reduction(lifts[dst_id]),
                                 Q.reduction(lift_dst))
             if g_y is None:
-                raise PresentationError("no witness for a non-tree edge "
-                                        "between classes %d and %d"
-                                        % (src_id, dst_id))
-            frames = group = None
-            if src_id in finite_ids:
-                frames, group = frame_fixers(vertex_stabs[src_id],
-                                             vertex_groups[src_id], lift_dst)
-            edges.append(GogEdge(src=src_id, dst=dst_id, lift_src=lift_src,
-                                 lift_dst=lift_dst, in_tree=False, g_y=g_y,
-                                 edge_group=group,
-                                 edge_order=None if group is None
-                                 else len(group),
-                                 edge_frames=frames))
+                raise PresentationError(
+                    "no witness for a non-tree edge between classes %d and "
+                    "%d" % (src_id, dst_id))
+            strands.append((src_id, dst_id, lift_dst, g_y))
+    edges = []
+    for src_id, dst_id, lift_dst, g_y in strands:
+        frames = group = None
+        if src_id in finite_classes and dst_id in finite_classes:
+            stab = vertex_stabs[src_id]
+            frames = frame_fixers(stab, lift_dst)
+            group = [stab.element(fr) for fr in frames]
+        edges.append(GogEdge(
+            src=src_id, dst=dst_id, lift_src=lifts[src_id],
+            lift_dst=lift_dst, in_tree=g_y is None,
+            g_y=Matrix2.identity(Q.field) if g_y is None else g_y,
+            edge_group=group, edge_frames=frames))
 
     tails_out = [_tail_descriptor(Q, cusp, tail, vertex_stabs, edges)
                  for cusp, tail in zip(Q.cusps, tails)]
     return GraphOfGroups(base=Q, spanning_tree=tuple(sorted(tree_key_set)),
                          lifts=lifts, vertex_stabs=vertex_stabs,
-                         vertex_groups=vertex_groups, edges=edges,
+                         finite_classes=finite_classes, edges=edges,
                          tails=tails_out, y_classes=y_classes)
 
 
 def _other_strand_lifts(Q, lifts, vertex_stabs, edge, tree_carries_one):
-    """Lifted pairs for the strands of `edge` not carried by the spanning
-    tree.
+    """(src, dst, lifted dst) for the strands of `edge` not carried by the
+    spanning tree, src the class whose lift is the source.
 
     The stabilizer orbits of one endpoint's lift on its q+1 tree neighbors
     give one strand per orbit landing in the opposite class.  When the edge
@@ -283,8 +280,7 @@ def _other_strand_lifts(Q, lifts, vertex_stabs, edge, tree_carries_one):
     """
     side = edge.src if Q.class_by_id(edge.src).expanded else edge.dst
     other = edge.dst if side == edge.src else edge.src
-    lift_src = lifts[side]
-    neighbors = sorted(lift_src.neighbors(), key=lambda x: x.key())
+    neighbors = sorted(lifts[side].neighbors(), key=lambda x: x.key())
     orbits = frame_orbits(vertex_stabs[side], neighbors)
     pairs = []
     tree_used = None
@@ -297,16 +293,16 @@ def _other_strand_lifts(Q, lifts, vertex_stabs, edge, tree_carries_one):
                 and any(neighbors[i] == lifts[other] for i in orbit):
             tree_used = orbit
             continue
-        pairs.append((side, other, lift_src, rep))
+        pairs.append((side, other, rep))
     expected = edge.multiplicity - (1 if tree_carries_one else 0)
     if tree_carries_one and tree_used is None:
-        raise PresentationError("tree strand of edge %r not found among the "
-                                "orbits" % ((edge.src, edge.dst),))
+        raise PresentationError(
+            "tree strand of edge %r not found among the orbits"
+            % ((edge.src, edge.dst),))
     if len(pairs) != expected:
-        raise PresentationError("found %d extra strands for edge %r, "
-                                "expected %d"
-                                % (len(pairs), (edge.src, edge.dst),
-                                   expected))
+        raise PresentationError(
+            "found %d extra strands for edge %r, expected %d"
+            % (len(pairs), (edge.src, edge.dst), expected))
     return pairs
 
 
@@ -362,17 +358,17 @@ def _frame_closure(stab, group, gens):
 
 
 def _generating_subset(stab, frames, elements):
-    """Greedy small generating set of a materialized finite subgroup of
-    `stab`: its elements in `Matrix2.key()` order, each kept when it lies
-    outside the group the kept ones generate.  The closures are taken on
-    the frame data `frames` of the elements."""
+    """Greedy small generating set of the finite subgroup of `stab` with
+    frame data `frames` and elements `elements`, as (frame, element) pairs:
+    the elements in `Matrix2.key()` order, each kept when it lies outside
+    the group the kept ones generate, closed in the frame."""
     chosen, gens = [], []
     have = {stab.identity_frame()}
     for fr, e in sorted(zip(frames, elements, strict=True),
                         key=lambda pair: pair[1].key()):
         if fr in have:
             continue
-        chosen.append(e)
+        chosen.append((fr, e))
         gens.append(fr)
         have = _frame_closure(stab, have, gens)
         if len(have) >= len(elements):
@@ -380,38 +376,30 @@ def _generating_subset(stab, frames, elements):
     return chosen
 
 
-def _word_search(target, gens, names, field):
-    """Express `target` as a word in `gens` with positive exponents (the
-    groups are finite, so inverses are redundant).  BFS over the group."""
-    ident = Matrix2.identity(field)
+def _word_search(target, gens, names, stab):
+    """Express the frame `target` as a word in the frames `gens` with
+    positive exponents (the groups are finite, so inverses are redundant).
+    BFS over the group, by products of frame data in `stab`."""
+    ident = stab.identity_frame()
     if target == ident:
         return ()
-    parents = {ident.key(): None}
+    parents = {ident: None}
     frontier = [ident]
     while frontier:
         nxt_frontier = []
         for cur in frontier:
             for gi, g in enumerate(gens):
-                nxt = cur @ g
-                k = nxt.key()
-                if k in parents:
+                nxt = stab.frame_product(cur, g)
+                if nxt in parents:
                     continue
-                parents[k] = (cur.key(), gi)
+                parents[nxt] = (cur, gi)
                 if nxt == target:
                     word = []
-                    kk = k
-                    while parents[kk] is not None:
-                        pk, gi2 = parents[kk]
-                        word.append(names[gi2])
-                        kk = pk
-                    word.reverse()
-                    out = []
-                    for nm in word:
-                        if out and out[-1][0] == nm:
-                            out[-1] = (nm, out[-1][1] + 1)
-                        else:
-                            out.append((nm, 1))
-                    return tuple(out)
+                    while parents[nxt] is not None:
+                        nxt, gi = parents[nxt]
+                        word.append(names[gi])
+                    return tuple((nm, len(list(run)))
+                                 for nm, run in groupby(reversed(word)))
                 nxt_frontier.append(nxt)
         frontier = nxt_frontier
     raise PresentationError("element not in the generated group")
@@ -423,61 +411,59 @@ def emit_presentation(G):
 
     Relations: generator orders, one identification per tree-edge-group
     generator (the same matrix written in both endpoint groups), and the
-    conjugation relation through g_y for every non-tree edge.  A
-    generator's order is read off its frame data in Stab(v_n), and an
-    edge group's generators are picked by closures in the frame; every
-    relation is then evaluated by matrix arithmetic over F_q[t] and must
-    be the identity.
+    conjugation relation through g_y for every non-tree edge.  Generators
+    are deduplicated and their orders read off their frames, edge group
+    generators are picked by closures in the frame, and words are found
+    by products of frames.  The image of an edge generator c, c on a tree
+    edge and g_y^-1 c g_y on a non-tree edge, is read as a frame of the
+    target with `frame_of`; None means it does not fix the target lift.
+    Every relation is then evaluated by matrix arithmetic over F_q[t] and
+    must be the identity.
     """
-    Q = G.base
-    field = Q.field
-    ident = Matrix2.identity(field)
+    field = G.base.field
     gen_names = []
     gen_by_class = {}
     all_named = {}
     relations = []
-    for cid in sorted(G.vertex_groups):
+    for cid in G.finite_classes:
         stab = G.vertex_stabs[cid]
-        gens, names = [], []
-        for fr, g in zip(stab.generator_frames(), stab.generators(),
-                         strict=True):
-            if g == ident or g in gens:
+        ident = stab.identity_frame()
+        frames, names = [], []
+        for fr in stab.generator_frames():
+            if fr == ident or fr in frames:
                 continue
-            name = "v%d_g%d" % (cid, len(gens))
-            gens.append(g)
+            name = "v%d_g%d" % (cid, len(frames))
+            frames.append(fr)
             names.append(name)
+            all_named[name] = g = stab.element(fr)
             gen_names.append((name, g))
-            all_named[name] = g
             relations.append(((name, stab.frame_order(fr)),))
-        gen_by_class[cid] = (gens, names)
+        gen_by_class[cid] = (frames, names)
 
-    finite_ids = set(G.vertex_groups)
     edge_counter = 0
     for e in G.edges:
-        both_finite = e.src in finite_ids and e.dst in finite_ids
         if not e.in_tree:
             hname = "h%d" % edge_counter
             edge_counter += 1
             gen_names.append((hname, e.g_y))
             all_named[hname] = e.g_y
-        if not both_finite or e.edge_group is None:
+        if e.edge_group is None:
             continue
-        for c in _generating_subset(G.vertex_stabs[e.src], e.edge_frames,
-                                    e.edge_group):
-            word_src = _word_search(c, *gen_by_class[e.src], field)
+        src, dst = G.vertex_stabs[e.src], G.vertex_stabs[e.dst]
+        for fr, c in _generating_subset(src, e.edge_frames, e.edge_group):
+            word_src = _word_search(fr, *gen_by_class[e.src], src)
+            image = dst.frame_of(c if e.in_tree
+                                 else e.g_y.inverse() @ c @ e.g_y)
+            if image is None:
+                raise PresentationError(
+                    "edge injection image does not stabilize the target")
+            word_dst = _word_search(image, *gen_by_class[e.dst], dst)
+            back = tuple((nm, -k) for nm, k in reversed(word_dst))
             if e.in_tree:
-                word_dst = _word_search(c, *gen_by_class[e.dst], field)
-                rel = word_src + tuple((nm, -k)
-                                       for nm, k in reversed(word_dst))
+                relations.append(word_src + back)
             else:
-                image = e.g_y.inverse() @ c @ e.g_y
-                if G.lifts[e.dst].moved(image) != G.lifts[e.dst]:
-                    raise PresentationError(
-                        "edge injection image does not stabilize the target")
-                word_dst = _word_search(image, *gen_by_class[e.dst], field)
-                rel = (((hname, -1),) + word_src + ((hname, 1),)
-                       + tuple((nm, -k) for nm, k in reversed(word_dst)))
-            relations.append(rel)
+                relations.append(((hname, -1),) + word_src + ((hname, 1),)
+                                 + back)
 
     for rel in relations:
         _verify_relation(rel, all_named, field)
@@ -502,8 +488,8 @@ def _verify_relation(rel, named, field):
             if exp:
                 g = g @ g
     if acc != ident:
-        raise PresentationError("relation %r does not evaluate to the "
-                                "identity" % (rel,))
+        raise PresentationError(
+            "relation %r does not evaluate to the identity" % (rel,))
 
 
 def _word_str(rel):
@@ -700,10 +686,9 @@ def amalgam_example_check(field, depth=8, window=3):
           upper_start.to_text() == "r=0;a=0"
           and lower_start.to_text() == "r=1;a=0",
           "%s, %s" % (upper_start.to_text(), lower_start.to_text()))
-    got_upper = sorted(h.key() for h in
-                       G.vertex_groups[sides[0].chain[0]])
-    got_lower = sorted(h.key() for h in
-                       G.vertex_groups[sides[1].chain[0]])
+    got_upper, got_lower = (
+        sorted(h.key() for h in G.vertex_stabs[t.chain[0]].materialize())
+        for t in sides)
     check("upper junction group is [[F*, F],[0, F*]]",
           got_upper == sorted(m.key() for m in _borel_consts(field, True)))
     check("lower junction group is [[F*, 0],[tF, F*]]",

@@ -314,16 +314,14 @@ def frame_orbits(stab, neighbors):
     return orbits
 
 
-def frame_fixers(stab, elements, w):
-    """(frames, fixers): the elements of `elements`, which is
-    `stab.materialize()`, that fix the tree neighbor w of the vertex of
-    `stab`, in the same order, and their frame data; each is decided by the
-    label of w and the element's frame data."""
+def frame_fixers(stab, w):
+    """The frame data, in `stab.frames()` order, of the elements of `stab`
+    that fix the tree neighbor w of its vertex; each is decided by the
+    label of w and the frame data, and no element is formed."""
     (x,) = _frame_labels(stab, [w])
     n, field = stab.level_n, stab.field
-    kept = [(fr, h) for fr, h in zip(stab.frames(), elements, strict=True)
+    return [fr for fr in stab.frames()
             if _moebius(field, (fr[0], fr[1][n], fr[2], fr[3]), x) == x]
-    return [fr for fr, _ in kept], [h for _, h in kept]
 
 
 def build_quotient(level, depth):

@@ -176,17 +176,17 @@ class TestRelationCheck:
         word_search = presentation._word_search
         seen = []
 
-        def recorded(target, gens, names, field):
+        def recorded(target, gens, names, stab):
             seen.append(target)
-            return word_search(target, gens, names, field)
+            return word_search(target, gens, names, stab)
 
         monkeypatch.setattr(presentation, "_word_search", recorded)
         assert emit_presentation(G).relations[-1][0][0] == "h1"
         target = len(seen) - 1 if last else 0
         seen.clear()
 
-        def tampered(target_matrix, gens, names, field):
-            word = recorded(target_matrix, gens, names, field)
+        def tampered(target_frame, gens, names, stab):
+            word = recorded(target_frame, gens, names, stab)
             if len(seen) == target + 1:
                 name, k = word[-1]
                 word = word[:-1] + ((name, k + 1),)
@@ -270,6 +270,28 @@ class TestNonTreeEdges:
             assert is_member(e.g_y, Q.level)
             assert act(e.g_y, G.lifts[e.dst]) == e.lift_dst
 
+    def test_wrong_witness_is_caught(self):
+        """The identity in place of g_y on a non-tree edge maps the edge
+        group outside the stabilizer of the target lift, and `frame_of`
+        says so.  Here q=3, D=t^2(t+1): the non-tree edge groups have
+        order 4.  At q=3, D=t^3 every non-tree edge group is the center
+        {I, 2I}, which any g_y maps onto itself, so no replacement could be
+        caught there."""
+        import dataclasses
+        Q = build_quotient(parse_level("t^2;t+1", FieldSpec(3)), 10)
+        certify_cusps(Q, 3)
+        G = build_graph_of_groups(Q)
+        emit_presentation(G)
+        tampered = [i for i, e in enumerate(G.edges) if not e.in_tree
+                    and len(e.edge_group or ()) > Q.field.q - 1]
+        assert tampered
+        for i in tampered:
+            edges = list(G.edges)
+            edges[i] = dataclasses.replace(edges[i],
+                                           g_y=Matrix2.identity(Q.field))
+            with pytest.raises(PresentationError, match="injection image"):
+                emit_presentation(dataclasses.replace(G, edges=edges))
+
 
 def _polynomial_entries(g):
     return all(isinstance(x, Polynomial) for x in g.entries())
@@ -302,8 +324,9 @@ class TestPolynomialEntries:
             w = v.moved(mover)
             h = orbit_witness(Q.level, red, reduce_vertex(w))
             assert h is not None and _polynomial_entries(h), v
-        for group in G.vertex_groups.values():
-            assert all(_polynomial_entries(h) for h in group)
+        for cid in G.finite_classes:
+            assert all(_polynomial_entries(h)
+                       for h in G.vertex_stabs[cid].materialize())
         for e in G.edges:
             assert _polynomial_entries(e.g_y)
             assert all(_polynomial_entries(h) for h in e.edge_group or ())

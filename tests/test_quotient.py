@@ -526,10 +526,8 @@ class TestFrameOrbits:
             v = stab.base_vertex
             elements = stab.materialize()
             for w in v.neighbors():
-                frames, fixers = frame_fixers(stab, elements, w)
-                assert fixers == [
-                    h for h in elements if act(h, w) == w], (c.id, w)
-                assert [stab.element(fr) for fr in frames] == fixers
+                assert [stab.element(fr) for fr in frame_fixers(stab, w)] \
+                    == [h for h in elements if act(h, w) == w], (c.id, w)
 
     def test_wrong_frame_is_an_inconsistency(self):
         from btquot.algebra import RationalFunction
@@ -571,6 +569,82 @@ class TestFrameOrbits:
                                key=lambda u: u.key())
             with pytest.raises(InconsistencyError, match="singular"):
                 frame_orbits(wrong, neighbors)
+
+
+FRAME_OF_CASES = [(2, "t", 4), (3, "t^2", 4), (4, "t", 4), (5, "t", 3),
+                  (9, "t", 2), (2, "0", 3), (3, "0", 3), (9, "0", 2)]
+
+
+def random_frames(rng, stab, count):
+    """Seeded frame data of Stab(v_n): triangular ones, and at level 0,
+    when the descriptor has level-0 extras, ones with c != 0."""
+    q, n, mul = stab.field.q, stab.level_n, stab.field.mul
+    out = [(rng.randrange(1, q), tuple(rng.randrange(q) for _ in range(n + 1)),
+            0, rng.randrange(1, q)) for _ in range(count)]
+    while stab.extra and len(out) < 2 * count:
+        a, b, c, d = (rng.randrange(q), rng.randrange(q),
+                      rng.randrange(1, q), rng.randrange(q))
+        if mul(a, d) != mul(b, c):
+            out.append((a, (b,), c, d))
+    return out
+
+
+class TestFrameOf:
+    """`frame_of` reads the frame data back off an element: the inverse of
+    `element` on Stab(v_n), and None off it."""
+
+    @pytest.mark.parametrize("q,lvl,depth", FRAME_OF_CASES)
+    def test_inverts_element(self, q, lvl, depth):
+        """frame_of(element(fr)) == fr on seeded frames, from the
+        representative and from the moved descriptor of every class."""
+        import random
+        from btquot.selftest import _field
+        Q = build(_field(q), lvl, depth)
+        rng = random.Random(1000 * q + depth)
+        levels, extras = set(), False
+        for c in Q.classes:
+            for stab in (c.stab, moved_descriptor(Q, c)):
+                levels.add(min(stab.level_n, 1))
+                extras = extras or bool(stab.extra)
+                frames = (random_frames(rng, stab, 4)
+                          + rng.sample(stab.extra, min(4, len(stab.extra)))
+                          + stab.generator_frames()[:8])
+                for fr in frames:
+                    assert stab.frame_of(stab.element(fr)) == fr, (c.id, fr)
+        assert levels == {0, 1}
+        assert extras or lvl != "0"
+
+    @pytest.mark.parametrize("field,lvl", [(F3, "t^2"), (F2, "0")])
+    def test_none_off_the_stabilizer(self, field, lvl):
+        """g^-1 s g for s outside Stab(v_n): [[1, 0], [t, 1]], a constant
+        or polynomial lower-left entry at n >= 1, deg b = n + 1, a
+        non-constant diagonal entry.  The Weyl element lies in it at n = 0
+        only."""
+        from btquot.algebra import Polynomial
+        from btquot.btree import Matrix2
+        Q = build(field, lvl, 4)
+        one, zero = Polynomial.one(field), Polynomial.zero(field)
+        t = Polynomial.t(field)
+        weyl = Matrix2.involution(field)
+        for c in Q.classes:
+            for stab in (c.stab, moved_descriptor(Q, c)):
+                g, n = stab.conjugator, stab.level_n
+
+                def frame(s):
+                    return stab.frame_of(g.inverse() @ s @ g)
+
+                assert frame(Matrix2(one, zero, t, one)) is None
+                assert frame(Matrix2.translation(t.shift(n))) is None
+                assert frame(Matrix2(t, one, -one, zero)) is None
+                top = (0,) * n + (field.neg(1),)
+                assert frame(Matrix2.translation(t.shift(n - 1) if n
+                                                 else one)) \
+                    == (1, top, 0, 1)
+                if n:
+                    assert frame(Matrix2(one, zero, one, one)) is None
+                    assert frame(weyl) is None
+                else:
+                    assert frame(weyl) == (0, (1,), 1, 0)
 
 
 def frame_label_by_move(stab, w):
