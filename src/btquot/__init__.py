@@ -19,7 +19,8 @@ from .quotient import (BoundError, CuspDescriptor, OrbitClass, QuotientEdge,
                        QuotientError, QuotientGraph, build_quotient,
                        certify_cusps, classify_splitness, export)
 from .presentation import (CuspGroupDescriptor, GraphOfGroups, Presentation,
-                           PresentationError, abelianization_of_line_amalgam,
+                           PresentationError, PresentationInconsistency,
+                           abelianization_of_line_amalgam,
                            amalgam_example_check, build_graph_of_groups,
                            emit_presentation, presentation_json,
                            presentation_text, smith_normal_form)

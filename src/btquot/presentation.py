@@ -5,8 +5,9 @@ infinite cusp tails, and a verified generators-and-relations emission.
 A finite vertex group is g^-1 S g for a subgroup S of the finite group
 Stab(v_n) (Nagao), kept as its `StabDescriptor` and worked on in frame
 data: edge groups, words and injections are frames of S.  Matrices over
-F_q[t] are formed only for the printed generators, the witnesses g_y, the
-edge groups and the check of every relation.
+F_q[t] are formed only for the printed generators, the witnesses g_y and
+the edge groups, to read an injected element's frame, and to check every
+relation.
 
 The infinite tail groups are never materialized; they are reported through
 their observed structure (torus type and the tower of unipotent dimensions
@@ -23,11 +24,17 @@ from itertools import groupby
 
 from .btree import Matrix2
 from .hecke import StabDescriptor, orbit_witness, reduce_vertex
-from .quotient import SPLIT, extend_tail_inward, frame_fixers, frame_orbits
+from .quotient import (SPLIT, InconsistencyError, extend_tail_inward,
+                       frame_fixers, frame_orbits)
 
 
 class PresentationError(ValueError):
     pass
+
+
+class PresentationInconsistency(PresentationError, InconsistencyError):
+    """Computed Bass-Serre data contradict each other: an internal error,
+    not bad input."""
 
 
 VERTEX_GROUP_CAP = 20000
@@ -139,7 +146,7 @@ def _maximal_tails(Q):
     for idx, tail in enumerate(tails):
         for cid in tail:
             if cid in seen:
-                raise PresentationError(
+                raise PresentationInconsistency(
                     "certified tails %d and %d overlap at class %d"
                     % (seen[cid], idx, cid))
             seen[cid] = idx
@@ -189,7 +196,7 @@ def build_graph_of_groups(Q):
     tree_key_set = {(e.src, e.dst) for e in tree_edges}
     missing = tail_edge_set - tree_key_set
     if missing:
-        raise PresentationError(
+        raise PresentationInconsistency(
             "certified tail edges %r left outside the spanning tree"
             % (sorted(missing),))
 
@@ -211,7 +218,7 @@ def build_graph_of_groups(Q):
                 continue
             lifted = Q.neighbor_in_class(lifts[cur], nb)
             if lifted is None:
-                raise PresentationError(
+                raise PresentationInconsistency(
                     "no tree neighbor of the lift of class %d lies in class "
                     "%d; spanning-tree lift failed" % (cur, nb))
             lifts[nb] = lifted
@@ -219,7 +226,7 @@ def build_graph_of_groups(Q):
             order.append(nb)
             queue.append(nb)
     if len(lifts) != len(Q.classes):
-        raise PresentationError("quotient graph is not connected")
+        raise PresentationInconsistency("quotient graph is not connected")
 
     # Stab(lift) = h^-1 Stab(rep) h for the witness act(h, lift) = rep: the
     # class descriptor in the frame stab.conjugator @ h
@@ -244,7 +251,7 @@ def build_graph_of_groups(Q):
             g_y = orbit_witness(level, Q.reduction(lifts[dst_id]),
                                 Q.reduction(lift_dst))
             if g_y is None:
-                raise PresentationError(
+                raise PresentationInconsistency(
                     "no witness for a non-tree edge between classes %d and "
                     "%d" % (src_id, dst_id))
             strands.append((src_id, dst_id, lift_dst, g_y))
@@ -296,11 +303,11 @@ def _other_strand_lifts(Q, lifts, vertex_stabs, edge, tree_carries_one):
         pairs.append((side, other, rep))
     expected = edge.multiplicity - (1 if tree_carries_one else 0)
     if tree_carries_one and tree_used is None:
-        raise PresentationError(
+        raise PresentationInconsistency(
             "tree strand of edge %r not found among the orbits"
             % ((edge.src, edge.dst),))
     if len(pairs) != expected:
-        raise PresentationError(
+        raise PresentationInconsistency(
             "found %d extra strands for edge %r, expected %d"
             % (len(pairs), (edge.src, edge.dst), expected))
     return pairs
@@ -402,7 +409,7 @@ def _word_search(target, gens, names, stab):
                                  for nm, run in groupby(reversed(word)))
                 nxt_frontier.append(nxt)
         frontier = nxt_frontier
-    raise PresentationError("element not in the generated group")
+    raise PresentationInconsistency("element not in the generated group")
 
 
 def emit_presentation(G):
@@ -455,7 +462,7 @@ def emit_presentation(G):
             image = dst.frame_of(c if e.in_tree
                                  else e.g_y.inverse() @ c @ e.g_y)
             if image is None:
-                raise PresentationError(
+                raise PresentationInconsistency(
                     "edge injection image does not stabilize the target")
             word_dst = _word_search(image, *gen_by_class[e.dst], dst)
             back = tuple((nm, -k) for nm, k in reversed(word_dst))
@@ -472,7 +479,7 @@ def emit_presentation(G):
 
 
 def _verify_relation(rel, named, field):
-    """Raise PresentationError unless the word `rel` evaluates to the
+    """Raise PresentationInconsistency unless the word `rel` evaluates to the
     identity; each power is taken by binary powering."""
     ident = Matrix2.identity(field)
     acc = ident
@@ -488,7 +495,7 @@ def _verify_relation(rel, named, field):
             if exp:
                 g = g @ g
     if acc != ident:
-        raise PresentationError(
+        raise PresentationInconsistency(
             "relation %r does not evaluate to the identity" % (rel,))
 
 
@@ -566,7 +573,7 @@ def _discrete_logs(field):
             acc = acc * g
         if len(logs) == field.q - 1:
             return logs
-    raise PresentationError("no primitive element found")
+    raise PresentationInconsistency("no primitive element found")
 
 
 def abelianization_of_line_amalgam(G):
@@ -749,8 +756,8 @@ def _borel_consts(field, upper):
 
 
 __all__ = [
-    "PresentationError", "smith_normal_form", "GogEdge",
-    "CuspGroupDescriptor", "GraphOfGroups", "build_graph_of_groups",
+    "PresentationError", "PresentationInconsistency", "smith_normal_form",
+    "GogEdge", "CuspGroupDescriptor", "GraphOfGroups", "build_graph_of_groups",
     "Presentation", "emit_presentation", "presentation_text",
     "presentation_json", "abelianization_of_line_amalgam",
     "amalgam_example_check",

@@ -45,6 +45,33 @@ class TestCusps:
         assert (code, err) == (0, "")
         assert out.splitlines()[0].startswith("certified=%d " % certified)
 
+    def test_shallow_depth_is_uncertified(self, capsys):
+        """Depth 6 certifies 3 of the 4 cusps of D = 3(t) over F_2; the
+        fourth is at a boundary class that ends no certified chain, so
+        the run reports it as uncertified and exits 0."""
+        code, out, err = run_cli(
+            ["cusps", "--p", "2", "--level", "t^3", "--depth", "6"], capsys)
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[0] == "certified=3 formula=4 exact=true"
+        assert lines[-1] == ("UNCERTIFIED: depth 6 certifies 3 of 4 cusps; "
+                             "boundary classes ending no certified chain: 1")
+        assert "MISMATCH" not in out
+
+    @pytest.mark.parametrize("count", [2, 5])
+    def test_contradicting_count_exits_3(self, capsys, monkeypatch, count):
+        """An exact count below the certified 3, or above it by more than
+        the one uncertified boundary class, is a contradiction."""
+        import btquot.cli
+        monkeypatch.setattr(btquot.cli, "cusp_count",
+                            lambda level, q: (count, True))
+        code, out, _ = run_cli(
+            ["cusps", "--p", "2", "--level", "t^3", "--depth", "6"], capsys)
+        assert code == 3
+        assert out.splitlines()[-1] == ("MISMATCH: exact formula disagrees "
+                                        "with certification")
+        assert "UNCERTIFIED" not in out
+
 
 class TestReduce:
     def test_documented_example(self, capsys):
@@ -204,6 +231,39 @@ class TestAmalgam:
         assert code == 0
         assert out.startswith("PRESENTATION level=t q=3")
         assert "TAILS" in out
+
+    def test_wrong_relation_exits_3(self, capsys, monkeypatch):
+        """A relation word that does not evaluate to the identity is an
+        internal contradiction: the first word found gets one more
+        factor."""
+        import btquot.presentation as presentation
+        word_search = presentation._word_search
+        calls = []
+
+        def tampered(target, gens, names, stab):
+            word = word_search(target, gens, names, stab)
+            calls.append(word)
+            if len(calls) == 1:
+                name, k = word[-1]
+                word = word[:-1] + ((name, k + 1),)
+            return word
+
+        monkeypatch.setattr(presentation, "_word_search", tampered)
+        code, out, err = run_cli(
+            ["amalgam", "--p", "3", "--level", "t", "--depth", "6"], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: relation ")
+        assert "does not evaluate to the identity" in err
+
+    def test_vertex_group_cap_exits_2(self, capsys, monkeypatch):
+        """A finite vertex group above VERTEX_GROUP_CAP is a size limit of
+        the run, not a contradiction."""
+        import btquot.presentation as presentation
+        monkeypatch.setattr(presentation, "VERTEX_GROUP_CAP", 5)
+        code, out, err = run_cli(
+            ["amalgam", "--p", "2", "--level", "0", "--depth", "8"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: stabilizer order 6 exceeds cap 5\n"
 
 
 class TestErrors:

@@ -7,12 +7,13 @@ from btquot.algebra import FieldSpec, Polynomial
 from btquot.btree import Matrix2
 from btquot.hecke import orbit_witness, parse_level, reduce_vertex
 from btquot.presentation import (PresentationError,
+                                 PresentationInconsistency,
                                  abelianization_of_line_amalgam,
                                  amalgam_example_check,
                                  build_graph_of_groups, emit_presentation,
                                  presentation_json, presentation_text,
                                  smith_normal_form)
-from btquot.quotient import build_quotient, certify_cusps
+from btquot.quotient import InconsistencyError, build_quotient, certify_cusps
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -86,8 +87,37 @@ class TestGraphOfGroups:
     def test_requires_certified_cusps(self):
         field = FieldSpec(2)
         Q = build_quotient(parse_level("t", field), 6)
-        with pytest.raises(PresentationError):
+        with pytest.raises(PresentationError) as info:
             build_graph_of_groups(Q)
+        assert not isinstance(info.value, InconsistencyError)  # exit 2
+
+    def test_vertex_group_cap(self, monkeypatch):
+        """A finite vertex group above VERTEX_GROUP_CAP raises SizeError
+        before any frame of any stabilizer is enumerated.  At D = 0 over F_3
+        the largest finite vertex group is that of the base class,
+        |GL2(F_3)| = 48."""
+        import btquot.presentation as presentation
+        from btquot.hecke import SizeError, StabDescriptor
+        Q = build_quotient(parse_level("0", FieldSpec(3)), 8)
+        certify_cusps(Q, 3)
+        G = build_graph_of_groups(Q)
+        assert max(G.vertex_stabs[cid].order
+                   for cid in G.finite_classes) == 48
+        enumerated = []
+        frames = StabDescriptor.frames
+
+        def recorded(self):
+            enumerated.append(self)
+            return frames(self)
+
+        monkeypatch.setattr(StabDescriptor, "frames", recorded)
+        monkeypatch.setattr(presentation, "VERTEX_GROUP_CAP", 47)
+        with pytest.raises(SizeError, match="order 48 exceeds cap 47"):
+            build_graph_of_groups(Q)
+        assert enumerated == []
+        monkeypatch.setattr(presentation, "VERTEX_GROUP_CAP", 48)
+        build_graph_of_groups(Q)
+        assert enumerated
 
     def test_ray_graph_level_zero(self):
         field = FieldSpec(2)
@@ -159,7 +189,7 @@ class TestRelationCheck:
                 return order - 1 if len(seen) == target + 1 else order
 
             monkeypatch.setattr(StabDescriptor, "frame_order", lowered)
-            with pytest.raises(PresentationError, match="identity"):
+            with pytest.raises(PresentationInconsistency, match="identity"):
                 emit_presentation(G)
 
     @pytest.mark.parametrize("last", [False, True])
@@ -193,7 +223,7 @@ class TestRelationCheck:
             return word
 
         monkeypatch.setattr(presentation, "_word_search", tampered)
-        with pytest.raises(PresentationError, match="identity"):
+        with pytest.raises(PresentationInconsistency, match="identity"):
             emit_presentation(G)
 
 
@@ -208,16 +238,18 @@ class TestAbelianization:
 
     def test_rejects_q2(self):
         Q, G = line_setup(2)
-        with pytest.raises(PresentationError):
+        with pytest.raises(PresentationError) as info:
             abelianization_of_line_amalgam(G)
+        assert not isinstance(info.value, InconsistencyError)
 
     def test_rejects_wrong_shape(self):
         field = FieldSpec(3)
         Q = build_quotient(parse_level("0", field), 8)
         certify_cusps(Q, 3)
         G = build_graph_of_groups(Q)
-        with pytest.raises(PresentationError):
+        with pytest.raises(PresentationError) as info:
             abelianization_of_line_amalgam(G)
+        assert not isinstance(info.value, InconsistencyError)
 
 
 class TestAmalgamExample:
@@ -289,7 +321,8 @@ class TestNonTreeEdges:
             edges = list(G.edges)
             edges[i] = dataclasses.replace(edges[i],
                                            g_y=Matrix2.identity(Q.field))
-            with pytest.raises(PresentationError, match="injection image"):
+            with pytest.raises(PresentationInconsistency,
+                               match="injection image"):
                 emit_presentation(dataclasses.replace(G, edges=edges))
 
 
