@@ -13,24 +13,19 @@ Neighbor convention: the parent of a vertex is the next larger ball
 Group elements lie in GL2(F_q[t]) and are `Matrix2`s with `Polynomial`
 entries; F_q(t) appears only in lattice bases, where pi^r does.
 
-Two ways to move a vertex.  `act` forms the lattice basis g . (basis of v),
-a product over F_q(t), and canonicalizes it.  For g in GL2(F_q[t]) with
-det g in F_q*, `BallVertex.moved` works on the ball itself: Euclid on the
-left column writes g as a word in translations tau_f, the inversion I and
-a constant upper-triangular matrix (Nagao's amalgam, Serre, Trees, II.1.6),
-and each factor maps the ball x + pi^r O, x the exact center P/t^K of the
-vertex, to a ball whose exact center is again a quotient of polynomials.
-tau_f and the triangular factor move x by a Moebius map and keep r; I
-follows `invert_ball`, the rule `hecke.reduce_vertex` applies too.  The
-center is expanded below the radius once, at the end.  The program moves
-vertices with `moved`; `act` and `canonicalize` are the reference the
-tests and the self-test compare against.
+The build, the certification and the presentation move no vertex with a
+matrix: `hecke.reduce_vertex` runs Nagao's moves tau_f and I on the ball
+itself (Serre, Trees, II.1.6), I by `invert_ball`, and the quotient build
+reads the labels of a vertex's neighbors off one residue matrix.  `act`
+forms the lattice basis g . (basis of v), a product over F_q(t), and
+canonicalizes it; it and `canonicalize` are the reference that the tests,
+the self-test and the brute-force oracle compare against.
 """
 
 from __future__ import annotations
 
 from .algebra import (AlgebraError, LaurentFragment, Polynomial,
-                      RationalFunction, expand_at_infinity, expand_pair,
+                      RationalFunction, expand_at_infinity,
                       format_fragment, format_rational, parse_fragment)
 
 
@@ -86,38 +81,6 @@ class BallVertex:
         terms = self.center.packed_terms
         return [BallVertex(f, self.r + 1, LaurentFragment(
             f, terms + ((self.r, c),), self.r + 1)) for c in range(f.q)]
-
-    def moved(self, g):
-        """g . v for g in GL2(F_q[t]) with det g in F_q*, on the ball.
-
-        Euclid on the left column (a, c): with a = k*c + a' the matrix is
-        g = tau_{-k} . I . [[c, d], [a', b - k*d]], so
-        g = tau_{-k_1} I tau_{-k_2} I ... T with T = [[alpha, b], [0, delta]]
-        and alpha, delta in F_q*.  The factors are applied right to left to
-        the exact center num/den of the ball: T maps the pair to
-        (alpha*num + b*den, delta*den), tau_{-k} maps num to num + k*den,
-        and I follows `invert_ball`.  The pair is expanded below the radius
-        once, at the end.
-        """
-        if not g.is_polynomial():
-            raise TreeError("matrix %r has a non-polynomial entry" % (g,))
-        a, b, c, d = (x.num for x in g.entries())
-        if (a * d - b * c).degree != 0:
-            raise TreeError("determinant of %r is not a nonzero constant"
-                            % (g,))
-        quotients = []
-        while c:
-            k, rem = divmod(a, c)
-            quotients.append(k)
-            a, b, c, d = c, d, rem, b - k * d
-        num, den = self.center.fraction()
-        num, den = (num.scale(a.packed_coeffs[0]) + b * den,
-                    den.scale(d.packed_coeffs[0]))
-        r = self.r
-        for k in reversed(quotients):
-            num, den, r = invert_ball(num, den, r)
-            num = num + k * den
-        return BallVertex(self.field, r, expand_pair(num, den, r))
 
     def neighbors(self):
         """Parent followed by the q children; exactly q+1 vertices."""

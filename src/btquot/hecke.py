@@ -13,7 +13,7 @@ The moves act on the ball a + pi^r*O itself: tau_f subtracts f from the
 center, and I maps it to 1/a + pi^(r-2m)*O with m = nu(a) < r (to
 B_0^{|-r|} for a ball holding 0), on the exact center P/t^K, so the reduction
 is Euclid's algorithm on (P, t^K) and never calls `act`.  The I rule is
-`btree.invert_ball`, which `BallVertex.moved` follows too.
+`btree.invert_ball`.
 Whether a candidate lies in H_D is a divisibility condition that is affine
 linear over F_q in the torus pair (alpha, beta) and the unipotent
 coefficients, so one Gauss-Jordan elimination of the system, with both
@@ -22,7 +22,10 @@ homogeneous solve at level 0) instead of a q^(n+3) enumeration.  The
 enumeration is kept (`brute_force=True` paths) as a correctness oracle.
 A stabilizer element g^{-1} s g is F_q-linear in the frame data of s, so
 `StabDescriptor` forms each element as one combination, per entry, of
-products of the entries of g computed once per descriptor.
+products of the entries of g computed once per descriptor.  The way back,
+from a matrix to frame data, is `ray_frame`, which also decides whether
+the matrix lies in Stab(v_n); `StabDescriptor.frame_of` reads an element
+of GL2(R) through it in the frame of the descriptor's vertex.
 """
 
 from __future__ import annotations
@@ -176,10 +179,10 @@ def reduce_vertex(v):
     v: tau_f subtracts from x the polynomial part f of its truncated
     expansion (the quotient of the division, without the terms t^i with
     -i >= r), and I maps x to 1/x and r to r - 2 nu(x) when nu(x) < r, or
-    the ball B_0^{|r|} to B_0^{|-r|} (`btree.invert_ball`, the rule
-    `BallVertex.moved` follows too).  That is Euclid's algorithm on (P, t^K)
-    stopped by the radius, so the cost does not depend on r.  g is composed
-    by row operations over R; `act` is not called.
+    the ball B_0^{|r|} to B_0^{|-r|} (`btree.invert_ball`).  That is
+    Euclid's algorithm on (P, t^K) stopped by the radius, so the cost does
+    not depend on r.  g is composed by row operations over R; `act` is not
+    called.
     """
     field = v.field
     inv = Matrix2.involution(field)
@@ -366,6 +369,19 @@ def _frame_matrix(field, frame):
                    Polynomial.constant(field, d))
 
 
+def ray_frame(s, n):
+    """The frame data (a, b, c, d) of s, b padded to n + 1 coefficients,
+    for s over R with determinant in F_q*; None when s lies outside
+    Stab(v_n), which by Nagao's theorem asks a, c and d constant, c = 0
+    when n >= 1, and deg b <= n.  The inverse of `_frame_matrix`."""
+    a, b, c, d = (x.num.packed_coeffs for x in s.entries())
+    if not s.is_polynomial() or len(a) > 1 or len(c) > (n == 0) \
+            or len(d) > 1 or len(b) > n + 1:
+        return None
+    return (a[0] if a else 0, b + (0,) * (n + 1 - len(b)),
+            c[0] if c else 0, d[0] if d else 0)
+
+
 def _generates_field(field, values):
     """Whether the packed ints `values` generate F_q as a field over F_p,
     that is, lie in no proper subfield F_{p^k}, k | s, whose elements are
@@ -486,18 +502,10 @@ class StabDescriptor:
                        comb(f, e22))
 
     def frame_of(self, h):
-        """The frame data (a, b, c, d) of s = g h g^{-1}, b padded to n + 1
-        coefficients: the inverse of `element`.  None unless s lies in
-        Stab(v_n), which by Nagao's theorem is whether h fixes the vertex:
-        a, c and d constants, c = 0 when n >= 1, and deg b <= n."""
-        g, n = self.conjugator, self.level_n
-        s = g @ h @ g.inverse()
-        a, b, c, d = (x.num.packed_coeffs for x in s.entries())
-        if not s.is_polynomial() or len(a) > 1 or len(c) > (n == 0) \
-                or len(d) > 1 or len(b) > n + 1:
-            return None
-        return (a[0] if a else 0, b + (0,) * (n + 1 - len(b)),
-                c[0] if c else 0, d[0] if d else 0)
+        """The frame data of s = g h g^{-1} (`ray_frame`): the inverse of
+        `element`, and None unless h fixes the vertex."""
+        g = self.conjugator
+        return ray_frame(g @ h @ g.inverse(), self.level_n)
 
     def identity_frame(self):
         """Frame data of the identity."""
@@ -754,7 +762,7 @@ def orbit_equivalent_brute_force(v, w, level):
 
 __all__ = [
     "HeckeError", "SizeError", "Level", "parse_level", "is_member",
-    "ReductionResult", "reduce_vertex", "StabDescriptor", "stabilizer",
-    "orbit_witness", "orbit_equivalent", "solve_affine",
+    "ReductionResult", "reduce_vertex", "ray_frame", "StabDescriptor",
+    "stabilizer", "orbit_witness", "orbit_equivalent", "solve_affine",
     "stabilizer_brute_force", "orbit_equivalent_brute_force",
 ]

@@ -4,9 +4,12 @@ infinite cusp tails, and a verified generators-and-relations emission.
 
 A finite vertex group is g^-1 S g for a subgroup S of the finite group
 Stab(v_n) (Nagao), kept as its `StabDescriptor` and worked on in frame
-data: edge groups, words and injections are frames of S.  Matrices over
-F_q[t] are formed only for the printed generators, the witnesses g_y and
-the edge groups, to read an injected element's frame, and to check every
+data: edge groups, words and injections are frames of S.  An element is
+read in the frame of a vertex by `StabDescriptor.frame_of` alone, for the
+edge injections, the junction eigenpairs of the line amalgam and the check
+of every witness g_y.  Matrices over F_q[t] are formed only for the
+printed generators, the witnesses g_y and the edge groups' elements, to
+order the elements, read an injected element's frame and check every
 relation.
 
 The infinite tail groups are never materialized; they are reported through
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 from itertools import groupby
 
 from .btree import Matrix2
-from .hecke import StabDescriptor, orbit_witness, reduce_vertex
+from .hecke import StabDescriptor, orbit_witness, ray_frame
 from .quotient import (SPLIT, InconsistencyError, extend_tail_inward,
                        frame_fixers, frame_orbits)
 
@@ -110,12 +113,11 @@ def smith_normal_form(rows, ncols):
 class GogEdge:
     src: int                  # class id of the source side (lift known)
     dst: int
-    lift_src: object
-    lift_dst: object          # tree neighbor of lift_src lying in class dst
+    lift_dst: object          # tree neighbor of lifts[src] lying in class dst
     in_tree: bool
     g_y: object               # identity on tree edges; act(g_y, lifts[dst]) = lift_dst
-    edge_group: object        # Matrix2 list if both ends are finite, else None
-    edge_frames: object       # frame data of edge_group in the source stab
+    edge_frames: object       # the edge group as frames of the source stab
+                              # if both ends are finite, else None
 
 
 @dataclass
@@ -125,7 +127,7 @@ class CuspGroupDescriptor:
     splitness: str
     torus: str                # "full", "scalar", or "trivial" (q = 2)
     unipotent_tower: tuple
-    attachment_group: object  # materialized junction group (may be None)
+    junction_order: object    # order of the junction edge group, or None
 
 
 @dataclass
@@ -257,16 +259,13 @@ def build_graph_of_groups(Q):
             strands.append((src_id, dst_id, lift_dst, g_y))
     edges = []
     for src_id, dst_id, lift_dst, g_y in strands:
-        frames = group = None
+        frames = None
         if src_id in finite_classes and dst_id in finite_classes:
-            stab = vertex_stabs[src_id]
-            frames = frame_fixers(stab, lift_dst)
-            group = [stab.element(fr) for fr in frames]
+            frames = frame_fixers(vertex_stabs[src_id], lift_dst)
         edges.append(GogEdge(
-            src=src_id, dst=dst_id, lift_src=lifts[src_id],
-            lift_dst=lift_dst, in_tree=g_y is None,
+            src=src_id, dst=dst_id, lift_dst=lift_dst, in_tree=g_y is None,
             g_y=Matrix2.identity(Q.field) if g_y is None else g_y,
-            edge_group=group, edge_frames=frames))
+            edge_frames=frames))
 
     tails_out = [_tail_descriptor(Q, cusp, tail, vertex_stabs, edges)
                  for cusp, tail in zip(Q.cusps, tails)]
@@ -324,17 +323,17 @@ def _tail_descriptor(Q, cusp, tail, vertex_stabs, edges):
     else:
         torus = "scalar"
     dims = tuple(vertex_stabs[cid].unipotent_dim() for cid in tail)
-    attachment_group = None
+    junction_order = None
     for e in edges:
         if e.in_tree and start in (e.src, e.dst):
             other = e.dst if e.src == start else e.src
-            if other not in tail and e.edge_group is not None:
-                attachment_group = e.edge_group
+            if other not in tail and e.edge_frames is not None:
+                junction_order = len(e.edge_frames)
                 break
     return CuspGroupDescriptor(cusp=cusp, chain=tuple(tail),
                                splitness=cusp.splitness, torus=torus,
                                unipotent_tower=dims,
-                               attachment_group=attachment_group)
+                               junction_order=junction_order)
 
 
 # ---------------------------------------------------------------------------
@@ -364,21 +363,21 @@ def _frame_closure(stab, group, gens):
     return seen
 
 
-def _generating_subset(stab, frames, elements):
+def _generating_subset(stab, frames):
     """Greedy small generating set of the finite subgroup of `stab` with
-    frame data `frames` and elements `elements`, as (frame, element) pairs:
-    the elements in `Matrix2.key()` order, each kept when it lies outside
-    the group the kept ones generate, closed in the frame."""
+    frame data `frames`, as (frame, element) pairs: the elements in
+    `Matrix2.key()` order, each kept when it lies outside the group the
+    kept ones generate, closed in the frame."""
     chosen, gens = [], []
     have = {stab.identity_frame()}
-    for fr, e in sorted(zip(frames, elements, strict=True),
+    for fr, e in sorted(((fr, stab.element(fr)) for fr in frames),
                         key=lambda pair: pair[1].key()):
         if fr in have:
             continue
         chosen.append((fr, e))
         gens.append(fr)
         have = _frame_closure(stab, have, gens)
-        if len(have) >= len(elements):
+        if len(have) >= len(frames):
             break
     return chosen
 
@@ -425,7 +424,8 @@ def emit_presentation(G):
     edge and g_y^-1 c g_y on a non-tree edge, is read as a frame of the
     target with `frame_of`; None means it does not fix the target lift.
     Every relation is then evaluated by matrix arithmetic over F_q[t] and
-    must be the identity.
+    must be the identity, and every witness g_y must map the lift of its
+    target class to the edge's lifted end (`_check_witness`).
     """
     field = G.base.field
     gen_names = []
@@ -454,10 +454,10 @@ def emit_presentation(G):
             edge_counter += 1
             gen_names.append((hname, e.g_y))
             all_named[hname] = e.g_y
-        if e.edge_group is None:
+        if e.edge_frames is None:
             continue
         src, dst = G.vertex_stabs[e.src], G.vertex_stabs[e.dst]
-        for fr, c in _generating_subset(src, e.edge_frames, e.edge_group):
+        for fr, c in _generating_subset(src, e.edge_frames):
             word_src = _word_search(fr, *gen_by_class[e.src], src)
             image = dst.frame_of(c if e.in_tree
                                  else e.g_y.inverse() @ c @ e.g_y)
@@ -474,6 +474,9 @@ def emit_presentation(G):
 
     for rel in relations:
         _verify_relation(rel, all_named, field)
+    for e in G.edges:
+        if not e.in_tree:
+            _check_witness(G, e)
     return Presentation(generators=gen_names, relations=relations,
                         tail_summaries=list(G.tails))
 
@@ -499,6 +502,19 @@ def _verify_relation(rel, named, field):
             "relation %r does not evaluate to the identity" % (rel,))
 
 
+def _check_witness(G, e):
+    """Raise PresentationInconsistency unless g_y maps lifts[dst] to
+    lift_dst.  With g and g' the reductions of the two vertices to v_n,
+    that is whether g' g_y g^-1 fixes v_n, read by `ray_frame`; no vertex
+    is moved."""
+    stab = G.vertex_stabs[e.dst]
+    s = G.base.reduction(e.lift_dst).g @ e.g_y @ stab.conjugator.inverse()
+    if ray_frame(s, stab.level_n) is None:
+        raise PresentationInconsistency(
+            "witness g_y of a non-tree edge from class %d does not map the "
+            "lift of class %d to the edge's end" % (e.src, e.dst))
+
+
 def _word_str(rel):
     return " * ".join(nm if e == 1 else "%s^%d" % (nm, e) for nm, e in rel)
 
@@ -516,8 +532,8 @@ def presentation_text(P, Q):
         out.append("  %s" % _word_str(rel))
     out.append("TAILS")
     for i, tail in enumerate(P.tail_summaries):
-        att = ("order %d" % len(tail.attachment_group)
-               if tail.attachment_group is not None else "not materialized")
+        att = ("order %d" % tail.junction_order
+               if tail.junction_order is not None else "not materialized")
         out.append("  tail %d: classes=%s split=%s torus=%s "
                    "unipotent_dims=%s junction_group=%s"
                    % (i, list(tail.chain), tail.splitness, tail.torus,
@@ -537,8 +553,7 @@ def presentation_json(P, Q):
             "split": t.splitness,
             "torus": t.torus,
             "unipotent_dims": list(t.unipotent_tower),
-            "junction_order": (len(t.attachment_group)
-                               if t.attachment_group is not None else None),
+            "junction_order": t.junction_order,
         } for t in P.tail_summaries],
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -548,29 +563,39 @@ def presentation_json(P, Q):
 # the explicit line-amalgam example and its abelianization
 
 
-def _eigenpair_in_frame(h, frame_reduction):
-    """Ordered eigenvalue pair of h read in a tail frame: g h g^{-1} must be
-    upper triangular with constant diagonal; returns (alpha, beta)."""
-    g = frame_reduction.g
-    s = g @ h @ g.inverse()
-    if not s.c.is_zero():
+def _torus_pair(stab, h):
+    """Ordered eigenvalue pair (alpha, beta) of h, packed ints, read in the
+    frame of `stab`, whose element s = [[alpha, b], [0, beta]] must be
+    upper triangular; None otherwise."""
+    fr = stab.frame_of(h)
+    if fr is None or fr[2]:
         return None
-    if not (s.a.is_constant() and s.d.is_constant()):
+    return fr[0], fr[3]
+
+
+def _junction_elements(G, starts):
+    """The elements of the one tree edge group joining the classes
+    `starts`, or None when not exactly one tree edge joins them."""
+    junction = [e for e in G.edges
+                if e.in_tree and e.edge_frames is not None
+                and {e.src, e.dst} == starts]
+    if len(junction) != 1:
         return None
-    return (s.a.coefficient(0), s.d.coefficient(0))
+    stab = G.vertex_stabs[junction[0].src]
+    return [stab.element(fr) for fr in junction[0].edge_frames]
 
 
 def _discrete_logs(field):
-    """dlog table for F_q* with respect to the first primitive element."""
+    """dlog table of F_q*, on packed ints, with respect to the first
+    primitive element."""
     if field.q == 2:
-        return {field.one: 0}
-    for gi in range(2, field.q):
-        g = field.element(gi)
+        return {1: 0}
+    for g in range(2, field.q):
         logs = {}
-        acc = field.one
+        acc = 1
         for e in range(field.q - 1):
             logs[acc] = e
-            acc = acc * g
+            acc = field.mul(acc, g)
         if len(logs) == field.q - 1:
             return logs
     raise PresentationInconsistency("no primitive element found")
@@ -599,21 +624,17 @@ def abelianization_of_line_amalgam(G):
                 "tail %r is not split with a full torus (q = 2 is always "
                 "indeterminate); the line-amalgam abelianization does not "
                 "apply" % (t.chain,))
-    starts = {G.tails[0].chain[0], G.tails[1].chain[0]}
-    junction = [e for e in G.edges
-                if e.in_tree and e.edge_group is not None
-                and {e.src, e.dst} == starts]
-    if len(junction) != 1:
+    b0 = _junction_elements(G, {G.tails[0].chain[0], G.tails[1].chain[0]})
+    if b0 is None:
         raise PresentationError("tails do not meet along a single edge")
-    b0 = junction[0].edge_group
-    frames = [reduce_vertex(G.lifts[t.chain[0]]) for t in G.tails]
+    stabs = [G.vertex_stabs[t.chain[0]] for t in G.tails]
     logs = _discrete_logs(Q.field)
     m = q - 1
     rows = [[m, 0, 0, 0], [0, m, 0, 0], [0, 0, m, 0], [0, 0, 0, m]]
     for h in b0:
         vec = []
-        for frame in frames:
-            pair = _eigenpair_in_frame(h, frame)
+        for stab in stabs:
+            pair = _torus_pair(stab, h)
             if pair is None:
                 raise PresentationError("junction element is not "
                                         "triangularizable in a tail frame")
@@ -700,24 +721,20 @@ def amalgam_example_check(field, depth=8, window=3):
           got_upper == sorted(m.key() for m in _borel_consts(field, True)))
     check("lower junction group is [[F*, 0],[tF, F*]]",
           got_lower == sorted(m.key() for m in _borel_consts(field, False)))
-    junction = [e for e in G.edges
-                if e.in_tree and e.edge_group is not None
-                and {e.src, e.dst} == {tails[0].chain[0],
-                                       tails[1].chain[0]}]
-    check("tails glued along one edge", len(junction) == 1)
-    if junction:
-        b0 = junction[0].edge_group
+    b0 = _junction_elements(G, {tails[0].chain[0], tails[1].chain[0]})
+    check("tails glued along one edge", b0 is not None)
+    if b0 is not None:
         m = field.q - 1
         check("junction group order (q-1)^2", len(b0) == m * m,
               "order %d" % len(b0))
-        frame = reduce_vertex(G.lifts[tails[0].chain[0]])
+        stab = G.vertex_stabs[tails[0].chain[0]]
         pairs = []
         for h in b0:
-            pr = _eigenpair_in_frame(h, frame)
+            pr = _torus_pair(stab, h)
             if pr is None:
                 pairs = None
                 break
-            pairs.append((pr[0].to_int(), pr[1].to_int()))
+            pairs.append(pr)
         expected = sorted((a, b) for a in range(1, field.q)
                           for b in range(1, field.q))
         check("junction group is the diagonal torus",

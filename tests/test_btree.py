@@ -1,5 +1,4 @@
 import random
-import time
 
 import pytest
 
@@ -170,7 +169,7 @@ def rand_poly(field, rng, max_deg):
 
 
 def move_cases():
-    """Seeded (g, v) pairs for `moved`: g a product of H_D generators
+    """Seeded (g, v) pairs for `act`: g a product of H_D generators
     (level t), a constant diagonal with alpha != delta, a pure tau_f or
     [[1, 0], [N_D, 1]]; v with r in [-6, 12], or deep with r >= 16."""
     rng = random.Random(41)
@@ -217,6 +216,8 @@ def move_cases():
 
 
 class TestBallMove:
+    """The (g, v) sample that `TestPolynomialMatrix` moves with `act`."""
+
     def test_sample_shape(self):
         cases = move_cases()
         assert len(cases) >= 200
@@ -224,69 +225,6 @@ class TestBallMove:
         assert sum(v.r >= 16 for _, v in cases) >= 15
         assert any(g.a != g.d and g.c.is_zero() and g.b.is_zero()
                    for g, _ in cases)
-
-    def test_moved_equals_act(self):
-        for g, v in move_cases():
-            assert v.moved(g) == act(g, v), (g, v)
-
-    def test_scaled_equals_act(self):
-        rng = random.Random(42)
-        for field in (F3, F4, F5, F9):
-            for _ in range(10):
-                u = rng.choice(field.units())
-                v = rand_vertex(field, rng, rmin=-6, rmax=12, span=8)
-                diag = Matrix2.diagonal(field, u, field.one)
-                assert v.moved(diag) == act(diag, v)
-                assert v.moved(diag).r == v.r
-
-    def test_inversion_of_a_ball_holding_zero(self):
-        """tau_f clears the center down to a nonzero x with nu(x) >= r, so
-        the ball holds 0 and I sends it to B_0^{|-r|}, although the exact
-        center I sees is not 0."""
-        for field in (F2, F3, F9):
-            t = Polynomial.t(field)
-            f = t ** 3 + Polynomial.one(field)
-            g = Matrix2.involution(field) @ Matrix2.translation(f)
-            for r in (-2, -1, 0):
-                v = ball(field, r, {-3: 1})
-                assert v.moved(g) == act(g, v) == BallVertex.standard(
-                    field, r), (field, r)
-
-    def test_huge_radius_triangular_moves(self):
-        """tau_f and constant diagonals on a center near the origin keep
-        the radius and expand x over a monomial denominator, so r = 10^9
-        costs no more than r = 10."""
-        r = 10 ** 9
-        for field in (F3, F9):
-            v = ball(field, r, {-2: 1, 1: 2, 3: 1})
-            f = Polynomial(field, (1, 0, 1))
-            mul, neg, half = field.mul, field.neg, field.inv(2)
-            t0 = time.perf_counter()
-            moved_tau = v.moved(Matrix2.translation(f))
-            moved_diag = v.moved(Matrix2.diagonal(field, 2, 1))
-            moved_both = v.moved(Matrix2.diagonal(field, 1, 2)
-                                 @ Matrix2.translation(f))
-            assert time.perf_counter() - t0 < 1.0
-            assert moved_tau == ball(field, r, {0: neg(1), 1: 2, 3: 1})
-            assert moved_diag == ball(field, r,
-                                      {-2: 2, 1: mul(2, 2), 3: 2})
-            assert moved_both == ball(
-                field, r, {0: neg(half), 1: mul(2, half), 3: half})
-
-    def test_rejects_non_polynomial(self):
-        t_inv = RationalFunction.t_power(F3, -1)
-        one = RationalFunction.one(F3)
-        zero = RationalFunction.zero(F3)
-        with pytest.raises(TreeError):
-            BallVertex.base(F3).moved(Matrix2(one, t_inv, zero, one))
-
-    def test_rejects_non_constant_determinant(self):
-        t = RationalFunction(Polynomial.t(F3))
-        one = RationalFunction.one(F3)
-        zero = RationalFunction.zero(F3)
-        for g in (Matrix2(t, zero, zero, one), Matrix2(one, one, one, one)):
-            with pytest.raises(TreeError):
-                BallVertex.base(F3).moved(g)
 
 
 class TestPolynomialMatrix:

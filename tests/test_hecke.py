@@ -247,21 +247,6 @@ class TestBallNativeReduction:
         assert any(fragment_valuation(v.center) <= 0 for v in vertices)
         assert {v.field.q for v in vertices} == {2, 3, 4, 5, 9}
 
-    def test_moves_equal_act(self, vertices):
-        """The reduction's moves I and tau_f, as `moved` applies them."""
-        rng = random.Random(32)
-        for v in vertices:
-            field = v.field
-            inv = Matrix2.involution(field)
-            assert v.moved(inv) == act(inv, v)
-            f = Polynomial(field, [rng.randrange(field.q)
-                                   for _ in range(rng.randint(0, 6))])
-            assert v.moved(Matrix2.translation(f)) == \
-                act(Matrix2.translation(f), v)
-            p = polynomial_part(v.center)
-            assert v.moved(Matrix2.translation(p)) == \
-                act(Matrix2.translation(p), v)
-
     def test_reduction_equals_act_oracle(self, vertices):
         for v in vertices:
             red, ref = reduce_vertex(v), reduce_vertex_by_act(v)

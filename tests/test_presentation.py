@@ -4,7 +4,7 @@ import pathlib
 import pytest
 
 from btquot.algebra import FieldSpec, Polynomial
-from btquot.btree import Matrix2
+from btquot.btree import Matrix2, act
 from btquot.hecke import orbit_witness, parse_level, reduce_vertex
 from btquot.presentation import (PresentationError,
                                  PresentationInconsistency,
@@ -74,15 +74,16 @@ class TestGraphOfGroups:
             assert G.lifts[e.dst] == e.lift_dst  # tree edges lift on the nose
 
     def test_edge_groups_inject(self):
-        from btquot.btree import act
         Q, G = line_setup(3)
         for e in G.edges:
-            if e.edge_group is None:
+            if e.edge_frames is None:
                 continue
-            for h in e.edge_group:
-                assert act(h, e.lift_src) == e.lift_src
+            lift_src, stab = G.lifts[e.src], G.vertex_stabs[e.src]
+            group = [stab.element(fr) for fr in e.edge_frames]
+            for h in group:
+                assert act(h, lift_src) == lift_src
                 assert act(h, e.lift_dst) == e.lift_dst
-            assert len({h.key() for h in e.edge_group}) == len(e.edge_group)
+            assert len({h.key() for h in group}) == len(group)
 
     def test_requires_certified_cusps(self):
         field = FieldSpec(2)
@@ -266,7 +267,6 @@ class TestNonTreeEdges:
     graph of groups genuinely needs a non-tree witness g_y."""
 
     def test_cycle_yields_verified_h_generator(self):
-        from btquot.btree import act
         from btquot.hecke import is_member
         field = FieldSpec(2)
         Q = build_quotient(parse_level("t^3", field), 12)
@@ -294,7 +294,6 @@ class TestNonTreeEdges:
         certify_cusps(Q, 3)
         assert any(e.multiplicity > 1 for e in Q.edges)
         G = build_graph_of_groups(Q)
-        from btquot.btree import act
         from btquot.hecke import is_member
         nontree = [e for e in G.edges if not e.in_tree]
         assert nontree
@@ -307,15 +306,15 @@ class TestNonTreeEdges:
         group outside the stabilizer of the target lift, and `frame_of`
         says so.  Here q=3, D=t^2(t+1): the non-tree edge groups have
         order 4.  At q=3, D=t^3 every non-tree edge group is the center
-        {I, 2I}, which any g_y maps onto itself, so no replacement could be
-        caught there."""
+        {I, 2I}, which any g_y maps onto itself; the witness check catches
+        a wrong g_y there (next test)."""
         import dataclasses
         Q = build_quotient(parse_level("t^2;t+1", FieldSpec(3)), 10)
         certify_cusps(Q, 3)
         G = build_graph_of_groups(Q)
         emit_presentation(G)
         tampered = [i for i, e in enumerate(G.edges) if not e.in_tree
-                    and len(e.edge_group or ()) > Q.field.q - 1]
+                    and len(e.edge_frames or ()) > Q.field.q - 1]
         assert tampered
         for i in tampered:
             edges = list(G.edges)
@@ -324,6 +323,28 @@ class TestNonTreeEdges:
             with pytest.raises(PresentationInconsistency,
                                match="injection image"):
                 emit_presentation(dataclasses.replace(G, edges=edges))
+
+    def test_wrong_witness_on_central_edge_groups_is_caught(self):
+        """At q=3, D=t^3 both non-tree edge groups are the center {I, 2I},
+        so the injections and the relations hold whatever g_y is.  The
+        identity, or the other strand's g_y, in place of either g_y does
+        not map the lift of the target class to the edge's end, and the
+        witness check says so."""
+        import dataclasses
+        Q = build_quotient(parse_level("t^3", FieldSpec(3)), 10)
+        certify_cusps(Q, 3)
+        G = build_graph_of_groups(Q)
+        emit_presentation(G)
+        nontree = [i for i, e in enumerate(G.edges) if not e.in_tree]
+        assert len(nontree) == 2
+        assert all(len(G.edges[i].edge_frames) == 2 for i in nontree)
+        for i, j in (nontree, nontree[::-1]):
+            for g_y in (Matrix2.identity(Q.field), G.edges[j].g_y):
+                edges = list(G.edges)
+                edges[i] = dataclasses.replace(edges[i], g_y=g_y)
+                with pytest.raises(PresentationInconsistency,
+                                   match="witness g_y"):
+                    emit_presentation(dataclasses.replace(G, edges=edges))
 
 
 def _polynomial_entries(g):
@@ -354,7 +375,7 @@ class TestPolynomialEntries:
             if c.stab.order <= 1000:
                 assert all(_polynomial_entries(h)
                            for h in c.stab.materialize())
-            w = v.moved(mover)
+            w = act(mover, v)
             h = orbit_witness(Q.level, red, reduce_vertex(w))
             assert h is not None and _polynomial_entries(h), v
         for cid in G.finite_classes:
@@ -362,6 +383,8 @@ class TestPolynomialEntries:
                        for h in G.vertex_stabs[cid].materialize())
         for e in G.edges:
             assert _polynomial_entries(e.g_y)
-            assert all(_polynomial_entries(h) for h in e.edge_group or ())
+            stab = G.vertex_stabs[e.src]
+            assert all(_polynomial_entries(stab.element(fr))
+                       for fr in e.edge_frames or ())
         assert P.generators
         assert all(_polynomial_entries(m) for _, m in P.generators)

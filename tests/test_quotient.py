@@ -649,10 +649,11 @@ class TestFrameOf:
 
 def frame_label_by_move(stab, w):
     """Reference label of the tree neighbor w of the vertex of `stab`: w
-    moved by the frame on the ball (`BallVertex.moved`) is v_{n+1}, label
-    None, or the child c t^n + t^(n-1) O of v_n, label c."""
+    moved by the frame (`act`) is v_{n+1}, label None, or the child
+    c t^n + t^(n-1) O of v_n, label c."""
+    from btquot.btree import act
     n = stab.level_n
-    u = w.moved(stab.conjugator)
+    u = act(stab.conjugator, w)
     terms = u.center.packed_terms
     if u.r == -n - 1 and not terms:
         return None

@@ -29,9 +29,10 @@ def test_traced_names_exist():
 
 
 def test_production_modules_do_not_bind_act():
-    """The build, certification and presentation move vertices with
-    `BallVertex.moved`; `act` stays in `btree` as the reference, so the
-    traced `btree.act.calls` counts oracle calls only."""
+    """The build, certification and presentation move no vertex: they
+    reduce vertices and read neighbor labels off the residue matrix.  `act`
+    stays in `btree` as the reference, so the traced `btree.act.calls`
+    counts oracle calls only."""
     for module in (btquot.quotient, btquot.presentation):
         assert "act" not in vars(module), module.__name__
         assert "canonicalize" not in vars(module), module.__name__
