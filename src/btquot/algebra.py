@@ -344,7 +344,7 @@ def _times_constant(field, cs, c):
 class Polynomial:
     """Element of F_q[t]; packed_coeffs[i] is the packed int of the
     coefficient of t^i, trailing zeros stripped so the representation is
-    canonical.  `coeffs`, `coefficient` and `leading` give `FieldElement`s.
+    canonical.  `coeffs` and `leading` give `FieldElement`s.
     """
 
     __slots__ = ("field", "packed_coeffs")
@@ -408,11 +408,6 @@ class Polynomial:
 
     def is_monic(self):
         return bool(self.packed_coeffs) and self.packed_coeffs[-1] == 1
-
-    def coefficient(self, i):
-        if 0 <= i < len(self.packed_coeffs):
-            return self.field._handles[self.packed_coeffs[i]]
-        return self.field.zero
 
     def __add__(self, other):
         a, b = self.packed_coeffs, self._coerce(other).packed_coeffs

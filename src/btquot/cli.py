@@ -16,7 +16,8 @@ import sys
 from .algebra import AlgebraError, FieldSpec, parse_polynomial
 from .btree import BallVertex, TreeError
 from .formulas import PicardData, cusp_count, formula_report
-from .hecke import (HeckeError, orbit_equivalent, parse_level, reduce_vertex,
+from .hecke import (HeckeError, orbit_equivalent,
+                    orbit_equivalent_brute_force, parse_level, reduce_vertex,
                     stabilizer, stabilizer_brute_force)
 from .presentation import (build_graph_of_groups, emit_presentation,
                            presentation_json, presentation_text)
@@ -242,7 +243,6 @@ def _cmd_orbit(args):
     if h is not None:
         lines.append("witness=%r" % h)
     if args.brute_force:
-        from .hecke import orbit_equivalent_brute_force
         slow = orbit_equivalent_brute_force(v, w, level)
         agree = (slow is None) == (h is None)
         lines.append("brute_force_agree=%s" % str(agree).lower())

@@ -19,7 +19,8 @@ linear over F_q in the torus pair (alpha, beta) and the unipotent
 coefficients, so one Gauss-Jordan elimination of the system, with both
 torus terms as right-hand sides, decides every torus pair at once (plus one
 homogeneous solve at level 0) instead of a q^(n+3) enumeration.  The
-enumeration is kept (`brute_force=True` paths) as a correctness oracle.
+enumeration is kept (`brute_force=True` paths) as a correctness oracle,
+up to ENUMERATION_CAP elements.
 A stabilizer element g^{-1} s g is F_q-linear in the frame data of s, so
 `StabDescriptor` forms each element as one combination, per entry, of
 products of the entries of g computed once per descriptor.  The way back,
@@ -44,6 +45,11 @@ class HeckeError(ValueError):
 
 class SizeError(HeckeError):
     pass
+
+
+# the most elements an enumeration lists: a materialized stabilizer or the
+# ambient stabilizer the brute-force oracles search
+ENUMERATION_CAP = 100000
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +597,7 @@ class StabDescriptor:
             raise SizeError("stabilizer order %d exceeds cap %d"
                             % (self.order, cap))
 
-    def materialize(self, cap=100000):
+    def materialize(self, cap=ENUMERATION_CAP):
         """Full element list, the triangular elements before the level-0
         extras, as an oracle; raises SizeError beyond cap."""
         self.check_order(cap)
@@ -694,8 +700,15 @@ def _ray_stab_tuples(field, n):
     """Entries (a, b, c, d) as polynomials for the GL2(R) stabilizer of
     v_n = B_0^{|-n|} with determinant in F_q*: all of GL2(F_q) for n = 0,
     upper triangular [[alpha, b], [0, beta]] with deg b <= n for n >= 1.
-    Deterministic order."""
-    const = {i: Polynomial.constant(field, i) for i in range(field.q)}
+    Deterministic order.  Raises SizeError, before the first tuple, when
+    the group has more than ENUMERATION_CAP elements."""
+    q = field.q
+    order = (q * q - 1) * (q * q - q) if n == 0 else (q - 1) ** 2 * q ** (n + 1)
+    if order > ENUMERATION_CAP:
+        raise SizeError("brute force would enumerate %d elements of "
+                        "Stab(v_%d), above the cap %d"
+                        % (order, n, ENUMERATION_CAP))
+    const = {i: Polynomial.constant(field, i) for i in range(q)}
     if n == 0:
         for ai in range(field.q):
             for bi in range(field.q):

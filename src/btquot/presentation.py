@@ -4,13 +4,13 @@ infinite cusp tails, and a verified generators-and-relations emission.
 
 A finite vertex group is g^-1 S g for a subgroup S of the finite group
 Stab(v_n) (Nagao), kept as its `StabDescriptor` and worked on in frame
-data: edge groups, words and injections are frames of S.  An element is
-read in the frame of a vertex by `StabDescriptor.frame_of` alone, for the
-edge injections, the junction eigenpairs of the line amalgam and the check
-of every witness g_y.  Matrices over F_q[t] are formed only for the
-printed generators, the witnesses g_y and the edge groups' elements, to
-order the elements, read an injected element's frame and check every
-relation.
+data: edge groups, words and injections are frames of S.  A matrix is
+read in the frame of a vertex one way, by `hecke.ray_frame` (through
+`StabDescriptor.frame_of`): for the edge injections, the junction
+eigenpairs of the line amalgam and the check of every witness g_y.
+Matrices over F_q[t] are formed only for the printed generators, the
+witnesses g_y and the edge groups' elements, to order the elements, read
+an injected element's frame and check every relation.
 
 The infinite tail groups are never materialized; they are reported through
 their observed structure (torus type and the tower of unipotent dimensions

@@ -223,6 +223,22 @@ class TestStabOrbit:
         assert code == 0
         assert "equivalent=true" in out and "witness=" in out
 
+    @pytest.mark.parametrize("args", [
+        ["stab", "--vertex", "r=40;a=0"],
+        ["orbit", "--vertex", "r=40;a=0", "--vertex2", "r=40;a=1*s^-3"],
+    ])
+    def test_brute_force_cap_exits_2(self, args, capsys):
+        """The brute force would enumerate all 2^41 elements of Stab(v_40);
+        above the enumeration cap it refuses at once, before the first
+        candidate, with exit 2."""
+        t0 = time.perf_counter()
+        code, out, err = run_cli(args[:1] + ["--p", "2", "--level", "t"]
+                                 + args[1:] + ["--brute-force"], capsys)
+        assert time.perf_counter() - t0 < 5.0
+        assert (code, out) == (2, "")
+        assert err == ("error: brute force would enumerate %d elements of "
+                       "Stab(v_40), above the cap 100000\n" % 2 ** 41)
+
 
 class TestAmalgam:
     def test_text_output(self, capsys):

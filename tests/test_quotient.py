@@ -474,8 +474,8 @@ class TestFrameOrbits:
     @pytest.mark.parametrize("moved", [False, True])
     def test_orders_and_labels_in_the_frame(self, Q, moved):
         """Frame orders equal `Matrix2` orders on every generator, and the
-        residue-matrix labels equal the labels of the neighbors moved on
-        the ball."""
+        residue-matrix labels equal the labels of the neighbors moved by
+        `act`."""
         for c in Q.classes:
             stab = moved_descriptor(Q, c) if moved else c.stab
             assert_orders_agree(stab)
@@ -692,7 +692,7 @@ CENSUS_AMALGAM_CASES = ([case[:3] for case in CUSP_CASES] + [(3, "t^2", 10)]
 
 class TestFrameArithmetic:
     """Frame data against matrices: the residue-matrix labels against
-    moving each neighbor on the ball, frame orders against `Matrix2`
+    moving each neighbor with `act`, frame orders against `Matrix2`
     powers, and the frame product against the matrix product."""
 
     @pytest.fixture(params=CENSUS_AMALGAM_CASES,
