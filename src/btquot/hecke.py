@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 from .algebra import (AlgebraError, Polynomial, format_polynomial,
                       parse_polynomial)
-from .btree import Matrix2, act, invert_ball
+from .btree import BallVertex, Matrix2, act, invert_ball
 
 
 class HeckeError(ValueError):
@@ -609,32 +609,25 @@ class StabDescriptor:
                    len(self.extra)))
 
 
-def _orbit_linear_data(red_src, red_dst):
-    """Shared data for the condition N_D | (g_dst^{-1} s g_src)[2,1].
-
-    With W = g_dst^{-1} and (A, C) the first column of g_src, the entry is
-    alpha*(W21*A) + beta*(W22*C) + b*(W21*C) for triangular s, plus the
-    lower-row terms at level 0.  W is read off the adjugate of
-    g_dst = [[a, b], [c, d]]: W21 = -c/delta, W22 = a/delta with
-    delta = det g_dst in F_q*.
-    """
-    ga, gb, gc, gd = red_dst.g.entries()
-    delta_inv = (ga * gd - gb * gc).leading().inverse()
-    w21 = (-gc).scale(delta_inv)
-    w22 = ga.scale(delta_inv)
-    return w21, w22, red_src.g.a, red_src.g.c
-
-
 def _stab_solution(level, red_src, red_dst, stabilizer_mode):
     """Blocks and extras for {s : g_dst^{-1} s g_src in H_D}.
 
     In stabilizer mode red_src is red_dst and the result describes a group;
     otherwise the first solution found is returned as a witness.
+
+    The condition is N_D | (g_dst^{-1} s g_src)[2,1].  With W = adj(g_dst)
+    and (a, c) the first column of g_src, the entry of W s g_src is
+    alpha*(W21*a) + beta*(W22*c) + b*(W21*c) for triangular s, plus the
+    lower-row terms at level 0.  W = delta g_dst^{-1} with delta = det g_dst
+    a unit, so N_D divides the entry of W s g_src iff it divides that of
+    g_dst^{-1} s g_src, and delta is never computed: W21 = -c_dst and
+    W22 = a_dst.
     """
     field = level.field
     n = red_src.level_n
     modulus = level.modulus
-    w21, w22, a, c = _orbit_linear_data(red_src, red_dst)
+    w21, w22 = -red_dst.g.c, red_dst.g.a
+    a, c = red_src.g.a, red_src.g.c
     columns = _shifted_mod_vectors(w21 * c, modulus, n + 1)
     va = _poly_mod_vector(w21 * a, modulus)
     vc = _poly_mod_vector(w22 * c, modulus)
@@ -740,20 +733,28 @@ def _sandwich_data(red_src, red_dst):
 def stabilizer_brute_force(v, level, verify_action=False):
     """Enumerate Stab_{H_D}(v) through the ambient ray stabilizer; the
     congruence is tested on the lower-left entry alone before any full
-    matrix is assembled."""
+    matrix is assembled.
+
+    With `verify_action`, `act` checks once that the reduction g maps v to
+    v_n, and `ray_frame` that every s found fixes v_n; together they show
+    that each element g^-1 s g fixes v, without moving v again."""
     red = reduce_vertex(v)
+    n = red.level_n
+    if verify_action and act(red.g, v) != BallVertex.standard(v.field, n):
+        raise HeckeError("the reduction of %s does not map it to v_%d; "
+                         "reduction is inconsistent" % (v.to_text(), n))
     w, (pa, pb, pc, pd) = _sandwich_data(red, red)
     modulus = level.modulus
     out = []
-    for sa, sb, sc, sd in _ray_stab_tuples(v.field, red.level_n):
+    for sa, sb, sc, sd in _ray_stab_tuples(v.field, n):
         h21 = pa * sa + pb * sb + pc * sc + pd * sd
         if modulus.degree > 0 and not (h21 % modulus).is_zero():
             continue
-        h = w @ Matrix2(sa, sb, sc, sd) @ red.g
-        if verify_action and act(h, v) != v:
+        s = Matrix2(sa, sb, sc, sd)
+        if verify_action and ray_frame(s, n) is None:
             raise HeckeError("ambient stabilizer produced a non-fixing "
                              "element; reduction is inconsistent")
-        out.append(h)
+        out.append(w @ s @ red.g)
     return out
 
 

@@ -7,8 +7,12 @@ reduction of every vertex it has looked up and the class it found.
 The build runs a breadth-first search over orbit classes starting from the
 class of the base vertex: each class representative contributes its q+1 tree
 neighbors, the stabilizer partitions them into orbits (one quotient edge per
-orbit), and each orbit representative is located among the known classes of
-the same reduction level or opens a new class.  Classes and edges found at
+orbit), and each orbit representative is located among the known classes
+with its class key or opens a new class.  The key is read off the
+stabilizer, which a new class keeps: the order at reduction level 0, the
+level, the torus pairs and the unipotent dimension above it
+(`class_key`), so one congruence solve gives the key and the witness
+solves run only between classes that share it.  Classes and edges found at
 depth d are kept when the search is widened, so the output is a growing
 snapshot of the full quotient.
 
@@ -97,6 +101,24 @@ class CuspDescriptor:
     unipotent_tower: tuple
 
 
+def class_key(stab):
+    """The class key of the vertex of `stab`: equal on vertices of one
+    H_D-orbit, so a vertex can lie only in a class of its own key.
+
+    If w = h v with h in H_D, the frames g_v and g_w of the two vertices
+    give x = g_w h g_v^-1, which fixes v_n, and the stabilizers in the
+    frame satisfy S_w = x S_v x^-1.  For n >= 1, x is upper triangular
+    (Nagao), so the conjugation keeps the diagonal (alpha, beta) of each
+    element and maps the unipotent elements to unipotent ones: the torus
+    pairs and the unipotent dimension are invariants, and they fix the
+    order.  At n = 0, x ranges over GL2(F_q), which moves both, so the key
+    is the order alone.
+    """
+    if stab.level_n == 0:
+        return 0, stab.order
+    return stab.level_n, stab.torus_pairs(), stab.unipotent_dim()
+
+
 @dataclass
 class QuotientGraph:
     field: object
@@ -105,6 +127,7 @@ class QuotientGraph:
     classes: list = dc_field(default_factory=list)
     edges: list = dc_field(default_factory=list)
     cusps: list = dc_field(default_factory=list)
+    # class key -> ids of the classes with that key, in creation order
     buckets: dict = dc_field(default_factory=dict, repr=False)
     # vertex key -> (class id, h in H_D with act(h, v) = rep(class id))
     located: dict = dc_field(default_factory=dict, repr=False)
@@ -133,19 +156,26 @@ class QuotientGraph:
         """(class id, witness mapping v onto the class representative) for
         the known class containing v, or None when no class does.
 
-        Classes are distinct orbits, so at most one class of v's reduction
-        level has a witness; that class is the first one found.
+        The witness is sought only among the classes whose `class_key`
+        equals the key of Stab(v).  The key is a class invariant and
+        classes are distinct orbits, so at most one of them has a witness;
+        that class is the first one found.
         """
         found = self.located.get(v.key())
-        if found is not None:
-            return found
+        if found is None:
+            found, _ = self._search(v)
+        return found
+
+    def _search(self, v):
+        """(the `locate` result, Stab(v)) for a vertex not yet located."""
         red = self.reduction(v)
-        for cid in self.buckets.get(red.level_n, ()):
+        stab = stabilizer(v, self.level, reduction=red)
+        for cid in self.buckets.get(class_key(stab), ()):
             h = orbit_witness(self.level, red, self.classes[cid].reduction)
             if h is not None:
                 found = self.located[v.key()] = (cid, h)
-                return found
-        return None
+                return found, stab
+        return None, stab
 
     def neighbor_in_class(self, u, cid):
         """The first tree neighbor of u, in key order, lying in class cid,
@@ -158,16 +188,18 @@ class QuotientGraph:
 
     def _classify(self, v, layer):
         """The class id of v: located, or else a new class at `layer`
-        represented by v."""
-        found = self.locate(v)
+        represented by v, with the stabilizer the search computed."""
+        found = self.located.get(v.key())
+        if found is None:
+            found, stab = self._search(v)
         if found is not None:
             return found[0]
         red = self.reduction(v)
         cid = len(self.classes)
         self.classes.append(OrbitClass(
             id=cid, representative=v, level_n=red.level_n, layer=layer,
-            stab=stabilizer(v, self.level, reduction=red), reduction=red))
-        self.buckets.setdefault(red.level_n, []).append(cid)
+            stab=stab, reduction=red))
+        self.buckets.setdefault(class_key(stab), []).append(cid)
         self.located[v.key()] = (cid, Matrix2.identity(self.field))
         return cid
 
@@ -567,6 +599,7 @@ __all__ = [
     "QuotientError", "BoundError", "InconsistencyError", "SPLIT", "NONSPLIT",
     "INDETERMINATE",
     "Strand", "OrbitClass", "QuotientEdge", "CuspDescriptor",
-    "QuotientGraph", "build_quotient", "certify_cusps", "classify_splitness",
-    "extend_tail_inward", "export", "frame_orbits", "frame_fixers",
+    "QuotientGraph", "build_quotient", "certify_cusps", "class_key",
+    "classify_splitness", "extend_tail_inward", "export", "frame_orbits",
+    "frame_fixers",
 ]

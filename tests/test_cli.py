@@ -379,15 +379,29 @@ class TestErrors:
         assert code == 2 and out == "" and "q=10201" in err
 
 
-def test_console_script_entry_point():
-    """The subprocess does not inherit pytest's `pythonpath`, so it gets
-    the sources on PYTHONPATH, as an installed package would have them."""
+def _run_module(module, *args):
+    """`python -m module args` in a subprocess.  The subprocess does not
+    inherit pytest's `pythonpath`, so it gets the sources on PYTHONPATH,
+    as an installed package would have them."""
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "btquot.cli", "formula", "--p", "2",
-         "--level", "t"], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, "-m", module, *args], env=env,
+                          capture_output=True, text=True)
+
+
+def test_console_script_entry_point():
+    proc = _run_module("btquot.cli", "formula", "--p", "2", "--level", "t")
     assert proc.returncode == 0
     assert "c_HD=2" in proc.stdout
+
+
+def test_package_runs_as_a_module():
+    """`python -m btquot` is the command line, exit codes included."""
+    proc = _run_module("btquot", "formula", "--p", "2", "--level", "t")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == _run_module(
+        "btquot.cli", "formula", "--p", "2", "--level", "t").stdout
+    proc = _run_module("btquot", "formula", "--p", "4", "--level", "t")
+    assert proc.returncode == 2 and proc.stdout == ""

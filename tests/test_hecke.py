@@ -255,6 +255,19 @@ class TestBallNativeReduction:
                 [m.key() for m in ref.word], v
             assert red.g.key() == ref.g.key(), v
 
+    def test_determinant_is_the_sign_of_the_word(self, vertices):
+        """det g = (-1)^(number of I in the word): the translations have
+        determinant 1 and I has -1, and I is the only letter with a
+        nonzero lower-left entry.  So det g is a unit, which the orbit
+        solver leaves out of the adjugate of g."""
+        for v in vertices:
+            red = reduce_vertex(v)
+            inv = Matrix2.involution(v.field).key()
+            inversions = sum(m.key() == inv for m in red.word)
+            assert inversions == sum(1 for m in red.word if m.c), v
+            sign = v.field.neg(1) if inversions % 2 else 1
+            assert red.g.det() == Polynomial.constant(v.field, sign), v
+
 
 class TestSolveAffine:
     def test_unique_solution(self):
@@ -417,6 +430,47 @@ class TestStabilizer:
                         seen.add(nxt.key())
                         frontier.append(nxt)
             assert seen == {m.key() for m in sd.materialize()}
+
+
+class TestBruteForceCheck:
+    """`stabilizer_brute_force(..., verify_action=True)` moves the vertex
+    once, by its reduction, and checks each element in the frame."""
+
+    VERTICES = [(3, {1: 1, 2: 2}), (4, {-1: 1, 2: 2}), (2, {})]
+
+    @pytest.mark.parametrize("r,terms", VERTICES)
+    def test_one_act_per_run(self, monkeypatch, r, terms):
+        from btquot import hecke
+        calls = []
+
+        def counted(g, v):
+            calls.append(v)
+            return act(g, v)
+
+        monkeypatch.setattr(hecke, "act", counted)
+        lvl = parse_level("t", F3)
+        v = ball(F3, r, terms)
+        found = stabilizer_brute_force(v, lvl, verify_action=True)
+        assert calls == [v]
+        assert len(found) == stabilizer(v, lvl).order > 1
+        assert all(act(h, v) == v for h in found)
+
+    @pytest.mark.parametrize("r,terms", VERTICES)
+    def test_tampered_reduction_raises(self, monkeypatch, r, terms):
+        """A reduction g whose image of v is not v_n: g composed with the
+        translation by t^(n+1), which moves v_n."""
+        from btquot import hecke
+
+        def tampered(v):
+            red = reduce_vertex(v)
+            shift = Matrix2.translation(
+                Polynomial.t(F3).shift(red.level_n))
+            return ReductionResult(red.level_n, red.word, shift @ red.g)
+
+        monkeypatch.setattr(hecke, "reduce_vertex", tampered)
+        with pytest.raises(HeckeError, match="does not map it to v_"):
+            stabilizer_brute_force(ball(F3, r, terms), parse_level("t", F3),
+                                   verify_action=True)
 
 
 class TestOrbitEquivalence:

@@ -218,6 +218,64 @@ class TestLocate:
                 assert hits == [cid]
 
 
+KEY_FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 9: (3, 2)}
+KEY_DEPTHS = {2: 8, 3: 6, 4: 5, 5: 4, 9: 4}
+KEY_CASES = [(q, lvl) for q in KEY_FIELDS
+             for lvl in ("0", "t", "t^3", "t;t+1", "t^2;t+1")]
+
+
+class TestClassKey:
+    """`locate` tries witnesses only against the classes of the vertex's
+    class key, so the key must be equal on every vertex of a class, in
+    whichever frame its reduction gives, and the filtered search must find
+    what a scan of the whole reduction level finds."""
+
+    @pytest.fixture(scope="class", params=KEY_CASES,
+                    ids=["q%d-%s" % case for case in KEY_CASES])
+    def quotient(self, request):
+        q, lvl = request.param
+        field = FieldSpec(*KEY_FIELDS[q])
+        return build_quotient(parse_level(lvl, field), KEY_DEPTHS[q])
+
+    def test_key_is_a_class_invariant(self, quotient):
+        """On every neighbor of every expanded representative, and on the
+        representatives moved by [[1, 0], [N_D, 1]] in H_D, whose level-0
+        frames move the torus pairs and the unipotent dimension."""
+        from btquot.btree import act
+        from btquot.hecke import stabilizer
+        from btquot.quotient import class_key
+        Q = quotient
+        m = mover(Q)
+        seen = set()
+        for c in Q.classes:
+            key = class_key(c.stab)
+            moved = act(m, c.representative)
+            assert class_key(stabilizer(moved, Q.level)) == key
+            assert Q.locate(moved)[0] == c.id
+            if not c.expanded:
+                continue
+            for nb in c.representative.neighbors():
+                cid = Q.locate(nb)[0]
+                assert class_key(stabilizer(nb, Q.level)) == \
+                    class_key(Q.class_by_id(cid).stab)
+                seen.add(cid)
+        assert len(seen) > 1
+
+    def test_filtered_locate_equals_a_level_scan(self, quotient):
+        from btquot.hecke import orbit_witness
+        Q = quotient
+        for c in Q.classes:
+            if not c.expanded:
+                continue
+            for nb in c.representative.neighbors():
+                cid, h = Q.locate(nb)
+                red = Q.reduction(nb)
+                scan = [(d.id, orbit_witness(Q.level, red, d.reduction))
+                        for d in Q.classes if d.level_n == red.level_n]
+                assert [(i, w) for i, w in scan if w is not None] == \
+                    [(cid, h)]
+
+
 def cusp_census_text():
     """Every certified cusp of the `selftest.CUSP_CASES` levels, sorted by
     germ, with its chain, towers, splitness and maximal inward tail."""
