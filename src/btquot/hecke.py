@@ -21,6 +21,14 @@ torus terms as right-hand sides, decides every torus pair at once (plus one
 homogeneous solve at level 0) instead of a q^(n+3) enumeration.  The
 enumeration is kept (`brute_force=True` paths) as a correctness oracle,
 up to ENUMERATION_CAP elements.
+The solver works on packed-int vectors mod N_D, in three kernels.  The
+columns t^i*P mod N_D take one division, then a shift and a subtraction of
+top*N_D each (`_shifted_mod_vectors`).  The consistent torus pairs are
+every pair, one line alpha = mu*beta or none, read off the first nonzero
+reduced row beyond the rank (`_torus_blocks`).  The points of an F_q-span
+cost one vector add each, on tables of multiples (`_span_points`); the
+level-0 stabilizer walks at most ENUMERATION_CAP of them, and none when
+the lower-left entry vanishes on its kernel.
 A stabilizer element g^{-1} s g is F_q-linear in the frame data of s, so
 `StabDescriptor` forms each element as one combination, per entry, of
 products of the entries of g computed once per descriptor.  The way back,
@@ -137,7 +145,6 @@ def parse_level(text, field):
     for raw in t.split(";"):
         if not raw:
             raise HeckeError("empty level factor in %r" % text)
-        body, mult = raw, 1
         if "^" in raw:
             head, tail = raw.rsplit("^", 1)
             if tail.isdigit() and head:
@@ -145,14 +152,12 @@ def parse_level(text, field):
                 while stripped.startswith("(") and stripped.endswith(")"):
                     stripped = stripped[1:-1]
                 try:
-                    poly = parse_polynomial(stripped, field)
-                except AlgebraError:
-                    poly = None
-                if poly is not None:
-                    factors.append((poly, int(tail)))
+                    factors.append((parse_polynomial(stripped, field),
+                                    int(tail)))
                     continue
-        poly = parse_polynomial(body, field)
-        factors.append((poly, mult))
+                except AlgebraError:
+                    pass
+        factors.append((parse_polynomial(raw, field), 1))
     return Level(field, factors)
 
 
@@ -221,27 +226,37 @@ def reduce_vertex(v):
 # linear algebra over F_q
 
 
-def _residue_vector(rem, modulus):
-    """Packed coefficient vector of a residue mod modulus, length
-    deg(modulus)."""
-    return rem.packed_coeffs + (0,) * (modulus.degree - len(rem.packed_coeffs))
+def _vector_ops(field):
+    """The sum of two packed-int vectors and a packed int times one, as
+    tuples: one operation mod p or one table lookup per entry."""
+    if field.s == 1:
+        p = field.p
+        return (lambda u, v: tuple([(x + y) % p for x, y in zip(u, v)]),
+                lambda c, v: tuple([c * x % p for x in v]))
+    add, mul = field._add, field._mul
+    return (lambda u, v: tuple([add[x][y] for x, y in zip(u, v)]),
+            lambda c, v: tuple(map(mul[c].__getitem__, v)))
 
 
 def _poly_mod_vector(poly, modulus):
     """Packed coefficient vector of poly mod modulus, length deg(modulus)."""
-    return _residue_vector(poly % modulus, modulus)
+    rem = (poly % modulus).packed_coeffs
+    return rem + (0,) * (modulus.degree - len(rem))
 
 
 def _shifted_mod_vectors(poly, modulus, count):
-    """Packed coefficient vectors of t^i * poly mod modulus for i < count:
-    each residue is the previous one times t, reduced."""
-    rem = poly % modulus
-    out = []
-    for i in range(count):
-        if i:
-            rem = rem.shift(1) % modulus
-        out.append(_residue_vector(rem, modulus))
-    return out
+    """Packed coefficient vectors of t^i * poly mod modulus for i < count.
+    One division gives the first; the modulus is monic, so each later one
+    is the previous one shifted up a place, less its top coefficient times
+    the modulus."""
+    vadd, vscale = _vector_ops(modulus.field)
+    m = modulus.degree
+    low = tuple(map(modulus.field.neg, modulus.packed_coeffs[:m]))
+    out = [_poly_mod_vector(poly, modulus)]
+    while len(out) < count:
+        top, vec = m and out[-1][-1], ((0,) + out[-1])[:m]
+        out.append(vadd(vec, vscale(top, low)) if top else vec)
+    return out[:count]
 
 
 def _eliminate(rows, ncols, field):
@@ -260,7 +275,8 @@ def _eliminate(rows, ncols, field):
     basis of the kernel of the coefficient columns, as packed-int tuples.
     """
     nrows = len(rows)
-    add, mul, neg = field.add, field.mul, field.neg
+    vadd, vscale = _vector_ops(field)
+    neg = field.neg
     pivots = []
     for col in range(ncols):
         rank = len(pivots)
@@ -270,12 +286,10 @@ def _eliminate(rows, ncols, field):
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = field.inv(rows[rank][col])
-        rows[rank] = prow = [mul(x, inv) for x in rows[rank]]
+        rows[rank] = prow = vscale(field.inv(rows[rank][col]), rows[rank])
         for ri in range(nrows):
             if ri != rank and rows[ri][col]:
-                f = neg(rows[ri][col])
-                rows[ri] = [add(x, mul(f, y)) for x, y in zip(rows[ri], prow)]
+                rows[ri] = vadd(rows[ri], vscale(neg(rows[ri][col]), prow))
         pivots.append(col)
     kernel = []
     for fc in range(ncols):
@@ -317,49 +331,52 @@ def _torus_blocks(columns, va, vc, field, first_only):
     ((alpha, beta), particular, kernel) of packed ints; with `first_only`
     the first block alone.
 
-    One elimination of [columns | va | vc] decides every pair: the pair is
+    One elimination of [columns | va | vc] decides every pair: it is
     consistent iff alpha*ra + beta*rc vanishes beyond the rank, ra and rc
-    the reduced va and vc, and its particular solution is
-    -(alpha*ra + beta*rc) on the pivot rows.  Every block shares the kernel.
+    the reduced va and vc.  So every pair is, or the first nonzero row
+    (x, y) there leaves at most the line alpha = mu*beta, mu = -y/x, which
+    holds iff mu*ra + rc vanishes there.  The particular solution is
+    alpha*(-ra) + beta*(-rc) on the pivot rows.
     """
     ncols = len(columns)
     rows = [[col[i] for col in columns] + [x, y]
             for i, (x, y) in enumerate(zip(va, vc))]
     pivots, kernel = _eliminate(rows, ncols, field)
-    rank = len(pivots)
-    ra = [row[ncols] for row in rows]
-    rc = [row[ncols + 1] for row in rows]
     add, mul, neg = field.add, field.mul, field.neg
-    blocks = []
-    for ai in range(1, field.q):
-        for bi in range(1, field.q):
-            side = [add(mul(ai, x), mul(bi, y)) for x, y in zip(ra, rc)]
-            if any(side[rank:]):
-                continue
-            part = [0] * ncols
-            for col, x in zip(pivots, side):
-                part[col] = neg(x)
-            blocks.append(((ai, bi), tuple(part), kernel))
-            if first_only:
-                return blocks
-    return blocks
+    tail = [row[ncols:] for row in rows[len(pivots):] if any(row[ncols:])]
+    units = range(1, field.q)
+    if not tail:
+        pairs = [(ai, bi) for ai in units for bi in units]
+    else:
+        x, y = tail[0]
+        mu = x and y and neg(mul(y, field.inv(x)))
+        if not mu or any(add(mul(mu, x), y) for x, y in tail):
+            return []
+        pairs = [(ai, mul(ai, field.inv(mu))) for ai in units]
+    na, nc = [0] * ncols, [0] * ncols
+    for row, col in zip(rows, pivots):
+        na[col], nc[col] = neg(row[ncols]), neg(row[ncols + 1])
+    pairs = pairs[:1] if first_only else pairs
+    vadd, vscale = _vector_ops(field)
+    na = {ai: vscale(ai, na) for ai in {ai for ai, _ in pairs}}
+    nc = {bi: vscale(bi, nc) for bi in {bi for _, bi in pairs}}
+    return [((ai, bi), vadd(na[ai], nc[bi]), kernel) for ai, bi in pairs]
 
 
-def _span_points(basis, field):
-    """All F_q-combinations of the basis vectors as packed-int tuples,
-    deterministic order."""
+def _span_points(basis, field, origin=None):
+    """origin (zero by default) plus each F_q-combination of the basis
+    vectors, as packed-int tuples, in `itertools.product` order of the
+    coefficients: each point of the leading vectors' span plus each of a
+    table of multiples of the last, so one vector add per point."""
     if not basis:
-        yield tuple()
+        yield () if origin is None else origin
         return
-    add, mul = field.add, field.mul
-    basis = [tuple(map(field.packed, b)) for b in basis]
-    n = len(basis[0])
-    for coeffs in itertools.product(range(field.q), repeat=len(basis)):
-        vec = [0] * n
-        for c, b in zip(coeffs, basis):
-            if c:
-                vec = [add(x, mul(c, y)) for x, y in zip(vec, b)]
-        yield tuple(vec)
+    vadd, vscale = _vector_ops(field)
+    last = tuple(map(field.packed, basis[-1]))
+    table = [vscale(c, last) for c in range(field.q)]
+    for acc in _span_points(basis[:-1], field, origin or (0,) * len(last)):
+        for vec in table:
+            yield vadd(acc, vec)
 
 
 # ---------------------------------------------------------------------------
@@ -586,10 +603,9 @@ class StabDescriptor:
     def frames(self):
         """Frame data of every element, in `materialize` order: the
         triangular elements block by block, then the level-0 extras."""
-        f = self.field
         for (ai, bi), part, kb in self.blocks:
-            for vec in _span_points(kb, f):
-                yield ai, tuple(map(f.add, part, vec)) if vec else part, 0, bi
+            for vec in _span_points(kb, self.field, part):
+                yield ai, vec, 0, bi
         yield from self.extra
 
     def check_order(self, cap):
@@ -634,22 +650,22 @@ def _stab_solution(level, red_src, red_dst, stabilizer_mode):
     blocks = _torus_blocks(columns, va, vc, field, not stabilizer_mode)
     if blocks and not stabilizer_mode:
         return blocks, ()
-    extra = []
+    extra = ()
     if n == 0:
-        # ambient stabilizer is GL2(F_q); pick up solutions with s21 != 0
+        # ambient stabilizer is GL2(F_q): the solutions with s21 != 0, if any
         w22a = _poly_mod_vector(w22 * a, modulus)
         cols4 = [va, columns[0], w22a, vc]
         _, kernel4 = solve_affine(cols4, (0,) * modulus.degree, field)
+        kernel4 = kernel4 if any(vec[2] for vec in kernel4) else ()
+        if stabilizer_mode and field.q ** len(kernel4) > ENUMERATION_CAP:
+            raise SizeError("the level-0 stabilizer would walk %d points, "
+                            "above the cap %d"
+                            % (field.q ** len(kernel4), ENUMERATION_CAP))
         mul = field.mul
-        for vec in _span_points(kernel4, field):
-            if not vec:
-                continue
-            sa, sb, sc, sd = vec
-            if not sc or mul(sa, sd) == mul(sb, sc):
-                continue
-            extra.append((sa, (sb,), sc, sd))
-            if not stabilizer_mode:
-                return (), tuple(extra)
+        found = ((sa, (sb,), sc, sd) for sa, sb, sc, sd
+                 in (_span_points(kernel4, field) if kernel4 else ())
+                 if sc and mul(sa, sd) != mul(sb, sc))
+        extra = found if stabilizer_mode else itertools.islice(found, 1)
     return blocks, tuple(extra)
 
 
@@ -701,39 +717,34 @@ def _ray_stab_tuples(field, n):
         raise SizeError("brute force would enumerate %d elements of "
                         "Stab(v_%d), above the cap %d"
                         % (order, n, ENUMERATION_CAP))
-    const = {i: Polynomial.constant(field, i) for i in range(q)}
+    const = [Polynomial.constant(field, i) for i in range(q)]
     if n == 0:
-        for ai in range(field.q):
-            for bi in range(field.q):
-                for ci in range(field.q):
-                    for di in range(field.q):
-                        if field.mul(ai, di) != field.mul(bi, ci):
-                            yield (const[ai], const[bi], const[ci], const[di])
+        for ai, bi, ci, di in itertools.product(range(q), repeat=4):
+            if field.mul(ai, di) != field.mul(bi, ci):
+                yield const[ai], const[bi], const[ci], const[di]
         return
     zero = Polynomial.zero(field)
-    for ai in range(1, field.q):
-        for bi in range(1, field.q):
-            for packed in range(field.q ** (n + 1)):
-                v = packed
-                coeffs = []
-                for _ in range(n + 1):
-                    coeffs.append(v % field.q)
-                    v //= field.q
-                yield (const[ai], Polynomial(field, coeffs), zero, const[bi])
+    for ai, bi in itertools.product(range(1, q), repeat=2):
+        for digits in itertools.product(range(q), repeat=n + 1):
+            yield const[ai], Polynomial(field, digits[::-1]), zero, const[bi]
 
 
-def _sandwich_data(red_src, red_dst):
-    """Products turning the lower-left entry of g_dst^{-1} s g_src into the
-    linear combination pa*s_a + pb*s_b + pc*s_c + pd*s_d."""
+def _congruent_ray_elements(level, red_src, red_dst):
+    """The s of `_ray_stab_tuples` with g_dst^{-1} s g_src in H_D; the
+    lower-left entry of the product is linear in the entries of s, so the
+    congruence is tested before any matrix is assembled."""
     w = red_dst.g.inverse()
     ga, gc = red_src.g.a, red_src.g.c
-    return w, (w.c * ga, w.c * gc, w.d * ga, w.d * gc)
+    pa, pb, pc, pd = w.c * ga, w.c * gc, w.d * ga, w.d * gc
+    modulus = level.modulus
+    for sa, sb, sc, sd in _ray_stab_tuples(level.field, red_src.level_n):
+        if modulus.degree <= 0 or not (pa * sa + pb * sb + pc * sc
+                                       + pd * sd) % modulus:
+            yield Matrix2(sa, sb, sc, sd)
 
 
 def stabilizer_brute_force(v, level, verify_action=False):
-    """Enumerate Stab_{H_D}(v) through the ambient ray stabilizer; the
-    congruence is tested on the lower-left entry alone before any full
-    matrix is assembled.
+    """Enumerate Stab_{H_D}(v) through the ambient ray stabilizer.
 
     With `verify_action`, `act` checks once that the reduction g maps v to
     v_n, and `ray_frame` that every s found fixes v_n; together they show
@@ -743,14 +754,9 @@ def stabilizer_brute_force(v, level, verify_action=False):
     if verify_action and act(red.g, v) != BallVertex.standard(v.field, n):
         raise HeckeError("the reduction of %s does not map it to v_%d; "
                          "reduction is inconsistent" % (v.to_text(), n))
-    w, (pa, pb, pc, pd) = _sandwich_data(red, red)
-    modulus = level.modulus
+    w = red.g.inverse()
     out = []
-    for sa, sb, sc, sd in _ray_stab_tuples(v.field, n):
-        h21 = pa * sa + pb * sb + pc * sc + pd * sd
-        if modulus.degree > 0 and not (h21 % modulus).is_zero():
-            continue
-        s = Matrix2(sa, sb, sc, sd)
+    for s in _congruent_ray_elements(level, red, red):
         if verify_action and ray_frame(s, n) is None:
             raise HeckeError("ambient stabilizer produced a non-fixing "
                              "element; reduction is inconsistent")
@@ -764,14 +770,8 @@ def orbit_equivalent_brute_force(v, w, level):
     red_w = reduce_vertex(w)
     if red_v.level_n != red_w.level_n:
         return None
-    winv, (pa, pb, pc, pd) = _sandwich_data(red_v, red_w)
-    modulus = level.modulus
-    for sa, sb, sc, sd in _ray_stab_tuples(v.field, red_v.level_n):
-        h21 = pa * sa + pb * sb + pc * sc + pd * sd
-        if modulus.degree > 0 and not (h21 % modulus).is_zero():
-            continue
-        return winv @ Matrix2(sa, sb, sc, sd) @ red_v.g
-    return None
+    s = next(_congruent_ray_elements(level, red_v, red_w), None)
+    return None if s is None else red_w.g.inverse() @ s @ red_v.g
 
 
 __all__ = [

@@ -239,6 +239,19 @@ class TestStabOrbit:
         assert err == ("error: brute force would enumerate %d elements of "
                        "Stab(v_40), above the cap 100000\n" % 2 ** 41)
 
+    def test_level_zero_stabilizer_cap_exits_2(self, capsys):
+        """At q=31 and D=0 the stabilizer of the base vertex is all of
+        GL2(F_31), 892,800 elements.  The solver would walk the 31^4
+        points of its level-0 kernel; above the enumeration cap it refuses
+        before the first one, with exit 2."""
+        t0 = time.perf_counter()
+        code, out, err = run_cli(["stab", "--p", "31", "--level", "0",
+                                  "--vertex", "r=0;a=0"], capsys)
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, out) == (2, "")
+        assert err == ("error: the level-0 stabilizer would walk %d points, "
+                       "above the cap 100000\n" % 31 ** 4)
+
 
 class TestAmalgam:
     def test_text_output(self, capsys):

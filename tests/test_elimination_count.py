@@ -1,12 +1,13 @@
 """Call counts of the F_q elimination behind every orbit and stabilizer
 test: one per congruence system, plus one for the homogeneous system of
-level 0, however many torus pairs the system decides."""
+level 0, however many torus pairs the system decides; and of the
+divisions by N_D that set a system up."""
 
 import pytest
 
 from btquot import hecke
-from btquot.algebra import FieldSpec
-from btquot.btree import BallVertex
+from btquot.algebra import FieldSpec, Polynomial
+from btquot.btree import BallVertex, Matrix2, act
 from btquot.quotient import build_quotient
 
 
@@ -54,3 +55,34 @@ def test_stabilizer_counts_over_f9(counts):
     assert counts["eliminate"] == 1
     hecke.stabilizer(BallVertex.base(F9), level)
     assert counts["eliminate"] == 3 and counts["solve_affine"] == 1
+
+
+@pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (3, 2)])
+@pytest.mark.parametrize("n", [1, 4, 8, 12])
+def test_three_divisions_per_stabilizer(monkeypatch, p, s, n):
+    """A stabilizer at level n >= 1 divides by N_D three times: for the
+    first column and for the two torus terms.  Each later column
+    t^i * P mod N_D is the previous one shifted, less a multiple of the
+    monic N_D, so the count does not grow with n.  Checked on v_n and on
+    a vertex of level n whose reduction has c != 0."""
+    field = FieldSpec(p, s)
+    level = hecke.parse_level("t^3;t+1", field)
+    one, zero, t = (Polynomial.one(field), Polynomial.zero(field),
+                    Polynomial.t(field))
+    x = Matrix2(one, zero, t + one, one) @ Matrix2.translation(t)
+    v_n = BallVertex.standard(field, n)
+    reductions = [hecke.reduce_vertex(v) for v in (v_n, act(x, v_n))]
+    assert [red.level_n for red in reductions] == [n, n]
+    assert reductions[1].g.c
+    calls = []
+    divmod_ = Polynomial.__divmod__
+
+    def counted(a, b):
+        calls.append(b)
+        return divmod_(a, b)
+
+    monkeypatch.setattr(Polynomial, "__divmod__", counted)
+    for v, red in zip((v_n, act(x, v_n)), reductions):
+        del calls[:]
+        hecke.stabilizer(v, level, reduction=red)
+        assert len(calls) == 3

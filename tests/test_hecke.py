@@ -328,20 +328,129 @@ class TestSolveAffine:
                     expected[:1]
         assert all(seen.values()), seen
 
+    def test_torus_blocks_equal_full_side_reference(self):
+        """`_torus_blocks` reads the consistent pairs off the first nonzero
+        row beyond the rank; a reference that eliminates once and then
+        builds the whole side alpha*ra + beta*rc for every pair gives the
+        same blocks in the same order.  The seeded systems put (va, vc)
+        in the column span (every pair consistent), vc = lam*va modulo the
+        span with va outside it (a line), or both outside (none, or a line
+        by chance); each case occurs over every field, and `first_only`
+        keeps the first block."""
+        from btquot.hecke import _eliminate, _torus_blocks
+        rng = random.Random(26)
+
+        def reference(columns, va, vc, field):
+            ncols = len(columns)
+            rows = [[col[i] for col in columns] + [x, y]
+                    for i, (x, y) in enumerate(zip(va, vc))]
+            pivots, kernel = _eliminate(rows, ncols, field)
+            add, mul, neg = field.add, field.mul, field.neg
+            blocks = []
+            for ai in range(1, field.q):
+                for bi in range(1, field.q):
+                    side = [add(mul(ai, row[ncols]), mul(bi, row[ncols + 1]))
+                            for row in rows]
+                    if any(side[len(pivots):]):
+                        continue
+                    part = [0] * ncols
+                    for col, x in zip(pivots, side):
+                        part[col] = neg(x)
+                    blocks.append(((ai, bi), tuple(part), kernel))
+            tail = any(any(row[ncols:]) for row in rows[len(pivots):])
+            return blocks, tail
+
+        def combination(field, vectors, nrows):
+            out = [0] * nrows
+            for vec in vectors:
+                c = rng.randrange(field.q)
+                out = [field.add(x, field.mul(c, y)) for x, y in zip(out, vec)]
+            return out
+
+        for field in ORACLE_FIELDS:
+            seen = set()
+            for trial in range(60):
+                nrows, ncols = rng.randint(1, 5), rng.randint(1, 4)
+                columns = [[rng.randrange(field.q) for _ in range(nrows)]
+                           for _ in range(ncols)]
+                if trial % 3 == 0:
+                    # rank-deficient columns leave rows beyond the rank
+                    columns = [combination(field, columns[:1], nrows)
+                               for _ in columns]
+                va = [rng.randrange(field.q) for _ in range(nrows)]
+                vc = [rng.randrange(field.q) for _ in range(nrows)]
+                kind = trial % 4
+                if kind == 0:
+                    va = combination(field, columns, nrows)
+                    vc = combination(field, columns, nrows)
+                elif kind in (1, 2):
+                    lam = rng.randrange(1, field.q)
+                    vc = [field.add(field.mul(lam, x), y) for x, y in
+                          zip(va, combination(field, columns, nrows))]
+                expected, tail = reference(columns, va, vc, field)
+                seen.add("line" if tail and expected else
+                         "none" if tail else "every")
+                assert _torus_blocks(columns, va, vc, field, False) == \
+                    expected, (field, columns, va, vc)
+                assert _torus_blocks(columns, va, vc, field, True) == \
+                    expected[:1]
+            assert seen == {"every", "line", "none"}, (field, seen)
+
+    def test_span_points_equal_product_reference(self):
+        """`_span_points` walks tables of multiples with running partial
+        sums; its points equal the sums taken afresh for each coefficient
+        tuple of `itertools.product`, in that order, over F_2, F_3, F_4,
+        F_5 and F_9, for the empty basis, bases holding zero vectors, and
+        with an origin added."""
+        import itertools
+        from btquot.hecke import _span_points
+        rng = random.Random(27)
+
+        def reference(basis, field, origin):
+            for coeffs in itertools.product(range(field.q),
+                                            repeat=len(basis)):
+                vec = list(origin)
+                for c, b in zip(coeffs, basis):
+                    vec = [field.add(x, field.mul(c, y))
+                           for x, y in zip(vec, b)]
+                yield tuple(vec)
+
+        assert list(_span_points([], F3)) == [()]
+        assert list(_span_points([], F3, (1, 2))) == [(1, 2)]
+        for field in ORACLE_FIELDS:
+            for k in range(1, 5 if field.q < 9 else 4):
+                for _ in range(3):
+                    n = rng.randint(1, 4)
+                    basis = [tuple(rng.randrange(field.q) for _ in range(n))
+                             for _ in range(k)]
+                    basis[rng.randrange(k)] = (0,) * n
+                    origin = tuple(rng.randrange(field.q) for _ in range(n))
+                    assert list(_span_points(basis, field)) == list(
+                        reference(basis, field, (0,) * n))
+                    assert list(_span_points(basis, field, origin)) == list(
+                        reference(basis, field, origin))
+            # basis vectors given as field elements are read as packed ints
+            elems = [tuple(field.element(x) for x in b) for b in basis]
+            assert list(_span_points(elems, field)) == list(
+                _span_points(basis, field))
+
     def test_shifted_columns_equal_full_reduction(self):
         """The solver's columns t^i * P mod N_D, each from the previous
-        residue, equal the full product reduced from scratch."""
+        residue by a shift and one subtraction of a multiple of N_D, equal
+        the full product reduced from scratch, for counts from 0 to beyond
+        2 deg N_D."""
         from btquot.hecke import _poly_mod_vector, _shifted_mod_vectors
         rng = random.Random(24)
         for field in ORACLE_FIELDS:
-            for text in ("0", "t", "t^3", "t^2;t+1"):
+            for text in ("0", "t", "t^3", "t^2;t+1", "t^3;t+1"):
                 modulus = parse_level(text, field).modulus
-                for _ in range(5):
+                for count in (0, 1, modulus.degree + 1,
+                              2 * modulus.degree + 3):
                     p = Polynomial(field, [rng.randrange(field.q)
                                            for _ in range(rng.randint(0, 9))])
-                    assert _shifted_mod_vectors(p, modulus, 7) == [
+                    assert _shifted_mod_vectors(p, modulus, count) == [
                         _poly_mod_vector(p.shift(i), modulus)
-                        for i in range(7)]
+                        for i in range(count)]
 
 
 class TestStabilizer:
@@ -379,6 +488,23 @@ class TestStabilizer:
         sd = stabilizer(BallVertex.standard(F2, 6), lvl)
         with pytest.raises(SizeError):
             sd.materialize(cap=0)
+
+    def test_level_zero_kernel_cap(self):
+        """At D = 0 the level-0 system has no equations, so its kernel is
+        all of F_q^4.  At q = 31 that is above the enumeration cap, and the
+        stabilizer raises SizeError before walking it; witness mode is
+        never capped.  At D = t the lower-left entry vanishes on the whole
+        kernel, so there is nothing to walk: q = 47 answers, though its
+        47^3 kernel points are above the cap."""
+        F31, F47 = FieldSpec(31), FieldSpec(47)
+        base = BallVertex.base(F31)
+        with pytest.raises(SizeError, match="walk 923521 points"):
+            stabilizer(base, parse_level("0", F31))
+        v = ball(F31, 2, {1: 1})
+        h = orbit_equivalent(v, base, parse_level("0", F31))
+        assert h is not None and act(h, v) == base
+        sd = stabilizer(BallVertex.base(F47), parse_level("t", F47))
+        assert (sd.order, sd.extra) == (46 ** 2 * 47, ())
 
     def test_trivial_generators(self):
         # level 0, base vertex, level D = t^2: only scalars survive at q=2
