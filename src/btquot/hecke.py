@@ -21,14 +21,12 @@ torus terms as right-hand sides, decides every torus pair at once (plus one
 homogeneous solve at level 0) instead of a q^(n+3) enumeration.  The
 enumeration is kept (`brute_force=True` paths) as a correctness oracle,
 up to ENUMERATION_CAP elements.
-The solver works on packed-int vectors mod N_D, in three kernels.  The
-columns t^i*P mod N_D take one division, then a shift and a subtraction of
-top*N_D each (`_shifted_mod_vectors`).  The consistent torus pairs are
-every pair, one line alpha = mu*beta or none, read off the first nonzero
-reduced row beyond the rank (`_torus_blocks`).  The points of an F_q-span
-cost one vector add each, on tables of multiples (`_span_points`); the
-level-0 stabilizer walks at most ENUMERATION_CAP of them, and none when
-the lower-left entry vanishes on its kernel.
+The solver works on packed-int vectors mod N_D: each column t^i*P after
+the first is a shift less top*N_D (`_shifted_mod_vectors`); the torus
+pairs are all, one line alpha = mu*beta or none, read off the first
+nonzero reduced row past the rank (`_torus_blocks`); a span point is one
+vector add (`_span_points`), and a level-0 stabilizer walks at most
+ENUMERATION_CAP of them, none when s21 vanishes on its kernel.
 A stabilizer element g^{-1} s g is F_q-linear in the frame data of s, so
 `StabDescriptor` forms each element as one combination, per entry, of
 products of the entries of g computed once per descriptor.  The way back,
@@ -145,6 +143,7 @@ def parse_level(text, field):
     for raw in t.split(";"):
         if not raw:
             raise HeckeError("empty level factor in %r" % text)
+        body, mult = raw, 1
         if "^" in raw:
             head, tail = raw.rsplit("^", 1)
             if tail.isdigit() and head:
@@ -152,12 +151,14 @@ def parse_level(text, field):
                 while stripped.startswith("(") and stripped.endswith(")"):
                     stripped = stripped[1:-1]
                 try:
-                    factors.append((parse_polynomial(stripped, field),
-                                    int(tail)))
-                    continue
+                    poly = parse_polynomial(stripped, field)
                 except AlgebraError:
-                    pass
-        factors.append((parse_polynomial(raw, field), 1))
+                    poly = None
+                if poly is not None:
+                    factors.append((poly, int(tail)))
+                    continue
+        poly = parse_polynomial(body, field)
+        factors.append((poly, mult))
     return Level(field, factors)
 
 
@@ -245,10 +246,9 @@ def _poly_mod_vector(poly, modulus):
 
 
 def _shifted_mod_vectors(poly, modulus, count):
-    """Packed coefficient vectors of t^i * poly mod modulus for i < count.
-    One division gives the first; the modulus is monic, so each later one
-    is the previous one shifted up a place, less its top coefficient times
-    the modulus."""
+    """Packed coefficient vectors of t^i * poly mod modulus, i < count: one
+    division, then each the previous one shifted up, less its top
+    coefficient times the monic modulus."""
     vadd, vscale = _vector_ops(modulus.field)
     m = modulus.degree
     low = tuple(map(modulus.field.neg, modulus.packed_coeffs[:m]))
@@ -358,9 +358,9 @@ def _torus_blocks(columns, va, vc, field, first_only):
         na[col], nc[col] = neg(row[ncols]), neg(row[ncols + 1])
     pairs = pairs[:1] if first_only else pairs
     vadd, vscale = _vector_ops(field)
-    na = {ai: vscale(ai, na) for ai in {ai for ai, _ in pairs}}
-    nc = {bi: vscale(bi, nc) for bi in {bi for _, bi in pairs}}
-    return [((ai, bi), vadd(na[ai], nc[bi]), kernel) for ai, bi in pairs]
+    by_a = {ai: vscale(ai, na) for ai in {ai for ai, _ in pairs}}
+    by_c = {bi: vscale(bi, nc) for bi in {bi for _, bi in pairs}}
+    return [((ai, bi), vadd(by_a[ai], by_c[bi]), kernel) for ai, bi in pairs]
 
 
 def _span_points(basis, field, origin=None):
