@@ -121,8 +121,7 @@ class FieldSpec:
     fixed monic irreducible modulus of degree s over F_p.
 
     Besides the `FieldElement` handles (`element`, `zero`, `one`), the
-    field does arithmetic on packed ints: `add`, `neg`, `mul`, `inv`, and
-    on tuples of them (`vector_ops`).
+    field does arithmetic on packed ints: `add`, `neg`, `mul`, `inv`.
     """
 
     def __init__(self, p, s=1, modulus=None):
@@ -196,18 +195,6 @@ class FieldSpec:
         if not a:
             raise AlgebraError("inversion of zero")
         return pow(a, self.p - 2, self.p) if self.s == 1 else self._inv[a]
-
-    def vector_ops(self):
-        """(vadd, vscale) on tuples of packed ints: the sum of two vectors
-        and a packed int times a vector, one operation mod p or one table
-        lookup per entry."""
-        if self.s == 1:
-            p = self.p
-            return (lambda u, v: tuple([(x + y) % p for x, y in zip(u, v)]),
-                    lambda c, v: tuple([c * x % p for x in v]))
-        add, mul = self._add, self._mul
-        return (lambda u, v: tuple([add[x][y] for x, y in zip(u, v)]),
-                lambda c, v: tuple(map(mul[c].__getitem__, v)))
 
     # -- element handles ------------------------------------------------------
 

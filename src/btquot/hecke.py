@@ -227,6 +227,18 @@ def reduce_vertex(v):
 # linear algebra over F_q
 
 
+def _vector_ops(field):
+    """The sum of two packed-int vectors and a packed int times one, as
+    tuples: one operation mod p or one table lookup per entry."""
+    if field.s == 1:
+        p = field.p
+        return (lambda u, v: tuple([(x + y) % p for x, y in zip(u, v)]),
+                lambda c, v: tuple([c * x % p for x in v]))
+    add, mul = field._add, field._mul
+    return (lambda u, v: tuple([add[x][y] for x, y in zip(u, v)]),
+            lambda c, v: tuple(map(mul[c].__getitem__, v)))
+
+
 def _poly_mod_vector(poly, modulus):
     """Packed coefficient vector of poly mod modulus, length deg(modulus)."""
     rem = (poly % modulus).packed_coeffs
@@ -237,7 +249,7 @@ def _shifted_mod_vectors(poly, modulus, count):
     """Packed coefficient vectors of t^i * poly mod modulus, i < count: one
     division, then each the previous one shifted up, less its top
     coefficient times the monic modulus."""
-    vadd, vscale = modulus.field.vector_ops()
+    vadd, vscale = _vector_ops(modulus.field)
     m = modulus.degree
     low = tuple(map(modulus.field.neg, modulus.packed_coeffs[:m]))
     out = [_poly_mod_vector(poly, modulus)]
@@ -263,7 +275,7 @@ def _eliminate(rows, ncols, field):
     basis of the kernel of the coefficient columns, as packed-int tuples.
     """
     nrows = len(rows)
-    vadd, vscale = field.vector_ops()
+    vadd, vscale = _vector_ops(field)
     neg = field.neg
     pivots = []
     for col in range(ncols):
@@ -345,7 +357,7 @@ def _torus_blocks(columns, va, vc, field, first_only):
     for row, col in zip(rows, pivots):
         na[col], nc[col] = neg(row[ncols]), neg(row[ncols + 1])
     pairs = pairs[:1] if first_only else pairs
-    vadd, vscale = field.vector_ops()
+    vadd, vscale = _vector_ops(field)
     by_a = {ai: vscale(ai, na) for ai in {ai for ai, _ in pairs}}
     by_c = {bi: vscale(bi, nc) for bi in {bi for _, bi in pairs}}
     return [((ai, bi), vadd(by_a[ai], by_c[bi]), kernel) for ai, bi in pairs]
@@ -359,7 +371,7 @@ def _span_points(basis, field, origin=None):
     if not basis:
         yield () if origin is None else origin
         return
-    vadd, vscale = field.vector_ops()
+    vadd, vscale = _vector_ops(field)
     last = tuple(map(field.packed, basis[-1]))
     table = [vscale(c, last) for c in range(field.q)]
     for acc in _span_points(basis[:-1], field, origin or (0,) * len(last)):

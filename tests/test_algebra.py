@@ -190,18 +190,6 @@ class TestPackedArithmetic:
                 assert x.inverse().to_int() == ref.inverse(a)
                 assert (x ** -3).to_int() == ref.power(ref.inverse(a), 3)
 
-    @pytest.mark.parametrize("field", ALL_FIELDS, ids=repr)
-    def test_vector_ops_equal_entrywise_arithmetic(self, field):
-        """`vector_ops` adds and scales tuples of packed ints entry by
-        entry, as `add` and `mul` do one entry at a time."""
-        vadd, vscale = field.vector_ops()
-        vals = range(field.q)
-        u, v = tuple(vals), tuple(reversed(vals))
-        assert vadd(u, v) == tuple(map(field.add, u, v))
-        assert vadd((), ()) == ()
-        for c in vals:
-            assert vscale(c, u) == tuple(field.mul(c, x) for x in u)
-
     def test_polynomial_key_is_the_packed_coefficients(self):
         rng = random.Random(11)
         for field in ALL_FIELDS:
