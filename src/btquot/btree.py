@@ -83,7 +83,10 @@ class BallVertex:
             f, terms + ((self.r, c),), self.r + 1)) for c in range(f.q)]
 
     def neighbors(self):
-        """Parent followed by the q children; exactly q+1 vertices."""
+        """Parent followed by the q children in digit order; exactly q+1
+        vertices.  This is ascending `key()` order, which callers rely on:
+        the parent has the smaller radius exponent, and the children share
+        the center up to their last digit (a zero digit leaves it out)."""
         return [self.parent()] + self.children()
 
     def __eq__(self, other):

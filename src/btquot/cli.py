@@ -221,16 +221,14 @@ def _cmd_stab(args):
              "torus_pairs=%s" % (sorted(sd.torus_pairs()),)]
     for i, g in enumerate(sd.generators()):
         lines.append("gen%d=%r" % (i, g))
+    agree = True
     if args.brute_force:
         bf = stabilizer_brute_force(v, level, verify_action=True)
         agree = len(bf) == sd.order
         lines.append("brute_force_order=%d agree=%s"
                      % (len(bf), str(agree).lower()))
-        if not agree:
-            _write_output(args, "\n".join(lines) + "\n")
-            return EXIT_INCONSISTENT
     _write_output(args, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return EXIT_OK if agree else EXIT_INCONSISTENT
 
 
 def _cmd_orbit(args):
@@ -242,15 +240,13 @@ def _cmd_orbit(args):
     lines = ["equivalent=%s" % ("false" if h is None else "true")]
     if h is not None:
         lines.append("witness=%r" % h)
+    agree = True
     if args.brute_force:
         slow = orbit_equivalent_brute_force(v, w, level)
         agree = (slow is None) == (h is None)
         lines.append("brute_force_agree=%s" % str(agree).lower())
-        if not agree:
-            _write_output(args, "\n".join(lines) + "\n")
-            return EXIT_INCONSISTENT
     _write_output(args, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return EXIT_OK if agree else EXIT_INCONSISTENT
 
 
 def _cmd_amalgam(args):

@@ -57,6 +57,11 @@ class SizeError(HeckeError):
 # ambient stabilizer the brute-force oracles search
 ENUMERATION_CAP = 100000
 
+# the most unknowns b_0..b_n a congruence solve takes: its kernel basis costs
+# O(n^2) time and memory, so a vertex at level n >= SOLVE_UNKNOWNS_CAP is
+# refused before any column is built
+SOLVE_UNKNOWNS_CAP = 4096
+
 
 # ---------------------------------------------------------------------------
 # levels
@@ -641,6 +646,9 @@ def _stab_solution(level, red_src, red_dst, stabilizer_mode):
     """
     field = level.field
     n = red_src.level_n
+    if n + 1 > SOLVE_UNKNOWNS_CAP:
+        raise SizeError("the congruence solve at level %d has %d unknowns, "
+                        "above the cap %d" % (n, n + 1, SOLVE_UNKNOWNS_CAP))
     modulus = level.modulus
     w21, w22 = -red_dst.g.c, red_dst.g.a
     a, c = red_src.g.a, red_src.g.c

@@ -27,8 +27,7 @@ from itertools import groupby
 
 from .btree import Matrix2
 from .hecke import StabDescriptor, orbit_witness, ray_frame
-from .quotient import (SPLIT, InconsistencyError, extend_tail_inward,
-                       frame_fixers, frame_orbits)
+from .quotient import SPLIT, InconsistencyError, frame_fixers, frame_orbits
 
 
 class PresentationError(ValueError):
@@ -143,7 +142,7 @@ class GraphOfGroups:
 
 
 def _maximal_tails(Q):
-    tails = [tuple(extend_tail_inward(Q, cusp)) for cusp in Q.cusps]
+    tails = [cusp.tail for cusp in Q.cusps]
     seen = {}
     for idx, tail in enumerate(tails):
         for cid in tail:
@@ -286,7 +285,7 @@ def _other_strand_lifts(Q, lifts, vertex_stabs, edge, tree_carries_one):
     """
     side = edge.src if Q.class_by_id(edge.src).expanded else edge.dst
     other = edge.dst if side == edge.src else edge.src
-    neighbors = sorted(lifts[side].neighbors(), key=lambda x: x.key())
+    neighbors = lifts[side].neighbors()
     orbits = frame_orbits(vertex_stabs[side], neighbors)
     pairs = []
     tree_used = None

@@ -30,12 +30,14 @@ reduced mod pi.  The neighbors of v are the lines of F_q^2, the parent
 v_n on the line k l, so no neighbor is moved and `act` is not called.  The
 orbits are then read off the solver's blocks over F_q.
 
-Cusp certification walks each boundary-directed chain of valency-2 classes
-and checks, on `window` consecutive classes, that each stabilizer fixes the
-neighbor in the next class, acts transitively on the q remaining neighbors,
-and grows by a factor of exactly q per step.  These are properties of a
-class, so they are read from the orbits and stabilizer orders the build
-recorded for its representative.
+Cusp certification walks inward once from each boundary class whose only
+edge has multiplicity 1, under one step rule: the stabilizer of the inner
+class fixes the neighbor in the outer class, acts transitively on the q
+remaining neighbors, and has 1/q the order of the outer stabilizer.  These
+are properties of a class, so they are read from the orbits and stabilizer
+orders the build recorded for its representative.  A cusp is certified
+after `window` passing steps; the walk goes on while the step holds, and
+the classes it passed are stored on the cusp as its maximal tail.
 """
 
 from __future__ import annotations
@@ -99,6 +101,7 @@ class CuspDescriptor:
     stab_tower: tuple    # stabilizer orders along the certified ray
     chain: tuple         # class ids, innermost certified vertex first
     unipotent_tower: tuple
+    tail: tuple          # class ids of the maximal tail, innermost first
 
 
 def class_key(stab):
@@ -180,7 +183,7 @@ class QuotientGraph:
     def neighbor_in_class(self, u, cid):
         """The first tree neighbor of u, in key order, lying in class cid,
         or None."""
-        for nb in sorted(u.neighbors(), key=lambda x: x.key()):
+        for nb in u.neighbors():
             found = self.locate(nb)
             if found is not None and found[0] == cid:
                 return nb
@@ -204,8 +207,7 @@ class QuotientGraph:
         return cid
 
     def _expand(self, cls):
-        neighbors = sorted(cls.representative.neighbors(),
-                           key=lambda u: u.key())
+        neighbors = cls.representative.neighbors()
         for orbit in frame_orbits(cls.stab, neighbors):
             cls.strands.append(Strand(
                 orbit_size=len(orbit),
@@ -401,69 +403,66 @@ def _aggregate_edges(classes, q):
 # cusp certification
 
 
-def _certify_chain(Q, chain, window):
-    """Certify the outermost `window` steps of a class chain (inner first).
+def _certified_step(Q, inner, outer):
+    """Whether the step from class `inner` out to class `outer` holds:
+    Stab(inner) fixes the neighbor in `outer` and is transitive on the q
+    others, and |Stab(outer)| = q |Stab(inner)|.
 
-    Returns (tower, unipotent_tower) or None.  Step k checks, on the classes
-    u_k, u_{k+1} of the chain, that Stab(u_k) fixes the neighbor in u_{k+1}
-    and is transitive on the q others, and that |Stab(u_{k+1})| = q
-    |Stab(u_k)|.  Stab(h u) = h Stab(u) h^-1, so all three are read off the
-    build's strands of u_k: the strands must be one size-1 orbit into
-    u_{k+1} and one size-q orbit elsewhere.  The size-1 strand is the fixed
-    neighbor because it is the only strand into u_{k+1}: `_aggregate_edges`
-    gives an edge one unit of multiplicity per strand, and the chain walk
-    takes only edges of multiplicity 1.  An unexpanded class has no strands
-    and never certifies.
+    Stab(h u) = h Stab(u) h^-1, so all three are read off the build's
+    strands of `inner`: they must be one size-1 orbit into `outer` and one
+    size-q orbit elsewhere.  An unexpanded class has no strands and never
+    passes.  `_aggregate_edges` gives an edge one unit of multiplicity per
+    strand, so a passing step leaves `inner` with exactly two neighbor
+    classes, `outer` and the class of the size-q strand, each joined by an
+    edge of multiplicity 1: the step is the whole valency-2 chain test.
     """
     q = Q.field.q
-    classes = [Q.class_by_id(cid) for cid in chain]
-    for cls, nxt in zip(classes[:window], classes[1:]):
-        if nxt.stab.order != q * cls.stab.order:
-            return None
-        if sorted((st.orbit_size, st.dst == nxt.id)
-                  for st in cls.strands) != [(1, True), (q, False)]:
-            return None
-    return (tuple(c.stab.order for c in classes),
-            tuple(c.stab.unipotent_dim() for c in classes))
+    return (outer.stab.order == q * inner.stab.order
+            and sorted((st.orbit_size, st.dst == outer.id)
+                       for st in inner.strands) == [(1, True), (q, False)])
 
 
 def certify_cusps(Q, window=3):
-    """One certified cusp descriptor per boundary-directed valency-2 chain
-    passing the nesting/transitivity/ratio checks on `window` steps."""
+    """One certified cusp descriptor per boundary class whose only edge has
+    multiplicity 1 and whose inward walk passes `window` steps.
+
+    The walk steps from the boundary class to its one neighbor and then,
+    while `_certified_step` holds, on to the class of the size-q strand.
+    Each step divides the stabilizer order by q, so the walk ends and never
+    meets a class twice.  The descriptor's chain is the `window` + 1
+    outermost classes, its towers are read off them, and its tail is every
+    class the walk passed, innermost first.
+    """
     if window < 2:
         raise BoundError("window must be >= 2")
     if Q.depth < window + 2:
         raise BoundError("depth %d too small for window %d (need >= %d)"
                          % (Q.depth, window, window + 2))
+    q = Q.field.q
     adj = Q.adjacency()
     cusps = []
-    boundary = [c for c in Q.classes if not c.expanded]
-    for b in sorted(boundary, key=lambda c: c.id):
-        inc = adj[b.id]
-        if len(inc) != 1 or inc[0][1] != 1:
+    for b in Q.classes:
+        if b.expanded or len(adj[b.id]) != 1 or adj[b.id][0][1] != 1:
             continue
-        chain = [b.id, inc[0][0]]
-        ok = True
-        while len(chain) < window + 1:
-            cur, prev = chain[-1], chain[-2]
-            nbrs = [(cid, m) for cid, m in adj[cur] if cid != prev]
-            if len(nbrs) != 1 or nbrs[0][1] != 1 or len(adj[cur]) != 2:
-                ok = False
-                break
-            chain.append(nbrs[0][0])
-        if not ok:
+        walk = [b]
+        inner = Q.class_by_id(adj[b.id][0][0])
+        while _certified_step(Q, inner, walk[-1]):
+            walk.append(inner)
+            inner = Q.class_by_id(next(st.dst for st in inner.strands
+                                       if st.orbit_size == q))
+        if len(walk) <= window:
             continue
-        chain.reverse()  # innermost certified vertex first
-        res = _certify_chain(Q, chain, window)
-        if res is None:
-            continue
-        tower, unipotent = res
-        desc = CuspDescriptor(germ=(chain[0], chain[1]),
+        tail = tuple(c.id for c in reversed(walk))
+        chain = tail[-window - 1:]
+        classes = walk[window::-1]
+        desc = CuspDescriptor(germ=chain[:2],
                               certified_depth=window,
                               splitness=INDETERMINATE,
-                              stab_tower=tower,
-                              chain=tuple(chain),
-                              unipotent_tower=unipotent)
+                              stab_tower=tuple(c.stab.order for c in classes),
+                              chain=chain,
+                              unipotent_tower=tuple(c.stab.unipotent_dim()
+                                                    for c in classes),
+                              tail=tail)
         desc.splitness = classify_splitness(desc, Q)
         cusps.append(desc)
     Q.cusps = cusps
@@ -477,26 +476,6 @@ def classify_splitness(cusp, Q):
         return INDETERMINATE
     outer = Q.class_by_id(cusp.chain[-1])
     return SPLIT if outer.stab.has_distinct_torus_block() else NONSPLIT
-
-
-def extend_tail_inward(Q, cusp):
-    """Largest certified prefix of the cuspidal ray, walking inward from the
-    certified germ while the nesting/transitivity/ratio conditions persist.
-
-    Returns the class ids of the maximal tail, innermost first.
-    """
-    adj = Q.adjacency()
-    chain = list(cusp.chain)
-    while True:
-        inner = chain[0]
-        candidates = [cid for cid, _ in adj[inner] if cid != chain[1]]
-        if len(candidates) != 1 or candidates[0] in chain:
-            break
-        trial = [candidates[0]] + chain
-        if _certify_chain(Q, trial[:3], 1) is None:
-            break
-        chain = trial
-    return tuple(chain)
 
 
 # ---------------------------------------------------------------------------
@@ -600,6 +579,5 @@ __all__ = [
     "INDETERMINATE",
     "Strand", "OrbitClass", "QuotientEdge", "CuspDescriptor",
     "QuotientGraph", "build_quotient", "certify_cusps", "class_key",
-    "classify_splitness", "extend_tail_inward", "export", "frame_orbits",
-    "frame_fixers",
+    "classify_splitness", "export", "frame_orbits", "frame_fixers",
 ]

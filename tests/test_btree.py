@@ -114,6 +114,15 @@ class TestNeighbors:
         v = ball(F2, 2, {1: 1})  # B_{1/t}^{|2|}
         assert v.parent() == ball(F2, 1, {})
 
+    @pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
+                                     (2, 3), (3, 2)])
+    def test_listed_in_key_order(self, p, s):
+        field = FieldSpec(p, s)
+        rng = random.Random(1000 * p + s)
+        for _ in range(40):
+            nbs = rand_vertex(field, rng, rmin=-8, rmax=12).neighbors()
+            assert nbs == sorted(nbs, key=lambda u: u.key())
+
 
 class TestDistance:
     def test_self(self):

@@ -252,6 +252,26 @@ class TestStabOrbit:
         assert err == ("error: the level-0 stabilizer would walk %d points, "
                        "above the cap 100000\n" % 31 ** 4)
 
+    @pytest.mark.parametrize("r", [-99999999, -4096])
+    def test_deep_level_solve_cap_exits_2(self, r, capsys):
+        """The congruence solve at level n takes n+1 unknowns and a kernel
+        basis of O(n^2) entries; past the cap it refuses before building
+        a column, with exit 2, where the reduction alone answers at
+        once."""
+        t0 = time.perf_counter()
+        code, out, err = run_cli(["stab", "--p", "2", "--level", "t",
+                                  "--vertex", "r=%d;a=0" % r], capsys)
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, out) == (2, "")
+        assert err == ("error: the congruence solve at level %d has %d "
+                       "unknowns, above the cap 4096\n" % (-r, 1 - r))
+
+    def test_deep_level_below_the_cap_answers(self, capsys):
+        code, out, err = run_cli(["stab", "--p", "2", "--level", "t",
+                                  "--vertex", "r=-4000;a=0"], capsys)
+        assert (code, err) == (0, "")
+        assert "order=%d" % 2 ** 4001 in out.splitlines()
+
 
 class TestAmalgam:
     def test_text_output(self, capsys):

@@ -6,8 +6,8 @@ import pytest
 from btquot.algebra import FieldSpec
 from btquot.hecke import parse_level
 from btquot.quotient import (INDETERMINATE, NONSPLIT, SPLIT, BoundError,
-                             QuotientError, build_quotient, certify_cusps,
-                             classify_splitness, export, extend_tail_inward)
+                             QuotientError, _certified_step, build_quotient,
+                             certify_cusps, classify_splitness, export)
 from btquot.selftest import CUSP_CASES
 
 F2 = FieldSpec(2)
@@ -104,7 +104,7 @@ class TestCertify:
 
     def test_tails_extend_to_cover_the_line(self):
         Q = build(F2, "t", 10)
-        tails = [extend_tail_inward(Q, c) for c in Q.cusps]
+        tails = [c.tail for c in Q.cusps]
         ids = set(tails[0]) | set(tails[1])
         assert not (set(tails[0]) & set(tails[1]))
         assert len(ids) == len(Q.classes)
@@ -289,8 +289,7 @@ def cusp_census_text():
             lines.append("  germ=%r chain=%r stab_tower=%r "
                          "unipotent_tower=%r split=%s tail=%r"
                          % (c.germ, c.chain, c.stab_tower,
-                            c.unipotent_tower, c.splitness,
-                            extend_tail_inward(Q, c)))
+                            c.unipotent_tower, c.splitness, c.tail))
     return "\n".join(lines) + "\n"
 
 
@@ -370,6 +369,17 @@ def certify_by_lifting(Q, chain, window, start):
             tuple(s.unipotent_dim() for s in stabs), lifted)
 
 
+def certify_by_steps(Q, chain, window):
+    """`_certified_step` on the first `window` steps of `chain` (inner
+    first): (tower, unipotent_tower) of the whole chain, or None."""
+    classes = [Q.class_by_id(cid) for cid in chain]
+    if not all(_certified_step(Q, inner, outer)
+               for inner, outer in zip(classes[:window], classes[1:])):
+        return None
+    return (tuple(c.stab.order for c in classes),
+            tuple(c.stab.unipotent_dim() for c in classes))
+
+
 ORACLE_CASES = [(2, "t", 10), (3, "t^2", 10), (3, "t^3", 12)]
 
 
@@ -394,10 +404,9 @@ class TestCertifyOracle:
         return act(mover(Q), rep) if moved else rep
 
     def check(self, Q, chain, window, moved):
-        """Assert the reference agrees with `_certify_chain` on `chain`;
+        """Assert the reference agrees with `certify_by_steps` on `chain`;
         return the reference result."""
-        from btquot.quotient import _certify_chain
-        ours = _certify_chain(Q, chain, window)
+        ours = certify_by_steps(Q, chain, window)
         ref = certify_by_lifting(Q, chain, window,
                                  self.start(Q, chain[0], moved))
         assert (ours is None) == (ref is None), chain
@@ -427,7 +436,7 @@ class TestCertifyOracle:
     def test_agrees_on_every_tail_window(self, Q, moved):
         off_rep = False
         for cusp in Q.cusps:
-            tail = extend_tail_inward(Q, cusp)
+            tail = cusp.tail
             for i in range(len(tail) - 2):
                 window = tail[i:i + 3]
                 ref = self.check(Q, window, 1, moved)
@@ -440,7 +449,7 @@ class TestCertifyOracle:
         adj = Q.adjacency()
         stops = 0
         for cusp in Q.cusps:
-            tail = extend_tail_inward(Q, cusp)
+            tail = cusp.tail
             candidates = [cid for cid, _ in adj[tail[0]] if cid != tail[1]]
             if len(candidates) != 1 or candidates[0] in tail:
                 continue
@@ -449,6 +458,99 @@ class TestCertifyOracle:
                 Q, trial, 1, self.start(Q, trial[0], moved)) is None
             stops += 1
         assert stops
+
+
+def window_check(Q, chain, window):
+    """The window check on the first `window` steps of `chain` (inner
+    first): each next stabilizer is q times larger, and each class's
+    strands are one size-1 orbit into the next class and one size-q orbit
+    elsewhere.  (tower, unipotent_tower) of the whole chain, or None."""
+    q = Q.field.q
+    classes = [Q.class_by_id(cid) for cid in chain]
+    for cls, nxt in zip(classes[:window], classes[1:]):
+        if nxt.stab.order != q * cls.stab.order:
+            return None
+        if sorted((st.orbit_size, st.dst == nxt.id)
+                  for st in cls.strands) != [(1, True), (q, False)]:
+            return None
+    return (tuple(c.stab.order for c in classes),
+            tuple(c.stab.unipotent_dim() for c in classes))
+
+
+def two_walk_cusps(Q, window=3):
+    """Reference certification in two walks: a structural walk from each
+    boundary class along valency-2 classes joined by edges of multiplicity
+    1, the window check on its `window` + 1 classes, then a second walk
+    inward while the window check on the next one step passes.  Returns
+    (germ, chain, stab_tower, unipotent_tower, splitness, tail) per cusp."""
+    from types import SimpleNamespace
+    adj = Q.adjacency()
+    out = []
+    for b in Q.classes:
+        inc = adj[b.id]
+        if b.expanded or len(inc) != 1 or inc[0][1] != 1:
+            continue
+        chain = [b.id, inc[0][0]]
+        while len(chain) < window + 1:
+            cur, prev = chain[-1], chain[-2]
+            nbrs = [(cid, m) for cid, m in adj[cur] if cid != prev]
+            if len(nbrs) != 1 or nbrs[0][1] != 1 or len(adj[cur]) != 2:
+                break
+            chain.append(nbrs[0][0])
+        if len(chain) < window + 1:
+            continue
+        chain.reverse()
+        towers = window_check(Q, chain, window)
+        if towers is None:
+            continue
+        tail = list(chain)
+        while True:
+            candidates = [cid for cid, _ in adj[tail[0]] if cid != tail[1]]
+            if len(candidates) != 1 or candidates[0] in tail \
+                    or window_check(Q, candidates + tail[:2], 1) is None:
+                break
+            tail.insert(0, candidates[0])
+        split = classify_splitness(SimpleNamespace(chain=chain), Q)
+        out.append((tuple(chain[:2]), tuple(chain)) + towers
+                   + (split, tuple(tail)))
+    return out
+
+
+TWO_WALK_CASES = list(dict.fromkeys(
+    [case[:3] for case in CUSP_CASES] + ORACLE_CASES
+    + [(3, "t^3;(t+1)^3", 14), (2, "0", 10), (9, "t", 8)]))
+
+
+@pytest.mark.parametrize("q,lvl,depth", TWO_WALK_CASES,
+                         ids=["q%d-%s-%d" % case for case in TWO_WALK_CASES])
+def test_one_walk_equals_two_walks(q, lvl, depth):
+    """The single inward walk certifies the cusps of the two-walk
+    reference, with the same germ, chain, towers, splitness and tail."""
+    from btquot.selftest import _build
+    Q = _build(q, lvl, depth)
+    assert Q.cusps
+    assert [(c.germ, c.chain, c.stab_tower, c.unipotent_tower, c.splitness,
+             c.tail) for c in Q.cusps] == two_walk_cusps(Q)
+
+
+def test_adjacency_built_once_per_certification(monkeypatch):
+    """`certify_cusps` builds the class adjacency once, and the graph of
+    groups reads the tails off the cusps without building it."""
+    from btquot.presentation import build_graph_of_groups
+    from btquot.quotient import QuotientGraph
+    calls = []
+    adjacency = QuotientGraph.adjacency
+
+    def counted(self):
+        calls.append(self)
+        return adjacency(self)
+
+    Q = build_quotient(parse_level("t^3", F2), 12)
+    monkeypatch.setattr(QuotientGraph, "adjacency", counted)
+    assert len(certify_cusps(Q, 3)) == 4
+    assert calls == [Q]
+    build_graph_of_groups(Q)
+    assert calls == [Q]
 
 
 FRAME_CASES = [(2, "t", 6), (3, "t^2", 6), (2, "t^3", 8), (4, "t", 4),
