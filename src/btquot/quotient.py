@@ -452,9 +452,8 @@ def certify_cusps(Q, window=3):
                                        if st.orbit_size == q))
         if len(walk) <= window:
             continue
-        tail = tuple(c.id for c in reversed(walk))
-        chain = tail[-window - 1:]
         classes = walk[window::-1]
+        chain = tuple(c.id for c in classes)
         desc = CuspDescriptor(germ=chain[:2],
                               certified_depth=window,
                               splitness=INDETERMINATE,
@@ -462,7 +461,7 @@ def certify_cusps(Q, window=3):
                               chain=chain,
                               unipotent_tower=tuple(c.stab.unipotent_dim()
                                                     for c in classes),
-                              tail=tail)
+                              tail=tuple(c.id for c in reversed(walk)))
         desc.splitness = classify_splitness(desc, Q)
         cusps.append(desc)
     Q.cusps = cusps
