@@ -16,7 +16,7 @@ import sys
 from .algebra import AlgebraError, FieldSpec, parse_polynomial
 from .btree import BallVertex, TreeError
 from .formulas import PicardData, cusp_count, formula_report
-from .hecke import (HeckeError, orbit_equivalent,
+from .hecke import (HeckeError, HeckeInconsistency, orbit_equivalent,
                     orbit_equivalent_brute_force, parse_level, reduce_vertex,
                     stabilizer, stabilizer_brute_force)
 from .presentation import (build_graph_of_groups, emit_presentation,
@@ -289,7 +289,7 @@ def main(argv=None):
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return _DISPATCH[args.command](args)
-    except InconsistencyError as exc:
+    except (InconsistencyError, HeckeInconsistency) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_INCONSISTENT
     except (AlgebraError, HeckeError, TreeError, ValueError, OSError) as exc:

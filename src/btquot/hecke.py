@@ -37,6 +37,7 @@ of GL2(R) through it in the frame of the descriptor's vertex.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -51,6 +52,11 @@ class HeckeError(ValueError):
 
 class SizeError(HeckeError):
     pass
+
+
+class HeckeInconsistency(HeckeError):
+    """Computed stabilizer data contradict each other: an internal error,
+    not bad input."""
 
 
 # the most elements an enumeration lists: a materialized stabilizer or the
@@ -410,6 +416,48 @@ def ray_frame(s, n):
             c[0] if c else 0, d[0] if d else 0)
 
 
+@functools.lru_cache(maxsize=32)
+def _primitive_element(field):
+    """The least packed int of multiplicative order q - 1: it generates
+    F_q*."""
+    q = field.q
+    for w in range(1, q):
+        x, order = w, 1
+        while x != 1:
+            x, order = field.mul(x, w), order + 1
+        if order == q - 1:
+            return w
+    raise HeckeInconsistency("F_%d* has no generator" % q)
+
+
+def moebius(field, m, x):
+    """Image of the point x of P^1(F_q), a packed int or None for infinity,
+    under the Moebius map of the F_q matrix m = (a, b, c, d) of packed ints:
+    x goes to (a x + b) / (c x + d).  A frame element with frame data
+    (a, b, c, d) moves the neighbor labels by (a, b[n], c, d), b[n] the
+    t^n coefficient of b."""
+    a, b, c, d = m
+    add, mul = field.add, field.mul
+    if x is None:
+        return mul(a, field.inv(c)) if c else None
+    den = add(mul(c, x), d)
+    return mul(add(mul(a, x), b), field.inv(den)) if den else None
+
+
+def moebius_orbit(field, maps, x):
+    """The orbit of the point x under the group the Moebius maps `maps`
+    generate: its closure under them, the group being finite."""
+    orbit, frontier = {x}, [x]
+    while frontier:
+        y = frontier.pop()
+        for m in maps:
+            z = moebius(field, m, y)
+            if z not in orbit:
+                orbit.add(z)
+                frontier.append(z)
+    return orbit
+
+
 def _generates_field(field, values):
     """Whether the packed ints `values` generate F_q as a field over F_p,
     that is, lie in no proper subfield F_{p^k}, k | s, whose elements are
@@ -472,11 +520,40 @@ class StabDescriptor:
         return self._order
 
     def unipotent_dim(self):
-        """F_q-dimension of the (1,1)-block solution space."""
-        for tp, part, kb in self.blocks:
-            if tp == (1, 1):
-                return len(kb)
-        return 0
+        """log_q of the order of the largest normal unipotent subgroup, an
+        invariant of the class of the vertex.
+
+        Without level-0 extras the group S in the frame is triangular and
+        that subgroup is the (1,1) block, of F_q-dimension len(kernel).
+        With extras: a nontrivial normal p-subgroup fixes exactly one point
+        of P^1(F_q), which S permutes and so fixes too.  Unless the
+        generators fix exactly one point, the value is 0; if they do, S
+        lies in the Borel subgroup of that point, which is not infinity,
+        its unipotent elements are the subgroup, and they are the identity
+        and the extras of trace 2 and determinant 1."""
+        if not self.extra:
+            for tp, part, kb in self.blocks:
+                if tp == (1, 1):
+                    return len(kb)
+            return 0
+        f = self.field
+        add, mul, neg = f.add, f.mul, f.neg
+        maps = [(a, b[0], c, d) for a, b, c, d in self.generator_frames()]
+        fixed = [x for x in [None, *range(f.q)]
+                 if all(moebius(f, m, x) == x for m in maps)]
+        if len(fixed) != 1:
+            return 0
+        count = 1 + sum(add(a, d) == add(1, 1)
+                        and add(mul(a, d), neg(mul(b[0], c))) == 1
+                        for a, b, c, d in self.extra)
+        dim, size = 0, 1
+        while size < count:
+            dim, size = dim + 1, size * f.q
+        if size != count:
+            raise HeckeInconsistency(
+                "the unipotent subgroup of a level-0 stabilizer has order "
+                "%d, not a power of q = %d" % (count, f.q))
+        return dim
 
     def has_distinct_torus_block(self):
         return any(tp[0] != tp[1] for tp, _, _ in self.blocks)
@@ -585,19 +662,64 @@ class StabDescriptor:
             w = f.mul(w, omega)
         return basis
 
+    def _torus_lifts(self):
+        """Frame data of lifts of generators of the torus pairs: the
+        particular elements of the blocks (omega, 1) and (1, omega) when
+        the pairs are all of (F_q*)^2, of (omega, omega) when they are the
+        scalar line, omega the least generator of F_q*; none at q = 2.
+        The solver gives all pairs, one line alpha = mu beta or none, and
+        the identity forces mu = 1, so any other pair set is an
+        inconsistency."""
+        f = self.field
+        units = range(1, f.q)
+        parts = {tp: part for tp, part, _ in self.blocks}
+        w = _primitive_element(f)
+        if parts.keys() == {(ai, bi) for ai in units for bi in units}:
+            pairs = ((w, 1), (1, w))
+        elif parts.keys() == {(ai, ai) for ai in units}:
+            pairs = ((w, w),)
+        else:
+            raise HeckeInconsistency(
+                "the torus pairs %r of a stabilizer are neither all of "
+                "(F_q*)^2 nor the scalar line" % (sorted(parts),))
+        return [(ai, parts[ai, bi], 0, bi) for ai, bi in pairs
+                if (ai, bi) != (1, 1)]
+
+    def _extra_generators(self, frames):
+        """The level-0 extras, in order, that grow the orbit of infinity
+        under the group the frames and the extras kept so far generate.
+
+        The frames generate the triangular part B_S = S n B(F_q), so an
+        extra x lies in their group H iff x.inf = h.inf for some h in H,
+        h^-1 x then lying in B_S.  |H| = |H.inf| |B_S|, so the walk stops
+        once the orbit has order / |B_S| points; no product is formed."""
+        f = self.field
+        maps = [(a, b[0], c, d) for a, b, c, d in frames]
+        triangular = self.order - len(self.extra)
+        orbit, kept = {None}, []
+        for x in self.extra:
+            if len(orbit) * triangular == self.order:
+                break
+            a, b, c, d = x
+            if moebius(f, (a, b[0], c, d), None) not in orbit:
+                kept.append(x)
+                maps.append((a, b[0], c, d))
+                orbit = moebius_orbit(f, maps, None)
+        if len(orbit) * triangular != self.order:
+            raise HeckeInconsistency(
+                "the level-0 extras reach %d points from infinity, not the "
+                "%d/%d of a group" % (len(orbit), self.order, triangular))
+        return kept
+
     def generator_frames(self):
-        """Frame data of a generating set, in `generators` order: each
-        torus block's particular element (the identity left out), after the
-        first one an F_p-basis of the unipotent space all blocks share, and
-        the level-0 extras."""
-        frames = []
-        for k, ((ai, bi), part, _) in enumerate(self.blocks):
-            if (ai, bi) != (1, 1) or any(part):
-                frames.append((ai, part, 0, bi))
-            if k == 0:
-                frames.extend((1, vec, 0, 1)
-                              for vec in self._unipotent_basis())
-        frames.extend(self.extra)
+        """Frame data of a small generating set, in `generators` order: at
+        most two torus lifts (`_torus_lifts`), an F_p-basis of the
+        unipotent space all blocks share, and the level-0 extras that the
+        group these generate lacks (`_extra_generators`)."""
+        frames = self._torus_lifts()
+        frames += [(1, vec, 0, 1) for vec in self._unipotent_basis()]
+        if self.extra:
+            frames += self._extra_generators(frames)
         return frames
 
     def generators(self):
@@ -696,8 +818,42 @@ def orbit_witness(level, red_src, red_dst):
         frame = extra[0]
     else:
         return None
-    return (red_dst.g.inverse() @ _frame_matrix(level.field, frame)
-            @ red_src.g)
+    return _witness(level.field, red_dst.g, frame, red_src.g)
+
+
+def _witness(field, g_dst, frame, g_src):
+    """g_dst^-1 s g_src for the frame data (a, b, c, d) of s.  With
+    g_dst = [[A, B], [C, D]], g_src = [[E, F], [G, H]] and
+    delta = det g_dst, a constant and so A(0) D(0) - B(0) C(0), it is
+    delta^-1 adj(g_dst) s g_src, linear in a, b, c, d:
+
+        (1,1) = a DE + b DG - c BE - d BG
+        (1,2) = a DF + b DH - c BF - d BH
+        (2,1) = -a CE - b CG + c AE + d AG
+        (2,2) = -a CF - b CH + c AF + d AH
+
+    so each entry is one combination of the products its nonzero
+    coefficients need, b_i contributing t^i times its product."""
+    A, B, C, D = g_dst.entries()
+    E, F, G, H = g_src.entries()
+    mul, neg = field.mul, field.neg
+    A0, B0, C0, D0 = (x.packed_coeffs[0] if x else 0 for x in (A, B, C, D))
+    delta_inv = field.inv(field.add(mul(A0, D0), neg(mul(B0, C0))))
+    a, bvec, c, d = frame
+    nB, nC = -B, -C
+    # the (coefficient, power of t) terms of a, c, b and d, each with the
+    # column of adj(g_dst) and the row of g_src its products take
+    groups = (([(a, 0)], D, nC, E, F), ([(c, 0)], nB, A, E, F),
+              (list(zip(bvec, range(len(bvec)))), D, nC, G, H),
+              ([(d, 0)], nB, A, G, H))
+    entries = ([], [], [], [])
+    for terms, top, low, left, right in groups:
+        terms = [(mul(x, delta_inv), i) for x, i in terms if x]
+        if terms:
+            for out, prod in zip(entries, (top * left, top * right,
+                                           low * left, low * right)):
+                out.extend((x, i, prod) for x, i in terms)
+    return Matrix2(*(Polynomial.combination(field, out) for out in entries))
 
 
 def orbit_equivalent(v, w, level):
@@ -783,8 +939,10 @@ def orbit_equivalent_brute_force(v, w, level):
 
 
 __all__ = [
-    "HeckeError", "SizeError", "Level", "parse_level", "is_member",
+    "HeckeError", "SizeError", "HeckeInconsistency", "Level", "parse_level",
+    "is_member",
     "ReductionResult", "reduce_vertex", "ray_frame", "StabDescriptor",
     "stabilizer", "orbit_witness", "orbit_equivalent", "solve_affine",
-    "stabilizer_brute_force", "orbit_equivalent_brute_force",
+    "stabilizer_brute_force", "orbit_equivalent_brute_force", "moebius",
+    "moebius_orbit",
 ]

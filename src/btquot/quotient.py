@@ -46,7 +46,8 @@ import json
 from dataclasses import dataclass, field as dc_field
 
 from .btree import BallVertex, Matrix2
-from .hecke import orbit_witness, reduce_vertex, stabilizer
+from .hecke import (moebius, moebius_orbit, orbit_witness, reduce_vertex,
+                    stabilizer)
 
 
 class QuotientError(ValueError):
@@ -293,19 +294,6 @@ def _frame_labels(stab, neighbors):
     return labels
 
 
-def _moebius(field, m, x):
-    """Image of the label x under the F_q matrix m = (a, b, c, d), labels
-    and entries packed ints.  A frame element with frame data
-    (a, b, c, d) moves the labels by (a, b[n], c, d), b[n] the t^n
-    coefficient of b."""
-    a, b, c, d = m
-    add, mul = field.add, field.mul
-    if x is None:
-        return mul(a, field.inv(c)) if c else None
-    den = add(mul(c, x), d)
-    return mul(add(mul(a, x), b), field.inv(den)) if den else None
-
-
 def frame_orbits(stab, neighbors):
     """Partition `neighbors`, the q+1 tree neighbors of the vertex of
     `stab`, into Stab-orbits: sorted index lists, ordered by least index.
@@ -331,20 +319,11 @@ def frame_orbits(stab, neighbors):
     gens.discard((1, 0, 0, 1))
     orbits = []
     assigned = set()
-    for start in range(len(labels)):
-        if start in assigned:
-            continue
-        orbit = {start}
-        frontier = [labels[start]]
-        while frontier:
-            x = frontier.pop()
-            for m in gens:
-                j = index[_moebius(field, m, x)]
-                if j not in orbit:
-                    orbit.add(j)
-                    frontier.append(labels[j])
-        assigned |= orbit
-        orbits.append(sorted(orbit))
+    for start, x in enumerate(labels):
+        if start not in assigned:
+            orbit = sorted(index[y] for y in moebius_orbit(field, gens, x))
+            assigned.update(orbit)
+            orbits.append(orbit)
     return orbits
 
 
@@ -355,7 +334,7 @@ def frame_fixers(stab, w):
     (x,) = _frame_labels(stab, [w])
     n, field = stab.level_n, stab.field
     return [fr for fr in stab.frames()
-            if _moebius(field, (fr[0], fr[1][n], fr[2], fr[3]), x) == x]
+            if moebius(field, (fr[0], fr[1][n], fr[2], fr[3]), x) == x]
 
 
 def build_quotient(level, depth):

@@ -209,6 +209,20 @@ class TestStabOrbit:
         assert code == 0
         assert "order=4" in out and "agree=true" in out
 
+    def test_stab_lists_a_small_generating_set(self, capsys):
+        """The class-0 representative of q=9, D=t moved by [[1, 0], [t, 1]]
+        has a Borel subgroup of GL2(F_9), of order 576, in its own frame:
+        two torus lifts and one level-0 extra generate it, and its normal
+        unipotent subgroup has order 9."""
+        code, out, _ = run_cli(
+            ["stab", "--p", "3", "--s", "2", "--level", "t", "--vertex",
+             "r=2;a=1*s^1", "--brute-force"], capsys)
+        lines = out.splitlines()
+        assert code == 0 and "agree=true" in out
+        assert "order=576" in lines and "unipotent_dim=1" in lines
+        assert [ln.split("=")[0] for ln in lines if ln.startswith("gen")] \
+            == ["gen0", "gen1", "gen2"]
+
     def test_orbit_negative(self, capsys):
         code, out, _ = run_cli(
             ["orbit", "--p", "2", "--level", "t", "--vertex", "r=1;a=0",

@@ -643,3 +643,80 @@ class TestOrbitEquivalence:
         lvl = parse_level("t", F2)
         assert orbit_equivalent(BallVertex.standard(F2, 1),
                                 BallVertex.standard(F2, 2), lvl) is None
+
+
+class TestGeneratingSet:
+    def test_witness_is_the_matrix_product(self):
+        """`orbit_witness` forms g_dst^-1 s g_src as one combination per
+        entry: the same matrix as the product of the three, on triangular
+        witnesses and on level-0 ones with c != 0."""
+        from btquot.hecke import _frame_matrix, _stab_solution, orbit_witness
+        rng = random.Random(41)
+        lower = 0
+        for field in ORACLE_FIELDS:
+            one, t = Polynomial.one(field), Polynomial.t(field)
+            for lvl_text in ("0", "t", "t^2"):
+                lvl = parse_level(lvl_text, field)
+                # the base vertex moved by [[1, 0], [N_D, 1]] in H_D needs
+                # a witness with c != 0 at D = t
+                low = t if lvl.is_zero() else lvl.modulus
+                pairs = [(BallVertex.base(field),
+                          Matrix2(one, Polynomial.zero(field), low, one))]
+                for _ in range(8):
+                    r = rng.randint(-2, 4)
+                    pairs.append((ball(field, r, {
+                        e: rng.randrange(field.q) for e in range(r - 3, r)}),
+                        rand_member(field, lvl, rng)))
+                for v, h in pairs:
+                    w = act(h, v)
+                    red_v, red_w = reduce_vertex(v), reduce_vertex(w)
+                    blocks, extra = _stab_solution(lvl, red_v, red_w, False)
+                    if blocks:
+                        (ai, bi), part, _ = blocks[0]
+                        frame = (ai, part, 0, bi)
+                    else:
+                        frame = extra[0]
+                        lower += 1
+                    assert orbit_witness(lvl, red_v, red_w) == \
+                        red_w.g.inverse() @ _frame_matrix(field, frame) \
+                        @ red_v.g
+        assert lower
+
+    def test_level_zero_extras_need_no_products(self, monkeypatch):
+        """At D = 0 the extras are most of GL2(F_17); the kept ones are
+        chosen by the orbit of infinity, with no `frame_product` call."""
+        from btquot.hecke import StabDescriptor
+        sd = stabilizer(BallVertex.base(FieldSpec(17)),
+                        parse_level("0", FieldSpec(17)))
+        calls = []
+        product = StabDescriptor.frame_product
+
+        def counted(self, x, y):
+            calls.append(1)
+            return product(self, x, y)
+
+        monkeypatch.setattr(StabDescriptor, "frame_product", counted)
+        gens = sd.generator_frames()
+        assert calls == []
+        assert len(gens) == 4 and sum(1 for fr in gens if fr[2]) == 1
+        assert sd.unipotent_dim() == 0
+
+    def test_doctored_torus_pairs_are_an_inconsistency(self, monkeypatch):
+        """Torus pairs that are neither all of (F_q*)^2 nor the scalar line
+        cannot come from the solver: `generator_frames` raises, and `stab`
+        exits 3."""
+        from btquot import hecke
+        from btquot.cli import main
+        from btquot.hecke import HeckeInconsistency, StabDescriptor
+        v = BallVertex.standard(F3, 2)
+        sd = stabilizer(v, parse_level("t", F3))
+        assert len(sd.blocks) == 4
+        half = StabDescriptor(v, sd.conjugator, sd.level_n, sd.level,
+                              sd.blocks[:2], ())
+        with pytest.raises(HeckeInconsistency, match="torus pairs"):
+            half.generator_frames()
+        blocks = hecke._torus_blocks
+        monkeypatch.setattr(hecke, "_torus_blocks",
+                            lambda *args: blocks(*args)[:2])
+        assert main(["stab", "--p", "3", "--level", "t",
+                     "--vertex", "r=-2;a=0"]) == 3
