@@ -33,6 +33,12 @@ products of the entries of g computed once per descriptor.  The way back,
 from a matrix to frame data, is `ray_frame`, which also decides whether
 the matrix lies in Stab(v_n); `StabDescriptor.frame_of` reads an element
 of GL2(R) through it in the frame of the descriptor's vertex.
+A stabilizer is generated by at most two torus lifts, the F_p-basis of
+its unipotent space and, at level 0, the extras that grow the orbit of
+infinity on P^1(F_q) (`StabDescriptor.generator_frames`): no group is
+closed to pick them.  An orbit witness g_dst^{-1} s g_src is one
+combination per entry too, of products of the entries of adj(g_dst) and
+g_src.
 """
 
 from __future__ import annotations
@@ -420,14 +426,13 @@ def ray_frame(s, n):
 def _primitive_element(field):
     """The least packed int of multiplicative order q - 1: it generates
     F_q*."""
-    q = field.q
-    for w in range(1, q):
-        x, order = w, 1
+    def order(w):
+        x, k = w, 1
         while x != 1:
-            x, order = field.mul(x, w), order + 1
-        if order == q - 1:
-            return w
-    raise HeckeInconsistency("F_%d* has no generator" % q)
+            x, k = field.mul(x, w), k + 1
+        return k
+
+    return next(w for w in range(1, field.q) if order(w) == field.q - 1)
 
 
 def moebius(field, m, x):
@@ -689,10 +694,11 @@ class StabDescriptor:
         """The level-0 extras, in order, that grow the orbit of infinity
         under the group the frames and the extras kept so far generate.
 
-        The frames generate the triangular part B_S = S n B(F_q), so an
-        extra x lies in their group H iff x.inf = h.inf for some h in H,
-        h^-1 x then lying in B_S.  |H| = |H.inf| |B_S|, so the walk stops
-        once the orbit has order / |B_S| points; no product is formed."""
+        The frames generate the triangular part B_S of the group S, its
+        elements that fix infinity, so an extra x lies in their group H
+        iff x.inf = h.inf for some h in H, h^-1 x then lying in B_S.
+        |H| = |H.inf| |B_S|, so the walk stops once the orbit has
+        order / |B_S| points; no product is formed."""
         f = self.field
         maps = [(a, b[0], c, d) for a, b, c, d in frames]
         triangular = self.order - len(self.extra)
@@ -712,10 +718,11 @@ class StabDescriptor:
         return kept
 
     def generator_frames(self):
-        """Frame data of a small generating set, in `generators` order: at
-        most two torus lifts (`_torus_lifts`), an F_p-basis of the
-        unipotent space all blocks share, and the level-0 extras that the
-        group these generate lacks (`_extra_generators`)."""
+        """Frame data of a small generating set, in `generators` order,
+        pairwise distinct and none the identity: at most two torus lifts
+        (`_torus_lifts`), an F_p-basis of the unipotent space all blocks
+        share, and the level-0 extras that the group these generate lacks
+        (`_extra_generators`)."""
         frames = self._torus_lifts()
         frames += [(1, vec, 0, 1) for vec in self._unipotent_basis()]
         if self.extra:
@@ -844,7 +851,7 @@ def _witness(field, g_dst, frame, g_src):
     # the (coefficient, power of t) terms of a, c, b and d, each with the
     # column of adj(g_dst) and the row of g_src its products take
     groups = (([(a, 0)], D, nC, E, F), ([(c, 0)], nB, A, E, F),
-              (list(zip(bvec, range(len(bvec)))), D, nC, G, H),
+              ([(x, i) for i, x in enumerate(bvec)], D, nC, G, H),
               ([(d, 0)], nB, A, G, H))
     entries = ([], [], [], [])
     for terms, top, low, left, right in groups:
@@ -940,9 +947,8 @@ def orbit_equivalent_brute_force(v, w, level):
 
 __all__ = [
     "HeckeError", "SizeError", "HeckeInconsistency", "Level", "parse_level",
-    "is_member",
-    "ReductionResult", "reduce_vertex", "ray_frame", "StabDescriptor",
-    "stabilizer", "orbit_witness", "orbit_equivalent", "solve_affine",
-    "stabilizer_brute_force", "orbit_equivalent_brute_force", "moebius",
-    "moebius_orbit",
+    "is_member", "ReductionResult", "reduce_vertex", "ray_frame",
+    "StabDescriptor", "stabilizer", "orbit_witness", "orbit_equivalent",
+    "solve_affine", "stabilizer_brute_force", "orbit_equivalent_brute_force",
+    "moebius", "moebius_orbit",
 ]

@@ -416,10 +416,10 @@ def emit_presentation(G):
 
     Relations: generator orders, one identification per tree-edge-group
     generator (the same matrix written in both endpoint groups), and the
-    conjugation relation through g_y for every non-tree edge.  Generators
-    are deduplicated and their orders read off their frames, edge group
-    generators are picked by closures in the frame, and words are found
-    by products of frames.  The image of an edge generator c, c on a tree
+    conjugation relation through g_y for every non-tree edge.  The
+    generators of a vertex group are its `generator_frames`, their orders
+    read off their frames, edge group generators are picked by closures in
+    the frame, and words are found by products of frames.  The image of an edge generator c, c on a tree
     edge and g_y^-1 c g_y on a non-tree edge, is read as a frame of the
     target with `frame_of`; None means it does not fix the target lift.
     Every relation is then evaluated by matrix arithmetic over F_q[t] and
@@ -433,14 +433,9 @@ def emit_presentation(G):
     relations = []
     for cid in G.finite_classes:
         stab = G.vertex_stabs[cid]
-        ident = stab.identity_frame()
-        frames, names = [], []
-        for fr in stab.generator_frames():
-            if fr == ident or fr in frames:
-                continue
-            name = "v%d_g%d" % (cid, len(frames))
-            frames.append(fr)
-            names.append(name)
+        frames = stab.generator_frames()
+        names = ["v%d_g%d" % (cid, k) for k in range(len(frames))]
+        for fr, name in zip(frames, names):
             all_named[name] = g = stab.element(fr)
             gen_names.append((name, g))
             relations.append(((name, stab.frame_order(fr)),))

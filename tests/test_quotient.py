@@ -679,7 +679,7 @@ class TestFrameOrbits:
         """Each element formed linearly from its frame data equals
         g^-1 s g by matrix products: every generator, and every element
         of `materialize()` on classes of order at most 300, else its
-        first 300 elements; the generators include every level-0 extra."""
+        first 300 elements."""
         import itertools
         from btquot.hecke import _frame_matrix
         for c in Q.classes:
@@ -916,10 +916,13 @@ def generated_order(stab, gens):
 
 
 def assert_small_generating_set(stab):
-    """The generator frames generate a group of order `stab.order`, with at
-    most two torus lifts beside the unipotent basis and the kept extras,
-    each kept extra at least doubling the orbit of infinity."""
+    """The generator frames are distinct, none the identity, and generate
+    a group of order `stab.order`, with at most two torus lifts beside the
+    unipotent basis and the kept extras, each kept extra at least doubling
+    the orbit of infinity."""
     gens = stab.generator_frames()
+    assert len(set(gens)) == len(gens), stab
+    assert stab.identity_frame() not in gens, stab
     assert generated_order(stab, gens) == stab.order, stab
     kept = sum(1 for fr in gens if fr[2])
     assert len(gens) <= 2 + len(stab._unipotent_basis()) + kept, stab
