@@ -98,8 +98,10 @@ class TestReduce:
         assert "level=%d" % level in out.splitlines()
 
 
-# reduce, stab and orbit on the README examples, a deep q=3 reduction and
-# two deep orbit pairs (w = x.v for x in H_D) at q=5 and q=9
+# reduce, stab and orbit on the README examples, a deep q=3 reduction,
+# two deep orbit pairs (w = x.v for x in H_D) at q=5 and q=9, and
+# reductions over F_4 and F_9 from r <= 0 and from r > 0, whose last
+# translation is cut by the radius
 CLI_POINTS = [
     ["reduce", "--p", "2", "--vertex", "r=2;a=1*s^-1"],
     ["stab", "--p", "2", "--level", "t", "--vertex", "r=-1;a=0",
@@ -121,6 +123,13 @@ CLI_POINTS = [
      "+8*s^11+4*s^12+3*s^13+5*s^14+2*s^15+4*s^17+1*s^18+8*s^19+8*s^20"
      "+6*s^22+3*s^23+8*s^24+4*s^25+7*s^26+4*s^27+4*s^28+4*s^29+6*s^30"
      "+3*s^31"],
+    ["reduce", "--p", "2", "--s", "2", "--vertex", "r=-2;a=2*s^-5+3*s^-3"],
+    ["reduce", "--p", "2", "--s", "2", "--vertex",
+     "r=10;a=2*s^-4+2*s^-3+2*s^1+2*s^5+3*s^6"],
+    ["reduce", "--p", "3", "--s", "2", "--vertex",
+     "r=-1;a=5*s^-4+7*s^-2+1*s^-3"],
+    ["reduce", "--p", "3", "--s", "2", "--vertex",
+     "r=11;a=8*s^-4+6*s^-2+4*s^6+3*s^9"],
 ]
 CLI_POINTS_GOLDEN = pathlib.Path(__file__).parent / "golden" / "cli_points.txt"
 
