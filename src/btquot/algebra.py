@@ -84,19 +84,13 @@ def _extension_tables(p, s, modulus):
         size *= p
     neg = [row.index(0) for row in add]
 
+    prime = FieldSpec(p)
+
     def times(a, b):
-        da = [a // p ** i % p for i in range(s)]
-        db = [b // p ** i % p for i in range(s)]
-        conv = [0] * (2 * s - 1)
-        for i, x in enumerate(da):
-            for j, y in enumerate(db):
-                conv[i + j] += x * y
-        for k in range(2 * s - 2, s - 1, -1):
-            c = conv[k] % p
-            if c:
-                for i, m in enumerate(modulus):
-                    conv[k - s + i] -= c * m
-        return sum(conv[i] % p * p ** i for i in range(s))
+        prod = packed_mul(prime, [a // p ** i % p for i in range(s)],
+                          [b // p ** i % p for i in range(s)])
+        rem = packed_divmod(prime, prod, modulus)[1]
+        return sum(x * p ** i for i, x in enumerate(rem))
 
     for gen in range(2, q):
         exp = [1]
@@ -330,15 +324,95 @@ class _Handles(dict):
 
 
 # ---------------------------------------------------------------------------
-# polynomials over F_q in the variable t
+# polynomials over F_q in the variable t, on packed coefficient lists (no
+# trailing zero) that `Polynomial`, Ben-Or's test and `hecke` share
 
 
-def _times_constant(field, cs, c):
-    """The packed coefficients cs times the packed constant c."""
+def packed_add(field, a, b):
+    """a + b on packed coefficient lists."""
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return list(a)
     if field.s == 1:
         p = field.p
-        return [x * c % p for x in cs]
-    return list(map(field._mul[c].__getitem__, cs))
+        out = [(x + y) % p for x, y in zip(a, b)]
+    else:
+        add = field._add
+        out = [add[x][y] for x, y in zip(a, b)]
+    out.extend(a[len(b):])
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def packed_mul(field, a, b):
+    """a * b on packed coefficient lists."""
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) <= 1:
+        c = b[0] if b else 0
+        if c <= 1:
+            return list(a) if c else []
+        if field.s == 1:
+            p = field.p
+            return [x * c % p for x in a]
+        return list(map(field._mul[c].__getitem__, a))
+    out = [0] * (len(a) + len(b) - 1)
+    if field.s == 1:
+        for i, x in enumerate(b):
+            if x:
+                for j, y in enumerate(a, i):
+                    out[j] += x * y
+        p = field.p
+        return [x % p for x in out]
+    add, mul = field._add, field._mul
+    for i, x in enumerate(b):
+        if x:
+            row = mul[x]
+            for j, y in enumerate(a, i):
+                out[j] = add[out[j]][row[y]]
+    return out
+
+
+def packed_divmod(field, a, b):
+    """(quotient, remainder) of a by b != 0 on packed coefficient lists."""
+    if not b:
+        raise AlgebraError("polynomial division by zero")
+    rem = list(a)
+    db = len(b) - 1
+    if len(rem) <= db:
+        return [], rem
+    quo = [0] * (len(rem) - db)
+    inv_lead = field.inv(b[-1])
+    terms = [(i, y) for i, y in enumerate(b[:-1]) if y]
+    if not terms:
+        # b = c t^db: the quotient is a shifted down, over c
+        quo = packed_mul(field, rem[db:], [inv_lead])
+        del rem[db:]
+    elif field.s == 1:
+        # remainder entries are reduced mod p only when read
+        p = field.p
+        for sh in range(len(quo) - 1, -1, -1):
+            c = rem[sh + db] * inv_lead % p
+            if c:
+                quo[sh] = c
+                for i, y in terms:
+                    rem[sh + i] -= c * y
+        rem = [x % p for x in rem[:db]]
+    else:
+        add, mul, neg = field._add, field._mul, field._neg
+        for sh in range(len(quo) - 1, -1, -1):
+            c = mul[rem[sh + db]][inv_lead]
+            if c:
+                quo[sh] = c
+                row = mul[neg[c]]
+                for i, y in terms:
+                    rem[sh + i] = add[rem[sh + i]][row[y]]
+        del rem[db:]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quo, rem
 
 
 class Polynomial:
@@ -410,18 +484,8 @@ class Polynomial:
         return bool(self.packed_coeffs) and self.packed_coeffs[-1] == 1
 
     def __add__(self, other):
-        a, b = self.packed_coeffs, self._coerce(other).packed_coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        f = self.field
-        if f.s == 1:
-            p = f.p
-            out = [(x + y) % p for x, y in zip(a, b)]
-        else:
-            add = f._add
-            out = [add[x][y] for x, y in zip(a, b)]
-        out.extend(a[len(b):])
-        return Polynomial._of(f, out)
+        return Polynomial._of(self.field, packed_add(
+            self.field, self.packed_coeffs, self._coerce(other).packed_coeffs))
 
     def __neg__(self):
         f = self.field
@@ -438,33 +502,13 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, RationalFunction):
             return NotImplemented
-        a, b = self.packed_coeffs, self._coerce(other).packed_coeffs
-        f = self.field
-        if len(a) < len(b):
-            a, b = b, a
-        if len(b) <= 1:
-            return Polynomial._of(f, _times_constant(f, a, b[0]) if b else [])
-        out = [0] * (len(a) + len(b) - 1)
-        if f.s == 1:
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(b, i):
-                        out[j] += x * y
-            p = f.p
-            out = [x % p for x in out]
-        else:
-            add, mul = f._add, f._mul
-            for i, x in enumerate(a):
-                if x:
-                    row = mul[x]
-                    for j, y in enumerate(b, i):
-                        out[j] = add[out[j]][row[y]]
-        return Polynomial._of(f, out)
+        return Polynomial._of(self.field, packed_mul(
+            self.field, self.packed_coeffs, self._coerce(other).packed_coeffs))
 
     def scale(self, c):
         f = self.field
         return Polynomial._of(
-            f, _times_constant(f, self.packed_coeffs, f.packed(c)))
+            f, packed_mul(f, self.packed_coeffs, [f.packed(c)]))
 
     @classmethod
     def combination(cls, field, terms):
@@ -496,36 +540,9 @@ class Polynomial:
         return Polynomial._of(self.field, [0] * k + list(self.packed_coeffs))
 
     def __divmod__(self, other):
-        b = self._coerce(other).packed_coeffs
-        if not b:
-            raise AlgebraError("polynomial division by zero")
         f = self.field
-        rem = list(self.packed_coeffs)
-        db = len(b) - 1
-        quo = [0] * max(len(rem) - db, 0)
-        inv_lead = f.inv(b[-1])
-        if f.s == 1:
-            # remainder entries are reduced mod p only when read
-            p = f.p
-            terms = [(i, y) for i, y in enumerate(b[:-1]) if y]
-            for sh in range(len(quo) - 1, -1, -1):
-                c = rem[sh + db] * inv_lead % p
-                if c:
-                    quo[sh] = c
-                    for i, y in terms:
-                        rem[sh + i] -= c * y
-            rem = [x % p for x in rem[:db]]
-        else:
-            add, mul = f._add, f._mul
-            terms = [(i, f._neg[y]) for i, y in enumerate(b[:-1]) if y]
-            for sh in range(len(quo) - 1, -1, -1):
-                c = mul[rem[sh + db]][inv_lead]
-                if c:
-                    quo[sh] = c
-                    row = mul[c]
-                    for i, y in terms:
-                        rem[sh + i] = add[rem[sh + i]][row[y]]
-            del rem[db:]
+        quo, rem = packed_divmod(f, self.packed_coeffs,
+                                 self._coerce(other).packed_coeffs)
         return Polynomial._of(f, quo), Polynomial._of(f, rem)
 
     def __floordiv__(self, other):
@@ -571,22 +588,26 @@ class Polynomial:
 
     def is_irreducible(self):
         """Ben-Or's test: P of degree d >= 1 is irreducible over F_q if and
-        only if gcd(P, t^(q^i) - t mod P) = 1 for every 1 <= i <= d/2."""
-        if self.degree < 1:
+        only if gcd(P, t^(q^i) - t mod P) = 1 for every 1 <= i <= d/2.
+        Runs on packed coefficient lists."""
+        f, P = self.field, self.packed_coeffs
+        if len(P) < 2:
             return False
-        t = Polynomial.t(self.field)
-        h = t
+        h = [0, 1]
         for _ in range(self.degree // 2):
             # h = h^q mod P, by square and multiply
-            acc, base, e = Polynomial.one(self.field), h, self.field.q
+            acc, base, e = [1], h, f.q
             while e:
                 if e & 1:
-                    acc = acc * base % self
+                    acc = packed_divmod(f, packed_mul(f, acc, base), P)[1]
                 e >>= 1
                 if e:
-                    base = base * base % self
+                    base = packed_divmod(f, packed_mul(f, base, base), P)[1]
             h = acc
-            if poly_gcd(self, h - t).degree != 0:
+            a, b = P, packed_add(f, h, [0, f.neg(1)])
+            while b:
+                a, b = b, packed_divmod(f, a, b)[1]
+            if len(a) != 1:
                 return False
         return True
 

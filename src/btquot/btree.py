@@ -14,12 +14,14 @@ Group elements lie in GL2(F_q[t]) and are `Matrix2`s with `Polynomial`
 entries; F_q(t) appears only in lattice bases, where pi^r does.
 
 The build, the certification and the presentation move no vertex with a
-matrix: `hecke.reduce_vertex` runs Nagao's moves tau_f and I on the ball
-itself (Serre, Trees, II.1.6), I by `invert_ball`, and the quotient build
-reads the labels of a vertex's neighbors off one residue matrix.  `act`
-forms the lattice basis g . (basis of v), a product over F_q(t), and
-canonicalizes it; it and `canonicalize` are the reference that the tests,
-the self-test and the brute-force oracle compare against.
+matrix: `hecke.reduce_vertex` runs Nagao's moves tau_f and I on the exact
+center of the ball (Serre, Trees, II.1.6), on packed coefficient lists, and
+keeps the result on the vertex (`BallVertex._reduction`), so each vertex
+object is reduced once; the quotient build reads the labels of a vertex's
+neighbors off one residue matrix.  `act` forms the lattice basis
+g . (basis of v), a product over F_q(t), and canonicalizes it; it and
+`canonicalize` are the reference that the tests, the self-test and the
+brute-force oracle compare against.
 """
 
 from __future__ import annotations
@@ -34,9 +36,13 @@ class TreeError(ValueError):
 
 
 class BallVertex:
-    """Canonical tree vertex: ball of radius |pi^r| with truncated center."""
+    """Canonical tree vertex: ball of radius |pi^r| with truncated center.
 
-    __slots__ = ("field", "r", "center", "_key")
+    `_reduction` holds `hecke.reduce_vertex(self)` once it is computed; it
+    is a cache, not part of the value, so equality, hash and key ignore it.
+    """
+
+    __slots__ = ("field", "r", "center", "_key", "_reduction")
 
     def __init__(self, field, r, center):
         if center.cutoff != r:
@@ -45,6 +51,7 @@ class BallVertex:
         self.r = r
         self.center = center
         self._key = (r, center.key())
+        self._reduction = None
 
     @classmethod
     def base(cls, field):
@@ -204,19 +211,6 @@ class Matrix2:
             format_rational(x) for x in self.entries())
 
 
-def invert_ball(num, den, r):
-    """I = [[0, 1], [1, 0]] on the ball x + pi^r O with x = num/den, as the
-    triple (num', den', r') of the image ball x' + pi^r' O.
-
-    A ball holding 0, nu(x) >= r, goes to B_0^{|-r|}; any other goes to
-    1/x + pi^(r-2m) O with m = nu(x) = deg den - deg num.
-    """
-    m = den.degree - num.degree
-    if not num or m >= r:
-        return Polynomial.zero(num.field), Polynomial.one(num.field), -r
-    return den, num, r - 2 * m
-
-
 def canonicalize(m):
     """Canonical ball form of the lattice spanned by the columns of m.
 
@@ -290,6 +284,6 @@ def distance_bfs(v, w, max_depth=8):
 
 
 __all__ = [
-    "TreeError", "BallVertex", "Matrix2", "invert_ball", "canonicalize",
+    "TreeError", "BallVertex", "Matrix2", "canonicalize",
     "act", "distance", "distance_invariant_factors", "distance_bfs",
 ]

@@ -12,8 +12,10 @@ triangular with a degree-n cap for n >= 1, all of GL2(F_q) for n = 0).
 The moves act on the ball a + pi^r*O itself: tau_f subtracts f from the
 center, and I maps it to 1/a + pi^(r-2m)*O with m = nu(a) < r (to
 B_0^{|-r|} for a ball holding 0), on the exact center P/t^K, so the reduction
-is Euclid's algorithm on (P, t^K) and never calls `act`.  The I rule is
-`btree.invert_ball`.
+is Euclid's algorithm on (P, t^K) and never calls `act`.  It runs on packed
+coefficient lists with the F_q[t] helpers of `algebra`, and its result is
+kept on the vertex, so `stabilizer`, `orbit_equivalent`, the quotient build
+and the presentation reduce each vertex object once.
 Whether a candidate lies in H_D is a divisibility condition that is affine
 linear over F_q in the torus pair (alpha, beta) and the unipotent
 coefficients, so one Gauss-Jordan elimination of the system, with both
@@ -48,8 +50,8 @@ import itertools
 from dataclasses import dataclass
 
 from .algebra import (AlgebraError, Polynomial, format_polynomial,
-                      parse_polynomial)
-from .btree import BallVertex, Matrix2, act, invert_ball
+                      packed_add, packed_divmod, packed_mul, parse_polynomial)
+from .btree import BallVertex, Matrix2, act
 
 
 class HeckeError(ValueError):
@@ -208,36 +210,59 @@ def reduce_vertex(v):
     v: tau_f subtracts from x the polynomial part f of its truncated
     expansion (the quotient of the division, without the terms t^i with
     -i >= r), and I maps x to 1/x and r to r - 2 nu(x) when nu(x) < r, or
-    the ball B_0^{|r|} to B_0^{|-r|} (`btree.invert_ball`).  That is
-    Euclid's algorithm on (P, t^K) stopped by the radius, so the cost does
-    not depend on r.  g is composed by row operations over R; `act` is not
-    called.
+    the ball B_0^{|r|} to B_0^{|-r|}.  That is Euclid's algorithm on
+    (P, t^K) stopped by the radius, so the cost does not depend on r.  g is
+    composed by row operations over R; `act` is not called.
+
+    The result is kept on v, so a vertex object is reduced once however
+    often it is asked for.
     """
+    red = v._reduction
+    if red is None:
+        red = v._reduction = _nagao_reduction(v)
+    return red
+
+
+def _nagao_reduction(v):
+    """The `reduce_vertex` loop on packed coefficient lists; the
+    `Polynomial` and `Matrix2` objects of g and the word are made once, at
+    the end."""
     field = v.field
-    inv = Matrix2.involution(field)
-    zero = Polynomial.zero(field)
-    word = []
+    neg_one = [field.neg(1)]
+    moves = []   # -f for each tau_f, None for each I
     # the rows of g = word[-1] @ ... @ word[0], over F_q[t]
-    a, b = Polynomial.one(field), zero
-    c, d = b, a
+    a, b, c, d = [1], [], [], [1]
     num, den = v.center.fraction()
-    r = v.r
+    num, den, r = num.packed_coeffs, den.packed_coeffs, v.r
     while True:
-        f, num = divmod(num, den)
+        f, num = packed_divmod(field, num, den)
         if r <= 0:
             # the ball drops t^i for i <= -r; what is left of x lies in
             # pi^r O, so the center is cleared and the loop ends
-            f = (Polynomial(field, (0,) * (1 - r) + f.packed_coeffs[1 - r:])
-                 if f.degree > -r else zero)
+            f = [0] * (1 - r) + f[1 - r:] if len(f) > 1 - r else []
         if f:
-            word.append(Matrix2.translation(f))
-            a, b = a - f * c, b - f * d
+            minus_f = packed_mul(field, f, neg_one)
+            moves.append(minus_f)
+            a = packed_add(field, a, packed_mul(field, minus_f, c))
+            b = packed_add(field, b, packed_mul(field, minus_f, d))
         if r <= 0:
             break
-        word.append(inv)
+        moves.append(None)
         a, b, c, d = c, d, a, b
-        num, den, r = invert_ball(num, den, r)
-    return ReductionResult(-r, tuple(word), Matrix2(a, b, c, d))
+        m = len(den) - len(num)
+        if not num or m >= r:
+            num, den, r = [], [1], -r
+        else:
+            num, den, r = den, num, r - 2 * m
+    of = Polynomial._of
+    zero, one = of(field, []), of(field, [1])
+    inv = Matrix2(zero, one, one, zero)
+    # tau_f = [[1, -f], [0, 1]]
+    word = tuple([inv if move is None
+                  else Matrix2(one, of(field, move), zero, one)
+                  for move in moves])
+    return ReductionResult(-r, word, Matrix2(
+        of(field, a), of(field, b), of(field, c), of(field, d)))
 
 
 # ---------------------------------------------------------------------------
@@ -806,9 +831,9 @@ def _stab_solution(level, red_src, red_dst, stabilizer_mode):
     return blocks, tuple(extra)
 
 
-def stabilizer(v, level, reduction=None):
+def stabilizer(v, level):
     """Descriptor of Stab_{H_D}(v), computed by the linear solver."""
-    red = reduction if reduction is not None else reduce_vertex(v)
+    red = reduce_vertex(v)
     blocks, extra = _stab_solution(level, red, red, stabilizer_mode=True)
     return StabDescriptor(v, red.g, red.level_n, level, blocks, extra)
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import groupby
 
 from .btree import Matrix2
-from .hecke import StabDescriptor, orbit_witness, ray_frame
+from .hecke import StabDescriptor, orbit_witness, ray_frame, reduce_vertex
 from .quotient import SPLIT, InconsistencyError, frame_fixers, frame_orbits
 
 
@@ -249,8 +249,8 @@ def build_graph_of_groups(Q):
     for e, tree_carries_one in extra_strands:
         for src_id, dst_id, lift_dst in _other_strand_lifts(
                 Q, lifts, vertex_stabs, e, tree_carries_one):
-            g_y = orbit_witness(level, Q.reduction(lifts[dst_id]),
-                                Q.reduction(lift_dst))
+            g_y = orbit_witness(level, reduce_vertex(lifts[dst_id]),
+                                reduce_vertex(lift_dst))
             if g_y is None:
                 raise PresentationInconsistency(
                     "no witness for a non-tree edge between classes %d and "
@@ -502,7 +502,7 @@ def _check_witness(G, e):
     that is whether g' g_y g^-1 fixes v_n, read by `ray_frame`; no vertex
     is moved."""
     stab = G.vertex_stabs[e.dst]
-    s = G.base.reduction(e.lift_dst).g @ e.g_y @ stab.conjugator.inverse()
+    s = reduce_vertex(e.lift_dst).g @ e.g_y @ stab.conjugator.inverse()
     if ray_frame(s, stab.level_n) is None:
         raise PresentationInconsistency(
             "witness g_y of a non-tree edge from class %d does not map the "

@@ -2,7 +2,8 @@
 
 The quotient graph owns the one vertex-to-class lookup, `locate`, used by
 the build, by cusp certification and by the graph of groups; it caches the
-reduction of every vertex it has looked up and the class it found.
+class it found for every vertex it has looked up, and each vertex keeps its
+own reduction (`hecke.reduce_vertex`).
 
 The build runs a breadth-first search over orbit classes starting from the
 class of the base vertex: each class representative contributes its q+1 tree
@@ -135,7 +136,6 @@ class QuotientGraph:
     buckets: dict = dc_field(default_factory=dict, repr=False)
     # vertex key -> (class id, h in H_D with act(h, v) = rep(class id))
     located: dict = dc_field(default_factory=dict, repr=False)
-    reductions: dict = dc_field(default_factory=dict, repr=False)
 
     def class_by_id(self, cid):
         return self.classes[cid]
@@ -148,14 +148,6 @@ class QuotientGraph:
             adj[e.dst][e.src] = e.multiplicity
         return {cid: sorted(d.items()) for cid, d in adj.items()}
 
-    def reduction(self, v):
-        """The cached `reduce_vertex(v)`."""
-        red = self.reductions.get(v.key())
-        if red is None:
-            red = reduce_vertex(v)
-            self.reductions[v.key()] = red
-        return red
-
     def locate(self, v):
         """(class id, witness mapping v onto the class representative) for
         the known class containing v, or None when no class does.
@@ -167,19 +159,20 @@ class QuotientGraph:
         """
         found = self.located.get(v.key())
         if found is None:
-            found, _ = self._search(v)
+            found, _, _ = self._search(v)
         return found
 
     def _search(self, v):
-        """(the `locate` result, Stab(v)) for a vertex not yet located."""
-        red = self.reduction(v)
-        stab = stabilizer(v, self.level, reduction=red)
+        """(the `locate` result, the reduction of v, Stab(v)) for a vertex
+        not yet located."""
+        red = reduce_vertex(v)
+        stab = stabilizer(v, self.level)
         for cid in self.buckets.get(class_key(stab), ()):
             h = orbit_witness(self.level, red, self.classes[cid].reduction)
             if h is not None:
                 found = self.located[v.key()] = (cid, h)
-                return found, stab
-        return None, stab
+                return found, red, stab
+        return None, red, stab
 
     def neighbor_in_class(self, u, cid):
         """The first tree neighbor of u, in key order, lying in class cid,
@@ -195,10 +188,9 @@ class QuotientGraph:
         represented by v, with the stabilizer the search computed."""
         found = self.located.get(v.key())
         if found is None:
-            found, stab = self._search(v)
+            found, red, stab = self._search(v)
         if found is not None:
             return found[0]
-        red = self.reduction(v)
         cid = len(self.classes)
         self.classes.append(OrbitClass(
             id=cid, representative=v, level_n=red.level_n, layer=layer,

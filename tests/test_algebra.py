@@ -270,16 +270,19 @@ class TestPolynomial:
         assert p.degree == 1
 
     def test_divmod_roundtrip(self):
-        rng = random.Random(2)
+        """Random divisors, and monomials c*t^k, which divide by a shift."""
+        rng, mono_rng = random.Random(2), random.Random(5)
         for field in (F3, F4):
             for _ in range(50):
                 a = rand_poly(field, rng)
-                b = rand_poly(field, rng)
-                if b.is_zero():
-                    continue
-                q, r = divmod(a, b)
-                assert q * b + r == a
-                assert r.is_zero() or r.degree < b.degree
+                monomial = Polynomial(field, [0] * mono_rng.randrange(6) + [
+                    mono_rng.randrange(1, field.q)])
+                for b in (rand_poly(field, rng), monomial):
+                    if b.is_zero():
+                        continue
+                    q, r = divmod(a, b)
+                    assert q * b + r == a
+                    assert r.is_zero() or r.degree < b.degree
 
     def test_gcd_divides(self):
         rng = random.Random(3)
@@ -297,10 +300,17 @@ class TestPolynomial:
         assert parse_polynomial("t^2+1", F3).is_irreducible()
 
     @pytest.mark.parametrize("field,max_deg", [
-        (F2, 5), (F3, 5), (F4, 3), (F5, 3), (F9, 3)])
+        (F2, 5), (F3, 5), (F4, 3), (F5, 3), (F9, 3), (F8, 6), (F9, 6)])
     def test_ben_or_equals_trial_division(self, field, max_deg):
+        """Every monic polynomial of a degree with at most 729 of them,
+        and 40 sampled ones of each larger degree."""
+        rng = random.Random(8)
         for d in range(max_deg + 1):
-            for low in itertools.product(range(field.q), repeat=d):
+            lows = (itertools.product(range(field.q), repeat=d)
+                    if field.q ** d <= 729 else
+                    [[rng.randrange(field.q) for _ in range(d)]
+                     for _ in range(40)])
+            for low in lows:
                 p = Polynomial(field, list(low) + [1])
                 expected = irreducible_by_trial_division(p)
                 assert p.is_irreducible() == expected, p

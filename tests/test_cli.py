@@ -379,8 +379,8 @@ class TestErrors:
         from btquot.btree import Matrix2
         from btquot.hecke import StabDescriptor, stabilizer
 
-        def wrong_frame(v, level, reduction=None):
-            stab = stabilizer(v, level, reduction)
+        def wrong_frame(v, level):
+            stab = stabilizer(v, level)
             F = level.field
             scale = Matrix2(RationalFunction.t_power(F, 1),
                             RationalFunction.zero(F),

@@ -71,7 +71,8 @@ def test_three_divisions_per_stabilizer(monkeypatch, p, s, n):
                     Polynomial.t(field))
     x = Matrix2(one, zero, t + one, one) @ Matrix2.translation(t)
     v_n = BallVertex.standard(field, n)
-    reductions = [hecke.reduce_vertex(v) for v in (v_n, act(x, v_n))]
+    vertices = (v_n, act(x, v_n))
+    reductions = [hecke.reduce_vertex(v) for v in vertices]
     assert [red.level_n for red in reductions] == [n, n]
     assert reductions[1].g.c
     calls = []
@@ -82,7 +83,7 @@ def test_three_divisions_per_stabilizer(monkeypatch, p, s, n):
         return divmod_(a, b)
 
     monkeypatch.setattr(Polynomial, "__divmod__", counted)
-    for v, red in zip((v_n, act(x, v_n)), reductions):
+    for v in vertices:
         del calls[:]
-        hecke.stabilizer(v, level, reduction=red)
+        hecke.stabilizer(v, level)
         assert len(calls) == 3

@@ -216,10 +216,10 @@ def oracle_vertices():
     """Seeded vertices for the ball-native moves: random centers of up to
     20 terms with r in [-6, 24] (valuations <= 0 included), zero centers
     on both sides of r = 0, and deep partner-like vertices x.v, x in H_D,
-    as the orbit queries reduce them."""
+    as the orbit queries reduce them; over the oracle fields and F_7, F_8."""
     rng = random.Random(31)
     out = []
-    for field in ORACLE_FIELDS:
+    for field in ORACLE_FIELDS + [FieldSpec(7), FieldSpec(2, 3)]:
         for r in (-3, 0, 2, 7):
             out.append(ball(field, r, {}))
         for _ in range(16):
@@ -245,7 +245,7 @@ class TestBallNativeReduction:
         assert len(vertices) >= 120
         assert sum(v.r >= 16 for v in vertices) >= 20
         assert any(fragment_valuation(v.center) <= 0 for v in vertices)
-        assert {v.field.q for v in vertices} == {2, 3, 4, 5, 9}
+        assert {v.field.q for v in vertices} == {2, 3, 4, 5, 7, 8, 9}
 
     def test_reduction_equals_act_oracle(self, vertices):
         for v in vertices:
@@ -254,6 +254,27 @@ class TestBallNativeReduction:
             assert [m.key() for m in red.word] == \
                 [m.key() for m in ref.word], v
             assert red.g.key() == ref.g.key(), v
+
+    def test_each_vertex_is_reduced_once(self, monkeypatch):
+        """The reduction is kept on the vertex: `reduce_vertex`,
+        `stabilizer` and `orbit_equivalent` on fresh v and w run the
+        reduction loop once for v and once for w."""
+        from btquot import hecke
+        runs = []
+        kernel = hecke._nagao_reduction
+
+        def counted(v):
+            runs.append(v)
+            return kernel(v)
+
+        monkeypatch.setattr(hecke, "_nagao_reduction", counted)
+        lvl = parse_level("t^2", F3)
+        v = ball(F3, 9, {1: 1, 4: 2, 7: 1})
+        w = act(rand_member(F3, lvl, random.Random(4)), v)
+        reduce_vertex(v)
+        stabilizer(v, lvl)
+        assert orbit_equivalent(v, w, lvl) is not None
+        assert len(runs) == 2 and runs[0] is v and runs[1] is w
 
     def test_determinant_is_the_sign_of_the_word(self, vertices):
         """det g = (-1)^(number of I in the word): the translations have

@@ -4,7 +4,7 @@ import pathlib
 import pytest
 
 from btquot.algebra import FieldSpec
-from btquot.hecke import parse_level
+from btquot.hecke import parse_level, reduce_vertex
 from btquot.quotient import (INDETERMINATE, NONSPLIT, SPLIT, BoundError,
                              QuotientError, _certified_step, build_quotient,
                              certify_cusps, classify_splitness, export)
@@ -223,7 +223,7 @@ class TestLocate:
             for nb in c.representative.neighbors():
                 cid, h = Q.locate(nb)
                 assert act(h, nb) == Q.class_by_id(cid).representative
-                level_n = Q.reduction(nb).level_n
+                level_n = reduce_vertex(nb).level_n
                 hits = [d.id for d in Q.classes if d.level_n == level_n
                         and orbit_equivalent_brute_force(
                             nb, d.representative, Q.level) is not None]
@@ -281,7 +281,7 @@ class TestClassKey:
                 continue
             for nb in c.representative.neighbors():
                 cid, h = Q.locate(nb)
-                red = Q.reduction(nb)
+                red = reduce_vertex(nb)
                 scan = [(d.id, orbit_witness(Q.level, red, d.reduction))
                         for d in Q.classes if d.level_n == red.level_n]
                 assert [(i, w) for i, w in scan if w is not None] == \
