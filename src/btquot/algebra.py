@@ -1065,4 +1065,5 @@ __all__ = [
     "RationalFunction", "LaurentFragment", "poly_gcd", "expand_at_infinity",
     "expand_pair", "parse_polynomial", "parse_rational", "parse_fragment",
     "format_polynomial", "format_rational", "format_fragment", "INF",
+    "packed_add", "packed_mul", "packed_divmod",
 ]
