@@ -476,3 +476,88 @@ class TestParsing:
         frag = LaurentFragment(F4, {-2: 3, 1: 2}, 2)
         text = "3*s^-2+2*s^1"
         assert parse_fragment(text, F4, 2) == frag
+
+
+class TestParserPinning:
+    """What the parsers return and raise, pinned term by term: sums of
+    repeated and signed terms, the print-parse round trip on every field,
+    and the error class and message of each rejected fragment."""
+
+    def test_round_trip_on_every_field(self):
+        rng = random.Random(19)
+        for field in ALL_FIELDS:
+            for _ in range(40):
+                p = rand_poly(field, rng, max_deg=9)
+                assert parse_polynomial(format_polynomial(p), field) == p
+            zero = Polynomial.zero(field)
+            assert parse_polynomial(format_polynomial(zero), field) == zero
+
+    @pytest.mark.parametrize("field", ALL_FIELDS, ids=lambda f: "q%d" % f.q)
+    def test_repeated_and_signed_terms(self, field):
+        one, t = Polynomial.one(field), Polynomial.t(field)
+        two = Polynomial.constant(field, 2 % field.q)
+        cases = [("t+t", t + t), ("-t^2+1", -(t * t) + one),
+                 ("t^2+t^2", t * t + t * t), ("-t-t-t", -t - t - t),
+                 ("1+t^3-1", t * t * t), ("t^2-t^2", Polynomial.zero(field))]
+        if field.q > 2:
+            cases.append(("2*t-t", two * t - t))
+        for text, expected in cases:
+            assert parse_polynomial(text, field) == expected, text
+
+    def test_repeated_terms_over_f2(self):
+        t, one = Polynomial.t(F2), Polynomial.one(F2)
+        assert parse_polynomial("t+t", F2) == Polynomial.zero(F2)
+        assert parse_polynomial("t^2+t^2", F2) == Polynomial.zero(F2)
+        assert parse_polynomial("-t^2+1", F2) == t * t + one
+        assert parse_polynomial("1*t-t+1", F2) == one
+
+    @pytest.mark.parametrize("text,cutoff,cls,message", [
+        ("1*s^1+2*s^1", 3, ParseError,
+         "repeated exponent 1 at position 0 in '1*s^1+2*s^1'"),
+        ("0*s^1+1*s^1", 3, ParseError,
+         "repeated exponent 1 at position 0 in '0*s^1+1*s^1'"),
+        ("1*s^-1+0*s^-1", 3, ParseError,
+         "repeated exponent -1 at position 0 in '1*s^-1+0*s^-1'"),
+        ("1*s^5+1*s^5", 3, ParseError,
+         "repeated exponent 5 at position 0 in '1*s^5+1*s^5'"),
+        ("1*s^5+2*s^4", 3, AlgebraError, "exponent 5 not below cutoff 3"),
+        ("1*s^1+2*s^4+1*s^5", 3, AlgebraError,
+         "exponent 4 not below cutoff 3"),
+        ("0*s^7+1*s^9", 3, AlgebraError, "exponent 9 not below cutoff 3"),
+        ("1*s^3", 3, AlgebraError, "exponent 3 not below cutoff 3"),
+        ("1*s^5+1*s^x", 3, ParseError,
+         "bad exponent in '1*s^x' at position 0 in '1*s^5+1*s^x'"),
+        ("4*s^1", 3, ParseError,
+         "coefficient 4 out of range for q=4 at position 0 in '4*s^1'"),
+    ])
+    def test_fragment_errors(self, text, cutoff, cls, message):
+        with pytest.raises(AlgebraError) as ei:
+            parse_fragment(text, F4, cutoff)
+        assert type(ei.value) is cls
+        assert str(ei.value) == message
+
+    def test_zero_coefficient_terms_are_dropped(self):
+        for text, cutoff, terms in (("0*s^7+1*s^1", 3, ((1, 1),)),
+                                    ("0*s^1", 3, ()), ("0*s^7", 3, ()),
+                                    ("0*s^-2+0*s^1", 0, ()),
+                                    ("2*s^1+0*s^-3+3*s^-2", 2,
+                                     ((-2, 3), (1, 2)))):
+            frag = parse_fragment(text, F4, cutoff)
+            assert frag.packed_terms == terms and frag.cutoff == cutoff
+            assert frag == LaurentFragment(F4, dict(terms), cutoff)
+
+    @pytest.mark.parametrize("text,message", [
+        ("", "empty polynomial at position 0 in ''"),
+        ("t^^2", "bad exponent '^^2' at position 0 in 't^^2'"),
+        ("t+", "dangling sign at position 1 in 't+'"),
+        ("t--t", "empty term at position 2 in 't--t'"),
+        ("3*", "missing term body at position 0 in '3*'"),
+        ("*t", "bad coefficient '' at position 0 in '*t'"),
+        ("2*3", "bad term '2*3' at position 0 in '2*3'"),
+        ("1*2*t", "expected 't' at position 0 in '1*2*t'"),
+        ("t+7", "coefficient 7 out of range for q=5 at position 2 in 't+7'"),
+    ])
+    def test_polynomial_errors(self, text, message):
+        with pytest.raises(ParseError) as ei:
+            parse_polynomial(text, F5)
+        assert str(ei.value) == message
