@@ -84,7 +84,11 @@ def cusp_count(level, q, pic=None):
     if level.is_zero():
         value = math.inf if pic.pic_R_order == INFINITE else pic.pic_R_order
         return value, True
-    a = alpha(level, q)
+    return _cusp_count(level, pic, alpha(level, q))
+
+
+def _cusp_count(level, pic, a):
+    """`cusp_count` at a nonzero level, given a = alpha(D)."""
     c = (2 ** level.r) * pic.g2_order * pic.index_theorem * a
     exact = (pic.g2_order == 1
              and all(m % 2 == 1 for m in level.multiplicities()))
@@ -98,6 +102,11 @@ def split_counts(level, q, pic=None):
     2^r * index and the rest of c(H_D) is non-split.
     """
     pic = pic or PicardData()
+    return _split_counts(level, pic, cusp_count(level, q, pic)[0])
+
+
+def _split_counts(level, pic, c):
+    """`split_counts` given c = c(H_D)."""
     if level.is_zero():
         raise PreconditionError("split counts need a nonzero level")
     if any(m % 2 == 0 for m in level.multiplicities()):
@@ -107,7 +116,6 @@ def split_counts(level, q, pic=None):
     if pic.g2_order != 1:
         raise PreconditionError("split counts require trivial g(2); "
                                 "g2_order=%d" % pic.g2_order)
-    c, exact = cusp_count(level, q, pic)
     card_d = (2 ** level.r) * pic.index_theorem
     card_i = c - card_d
     if card_i < 0:
@@ -154,9 +162,10 @@ def formula_report(level, q, pic=None):
     pic = pic or PicardData()
     serre = level.is_zero()
     a = None if serre else alpha(level, q)
-    c, exact = cusp_count(level, q, pic)
+    c, exact = (cusp_count(level, q, pic) if serre
+                else _cusp_count(level, pic, a))
     try:
-        card_d, card_i = split_counts(level, q, pic)
+        card_d, card_i = _split_counts(level, pic, c)
     except PreconditionError:
         card_d = card_i = None
     return FormulaReport(level=level, q=q, alpha=a, c_HD=c, exact=exact,

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -155,3 +156,64 @@ class TestPicardData:
         with pytest.raises(FormulaError):
             PicardData(pic_R_order="sometimes")
         assert PicardData(pic_R_order=INFINITE).pic_R_order == INFINITE
+
+
+def _levels_up_to_degree(field, top):
+    """Every effective divisor of degree <= top over `field`, D = 0 first:
+    each set of monic irreducibles with multiplicities."""
+    from btquot.algebra import Polynomial
+    from btquot.hecke import Level
+    primes = [p for deg in range(1, top + 1)
+              for low in itertools.product(range(field.q), repeat=deg)
+              for p in [Polynomial(field, list(low) + [1])]
+              if p.is_irreducible()]
+    divisors = [()]
+    for p in primes:
+        divisors = [d + ((p, m),) if m else d for d in divisors
+                    for m in range(top // p.degree + 1)
+                    if sum(x.degree * k for x, k in d) + p.degree * m <= top]
+    return [Level(field, d) for d in divisors]
+
+
+class TestFormulaReport:
+    @pytest.mark.parametrize("field", [F2, F3], ids=["q2", "q3"])
+    def test_report_equals_the_separate_formulas(self, field):
+        """On every level of degree <= 4, even multiplicities included,
+        and on D = 0."""
+        q = field.q
+        levels = _levels_up_to_degree(field, 4)
+        assert levels[0].is_zero()
+        assert any(m % 2 == 0 for lv in levels for m in lv.multiplicities())
+        for level in levels:
+            report = formula_report(level, q)
+            zero = level.is_zero()
+            assert report.alpha == (None if zero else alpha(level, q))
+            assert (report.c_HD, report.exact) == cusp_count(level, q)
+            try:
+                split = split_counts(level, q)
+            except PreconditionError:
+                split = (None, None)
+            assert (report.card_D, report.card_I) == split
+            assert report.serre_case == zero
+            assert report.abelianization == abelianization_verdict(level)
+
+    def test_alpha_and_picard_data_once(self, monkeypatch):
+        from btquot import formulas
+        calls = {"alpha": 0, "pic": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(formulas, "alpha", counted("alpha", alpha))
+        monkeypatch.setattr(formulas, "PicardData",
+                            counted("pic", PicardData))
+        for text in ("t^3", "t^2", "t;t+1"):
+            calls.update(alpha=0, pic=0)
+            formula_report(lvl(text), 2)
+            assert calls == {"alpha": 1, "pic": 1}
+        calls.update(alpha=0, pic=0)
+        formula_report(lvl("0"), 2)
+        assert calls == {"alpha": 0, "pic": 1}
