@@ -381,33 +381,39 @@ def _generating_subset(stab, frames):
     return chosen
 
 
-def _word_search(target, gens, names, stab):
-    """Express the frame `target` as a word in the frames `gens` with
-    positive exponents (the groups are finite, so inverses are redundant).
-    BFS over the group, by products of frame data in `stab`."""
-    ident = stab.identity_frame()
-    if target == ident:
-        return ()
-    parents = {ident: None}
-    frontier = [ident]
+def _group_walk(stab, gens, parents):
+    """Yield the frames of the group the frames `gens` generate in `stab`,
+    breadth first from the identity by products of frame data, in a fixed
+    order, each once its (parent, generator index) is in `parents`, which
+    starts as {identity: None}; a search resumes where the last stopped."""
+    frontier = list(parents)
     while frontier:
         nxt_frontier = []
         for cur in frontier:
             for gi, g in enumerate(gens):
                 nxt = stab.frame_product(cur, g)
-                if nxt in parents:
-                    continue
-                parents[nxt] = (cur, gi)
-                if nxt == target:
-                    word = []
-                    while parents[nxt] is not None:
-                        nxt, gi = parents[nxt]
-                        word.append(names[gi])
-                    return tuple((nm, len(list(run)))
-                                 for nm, run in groupby(reversed(word)))
-                nxt_frontier.append(nxt)
+                if nxt not in parents:
+                    parents[nxt] = (cur, gi)
+                    nxt_frontier.append(nxt)
+                    yield nxt
         frontier = nxt_frontier
-    raise PresentationInconsistency("element not in the generated group")
+
+
+def _word_search(target, walk, names, stab):
+    """Express the frame `target` of `stab` as a word in the generators,
+    named `names`, of the walk (parents, `_group_walk`), with positive
+    exponents (the groups are finite, so inverses are redundant): its path
+    in the walk's tree, walked on only until it reaches `target`.  The
+    order is fixed, so this is the word a fresh search stopping there
+    finds."""
+    parents, frames = walk
+    if target not in parents and all(fr != target for fr in frames):
+        raise PresentationInconsistency("element not in the generated group")
+    word = []
+    while parents[target] is not None:
+        target, gi = parents[target]
+        word.append(names[gi])
+    return tuple((nm, len(list(run))) for nm, run in groupby(reversed(word)))
 
 
 def emit_presentation(G):
@@ -439,7 +445,9 @@ def emit_presentation(G):
             all_named[name] = g = stab.element(fr)
             gen_names.append((name, g))
             relations.append(((name, stab.frame_order(fr)),))
-        gen_by_class[cid] = (frames, names)
+        parents = {stab.identity_frame(): None}
+        walk = parents, _group_walk(stab, frames, parents)
+        gen_by_class[cid] = (walk, names)
 
     edge_counter = 0
     for e in G.edges:

@@ -388,3 +388,78 @@ class TestPolynomialEntries:
                        for fr in e.edge_frames or ())
         assert P.generators
         assert all(_polynomial_entries(m) for _, m in P.generators)
+
+
+def _early_exit_search(target, gens, names, stab, products):
+    """A fresh breadth-first search from the identity that stops at
+    `target`, counting its frame products in `products`."""
+    from itertools import groupby
+    ident = stab.identity_frame()
+    if target == ident:
+        return ()
+    parents = {ident: None}
+    frontier = [ident]
+    while frontier:
+        nxt_frontier = []
+        for cur in frontier:
+            for gi, g in enumerate(gens):
+                products.append(1)
+                nxt = stab.frame_product(cur, g)
+                if nxt in parents:
+                    continue
+                parents[nxt] = (cur, gi)
+                if nxt == target:
+                    word = []
+                    while parents[nxt] is not None:
+                        nxt, gi = parents[nxt]
+                        word.append(names[gi])
+                    return tuple((nm, len(list(run)))
+                                 for nm, run in groupby(reversed(word)))
+                nxt_frontier.append(nxt)
+        frontier = nxt_frontier
+    raise AssertionError("target not in the generated group")
+
+
+class TestResumableWordSearch:
+    @pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (2, 2), (5, 1),
+                                     (3, 2)])
+    def test_words_equal_the_early_exit_search(self, monkeypatch, p, s):
+        """On the amalgam levels D = t, depth 8: every word equals the one
+        a fresh search stopping at its target finds, and the resumed walks
+        make no more frame products than those searches."""
+        import btquot.presentation as presentation
+        from btquot.hecke import StabDescriptor
+        field = FieldSpec(p, s)
+        Q = build_quotient(parse_level("t", field), 8)
+        certify_cusps(Q, 3)
+        G = build_graph_of_groups(Q)
+        products = []
+        product = StabDescriptor.frame_product
+
+        def counted(self, x, y):
+            products.append(1)
+            return product(self, x, y)
+
+        word_search = presentation._word_search
+        searched, walked, fresh = [], [0], []
+
+        def recorded(target, walk, names, stab):
+            before = len(products)
+            word = word_search(target, walk, names, stab)
+            walked[0] += len(products) - before
+            searched.append((word, target, stab.generator_frames(), names,
+                             stab))
+            return word
+
+        monkeypatch.setattr(StabDescriptor, "frame_product", counted)
+        monkeypatch.setattr(presentation, "_word_search", recorded)
+        emit_presentation(G)
+        # at q = 2 the vertex groups of D = t have no edge words to find
+        assert bool(searched) == (field.q > 2)
+        for word, target, gens, names, stab in searched:
+            assert word == _early_exit_search(target, gens, names, stab,
+                                              fresh)
+        assert walked[0] <= len(fresh)
+        if field.q == 9:
+            # the twelve words share four walks
+            assert walked[0] < len(fresh)
