@@ -415,6 +415,30 @@ def packed_divmod(field, a, b):
     return quo, rem
 
 
+def packed_combination(field, terms):
+    """The sum of c * P over the pairs (c, P) in `terms`, each c a packed
+    int and P a packed coefficient list, in one pass over the coefficients."""
+    terms = [(c, cs) for c, cs in terms if c and cs]
+    if not terms:
+        return []
+    out = [0] * max(len(cs) for _, cs in terms)
+    if field.s == 1:
+        for c, cs in terms:
+            for j, x in enumerate(cs):
+                out[j] += c * x
+        p = field.p
+        out = [x % p for x in out]
+    else:
+        add, mul = field._add, field._mul
+        for c, cs in terms:
+            row = mul[c]
+            for j, x in enumerate(cs):
+                out[j] = add[out[j]][row[x]]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
 class Polynomial:
     """Element of F_q[t]; packed_coeffs[i] is the packed int of the
     coefficient of t^i, trailing zeros stripped so the representation is
@@ -489,12 +513,8 @@ class Polynomial:
 
     def __neg__(self):
         f = self.field
-        if f.s == 1:
-            p = f.p
-            out = [-x % p for x in self.packed_coeffs]
-        else:
-            out = list(map(f._neg.__getitem__, self.packed_coeffs))
-        return Polynomial._of(f, out)
+        return Polynomial._of(f, packed_mul(f, self.packed_coeffs,
+                                            [f.neg(1)]))
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -509,29 +529,6 @@ class Polynomial:
         f = self.field
         return Polynomial._of(
             f, packed_mul(f, self.packed_coeffs, [f.packed(c)]))
-
-    @classmethod
-    def combination(cls, field, terms):
-        """The sum of c * t^k * P over the triples (c, k, P) in `terms`,
-        each c a packed int, formed in one pass over the coefficients."""
-        terms = [(c, k, P.packed_coeffs) for c, k, P in terms
-                 if c and P.packed_coeffs]
-        if not terms:
-            return cls._of(field, [])
-        out = [0] * max(k + len(cs) for _, k, cs in terms)
-        if field.s == 1:
-            for c, k, cs in terms:
-                for j, x in enumerate(cs, k):
-                    out[j] += c * x
-            p = field.p
-            out = [x % p for x in out]
-        else:
-            add, mul = field._add, field._mul
-            for c, k, cs in terms:
-                row = mul[c]
-                for j, x in enumerate(cs, k):
-                    out[j] = add[out[j]][row[x]]
-        return cls._of(field, out)
 
     def shift(self, k):
         """Multiply by t^k, k >= 0."""
@@ -550,16 +547,6 @@ class Polynomial:
 
     def __mod__(self, other):
         return divmod(self, other)[1]
-
-    def __pow__(self, e):
-        out = Polynomial.one(self.field)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
 
     # read as P/1 in F_q(t), so a matrix entry is used alike in either ring
 
@@ -581,29 +568,29 @@ class Polynomial:
         return Polynomial._of(self.field,
                               [self.field.inv(self.packed_coeffs[0])])
 
-    def monic(self):
-        if self.is_zero():
-            return self
-        return self.scale(self.field.inv(self.packed_coeffs[-1]))
-
     def is_irreducible(self):
         """Ben-Or's test: P of degree d >= 1 is irreducible over F_q if and
         only if gcd(P, t^(q^i) - t mod P) = 1 for every 1 <= i <= d/2.
-        Runs on packed coefficient lists."""
+        Runs on packed coefficient lists.  h^q = h(t^q), as c^q = c on F_q
+        and x -> x^q is additive, so a round spreads h and divides once;
+        once q (deg P + 1) exceeds 256 the spread costs more than square
+        and multiply, which is used instead."""
         f, P = self.field, self.packed_coeffs
+        q, h = f.q, [0, 1]
         if len(P) < 2:
             return False
-        h = [0, 1]
         for _ in range(self.degree // 2):
-            # h = h^q mod P, by square and multiply
-            acc, base, e = [1], h, f.q
-            while e:
-                if e & 1:
-                    acc = packed_divmod(f, packed_mul(f, acc, base), P)[1]
-                e >>= 1
-                if e:
-                    base = packed_divmod(f, packed_mul(f, base, base), P)[1]
-            h = acc
+            if q * len(P) <= 256:
+                spread = [0] * (q * len(h) - q + 1)
+                spread[::q] = h
+                h = packed_divmod(f, spread, P)[1]
+            else:
+                acc = [1]
+                for bit in bin(q)[2:]:
+                    acc = packed_divmod(f, packed_mul(f, acc, acc), P)[1]
+                    if bit == "1":
+                        acc = packed_divmod(f, packed_mul(f, acc, h), P)[1]
+                h = acc
             a, b = P, packed_add(f, h, [0, f.neg(1)])
             while b:
                 a, b = b, packed_divmod(f, a, b)[1]
@@ -639,7 +626,7 @@ class Polynomial:
 def poly_gcd(a, b):
     while not b.is_zero():
         a, b = b, a % b
-    return a.monic() if not a.is_zero() else a
+    return a.scale(a.field.inv(a.packed_coeffs[-1])) if a else a
 
 
 # ---------------------------------------------------------------------------
@@ -812,22 +799,23 @@ class LaurentFragment:
             cutoff)
 
     def fraction(self):
-        """The fragment as (P, t^K) with value P/t^K, K the largest exponent
-        (at least 0); t does not divide P when K > 0, so the pair is in
-        lowest terms."""
-        field = self.field
+        """The fragment as (P, K) with value P/t^K, P a packed coefficient
+        list and K the largest exponent (at least 0); t does not divide P
+        when K > 0, so the pair is in lowest terms."""
         terms = self.packed_terms
         if not terms:
-            return Polynomial.zero(field), Polynomial.one(field)
+            return [], 0
         k = max(terms[-1][0], 0)
         coeffs = [0] * (k - terms[0][0] + 1)
         for e, c in terms:
             coeffs[k - e] = c
-        return Polynomial._of(field, coeffs), Polynomial.one(field).shift(k)
+        return coeffs, k
 
     def to_rational(self):
         """The fragment as the rational function P/t^K of `fraction`."""
-        return RationalFunction(*self.fraction())
+        num, k = self.fraction()
+        return RationalFunction(Polynomial._of(self.field, num),
+                                Polynomial.one(self.field).shift(k))
 
     def __eq__(self, other):
         return (isinstance(other, LaurentFragment)
@@ -965,7 +953,7 @@ def parse_polynomial(text, field, var="t"):
         start = pos
         if start >= len(t):
             raise ParseError("dangling sign", src, pos - 1)
-    result = Polynomial.zero(field)
+    out = []
     for sign, chunk, at in terms:
         coef = 1
         rest = chunk
@@ -991,9 +979,9 @@ def parse_polynomial(text, field, var="t"):
                 exp = int(rest[1:])
             else:
                 raise ParseError("bad exponent %r" % rest, src, at)
-        mono = Polynomial(field, (0,) * exp + (coef,))
-        result = result + (mono if sign > 0 else -mono)
-    return result
+        out.extend([0] * (exp + 1 - len(out)))
+        out[exp] = field.add(out[exp], coef if sign > 0 else field.neg(coef))
+    return Polynomial._of(field, out)
 
 
 def _packed_coefficient(digits, field, src, at):
@@ -1065,5 +1053,5 @@ __all__ = [
     "RationalFunction", "LaurentFragment", "poly_gcd", "expand_at_infinity",
     "expand_pair", "parse_polynomial", "parse_rational", "parse_fragment",
     "format_polynomial", "format_rational", "format_fragment", "INF",
-    "packed_add", "packed_mul", "packed_divmod",
+    "packed_add", "packed_mul", "packed_divmod", "packed_combination",
 ]

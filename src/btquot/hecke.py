@@ -12,35 +12,31 @@ triangular with a degree-n cap for n >= 1, all of GL2(F_q) for n = 0).
 The moves act on the ball a + pi^r*O itself: tau_f subtracts f from the
 center, and I maps it to 1/a + pi^(r-2m)*O with m = nu(a) < r (to
 B_0^{|-r|} for a ball holding 0), on the exact center P/t^K, so the reduction
-is Euclid's algorithm on (P, t^K) and never calls `act`.  It runs on packed
-coefficient lists with the F_q[t] helpers of `algebra`, and its result is
-kept on the vertex, so `stabilizer`, `orbit_equivalent`, the quotient build
-and the presentation reduce each vertex object once.
+is Euclid's algorithm on (P, t^K) and never calls `act`.  Its result is
+kept on the vertex, so each vertex object is reduced once.
 Whether a candidate lies in H_D is a divisibility condition that is affine
 linear over F_q in the torus pair (alpha, beta) and the unipotent
 coefficients, so one Gauss-Jordan elimination of the system, with both
 torus terms as right-hand sides, decides every torus pair at once (plus one
-homogeneous solve at level 0) instead of a q^(n+3) enumeration.  The
-enumeration is kept (`brute_force=True` paths) as a correctness oracle,
-up to ENUMERATION_CAP elements.
-The solver works on packed-int vectors mod N_D: each column t^i*P after
-the first is a shift less top*N_D (`_shifted_mod_vectors`); the torus
-pairs are all, one line alpha = mu*beta or none, read off the first
-nonzero reduced row past the rank (`_torus_blocks`); a span point is one
-vector add (`_span_points`), and a level-0 stabilizer walks at most
-ENUMERATION_CAP of them, none when s21 vanishes on its kernel.
-A stabilizer element g^{-1} s g is F_q-linear in the frame data of s, so
-`StabDescriptor` forms each element as one combination, per entry, of
-products of the entries of g computed once per descriptor.  The way back,
-from a matrix to frame data, is `ray_frame`, which also decides whether
-the matrix lies in Stab(v_n); `StabDescriptor.frame_of` reads an element
-of GL2(R) through it in the frame of the descriptor's vertex.
+homogeneous solve at level 0) instead of a q^(n+3) enumeration, kept
+(`brute_force=True` paths) as an oracle up to ENUMERATION_CAP elements.
+Each column t^i*P mod N_D after the first is a shift less top*N_D
+(`_mod_vectors`); the torus pairs are all, one line alpha = mu*beta or
+none, read off the first nonzero reduced row past the rank
+(`_torus_blocks`); a span point is one vector add (`_span_points`), and a
+level-0 stabilizer walks at most ENUMERATION_CAP of them.
+A stabilizer element g^{-1} s g, and an orbit witness g_dst^{-1} s g_src,
+is F_q-linear in the frame data of s: one combination per entry of
+products of the entries of g_dst and g_src (`_conjugate`).  The way back
+is `ray_frame`, which also decides whether a matrix lies in Stab(v_n).
 A stabilizer is generated by at most two torus lifts, the F_p-basis of
 its unipotent space and, at level 0, the extras that grow the orbit of
-infinity on P^1(F_q) (`StabDescriptor.generator_frames`): no group is
-closed to pick them.  An orbit witness g_dst^{-1} s g_src is one
-combination per entry too, of products of the entries of adj(g_dst) and
-g_src.
+infinity on P^1(F_q) (`StabDescriptor.generator_frames`).
+F_q[t] values stay packed coefficient lists, with the helpers of
+`algebra`, from the reduction through the congruence solve to the
+conjugation: `Polynomial` and `Matrix2` objects are made only for what a
+caller receives, the reduction's g and word, stabilizer elements and
+witnesses.
 """
 
 from __future__ import annotations
@@ -50,7 +46,8 @@ import itertools
 from dataclasses import dataclass
 
 from .algebra import (AlgebraError, Polynomial, format_polynomial,
-                      packed_add, packed_divmod, packed_mul, parse_polynomial)
+                      packed_add, packed_combination, packed_divmod,
+                      packed_mul, parse_polynomial)
 from .btree import BallVertex, Matrix2, act
 
 
@@ -109,10 +106,11 @@ class Level:
         prs.sort(key=lambda pm: (pm[0].degree, pm[0].key()))
         self.field = field
         self.primes = tuple(prs)
-        modulus = Polynomial.one(field)
+        modulus = [1]
         for poly, mult in prs:
-            modulus = modulus * poly ** mult
-        self.modulus = modulus
+            for _ in range(mult):
+                modulus = packed_mul(field, modulus, poly.packed_coeffs)
+        self.modulus = Polynomial._of(field, modulus)
         self._key = tuple((p.key(), m) for p, m in prs)
 
     @property
@@ -232,8 +230,8 @@ def _nagao_reduction(v):
     moves = []   # -f for each tau_f, None for each I
     # the rows of g = word[-1] @ ... @ word[0], over F_q[t]
     a, b, c, d = [1], [], [], [1]
-    num, den = v.center.fraction()
-    num, den, r = num.packed_coeffs, den.packed_coeffs, v.r
+    num, k = v.center.fraction()
+    den, r = [0] * k + [1], v.r
     while True:
         f, num = packed_divmod(field, num, den)
         if r <= 0:
@@ -281,20 +279,16 @@ def _vector_ops(field):
             lambda c, v: tuple(map(mul[c].__getitem__, v)))
 
 
-def _poly_mod_vector(poly, modulus):
-    """Packed coefficient vector of poly mod modulus, length deg(modulus)."""
-    rem = (poly % modulus).packed_coeffs
-    return rem + (0,) * (modulus.degree - len(rem))
-
-
-def _shifted_mod_vectors(poly, modulus, count):
-    """Packed coefficient vectors of t^i * poly mod modulus, i < count: one
-    division, then each the previous one shifted up, less its top
-    coefficient times the monic modulus."""
-    vadd, vscale = _vector_ops(modulus.field)
-    m = modulus.degree
-    low = tuple(map(modulus.field.neg, modulus.packed_coeffs[:m]))
-    out = [_poly_mod_vector(poly, modulus)]
+def _mod_vectors(field, x, modulus, count=1):
+    """Packed coefficient vectors, of length deg N, of t^i * x mod N for
+    i < count, x and the monic N packed coefficient lists: one division,
+    then each the previous one shifted up, less its top coefficient
+    times N."""
+    vadd, vscale = _vector_ops(field)
+    m = len(modulus) - 1
+    low = tuple(map(field.neg, modulus[:m]))
+    rem = tuple(packed_divmod(field, x, modulus)[1])
+    out = [rem + (0,) * (m - len(rem))]
     while len(out) < count:
         top, vec = m and out[-1][-1], ((0,) + out[-1])[:m]
         out.append(vadd(vec, vscale(top, low)) if top else vec)
@@ -512,16 +506,10 @@ class StabDescriptor:
     kept separately in `extra`, as frame data.
 
     With g = [[A, B], [C, D]] and delta = det g in F_q*, the entries of
-    g^{-1} s g are F_q-linear in a, c, d and the coefficients b_i of b:
-
-        (1,1) = a AD - d BC - c AB + b CD
-        (1,2) = (a - d) BD - c BB + b DD
-        (2,1) = (d - a) AC + c AA - b CC
-        (2,2) = d AD - a BC + c AB - b CD
-
-    each product taken times delta^{-1}.  The products are computed once
-    per descriptor, on first use, and each element is one combination of
-    them per entry, b_i contributing t^i times its product.
+    g^{-1} s g are F_q-linear in a, b, c, d, as (1,1) =
+    delta^{-1} (a AD - d BC - c AB + b CD) and (1,2) =
+    delta^{-1} ((a - d) BD - c BB + b DD) (`_conjugate`); the products of
+    entries of g are made once per descriptor, on first use.
 
     Conjugation by g is a group isomorphism, so products and orders of
     elements are taken on their frame data (`frame_product`,
@@ -591,50 +579,21 @@ class StabDescriptor:
     def torus_pairs(self):
         return tuple(tp for tp, _, _ in self.blocks)
 
-    def _conjugation_products(self):
-        """delta^{-1} times AD, BC, CD, BD, DD, AC, CC, -CD, -CC and, when
-        there are level-0 extras, AB, BB, AA."""
-        if self._products is None:
-            A, B, C, D = self.conjugator.entries()
-            delta_inv = (A * D - B * C).inverse().packed_coeffs[0]
-
-            def prod(x, y):
-                return (x * y).scale(delta_inv)
-
-            cd, cc = prod(C, D), prod(C, C)
-            prods = [prod(A, D), prod(B, C), cd, prod(B, D), prod(D, D),
-                     prod(A, C), cc, -cd, -cc]
-            if self.extra:
-                prods += [prod(A, B), prod(B, B), prod(A, A)]
-            self._products = prods
-        return self._products
-
     def element(self, frame):
-        """g^{-1} s g for the frame data (a, b, c, d) of s."""
+        """g^{-1} s g for the frame data (a, b, c, d) of s.  The first call
+        reads the entries of g, checks that det g = AD - BC is a constant
+        and keeps AD and BC as the first two products."""
         f = self.field
-        neg, add = f.neg, f.add
-        prods = self._conjugation_products()
-        AD, BC, CD, BD, DD, AC, CC, nCD, nCC = prods[:9]
-        a, bvec, c, d = frame
-        e11 = [(a, 0, AD), (neg(d), 0, BC)]
-        e12 = [(add(a, neg(d)), 0, BD)]
-        e21 = [(add(d, neg(a)), 0, AC)]
-        e22 = [(d, 0, AD), (neg(a), 0, BC)]
-        if c:
-            AB, BB, AA = prods[9:]
-            e11.append((neg(c), 0, AB))
-            e12.append((neg(c), 0, BB))
-            e21.append((c, 0, AA))
-            e22.append((c, 0, AB))
-        for i, x in enumerate(bvec):
-            if x:
-                e11.append((x, i, CD))
-                e12.append((x, i, DD))
-                e21.append((x, i, nCC))
-                e22.append((x, i, nCD))
-        comb = Polynomial.combination
-        return Matrix2(comb(f, e11), comb(f, e12), comb(f, e21),
-                       comb(f, e22))
+        if self._products is None:
+            g = tuple(x.packed_coeffs for x in self.conjugator.entries())
+            ad, bc = packed_mul(f, g[0], g[3]), packed_mul(f, g[1], g[2])
+            det = packed_add(f, ad, packed_mul(f, bc, [f.neg(1)]))
+            if len(det) != 1:
+                raise AlgebraError("%s is not a unit of F_q[t]"
+                                   % format_polynomial(Polynomial._of(f, det)))
+            self._products = g, f.inv(det[0]), {(0, 3): ad, (1, 2): bc}
+        g, delta_inv, prods = self._products
+        return _conjugate(f, g, frame, g, delta_inv, prods)
 
     def frame_of(self, h):
         """The frame data of s = g h g^{-1} (`ray_frame`): the inverse of
@@ -803,21 +762,24 @@ def _stab_solution(level, red_src, red_dst, stabilizer_mode):
     if n + 1 > SOLVE_UNKNOWNS_CAP:
         raise SizeError("the congruence solve at level %d has %d unknowns, "
                         "above the cap %d" % (n, n + 1, SOLVE_UNKNOWNS_CAP))
-    modulus = level.modulus
-    w21, w22 = -red_dst.g.c, red_dst.g.a
-    a, c = red_src.g.a, red_src.g.c
-    columns = _shifted_mod_vectors(w21 * c, modulus, n + 1)
-    va = _poly_mod_vector(w21 * a, modulus)
-    vc = _poly_mod_vector(w22 * c, modulus)
+    modulus = level.modulus.packed_coeffs
+    w21 = packed_mul(field, red_dst.g.c.packed_coeffs, [field.neg(1)])
+    w22 = red_dst.g.a.packed_coeffs
+    a, c = red_src.g.a.packed_coeffs, red_src.g.c.packed_coeffs
+    columns = _mod_vectors(field, packed_mul(field, w21, c), modulus, n + 1)
+    vc = _mod_vectors(field, packed_mul(field, w22, c), modulus)[0]
+    # with red_src = red_dst, W21*a = -c*a is -W22*c
+    va = (tuple(map(field.neg, vc)) if stabilizer_mode else
+          _mod_vectors(field, packed_mul(field, w21, a), modulus)[0])
     blocks = _torus_blocks(columns, va, vc, field, not stabilizer_mode)
     if blocks and not stabilizer_mode:
         return blocks, ()
     extra = ()
     if n == 0:
         # ambient stabilizer is GL2(F_q): the solutions with s21 != 0, if any
-        w22a = _poly_mod_vector(w22 * a, modulus)
+        w22a = _mod_vectors(field, packed_mul(field, w22, a), modulus)[0]
         cols4 = [va, columns[0], w22a, vc]
-        _, kernel4 = solve_affine(cols4, (0,) * modulus.degree, field)
+        _, kernel4 = solve_affine(cols4, (0,) * (len(modulus) - 1), field)
         kernel4 = kernel4 if any(vec[2] for vec in kernel4) else ()
         if stabilizer_mode and field.q ** len(kernel4) > ENUMERATION_CAP:
             raise SizeError("the level-0 stabilizer would walk %d points, "
@@ -840,7 +802,8 @@ def stabilizer(v, level):
 
 def orbit_witness(level, red_src, red_dst):
     """Some h in H_D with act(h, src) = dst, or None, given both
-    reductions.  Levels must already agree."""
+    reductions: g_dst^-1 s g_src for the first s the solve finds
+    (`_conjugate`).  Levels must already agree."""
     blocks, extra = _stab_solution(level, red_src, red_dst,
                                    stabilizer_mode=False)
     if blocks:
@@ -850,42 +813,69 @@ def orbit_witness(level, red_src, red_dst):
         frame = extra[0]
     else:
         return None
-    return _witness(level.field, red_dst.g, frame, red_src.g)
+    field = level.field
+    dst = tuple(x.packed_coeffs for x in red_dst.g.entries())
+    src = dst if red_src is red_dst else tuple(
+        x.packed_coeffs for x in red_src.g.entries())
+    # det g_dst is a constant, so A(0) D(0) - B(0) C(0)
+    A0, B0, C0, D0 = (x[0] if x else 0 for x in dst)
+    mul = field.mul
+    delta_inv = field.inv(field.add(mul(A0, D0), field.neg(mul(B0, C0))))
+    return _conjugate(field, dst, frame, src, delta_inv, {})
 
 
-def _witness(field, g_dst, frame, g_src):
-    """g_dst^-1 s g_src for the frame data (a, b, c, d) of s.  With
-    g_dst = [[A, B], [C, D]], g_src = [[E, F], [G, H]] and
-    delta = det g_dst, a constant and so A(0) D(0) - B(0) C(0), it is
-    delta^-1 adj(g_dst) s g_src, linear in a, b, c, d:
+def _conjugation_terms(same):
+    """For each frame slot s_kl, in the order a, b, c, d, the terms it adds
+    to g_dst^-1 s g_src: (entry 2i + j, (dst index, src index), negated),
+    as adj(g_dst)[i][k] is g_dst[1-k][1-i], negated when i != k.  With
+    `same` (g_dst = g_src) each index pair is ordered."""
+    return [[(2 * i + j, tuple(sorted(key)) if same else key, i != k)
+             for i in (0, 1) for j in (0, 1)
+             for key in [(3 - 2 * k - i, 2 * l + j)]]
+            for k, l in ((0, 0), (0, 1), (1, 0), (1, 1))]
 
-        (1,1) = a DE + b DG - c BE - d BG
-        (1,2) = a DF + b DH - c BF - d BH
-        (2,1) = -a CE - b CG + c AE + d AG
-        (2,2) = -a CF - b CH + c AF + d AH
 
-    so each entry is one combination of the products its nonzero
-    coefficients need, b_i contributing t^i times its product."""
-    A, B, C, D = g_dst.entries()
-    E, F, G, H = g_src.entries()
+_CONJUGATION_TERMS = (_conjugation_terms(False), _conjugation_terms(True))
+
+
+def _conjugate(field, dst, frame, src, delta_inv, prods):
+    """g_dst^-1 s g_src, for the frame data (a, b, c, d) of s, the packed
+    entries (A, B, C, D) of g_dst and of g_src, and delta_inv = 1/det g_dst.
+
+    g_dst^-1 = delta^-1 adj(g_dst), so entry (i, j) is the sum over the
+    nonzero slots s_kl of delta^-1 s_kl adj(g_dst)[i][k] g_src[l][j]
+    (`_CONJUGATION_TERMS`): one combination of entry products, which
+    `prods` keeps by index pair, b the polynomial delta^-1 b times its
+    product.  With g_dst = g_src (dst is src) the products are symmetric,
+    and a frame with a = d and c = 0 is a*1 + b*E12, whose a*1 conjugates
+    to itself and needs no AD or BC product."""
     mul, neg = field.mul, field.neg
-    A0, B0, C0, D0 = (x.packed_coeffs[0] if x else 0 for x in (A, B, C, D))
-    delta_inv = field.inv(field.add(mul(A0, D0), neg(mul(B0, C0))))
     a, bvec, c, d = frame
-    nB, nC = -B, -C
-    # the (coefficient, power of t) terms of a, c, b and d, each with the
-    # column of adj(g_dst) and the row of g_src its products take
-    groups = (([(a, 0)], D, nC, E, F), ([(c, 0)], nB, A, E, F),
-              ([(x, i) for i, x in enumerate(bvec)], D, nC, G, H),
-              ([(d, 0)], nB, A, G, H))
+    same = dst is src
+    b = list(bvec)
+    while b and not b[-1]:
+        b.pop()
+    coefs = [mul(a, delta_inv), packed_mul(field, b, [delta_inv]),
+             mul(c, delta_inv), mul(d, delta_inv)]
     entries = ([], [], [], [])
-    for terms, top, low, left, right in groups:
-        terms = [(mul(x, delta_inv), i) for x, i in terms if x]
-        if terms:
-            for out, prod in zip(entries, (top * left, top * right,
-                                           low * left, low * right)):
-                out.extend((x, i, prod) for x, i in terms)
-    return Matrix2(*(Polynomial.combination(field, out) for out in entries))
+    if same and a == d and not c:
+        entries[0].append((a, (1,)))
+        entries[3].append((a, (1,)))
+        coefs[0] = coefs[3] = 0
+    for slot, coef in enumerate(coefs):
+        if not coef:
+            continue
+        for e, key, negated in _CONJUGATION_TERMS[same][slot]:
+            prod = prods.get(key)
+            if prod is None:
+                prod = prods[key] = packed_mul(field, dst[key[0]],
+                                               src[key[1]])
+            x = coef
+            if slot == 1:
+                x, prod = 1, packed_mul(field, coef, prod)
+            entries[e].append((neg(x) if negated else x, prod))
+    return Matrix2(*(Polynomial._of(field, packed_combination(field, terms))
+                     for terms in entries))
 
 
 def orbit_equivalent(v, w, level):

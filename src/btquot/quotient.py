@@ -46,6 +46,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dc_field
 
+from .algebra import packed_add, packed_mul
 from .btree import BallVertex, Matrix2
 from .hecke import (moebius, moebius_orbit, orbit_witness, reduce_vertex,
                     stabilizer)
@@ -231,20 +232,22 @@ def _link_matrix(stab):
         raise InconsistencyError(
             "the frame of vertex %s is not a reduction: %r has a "
             "non-polynomial entry" % (v.to_text(), g))
-    A, B, C, D = (x.num for x in g.entries())
-    if (A * D - B * C).degree != 0:
+    f = stab.field
+    A, B, C, D = (x.num.packed_coeffs for x in g.entries())
+    minus_bc = packed_mul(f, packed_mul(f, B, C), [f.neg(1)])
+    if len(packed_add(f, packed_mul(f, A, D), minus_bc)) != 1:
         raise InconsistencyError(
             "the frame of vertex %s is not a reduction: the determinant of "
             "%r is not a nonzero constant" % (v.to_text(), g))
-    num, den = v.center.fraction()
-    K, r = den.degree, v.r
-    # each entry of M as P pi^e, of valuation e - deg P
-    entries = ((C * num + D.shift(K), K), (C, r),
-               (A * num + B.shift(K), n + K), (A, n + r))
-    least = min(e - P.degree for P, e in entries if P)
-    k11, k12, k21, k22 = (P.packed_coeffs[-1] if P and e - P.degree == least
-                          else 0 for P, e in entries)
-    f = stab.field
+    num, K = v.center.fraction()
+    pad, r = (0,) * K, v.r
+    top = packed_add(f, packed_mul(f, C, num), D and pad + D)
+    low = packed_add(f, packed_mul(f, A, num), B and pad + B)
+    # each entry of M as P pi^e, P packed, of valuation e - deg P
+    entries = ((top, K), (C, r), (low, n + K), (A, n + r))
+    least = min(e - len(P) for P, e in entries if P)
+    k11, k12, k21, k22 = (P[-1] if P and e - len(P) == least else 0
+                          for P, e in entries)
     if f.mul(k11, k22) == f.mul(k12, k21):
         raise InconsistencyError(
             "the frame of vertex %s does not map it to v_%d: its residue "

@@ -315,6 +315,20 @@ class TestPolynomial:
                 expected = irreducible_by_trial_division(p)
                 assert p.is_irreducible() == expected, p
 
+    @pytest.mark.parametrize("p", [31, 61])
+    def test_ben_or_past_the_spread(self, p):
+        """Over F_31 and F_61 degree 2 takes the spread and degree 4 at
+        q = 61 square and multiply; both equal trial division, on sampled
+        polynomials and on products of two quadratics."""
+        field, rng = FieldSpec(p), random.Random(p)
+        polys = [Polynomial(field, [rng.randrange(p) for _ in range(d)] + [1])
+                 for d in (2, 3, 4) for _ in range(6)]
+        polys += [polys[i] * polys[i + 1] for i in range(0, 6, 2)]
+        for poly in polys:
+            assert poly.is_irreducible() == \
+                irreducible_by_trial_division(poly), poly
+        assert any(poly.is_irreducible() for poly in polys)
+
     def test_non_monic_and_degenerate(self):
         assert parse_polynomial("2*t^2+2", F3).is_irreducible()
         assert not parse_polynomial("2*t^2+1", F3).is_irreducible()

@@ -60,11 +60,13 @@ def test_stabilizer_counts_over_f9(counts):
 @pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (3, 2)])
 @pytest.mark.parametrize("n", [1, 4, 8, 12])
 def test_three_divisions_per_stabilizer(monkeypatch, p, s, n):
-    """A stabilizer at level n >= 1 divides by N_D three times: for the
-    first column and for the two torus terms.  Each later column
-    t^i * P mod N_D is the previous one shifted, less a multiple of the
-    monic N_D, so the count does not grow with n.  Checked on v_n and on
-    a vertex of level n whose reduction has c != 0."""
+    """A stabilizer at level n >= 1 divides by N_D twice: for the first
+    column and for the torus terms, which share one division since
+    W21 * a = -W22 * c when the source and target reductions agree.  Each
+    later column t^i * P mod N_D is the previous one shifted, less a
+    multiple of the monic N_D, so the count does not grow with n.
+    Checked on v_n and on a vertex of level n whose reduction has c != 0.
+    (The name dates from three divisions, one per torus term.)"""
     field = FieldSpec(p, s)
     level = hecke.parse_level("t^3;t+1", field)
     one, zero, t = (Polynomial.one(field), Polynomial.zero(field),
@@ -76,14 +78,14 @@ def test_three_divisions_per_stabilizer(monkeypatch, p, s, n):
     assert [red.level_n for red in reductions] == [n, n]
     assert reductions[1].g.c
     calls = []
-    divmod_ = Polynomial.__divmod__
+    divmod_ = hecke.packed_divmod
 
-    def counted(a, b):
+    def counted(field, a, b):
         calls.append(b)
-        return divmod_(a, b)
+        return divmod_(field, a, b)
 
-    monkeypatch.setattr(Polynomial, "__divmod__", counted)
+    monkeypatch.setattr(hecke, "packed_divmod", counted)
     for v in vertices:
         del calls[:]
         hecke.stabilizer(v, level)
-        assert len(calls) == 3
+        assert calls == [level.modulus.packed_coeffs] * 2

@@ -460,18 +460,20 @@ class TestSolveAffine:
         residue by a shift and one subtraction of a multiple of N_D, equal
         the full product reduced from scratch, for counts from 0 to beyond
         2 deg N_D."""
-        from btquot.hecke import _poly_mod_vector, _shifted_mod_vectors
+        from btquot.hecke import _mod_vectors
         rng = random.Random(24)
         for field in ORACLE_FIELDS:
             for text in ("0", "t", "t^3", "t^2;t+1", "t^3;t+1"):
                 modulus = parse_level(text, field).modulus
-                for count in (0, 1, modulus.degree + 1,
-                              2 * modulus.degree + 3):
+                m = modulus.degree
+                for count in (0, 1, m + 1, 2 * m + 3):
                     p = Polynomial(field, [rng.randrange(field.q)
                                            for _ in range(rng.randint(0, 9))])
-                    assert _shifted_mod_vectors(p, modulus, count) == [
-                        _poly_mod_vector(p.shift(i), modulus)
-                        for i in range(count)]
+                    full = [(p.shift(i) % modulus).packed_coeffs
+                            for i in range(count)]
+                    assert _mod_vectors(field, p.packed_coeffs,
+                                        modulus.packed_coeffs, count) == [
+                        rem + (0,) * (m - len(rem)) for rem in full]
 
 
 class TestStabilizer:
@@ -741,3 +743,44 @@ class TestGeneratingSet:
                             lambda *args: blocks(*args)[:2])
         assert main(["stab", "--p", "3", "--level", "t",
                      "--vertex", "r=-2;a=0"]) == 3
+
+
+class TestPackedPath:
+    def test_solve_and_witness_make_no_polynomial(self, monkeypatch):
+        """`_stab_solution` works on packed coefficient lists: a stabilizer
+        solve and a witness solve, level 0 included, create no
+        `Polynomial`; the witness makes exactly its four entries."""
+        from btquot.hecke import _stab_solution, orbit_witness
+        made = []
+        of, init = Polynomial.__dict__["_of"], Polynomial.__init__
+
+        def counted_of(cls, field, cs):
+            made.append(1)
+            return of.__func__(cls, field, cs)
+
+        def counted_init(self, *args):
+            made.append(1)
+            init(self, *args)
+
+        rng = random.Random(43)
+        cases = []
+        for field in ORACLE_FIELDS:
+            for text in ("0", "t", "t^2;t+1"):
+                lvl = parse_level(text, field)
+                for r in (-2, 0, 1, 3):
+                    v = ball(field, r, {e: rng.randrange(field.q)
+                                        for e in range(r - 3, r)})
+                    w = act(rand_member(field, lvl, rng), v)
+                    cases.append((lvl, reduce_vertex(v), reduce_vertex(w)))
+        monkeypatch.setattr(Polynomial, "_of", classmethod(counted_of))
+        monkeypatch.setattr(Polynomial, "__init__", counted_init)
+        found = 0
+        for lvl, red_v, red_w in cases:
+            _stab_solution(lvl, red_v, red_v, True)
+            assert not made
+            blocks, extra = _stab_solution(lvl, red_v, red_w, False)
+            assert not made and (blocks or extra)
+            found += orbit_witness(lvl, red_v, red_w) is not None
+            assert len(made) == 4
+            del made[:]
+        assert found == len(cases)
