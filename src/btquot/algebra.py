@@ -164,6 +164,8 @@ class FieldSpec:
     def packed(self, value):
         """The packed int of an element of this field or of an int; an int
         must lie in 0..q-1, or be -n for the negative of the element n."""
+        if type(value) is int and 0 <= value < self.q:
+            return value
         if isinstance(value, FieldElement):
             if value.field is not self and value.field != self:
                 raise AlgebraError("element of a different field")
