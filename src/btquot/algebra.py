@@ -13,9 +13,7 @@ Conventions used throughout the package:
     q at MAX_EXTENSION_Q;
   * a `Polynomial` holds its coefficients as a tuple of packed ints, and
     F_q[t] arithmetic runs on lists of them (`packed_add`, `packed_mul`,
-    `packed_divmod`, `packed_combination`): `Polynomial`, Ben-Or's test,
-    the parsers and the reduction, solve and conjugation of `hecke` share
-    them, and make `Polynomial` objects only for what they return;
+    `packed_divmod`, `packed_combination`), shared with `hecke`;
   * the valuation at infinity is nu(f) = deg(den) - deg(num), so nu(t) = -1
     and the uniformizer is pi = 1/t;
   * a finite tail of the pi-expansion of an element of F_q((1/t)) is stored

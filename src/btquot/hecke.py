@@ -32,11 +32,10 @@ is `ray_frame`, which also decides whether a matrix lies in Stab(v_n).
 A stabilizer is generated by at most two torus lifts, the F_p-basis of
 its unipotent space and, at level 0, the extras that grow the orbit of
 infinity on P^1(F_q) (`StabDescriptor.generator_frames`).
-F_q[t] values stay packed coefficient lists, with the helpers of
-`algebra`, from the reduction through the congruence solve to the
-conjugation: `Polynomial` and `Matrix2` objects are made only for what a
-caller receives, the reduction's g and word, stabilizer elements and
-witnesses.
+F_q[t] values stay packed coefficient lists from the reduction through
+the solve to the conjugation: `Polynomial` and `Matrix2` objects are made
+only for what a caller receives, the reduction's g and word, stabilizer
+elements and witnesses.
 """
 
 from __future__ import annotations

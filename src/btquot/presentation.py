@@ -400,12 +400,11 @@ def _group_walk(stab, gens, parents):
 
 
 def _word_search(target, walk, names, stab):
-    """Express the frame `target` of `stab` as a word in the generators,
-    named `names`, of the walk (parents, `_group_walk`), with positive
-    exponents (the groups are finite, so inverses are redundant): its path
-    in the walk's tree, walked on only until it reaches `target`.  The
-    order is fixed, so this is the word a fresh search stopping there
-    finds."""
+    """Express the frame `target` of `stab` as a word, with positive
+    exponents (the groups are finite), in the generators named `names` of
+    the walk (parents, `_group_walk`): its path in the walk's tree, walked
+    on only until it reaches `target`.  The order is fixed, so this is the
+    word a fresh search stopping there finds."""
     parents, frames = walk
     if target not in parents and all(fr != target for fr in frames):
         raise PresentationInconsistency("element not in the generated group")
