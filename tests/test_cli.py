@@ -101,7 +101,9 @@ class TestReduce:
 # reduce, stab and orbit on the README examples, a deep q=3 reduction,
 # two deep orbit pairs (w = x.v for x in H_D) at q=5 and q=9, and
 # reductions over F_4 and F_9 from r <= 0 and from r > 0, whose last
-# translation is cut by the radius
+# translation is cut by the radius, and one level-0 stabilizer at q=9 for
+# each type of its F_q-algebra V: a Borel (D=t), the dual numbers (t^2),
+# F_81 (t^2+4*t+1), the split torus (t;t+1) and all of M2 (D=0)
 CLI_POINTS = [
     ["reduce", "--p", "2", "--vertex", "r=2;a=1*s^-1"],
     ["stab", "--p", "2", "--level", "t", "--vertex", "r=-1;a=0",
@@ -130,7 +132,9 @@ CLI_POINTS = [
      "r=-1;a=5*s^-4+7*s^-2+1*s^-3"],
     ["reduce", "--p", "3", "--s", "2", "--vertex",
      "r=11;a=8*s^-4+6*s^-2+4*s^6+3*s^9"],
-]
+] + [["stab", "--p", "3", "--s", "2", "--level", lvl, "--vertex",
+      "r=2;a=1*s^1", "--brute-force"]
+     for lvl in ("t", "t^2", "t^2+4*t+1", "t;t+1", "0")]
 CLI_POINTS_GOLDEN = pathlib.Path(__file__).parent / "golden" / "cli_points.txt"
 
 
