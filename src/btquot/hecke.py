@@ -18,13 +18,16 @@ Whether a candidate lies in H_D is a divisibility condition that is affine
 linear over F_q in the torus pair (alpha, beta) and the unipotent
 coefficients, so one Gauss-Jordan elimination of the system, with both
 torus terms as right-hand sides, decides every torus pair at once (plus one
-homogeneous solve at level 0) instead of a q^(n+3) enumeration, kept
-(`brute_force=True` paths) as an oracle up to ENUMERATION_CAP elements.
+homogeneous solve at level 0) instead of a q^(n+3) enumeration, kept as
+an oracle (`stabilizer_brute_force`, `orbit_equivalent_brute_force`) up to
+ENUMERATION_CAP elements.
 Each column t^i*P mod N_D after the first is a shift less top*N_D
 (`_mod_vectors`); the torus pairs are all, one line alpha = mu*beta or
 none, read off the first nonzero reduced row past the rank
-(`_torus_blocks`); a span point is one vector add (`_span_points`), and a
-level-0 stabilizer walks at most ENUMERATION_CAP of them.
+(`_torus_blocks`); a span point is one vector add (`_span_points`).  At
+level 0 the stabilizer is the unit group of the F_q-algebra V of solutions:
+its order comes from the type of V (`_level0_unit_group`), and its elements
+with c != 0 are walked only on demand (`_level0_extras`).
 A stabilizer element g^{-1} s g, and an orbit witness g_dst^{-1} s g_src,
 is F_q-linear in the frame data of s: one combination per entry of
 products of the entries of g_dst and g_src (`_conjugate`).  The way back
@@ -501,8 +504,9 @@ class StabDescriptor:
     running over an affine solution space of polynomials of degree <= n
     (blocks ((alpha, beta), particular, kernel_basis) of packed ints,
     keyed by the torus pair).  At level 0 the ambient stabilizer is all of
-    GL2(F_q); the constant solutions with a nonzero lower-left entry are
-    kept separately in `extra`, as frame data.
+    GL2(F_q), and the solutions form an F_q-algebra V; when some of them
+    have a nonzero lower-left entry, `kernel` holds a basis of V, as
+    packed-int tuples (a, b, c, d), and is empty otherwise.
 
     With g = [[A, B], [C, D]] and delta = det g in F_q*, the entries of
     g^{-1} s g are F_q-linear in a, b, c, d, as (1,1) =
@@ -517,19 +521,21 @@ class StabDescriptor:
     """
 
     __slots__ = ("base_vertex", "conjugator", "level_n", "level", "field",
-                 "blocks", "extra", "_order", "_products")
+                 "blocks", "kernel", "_order", "_products")
 
-    def __init__(self, base_vertex, conjugator, level_n, level, blocks, extra):
+    def __init__(self, base_vertex, conjugator, level_n, level, blocks,
+                 kernel):
         self.base_vertex = base_vertex
         self.conjugator = conjugator
         self.level_n = level_n
         self.level = level
         self.field = base_vertex.field
         self.blocks = tuple(blocks)
-        self.extra = tuple(extra)
+        self.kernel = tuple(kernel)
         q = self.field.q
-        self._order = sum(q ** len(kb) for _, _, kb in self.blocks) \
-            + len(self.extra)
+        self._order = (_level0_unit_group(self.field, self.kernel)[0]
+                       if self.kernel else
+                       sum(q ** len(kb) for _, _, kb in self.blocks))
         self._products = None
 
     @property
@@ -540,37 +546,12 @@ class StabDescriptor:
         """log_q of the order of the largest normal unipotent subgroup, an
         invariant of the class of the vertex.
 
-        Without level-0 extras the group S in the frame is triangular and
-        that subgroup is the (1,1) block, of F_q-dimension len(kernel).
-        With extras: a nontrivial normal p-subgroup fixes exactly one point
-        of P^1(F_q), which S permutes and so fixes too.  Unless the
-        generators fix exactly one point, the value is 0; if they do, S
-        lies in the Borel subgroup of that point, which is not infinity,
-        its unipotent elements are the subgroup, and they are the identity
-        and the extras of trace 2 and determinant 1."""
-        if not self.extra:
-            for tp, part, kb in self.blocks:
-                if tp == (1, 1):
-                    return len(kb)
-            return 0
-        f = self.field
-        add, mul, neg = f.add, f.mul, f.neg
-        maps = [(a, b[0], c, d) for a, b, c, d in self.generator_frames()]
-        fixed = [x for x in [None, *range(f.q)]
-                 if all(moebius(f, m, x) == x for m in maps)]
-        if len(fixed) != 1:
-            return 0
-        count = 1 + sum(add(a, d) == add(1, 1)
-                        and add(mul(a, d), neg(mul(b[0], c))) == 1
-                        for a, b, c, d in self.extra)
-        dim, size = 0, 1
-        while size < count:
-            dim, size = dim + 1, size * f.q
-        if size != count:
-            raise HeckeInconsistency(
-                "the unipotent subgroup of a level-0 stabilizer has order "
-                "%d, not a power of q = %d" % (count, f.q))
-        return dim
+        Without a level-0 kernel the group in the frame is triangular and
+        that subgroup is the unipotent space of the (1,1) block; with one
+        it is read off the type of V (`_level0_unit_group`)."""
+        if self.kernel:
+            return _level0_unit_group(self.field, self.kernel)[1]
+        return next((len(kb) for tp, _, kb in self.blocks if tp == (1, 1)), 0)
 
     def has_distinct_torus_block(self):
         return any(tp[0] != tp[1] for tp, _, _ in self.blocks)
@@ -681,12 +662,13 @@ class StabDescriptor:
         elements that fix infinity, so an extra x lies in their group H
         iff x.inf = h.inf for some h in H, h^-1 x then lying in B_S.
         |H| = |H.inf| |B_S|, so the walk stops once the orbit has
-        order / |B_S| points; no product is formed."""
+        order / |B_S| points; no product is formed.  The order is a closed
+        form (`_level0_unit_group`), which the walk so checks."""
         f = self.field
         maps = [(a, b[0], c, d) for a, b, c, d in frames]
-        triangular = self.order - len(self.extra)
+        triangular = sum(f.q ** len(kb) for _, _, kb in self.blocks)
         orbit, kept = {None}, []
-        for x in self.extra:
+        for x in _level0_extras(f, self.kernel):
             if len(orbit) * triangular == self.order:
                 break
             a, b, c, d = x
@@ -708,7 +690,7 @@ class StabDescriptor:
         (`_extra_generators`)."""
         frames = self._torus_lifts()
         frames += [(1, vec, 0, 1) for vec in self._unipotent_basis()]
-        if self.extra:
+        if self.kernel:
             frames += self._extra_generators(frames)
         return frames
 
@@ -723,7 +705,7 @@ class StabDescriptor:
         for (ai, bi), part, kb in self.blocks:
             for vec in _span_points(kb, self.field, part):
                 yield ai, vec, 0, bi
-        yield from self.extra
+        yield from _level0_extras(self.field, self.kernel)
 
     def check_order(self, cap):
         if self.order > cap:
@@ -737,16 +719,45 @@ class StabDescriptor:
         return [self.element(fr) for fr in self.frames()]
 
     def __repr__(self):
-        return ("StabDescriptor(level_n=%d, order=%d, blocks=%d, extra=%d)"
+        return ("StabDescriptor(level_n=%d, order=%d, blocks=%d, kernel=%d)"
                 % (self.level_n, self.order, len(self.blocks),
-                   len(self.extra)))
+                   len(self.kernel)))
+
+
+def _level0_unit_group(field, kernel):
+    """(|V*|, log_q of the order of its largest normal unipotent subgroup)
+    for the F_q-subalgebra V of M2(F_q) with basis `kernel`, V holding 1
+    and some x with c != 0.
+
+    V is all of M2 (dimension 4), a Borel subalgebra (3) or F_q[x] (2),
+    which is F_{q^2}, the dual numbers or F_q x F_q as the characteristic
+    polynomial of x has none, one or two roots in F_q."""
+    q = field.q
+    if len(kernel) == 4:
+        return (q * q - 1) * (q * q - q), 0
+    if len(kernel) == 3:
+        return (q - 1) ** 2 * q, 1
+    add, mul, neg = field.add, field.mul, field.neg
+    a, b, c, d = next(vec for vec in kernel if vec[2])
+    trace, det = add(a, d), add(mul(a, d), neg(mul(b, c)))
+    roots = sum(add(mul(z, add(z, neg(trace))), det) == 0 for z in range(q))
+    return [(q * q - 1, 0), (q * (q - 1), 1), ((q - 1) ** 2, 0)][roots]
+
+
+def _level0_extras(field, kernel):
+    """Frame data of the units of the span of `kernel` with c != 0, in
+    `_span_points` order; none for an empty kernel."""
+    mul = field.mul
+    for sa, sb, sc, sd in (_span_points(kernel, field) if kernel else ()):
+        if sc and mul(sa, sd) != mul(sb, sc):
+            yield sa, (sb,), sc, sd
 
 
 def _stab_solution(level, red_src, red_dst, stabilizer_mode):
-    """Blocks and extras for {s : g_dst^{-1} s g_src in H_D}.
+    """Blocks and the level-0 kernel for {s : g_dst^{-1} s g_src in H_D}.
 
     In stabilizer mode red_src is red_dst and the result describes a group;
-    otherwise the first solution found is returned as a witness.
+    otherwise a block found is returned alone, as a witness.
 
     The condition is N_D | (g_dst^{-1} s g_src)[2,1].  With W = adj(g_dst)
     and (a, c) the first column of g_src, the entry of W s g_src is
@@ -771,48 +782,37 @@ def _stab_solution(level, red_src, red_dst, stabilizer_mode):
     va = (tuple(map(field.neg, vc)) if stabilizer_mode else
           _mod_vectors(field, packed_mul(field, w21, a), modulus)[0])
     blocks = _torus_blocks(columns, va, vc, field, not stabilizer_mode)
-    if blocks and not stabilizer_mode:
+    if n > 0 or (blocks and not stabilizer_mode):
         return blocks, ()
-    extra = ()
-    if n == 0:
-        # ambient stabilizer is GL2(F_q): the solutions with s21 != 0, if any
-        w22a = _mod_vectors(field, packed_mul(field, w22, a), modulus)[0]
-        cols4 = [va, columns[0], w22a, vc]
-        _, kernel4 = solve_affine(cols4, (0,) * (len(modulus) - 1), field)
-        kernel4 = kernel4 if any(vec[2] for vec in kernel4) else ()
-        if stabilizer_mode and field.q ** len(kernel4) > ENUMERATION_CAP:
-            raise SizeError("the level-0 stabilizer would walk %d points, "
-                            "above the cap %d"
-                            % (field.q ** len(kernel4), ENUMERATION_CAP))
-        mul = field.mul
-        found = ((sa, (sb,), sc, sd) for sa, sb, sc, sd
-                 in (_span_points(kernel4, field) if kernel4 else ())
-                 if sc and mul(sa, sd) != mul(sb, sc))
-        extra = found if stabilizer_mode else itertools.islice(found, 1)
-    return blocks, tuple(extra)
+    # ambient stabilizer is GL2(F_q): a basis of V, kept if some c != 0 in V
+    w22a = _mod_vectors(field, packed_mul(field, w22, a), modulus)[0]
+    cols4 = [va, columns[0], w22a, vc]
+    _, kernel4 = solve_affine(cols4, (0,) * (len(modulus) - 1), field)
+    kernel4 = tuple(tuple(map(field.packed, vec)) for vec in kernel4)
+    return blocks, kernel4 if any(vec[2] for vec in kernel4) else ()
 
 
 def stabilizer(v, level):
     """Descriptor of Stab_{H_D}(v), computed by the linear solver."""
     red = reduce_vertex(v)
-    blocks, extra = _stab_solution(level, red, red, stabilizer_mode=True)
-    return StabDescriptor(v, red.g, red.level_n, level, blocks, extra)
+    blocks, kernel = _stab_solution(level, red, red, stabilizer_mode=True)
+    return StabDescriptor(v, red.g, red.level_n, level, blocks, kernel)
 
 
 def orbit_witness(level, red_src, red_dst):
     """Some h in H_D with act(h, src) = dst, or None, given both
     reductions: g_dst^-1 s g_src for the first s the solve finds
     (`_conjugate`).  Levels must already agree."""
-    blocks, extra = _stab_solution(level, red_src, red_dst,
-                                   stabilizer_mode=False)
+    field = level.field
+    blocks, kernel = _stab_solution(level, red_src, red_dst,
+                                    stabilizer_mode=False)
     if blocks:
         (ai, bi), part, _ = blocks[0]
         frame = (ai, part, 0, bi)
-    elif extra:
-        frame = extra[0]
     else:
-        return None
-    field = level.field
+        frame = next(_level0_extras(field, kernel), None)
+        if frame is None:
+            return None
     dst = tuple(x.packed_coeffs for x in red_dst.g.entries())
     src = dst if red_src is red_dst else tuple(
         x.packed_coeffs for x in red_src.g.entries())

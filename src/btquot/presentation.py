@@ -237,7 +237,7 @@ def build_graph_of_groups(Q):
         _, h = Q.locate(lifts[cid])
         vertex_stabs[cid] = StabDescriptor(lifts[cid], stab.conjugator @ h,
                                            stab.level_n, level, stab.blocks,
-                                           stab.extra)
+                                           stab.kernel)
 
     finite_classes = tuple(sorted(set(y_classes).union(t[0] for t in tails)))
     for cid in finite_classes:

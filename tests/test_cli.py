@@ -58,6 +58,15 @@ class TestCusps:
                              "boundary classes ending no certified chain: 1")
         assert "MISMATCH" not in out
 
+    def test_level_zero_above_the_enumeration_cap(self, capsys):
+        """D = 0 at q=19: the base vertex group GL2(F_19), 123,120
+        elements, is described by its level-0 kernel, not walked, so the
+        one cusp certifies."""
+        code, out, err = run_cli(
+            ["cusps", "--p", "19", "--level", "0", "--depth", "5"], capsys)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == "certified=1 formula=1 exact=true"
+
     @pytest.mark.parametrize("count", [2, 5])
     def test_contradicting_count_exits_3(self, capsys, monkeypatch, count):
         """An exact count below the certified 3, or above it by more than
@@ -266,18 +275,19 @@ class TestStabOrbit:
         assert err == ("error: brute force would enumerate %d elements of "
                        "Stab(v_40), above the cap 100000\n" % 2 ** 41)
 
-    def test_level_zero_stabilizer_cap_exits_2(self, capsys):
+    def test_level_zero_stabilizer_above_the_cap_answers(self, capsys):
         """At q=31 and D=0 the stabilizer of the base vertex is all of
-        GL2(F_31), 892,800 elements.  The solver would walk the 31^4
-        points of its level-0 kernel; above the enumeration cap it refuses
-        before the first one, with exit 2."""
+        GL2(F_31), 892,800 elements, more than the enumeration cap.  Its
+        order is a closed form in the type of the level-0 kernel, and the
+        walk for generators stops once they reach it: four, at once."""
         t0 = time.perf_counter()
         code, out, err = run_cli(["stab", "--p", "31", "--level", "0",
                                   "--vertex", "r=0;a=0"], capsys)
         assert time.perf_counter() - t0 < 1.0
-        assert (code, out) == (2, "")
-        assert err == ("error: the level-0 stabilizer would walk %d points, "
-                       "above the cap 100000\n" % 31 ** 4)
+        lines = out.splitlines()
+        assert (code, err) == (0, "") and "order=892800" in lines
+        assert [ln.split("=")[0] for ln in lines if ln.startswith("gen")] \
+            == ["gen0", "gen1", "gen2", "gen3"]
 
     @pytest.mark.parametrize("r", [-99999999, -4096])
     def test_deep_level_solve_cap_exits_2(self, r, capsys):
@@ -341,6 +351,14 @@ class TestAmalgam:
         assert (code, out) == (2, "")
         assert err == "error: stabilizer order 6 exceeds cap 5\n"
 
+    def test_level_zero_vertex_group_above_the_cap_exits_2(self, capsys):
+        """At q=19 and D=0 the base vertex group GL2(F_19) has 123,120
+        elements, above VERTEX_GROUP_CAP: exit 2, as at q=17."""
+        code, out, err = run_cli(["amalgam", "--p", "19", "--level", "0"],
+                                 capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: stabilizer order 123120 exceeds cap 20000\n"
+
 
 class TestErrors:
     def test_usage_error_exit_2(self, capsys):
@@ -390,7 +408,7 @@ class TestErrors:
                             RationalFunction.zero(F),
                             RationalFunction.zero(F), RationalFunction.one(F))
             return StabDescriptor(v, scale @ stab.conjugator, stab.level_n,
-                                  level, stab.blocks, stab.extra)
+                                  level, stab.blocks, stab.kernel)
 
         monkeypatch.setattr(btquot.quotient, "stabilizer", wrong_frame)
         code, out, err = run_cli(

@@ -514,20 +514,20 @@ class TestStabilizer:
 
     def test_level_zero_kernel_cap(self):
         """At D = 0 the level-0 system has no equations, so its kernel is
-        all of F_q^4.  At q = 31 that is above the enumeration cap, and the
-        stabilizer raises SizeError before walking it; witness mode is
-        never capped.  At D = t the lower-left entry vanishes on the whole
-        kernel, so there is nothing to walk: q = 47 answers, though its
-        47^3 kernel points are above the cap."""
+        all of F_q^4.  At q = 31 its 31^4 points are above the enumeration
+        cap, yet the stabilizer answers, its order GL2(F_31)'s in closed
+        form, and witness mode walks only to its first point.  At D = t
+        the lower-left entry vanishes on the whole kernel, so no kernel is
+        kept: q = 47 answers from the triangular blocks."""
         F31, F47 = FieldSpec(31), FieldSpec(47)
         base = BallVertex.base(F31)
-        with pytest.raises(SizeError, match="walk 923521 points"):
-            stabilizer(base, parse_level("0", F31))
+        sd = stabilizer(base, parse_level("0", F31))
+        assert (sd.order, len(sd.kernel)) == (892800, 4)
         v = ball(F31, 2, {1: 1})
         h = orbit_equivalent(v, base, parse_level("0", F31))
         assert h is not None and act(h, v) == base
         sd = stabilizer(BallVertex.base(F47), parse_level("t", F47))
-        assert (sd.order, sd.extra) == (46 ** 2 * 47, ())
+        assert (sd.order, sd.kernel) == (46 ** 2 * 47, ())
 
     def test_trivial_generators(self):
         # level 0, base vertex, level D = t^2: only scalars survive at q=2
@@ -622,6 +622,95 @@ class TestBruteForceCheck:
                                    verify_action=True)
 
 
+def normal_unipotent_order(field, group):
+    """Order of the largest normal unipotent subgroup of the finite group
+    `group` of F_q matrices (a, b, c, d), by brute force: its elements are
+    the unipotent u whose conjugates generate a group of unipotents."""
+    add, mul, neg, inv = field.add, field.mul, field.neg, field.inv
+
+    def prod(x, y):
+        return (add(mul(x[0], y[0]), mul(x[1], y[2])),
+                add(mul(x[0], y[1]), mul(x[1], y[3])),
+                add(mul(x[2], y[0]), mul(x[3], y[2])),
+                add(mul(x[2], y[1]), mul(x[3], y[3])))
+
+    def det(x):
+        return add(mul(x[0], x[3]), neg(mul(x[1], x[2])))
+
+    def inverse(x):
+        k = inv(det(x))
+        return mul(x[3], k), neg(mul(x[1], k)), neg(mul(x[2], k)), mul(x[0], k)
+
+    def unipotent(x):
+        return add(x[0], x[3]) == add(1, 1) and det(x) == 1
+
+    normal, seen = {(1, 0, 0, 1)}, set()
+    for u in group:
+        if u in seen or u in normal or not unipotent(u):
+            continue
+        conjugates = {prod(prod(s, u), inverse(s)) for s in group}
+        seen |= conjugates
+        closure, frontier = set(conjugates), list(conjugates)
+        while frontier and closure is not None:
+            x = frontier.pop()
+            for z in (prod(x, y) for y in conjugates):
+                if not unipotent(z):
+                    closure = None
+                    break
+                if z not in closure:
+                    closure.add(z)
+                    frontier.append(z)
+        normal |= closure or set()
+    return len(normal)
+
+
+def irreducible_quadratic(field):
+    return next(text for text in ("t^2+t+%d" % c for c in range(field.q))
+                if poly(text, field).is_irreducible())
+
+
+class TestLevelZeroUnitGroup:
+    """At a level-0 vertex the stabilizer in the frame is the unit group of
+    an F_q-algebra V; its closed-form order and unipotent dimension against
+    the brute-force oracle."""
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+    def test_closed_form_against_brute_force(self, q):
+        """On r=2;a=s and a seeded level-0 vertex, at D = 0, the powers 1-3
+        of t and of an irreducible quadratic P, t(t+1) and tP, every type
+        of V occurs over each field: none kept (c = 0 on V), M2, a Borel,
+        and F_q[x] split, a field or the dual numbers.  The order is the
+        number of solutions the oracle enumerates, the ones
+        `stabilizer_brute_force` conjugates; the CLI golden compares it
+        with that function on the five types at q=9."""
+        from btquot.hecke import _congruent_ray_elements, ray_frame
+        from btquot.selftest import _field
+        rng = random.Random(53 + q)
+        field = _field(q)
+        quad = irreducible_quadratic(field)
+        types = set()
+        for text in ("0", "t", "t^2", "t^3", quad, "(%s)^2" % quad,
+                     "(%s)^3" % quad, "t;t+1", "t;" + quad):
+            lvl = parse_level(text, field)
+            for v in (ball(field, 2, {1: 1}),
+                      act(rand_member(field, parse_level("0", field), rng),
+                          BallVertex.base(field))):
+                red = reduce_vertex(v)
+                assert red.level_n == 0
+                group = [(a, b[0], c, d) for a, b, c, d in (
+                    ray_frame(s, 0)
+                    for s in _congruent_ray_elements(lvl, red, red))]
+                sd = stabilizer(v, lvl)
+                assert sd.order == len(group), (text, v)
+                assert q ** sd.unipotent_dim() == \
+                    normal_unipotent_order(field, group), (text, v)
+                dim = len(sd.kernel)
+                types.add(dim if dim != 2 else {
+                    (q - 1) ** 2: "split", q * q - 1: "field",
+                    q * (q - 1): "dual"}[sd.order])
+        assert types == {0, 3, 4, "split", "field", "dual"}
+
+
 class TestOrbitEquivalence:
     def test_reflexive_returns_witness(self):
         lvl = parse_level("t", F2)
@@ -673,7 +762,8 @@ class TestGeneratingSet:
         """`orbit_witness` forms g_dst^-1 s g_src as one combination per
         entry: the same matrix as the product of the three, on triangular
         witnesses and on level-0 ones with c != 0."""
-        from btquot.hecke import _frame_matrix, _stab_solution, orbit_witness
+        from btquot.hecke import (_frame_matrix, _level0_extras,
+                                  _stab_solution, orbit_witness)
         rng = random.Random(41)
         lower = 0
         for field in ORACLE_FIELDS:
@@ -693,12 +783,13 @@ class TestGeneratingSet:
                 for v, h in pairs:
                     w = act(h, v)
                     red_v, red_w = reduce_vertex(v), reduce_vertex(w)
-                    blocks, extra = _stab_solution(lvl, red_v, red_w, False)
+                    blocks, kernel = _stab_solution(lvl, red_v, red_w,
+                                                    False)
                     if blocks:
                         (ai, bi), part, _ = blocks[0]
                         frame = (ai, part, 0, bi)
                     else:
-                        frame = extra[0]
+                        frame = next(_level0_extras(field, kernel))
                         lower += 1
                     assert orbit_witness(lvl, red_v, red_w) == \
                         red_w.g.inverse() @ _frame_matrix(field, frame) \
@@ -778,8 +869,8 @@ class TestPackedPath:
         for lvl, red_v, red_w in cases:
             _stab_solution(lvl, red_v, red_v, True)
             assert not made
-            blocks, extra = _stab_solution(lvl, red_v, red_w, False)
-            assert not made and (blocks or extra)
+            blocks, kernel = _stab_solution(lvl, red_v, red_w, False)
+            assert not made and (blocks or kernel)
             found += orbit_witness(lvl, red_v, red_w) is not None
             assert len(made) == 4
             del made[:]

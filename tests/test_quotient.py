@@ -610,7 +610,7 @@ def moved_descriptor(Q, c):
     stab = c.stab
     return StabDescriptor(act(m, c.representative),
                           stab.conjugator @ m.inverse(), stab.level_n,
-                          Q.level, stab.blocks, stab.extra)
+                          Q.level, stab.blocks, stab.kernel)
 
 
 class TestFrameOrbits:
@@ -725,7 +725,7 @@ class TestFrameOrbits:
             stab = c.stab
             wrong = StabDescriptor(stab.base_vertex, scale @ stab.conjugator,
                                    stab.level_n, Q.level, stab.blocks,
-                                   stab.extra)
+                                   stab.kernel)
             neighbors = sorted(stab.base_vertex.neighbors(),
                                key=lambda u: u.key())
             with pytest.raises(InconsistencyError):
@@ -746,7 +746,7 @@ class TestFrameOrbits:
                 Polynomial.t(Q.field).shift(stab.level_n + 1))
             wrong = StabDescriptor(stab.base_vertex, shift @ stab.conjugator,
                                    stab.level_n, Q.level, stab.blocks,
-                                   stab.extra)
+                                   stab.kernel)
             neighbors = sorted(stab.base_vertex.neighbors(),
                                key=lambda u: u.key())
             with pytest.raises(InconsistencyError, match="singular"):
@@ -763,7 +763,7 @@ def random_frames(rng, stab, count):
     q, n, mul = stab.field.q, stab.level_n, stab.field.mul
     out = [(rng.randrange(1, q), tuple(rng.randrange(q) for _ in range(n + 1)),
             0, rng.randrange(1, q)) for _ in range(count)]
-    while stab.extra and len(out) < 2 * count:
+    while stab.kernel and len(out) < 2 * count:
         a, b, c, d = (rng.randrange(q), rng.randrange(q),
                       rng.randrange(1, q), rng.randrange(q))
         if mul(a, d) != mul(b, c):
@@ -780,6 +780,7 @@ class TestFrameOf:
         """frame_of(element(fr)) == fr on seeded frames, from the
         representative and from the moved descriptor of every class."""
         import random
+        from btquot.hecke import _level0_extras
         from btquot.selftest import _field
         Q = build(_field(q), lvl, depth)
         rng = random.Random(1000 * q + depth)
@@ -787,9 +788,10 @@ class TestFrameOf:
         for c in Q.classes:
             for stab in (c.stab, moved_descriptor(Q, c)):
                 levels.add(min(stab.level_n, 1))
-                extras = extras or bool(stab.extra)
+                extra = list(_level0_extras(stab.field, stab.kernel))
+                extras = extras or bool(extra)
                 frames = (random_frames(rng, stab, 4)
-                          + rng.sample(stab.extra, min(4, len(stab.extra)))
+                          + rng.sample(extra, min(4, len(extra)))
                           + stab.generator_frames()[:8])
                 for fr in frames:
                     assert stab.frame_of(stab.element(fr)) == fr, (c.id, fr)
@@ -926,7 +928,7 @@ def assert_small_generating_set(stab):
     assert generated_order(stab, gens) == stab.order, stab
     kept = sum(1 for fr in gens if fr[2])
     assert len(gens) <= 2 + len(stab._unipotent_basis()) + kept, stab
-    triangular = stab.order - len(stab.extra)
+    triangular = sum(stab.field.q ** len(kb) for _, _, kb in stab.blocks)
     assert 2 ** kept <= stab.order // triangular, stab
 
 
