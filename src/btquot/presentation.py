@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from itertools import groupby
 
 from .btree import Matrix2
-from .hecke import StabDescriptor, orbit_witness, ray_frame, reduce_vertex
+from .hecke import (StabDescriptor, _primitive_element, orbit_witness,
+                    ray_frame, reduce_vertex)
 from .quotient import SPLIT, InconsistencyError, frame_fixers, frame_orbits
 
 
@@ -587,19 +588,13 @@ def _junction_elements(G, starts):
 
 
 def _discrete_logs(field):
-    """dlog table of F_q*, on packed ints, with respect to the first
-    primitive element."""
-    if field.q == 2:
-        return {1: 0}
-    for g in range(2, field.q):
-        logs = {}
-        acc = 1
-        for e in range(field.q - 1):
-            logs[acc] = e
-            acc = field.mul(acc, g)
-        if len(logs) == field.q - 1:
-            return logs
-    raise PresentationInconsistency("no primitive element found")
+    """dlog table of F_q*, on packed ints, with respect to the least
+    primitive element (`_primitive_element`)."""
+    g, logs, acc = _primitive_element(field), {}, 1
+    for e in range(field.q - 1):
+        logs[acc] = e
+        acc = field.mul(acc, g)
+    return logs
 
 
 def abelianization_of_line_amalgam(G):
