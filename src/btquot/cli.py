@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .algebra import AlgebraError, FieldSpec, parse_polynomial
+from .algebra import AlgebraError, FieldSpec, Polynomial, parse_polynomial
 from .btree import BallVertex, TreeError
 from .formulas import PicardData, cusp_count, formula_report
 from .hecke import (HeckeError, HeckeInconsistency, orbit_equivalent,
@@ -196,12 +196,8 @@ def _cmd_reduce(args):
     field = _field_from_args(args)
     v = BallVertex.from_text(args.vertex, field)
     red = reduce_vertex(v)
-    names = []
-    for mv in red.word:
-        if mv.a.is_zero():
-            names.append("I")
-        else:
-            names.append("tau[%s]" % (-mv.b))
+    names = ["I" if f is None else "tau[%s]" % Polynomial._of(field, f)
+             for f in red.word]
     lines = ["vertex=%s" % v.to_text(),
              "level=%d" % red.level_n,
              "word=[%s]" % ", ".join(names),

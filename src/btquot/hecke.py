@@ -24,7 +24,8 @@ ENUMERATION_CAP elements.
 Each column t^i*P mod N_D after the first is a shift less top*N_D
 (`_mod_vectors`); the torus pairs are all, one line alpha = mu*beta or
 none, read off the first nonzero reduced row past the rank
-(`_torus_blocks`); a span point is one vector add (`_span_points`).  At
+(`_torus_blocks`); a span point is one vector add (`_span_points`); an
+edge group is the same data cut by one linear row (`_cut`).  At
 level 0 the stabilizer is the unit group of the F_q-algebra V of solutions:
 its order comes from the type of V (`_level0_unit_group`), and its elements
 with c != 0 are walked only on demand (`_level0_extras`).
@@ -37,8 +38,8 @@ its unipotent space and, at level 0, the extras that grow the orbit of
 infinity on P^1(F_q) (`StabDescriptor.generator_frames`).
 F_q[t] values stay packed coefficient lists from the reduction through
 the solve to the conjugation: `Polynomial` and `Matrix2` objects are made
-only for what a caller receives, the reduction's g and word, stabilizer
-elements and witnesses.
+only for what a caller receives, the reduction's g, stabilizer elements
+and witnesses; the reduction's word stays packed.
 """
 
 from __future__ import annotations
@@ -203,8 +204,9 @@ def reduce_vertex(v):
 
     Returns (n, word, g) with g the composed word, entries in R and
     determinant in F_q*, such that act(g, v) = v_n.  The word alternates
-    center-clearing translations tau_f with the inversion I; each I strictly
-    shrinks the radius exponent, so the loop terminates.
+    center-clearing translations tau_f, given by the packed list of f, with
+    the inversion I, given by None; each I strictly shrinks the radius
+    exponent, so the loop terminates.
 
     The moves run on the ball x + pi^r O with x the exact center P/t^K of
     v: tau_f subtracts from x the polynomial part f of its truncated
@@ -225,11 +227,10 @@ def reduce_vertex(v):
 
 def _nagao_reduction(v):
     """The `reduce_vertex` loop on packed coefficient lists; the
-    `Polynomial` and `Matrix2` objects of g and the word are made once, at
-    the end."""
+    `Polynomial` and `Matrix2` objects of g are made once, at the end."""
     field = v.field
     neg_one = [field.neg(1)]
-    moves = []   # -f for each tau_f, None for each I
+    moves = []   # f for each tau_f, None for each I
     # the rows of g = word[-1] @ ... @ word[0], over F_q[t]
     a, b, c, d = [1], [], [], [1]
     num, k = v.center.fraction()
@@ -241,8 +242,8 @@ def _nagao_reduction(v):
             # pi^r O, so the center is cleared and the loop ends
             f = [0] * (1 - r) + f[1 - r:] if len(f) > 1 - r else []
         if f:
+            moves.append(f)
             minus_f = packed_mul(field, f, neg_one)
-            moves.append(minus_f)
             a = packed_add(field, a, packed_mul(field, minus_f, c))
             b = packed_add(field, b, packed_mul(field, minus_f, d))
         if r <= 0:
@@ -255,13 +256,7 @@ def _nagao_reduction(v):
         else:
             num, den, r = den, num, r - 2 * m
     of = Polynomial._of
-    zero, one = of(field, []), of(field, [1])
-    inv = Matrix2(zero, one, one, zero)
-    # tau_f = [[1, -f], [0, 1]]
-    word = tuple([inv if move is None
-                  else Matrix2(one, of(field, move), zero, one)
-                  for move in moves])
-    return ReductionResult(-r, word, Matrix2(
+    return ReductionResult(-r, tuple(moves), Matrix2(
         of(field, a), of(field, b), of(field, c), of(field, d)))
 
 
@@ -399,6 +394,25 @@ def _torus_blocks(columns, va, vc, field, first_only):
     by_a = {ai: vscale(ai, na) for ai in {ai for ai, _ in pairs}}
     by_c = {bi: vscale(bi, nc) for bi in {bi for _, bi in pairs}}
     return [((ai, bi), vadd(by_a[ai], by_c[bi]), kernel) for ai, bi in pairs]
+
+
+def _cut(field, part, basis, row, value):
+    """part + span(basis), packed-int vectors, cut by <row, v> = value:
+    (point, basis), or None when empty.  The last basis vector off the
+    hyperplane's direction is eliminated, so `_span_points` lists the cut
+    in the order it lists the space's points on the hyperplane."""
+    vadd, vscale = _vector_ops(field)
+    add, mul, neg = field.add, field.mul, field.neg
+    dots = [functools.reduce(add, map(mul, row, vec), 0)
+            for vec in [part, *basis]]
+    rest = add(value, neg(dots.pop(0)))
+    j = max((i for i, x in enumerate(dots) if x), default=None)
+    if j is None:
+        return None if rest else (part, basis)
+    inv, pivot = field.inv(dots[j]), basis[j]
+    return (vadd(part, vscale(mul(rest, inv), pivot)),
+            tuple(vadd(vec, vscale(neg(mul(x, inv)), pivot))
+                  for i, (vec, x) in enumerate(zip(basis, dots)) if i != j))
 
 
 def _span_points(basis, field, origin=None):

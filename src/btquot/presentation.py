@@ -4,13 +4,15 @@ infinite cusp tails, and a verified generators-and-relations emission.
 
 A finite vertex group is g^-1 S g for a subgroup S of the finite group
 Stab(v_n) (Nagao), kept as its `StabDescriptor` and worked on in frame
-data: edge groups, words and injections are frames of S.  A matrix is
+data.  An edge group is a `StabDescriptor` too, in the frame of its
+source, cut from the source's solution spaces (`quotient.frame_fixers`),
+so both give generators by one rule (`generator_frames`).  A matrix is
 read in the frame of a vertex one way, by `hecke.ray_frame` (through
 `StabDescriptor.frame_of`): for the edge injections, the junction
 eigenpairs of the line amalgam and the check of every witness g_y.
 Matrices over F_q[t] are formed only for the printed generators, the
-witnesses g_y and the edge groups' elements, to order the elements, read
-an injected element's frame and check every relation.
+witnesses g_y and the edge groups' generators, to order the generators,
+read an injected element's frame and check every relation.
 
 The infinite tail groups are never materialized; they are reported through
 their observed structure (torus type and the tower of unipotent dimensions
@@ -40,6 +42,8 @@ class PresentationInconsistency(PresentationError, InconsistencyError):
     not bad input."""
 
 
+# the largest finite vertex group the presentation takes: the walk that
+# finds the words in its generators (`_group_walk`) visits every element
 VERTEX_GROUP_CAP = 20000
 
 
@@ -116,8 +120,8 @@ class GogEdge:
     lift_dst: object          # tree neighbor of lifts[src] lying in class dst
     in_tree: bool
     g_y: object               # identity on tree edges; act(g_y, lifts[dst]) = lift_dst
-    edge_frames: object       # the edge group as frames of the source stab
-                              # if both ends are finite, else None
+    edge_group: object        # StabDescriptor of the edge group in the
+                              # source frame if both ends are finite, else None
 
 
 @dataclass
@@ -259,13 +263,13 @@ def build_graph_of_groups(Q):
             strands.append((src_id, dst_id, lift_dst, g_y))
     edges = []
     for src_id, dst_id, lift_dst, g_y in strands:
-        frames = None
+        group = None
         if src_id in finite_classes and dst_id in finite_classes:
-            frames = frame_fixers(vertex_stabs[src_id], lift_dst)
+            group = frame_fixers(vertex_stabs[src_id], lift_dst)
         edges.append(GogEdge(
             src=src_id, dst=dst_id, lift_dst=lift_dst, in_tree=g_y is None,
             g_y=Matrix2.identity(Q.field) if g_y is None else g_y,
-            edge_frames=frames))
+            edge_group=group))
 
     tails_out = [_tail_descriptor(Q, cusp, tail, vertex_stabs, edges)
                  for cusp, tail in zip(Q.cusps, tails)]
@@ -327,8 +331,8 @@ def _tail_descriptor(Q, cusp, tail, vertex_stabs, edges):
     for e in edges:
         if e.in_tree and start in (e.src, e.dst):
             other = e.dst if e.src == start else e.src
-            if other not in tail and e.edge_frames is not None:
-                junction_order = len(e.edge_frames)
+            if other not in tail and e.edge_group is not None:
+                junction_order = e.edge_group.order
                 break
     return CuspGroupDescriptor(cusp=cusp, chain=tuple(tail),
                                splitness=cusp.splitness, torus=torus,
@@ -345,41 +349,6 @@ class Presentation:
     generators: list          # (name, Matrix2)
     relations: list           # each a tuple of (name, exponent)
     tail_summaries: list
-
-
-def _frame_closure(stab, group, gens):
-    """The least set holding the frames `group` and closed under right
-    multiplication by the frames `gens`: the group they generate when
-    `group` is a group."""
-    seen = set(group)
-    frontier = list(group)
-    while frontier:
-        cur = frontier.pop()
-        for g in gens:
-            nxt = stab.frame_product(cur, g)
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return seen
-
-
-def _generating_subset(stab, frames):
-    """Greedy small generating set of the finite subgroup of `stab` with
-    frame data `frames`, as (frame, element) pairs: the elements in
-    `Matrix2.key()` order, each kept when it lies outside the group the
-    kept ones generate, closed in the frame."""
-    chosen, gens = [], []
-    have = {stab.identity_frame()}
-    for fr, e in sorted(((fr, stab.element(fr)) for fr in frames),
-                        key=lambda pair: pair[1].key()):
-        if fr in have:
-            continue
-        chosen.append((fr, e))
-        gens.append(fr)
-        have = _frame_closure(stab, have, gens)
-        if len(have) >= len(frames):
-            break
-    return chosen
 
 
 def _group_walk(stab, gens, parents):
@@ -423,11 +392,12 @@ def emit_presentation(G):
     Relations: generator orders, one identification per tree-edge-group
     generator (the same matrix written in both endpoint groups), and the
     conjugation relation through g_y for every non-tree edge.  The
-    generators of a vertex group are its `generator_frames`, their orders
-    read off their frames, edge group generators are picked by closures in
-    the frame, and words are found by products of frames.  The image of an edge generator c, c on a tree
-    edge and g_y^-1 c g_y on a non-tree edge, is read as a frame of the
-    target with `frame_of`; None means it does not fix the target lift.
+    generators of a vertex group and of an edge group are their
+    `generator_frames`, the edge ones in `Matrix2.key()` order; orders
+    and words are found by products of frames.  The image of an edge
+    generator c, c on a tree edge and g_y^-1 c g_y on a non-tree edge, is
+    read as a frame of the target with `frame_of`; None means it does not
+    fix the target lift.
     Every relation is then evaluated by matrix arithmetic over F_q[t] and
     must be the identity, and every witness g_y must map the lift of its
     target class to the edge's lifted end (`_check_witness`).
@@ -456,10 +426,12 @@ def emit_presentation(G):
             edge_counter += 1
             gen_names.append((hname, e.g_y))
             all_named[hname] = e.g_y
-        if e.edge_frames is None:
+        if e.edge_group is None:
             continue
         src, dst = G.vertex_stabs[e.src], G.vertex_stabs[e.dst]
-        for fr, c in _generating_subset(src, e.edge_frames):
+        for fr, c in sorted(((fr, src.element(fr))
+                             for fr in e.edge_group.generator_frames()),
+                            key=lambda pair: pair[1].key()):
             word_src = _word_search(fr, *gen_by_class[e.src], src)
             image = dst.frame_of(c if e.in_tree
                                  else e.g_y.inverse() @ c @ e.g_y)
@@ -579,12 +551,12 @@ def _junction_elements(G, starts):
     """The elements of the one tree edge group joining the classes
     `starts`, or None when not exactly one tree edge joins them."""
     junction = [e for e in G.edges
-                if e.in_tree and e.edge_frames is not None
+                if e.in_tree and e.edge_group is not None
                 and {e.src, e.dst} == starts]
     if len(junction) != 1:
         return None
-    stab = G.vertex_stabs[junction[0].src]
-    return [stab.element(fr) for fr in junction[0].edge_frames]
+    group = junction[0].edge_group
+    return [group.element(fr) for fr in group.frames()]
 
 
 def _discrete_logs(field):

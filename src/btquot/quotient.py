@@ -48,8 +48,8 @@ from dataclasses import dataclass, field as dc_field
 
 from .algebra import packed_add, packed_mul
 from .btree import BallVertex, Matrix2
-from .hecke import (moebius, moebius_orbit, orbit_witness, reduce_vertex,
-                    stabilizer)
+from .hecke import (StabDescriptor, _cut, moebius_orbit, orbit_witness,
+                    reduce_vertex, stabilizer)
 
 
 class QuotientError(ValueError):
@@ -323,13 +323,28 @@ def frame_orbits(stab, neighbors):
 
 
 def frame_fixers(stab, w):
-    """The frame data, in `stab.frames()` order, of the elements of `stab`
-    that fix the tree neighbor w of its vertex; each is decided by the
-    label of w and the frame data, and no element is formed."""
+    """The edge group Stab(v) n Stab(w), v the vertex of `stab` and w a
+    tree neighbor, as a `StabDescriptor` in the frame of v: the elements
+    whose Moebius map fixes the label x of w, c = 0 for x = infinity and
+    c x^2 + (d - a) x - b_n = 0 else.  That row cuts each solution space
+    (`hecke._cut`), and a cut level-0 kernel is kept only while some c != 0
+    in it.  No element is formed or listed."""
     (x,) = _frame_labels(stab, [w])
-    n, field = stab.level_n, stab.field
-    return [fr for fr in stab.frames()
-            if moebius(field, (fr[0], fr[1][n], fr[2], fr[3]), x) == x]
+    n, f = stab.level_n, stab.field
+    blocks, kernel = stab.blocks, ()
+    if x is not None:
+        row = tuple(int(i == n) for i in range(n + 1))
+        blocks = []
+        for (ai, bi), part, kb in stab.blocks:
+            cut = _cut(f, part, kb, row, f.mul(x, f.add(bi, f.neg(ai))))
+            if cut is not None:
+                blocks.append(((ai, bi),) + cut)
+        if stab.kernel:
+            row = (f.neg(x), f.neg(1), f.mul(x, x), x)
+            _, kernel = _cut(f, (0,) * 4, stab.kernel, row, 0)
+            kernel = kernel if any(vec[2] for vec in kernel) else ()
+    return StabDescriptor(stab.base_vertex, stab.conjugator, n, stab.level,
+                          blocks, kernel)
 
 
 def build_quotient(level, depth):

@@ -1,5 +1,7 @@
-"""Call counts of `StabDescriptor.materialize`: the graph of groups and the
-presentation work on frame data, so neither forms a whole vertex group."""
+"""Call counts of `StabDescriptor.materialize` and `StabDescriptor.frames`:
+the graph of groups and the presentation work on frame data and on edge
+groups cut from the solution spaces, so neither forms or lists a whole
+vertex or edge group."""
 
 import pytest
 
@@ -9,21 +11,27 @@ from btquot.quotient import build_quotient, certify_cusps
 from btquot.selftest import _field
 
 
-@pytest.mark.parametrize("q,lvl,depth", [(9, "t", 8), (2, "t^3", 12)])
+@pytest.mark.parametrize("q,lvl,depth", [(9, "t", 8), (2, "t^3", 12),
+                                         (3, "t^2;t+1", 10), (3, "0", 8)])
 def test_graph_of_groups_and_presentation_materialize_nothing(
         monkeypatch, q, lvl, depth):
-    calls = []
-    materialize = StabDescriptor.materialize
+    calls, listed = [], []
+    materialize, frames = StabDescriptor.materialize, StabDescriptor.frames
 
     def counted(self, cap=100000):
         calls.append(self)
         return materialize(self, cap)
 
+    def counted_frames(self):
+        listed.append(self)
+        return frames(self)
+
     monkeypatch.setattr(StabDescriptor, "materialize", counted)
+    monkeypatch.setattr(StabDescriptor, "frames", counted_frames)
     Q = build_quotient(parse_level(lvl, _field(q)), depth)
     certify_cusps(Q, 3)
     emit_presentation(build_graph_of_groups(Q))
-    assert calls == []
-    # the count is live
+    assert calls == [] and listed == []
+    # the counts are live
     Q.classes[0].stab.materialize()
-    assert len(calls) == 1
+    assert len(calls) == 1 and len(listed) == 1

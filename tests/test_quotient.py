@@ -695,21 +695,43 @@ class TestFrameOrbits:
                     (c.id, fr)
 
     @pytest.mark.parametrize("moved", [False, True])
-    @pytest.mark.parametrize("field,lvl", [(F2, "t^3"), (F3, "t^2"),
-                                           (F3, "0")])
+    @pytest.mark.parametrize("field,lvl", [
+        (F2, "t^3"), (F3, "t^2"), (F3, "0"), (F3, "t^2;t+1"),
+        (FieldSpec(2, 2), "0"), (FieldSpec(5), "0"), (FieldSpec(3, 2), "t")])
     def test_fixers_agree_with_act(self, field, lvl, moved):
-        """Edge groups from frame labels agree with filtering by `act`, on
-        the classes of stabilizer order at most 50."""
+        """Edge groups cut from the solution spaces by the label x of w
+        agree, frame for frame and in order, with the frames of `stab`
+        whose Moebius map fixes x on the classes of stabilizer order at
+        most 600, and with the elements that fix w under `act` on those of
+        order at most 100; their generator frames generate a group of
+        their order.  At D = 0 and at
+        q=3, D=t^2(t+1) (class 13) some edge groups keep a level-0
+        kernel."""
         from btquot.btree import act
-        from btquot.quotient import frame_fixers
+        from btquot.hecke import moebius
+        from btquot.quotient import _frame_labels, frame_fixers
         Q = build(field, lvl, 4)
-        for c in [c for c in Q.classes if c.stab.order <= 50]:
+        n_kernel = 0
+        for c in [c for c in Q.classes if c.stab.order <= 600]:
             stab = moved_descriptor(Q, c) if moved else c.stab
-            v = stab.base_vertex
-            elements = stab.materialize()
+            v, n = stab.base_vertex, stab.level_n
+            frames = list(stab.frames())
+            elements = stab.materialize() if stab.order <= 100 else None
             for w in v.neighbors():
-                assert [stab.element(fr) for fr in frame_fixers(stab, w)] \
-                    == [h for h in elements if act(h, w) == w], (c.id, w)
+                (x,) = _frame_labels(stab, [w])
+                oracle = [fr for fr in frames if moebius(
+                    field, (fr[0], fr[1][n], fr[2], fr[3]), x) == x]
+                edge = frame_fixers(stab, w)
+                assert list(edge.frames()) == oracle, (c.id, w)
+                assert edge.order == len(oracle), (c.id, w)
+                assert elements is None or [
+                    stab.element(fr) for fr in oracle] == [
+                    h for h in elements if act(h, w) == w], (c.id, w)
+                assert generated_order(edge, edge.generator_frames()) \
+                    == edge.order, (c.id, w)
+                n_kernel += bool(edge.kernel)
+        if lvl in ("0", "t^2;t+1"):
+            assert n_kernel
 
     def test_wrong_frame_is_an_inconsistency(self):
         from btquot.algebra import RationalFunction
@@ -897,10 +919,17 @@ def generated_order(stab, gens):
     generated by the r s rep(r s)^-1, which for equal diagonals
     (alpha, beta) is [[1, (b - b') / beta], [0, 1]], so its order is p to
     the F_p-rank of those b, each packed int read as its s base-p digits."""
-    from btquot.presentation import _frame_closure
     ident = stab.identity_frame()
     if any(fr[2] for fr in gens):
-        return len(_frame_closure(stab, {ident}, gens))
+        seen, frontier = {ident}, [ident]
+        while frontier:
+            cur = frontier.pop()
+            for g in gens:
+                nxt = stab.frame_product(cur, g)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+        return len(seen)
     f = stab.field
     reps, frontier, kernel = {(1, 1): ident}, [ident], []
     while frontier:
