@@ -95,9 +95,8 @@ class TestGraphOfGroups:
     def test_vertex_group_cap(self, monkeypatch):
         """A finite vertex group above VERTEX_GROUP_CAP raises SizeError,
         and no frame of any stabilizer is enumerated, in that build or in
-        one under the cap.  At D = 0 over F_3
-        the largest finite vertex group is that of the base class,
-        |GL2(F_3)| = 48."""
+        one under the cap.  At D = 0 over F_3 the largest finite vertex
+        group is that of the base class, |GL2(F_3)| = 48."""
         import btquot.presentation as presentation
         from btquot.hecke import SizeError, StabDescriptor
         Q = build_quotient(parse_level("0", FieldSpec(3)), 8)

@@ -704,9 +704,8 @@ class TestFrameOrbits:
         whose Moebius map fixes x on the classes of stabilizer order at
         most 600, and with the elements that fix w under `act` on those of
         order at most 100; their generator frames generate a group of
-        their order.  At D = 0 and at
-        q=3, D=t^2(t+1) (class 13) some edge groups keep a level-0
-        kernel."""
+        their order.  At D = 0 and at q=3, D=t^2(t+1) (class 13) some edge
+        groups keep a level-0 kernel."""
         from btquot.btree import act
         from btquot.hecke import moebius
         from btquot.quotient import _frame_labels, frame_fixers
