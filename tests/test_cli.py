@@ -112,7 +112,9 @@ class TestReduce:
 # reductions over F_4 and F_9 from r <= 0 and from r > 0, whose last
 # translation is cut by the radius, and one level-0 stabilizer at q=9 for
 # each type of its F_q-algebra V: a Borel (D=t), the dual numbers (t^2),
-# F_81 (t^2+4*t+1), the split torus (t;t+1) and all of M2 (D=0)
+# F_81 (t^2+4*t+1), the split torus (t;t+1) and all of M2 (D=0); then, at
+# q=7 and q=8, the amalgam at D=t and one stabilizer with all of (F_q*)^2
+# (q=7, D=t) or the scalar line (q=8, D=t^2) as its torus pairs
 CLI_POINTS = [
     ["reduce", "--p", "2", "--vertex", "r=2;a=1*s^-1"],
     ["stab", "--p", "2", "--level", "t", "--vertex", "r=-1;a=0",
@@ -143,7 +145,14 @@ CLI_POINTS = [
      "r=11;a=8*s^-4+6*s^-2+4*s^6+3*s^9"],
 ] + [["stab", "--p", "3", "--s", "2", "--level", lvl, "--vertex",
       "r=2;a=1*s^1", "--brute-force"]
-     for lvl in ("t", "t^2", "t^2+4*t+1", "t;t+1", "0")]
+     for lvl in ("t", "t^2", "t^2+4*t+1", "t;t+1", "0")] + [
+    ["amalgam", "--p", "7", "--level", "t", "--depth", "6"],
+    ["amalgam", "--p", "2", "--s", "3", "--level", "t", "--depth", "6"],
+    ["stab", "--p", "7", "--level", "t", "--vertex", "r=2;a=1*s^1",
+     "--brute-force"],
+    ["stab", "--p", "2", "--s", "3", "--level", "t^2", "--vertex",
+     "r=2;a=1*s^1", "--brute-force"],
+]
 CLI_POINTS_GOLDEN = pathlib.Path(__file__).parent / "golden" / "cli_points.txt"
 
 
