@@ -23,9 +23,9 @@ an oracle (`stabilizer_brute_force`, `orbit_equivalent_brute_force`) up to
 ENUMERATION_CAP elements.
 Each column t^i*P mod N_D after the first is a shift less top*N_D
 (`_mod_vectors`); the torus pairs are all, one line alpha = mu*beta or
-none, read off the first nonzero reduced row past the rank
-(`_torus_blocks`); a span point is one vector add (`_span_points`); an
-edge group is the same data cut by one linear row (`_cut`).  At
+none, with solutions alpha*na + beta*nc + span(kernel) (`_torus_blocks`);
+a span point is one vector add (`_span_points`); an edge group is the
+same data cut by one linear row (`_cut`).  At
 level 0 the stabilizer is the unit group of the F_q-algebra V of solutions:
 its order comes from the type of V (`_level0_unit_group`), and its elements
 with c != 0 are walked only on demand (`_level0_extras`).
@@ -358,42 +358,44 @@ def solve_affine(columns, rhs, field):
     return tuple(map(field.element, part)), kernel
 
 
-def _torus_blocks(columns, va, vc, field, first_only):
-    """The consistent systems sum_j x_j * columns[j] = -(alpha*va + beta*vc)
-    over the torus pairs (alpha, beta) in (F_q*)^2, in pair order, as blocks
-    ((alpha, beta), particular, kernel) of packed ints; with `first_only`
-    the first block alone.
+def _torus_restrict(field, mu, rows):
+    """The pairs of the torus set mu with alpha*x + beta*y = 0 on each row
+    (x, y), as a torus set: None for all of (F_q*)^2, mu for the line
+    alpha = mu*beta, 0 (the line alpha = 0) for none."""
+    add, mul = field.add, field.mul
+    for x, y in rows:
+        if mu is None and (x or y):
+            mu = x and y and field.neg(mul(y, field.inv(x)))
+        elif mu is not None and add(mul(mu, x), y):
+            return 0
+    return mu
 
-    One elimination of [columns | va | vc] decides every pair: it is
-    consistent iff alpha*ra + beta*rc vanishes beyond the rank, ra and rc
-    the reduced va and vc.  So every pair is, or the first nonzero row
-    (x, y) there leaves at most the line alpha = mu*beta, mu = -y/x, which
-    holds iff mu*ra + rc vanishes there.  The particular solution is
-    alpha*(-ra) + beta*(-rc) on the pivot rows.
-    """
+
+def _torus_blocks(columns, va, vc, field):
+    """The systems sum_j x_j * columns[j] = -(alpha*va + beta*vc) over the
+    torus pairs, as one linear map (mu, na, nc, kernel) of packed ints, or
+    None when no pair is consistent.  One elimination of [columns | va | vc]
+    decides every pair: it is consistent iff alpha*ra + beta*rc vanishes
+    beyond the rank, ra and rc the reduced va and vc (the torus set mu of
+    `_torus_restrict`), and its particular solution is alpha*na + beta*nc,
+    na and nc being -ra and -rc on the pivot rows."""
     ncols = len(columns)
     rows = [[col[i] for col in columns] + [x, y]
             for i, (x, y) in enumerate(zip(va, vc))]
     pivots, kernel = _eliminate(rows, ncols, field)
-    add, mul, neg = field.add, field.mul, field.neg
-    tail = [row[ncols:] for row in rows[len(pivots):] if any(row[ncols:])]
-    units = range(1, field.q)
-    if not tail:
-        pairs = [(ai, bi) for ai in units for bi in units]
-    else:
-        x, y = tail[0]
-        mu = x and y and neg(mul(y, field.inv(x)))
-        if not mu or any(add(mul(mu, x), y) for x, y in tail):
-            return []
-        pairs = [(ai, mul(ai, field.inv(mu))) for ai in units]
+    mu = _torus_restrict(field, None, [r[ncols:] for r in rows[len(pivots):]])
+    if mu == 0:
+        return None
     na, nc = [0] * ncols, [0] * ncols
     for row, col in zip(rows, pivots):
-        na[col], nc[col] = neg(row[ncols]), neg(row[ncols + 1])
-    pairs = pairs[:1] if first_only else pairs
+        na[col], nc[col] = field.neg(row[ncols]), field.neg(row[ncols + 1])
+    return mu, tuple(na), tuple(nc), kernel
+
+
+def _torus_frame(field, torus, ai, bi):
+    """Frame data of the particular element of the pair (alpha, beta)."""
     vadd, vscale = _vector_ops(field)
-    by_a = {ai: vscale(ai, na) for ai in {ai for ai, _ in pairs}}
-    by_c = {bi: vscale(bi, nc) for bi in {bi for _, bi in pairs}}
-    return [((ai, bi), vadd(by_a[ai], by_c[bi]), kernel) for ai, bi in pairs]
+    return ai, vadd(vscale(ai, torus[1]), vscale(bi, torus[2])), 0, bi
 
 
 def _cut(field, part, basis, row, value):
@@ -498,26 +500,17 @@ def moebius_orbit(field, maps, x):
     return orbit
 
 
-def _generates_field(field, values):
-    """Whether the packed ints `values` generate F_q as a field over F_p,
-    that is, lie in no proper subfield F_{p^k}, k | s, whose elements are
-    the x with x^(p^k) = x."""
-    p, s = field.p, field.s
-    return not any(
-        s % k == 0 and all(field.element(x) ** p ** k == x for x in values)
-        for k in range(1, s))
-
-
 class StabDescriptor:
     """Compact description of Stab_{H_D}(v).
 
     Elements are g^{-1} s g for the reduction g of v, each given by the
     frame data (a, b, c, d) of s = [[a, b], [c, d]]: packed ints, b as its
     packed coefficient vector.  For the triangular part,
-    s = [[alpha, b], [0, beta]] with (alpha, beta) in F_q* x F_q* and b
-    running over an affine solution space of polynomials of degree <= n
-    (blocks ((alpha, beta), particular, kernel_basis) of packed ints,
-    keyed by the torus pair).  At level 0 the ambient stabilizer is all of
+    s = [[alpha, b], [0, beta]] with b in alpha*na + beta*nc + span(kb),
+    polynomials of degree <= n, for the torus pairs (alpha, beta): all of
+    (F_q*)^2 for mu None, else the line alpha = mu*beta (`torus` =
+    (mu, na, nc, kb) of packed ints; mu None at q = 2, where the two are
+    one set).  At level 0 the ambient stabilizer is all of
     GL2(F_q), and the solutions form an F_q-algebra V; when some of them
     have a nonzero lower-left entry, `kernel` holds a basis of V, as
     packed-int tuples (a, b, c, d), and is empty otherwise.
@@ -535,21 +528,22 @@ class StabDescriptor:
     """
 
     __slots__ = ("base_vertex", "conjugator", "level_n", "level", "field",
-                 "blocks", "kernel", "_order", "_products")
+                 "torus", "kernel", "_triangular", "_order", "_products")
 
-    def __init__(self, base_vertex, conjugator, level_n, level, blocks,
+    def __init__(self, base_vertex, conjugator, level_n, level, torus,
                  kernel):
         self.base_vertex = base_vertex
         self.conjugator = conjugator
         self.level_n = level_n
         self.level = level
         self.field = base_vertex.field
-        self.blocks = tuple(blocks)
+        self.torus = (None,) + torus[1:] if self.field.q == 2 else torus
         self.kernel = tuple(kernel)
-        q = self.field.q
+        # the elements with c = 0: q^dim kb for each torus pair
+        q, (mu, _, _, kb) = self.field.q, self.torus
+        self._triangular = (q - 1) ** (2 if mu is None else 1) * q ** len(kb)
         self._order = (_level0_unit_group(self.field, self.kernel)[0]
-                       if self.kernel else
-                       sum(q ** len(kb) for _, _, kb in self.blocks))
+                       if self.kernel else self._triangular)
         self._products = None
 
     @property
@@ -561,17 +555,21 @@ class StabDescriptor:
         invariant of the class of the vertex.
 
         Without a level-0 kernel the group in the frame is triangular and
-        that subgroup is the unipotent space of the (1,1) block; with one
+        that subgroup is the unipotent space of the (1, 1) pair; with one
         it is read off the type of V (`_level0_unit_group`)."""
         if self.kernel:
             return _level0_unit_group(self.field, self.kernel)[1]
-        return next((len(kb) for tp, _, kb in self.blocks if tp == (1, 1)), 0)
+        return len(self.torus[3]) if self.torus[0] in (None, 1) else 0
 
     def has_distinct_torus_block(self):
-        return any(tp[0] != tp[1] for tp, _, _ in self.blocks)
+        """Whether some torus pair has alpha != beta."""
+        return self.torus[0] != 1 and self.field.q > 2
 
     def torus_pairs(self):
-        return tuple(tp for tp, _, _ in self.blocks)
+        """The torus pairs (alpha, beta), listed by alpha, then beta."""
+        f, mu, units = self.field, self.torus[0], range(1, self.field.q)
+        return tuple((ai, bi) for ai in units for bi in units
+                     if mu is None or ai == f.mul(mu, bi))
 
     def element(self, frame):
         """g^{-1} s g for the frame data (a, b, c, d) of s.  The first call
@@ -626,17 +624,15 @@ class StabDescriptor:
         return order
 
     def _unipotent_basis(self):
-        """An F_p-basis of the unipotent space all blocks share.
+        """An F_p-basis of the unipotent space all torus pairs share.
 
-        Conjugation by the blocks scales the space by the ratios
+        Conjugation by the torus scales the space by the ratios
         alpha/beta, so its F_q-basis generates it only over the subfield
-        the ratios generate; when that is a proper subfield of F_q, the
-        basis times omega^i, 1 <= i < s, omega the field generator,
-        completes it."""
-        f = self.field
-        kb = self.blocks[0][2]
-        ratios = {f.mul(ai, f.inv(bi)) for ai, bi in self.torus_pairs()}
-        if not kb or _generates_field(f, ratios):
+        they generate: F_q for all of (F_q*)^2, F_p for the scalar line,
+        the one line a group has (`_torus_lifts`), where the basis times
+        omega^i, 1 <= i < s, omega the field generator, completes it."""
+        f, (mu, _, _, kb) = self.field, self.torus
+        if mu is None or f.s == 1:
             return kb
         basis = list(kb)
         omega = w = f.packed(f.generator())
@@ -647,25 +643,21 @@ class StabDescriptor:
 
     def _torus_lifts(self):
         """Frame data of lifts of generators of the torus pairs: the
-        particular elements of the blocks (omega, 1) and (1, omega) when
-        the pairs are all of (F_q*)^2, of (omega, omega) when they are the
-        scalar line, omega the least generator of F_q*; none at q = 2.
-        The solver gives all pairs, one line alpha = mu beta or none, and
-        the identity forces mu = 1, so any other pair set is an
-        inconsistency."""
+        particular elements of (omega, 1) and (1, omega) when the pairs are
+        all of (F_q*)^2, of (omega, omega) when they are the scalar line,
+        omega the least generator of F_q*; none at q = 2.  A group holds the
+        identity, so any other line alpha = mu*beta is an inconsistency."""
         f = self.field
-        units = range(1, f.q)
-        parts = {tp: part for tp, part, _ in self.blocks}
-        w = _primitive_element(f)
-        if parts.keys() == {(ai, bi) for ai in units for bi in units}:
+        mu, w = self.torus[0], _primitive_element(f)
+        if mu is None:
             pairs = ((w, 1), (1, w))
-        elif parts.keys() == {(ai, ai) for ai in units}:
+        elif mu == 1:
             pairs = ((w, w),)
         else:
             raise HeckeInconsistency(
-                "the torus pairs %r of a stabilizer are neither all of "
-                "(F_q*)^2 nor the scalar line" % (sorted(parts),))
-        return [(ai, parts[ai, bi], 0, bi) for ai, bi in pairs
+                "the torus pairs alpha = %d*beta of a stabilizer are neither "
+                "all of (F_q*)^2 nor the scalar line" % mu)
+        return [_torus_frame(f, self.torus, ai, bi) for ai, bi in pairs
                 if (ai, bi) != (1, 1)]
 
     def _extra_generators(self, frames):
@@ -680,7 +672,7 @@ class StabDescriptor:
         form (`_level0_unit_group`), which the walk so checks."""
         f = self.field
         maps = [(a, b[0], c, d) for a, b, c, d in frames]
-        triangular = sum(f.q ** len(kb) for _, _, kb in self.blocks)
+        triangular = self._triangular
         orbit, kept = {None}, []
         for x in _level0_extras(f, self.kernel):
             if len(orbit) * triangular == self.order:
@@ -699,9 +691,9 @@ class StabDescriptor:
     def generator_frames(self):
         """Frame data of a small generating set, in `generators` order,
         pairwise distinct and none the identity: at most two torus lifts
-        (`_torus_lifts`), an F_p-basis of the unipotent space all blocks
-        share, and the level-0 extras that the group these generate lacks
-        (`_extra_generators`)."""
+        (`_torus_lifts`), an F_p-basis of the unipotent space all torus
+        pairs share, and the level-0 extras that the group these generate
+        lacks (`_extra_generators`)."""
         frames = self._torus_lifts()
         frames += [(1, vec, 0, 1) for vec in self._unipotent_basis()]
         if self.kernel:
@@ -715,9 +707,10 @@ class StabDescriptor:
 
     def frames(self):
         """Frame data of every element, in `materialize` order: the
-        triangular elements block by block, then the level-0 extras."""
-        for (ai, bi), part, kb in self.blocks:
-            for vec in _span_points(kb, self.field, part):
+        triangular elements pair by pair, then the level-0 extras."""
+        for ai, bi in self.torus_pairs():
+            part = _torus_frame(self.field, self.torus, ai, bi)[1]
+            for vec in _span_points(self.torus[3], self.field, part):
                 yield ai, vec, 0, bi
         yield from _level0_extras(self.field, self.kernel)
 
@@ -733,9 +726,8 @@ class StabDescriptor:
         return [self.element(fr) for fr in self.frames()]
 
     def __repr__(self):
-        return ("StabDescriptor(level_n=%d, order=%d, blocks=%d, kernel=%d)"
-                % (self.level_n, self.order, len(self.blocks),
-                   len(self.kernel)))
+        return ("StabDescriptor(level_n=%d, order=%d, mu=%s, kernel=%d)"
+                % (self.level_n, self.order, self.torus[0], len(self.kernel)))
 
 
 def _level0_unit_group(field, kernel):
@@ -768,10 +760,10 @@ def _level0_extras(field, kernel):
 
 
 def _stab_solution(level, red_src, red_dst, stabilizer_mode):
-    """Blocks and the level-0 kernel for {s : g_dst^{-1} s g_src in H_D}.
+    """The torus map and the level-0 kernel of {s : g_dst^-1 s g_src in H_D}.
 
     In stabilizer mode red_src is red_dst and the result describes a group;
-    otherwise a block found is returned alone, as a witness.
+    otherwise a torus map found is returned alone, as a witness.
 
     The condition is N_D | (g_dst^{-1} s g_src)[2,1].  With W = adj(g_dst)
     and (a, c) the first column of g_src, the entry of W s g_src is
@@ -795,22 +787,22 @@ def _stab_solution(level, red_src, red_dst, stabilizer_mode):
     # with red_src = red_dst, W21*a = -c*a is -W22*c
     va = (tuple(map(field.neg, vc)) if stabilizer_mode else
           _mod_vectors(field, packed_mul(field, w21, a), modulus)[0])
-    blocks = _torus_blocks(columns, va, vc, field, not stabilizer_mode)
-    if n > 0 or (blocks and not stabilizer_mode):
-        return blocks, ()
+    torus = _torus_blocks(columns, va, vc, field)
+    if n > 0 or (torus and not stabilizer_mode):
+        return torus, ()
     # ambient stabilizer is GL2(F_q): a basis of V, kept if some c != 0 in V
     w22a = _mod_vectors(field, packed_mul(field, w22, a), modulus)[0]
     cols4 = [va, columns[0], w22a, vc]
     _, kernel4 = solve_affine(cols4, (0,) * (len(modulus) - 1), field)
     kernel4 = tuple(tuple(map(field.packed, vec)) for vec in kernel4)
-    return blocks, kernel4 if any(vec[2] for vec in kernel4) else ()
+    return torus, kernel4 if any(vec[2] for vec in kernel4) else ()
 
 
 def stabilizer(v, level):
     """Descriptor of Stab_{H_D}(v), computed by the linear solver."""
     red = reduce_vertex(v)
-    blocks, kernel = _stab_solution(level, red, red, stabilizer_mode=True)
-    return StabDescriptor(v, red.g, red.level_n, level, blocks, kernel)
+    torus, kernel = _stab_solution(level, red, red, stabilizer_mode=True)
+    return StabDescriptor(v, red.g, red.level_n, level, torus, kernel)
 
 
 def orbit_witness(level, red_src, red_dst):
@@ -818,11 +810,11 @@ def orbit_witness(level, red_src, red_dst):
     reductions: g_dst^-1 s g_src for the first s the solve finds
     (`_conjugate`).  Levels must already agree."""
     field = level.field
-    blocks, kernel = _stab_solution(level, red_src, red_dst,
-                                    stabilizer_mode=False)
-    if blocks:
-        (ai, bi), part, _ = blocks[0]
-        frame = (ai, part, 0, bi)
+    torus, kernel = _stab_solution(level, red_src, red_dst,
+                                   stabilizer_mode=False)
+    if torus:
+        # the first pair: (1, 1), or (1, 1/mu) on the line alpha = mu*beta
+        frame = _torus_frame(field, torus, 1, field.inv(torus[0] or 1))
     else:
         frame = next(_level0_extras(field, kernel), None)
         if frame is None:

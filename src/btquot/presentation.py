@@ -241,7 +241,7 @@ def build_graph_of_groups(Q):
         stab = Q.class_by_id(cid).stab
         _, h = Q.locate(lifts[cid])
         vertex_stabs[cid] = StabDescriptor(lifts[cid], stab.conjugator @ h,
-                                           stab.level_n, level, stab.blocks,
+                                           stab.level_n, level, stab.torus,
                                            stab.kernel)
 
     finite_classes = tuple(sorted(set(y_classes).union(t[0] for t in tails)))

@@ -11,7 +11,7 @@ neighbors, the stabilizer partitions them into orbits (one quotient edge per
 orbit), and each orbit representative is located among the known classes
 with its class key or opens a new class.  The key is read off the
 stabilizer, which a new class keeps: the order at reduction level 0, the
-level, the torus pairs and the unipotent dimension above it
+level, the torus pairs (mu) and the unipotent dimension above it
 (`class_key`), so one congruence solve gives the key and the witness
 solves run only between classes that share it.  Classes and edges found at
 depth d are kept when the search is widened, so the output is a growing
@@ -29,7 +29,7 @@ and B_n the lattice bases of v and v_n, scaled by its least valuation and
 reduced mod pi.  The neighbors of v are the lines of F_q^2, the parent
 (0 : 1) and the child c (1 : c), and g maps the line l to the neighbor of
 v_n on the line k l, so no neighbor is moved and `act` is not called.  The
-orbits are then read off the solver's blocks over F_q.
+orbits are then read off the solver's torus map over F_q.
 
 Cusp certification walks inward once from each boundary class whose only
 edge has multiplicity 1, under one step rule: the stabilizer of the inner
@@ -48,8 +48,8 @@ from dataclasses import dataclass, field as dc_field
 
 from .algebra import packed_add, packed_mul
 from .btree import BallVertex, Matrix2
-from .hecke import (StabDescriptor, _cut, moebius_orbit, orbit_witness,
-                    reduce_vertex, stabilizer)
+from .hecke import (StabDescriptor, _cut, _torus_restrict, moebius_orbit,
+                    orbit_witness, reduce_vertex, stabilizer)
 
 
 class QuotientError(ValueError):
@@ -116,13 +116,13 @@ def class_key(stab):
     frame satisfy S_w = x S_v x^-1.  For n >= 1, x is upper triangular
     (Nagao), so the conjugation keeps the diagonal (alpha, beta) of each
     element and maps the unipotent elements to unipotent ones: the torus
-    pairs and the unipotent dimension are invariants, and they fix the
-    order.  At n = 0, x ranges over GL2(F_q), which moves both, so the key
-    is the order alone.
+    pairs (their set mu, `StabDescriptor.torus`) and the unipotent dimension
+    are invariants, and they fix the order.  At n = 0, x ranges over
+    GL2(F_q), which moves both, so the key is the order alone.
     """
     if stab.level_n == 0:
         return 0, stab.order
-    return stab.level_n, stab.torus_pairs(), stab.unipotent_dim()
+    return stab.level_n, stab.torus[0], stab.unipotent_dim()
 
 
 @dataclass
@@ -326,25 +326,30 @@ def frame_fixers(stab, w):
     """The edge group Stab(v) n Stab(w), v the vertex of `stab` and w a
     tree neighbor, as a `StabDescriptor` in the frame of v: the elements
     whose Moebius map fixes the label x of w, c = 0 for x = infinity and
-    c x^2 + (d - a) x - b_n = 0 else.  That row cuts each solution space
-    (`hecke._cut`), and a cut level-0 kernel is kept only while some c != 0
-    in it.  No element is formed or listed."""
+    c x^2 + (d - a) x - b_n = 0 else.  At c = 0, b_n = x (beta - alpha)
+    cuts na and nc by -x and x (`hecke._cut`), or the torus pairs
+    (`hecke._torus_restrict`) when no kernel vector moves b_n; a cut
+    level-0 kernel is kept only while some c != 0 in it.  No element is
+    formed or listed."""
     (x,) = _frame_labels(stab, [w])
     n, f = stab.level_n, stab.field
-    blocks, kernel = stab.blocks, ()
+    torus, kernel = stab.torus, ()
     if x is not None:
-        row = tuple(int(i == n) for i in range(n + 1))
-        blocks = []
-        for (ai, bi), part, kb in stab.blocks:
-            cut = _cut(f, part, kb, row, f.mul(x, f.add(bi, f.neg(ai))))
-            if cut is not None:
-                blocks.append(((ai, bi),) + cut)
+        mu, na, nc, kb = torus
+        if any(vec[n] for vec in kb):
+            row = tuple(int(i == n) for i in range(n + 1))
+            na, _ = _cut(f, na, kb, row, f.neg(x))
+            nc, kb = _cut(f, nc, kb, row, x)
+        else:
+            mu = _torus_restrict(f, mu, [(f.add(na[n], x),
+                                          f.add(nc[n], f.neg(x)))])
+        torus = mu, na, nc, kb
         if stab.kernel:
             row = (f.neg(x), f.neg(1), f.mul(x, x), x)
             _, kernel = _cut(f, (0,) * 4, stab.kernel, row, 0)
             kernel = kernel if any(vec[2] for vec in kernel) else ()
     return StabDescriptor(stab.base_vertex, stab.conjugator, n, stab.level,
-                          blocks, kernel)
+                          torus, kernel)
 
 
 def build_quotient(level, depth):
@@ -458,8 +463,9 @@ def certify_cusps(Q, window=3):
 
 
 def classify_splitness(cusp, Q):
-    """Split when some stabilizer along the germ has a torus block with two
-    distinct eigenvalues; at q = 2 the two structures coincide."""
+    """Split when the outer stabilizer of the germ has a torus pair with two
+    distinct eigenvalues, its pairs all of (F_q*)^2; at q = 2 the two
+    structures coincide."""
     if Q.field.q == 2:
         return INDETERMINATE
     outer = Q.class_by_id(cusp.chain[-1])

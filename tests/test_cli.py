@@ -417,7 +417,7 @@ class TestErrors:
                             RationalFunction.zero(F),
                             RationalFunction.zero(F), RationalFunction.one(F))
             return StabDescriptor(v, scale @ stab.conjugator, stab.level_n,
-                                  level, stab.blocks, stab.kernel)
+                                  level, stab.torus, stab.kernel)
 
         monkeypatch.setattr(btquot.quotient, "stabilizer", wrong_frame)
         code, out, err = run_cli(

@@ -51,7 +51,7 @@ def test_stabilizer_counts_over_f9(counts):
     F9 = FieldSpec(3, 2)
     level = hecke.parse_level("t", F9)
     assert len(hecke.stabilizer(BallVertex.standard(F9, 1),
-                                level).blocks) == 64
+                                level).torus_pairs()) == 64
     assert counts["eliminate"] == 1
     hecke.stabilizer(BallVertex.base(F9), level)
     assert counts["eliminate"] == 3 and counts["solve_affine"] == 1

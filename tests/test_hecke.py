@@ -25,6 +25,22 @@ def poly(text, field):
     return parse_polynomial(text, field)
 
 
+def expand_torus(field, torus):
+    """The blocks ((alpha, beta), alpha*na + beta*nc, kernel) of the torus
+    map (mu, na, nc, kernel) of `_torus_blocks`, pair by pair in pair
+    order: every (alpha, beta) in (F_q*)^2 for mu None, else those with
+    alpha = mu*beta; none for None."""
+    if torus is None:
+        return []
+    mu, na, nc, kernel = torus
+    add, mul = field.add, field.mul
+    units = range(1, field.q)
+    return [((ai, bi), tuple(add(mul(ai, x), mul(bi, y))
+                             for x, y in zip(na, nc)), kernel)
+            for ai in units for bi in units
+            if mu is None or ai == mul(mu, bi)]
+
+
 def rand_member(field, level, rng, steps=4):
     g = Matrix2.identity(field)
     for _ in range(steps):
@@ -310,7 +326,7 @@ class TestSolveAffine:
     def test_torus_blocks_equal_per_pair_solves(self):
         """One elimination of [columns | va | vc] gives, for every torus
         pair, the block a solve of that pair's system alone gives, in pair
-        order, and the first consistent pair in witness mode.  The systems
+        order, once its linear map is expanded pair by pair.  The systems
         are seeded: rank-deficient columns, inconsistent pairs and the
         empty system of D = 0 all occur."""
         from btquot.hecke import _torus_blocks
@@ -345,10 +361,9 @@ class TestSolveAffine:
                                          kernel))
                 seen["deficient"] += len(kernel) > max(ncols - nrows, 0)
                 seen["empty"] += nrows == 0
-                assert _torus_blocks(columns, va, vc, field, False) == \
-                    expected, (field, columns, va, vc)
-                assert _torus_blocks(columns, va, vc, field, True) == \
-                    expected[:1]
+                assert expand_torus(field, _torus_blocks(
+                    columns, va, vc, field)) == expected, \
+                    (field, columns, va, vc)
         assert all(seen.values()), seen
 
     def test_torus_blocks_equal_full_side_reference(self):
@@ -358,8 +373,7 @@ class TestSolveAffine:
         same blocks in the same order.  The seeded systems put (va, vc)
         in the column span (every pair consistent), vc = lam*va modulo the
         span with va outside it (a line), or both outside (none, or a line
-        by chance); each case occurs over every field, and `first_only`
-        keeps the first block."""
+        by chance); each case occurs over every field."""
         from btquot.hecke import _eliminate, _torus_blocks
         rng = random.Random(26)
 
@@ -413,10 +427,9 @@ class TestSolveAffine:
                 expected, tail = reference(columns, va, vc, field)
                 seen.add("line" if tail and expected else
                          "none" if tail else "every")
-                assert _torus_blocks(columns, va, vc, field, False) == \
-                    expected, (field, columns, va, vc)
-                assert _torus_blocks(columns, va, vc, field, True) == \
-                    expected[:1]
+                assert expand_torus(field, _torus_blocks(
+                    columns, va, vc, field)) == expected, \
+                    (field, columns, va, vc)
             assert seen == {"every", "line", "none"}, (field, seen)
 
     def test_span_points_equal_product_reference(self):
@@ -785,10 +798,10 @@ class TestGeneratingSet:
                 for v, h in pairs:
                     w = act(h, v)
                     red_v, red_w = reduce_vertex(v), reduce_vertex(w)
-                    blocks, kernel = _stab_solution(lvl, red_v, red_w,
-                                                    False)
-                    if blocks:
-                        (ai, bi), part, _ = blocks[0]
+                    torus, kernel = _stab_solution(lvl, red_v, red_w,
+                                                   False)
+                    if torus:
+                        (ai, bi), part, _ = expand_torus(field, torus)[0]
                         frame = (ai, part, 0, bi)
                     else:
                         frame = next(_level0_extras(field, kernel))
@@ -818,22 +831,22 @@ class TestGeneratingSet:
         assert sd.unipotent_dim() == 0
 
     def test_doctored_torus_pairs_are_an_inconsistency(self, monkeypatch):
-        """Torus pairs that are neither all of (F_q*)^2 nor the scalar line
-        cannot come from the solver: `generator_frames` raises, and `stab`
-        exits 3."""
+        """Torus pairs that are neither all of (F_q*)^2 nor the scalar line,
+        here the line alpha = 2*beta, cannot come from the solver:
+        `generator_frames` raises, and `stab` exits 3."""
         from btquot import hecke
         from btquot.cli import main
         from btquot.hecke import HeckeInconsistency, StabDescriptor
         v = BallVertex.standard(F3, 2)
         sd = stabilizer(v, parse_level("t", F3))
-        assert len(sd.blocks) == 4
-        half = StabDescriptor(v, sd.conjugator, sd.level_n, sd.level,
-                              sd.blocks[:2], ())
+        assert len(sd.torus_pairs()) == 4
+        line = StabDescriptor(v, sd.conjugator, sd.level_n, sd.level,
+                              (2,) + sd.torus[1:], ())
         with pytest.raises(HeckeInconsistency, match="torus pairs"):
-            half.generator_frames()
+            line.generator_frames()
         blocks = hecke._torus_blocks
         monkeypatch.setattr(hecke, "_torus_blocks",
-                            lambda *args: blocks(*args)[:2])
+                            lambda *args: (2,) + blocks(*args)[1:])
         assert main(["stab", "--p", "3", "--level", "t",
                      "--vertex", "r=-2;a=0"]) == 3
 

@@ -1,7 +1,8 @@
-"""Call counts of `StabDescriptor.materialize` and `StabDescriptor.frames`:
-the graph of groups and the presentation work on frame data and on edge
-groups cut from the solution spaces, so neither forms or lists a whole
-vertex or edge group."""
+"""Call counts of `StabDescriptor.materialize`, `StabDescriptor.frames` and
+`StabDescriptor.torus_pairs`: the graph of groups and the presentation work
+on frame data and on edge groups cut from the solution spaces, so none
+forms or lists a whole vertex or edge group, and from the quotient build
+on the torus is read as its linear map, never pair by pair."""
 
 import pytest
 
@@ -15,8 +16,9 @@ from btquot.selftest import _field
                                          (3, "t^2;t+1", 10), (3, "0", 8)])
 def test_graph_of_groups_and_presentation_materialize_nothing(
         monkeypatch, q, lvl, depth):
-    calls, listed = [], []
+    calls, listed, paired = [], [], []
     materialize, frames = StabDescriptor.materialize, StabDescriptor.frames
+    torus_pairs = StabDescriptor.torus_pairs
 
     def counted(self, cap=100000):
         calls.append(self)
@@ -26,12 +28,17 @@ def test_graph_of_groups_and_presentation_materialize_nothing(
         listed.append(self)
         return frames(self)
 
+    def counted_pairs(self):
+        paired.append(self)
+        return torus_pairs(self)
+
     monkeypatch.setattr(StabDescriptor, "materialize", counted)
     monkeypatch.setattr(StabDescriptor, "frames", counted_frames)
+    monkeypatch.setattr(StabDescriptor, "torus_pairs", counted_pairs)
     Q = build_quotient(parse_level(lvl, _field(q)), depth)
     certify_cusps(Q, 3)
     emit_presentation(build_graph_of_groups(Q))
-    assert calls == [] and listed == []
+    assert calls == [] and listed == [] and paired == []
     # the counts are live
     Q.classes[0].stab.materialize()
-    assert len(calls) == 1 and len(listed) == 1
+    assert len(calls) == 1 and len(listed) == 1 and len(paired) == 1

@@ -273,6 +273,27 @@ class TestClassKey:
                 seen.add(cid)
         assert len(seen) > 1
 
+    def test_two_torus_forms_at_q2_are_one(self):
+        """At q = 2 the line alpha = beta and all of (F_q*)^2 are the one
+        pair set {(1, 1)}, and the solver returns both forms (mu = 1 for a
+        row (1, 1) past the rank): a descriptor built from either has the
+        same key, order, pairs and generators."""
+        from btquot.hecke import StabDescriptor, _stab_solution
+        from btquot.quotient import class_key
+        Q = build(FieldSpec(2), "t^2", 6)
+        mus = [_stab_solution(Q.level, c.reduction, c.reduction, True)[0][0]
+               for c in Q.classes]
+        assert 1 in mus and None in mus
+        for c in Q.classes:
+            stab = c.stab
+            line, full = (StabDescriptor(
+                stab.base_vertex, stab.conjugator, stab.level_n, Q.level,
+                (mu,) + stab.torus[1:], stab.kernel) for mu in (1, None))
+            assert class_key(line) == class_key(full) == class_key(stab)
+            assert line.order == full.order == stab.order
+            assert line.torus_pairs() == full.torus_pairs() == ((1, 1),)
+            assert line.generator_frames() == full.generator_frames()
+
     def test_filtered_locate_equals_a_level_scan(self, quotient):
         from btquot.hecke import orbit_witness
         Q = quotient
@@ -610,7 +631,7 @@ def moved_descriptor(Q, c):
     stab = c.stab
     return StabDescriptor(act(m, c.representative),
                           stab.conjugator @ m.inverse(), stab.level_n,
-                          Q.level, stab.blocks, stab.kernel)
+                          Q.level, stab.torus, stab.kernel)
 
 
 class TestFrameOrbits:
@@ -745,7 +766,7 @@ class TestFrameOrbits:
         for c in Q.classes:
             stab = c.stab
             wrong = StabDescriptor(stab.base_vertex, scale @ stab.conjugator,
-                                   stab.level_n, Q.level, stab.blocks,
+                                   stab.level_n, Q.level, stab.torus,
                                    stab.kernel)
             neighbors = sorted(stab.base_vertex.neighbors(),
                                key=lambda u: u.key())
@@ -766,7 +787,7 @@ class TestFrameOrbits:
             shift = Matrix2.translation(
                 Polynomial.t(Q.field).shift(stab.level_n + 1))
             wrong = StabDescriptor(stab.base_vertex, shift @ stab.conjugator,
-                                   stab.level_n, Q.level, stab.blocks,
+                                   stab.level_n, Q.level, stab.torus,
                                    stab.kernel)
             neighbors = sorted(stab.base_vertex.neighbors(),
                                key=lambda u: u.key())
@@ -956,7 +977,7 @@ def assert_small_generating_set(stab):
     assert generated_order(stab, gens) == stab.order, stab
     kept = sum(1 for fr in gens if fr[2])
     assert len(gens) <= 2 + len(stab._unipotent_basis()) + kept, stab
-    triangular = sum(stab.field.q ** len(kb) for _, _, kb in stab.blocks)
+    triangular = len(stab.torus_pairs()) * stab.field.q ** len(stab.torus[3])
     assert 2 ** kept <= stab.order // triangular, stab
 
 
