@@ -22,7 +22,7 @@ _cache = {}
 
 def line_setup(q, depth=8):
     if (q, depth) not in _cache:
-        decomp = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1)}
+        decomp = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 9: (3, 2)}
         field = FieldSpec(*decomp[q])
         Q = build_quotient(parse_level("t", field), depth)
         certify_cusps(Q, 3)
@@ -236,6 +236,32 @@ class TestAbelianization:
         assert ab["order"] == order
         assert ab["is_torus_squared"]
         assert ab["invariant_factors"] == (q - 1, q - 1)
+
+    @pytest.mark.parametrize("q", [3, 4, 5, 9])
+    def test_pinned(self, q):
+        """The invariant factors, order and junction order at D = t, depth
+        8, from the abelianization and from the example check, whose every
+        check passes."""
+        Q, G = line_setup(q)
+        m = q - 1
+        pinned = {"invariant_factors": (m, m), "order": m * m,
+                  "junction_order": m * m, "is_torus_squared": True}
+        assert abelianization_of_line_amalgam(G) == pinned
+        rep = amalgam_example_check(Q.field, depth=8)
+        assert rep["abelianization"] == pinned
+        assert [c[:2] for c in rep["checks"]] == [(name, True) for name in (
+            "line: class count 2*depth+1", "line: tree of max valency 2",
+            "two certified cusps", "closed form agrees and is exact",
+            "tails cover the line (empty finite part)", "two tails",
+            "tail 0 torus is full", "tail 0 unipotent tower steps by 1",
+            "tail 1 torus is full", "tail 1 unipotent tower steps by 1",
+            "tail lengths differ by one (junction off center)",
+            "junction lifts are the standard vertices",
+            "upper junction group is [[F*, F],[0, F*]]",
+            "lower junction group is [[F*, 0],[tF, F*]]",
+            "tails glued along one edge", "junction group order (q-1)^2",
+            "junction group is the diagonal torus",
+            "abelianization order (q-1)^2", "abelianization is F* x F*")]
 
     def test_rejects_q2(self):
         Q, G = line_setup(2)
