@@ -83,18 +83,20 @@ class BallVertex:
     def parent(self):
         return BallVertex(self.field, self.r - 1, self.center)
 
-    def children(self):
+    def neighbor(self, i):
+        """Entry i of `neighbors`: the parent, or the child of digit i - 1."""
+        if not i:
+            return self.parent()
         f = self.field
-        terms = self.center.packed_terms
-        return [BallVertex(f, self.r + 1, LaurentFragment(
-            f, terms + ((self.r, c),), self.r + 1)) for c in range(f.q)]
+        return BallVertex(f, self.r + 1, LaurentFragment(
+            f, self.center.packed_terms + ((self.r, i - 1),), self.r + 1))
 
     def neighbors(self):
         """Parent followed by the q children in digit order; exactly q+1
         vertices.  This is ascending `key()` order, which callers rely on:
         the parent has the smaller radius exponent, and the children share
         the center up to their last digit (a zero digit leaves it out)."""
-        return [self.parent()] + self.children()
+        return [self.neighbor(i) for i in range(self.field.q + 1)]
 
     def __eq__(self, other):
         return (isinstance(other, BallVertex)

@@ -30,7 +30,8 @@ from itertools import groupby
 from .btree import Matrix2
 from .hecke import (StabDescriptor, _primitive_element, orbit_witness,
                     ray_frame, reduce_vertex)
-from .quotient import SPLIT, InconsistencyError, frame_fixers, frame_orbits
+from .quotient import (SPLIT, InconsistencyError, _neighbor_line, frame_fixers,
+                       frame_orbits)
 
 
 class PresentationError(ValueError):
@@ -285,22 +286,23 @@ def _other_strand_lifts(Q, lifts, vertex_stabs, edge, tree_carries_one):
 
     The stabilizer orbits of one endpoint's lift on its q+1 tree neighbors
     give one strand per orbit landing in the opposite class.  When the edge
-    is in the tree, the orbit containing the other endpoint's (adjacent)
-    lift is the tree strand and is dropped.
+    is in the tree, the orbit holding the line index of the other
+    endpoint's (adjacent) lift is the tree strand and is dropped.
     """
     side = edge.src if Q.class_by_id(edge.src).expanded else edge.dst
     other = edge.dst if side == edge.src else edge.src
-    neighbors = lifts[side].neighbors()
-    orbits = frame_orbits(vertex_stabs[side], neighbors)
+    v, tree_index = lifts[side], None
+    if tree_carries_one:
+        x, y = _neighbor_line(v, lifts[other])
+        tree_index = 1 + y if x else 0
     pairs = []
     tree_used = None
-    for orbit in orbits:
-        rep = neighbors[orbit[0]]
+    for orbit in frame_orbits(vertex_stabs[side]):
+        rep = v.neighbor(orbit[0])
         found = Q.locate(rep)
         if found is None or found[0] != other:
             continue
-        if tree_carries_one and tree_used is None \
-                and any(neighbors[i] == lifts[other] for i in orbit):
+        if tree_index in orbit:
             tree_used = orbit
             continue
         pairs.append((side, other, rep))
@@ -547,16 +549,16 @@ def _torus_pair(stab, h):
     return fr[0], fr[3]
 
 
-def _junction_elements(G, starts):
-    """The elements of the one tree edge group joining the classes
-    `starts`, or None when not exactly one tree edge joins them."""
+def _junction(G, starts):
+    """The edge group of the one tree edge joining the classes `starts` and
+    its generators' elements; None unless exactly one tree edge joins them."""
     junction = [e for e in G.edges
                 if e.in_tree and e.edge_group is not None
                 and {e.src, e.dst} == starts]
     if len(junction) != 1:
         return None
     group = junction[0].edge_group
-    return [group.element(fr) for fr in group.frames()]
+    return group, [group.element(fr) for fr in group.generator_frames()]
 
 
 def _discrete_logs(field):
@@ -575,8 +577,9 @@ def abelianization_of_line_amalgam(G):
 
     Computed, not assumed: a split tail abelianizes onto its torus (a
     scaling ratio != 1 kills the unipotent part, which needs q >= 3), the
-    junction group maps to both tail tori by ordered eigenvalue pairs, and
-    the cokernel is read off an integer Smith normal form.
+    junction group maps to both tail tori by ordered eigenvalue pairs, a
+    homomorphism, and the cokernel is read off an integer Smith normal
+    form of the images of its generators.
     """
     Q = G.base
     q = Q.field.q
@@ -592,14 +595,14 @@ def abelianization_of_line_amalgam(G):
                 "tail %r is not split with a full torus (q = 2 is always "
                 "indeterminate); the line-amalgam abelianization does not "
                 "apply" % (t.chain,))
-    b0 = _junction_elements(G, {G.tails[0].chain[0], G.tails[1].chain[0]})
-    if b0 is None:
+    junction = _junction(G, {G.tails[0].chain[0], G.tails[1].chain[0]})
+    if junction is None:
         raise PresentationError("tails do not meet along a single edge")
     stabs = [G.vertex_stabs[t.chain[0]] for t in G.tails]
     logs = _discrete_logs(Q.field)
     m = q - 1
     rows = [[m, 0, 0, 0], [0, m, 0, 0], [0, 0, m, 0], [0, 0, 0, m]]
-    for h in b0:
+    for h in junction[1]:
         vec = []
         for stab in stabs:
             pair = _torus_pair(stab, h)
@@ -619,7 +622,7 @@ def abelianization_of_line_amalgam(G):
     return {
         "invariant_factors": nontrivial,
         "order": order,
-        "junction_order": len(b0),
+        "junction_order": junction[0].order,
         "is_torus_squared": nontrivial == (m, m) or (m == 1 and not nontrivial),
     }
 
@@ -689,25 +692,22 @@ def amalgam_example_check(field, depth=8, window=3):
           got_upper == sorted(m.key() for m in _borel_consts(field, True)))
     check("lower junction group is [[F*, 0],[tF, F*]]",
           got_lower == sorted(m.key() for m in _borel_consts(field, False)))
-    b0 = _junction_elements(G, {tails[0].chain[0], tails[1].chain[0]})
-    check("tails glued along one edge", b0 is not None)
-    if b0 is not None:
+    junction = _junction(G, {tails[0].chain[0], tails[1].chain[0]})
+    check("tails glued along one edge", junction is not None)
+    if junction is not None:
+        group, gens = junction
         m = field.q - 1
-        check("junction group order (q-1)^2", len(b0) == m * m,
-              "order %d" % len(b0))
+        check("junction group order (q-1)^2", group.order == m * m,
+              "order %d" % group.order)
+        # of order (q-1)^2, the group is the diagonal torus iff its pairs
+        # map onto (F_q*)^2: iff the generators' logs span (Z/(q-1))^2
         stab = G.vertex_stabs[tails[0].chain[0]]
-        pairs = []
-        for h in b0:
-            pr = _torus_pair(stab, h)
-            if pr is None:
-                pairs = None
-                break
-            pairs.append(pr)
-        expected = sorted((a, b) for a in range(1, field.q)
-                          for b in range(1, field.q))
+        pairs = [_torus_pair(stab, h) for h in gens]
+        logs = _discrete_logs(field)
         check("junction group is the diagonal torus",
-              pairs is not None and sorted(pairs) == expected,
-              repr(sorted(pairs)) if pairs is not None else "non-triangular")
+              None not in pairs and smith_normal_form(
+                  [[m, 0], [0, m]] + [[logs[a], logs[b]] for a, b in pairs],
+                  2) == (1, 1), repr(pairs))
     if field.q >= 3:
         ab = abelianization_of_line_amalgam(G)
         check("abelianization order (q-1)^2",

@@ -18,18 +18,24 @@ depth d are kept when the search is widened, so the output is a growing
 snapshot of the full quotient.
 
 The orbits are taken in the frame of the standard ray.  The reduction g of
-a vertex v maps it to v_n, so Stab(v) = g^-1 S g acts on the neighbors of v
-as S acts on those of v_n, which are labelled by P^1(F_q): v_{n+1} is the
-point at infinity and the child c t^n + t^(n-1) O is c.  By Nagao's theorem
-S is triangular, [[alpha, b], [0, beta]] with deg b <= n, or all of GL2(F_q)
-at n = 0; such an element moves the labels by the Moebius map of
-[[alpha, b_n], [0, beta]], b_n the t^n coefficient of b.  The labels come
-from one residue matrix k in GL2(F_q) per vertex: M = B_n^-1 g B_v, B_v
-and B_n the lattice bases of v and v_n, scaled by its least valuation and
-reduced mod pi.  The neighbors of v are the lines of F_q^2, the parent
-(0 : 1) and the child c (1 : c), and g maps the line l to the neighbor of
-v_n on the line k l, so no neighbor is moved and `act` is not called.  The
-orbits are then read off the solver's torus map over F_q.
+v maps it to v_n, so Stab(v) = g^-1 S g acts on the neighbors of v, the
+lines of F_q^2, as S on their images under one residue matrix k
+(`_link_matrix`), labelled by P^1(F_q): v_{n+1} is infinity and the child
+c t^n + t^(n-1) O of v_n is c.  S fixes a set F of labels, read off the
+solver's data, and is transitive on the rest, so the orbits are the points
+of F and one orbit of the others, and one neighbor is built per orbit
+(`frame_orbits`).  Triangular S (Nagao) moves x to (alpha x + b_n) / beta.
+If a kernel vector of the torus map has a t^n coordinate, S holds every
+translation: F = {infinity}.  Else b_n = alpha na_n + beta nc_n, the pair
+(1, 1) is the identity iff na_n + nc_n = 0, and S scales about nc_n by
+alpha/beta: F = {infinity, nc_n}, or all labels on the scalar line or at
+q = 2.  A level-0 kernel V has some c != 0, and F is the set of its common
+eigenlines, the common roots z of c z^2 + (d - a) z - b: none for M2
+(transitive) and F_{q^2} (its units mod F_q* are cyclic of order q + 1,
+with no fixed point); the line of a Borel subalgebra, or the kernel of N in
+the dual numbers F_q[N], where 1 + lambda N moves the other q lines
+transitively; the two eigenlines of F_q x F_q, whose units scale the others
+transitively.
 
 Cusp certification walks inward once from each boundary class whose only
 edge has multiplicity 1, under one step rule: the stabilizer of the inner
@@ -48,8 +54,8 @@ from dataclasses import dataclass, field as dc_field
 
 from .algebra import packed_add, packed_mul
 from .btree import BallVertex, Matrix2
-from .hecke import (StabDescriptor, _cut, _torus_restrict, moebius_orbit,
-                    orbit_witness, reduce_vertex, stabilizer)
+from .hecke import (HeckeInconsistency, StabDescriptor, _cut,
+                    _torus_restrict, orbit_witness, reduce_vertex, stabilizer)
 
 
 class QuotientError(ValueError):
@@ -178,7 +184,7 @@ class QuotientGraph:
     def neighbor_in_class(self, u, cid):
         """The first tree neighbor of u, in key order, lying in class cid,
         or None."""
-        for nb in u.neighbors():
+        for nb in map(u.neighbor, range(self.field.q + 1)):
             found = self.locate(nb)
             if found is not None and found[0] == cid:
                 return nb
@@ -201,11 +207,11 @@ class QuotientGraph:
         return cid
 
     def _expand(self, cls):
-        neighbors = cls.representative.neighbors()
-        for orbit in frame_orbits(cls.stab, neighbors):
+        v = cls.representative
+        for orbit in frame_orbits(cls.stab):
             cls.strands.append(Strand(
                 orbit_size=len(orbit),
-                dst=self._classify(neighbors[orbit[0]], cls.layer + 1)))
+                dst=self._classify(v.neighbor(orbit[0]), cls.layer + 1)))
         cls.expanded = True
 
 
@@ -270,56 +276,48 @@ def _neighbor_line(v, w):
                              % (w.to_text(), v.to_text()))
 
 
-def _frame_labels(stab, neighbors):
-    """The labels in P^1(F_q) of tree neighbors of the vertex of `stab`:
-    None (infinity) when the frame g = stab.conjugator maps the neighbor to
-    v_{n+1}, the packed int c when g maps it to the child
-    c t^n + t^(n-1) O of v_n.  The child c of v_n is the line (1 : c) and
-    v_{n+1} the line (0 : 1), so the label is read off the image line of
-    `_link_matrix`, computed once for all neighbors."""
+def _frame_label(stab, w):
+    """The label of the tree neighbor w of the vertex of `stab`: for the
+    image line k (x : y) of its line, None (v_{n+1}) if x = 0, else y/x."""
     k11, k12, k21, k22 = _link_matrix(stab)
     f = stab.field
     add, mul = f.add, f.mul
-    labels = []
-    for w in neighbors:
-        x, y = _neighbor_line(stab.base_vertex, w)
-        top = add(mul(k11, x), mul(k12, y))
-        labels.append(mul(add(mul(k21, x), mul(k22, y)), f.inv(top))
-                      if top else None)
-    return labels
+    x, y = _neighbor_line(stab.base_vertex, w)
+    top = add(mul(k11, x), mul(k12, y))
+    return mul(add(mul(k21, x), mul(k22, y)), f.inv(top)) if top else None
 
 
-def frame_orbits(stab, neighbors):
-    """Partition `neighbors`, the q+1 tree neighbors of the vertex of
-    `stab`, into Stab-orbits: sorted index lists, ordered by least index.
-
-    The orbits are closures under the generators of the group, in the
-    frame: the elements of `stab.generator_frames()`, which
-    `stab.generators()` conjugates.  Generators that move the labels by
-    the same Moebius map count once, each map scaled to c = 1, or to d = 1
-    when c = 0, and the identity map is left out.
-    """
-    labels = _frame_labels(stab, neighbors)
-    index = {x: i for i, x in enumerate(labels)}
-    if len(index) != len(labels):
-        raise InconsistencyError(
-            "two neighbors of vertex %s have the same frame label"
-            % stab.base_vertex.to_text())
-    n, field = stab.level_n, stab.field
-    mul = field.mul
-    gens = set()
-    for a, b, c, d in stab.generator_frames():
-        u = field.inv(c or d)
-        gens.add((mul(a, u), mul(b[n], u), mul(c, u), mul(d, u)))
-    gens.discard((1, 0, 0, 1))
-    orbits = []
-    assigned = set()
-    for start, x in enumerate(labels):
-        if start not in assigned:
-            orbit = sorted(index[y] for y in moebius_orbit(field, gens, x))
-            assigned.update(orbit)
-            orbits.append(orbit)
-    return orbits
+def frame_orbits(stab):
+    """The Stab-orbits on the tree neighbors of the vertex of `stab`, as
+    sorted lists of indices in `BallVertex.neighbors` order, by least index:
+    the fixed labels F of the module docstring, each z the line adj(k)
+    (1 : z), or adj(k) (0 : 1) for infinity (the parent (0 : 1) is index 0,
+    the child (1 : c) 1 + c; k is nonsingular), and the rest."""
+    k11, k12, k21, k22 = _link_matrix(stab)
+    f, q, n = stab.field, stab.field.q, stab.level_n
+    add, mul, neg = f.add, f.mul, f.neg
+    mu, na, nc, kb = stab.torus
+    if mu not in (None, 1):
+        raise HeckeInconsistency("the torus pairs alpha = %d*beta of a "
+                                 "stabilizer miss the pair (1, 1)" % mu)
+    if stab.kernel:
+        fixed = [z for z in range(q) if all(
+            add(mul(add(mul(c, z), add(d, neg(a))), z), neg(b)) == 0
+            for a, b, c, d in stab.kernel)]
+    elif any(vec[n] for vec in kb):
+        fixed = [None]
+    elif add(na[n], nc[n]):
+        raise InconsistencyError("the pair (1, 1) of the stabilizer of %s "
+                                 "is no identity" % stab.base_vertex.to_text())
+    else:
+        fixed = [None, *range(q)] if mu == 1 or q == 2 else [None, nc[n]]
+    index = set()
+    for z in fixed:
+        x, y = ((neg(k12), k11) if z is None else
+                (add(k22, neg(mul(k12, z))), add(mul(k11, z), neg(k21))))
+        index.add(1 + mul(y, f.inv(x)) if x else 0)
+    rest = [i for i in range(q + 1) if i not in index]
+    return sorted([[i] for i in index] + ([rest] if rest else []))
 
 
 def frame_fixers(stab, w):
@@ -331,7 +329,7 @@ def frame_fixers(stab, w):
     (`hecke._torus_restrict`) when no kernel vector moves b_n; a cut
     level-0 kernel is kept only while some c != 0 in it.  No element is
     formed or listed."""
-    (x,) = _frame_labels(stab, [w])
+    x = _frame_label(stab, w)
     n, f = stab.level_n, stab.field
     torus, kernel = stab.torus, ()
     if x is not None:

@@ -657,7 +657,7 @@ class TestFrameOrbits:
             stab = moved_descriptor(Q, c) if moved else c.stab
             v = stab.base_vertex
             neighbors = sorted(v.neighbors(), key=lambda u: u.key())
-            assert frame_orbits(stab, neighbors) == orbit_partition_by_act(
+            assert frame_orbits(stab) == orbit_partition_by_act(
                 neighbors, stab.generators()), (c.id, v)
 
     def test_agrees_with_act_closure_in_own_frame(self, Q):
@@ -671,7 +671,7 @@ class TestFrameOrbits:
             v = act(mover(Q), c.representative)
             stab = stabilizer(v, Q.level)
             neighbors = sorted(v.neighbors(), key=lambda u: u.key())
-            assert frame_orbits(stab, neighbors) == orbit_partition_by_act(
+            assert frame_orbits(stab) == orbit_partition_by_act(
                 neighbors, stab.generators()), (c.id, v)
 
     @pytest.mark.parametrize("moved", [False, True])
@@ -729,7 +729,7 @@ class TestFrameOrbits:
         groups keep a level-0 kernel."""
         from btquot.btree import act
         from btquot.hecke import moebius
-        from btquot.quotient import _frame_labels, frame_fixers
+        from btquot.quotient import _frame_label, frame_fixers
         Q = build(field, lvl, 4)
         n_kernel = 0
         for c in [c for c in Q.classes if c.stab.order <= 600]:
@@ -738,7 +738,7 @@ class TestFrameOrbits:
             frames = list(stab.frames())
             elements = stab.materialize() if stab.order <= 100 else None
             for w in v.neighbors():
-                (x,) = _frame_labels(stab, [w])
+                x = _frame_label(stab, w)
                 oracle = [fr for fr in frames if moebius(
                     field, (fr[0], fr[1][n], fr[2], fr[3]), x) == x]
                 edge = frame_fixers(stab, w)
@@ -768,10 +768,8 @@ class TestFrameOrbits:
             wrong = StabDescriptor(stab.base_vertex, scale @ stab.conjugator,
                                    stab.level_n, Q.level, stab.torus,
                                    stab.kernel)
-            neighbors = sorted(stab.base_vertex.neighbors(),
-                               key=lambda u: u.key())
             with pytest.raises(InconsistencyError):
-                frame_orbits(wrong, neighbors)
+                frame_orbits(wrong)
 
     def test_frame_off_the_ray_is_an_inconsistency(self):
         """A frame in GL2(F_q[t]) with constant determinant that maps the
@@ -789,10 +787,98 @@ class TestFrameOrbits:
             wrong = StabDescriptor(stab.base_vertex, shift @ stab.conjugator,
                                    stab.level_n, Q.level, stab.torus,
                                    stab.kernel)
-            neighbors = sorted(stab.base_vertex.neighbors(),
-                               key=lambda u: u.key())
             with pytest.raises(InconsistencyError, match="singular"):
-                frame_orbits(wrong, neighbors)
+                frame_orbits(wrong)
+
+
+BRANCH_CASES = [(2, "t^2;t+1", 4), (3, "t^2;t+1", 4), (4, "t^2;t+1", 3),
+                (3, "t^2+1", 4), (3, "0", 4)]
+
+
+def fixed_label_branch(stab):
+    """The case of the fixed-label rule (`quotient` module docstring) that
+    `stab` falls in, read off its descriptor: the type of a level-0 kernel
+    V by its dimension and order, else how the torus map moves b_n."""
+    q, n, (mu, _, _, kb) = stab.field.q, stab.level_n, stab.torus
+    if stab.kernel:
+        if len(stab.kernel) > 2:
+            return {4: "M2", 3: "Borel"}[len(stab.kernel)]
+        return {q * q - 1: "F_q^2", q * (q - 1): "dual numbers",
+                (q - 1) ** 2: "split"}[stab.order]
+    if any(vec[n] for vec in kb):
+        return "translation"
+    return "q = 2" if q == 2 else "scalar line" if mu == 1 else "fixed x0"
+
+
+def test_closed_form_orbits_in_every_branch():
+    """The closed-form orbits equal the `act` partition on every class of
+    BRANCH_CASES: from the representative, and from the representative
+    moved by `mover` and by the shear [[1, 1], [N, 1 + N]] (N as in
+    `mover`), each in the class frame carried to it and in its own
+    reduction frame.  Every case of the fixed-label rule occurs.  The
+    Borel subalgebra occurs only in the own frame of the base vertex v_0
+    moved by `mover`: Stab(v_0) is the upper Borel, with c = 0, but the
+    vertex it moves to at q=2, D = t^2(t+1), r=6;a=1*s^3+1*s^4+1*s^5,
+    reduced by its own g, has a Borel V with some c != 0."""
+    from collections import Counter
+    from btquot.btree import Matrix2, act
+    from btquot.hecke import StabDescriptor, stabilizer
+    from btquot.quotient import frame_orbits
+    from btquot.selftest import _field
+    seen = Counter()
+    for q, lvl, depth in BRANCH_CASES:
+        Q = build_quotient(parse_level(lvl, _field(q)), depth)
+        m = mover(Q)
+        one, low = m.a, m.c
+        for c in Q.classes:
+            stabs = [c.stab]
+            for g in (m, Matrix2(one, one, low, one + low)):
+                v, st = act(g, c.representative), c.stab
+                stabs += [StabDescriptor(v, st.conjugator @ g.inverse(),
+                                         st.level_n, Q.level, st.torus,
+                                         st.kernel), stabilizer(v, Q.level)]
+            for stab in stabs:
+                assert frame_orbits(stab) == orbit_partition_by_act(
+                    stab.base_vertex.neighbors(), stab.generators()), \
+                    (q, lvl, c.id, stab.base_vertex)
+                seen[fixed_label_branch(stab)] += 1
+    assert set(seen) == {"translation", "scalar line", "fixed x0", "q = 2",
+                         "M2", "Borel", "F_q^2", "dual numbers", "split"}
+
+
+class TestForgedDescriptors:
+    """A descriptor whose torus map is no group's is an inconsistency."""
+
+    def forged(self, stab, mu, na):
+        from btquot.hecke import StabDescriptor
+        return StabDescriptor(stab.base_vertex, stab.conjugator,
+                              stab.level_n, stab.level,
+                              (mu, na) + stab.torus[2:], stab.kernel)
+
+    def test_torus_line_off_the_identity(self):
+        """The line alpha = 2*beta at q = 3 misses (1, 1)."""
+        from btquot.hecke import HeckeInconsistency
+        from btquot.quotient import frame_orbits
+        Q = build(F3, "t^2", 6)
+        for c in Q.classes:
+            with pytest.raises(HeckeInconsistency, match=r"miss the pair"):
+                frame_orbits(self.forged(c.stab, 2, c.stab.torus[1]))
+
+    def test_pair_one_one_is_a_translation(self):
+        """With no kernel vector moving b_n, na_n + nc_n != 0 makes the
+        element of the pair (1, 1) a nontrivial translation."""
+        from btquot.quotient import InconsistencyError, frame_orbits
+        Q = build(F3, "t^2", 6)
+        forged = 0
+        for c in Q.classes:
+            (mu, na, nc, kb), n = c.stab.torus, c.level_n
+            if c.stab.kernel or any(vec[n] for vec in kb):
+                continue
+            na = na[:n] + (Q.field.add(na[n], 1),) + na[n + 1:]
+            with pytest.raises(InconsistencyError, match="identity"):
+                frame_orbits(self.forged(c.stab, mu, na))
+            forged += 1
+        assert forged
 
 
 FRAME_OF_CASES = [(2, "t", 4), (3, "t^2", 4), (4, "t", 4), (5, "t", 3),
@@ -899,9 +985,9 @@ def matrix_order(g):
 
 
 def assert_labels_agree(stab):
-    from btquot.quotient import _frame_labels
+    from btquot.quotient import _frame_label
     neighbors = sorted(stab.base_vertex.neighbors(), key=lambda u: u.key())
-    assert _frame_labels(stab, neighbors) == [
+    assert [_frame_label(stab, w) for w in neighbors] == [
         frame_label_by_move(stab, w) for w in neighbors], stab.base_vertex
 
 
