@@ -31,9 +31,9 @@ translation: F = {infinity}.  Else b_n = alpha na_n + beta nc_n, the pair
 alpha/beta: F = {infinity, nc_n}, or all labels on the scalar line or at
 q = 2.  A level-0 kernel V has some c != 0, and F is the set of its common
 eigenlines, the common roots z of c z^2 + (d - a) z - b: none for M2
-(transitive) and F_{q^2} (its units mod F_q* are cyclic of order q + 1,
-with no fixed point); the line of a Borel subalgebra, or the kernel of N in
-the dual numbers F_q[N], where 1 + lambda N moves the other q lines
+(transitive) and F_{q^2} (its units mod F_q*, of order q + 1, act
+freely); the line of a Borel subalgebra, or the kernel of N in the dual
+numbers F_q[N], where the unipotents 1 + lambda N move the other q lines
 transitively; the two eigenlines of F_q x F_q, whose units scale the others
 transitively.
 
