@@ -817,9 +817,11 @@ def test_closed_form_orbits_in_every_branch():
     `mover`), each in the class frame carried to it and in its own
     reduction frame.  Every case of the fixed-label rule occurs.  The
     Borel subalgebra occurs only in the own frame of the base vertex v_0
-    moved by `mover`: Stab(v_0) is the upper Borel, with c = 0, but the
-    vertex it moves to at q=2, D = t^2(t+1), r=6;a=1*s^3+1*s^4+1*s^5,
-    reduced by its own g, has a Borel V with some c != 0."""
+    moved by `mover` (the shear, `mover` times a translation that fixes
+    v_0, moves it to the same vertex): Stab(v_0) is the upper Borel, with
+    c = 0, but the vertex it moves to at q=2, D = t^2(t+1),
+    r=6;a=1*s^3+1*s^4+1*s^5, reduced by its own g, has a Borel V with some
+    c != 0."""
     from collections import Counter
     from btquot.btree import Matrix2, act
     from btquot.hecke import StabDescriptor, stabilizer
