@@ -419,6 +419,29 @@ def packed_divmod(field, a, b):
     return quo, rem
 
 
+def packed_gcd(field, a, b, cofactor=False):
+    """The monic gcd g of a and b on packed coefficient lists, [] when both
+    are zero, by Euclid's algorithm, which divides b by a first.  With
+    `cofactor`, (g, s, m): each remainder r is kept with the s of
+    r = s*a (mod b), so s*a = g (mod b), and the s of the last remainder,
+    0, is a unit times b/g, made monic as m.  For deg a < deg b, s is the
+    inverse of a/g modulo m, of lower degree."""
+    r0, r1, s0, s1 = list(b), list(a), [], [1]
+    minus_one = [field.neg(1)]
+    while r1:
+        quo, rem = packed_divmod(field, r0, r1)
+        r0, r1 = r1, rem
+        if cofactor:
+            s0, s1 = s1, packed_add(field, s0, packed_mul(
+                field, packed_mul(field, quo, s1), minus_one))
+    if r0 and r0[-1] != 1:
+        inv = [field.inv(r0[-1])]
+        r0, s0 = packed_mul(field, r0, inv), packed_mul(field, s0, inv)
+    if not cofactor:
+        return r0
+    return r0, s0, s1 and packed_mul(field, s1, [field.inv(s1[-1])])
+
+
 def packed_combination(field, terms):
     """The sum of c * P over the pairs (c, P) in `terms`, each c a packed
     int and P a packed coefficient list, in one pass over the coefficients."""
@@ -595,10 +618,7 @@ class Polynomial:
                     if bit == "1":
                         acc = packed_divmod(f, packed_mul(f, acc, h), P)[1]
                 h = acc
-            a, b = P, packed_add(f, h, [0, f.neg(1)])
-            while b:
-                a, b = b, packed_divmod(f, a, b)[1]
-            if len(a) != 1:
+            if len(packed_gcd(f, packed_add(f, h, [0, f.neg(1)]), P)) != 1:
                 return False
         return True
 
@@ -628,9 +648,9 @@ class Polynomial:
 
 
 def poly_gcd(a, b):
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.scale(a.field.inv(a.packed_coeffs[-1])) if a else a
+    """The monic gcd of a and b, 0 when both are 0."""
+    return Polynomial._of(a.field, packed_gcd(a.field, b.packed_coeffs,
+                                              a.packed_coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -1057,5 +1077,6 @@ __all__ = [
     "RationalFunction", "LaurentFragment", "poly_gcd", "expand_at_infinity",
     "expand_pair", "parse_polynomial", "parse_rational", "parse_fragment",
     "format_polynomial", "format_rational", "format_fragment", "INF",
-    "packed_add", "packed_mul", "packed_divmod", "packed_combination",
+    "packed_add", "packed_mul", "packed_divmod", "packed_gcd",
+    "packed_combination",
 ]

@@ -14,17 +14,21 @@ center, and I maps it to 1/a + pi^(r-2m)*O with m = nu(a) < r (to
 B_0^{|-r|} for a ball holding 0), on the exact center P/t^K, so the reduction
 is Euclid's algorithm on (P, t^K) and never calls `act`.  Its result is
 kept on the vertex, so each vertex object is reduced once.
-Whether a candidate lies in H_D is a divisibility condition that is affine
-linear over F_q in the torus pair (alpha, beta) and the unipotent
-coefficients, so one Gauss-Jordan elimination of the system, with both
-torus terms as right-hand sides, decides every torus pair at once (plus one
-homogeneous solve at level 0) instead of a q^(n+3) enumeration, kept as
-an oracle (`stabilizer_brute_force`, `orbit_equivalent_brute_force`) up to
+Whether a candidate lies in H_D is the congruence x*u = alpha*va +
+beta*vc (mod N_D) in the torus pair (alpha, beta) and b = x of degree
+<= n, u = c_dst*c_src, whose reduced echelon form is a closed form
+(`_torus_map`): with e = gcd(u, N_D) and M = N_D/e, x*u = 0 iff M | x, so
+the pivots are the columns t^j*u below deg M, the kernel is t^j -
+(t^j mod M) for deg M <= j <= n (`_kernel_basis`), and y lies in the span
+iff e | y and x(y) = (y/e)(u/e)^-1 mod M, the particular solution, has
+degree <= n.  One extended Euclid decides every torus pair: all, one line
+alpha = mu*beta or none, with solutions alpha*na + beta*nc +
+span(kernel); a stabilizer's scalar line stores na = nc = 0, as only
+na + nc is read.  Elimination runs only on the homogeneous system of
+level 0 (`solve_affine`); the q^(n+3) enumeration is an oracle
+(`stabilizer_brute_force`, `orbit_equivalent_brute_force`) up to
 ENUMERATION_CAP elements.
-Each column t^i*P mod N_D after the first is a shift less top*N_D
-(`_mod_vectors`); the torus pairs are all, one line alpha = mu*beta or
-none, with solutions alpha*na + beta*nc + span(kernel) (`_torus_blocks`);
-a span point is one vector add (`_span_points`); an edge group is the
+A span point is one vector add (`_span_points`); an edge group is the
 same data cut by one linear row (`_cut`).  At
 level 0 the stabilizer is the unit group of the F_q-algebra V of solutions:
 its order comes from the type of V (`_level0_unit_group`), and its elements
@@ -50,7 +54,7 @@ from dataclasses import dataclass
 
 from .algebra import (AlgebraError, Polynomial, format_polynomial,
                       packed_add, packed_combination, packed_divmod,
-                      packed_mul, parse_polynomial)
+                      packed_gcd, packed_mul, parse_polynomial)
 from .btree import BallVertex, Matrix2, act
 
 
@@ -371,25 +375,51 @@ def _torus_restrict(field, mu, rows):
     return mu
 
 
-def _torus_blocks(columns, va, vc, field):
-    """The systems sum_j x_j * columns[j] = -(alpha*va + beta*vc) over the
-    torus pairs, as one linear map (mu, na, nc, kernel) of packed ints, or
-    None when no pair is consistent.  One elimination of [columns | va | vc]
-    decides every pair: it is consistent iff alpha*ra + beta*rc vanishes
-    beyond the rank, ra and rc the reduced va and vc (the torus set mu of
-    `_torus_restrict`), and its particular solution is alpha*na + beta*nc,
-    na and nc being -ra and -rc on the pivot rows."""
-    ncols = len(columns)
-    rows = [[col[i] for col in columns] + [x, y]
-            for i, (x, y) in enumerate(zip(va, vc))]
-    pivots, kernel = _eliminate(rows, ncols, field)
-    mu = _torus_restrict(field, None, [r[ncols:] for r in rows[len(pivots):]])
+def _torus_map(field, modulus, n, u, va, vc):
+    """The torus map (mu, na, nc) of x*u = alpha*va + beta*vc (mod N), x of
+    degree <= n, and M = N/gcd(u, N), or None when no pair is consistent;
+    packed lists reduced mod the monic N.  y is in the span iff
+    L(y) = (y mod e, the coefficients of x(y - y mod e) above t^n)
+    vanishes, x(y) then its particular solution (module docstring).  All
+    pairs have na = x(va), nc = x(vc); a line alpha = mu*beta has
+    na = x(va + vc/mu), nc = 0.  va None is a stabilizer's va = -vc: all
+    pairs, na = -nc, if vc is in the span, else the scalar line, na = nc =
+    0."""
+    e, inv, m = packed_gcd(field, u, modulus, cofactor=True)
+    width = max(len(m) - 1, n + 1)
+
+    def split(y):
+        # (L(y), x(y - y mod e) padded to `width`)
+        quo, rest = packed_divmod(field, y, e)
+        x = packed_divmod(field, packed_mul(field, quo, inv), m)[1]
+        x += [0] * (width - len(x))
+        return rest + [0] * (len(e) - 1 - len(rest)) + x[n + 1:], x
+
+    lc, xc = split(vc)
+    nc, zero = tuple(xc[:n + 1]), (0,) * (n + 1)
+    if va is None:
+        if any(lc):
+            return 1, zero, zero, m
+        return None, tuple(map(field.neg, nc)), nc, m
+    la, xa = split(va)
+    mu = _torus_restrict(field, None, zip(la, lc))
     if mu == 0:
         return None
-    na, nc = [0] * ncols, [0] * ncols
-    for row, col in zip(rows, pivots):
-        na[col], nc[col] = field.neg(row[ncols]), field.neg(row[ncols + 1])
-    return mu, tuple(na), tuple(nc), kernel
+    if mu is None:
+        return None, tuple(xa[:n + 1]), nc, m
+    vadd, vscale = _vector_ops(field)
+    return mu, vadd(xa[:n + 1], vscale(field.inv(mu), nc)), zero, m
+
+
+def _kernel_basis(field, m, n):
+    """t^j - (t^j mod M) for deg M <= j <= n, packed-int vectors of length
+    n + 1: the kernel of the columns t^j*u mod N for M = N/gcd(u, N).  The
+    low part -(t^j mod M) is t^(j - deg M) times that of M, mod M."""
+    dm = len(m) - 1
+    if dm > n:
+        return ()
+    return tuple(low + (0,) * i + (1,) + (0,) * (n - dm - i) for i, low in
+                 enumerate(_mod_vectors(field, m[:dm], m, n + 1 - dm)))
 
 
 def _torus_frame(field, torus, ai, bi):
@@ -763,7 +793,8 @@ def _stab_solution(level, red_src, red_dst, stabilizer_mode):
     """The torus map and the level-0 kernel of {s : g_dst^-1 s g_src in H_D}.
 
     In stabilizer mode red_src is red_dst and the result describes a group;
-    otherwise a torus map found is returned alone, as a witness.
+    otherwise a torus map found is returned alone, as a witness, and
+    without its kernel, which a witness does not read.
 
     The condition is N_D | (g_dst^{-1} s g_src)[2,1].  With W = adj(g_dst)
     and (a, c) the first column of g_src, the entry of W s g_src is
@@ -779,21 +810,31 @@ def _stab_solution(level, red_src, red_dst, stabilizer_mode):
         raise SizeError("the congruence solve at level %d has %d unknowns, "
                         "above the cap %d" % (n, n + 1, SOLVE_UNKNOWNS_CAP))
     modulus = level.modulus.packed_coeffs
-    w21 = packed_mul(field, red_dst.g.c.packed_coeffs, [field.neg(1)])
-    w22 = red_dst.g.a.packed_coeffs
+
+    def residue(x, y):
+        return packed_divmod(field, packed_mul(field, x, y), modulus)[1]
+
+    minus_one = [field.neg(1)]
+    c_dst, w22 = red_dst.g.c.packed_coeffs, red_dst.g.a.packed_coeffs
+    w21 = packed_mul(field, c_dst, minus_one)
     a, c = red_src.g.a.packed_coeffs, red_src.g.c.packed_coeffs
-    columns = _mod_vectors(field, packed_mul(field, w21, c), modulus, n + 1)
-    vc = _mod_vectors(field, packed_mul(field, w22, c), modulus)[0]
+    # b*(W21*c) + alpha*(W21*a) + beta*(W22*c) = 0 is x*u = alpha*va +
+    # beta*vc for u = c_dst*c, va = W21*a and vc = W22*c
+    u, vc = residue(c_dst, c), residue(w22, c)
     # with red_src = red_dst, W21*a = -c*a is -W22*c
-    va = (tuple(map(field.neg, vc)) if stabilizer_mode else
-          _mod_vectors(field, packed_mul(field, w21, a), modulus)[0])
-    torus = _torus_blocks(columns, va, vc, field)
+    va = None if stabilizer_mode else residue(w21, a)
+    torus = _torus_map(field, modulus, n, u, va, vc)
+    if torus:
+        kernel = _kernel_basis(field, torus[3], n) if stabilizer_mode else ()
+        torus = torus[:3] + (kernel,)
     if n > 0 or (torus and not stabilizer_mode):
         return torus, ()
     # ambient stabilizer is GL2(F_q): a basis of V, kept if some c != 0 in V
-    w22a = _mod_vectors(field, packed_mul(field, w22, a), modulus)[0]
-    cols4 = [va, columns[0], w22a, vc]
-    _, kernel4 = solve_affine(cols4, (0,) * (len(modulus) - 1), field)
+    size = len(modulus) - 1
+    cols4 = [tuple(x) + (0,) * (size - len(x))
+             for x in (packed_mul(field, vc, minus_one) if va is None else va,
+                       packed_mul(field, u, minus_one), residue(w22, a), vc)]
+    _, kernel4 = solve_affine(cols4, (0,) * size, field)
     kernel4 = tuple(tuple(map(field.packed, vec)) for vec in kernel4)
     return torus, kernel4 if any(vec[2] for vec in kernel4) else ()
 

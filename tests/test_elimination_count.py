@@ -1,7 +1,8 @@
-"""Call counts of the F_q elimination behind every orbit and stabilizer
-test: one per congruence system, plus one for the homogeneous system of
-level 0, however many torus pairs the system decides; and of the
-divisions by N_D that set a system up."""
+"""Call counts behind every orbit and stabilizer test: no F_q elimination
+decides the torus pairs, which are read off gcd(c_dst*c_src, N_D); the
+one elimination left is `solve_affine` on the homogeneous system of a
+level-0 stabilizer; and the divisions that set a system up do not grow
+with the level n."""
 
 import pytest
 
@@ -13,21 +14,36 @@ from btquot.quotient import build_quotient
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Counts of `_eliminate`, `_stab_solution` (in total and at level 0)
-    and `solve_affine` calls while the test runs."""
-    tally = {"eliminate": 0, "systems": 0, "level0": 0, "solve_affine": 0}
+    """Counts of `_eliminate` and `solve_affine` calls, in total and by
+    the congruence system (`_stab_solution`) that makes them: its level
+    (0 or above) and mode (stabilizer or witness); and of the systems."""
+    tally = {"eliminate": 0, "solve_affine": 0, "systems": 0,
+             "level0 stabilizers": 0}
+    inside = []   # (level 0, stabilizer mode) of the open system
+
+    def system(level, red_src, red_dst, stabilizer_mode):
+        key = (red_src.level_n == 0, stabilizer_mode)
+        tally["systems"] += 1
+        tally["level0 stabilizers"] += key == (True, True)
+        inside.append(key)
+        try:
+            return solve_system(level, red_src, red_dst, stabilizer_mode)
+        finally:
+            inside.pop()
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
             tally[key] += 1
-            if key == "systems" and args[1].level_n == 0:
-                tally["level0"] += 1
+            if inside:
+                where = (key,) + inside[-1]
+                tally[where] = tally.get(where, 0) + 1
             return fn(*args, **kwargs)
         return wrapper
 
-    for key, name in (("eliminate", "_eliminate"),
-                      ("systems", "_stab_solution"),
-                      ("solve_affine", "solve_affine")):
+    solve_system = hecke._stab_solution
+    monkeypatch.setattr(hecke, "_stab_solution", system)
+    for key in ("eliminate", "solve_affine"):
+        name = "_" + key if key == "eliminate" else key
         monkeypatch.setattr(hecke, name, counted(key, getattr(hecke, name)))
     return tally
 
@@ -37,55 +53,69 @@ def counts(monkeypatch):
                                            (3, 2, "t", 3),
                                            (2, 2, "t^2", 5)])
 def test_one_elimination_per_system(counts, p, s, lvl, depth):
+    """No elimination decides a torus map: every `_eliminate` call is the
+    one inside a `solve_affine` call, each level-0 stabilizer makes
+    exactly one, and no system above level 0 makes any.  (The name dates
+    from one elimination per system.)"""
     level = hecke.parse_level(lvl, FieldSpec(p, s))
     build_quotient(level, depth)
-    assert counts["systems"] > counts["level0"] > 0
-    # the homogeneous level-0 system is solved only at level 0
-    assert counts["solve_affine"] <= counts["level0"]
-    assert counts["eliminate"] == counts["systems"] + counts["solve_affine"]
+    assert counts["systems"] > counts["level0 stabilizers"] > 0
+    assert counts["eliminate"] == counts["solve_affine"]
+    assert counts.get(("solve_affine", True, True)) == \
+        counts["level0 stabilizers"]
+    assert not any(counts.get((key, False, mode))
+                   for key in ("eliminate", "solve_affine")
+                   for mode in (True, False))
 
 
 def test_stabilizer_counts_over_f9(counts):
-    """(q-1)^2 = 64 torus pairs, one elimination at level 1 and two at
-    level 0."""
+    """(q-1)^2 = 64 torus pairs with no elimination at level 1, and one
+    `solve_affine` elimination at level 0."""
     F9 = FieldSpec(3, 2)
     level = hecke.parse_level("t", F9)
     assert len(hecke.stabilizer(BallVertex.standard(F9, 1),
                                 level).torus_pairs()) == 64
-    assert counts["eliminate"] == 1
+    assert counts["eliminate"] == 0
     hecke.stabilizer(BallVertex.base(F9), level)
-    assert counts["eliminate"] == 3 and counts["solve_affine"] == 1
+    assert counts["eliminate"] == 1 and counts["solve_affine"] == 1
 
 
 @pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (3, 2)])
 @pytest.mark.parametrize("n", [1, 4, 8, 12])
 def test_three_divisions_per_stabilizer(monkeypatch, p, s, n):
-    """A stabilizer at level n >= 1 divides by N_D twice: for the first
-    column and for the torus terms, which share one division since
-    W21 * a = -W22 * c when the source and target reductions agree.  Each
-    later column t^i * P mod N_D is the previous one shifted, less a
-    multiple of the monic N_D, so the count does not grow with n.
-    Checked on v_n and on a vertex of level n whose reduction has c != 0.
-    (The name dates from three divisions, one per torus term.)"""
+    """A stabilizer at level n >= 1 divides by N_D for the residues of
+    u = c*c and of the torus term a*c, which the other torus term shares
+    since W21 * a = -W22 * c when the source and target reductions agree.
+    Its other divisions split a*c by e = gcd(u, N_D) and by M = N_D/e and
+    build the kernel, one division by M; e or M is N_D when gcd(u, N_D) is
+    N_D or 1.  So the divisions by N_D number the same at level n as at
+    level 1, and there are at most five, however large n is.  Checked on
+    v_n and on a vertex of level n whose reduction has c != 0.  (The name
+    dates from three divisions, one per torus term.)"""
     field = FieldSpec(p, s)
     level = hecke.parse_level("t^3;t+1", field)
     one, zero, t = (Polynomial.one(field), Polynomial.zero(field),
                     Polynomial.t(field))
     x = Matrix2(one, zero, t + one, one) @ Matrix2.translation(t)
-    v_n = BallVertex.standard(field, n)
-    vertices = (v_n, act(x, v_n))
-    reductions = [hecke.reduce_vertex(v) for v in vertices]
-    assert [red.level_n for red in reductions] == [n, n]
-    assert reductions[1].g.c
+    vertices = [(v, act(x, v)) for v in (BallVertex.standard(field, k)
+                                         for k in (n, 1))]
+    reductions = [hecke.reduce_vertex(v) for pair in vertices for v in pair]
+    assert [red.level_n for red in reductions] == [n, n, 1, 1]
+    assert reductions[1].g.c and reductions[3].g.c
     calls = []
     divmod_ = hecke.packed_divmod
 
     def counted(field, a, b):
-        calls.append(b)
+        calls.append(tuple(b))
         return divmod_(field, a, b)
 
     monkeypatch.setattr(hecke, "packed_divmod", counted)
-    for v in vertices:
+    modulus = level.modulus.packed_coeffs
+    for v, v_1 in zip(*vertices):
+        del calls[:]
+        hecke.stabilizer(v_1, level)
+        at_1 = calls.count(modulus)
         del calls[:]
         hecke.stabilizer(v, level)
-        assert calls == [level.modulus.packed_coeffs] * 2
+        assert calls[:2] == [modulus] * 2 and len(calls) <= 5
+        assert calls.count(modulus) == at_1

@@ -25,9 +25,32 @@ def poly(text, field):
     return parse_polynomial(text, field)
 
 
+def torus_blocks(columns, va, vc, field):
+    """The reference for the solver's torus map: the systems
+    sum_j x_j * columns[j] = -(alpha*va + beta*vc) over the torus pairs,
+    as one linear map (mu, na, nc, kernel) of packed ints, or None when no
+    pair is consistent, by one Gauss-Jordan elimination of
+    [columns | va | vc].  A pair is consistent iff alpha*ra + beta*rc
+    vanishes beyond the rank, ra and rc the reduced va and vc (the torus
+    set mu of `_torus_restrict`), and its particular solution is
+    alpha*na + beta*nc, na and nc being -ra and -rc on the pivot rows."""
+    from btquot.hecke import _eliminate, _torus_restrict
+    ncols = len(columns)
+    rows = [[col[i] for col in columns] + [x, y]
+            for i, (x, y) in enumerate(zip(va, vc))]
+    pivots, kernel = _eliminate(rows, ncols, field)
+    mu = _torus_restrict(field, None, [r[ncols:] for r in rows[len(pivots):]])
+    if mu == 0:
+        return None
+    na, nc = [0] * ncols, [0] * ncols
+    for row, col in zip(rows, pivots):
+        na[col], nc[col] = field.neg(row[ncols]), field.neg(row[ncols + 1])
+    return mu, tuple(na), tuple(nc), kernel
+
+
 def expand_torus(field, torus):
     """The blocks ((alpha, beta), alpha*na + beta*nc, kernel) of the torus
-    map (mu, na, nc, kernel) of `_torus_blocks`, pair by pair in pair
+    map (mu, na, nc, kernel) of `torus_blocks`, pair by pair in pair
     order: every (alpha, beta) in (F_q*)^2 for mu None, else those with
     alpha = mu*beta; none for None."""
     if torus is None:
@@ -329,7 +352,6 @@ class TestSolveAffine:
         order, once its linear map is expanded pair by pair.  The systems
         are seeded: rank-deficient columns, inconsistent pairs and the
         empty system of D = 0 all occur."""
-        from btquot.hecke import _torus_blocks
         rng = random.Random(25)
         seen = {"deficient": 0, "inconsistent": 0, "empty": 0}
         for field in ORACLE_FIELDS:
@@ -361,20 +383,20 @@ class TestSolveAffine:
                                          kernel))
                 seen["deficient"] += len(kernel) > max(ncols - nrows, 0)
                 seen["empty"] += nrows == 0
-                assert expand_torus(field, _torus_blocks(
+                assert expand_torus(field, torus_blocks(
                     columns, va, vc, field)) == expected, \
                     (field, columns, va, vc)
         assert all(seen.values()), seen
 
     def test_torus_blocks_equal_full_side_reference(self):
-        """`_torus_blocks` reads the consistent pairs off the first nonzero
+        """`torus_blocks` reads the consistent pairs off the first nonzero
         row beyond the rank; a reference that eliminates once and then
         builds the whole side alpha*ra + beta*rc for every pair gives the
         same blocks in the same order.  The seeded systems put (va, vc)
         in the column span (every pair consistent), vc = lam*va modulo the
         span with va outside it (a line), or both outside (none, or a line
         by chance); each case occurs over every field."""
-        from btquot.hecke import _eliminate, _torus_blocks
+        from btquot.hecke import _eliminate
         rng = random.Random(26)
 
         def reference(columns, va, vc, field):
@@ -427,7 +449,7 @@ class TestSolveAffine:
                 expected, tail = reference(columns, va, vc, field)
                 seen.add("line" if tail and expected else
                          "none" if tail else "every")
-                assert expand_torus(field, _torus_blocks(
+                assert expand_torus(field, torus_blocks(
                     columns, va, vc, field)) == expected, \
                     (field, columns, va, vc)
             assert seen == {"every", "line", "none"}, (field, seen)
@@ -844,11 +866,140 @@ class TestGeneratingSet:
                               (2,) + sd.torus[1:], ())
         with pytest.raises(HeckeInconsistency, match="torus pairs"):
             line.generator_frames()
-        blocks = hecke._torus_blocks
-        monkeypatch.setattr(hecke, "_torus_blocks",
-                            lambda *args: (2,) + blocks(*args)[1:])
+        torus_map = hecke._torus_map
+        monkeypatch.setattr(hecke, "_torus_map",
+                            lambda *args: (2,) + torus_map(*args)[1:])
         assert main(["stab", "--p", "3", "--level", "t",
                      "--vertex", "r=-2;a=0"]) == 3
+
+
+def levels_up_to(field, degree):
+    """Every level of degree <= `degree` over `field`, D = 0 included:
+    the products of powers of distinct monic irreducibles."""
+    import itertools
+    irreducibles = [p for d in range(1, degree + 1)
+                    for low in itertools.product(range(field.q), repeat=d)
+                    for p in [Polynomial(field, low + (1,))]
+                    if p.is_irreducible()]
+
+    def extend(start, left, factors):
+        yield factors
+        for i in range(start, len(irreducibles)):
+            p = irreducibles[i]
+            for mult in range(1, left // p.degree + 1):
+                yield from extend(i + 1, left - mult * p.degree,
+                                  factors + [(p, mult)])
+
+    return [Level(field, factors) for factors in extend(0, degree, [])]
+
+
+def reference_system(level, red_src, red_dst):
+    """The congruence system of the pair of reductions as the elimination
+    took it, from `Polynomial` arithmetic: the columns t^j*(-c_dst*c_src),
+    j <= n, va = -c_dst*a_src and vc = a_dst*c_src, reduced mod N_D and
+    padded to deg N_D."""
+    modulus, n = level.modulus, red_src.level_n
+
+    def vec(p):
+        cs = (p % modulus).packed_coeffs
+        return cs + (0,) * (modulus.degree - len(cs))
+
+    (a, c), (a_dst, c_dst) = (red_src.g.a, red_src.g.c), (red_dst.g.a,
+                                                          red_dst.g.c)
+    columns = [vec(-(c_dst * c).shift(j)) for j in range(n + 1)]
+    return columns, vec(-(c_dst * a)), vec(a_dst * c)
+
+
+class TestClosedFormSolve:
+    """The torus map read off e = gcd(c_dst*c_src, N_D) equals the one the
+    elimination of the system gives (`torus_blocks`), on every class of
+    every level of small degree and on seeded pairs of vertices."""
+
+    LEVELS = ((FieldSpec(2), 4), (FieldSpec(3), 3), (FieldSpec(2, 2), 2),
+              (FieldSpec(5), 2))
+
+    @staticmethod
+    def kind(level, red_src, red_dst):
+        """Which case of the rule the system falls in: u = 0, gcd 1 or a
+        proper e, and whether n < deg M."""
+        from btquot.algebra import poly_gcd
+        modulus = level.modulus
+        u = red_dst.g.c * red_src.g.c % modulus
+        e = poly_gcd(u, modulus) if u else modulus
+        return ("u = 0" if not u else "gcd 1" if e.degree == 0 else
+                "proper e"), red_src.level_n < modulus.degree - e.degree
+
+    def test_closed_form_equals_elimination(self):
+        from btquot import hecke
+        from btquot.quotient import build_quotient
+        rng = random.Random(44)
+        levels = [lvl for field, degree in self.LEVELS
+                  for lvl in levels_up_to(field, degree)]
+        levels.append(parse_level("t^2", FieldSpec(3, 2)))
+        seen, systems, pairs = set(), 0, 0
+        for level in levels:
+            field = level.field
+            Q = build_quotient(level, 2 * level.degree + 4)
+            # each representative moved by a random member of H_D: a vertex
+            # of the same class whose solutions are not those of a vertex
+            # near the standard ray
+            moved = [reduce_vertex(act(rand_member(field, level, rng),
+                                       cls.representative))
+                     for cls in Q.classes]
+            for red in [cls.reduction for cls in Q.classes] + moved:
+                old = torus_blocks(*reference_system(level, red, red),
+                                   field)
+                new = hecke._stab_solution(level, red, red, True)[0]
+                assert new[0] == old[0] and new[3] == old[3], (level, red)
+                if new[0] is None:
+                    assert new[1:3] == old[1:3], (level, red)
+                else:
+                    seen.add("mu = 1")
+                    assert new[0] == 1 and not any(
+                        field.add(x, y) for x, y in zip(*new[1:3]))
+                seen.update(self.kind(level, red, red))
+                systems += 1
+            by_level = {}
+            for red in moved + [reduce_vertex(v) for cls in Q.classes
+                                for v in [cls.representative,
+                                          *cls.representative.neighbors()]]:
+                by_level.setdefault(red.level_n, []).append(red)
+            for reds in by_level.values():
+                for _ in range(min(10, len(reds) ** 2)):
+                    src, dst = rng.choice(reds), rng.choice(reds)
+                    pairs += self.check_witness_pair(level, src, dst, seen)
+        assert seen >= {"u = 0", "gcd 1", "proper e", True, "mu = 1",
+                        "no witness"}, seen
+        assert systems > 1000 and pairs > 2000, (systems, pairs)
+
+    def check_witness_pair(self, level, src, dst, seen):
+        """The witness-mode torus map of (src, dst) against the reference:
+        mu and the kernel, the particular solutions for all pairs, and the
+        one for the pair a witness uses on a line."""
+        from btquot import hecke
+        field, n = level.field, src.level_n
+        columns, va, vc = reference_system(level, src, dst)
+        old = torus_blocks(columns, va, vc, field)
+        new = hecke._stab_solution(level, src, dst, False)[0]
+        seen.update(self.kind(level, src, dst))
+        if old is None:
+            seen.add("no witness")
+            assert new is None, (level, src, dst)
+            return 1
+        modulus = level.modulus
+        packed = [(p % modulus).packed_coeffs for p in (
+            dst.g.c * src.g.c, -(dst.g.c * src.g.a), dst.g.a * src.g.c)]
+        mu, na, nc, m = hecke._torus_map(field, modulus.packed_coeffs, n,
+                                         *packed)
+        assert new == (mu, na, nc, ()), (level, src, dst)
+        assert mu == old[0], (level, src, dst)
+        assert hecke._kernel_basis(field, m, n) == old[3], (level, src, dst)
+        if mu is None:
+            assert (na, nc) == old[1:3], (level, src, dst)
+        else:
+            witness = expand_torus(field, (mu, na, nc, ()))[0]
+            assert witness == expand_torus(field, old[:3] + ((),))[0]
+        return 1
 
 
 class TestPackedPath:
