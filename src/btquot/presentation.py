@@ -241,9 +241,9 @@ def build_graph_of_groups(Q):
     for cid in order:
         stab = Q.class_by_id(cid).stab
         _, h = Q.locate(lifts[cid])
-        vertex_stabs[cid] = StabDescriptor(lifts[cid], stab.conjugator @ h,
-                                           stab.level_n, level, stab.torus,
-                                           stab.kernel)
+        frame = stab.conjugator if h is Q.identity else stab.conjugator @ h
+        vertex_stabs[cid] = StabDescriptor(lifts[cid], frame, stab.level_n,
+                                           level, stab.torus, stab.kernel)
 
     finite_classes = tuple(sorted(set(y_classes).union(t[0] for t in tails)))
     for cid in finite_classes:
@@ -282,7 +282,8 @@ def build_graph_of_groups(Q):
 
 def _other_strand_lifts(Q, lifts, vertex_stabs, edge, tree_carries_one):
     """(src, dst, lifted dst) for the strands of `edge` not carried by the
-    spanning tree, src the class whose lift is the source.
+    spanning tree, src the class whose lift is the source, each lifted dst
+    the vertex object the quotient located.
 
     The stabilizer orbits of one endpoint's lift on its q+1 tree neighbors
     give one strand per orbit landing in the opposite class.  When the edge
@@ -305,7 +306,7 @@ def _other_strand_lifts(Q, lifts, vertex_stabs, edge, tree_carries_one):
         if tree_index in orbit:
             tree_used = orbit
             continue
-        pairs.append((side, other, rep))
+        pairs.append((side, other, Q.vertices[rep.key()]))
     expected = edge.multiplicity - (1 if tree_carries_one else 0)
     if tree_carries_one and tree_used is None:
         raise PresentationInconsistency(

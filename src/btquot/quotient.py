@@ -141,8 +141,15 @@ class QuotientGraph:
     cusps: list = dc_field(default_factory=list)
     # class key -> ids of the classes with that key, in creation order
     buckets: dict = dc_field(default_factory=dict, repr=False)
-    # vertex key -> (class id, h in H_D with act(h, v) = rep(class id))
+    # vertex key -> (class id, h in H_D with act(h, v) = rep(class id)); h
+    # is `identity` for the representatives
     located: dict = dc_field(default_factory=dict, repr=False)
+    # vertex key -> the vertex object located, which keeps its reduction
+    vertices: dict = dc_field(default_factory=dict, repr=False)
+    identity: Matrix2 = dc_field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.identity = Matrix2.identity(self.field)
 
     def class_by_id(self, cid):
         return self.classes[cid]
@@ -178,16 +185,17 @@ class QuotientGraph:
             h = orbit_witness(self.level, red, self.classes[cid].reduction)
             if h is not None:
                 found = self.located[v.key()] = (cid, h)
+                self.vertices[v.key()] = v
                 return found, red, stab
         return None, red, stab
 
     def neighbor_in_class(self, u, cid):
         """The first tree neighbor of u, in key order, lying in class cid,
-        or None."""
+        as the vertex object located (`vertices`), or None."""
         for nb in map(u.neighbor, range(self.field.q + 1)):
             found = self.locate(nb)
             if found is not None and found[0] == cid:
-                return nb
+                return self.vertices[nb.key()]
         return None
 
     def _classify(self, v, layer):
@@ -203,7 +211,8 @@ class QuotientGraph:
             id=cid, representative=v, level_n=red.level_n, layer=layer,
             stab=stab, reduction=red))
         self.buckets.setdefault(class_key(stab), []).append(cid)
-        self.located[v.key()] = (cid, Matrix2.identity(self.field))
+        self.located[v.key()] = (cid, self.identity)
+        self.vertices[v.key()] = v
         return cid
 
     def _expand(self, cls):

@@ -1,6 +1,8 @@
 """Neighbor vertices built by the quotient build and the graph of groups:
 `BallVertex.neighbors` is never called, and `_expand` builds one neighbor
-vertex per stabilizer orbit, the orbit's representative."""
+vertex per stabilizer orbit, the orbit's representative.  The graph of
+groups reuses the vertex objects the build reduced, and a representative's
+identity witness costs it no matrix product."""
 
 import pytest
 
@@ -53,3 +55,48 @@ def test_one_neighbor_per_orbit(tally, p, s, lvl, depth):
     assert certify_cusps(Q, 3)
     build_graph_of_groups(Q)
     assert tally["neighbors"] == 0
+
+
+def test_graph_of_groups_reuses_the_build_reductions(monkeypatch):
+    """The lifts and strand ends the graph of groups takes from the
+    quotient are the vertex objects the build located, which keep their
+    reductions: at q=3, D=t^3, depth 10 Nagao's kernel runs no more."""
+    from btquot import hecke
+    Q = build_quotient(parse_level("t^3", FieldSpec(3)), 10)
+    assert certify_cusps(Q, 3)
+    runs = []
+    kernel = hecke._nagao_reduction
+
+    def counted(v):
+        runs.append(v)
+        return kernel(v)
+
+    monkeypatch.setattr(hecke, "_nagao_reduction", counted)
+    G = build_graph_of_groups(Q)
+    assert runs == []
+    assert all(G.lifts[cid] is Q.vertices[G.lifts[cid].key()]
+               for cid in G.lifts)
+
+
+@pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
+def test_identity_witnesses_make_no_product(monkeypatch, p, s):
+    """A lift that is its class representative has the quotient's one
+    identity as its witness, and its frame is the class's own conjugator:
+    on the amalgam levels D = t, depth 8, every lift is one, and the graph
+    of groups multiplies no matrices."""
+    from btquot.btree import Matrix2
+    Q = build_quotient(parse_level("t", FieldSpec(p, s)), 8)
+    assert certify_cusps(Q, 3)
+    products = []
+    matmul = Matrix2.__matmul__
+
+    def counted(x, y):
+        products.append(1)
+        return matmul(x, y)
+
+    monkeypatch.setattr(Matrix2, "__matmul__", counted)
+    G = build_graph_of_groups(Q)
+    assert products == []
+    for cid, stab in G.vertex_stabs.items():
+        assert Q.locate(G.lifts[cid])[1] is Q.identity
+        assert stab.conjugator is Q.class_by_id(cid).stab.conjugator
