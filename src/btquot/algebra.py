@@ -426,20 +426,22 @@ def packed_gcd(field, a, b, cofactor=False):
     r = s*a (mod b), so s*a = g (mod b), and the s of the last remainder,
     0, is a unit times b/g, made monic as m.  For deg a < deg b, s is the
     inverse of a/g modulo m, of lower degree."""
-    r0, r1, s0, s1 = list(b), list(a), [], [1]
-    minus_one = [field.neg(1)]
+    r0, r1 = b, a
+    if not cofactor:
+        while r1:
+            r0, r1 = r1, packed_divmod(field, r0, r1)[1]
+        if r0 and r0[-1] != 1:
+            return packed_mul(field, r0, [field.inv(r0[-1])])
+        return r0
+    s0, s1, minus_one = [], [1], [field.neg(1)]
     while r1:
         quo, rem = packed_divmod(field, r0, r1)
         r0, r1 = r1, rem
-        if cofactor:
-            s0, s1 = s1, packed_add(field, s0, packed_mul(
-                field, packed_mul(field, quo, s1), minus_one))
-    if r0 and r0[-1] != 1:
-        inv = [field.inv(r0[-1])]
-        r0, s0 = packed_mul(field, r0, inv), packed_mul(field, s0, inv)
-    if not cofactor:
-        return r0
-    return r0, s0, s1 and packed_mul(field, s1, [field.inv(s1[-1])])
+        s0, s1 = s1, packed_add(field, s0, packed_mul(
+            field, packed_mul(field, quo, s1), minus_one))
+    inv = [field.inv(r0[-1])]
+    return (packed_mul(field, r0, inv), packed_mul(field, s0, inv),
+            s1 and packed_mul(field, s1, [field.inv(s1[-1])]))
 
 
 def packed_combination(field, terms):

@@ -2,8 +2,9 @@
 
 The quotient graph owns the one vertex-to-class lookup, `locate`, used by
 the build, by cusp certification and by the graph of groups; it caches the
-class it found for every vertex it has looked up, and each vertex keeps its
-own reduction (`hecke.reduce_vertex`).
+class it found for every vertex it has looked up, and the vertex object,
+which keeps its own reduction (`hecke.reduce_vertex`), so the graph of
+groups reuses the objects the build reduced.
 
 The build runs a breadth-first search over orbit classes starting from the
 class of the base vertex: each class representative contributes its q+1 tree
