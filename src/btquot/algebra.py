@@ -422,7 +422,7 @@ def packed_divmod(field, a, b):
 def packed_gcd(field, a, b, cofactor=False):
     """The monic gcd g of a and b on packed coefficient lists, [] when both
     are zero, by Euclid's algorithm, which divides b by a first.  With
-    `cofactor`, (g, s, m): each remainder r is kept with the s of
+    `cofactor`, for b != 0, (g, s, m): each remainder r is kept with the s of
     r = s*a (mod b), so s*a = g (mod b), and the s of the last remainder,
     0, is a unit times b/g, made monic as m.  For deg a < deg b, s is the
     inverse of a/g modulo m, of lower degree."""
@@ -439,9 +439,12 @@ def packed_gcd(field, a, b, cofactor=False):
         r0, r1 = r1, rem
         s0, s1 = s1, packed_add(field, s0, packed_mul(
             field, packed_mul(field, quo, s1), minus_one))
-    inv = [field.inv(r0[-1])]
-    return (packed_mul(field, r0, inv), packed_mul(field, s0, inv),
-            s1 and packed_mul(field, s1, [field.inv(s1[-1])]))
+    if r0[-1] != 1:
+        inv = [field.inv(r0[-1])]
+        r0, s0 = packed_mul(field, r0, inv), packed_mul(field, s0, inv)
+    if s1[-1] != 1:
+        s1 = packed_mul(field, s1, [field.inv(s1[-1])])
+    return r0, s0, s1
 
 
 def packed_combination(field, terms):

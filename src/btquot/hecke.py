@@ -397,17 +397,17 @@ def _torus_map(field, modulus, n, u, va, vc):
 
     lc, xc = split(vc)
     nc, zero = tuple(xc[:n + 1]), (0,) * (n + 1)
+    vadd, vscale = _vector_ops(field)
     if va is None:
         if any(lc):
             return 1, zero, zero, m
-        return None, tuple(map(field.neg, nc)), nc, m
+        return None, vscale(field.neg(1), nc), nc, m
     la, xa = split(va)
     mu = _torus_restrict(field, None, zip(la, lc))
     if mu == 0:
         return None
     if mu is None:
         return None, tuple(xa[:n + 1]), nc, m
-    vadd, vscale = _vector_ops(field)
     return mu, vadd(xa[:n + 1], vscale(field.inv(mu), nc)), zero, m
 
 
