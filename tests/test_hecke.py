@@ -926,8 +926,9 @@ class TestClosedFormSolve:
         modulus = level.modulus
         u = red_dst.g.c * red_src.g.c % modulus
         e = poly_gcd(u, modulus) if u else modulus
+        short = red_src.level_n < modulus.degree - e.degree
         return ("u = 0" if not u else "gcd 1" if e.degree == 0 else
-                "proper e"), red_src.level_n < modulus.degree - e.degree
+                "proper e"), "n < deg M" if short else "n >= deg M"
 
     def test_closed_form_equals_elimination(self):
         from btquot import hecke
@@ -967,8 +968,9 @@ class TestClosedFormSolve:
             for reds in by_level.values():
                 for _ in range(min(10, len(reds) ** 2)):
                     src, dst = rng.choice(reds), rng.choice(reds)
-                    pairs += self.check_witness_pair(level, src, dst, seen)
-        assert seen >= {"u = 0", "gcd 1", "proper e", True, "mu = 1",
+                    self.check_witness_pair(level, src, dst, seen)
+                    pairs += 1
+        assert seen >= {"u = 0", "gcd 1", "proper e", "n < deg M", "mu = 1",
                         "no witness"}, seen
         assert systems > 1000 and pairs > 2000, (systems, pairs)
 
@@ -985,7 +987,7 @@ class TestClosedFormSolve:
         if old is None:
             seen.add("no witness")
             assert new is None, (level, src, dst)
-            return 1
+            return
         modulus = level.modulus
         packed = [(p % modulus).packed_coeffs for p in (
             dst.g.c * src.g.c, -(dst.g.c * src.g.a), dst.g.a * src.g.c)]
@@ -999,7 +1001,6 @@ class TestClosedFormSolve:
         else:
             witness = expand_torus(field, (mu, na, nc, ()))[0]
             assert witness == expand_torus(field, old[:3] + ((),))[0]
-        return 1
 
 
 class TestPackedPath:
