@@ -14,6 +14,18 @@ Matrices over F_q[t] are formed only for the printed generators, the
 witnesses g_y and the edge groups' generators, to order the generators,
 read an injected element's frame and check every relation.
 
+The spanning tree is the build's discovery tree: each class but the base
+one is joined to its `parent`, the class whose expansion found it, by the
+strand that found it, and the tree is lifted onto the class
+representatives.  It holds every certified tail edge, since a tail edge is
+a bridge and every spanning tree holds the bridges.  The lift is coherent,
+since a representative is the end of the strand that found it, a tree
+neighbor of its parent's representative.  So each vertex group is its
+class's own stabilizer, and each strand off the tree is a build strand of
+the edge's lesser end.  Classes are expanded in id order, so a class's
+parent is its least neighbor, and this is the tree Kruskal's algorithm
+takes over the edges in id order.
+
 The infinite tail groups are never materialized; they are reported through
 their observed structure (torus type and the tower of unipotent dimensions
 along the certified ray), which is exactly what separates the split shape
@@ -28,10 +40,8 @@ from dataclasses import dataclass
 from itertools import groupby
 
 from .btree import Matrix2
-from .hecke import (StabDescriptor, _primitive_element, orbit_witness,
-                    ray_frame, reduce_vertex)
-from .quotient import (SPLIT, InconsistencyError, _neighbor_line, frame_fixers,
-                       frame_orbits)
+from .hecke import _primitive_element, orbit_witness, ray_frame, reduce_vertex
+from .quotient import SPLIT, InconsistencyError, frame_fixers
 
 
 class PresentationError(ValueError):
@@ -161,10 +171,14 @@ def _maximal_tails(Q):
 
 
 def build_graph_of_groups(Q):
-    """Spanning tree containing every certified tail, a coherent lift of it,
-    stabilizers at the lifted vertices, edge groups on the finite part, and
-    witnesses g_y for the edges outside the tree.  A finite vertex group
-    of order above VERTEX_GROUP_CAP raises SizeError up front."""
+    """The build's discovery tree lifted onto the class representatives
+    (module docstring), their stabilizers, edge groups on the finite part,
+    and witnesses g_y for the strands off the tree.  A finite vertex group
+    of order above VERTEX_GROUP_CAP raises SizeError up front.
+
+    The strands of an edge are those of its source, the lesser id: a class
+    with a greater id than an unexpanded one is unexpanded too, so the
+    source of every edge is expanded."""
     if not Q.cusps:
         raise PresentationError("quotient has no certified cusps; run "
                                 "certify_cusps first")
@@ -174,94 +188,40 @@ def build_graph_of_groups(Q):
     y_classes = tuple(sorted(c.id for c in Q.classes
                              if c.id not in tail_classes))
 
-    tail_edge_set = set()
-    for tail in tails:
-        for a, b in zip(tail, tail[1:]):
-            tail_edge_set.add((min(a, b), max(a, b)))
-    ordered = [e for e in Q.edges if (e.src, e.dst) in tail_edge_set]
-    ordered += [e for e in Q.edges if (e.src, e.dst) not in tail_edge_set]
-
-    parent = {c.id: c.id for c in Q.classes}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    tree_edges = []
-    extra_strands = []   # (edge, whether one strand is carried by the tree)
-    for e in ordered:
-        ra, rb = find(e.src), find(e.dst)
-        if ra != rb:
-            parent[ra] = rb
-            tree_edges.append(e)
-            if e.multiplicity > 1:
-                extra_strands.append((e, True))
-        else:
-            extra_strands.append((e, False))
-    tree_key_set = {(e.src, e.dst) for e in tree_edges}
-    missing = tail_edge_set - tree_key_set
+    children = Q.classes[1:]
+    tree = {(c.parent, c.id) for c in children}
+    missing = {(min(a, b), max(a, b)) for tail in tails
+               for a, b in zip(tail, tail[1:])} - tree
     if missing:
         raise PresentationInconsistency(
             "certified tail edges %r left outside the spanning tree"
             % (sorted(missing),))
-
-    # coherent lift: BFS over the spanning tree from the base class, each
-    # child lifted to an actual tree neighbor of its parent's lift
-    adj_tree = {}
-    for e in tree_edges:
-        adj_tree.setdefault(e.src, []).append(e.dst)
-        adj_tree.setdefault(e.dst, []).append(e.src)
-    root = 0
-    lifts = {root: Q.class_by_id(root).representative}
-    bfs_parent = {root: None}
-    order = [root]
-    queue = [root]
-    while queue:
-        cur = queue.pop(0)
-        for nb in sorted(adj_tree.get(cur, ())):
-            if nb in lifts:
-                continue
-            lifted = Q.neighbor_in_class(lifts[cur], nb)
-            if lifted is None:
-                raise PresentationInconsistency(
-                    "no tree neighbor of the lift of class %d lies in class "
-                    "%d; spanning-tree lift failed" % (cur, nb))
-            lifts[nb] = lifted
-            bfs_parent[nb] = cur
-            order.append(nb)
-            queue.append(nb)
-    if len(lifts) != len(Q.classes):
-        raise PresentationInconsistency("quotient graph is not connected")
-
-    # Stab(lift) = h^-1 Stab(rep) h for the witness act(h, lift) = rep: the
-    # class descriptor in the frame stab.conjugator @ h
-    vertex_stabs = {}
-    for cid in order:
-        stab = Q.class_by_id(cid).stab
-        _, h = Q.locate(lifts[cid])
-        frame = stab.conjugator if h is Q.identity else stab.conjugator @ h
-        vertex_stabs[cid] = StabDescriptor(lifts[cid], frame, stab.level_n,
-                                           level, stab.torus, stab.kernel)
-
+    lifts = {c.id: c.representative for c in Q.classes}
+    vertex_stabs = {c.id: c.stab for c in Q.classes}
     finite_classes = tuple(sorted(set(y_classes).union(t[0] for t in tails)))
     for cid in finite_classes:
         vertex_stabs[cid].check_order(VERTEX_GROUP_CAP)
 
-    # (src, dst, lifted dst, g_y): the tree edges from the BFS, g_y None,
-    # then every strand outside the tree with its witness
-    strands = [(bfs_parent[cid], cid, lifts[cid], None) for cid in order[1:]]
-    for e, tree_carries_one in extra_strands:
-        for src_id, dst_id, lift_dst in _other_strand_lifts(
-                Q, lifts, vertex_stabs, e, tree_carries_one):
-            g_y = orbit_witness(level, reduce_vertex(lifts[dst_id]),
-                                reduce_vertex(lift_dst))
+    # (src, dst, lifted dst, g_y): the tree edges in id order, g_y None,
+    # then every other strand, by edge, with its witness; a tree edge's
+    # first strand is the one that found its child
+    strands = [(c.parent, c.id, c.representative, None) for c in children]
+    for e in Q.edges:
+        ends = [st.end for st in Q.class_by_id(e.src).strands
+                if st.dst == e.dst]
+        if len(ends) != e.multiplicity:
+            raise PresentationInconsistency(
+                "class %d has %d strands into class %d, an edge of "
+                "multiplicity %d" % (e.src, len(ends), e.dst, e.multiplicity))
+        target = Q.class_by_id(e.dst).reduction
+        in_tree = (e.src, e.dst) in tree
+        for lift_dst in ends[in_tree:]:
+            g_y = orbit_witness(level, target, reduce_vertex(lift_dst))
             if g_y is None:
                 raise PresentationInconsistency(
                     "no witness for a non-tree edge between classes %d and "
-                    "%d" % (src_id, dst_id))
-            strands.append((src_id, dst_id, lift_dst, g_y))
+                    "%d" % (e.src, e.dst))
+            strands.append((e.src, e.dst, lift_dst, g_y))
     edges = []
     for src_id, dst_id, lift_dst, g_y in strands:
         group = None
@@ -274,49 +234,10 @@ def build_graph_of_groups(Q):
 
     tails_out = [_tail_descriptor(Q, cusp, tail, vertex_stabs, edges)
                  for cusp, tail in zip(Q.cusps, tails)]
-    return GraphOfGroups(base=Q, spanning_tree=tuple(sorted(tree_key_set)),
+    return GraphOfGroups(base=Q, spanning_tree=tuple(sorted(tree)),
                          lifts=lifts, vertex_stabs=vertex_stabs,
                          finite_classes=finite_classes, edges=edges,
                          tails=tails_out, y_classes=y_classes)
-
-
-def _other_strand_lifts(Q, lifts, vertex_stabs, edge, tree_carries_one):
-    """(src, dst, lifted dst) for the strands of `edge` not carried by the
-    spanning tree, src the class whose lift is the source, each lifted dst
-    the vertex object the quotient located.
-
-    The stabilizer orbits of one endpoint's lift on its q+1 tree neighbors
-    give one strand per orbit landing in the opposite class.  When the edge
-    is in the tree, the orbit holding the line index of the other
-    endpoint's (adjacent) lift is the tree strand and is dropped.
-    """
-    side = edge.src if Q.class_by_id(edge.src).expanded else edge.dst
-    other = edge.dst if side == edge.src else edge.src
-    v, tree_index = lifts[side], None
-    if tree_carries_one:
-        x, y = _neighbor_line(v, lifts[other])
-        tree_index = 1 + y if x else 0
-    pairs = []
-    tree_used = None
-    for orbit in frame_orbits(vertex_stabs[side]):
-        rep = v.neighbor(orbit[0])
-        found = Q.locate(rep)
-        if found is None or found[0] != other:
-            continue
-        if tree_index in orbit:
-            tree_used = orbit
-            continue
-        pairs.append((side, other, Q.vertices[rep.key()]))
-    expected = edge.multiplicity - (1 if tree_carries_one else 0)
-    if tree_carries_one and tree_used is None:
-        raise PresentationInconsistency(
-            "tree strand of edge %r not found among the orbits"
-            % ((edge.src, edge.dst),))
-    if len(pairs) != expected:
-        raise PresentationInconsistency(
-            "found %d extra strands for edge %r, expected %d"
-            % (len(pairs), (edge.src, edge.dst), expected))
-    return pairs
 
 
 def _tail_descriptor(Q, cusp, tail, vertex_stabs, edges):

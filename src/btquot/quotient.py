@@ -1,10 +1,10 @@
 """Quotient graph of the tree under a Hecke congruence group.
 
-The quotient graph owns the one vertex-to-class lookup, `locate`, used by
-the build, by cusp certification and by the graph of groups; it caches the
-class it found for every vertex it has looked up, and the vertex object,
-which keeps its own reduction (`hecke.reduce_vertex`), so the graph of
-groups reuses the objects the build reduced.
+The quotient graph owns the one vertex-to-class lookup, `locate`, which
+only the build runs; it caches the class it found for every vertex it has
+looked up, and the vertex object, which keeps its own reduction
+(`hecke.reduce_vertex`).  Cusp certification and the graph of groups look
+nothing up: they read the classes and strands the build recorded.
 
 The build runs a breadth-first search over orbit classes starting from the
 class of the base vertex: each class representative contributes its q+1 tree
@@ -16,7 +16,11 @@ level, the torus pairs (mu) and the unipotent dimension above it
 (`class_key`), so one congruence solve gives the key and the witness
 solves run only between classes that share it.  Classes and edges found at
 depth d are kept when the search is widened, so the output is a growing
-snapshot of the full quotient.
+snapshot of the full quotient.  A class records its `parent`, the class
+whose expansion found it, and a strand its `end`, the vertex object
+located for the orbit representative: the classes joined to their parents
+form the discovery tree, which the graph of groups takes as its spanning
+tree (`presentation`).
 
 The orbits are taken in the frame of the standard ray.  The reduction g of
 v maps it to v_n, so Stab(v) = g^-1 S g acts on the neighbors of v, the
@@ -79,9 +83,12 @@ INDETERMINATE = "indeterminate"
 
 @dataclass
 class Strand:
-    """One stabilizer orbit on the tree neighbors of a class representative."""
+    """One stabilizer orbit on the tree neighbors of a class representative:
+    its size, the class it lies in, and its end, the orbit's representative
+    neighbor as the vertex object the build located."""
     orbit_size: int
     dst: int
+    end: BallVertex
 
 
 @dataclass
@@ -90,6 +97,7 @@ class OrbitClass:
     representative: BallVertex
     level_n: int
     layer: int
+    parent: object       # id of the class whose expansion found it, or None
     stab: object
     reduction: object
     expanded: bool = False
@@ -143,14 +151,10 @@ class QuotientGraph:
     # class key -> ids of the classes with that key, in creation order
     buckets: dict = dc_field(default_factory=dict, repr=False)
     # vertex key -> (class id, h in H_D with act(h, v) = rep(class id)); h
-    # is `identity` for the representatives
+    # is the identity for the representatives
     located: dict = dc_field(default_factory=dict, repr=False)
     # vertex key -> the vertex object located, which keeps its reduction
     vertices: dict = dc_field(default_factory=dict, repr=False)
-    identity: Matrix2 = dc_field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.identity = Matrix2.identity(self.field)
 
     def class_by_id(self, cid):
         return self.classes[cid]
@@ -190,38 +194,31 @@ class QuotientGraph:
                 return found, red, stab
         return None, red, stab
 
-    def neighbor_in_class(self, u, cid):
-        """The first tree neighbor of u, in key order, lying in class cid,
-        as the vertex object located (`vertices`), or None."""
-        for nb in map(u.neighbor, range(self.field.q + 1)):
-            found = self.locate(nb)
-            if found is not None and found[0] == cid:
-                return self.vertices[nb.key()]
-        return None
-
-    def _classify(self, v, layer):
-        """The class id of v: located, or else a new class at `layer`
-        represented by v, with the stabilizer the search computed."""
+    def _classify(self, v, parent):
+        """(class id of v, the vertex object located for it): a known class,
+        or else a new class represented by v, one layer out from the class
+        `parent` whose expansion found it (None for the base class), with
+        the stabilizer the search computed."""
         found = self.located.get(v.key())
         if found is None:
             found, red, stab = self._search(v)
-        if found is not None:
-            return found[0]
-        cid = len(self.classes)
-        self.classes.append(OrbitClass(
-            id=cid, representative=v, level_n=red.level_n, layer=layer,
-            stab=stab, reduction=red))
-        self.buckets.setdefault(class_key(stab), []).append(cid)
-        self.located[v.key()] = (cid, self.identity)
-        self.vertices[v.key()] = v
-        return cid
+        if found is None:
+            cid = len(self.classes)
+            layer = 0 if parent is None else self.classes[parent].layer + 1
+            self.classes.append(OrbitClass(
+                id=cid, representative=v, level_n=red.level_n, layer=layer,
+                parent=parent, stab=stab, reduction=red))
+            self.buckets.setdefault(class_key(stab), []).append(cid)
+            found = self.located[v.key()] = (cid, Matrix2.identity(self.field))
+            self.vertices[v.key()] = v
+        return found[0], self.vertices[v.key()]
 
     def _expand(self, cls):
         v = cls.representative
         for orbit in frame_orbits(cls.stab):
-            cls.strands.append(Strand(
-                orbit_size=len(orbit),
-                dst=self._classify(v.neighbor(orbit[0]), cls.layer + 1)))
+            dst, end = self._classify(v.neighbor(orbit[0]), cls.id)
+            cls.strands.append(Strand(orbit_size=len(orbit), dst=dst,
+                                      end=end))
         cls.expanded = True
 
 
@@ -365,7 +362,7 @@ def build_quotient(level, depth):
     if depth < 1:
         raise QuotientError("depth must be >= 1")
     Q = QuotientGraph(field=level.field, level=level, depth=depth)
-    Q._classify(BallVertex.base(level.field), 0)
+    Q._classify(BallVertex.base(level.field), None)
     for layer in range(depth):
         for cls in list(Q.classes):
             if cls.layer == layer and not cls.expanded:

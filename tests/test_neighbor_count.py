@@ -1,8 +1,9 @@
 """Neighbor vertices built by the quotient build and the graph of groups:
 `BallVertex.neighbors` is never called, and `_expand` builds one neighbor
 vertex per stabilizer orbit, the orbit's representative.  The graph of
-groups reuses the vertex objects the build reduced, and a representative's
-identity witness costs it no matrix product."""
+groups takes its lifts, vertex groups and strand ends from the build, the
+vertex objects the build reduced, so it searches, reduces and multiplies
+nothing."""
 
 import pytest
 
@@ -78,11 +79,35 @@ def test_graph_of_groups_reuses_the_build_reductions(monkeypatch):
                for cid in G.lifts)
 
 
+def test_graph_of_groups_searches_and_reduces_nothing(monkeypatch):
+    """The graph of groups reads its tree, lifts and strands off the build:
+    at q=3, D=t^3 (t+1)^3, depth 10 it makes no `QuotientGraph._search`,
+    `locate` or `frame_orbits` call and runs Nagao's kernel on no vertex."""
+    from btquot import hecke, quotient
+    Q = build_quotient(parse_level("t^3;(t+1)^3", FieldSpec(3)), 10)
+    assert certify_cusps(Q, 3)
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    for owner, name in ((quotient.QuotientGraph, "_search"),
+                        (quotient.QuotientGraph, "locate"),
+                        (quotient, "frame_orbits"),
+                        (hecke, "_nagao_reduction")):
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    G = build_graph_of_groups(Q)
+    assert any(not e.in_tree for e in G.edges)
+    assert calls == []
+
+
 @pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
 def test_identity_witnesses_make_no_product(monkeypatch, p, s):
-    """A lift that is its class representative has the quotient's one
-    identity as its witness, and its frame is the class's own conjugator:
-    on the amalgam levels D = t, depth 8, every lift is one, and the graph
+    """Every lift is its class representative and every vertex group its
+    class's own stabilizer: on the amalgam levels D = t, depth 8, the graph
     of groups multiplies no matrices."""
     from btquot.btree import Matrix2
     Q = build_quotient(parse_level("t", FieldSpec(p, s)), 8)
@@ -97,6 +122,6 @@ def test_identity_witnesses_make_no_product(monkeypatch, p, s):
     monkeypatch.setattr(Matrix2, "__matmul__", counted)
     G = build_graph_of_groups(Q)
     assert products == []
-    for cid, stab in G.vertex_stabs.items():
-        assert Q.locate(G.lifts[cid])[1] is Q.identity
-        assert stab.conjugator is Q.class_by_id(cid).stab.conjugator
+    for c in Q.classes:
+        assert G.vertex_stabs[c.id] is c.stab
+        assert G.lifts[c.id] is c.representative

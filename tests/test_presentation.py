@@ -1,3 +1,4 @@
+import itertools
 import json
 import pathlib
 
@@ -5,7 +6,7 @@ import pytest
 
 from btquot.algebra import FieldSpec, Polynomial
 from btquot.btree import Matrix2, act
-from btquot.hecke import orbit_witness, parse_level, reduce_vertex
+from btquot.hecke import Level, orbit_witness, parse_level, reduce_vertex
 from btquot.presentation import (PresentationError,
                                  PresentationInconsistency,
                                  abelianization_of_line_amalgam,
@@ -17,13 +18,14 @@ from btquot.quotient import InconsistencyError, build_quotient, certify_cusps
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
+FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 9: (3, 2)}
+
 _cache = {}
 
 
 def line_setup(q, depth=8):
     if (q, depth) not in _cache:
-        decomp = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 9: (3, 2)}
-        field = FieldSpec(*decomp[q])
+        field = FieldSpec(*FIELDS[q])
         Q = build_quotient(parse_level("t", field), depth)
         certify_cusps(Q, 3)
         G = build_graph_of_groups(Q)
@@ -119,6 +121,25 @@ class TestGraphOfGroups:
         monkeypatch.setattr(presentation, "VERTEX_GROUP_CAP", 48)
         build_graph_of_groups(Q)
         assert enumerated == []
+
+    def test_tree_and_strand_guards(self):
+        """A certified tail edge left outside the discovery tree, or an
+        edge whose source strands do not number its multiplicity, is an
+        internal contradiction."""
+        def certified():
+            Q = build_quotient(parse_level("t", FieldSpec(3)), 8)
+            certify_cusps(Q, 3)
+            return Q
+
+        Q = certified()
+        tail = Q.cusps[0].tail
+        Q.class_by_id(tail[-1]).parent = tail[0]
+        with pytest.raises(PresentationInconsistency, match="outside"):
+            build_graph_of_groups(Q)
+        Q = certified()
+        Q.class_by_id(0).strands.pop()
+        with pytest.raises(PresentationInconsistency, match="strands"):
+            build_graph_of_groups(Q)
 
     def test_ray_graph_level_zero(self):
         field = FieldSpec(2)
@@ -371,6 +392,133 @@ class TestNonTreeEdges:
                 with pytest.raises(PresentationInconsistency,
                                    match="witness g_y"):
                     emit_presentation(dataclasses.replace(G, edges=edges))
+
+
+def _levels(q, deg):
+    """Every level of degree 1..deg over F_q, as products of distinct
+    monic irreducibles with multiplicities."""
+    field = FieldSpec(*FIELDS[q])
+    primes = [p for d in range(1, deg + 1)
+              for low in itertools.product(range(q), repeat=d)
+              for p in [Polynomial(field, list(low) + [1])]
+              if p.is_irreducible()]
+    out = []
+
+    def extend(start, left, factors):
+        if factors:
+            out.append(Level(field, factors))
+        for i in range(start, len(primes)):
+            for m in range(1, left // primes[i].degree + 1):
+                extend(i + 1, left - m * primes[i].degree,
+                       factors + [(primes[i], m)])
+
+    extend(0, deg, [])
+    return out
+
+
+ORACLE_LEVELS = ([level for q, deg in ((2, 4), (3, 3), (4, 2), (5, 2))
+                  for level in _levels(q, deg)]
+                 + [parse_level("t^2", FieldSpec(*FIELDS[9]))]
+                 + [parse_level("0", FieldSpec(*FIELDS[q]))
+                    for q in (2, 3, 5)])
+
+
+def reference_graph(Q):
+    """The spanning tree, lifts, lift stabilizers and strands of the graph
+    of groups, found from the quotient's edges and `locate` alone:
+    Kruskal's tree over the edges, certified tail edges first; a breadth
+    first lift of it from class 0, each child onto the first tree neighbor
+    of its parent's lift that lies in its class; each lift's stabilizer in
+    the frame stab.conjugator @ h for its witness act(h, lift) = rep; and
+    then, edge by edge, the strands off the tree from the orbits of the
+    source lift's stabilizer on its neighbors, the orbit holding the
+    tree's own neighbor left out, each with an `orbit_witness` g_y.
+    Returns (tree, lifts, stabs, strands), a strand (src, dst, lifted dst,
+    g_y) with g_y the identity on the tree."""
+    from btquot.hecke import StabDescriptor
+    from btquot.quotient import _neighbor_line, frame_orbits
+
+    def in_class(v, cid):
+        found = Q.locate(v)
+        return found is not None and found[0] == cid
+
+    tail_keys = {(min(a, b), max(a, b)) for cusp in Q.cusps
+                 for a, b in zip(cusp.tail, cusp.tail[1:])}
+    root = {c.id: c.id for c in Q.classes}
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    tree, extra, adj = [], [], {}
+    for e in sorted(Q.edges, key=lambda e: (e.src, e.dst) not in tail_keys):
+        a, b = find(e.src), find(e.dst)
+        if a != b:
+            root[a] = b
+            tree.append((e.src, e.dst))
+            adj.setdefault(e.src, []).append(e.dst)
+            adj.setdefault(e.dst, []).append(e.src)
+        if a == b or e.multiplicity > 1:
+            extra.append((e, a != b))
+    lifts, parent, order = {0: Q.class_by_id(0).representative}, {}, [0]
+    for cur in order:
+        for cid in sorted(adj.get(cur, ())):
+            if cid not in lifts:
+                lifts[cid] = next(v for v in lifts[cur].neighbors()
+                                  if in_class(v, cid))
+                parent[cid] = cur
+                order.append(cid)
+    stabs = {}
+    for cid in order:
+        stab, (_, h) = Q.class_by_id(cid).stab, Q.locate(lifts[cid])
+        stabs[cid] = StabDescriptor(lifts[cid], stab.conjugator @ h,
+                                    stab.level_n, Q.level, stab.torus,
+                                    stab.kernel)
+    one = Matrix2.identity(Q.field)
+    strands = [(parent[cid], cid, lifts[cid], one) for cid in order[1:]]
+    for e, tree_carries_one in extra:
+        side = e.src if Q.class_by_id(e.src).expanded else e.dst
+        other = e.src + e.dst - side
+        v, tree_index = lifts[side], None
+        if tree_carries_one:
+            x, y = _neighbor_line(v, lifts[other])
+            tree_index = 1 + y if x else 0
+        for orbit in frame_orbits(stabs[side]):
+            w = v.neighbor(orbit[0])
+            if tree_index not in orbit and in_class(w, other):
+                strands.append((side, other, w, orbit_witness(
+                    Q.level, reduce_vertex(lifts[other]), reduce_vertex(w))))
+    return sorted(tree), lifts, stabs, strands
+
+
+class TestDiscoveryTreeOracle:
+    """The build's discovery tree, lifted onto the class representatives,
+    is the tree, the lift and the strands that Kruskal's algorithm and a
+    neighbor scan find (`reference_graph`): on every level of degree <= 4
+    at q=2, <= 3 at q=3 and <= 2 at q=4, 5, on q=9 with D=t^2 and on D=0
+    at q=2, 3, 5, each at depth 2 deg N + 4 (window 2 at D=0, where the
+    depth is 4)."""
+
+    @pytest.mark.parametrize("level", ORACLE_LEVELS,
+                             ids=["q%d-%s" % (lv.field.q, lv)
+                                  for lv in ORACLE_LEVELS])
+    def test_graph_of_groups_equals_the_reference(self, level):
+        depth = 2 * level.degree + 4
+        Q = build_quotient(level, depth)
+        assert certify_cusps(Q, min(3, depth - 2))
+        G = build_graph_of_groups(Q)
+        tree, lifts, stabs, strands = reference_graph(Q)
+        assert list(G.spanning_tree) == tree
+        assert [(c, v.key()) for c, v in G.lifts.items()] == \
+            [(c, v.key()) for c, v in lifts.items()]
+        assert sorted(G.vertex_stabs) == sorted(stabs)
+        for cid, stab in stabs.items():
+            got = G.vertex_stabs[cid]
+            assert (got.conjugator, got.torus, got.kernel) == \
+                (stab.conjugator, stab.torus, stab.kernel)
+        assert [(e.src, e.dst, e.lift_dst.key(), e.g_y) for e in G.edges] \
+            == [(src, dst, w.key(), g_y) for src, dst, w, g_y in strands]
 
 
 def _polynomial_entries(g):

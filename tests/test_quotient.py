@@ -371,20 +371,22 @@ def mover(Q):
 
 def certify_by_lifting(Q, chain, window, start):
     """Reference certification on tree vertices: lift `chain` from `start`
-    (a vertex of class chain[0]) one neighbor at a time, solve the
-    stabilizer at every lift, and check on `window` steps that it grows by
-    q, that its generators fix the next lift, and that its orbits on the
-    neighbors are that lift and one orbit of size q.  Returns (tower,
-    unipotent_tower, lifted) or None."""
+    (a vertex of class chain[0]) one neighbor at a time, each the first in
+    key order that `locate` puts in the next class, solve the stabilizer at
+    every lift, and check on `window` steps that it grows by q, that its
+    generators fix the next lift, and that its orbits on the neighbors are
+    that lift and one orbit of size q.  Returns (tower, unipotent_tower,
+    lifted) or None."""
     from btquot.btree import act
     from btquot.hecke import stabilizer
     q = Q.field.q
     lifted = [start]
     for cid in chain[1:]:
-        nxt = Q.neighbor_in_class(lifted[-1], cid)
-        if nxt is None:
+        nxt = [v for v in lifted[-1].neighbors()
+               if (Q.locate(v) or (None,))[0] == cid]
+        if not nxt:
             return None
-        lifted.append(nxt)
+        lifted.append(nxt[0])
     stabs = [stabilizer(v, Q.level) for v in lifted]
     for k in range(window):
         if stabs[k + 1].order != q * stabs[k].order:
