@@ -81,9 +81,11 @@ def test_graph_of_groups_reuses_the_build_reductions(monkeypatch):
 
 def test_graph_of_groups_searches_and_reduces_nothing(monkeypatch):
     """The graph of groups reads its tree, lifts and strands off the build:
-    at q=3, D=t^3 (t+1)^3, depth 10 it makes no `QuotientGraph._search`,
-    `locate` or `frame_orbits` call and runs Nagao's kernel on no vertex."""
+    at q=3, D=t^3 (t+1)^3, depth 10, with strands off the tree, it makes no
+    `QuotientGraph._search`, `locate` or `frame_orbits` call, runs Nagao's
+    kernel on no vertex and multiplies no matrices."""
     from btquot import hecke, quotient
+    from btquot.btree import Matrix2
     Q = build_quotient(parse_level("t^3;(t+1)^3", FieldSpec(3)), 10)
     assert certify_cusps(Q, 3)
     calls = []
@@ -97,7 +99,8 @@ def test_graph_of_groups_searches_and_reduces_nothing(monkeypatch):
     for owner, name in ((quotient.QuotientGraph, "_search"),
                         (quotient.QuotientGraph, "locate"),
                         (quotient, "frame_orbits"),
-                        (hecke, "_nagao_reduction")):
+                        (hecke, "_nagao_reduction"),
+                        (Matrix2, "__matmul__")):
         monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
     G = build_graph_of_groups(Q)
     assert any(not e.in_tree for e in G.edges)

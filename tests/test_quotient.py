@@ -382,11 +382,11 @@ def certify_by_lifting(Q, chain, window, start):
     q = Q.field.q
     lifted = [start]
     for cid in chain[1:]:
-        nxt = [v for v in lifted[-1].neighbors()
-               if (Q.locate(v) or (None,))[0] == cid]
-        if not nxt:
+        nxt = next((v for v in lifted[-1].neighbors()
+                    if (Q.locate(v) or (None,))[0] == cid), None)
+        if nxt is None:
             return None
-        lifted.append(nxt[0])
+        lifted.append(nxt)
     stabs = [stabilizer(v, Q.level) for v in lifted]
     for k in range(window):
         if stabs[k + 1].order != q * stabs[k].order:
