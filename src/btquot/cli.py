@@ -22,7 +22,7 @@ from .hecke import (HeckeError, HeckeInconsistency, orbit_equivalent,
 from .presentation import (build_graph_of_groups, emit_presentation,
                            presentation_json, presentation_text)
 from .quotient import (InconsistencyError, build_quotient, certify_cusps,
-                       export)
+                       check_window, export)
 
 
 EXIT_OK = 0
@@ -120,8 +120,11 @@ def build_parser():
 def _cmd_quotient(args):
     field = _field_from_args(args)
     level = parse_level(args.level, field)
+    certify = args.depth >= args.window + 2
+    if certify:
+        check_window(args.depth, args.window)
     Q = build_quotient(level, args.depth)
-    if args.depth >= args.window + 2:
+    if certify:
         certify_cusps(Q, args.window)
     else:
         sys.stderr.write("note: depth %d is below window + 2 = %d; cusps "
@@ -134,6 +137,7 @@ def _cmd_quotient(args):
 def _cmd_cusps(args):
     field = _field_from_args(args)
     level = parse_level(args.level, field)
+    check_window(args.depth, args.window)
     Q = build_quotient(level, args.depth)
     cusps = certify_cusps(Q, args.window)
     formula, exact = cusp_count(level, field.q)
@@ -248,6 +252,7 @@ def _cmd_orbit(args):
 def _cmd_amalgam(args):
     field = _field_from_args(args)
     level = parse_level(args.level, field)
+    check_window(args.depth, args.window)
     Q = build_quotient(level, args.depth)
     certify_cusps(Q, args.window)
     G = build_graph_of_groups(Q)

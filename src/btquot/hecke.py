@@ -24,7 +24,11 @@ iff e | y and x(y) = (y/e)(u/e)^-1 mod M, the particular solution, has
 degree <= n.  One extended Euclid decides every torus pair: all, one line
 alpha = mu*beta or none, with solutions alpha*na + beta*nc +
 span(kernel); a stabilizer's scalar line stores na = nc = 0, as only
-na + nc is read.  Elimination runs only on the homogeneous system of
+na + nc is read.  A stabilizer's system reads g only through its first
+column (a, c), u = c^2 and va = -vc = -a*c, so its solve has a column part,
+one Euclid that a build shares among the vertices of one column, and a
+level part, a slice at n (`_StabColumn`); its descriptor keeps M until the
+kernel basis is read.  Elimination runs only on the homogeneous system of
 level 0 (`solve_affine`); the q^(n+3) enumeration is an oracle
 (`stabilizer_brute_force`, `orbit_equivalent_brute_force`) up to
 ENUMERATION_CAP elements.
@@ -77,7 +81,7 @@ ENUMERATION_CAP = 100000
 
 # the most unknowns b_0..b_n a congruence solve takes: its kernel basis costs
 # O(n^2) time and memory, so a vertex at level n >= SOLVE_UNKNOWNS_CAP is
-# refused before any column is built
+# refused before its torus map is read
 SOLVE_UNKNOWNS_CAP = 4096
 
 
@@ -375,6 +379,14 @@ def _torus_restrict(field, mu, rows):
     return mu
 
 
+def _particular(field, y, e, inv, m):
+    """(y mod e, x(y - y mod e)) for e = gcd(u, N), inv = (u/e)^-1 mod M
+    and M = N/e: x(y) = (y/e)(u/e)^-1 mod M is the particular solution of
+    x*u = y (mod N) when e | y (module docstring)."""
+    quo, rest = packed_divmod(field, y, e)
+    return rest, packed_divmod(field, packed_mul(field, quo, inv), m)[1]
+
+
 def _torus_map(field, modulus, n, u, va, vc):
     """The torus map (mu, na, nc) of x*u = alpha*va + beta*vc (mod N), x of
     degree <= n, and M = N/gcd(u, N), or None when no pair is consistent;
@@ -382,26 +394,19 @@ def _torus_map(field, modulus, n, u, va, vc):
     L(y) = (y mod e, the coefficients of x(y - y mod e) above t^n)
     vanishes, x(y) then its particular solution (module docstring).  All
     pairs have na = x(va), nc = x(vc); a line alpha = mu*beta has
-    na = x(va + vc/mu), nc = 0.  va None is a stabilizer's va = -vc: all
-    pairs, na = -nc, if vc is in the span, else the scalar line, na = nc =
-    0."""
+    na = x(va + vc/mu), nc = 0."""
     e, inv, m = packed_gcd(field, u, modulus, cofactor=True)
     width = max(len(m) - 1, n + 1)
 
     def split(y):
         # (L(y), x(y - y mod e) padded to `width`)
-        quo, rest = packed_divmod(field, y, e)
-        x = packed_divmod(field, packed_mul(field, quo, inv), m)[1]
+        rest, x = _particular(field, y, e, inv, m)
         x += [0] * (width - len(x))
         return rest + [0] * (len(e) - 1 - len(rest)) + x[n + 1:], x
 
     lc, xc = split(vc)
     nc, zero = tuple(xc[:n + 1]), (0,) * (n + 1)
     vadd, vscale = _vector_ops(field)
-    if va is None:
-        if any(lc):
-            return 1, zero, zero, m
-        return None, vscale(field.neg(1), nc), nc, m
     la, xa = split(va)
     mu = _torus_restrict(field, None, zip(la, lc))
     if mu == 0:
@@ -540,7 +545,11 @@ class StabDescriptor:
     polynomials of degree <= n, for the torus pairs (alpha, beta): all of
     (F_q*)^2 for mu None, else the line alpha = mu*beta (`torus` =
     (mu, na, nc, kb) of packed ints; mu None at q = 2, where the two are
-    one set).  At level 0 the ambient stabilizer is all of
+    one set).  The solver passes the modulus M, a packed list, in place of
+    kb: its basis t^j - (t^j mod M), deg M <= j <= n (`_kernel_basis`), is
+    built on the first read of `torus`, and until then the order, the
+    unipotent dimension and the neighbor orbits read only its dimension
+    max(0, n + 1 - deg M).  At level 0 the ambient stabilizer is all of
     GL2(F_q), and the solutions form an F_q-algebra V; when some of them
     have a nonzero lower-left entry, `kernel` holds a basis of V, as
     packed-int tuples (a, b, c, d), and is empty otherwise.
@@ -558,7 +567,8 @@ class StabDescriptor:
     """
 
     __slots__ = ("base_vertex", "conjugator", "level_n", "level", "field",
-                 "torus", "kernel", "_triangular", "_order", "_products")
+                 "torus_map", "_span", "_dim", "kernel", "_triangular",
+                 "_order", "_products")
 
     def __init__(self, base_vertex, conjugator, level_n, level, torus,
                  kernel):
@@ -567,18 +577,39 @@ class StabDescriptor:
         self.level_n = level_n
         self.level = level
         self.field = base_vertex.field
-        self.torus = (None,) + torus[1:] if self.field.q == 2 else torus
+        q, (mu, na, nc, span) = self.field.q, torus
+        self.torus_map = (None if q == 2 else mu, na, nc)
+        self._span = span
+        self._dim = (max(0, level_n + 2 - len(span)) if isinstance(span, list)
+                     else len(span))
         self.kernel = tuple(kernel)
         # the elements with c = 0: q^dim kb for each torus pair
-        q, (mu, _, _, kb) = self.field.q, self.torus
-        self._triangular = (q - 1) ** (2 if mu is None else 1) * q ** len(kb)
+        self._triangular = (q - 1) ** (2 if self.torus_map[0] is None else 1) \
+            * q ** self._dim
         self._order = (_level0_unit_group(self.field, self.kernel)[0]
                        if self.kernel else self._triangular)
         self._products = None
 
     @property
+    def torus(self):
+        """(mu, na, nc, kb), kb built from M on the first read; the
+        `torus_map` (mu, na, nc) reads no kb."""
+        if isinstance(self._span, list):
+            self._span = _kernel_basis(self.field, self._span, self.level_n)
+        return self.torus_map + (self._span,)
+
+    @property
     def order(self):
         return self._order
+
+    def holds_translations(self):
+        """Whether some vector of kb has a t^n coordinate, so that the
+        group holds every translation of the labels of the neighbors
+        (`quotient.frame_orbits`).  The solver's basis has one iff it is
+        not empty: its last vector is t^n - (t^n mod M)."""
+        if isinstance(self._span, list):
+            return self._dim > 0
+        return any(vec[self.level_n] for vec in self._span)
 
     def unipotent_dim(self):
         """log_q of the order of the largest normal unipotent subgroup, an
@@ -589,15 +620,15 @@ class StabDescriptor:
         it is read off the type of V (`_level0_unit_group`)."""
         if self.kernel:
             return _level0_unit_group(self.field, self.kernel)[1]
-        return len(self.torus[3]) if self.torus[0] in (None, 1) else 0
+        return self._dim if self.torus_map[0] in (None, 1) else 0
 
     def has_distinct_torus_block(self):
         """Whether some torus pair has alpha != beta."""
-        return self.torus[0] != 1 and self.field.q > 2
+        return self.torus_map[0] != 1 and self.field.q > 2
 
     def torus_pairs(self):
         """The torus pairs (alpha, beta), listed by alpha, then beta."""
-        f, mu, units = self.field, self.torus[0], range(1, self.field.q)
+        f, mu, units = self.field, self.torus_map[0], range(1, self.field.q)
         return tuple((ai, bi) for ai in units for bi in units
                      if mu is None or ai == f.mul(mu, bi))
 
@@ -678,7 +709,7 @@ class StabDescriptor:
         omega the least generator of F_q*; none at q = 2.  A group holds the
         identity, so any other line alpha = mu*beta is an inconsistency."""
         f = self.field
-        mu, w = self.torus[0], _primitive_element(f)
+        mu, w = self.torus_map[0], _primitive_element(f)
         if mu is None:
             pairs = ((w, 1), (1, w))
         elif mu == 1:
@@ -687,7 +718,7 @@ class StabDescriptor:
             raise HeckeInconsistency(
                 "the torus pairs alpha = %d*beta of a stabilizer are neither "
                 "all of (F_q*)^2 nor the scalar line" % mu)
-        return [_torus_frame(f, self.torus, ai, bi) for ai, bi in pairs
+        return [_torus_frame(f, self.torus_map, ai, bi) for ai, bi in pairs
                 if (ai, bi) != (1, 1)]
 
     def _extra_generators(self, frames):
@@ -757,7 +788,8 @@ class StabDescriptor:
 
     def __repr__(self):
         return ("StabDescriptor(level_n=%d, order=%d, mu=%s, kernel=%d)"
-                % (self.level_n, self.order, self.torus[0], len(self.kernel)))
+                % (self.level_n, self.order, self.torus_map[0],
+                   len(self.kernel)))
 
 
 def _level0_unit_group(field, kernel):
@@ -789,12 +821,93 @@ def _level0_extras(field, kernel):
             yield sa, (sb,), sc, sd
 
 
-def _stab_solution(level, red_src, red_dst, stabilizer_mode):
-    """The torus map and the level-0 kernel of {s : g_dst^-1 s g_src in H_D}.
+def _residue(field, x, y, modulus):
+    """x*y mod N_D, packed."""
+    return packed_divmod(field, packed_mul(field, x, y), modulus)[1]
 
-    In stabilizer mode red_src is red_dst and the result describes a group;
-    otherwise a torus map found is returned alone, as a witness, and
-    without its kernel, which a witness does not read.
+
+def _check_unknowns(n):
+    if n + 1 > SOLVE_UNKNOWNS_CAP:
+        raise SizeError("the congruence solve at level %d has %d unknowns, "
+                        "above the cap %d" % (n, n + 1, SOLVE_UNKNOWNS_CAP))
+
+
+def _level0_algebra(level, va, u, x, y, vc):
+    """A basis of the level-0 solutions (a, b, c, d) of
+    a*va - b*u + c*x*y + d*vc = 0 (mod N_D), the F_q-algebra V of a
+    stabilizer, kept if some c != 0 in it, else ()."""
+    field, modulus = level.field, level.modulus.packed_coeffs
+    size = len(modulus) - 1
+    cols4 = [tuple(col) + (0,) * (size - len(col)) for col in (
+        va, packed_mul(field, u, [field.neg(1)]),
+        _residue(field, x, y, modulus), vc)]
+    _, kernel = solve_affine(cols4, (0,) * size, field)
+    kernel = tuple(tuple(map(field.packed, vec)) for vec in kernel)
+    return kernel if any(vec[2] for vec in kernel) else ()
+
+
+class _StabColumn:
+    """The column part of a stabilizer solve, which reads only N_D and the
+    first column (a, c) of the reduction g: with g_src = g_dst the system
+    is x*u = (beta - alpha)*vc for u = c*c and vc = a*c mod N_D, and one
+    extended Euclid gives M and, when e | vc, x(vc).  The level part
+    (`torus`) is a slice; the level-0 algebra is solved on first use."""
+
+    __slots__ = ("level", "a", "u", "vc", "m", "particular", "_algebra")
+
+    def __init__(self, level, g):
+        field, modulus = level.field, level.modulus.packed_coeffs
+        a, c = g.a.packed_coeffs, g.c.packed_coeffs
+        self.level, self.a = level, a
+        self.u, self.vc = (_residue(field, c, c, modulus),
+                           _residue(field, a, c, modulus))
+        e, inv, self.m = packed_gcd(field, self.u, modulus, cofactor=True)
+        rest, x = _particular(field, self.vc, e, inv, self.m)
+        # (na, nc) = (-x(vc), x(vc)) unpadded, or None when e does not
+        # divide vc
+        self.particular = None if rest else (tuple(map(field.neg, x)),
+                                             tuple(x))
+        self._algebra = None
+
+    def torus(self, n):
+        """The torus map (mu, na, nc, M) at level n: all pairs, na =
+        -x(vc) and nc = x(vc), iff e | vc and deg x(vc) <= n, else the
+        scalar line with na = nc = 0, as only na + nc is read there."""
+        zero = (0,) * (n + 1)
+        if self.particular is None or len(self.particular[1]) > n + 1:
+            return 1, zero, zero, self.m
+        na, nc = self.particular
+        return None, na + zero[len(na):], nc + zero[len(nc):], self.m
+
+    def algebra(self):
+        """The level-0 algebra V (`_level0_algebra`), solved on first
+        use."""
+        if self._algebra is None:
+            f = self.level.field
+            self._algebra = _level0_algebra(
+                self.level, packed_mul(f, self.vc, [f.neg(1)]), self.u,
+                self.a, self.a, self.vc)
+        return self._algebra
+
+    def stabilizer(self, v, red):
+        """The descriptor of Stab(v), for the vertex v of reduction `red`,
+        whose g has this column."""
+        n = red.level_n
+        _check_unknowns(n)
+        return StabDescriptor(v, red.g, n, self.level, self.torus(n),
+                              self.algebra() if n == 0 else ())
+
+
+def stabilizer(v, level):
+    """Descriptor of Stab_{H_D}(v), computed by the linear solver."""
+    red = reduce_vertex(v)
+    return _StabColumn(level, red.g).stabilizer(v, red)
+
+
+def _witness_solution(level, red_src, red_dst):
+    """The torus map of {s : g_dst^-1 s g_src in H_D} and, at level 0 when
+    no torus pair is consistent, the algebra of its solutions
+    (`_level0_algebra`), whose units with c != 0 are the witnesses.
 
     The condition is N_D | (g_dst^{-1} s g_src)[2,1].  With W = adj(g_dst)
     and (a, c) the first column of g_src, the entry of W s g_src is
@@ -806,44 +919,20 @@ def _stab_solution(level, red_src, red_dst, stabilizer_mode):
     """
     field = level.field
     n = red_src.level_n
-    if n + 1 > SOLVE_UNKNOWNS_CAP:
-        raise SizeError("the congruence solve at level %d has %d unknowns, "
-                        "above the cap %d" % (n, n + 1, SOLVE_UNKNOWNS_CAP))
+    _check_unknowns(n)
     modulus = level.modulus.packed_coeffs
-
-    def residue(x, y):
-        return packed_divmod(field, packed_mul(field, x, y), modulus)[1]
-
-    minus_one = [field.neg(1)]
     c_dst, w22 = red_dst.g.c.packed_coeffs, red_dst.g.a.packed_coeffs
-    w21 = packed_mul(field, c_dst, minus_one)
     a, c = red_src.g.a.packed_coeffs, red_src.g.c.packed_coeffs
     # b*(W21*c) + alpha*(W21*a) + beta*(W22*c) = 0 is x*u = alpha*va +
     # beta*vc for u = c_dst*c, va = W21*a and vc = W22*c
-    u, vc = residue(c_dst, c), residue(w22, c)
-    # with red_src = red_dst, W21*a = -c*a is -W22*c
-    va = None if stabilizer_mode else residue(w21, a)
+    u, vc = (_residue(field, c_dst, c, modulus),
+             _residue(field, w22, c, modulus))
+    va = _residue(field, packed_mul(field, c_dst, [field.neg(1)]), a, modulus)
     torus = _torus_map(field, modulus, n, u, va, vc)
-    if torus:
-        kernel = _kernel_basis(field, torus[3], n) if stabilizer_mode else ()
-        torus = torus[:3] + (kernel,)
-    if n > 0 or (torus and not stabilizer_mode):
+    if torus or n > 0:
         return torus, ()
-    # ambient stabilizer is GL2(F_q): a basis of V, kept if some c != 0 in V
-    size = len(modulus) - 1
-    cols4 = [tuple(x) + (0,) * (size - len(x))
-             for x in (packed_mul(field, vc, minus_one) if va is None else va,
-                       packed_mul(field, u, minus_one), residue(w22, a), vc)]
-    _, kernel4 = solve_affine(cols4, (0,) * size, field)
-    kernel4 = tuple(tuple(map(field.packed, vec)) for vec in kernel4)
-    return torus, kernel4 if any(vec[2] for vec in kernel4) else ()
-
-
-def stabilizer(v, level):
-    """Descriptor of Stab_{H_D}(v), computed by the linear solver."""
-    red = reduce_vertex(v)
-    torus, kernel = _stab_solution(level, red, red, stabilizer_mode=True)
-    return StabDescriptor(v, red.g, red.level_n, level, torus, kernel)
+    # the ambient stabilizer is GL2(F_q)
+    return None, _level0_algebra(level, va, u, w22, a, vc)
 
 
 def orbit_witness(level, red_src, red_dst):
@@ -851,8 +940,7 @@ def orbit_witness(level, red_src, red_dst):
     reductions: g_dst^-1 s g_src for the first s the solve finds
     (`_conjugate`).  Levels must already agree."""
     field = level.field
-    torus, kernel = _stab_solution(level, red_src, red_dst,
-                                   stabilizer_mode=False)
+    torus, kernel = _witness_solution(level, red_src, red_dst)
     if torus:
         # the first pair: (1, 1), or (1, 1/mu) on the line alpha = mu*beta
         frame = _torus_frame(field, torus, 1, field.inv(torus[0] or 1))

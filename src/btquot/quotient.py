@@ -13,8 +13,12 @@ orbit), and each orbit representative is located among the known classes
 with its class key or opens a new class.  The key is read off the
 stabilizer, which a new class keeps: the order at reduction level 0, the
 level, the torus pairs (mu) and the unipotent dimension above it
-(`class_key`), so one congruence solve gives the key and the witness
-solves run only between classes that share it.  Classes and edges found at
+(`class_key`), so the witness solves run only between classes that share
+it.  The stabilizer's congruence reads the reduction g only through its
+first column (a, c), which Nagao's g keeps along a cusp tail: the build
+solves it once per distinct column (`hecke._StabColumn`, kept in
+`columns`), not once per new vertex, and reads each vertex's torus map off
+that solve.  Classes and edges found at
 depth d are kept when the search is widened, so the output is a growing
 snapshot of the full quotient.  A class records its `parent`, the class
 whose expansion found it, and a strand its `end`, the vertex object
@@ -59,8 +63,8 @@ from dataclasses import dataclass, field as dc_field
 
 from .algebra import packed_add, packed_mul
 from .btree import BallVertex, Matrix2
-from .hecke import (HeckeInconsistency, StabDescriptor, _cut,
-                    _torus_restrict, orbit_witness, reduce_vertex, stabilizer)
+from .hecke import (HeckeInconsistency, StabDescriptor, _cut, _StabColumn,
+                    _torus_restrict, orbit_witness, reduce_vertex)
 
 
 class QuotientError(ValueError):
@@ -137,7 +141,7 @@ def class_key(stab):
     """
     if stab.level_n == 0:
         return 0, stab.order
-    return stab.level_n, stab.torus[0], stab.unipotent_dim()
+    return stab.level_n, stab.torus_map[0], stab.unipotent_dim()
 
 
 @dataclass
@@ -155,6 +159,8 @@ class QuotientGraph:
     located: dict = dc_field(default_factory=dict, repr=False)
     # vertex key -> the vertex object located, which keeps its reduction
     vertices: dict = dc_field(default_factory=dict, repr=False)
+    # packed first column (a, c) of a reduction -> its `hecke._StabColumn`
+    columns: dict = dc_field(default_factory=dict, repr=False)
 
     def class_by_id(self, cid):
         return self.classes[cid]
@@ -185,7 +191,11 @@ class QuotientGraph:
         """(the `locate` result, the reduction of v, Stab(v)) for a vertex
         not yet located."""
         red = reduce_vertex(v)
-        stab = stabilizer(v, self.level)
+        key = red.g.a.packed_coeffs, red.g.c.packed_coeffs
+        column = self.columns.get(key)
+        if column is None:
+            column = self.columns[key] = _StabColumn(self.level, red.g)
+        stab = column.stabilizer(v, red)
         for cid in self.buckets.get(class_key(stab), ()):
             h = orbit_witness(self.level, red, self.classes[cid].reduction)
             if h is not None:
@@ -303,7 +313,7 @@ def frame_orbits(stab):
     k11, k12, k21, k22 = _link_matrix(stab)
     f, q, n = stab.field, stab.field.q, stab.level_n
     add, mul, neg = f.add, f.mul, f.neg
-    mu, na, nc, kb = stab.torus
+    mu, na, nc = stab.torus_map
     if mu not in (None, 1):
         raise HeckeInconsistency("the torus pairs alpha = %d*beta of a "
                                  "stabilizer miss the pair (1, 1)" % mu)
@@ -311,7 +321,7 @@ def frame_orbits(stab):
         fixed = [z for z in range(q) if all(
             add(mul(add(mul(c, z), add(d, neg(a))), z), neg(b)) == 0
             for a, b, c, d in stab.kernel)]
-    elif any(vec[n] for vec in kb):
+    elif stab.holds_translations():
         fixed = [None]
     elif add(na[n], nc[n]):
         raise InconsistencyError("the pair (1, 1) of the stabilizer of %s "
@@ -421,6 +431,20 @@ def _certified_step(Q, inner, outer):
                        for st in inner.strands) == [(1, True), (q, False)])
 
 
+def check_window(depth, window):
+    """Refuse a build of radius `depth` that `certify_cusps` cannot certify
+    with `window`, so that a caller can check before it builds:
+    QuotientError for a depth below 1, as `build_quotient` raises, then
+    BoundError for a window below 2 or a depth below window + 2."""
+    if depth < 1:
+        raise QuotientError("depth must be >= 1")
+    if window < 2:
+        raise BoundError("window must be >= 2")
+    if depth < window + 2:
+        raise BoundError("depth %d too small for window %d (need >= %d)"
+                         % (depth, window, window + 2))
+
+
 def certify_cusps(Q, window=3):
     """One certified cusp descriptor per boundary class whose only edge has
     multiplicity 1 and whose inward walk passes `window` steps.
@@ -432,11 +456,7 @@ def certify_cusps(Q, window=3):
     outermost classes, its towers are read off them, and its tail is every
     class the walk passed, innermost first.
     """
-    if window < 2:
-        raise BoundError("window must be >= 2")
-    if Q.depth < window + 2:
-        raise BoundError("depth %d too small for window %d (need >= %d)"
-                         % (Q.depth, window, window + 2))
+    check_window(Q.depth, window)
     q = Q.field.q
     adj = Q.adjacency()
     cusps = []
@@ -577,6 +597,7 @@ __all__ = [
     "QuotientError", "BoundError", "InconsistencyError", "SPLIT", "NONSPLIT",
     "INDETERMINATE",
     "Strand", "OrbitClass", "QuotientEdge", "CuspDescriptor",
-    "QuotientGraph", "build_quotient", "certify_cusps", "class_key",
+    "QuotientGraph", "build_quotient", "check_window", "certify_cusps",
+    "class_key",
     "classify_splitness", "export", "frame_orbits", "frame_fixers",
 ]

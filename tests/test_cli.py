@@ -370,6 +370,32 @@ class TestAmalgam:
 
 
 class TestErrors:
+    @pytest.mark.parametrize("command,bounds,message", [
+        ("quotient", ("--depth", "12", "--window", "1"),
+         "window must be >= 2"),
+        ("cusps", ("--depth", "12", "--window", "1"), "window must be >= 2"),
+        ("cusps", ("--depth", "4"),
+         "depth 4 too small for window 3 (need >= 5)"),
+        ("cusps", ("--depth", "0", "--window", "1"), "depth must be >= 1"),
+        ("amalgam", ("--depth", "12", "--window", "1"),
+         "window must be >= 2"),
+        ("amalgam", ("--depth", "4"),
+         "depth 4 too small for window 3 (need >= 5)"),
+    ])
+    def test_window_is_refused_before_the_build(self, capsys, monkeypatch,
+                                                command, bounds, message):
+        """A window that certification would refuse exits 2 with its
+        message before any quotient is built."""
+        import btquot.cli
+
+        def no_build(level, depth):
+            raise AssertionError("the quotient was built")
+
+        monkeypatch.setattr(btquot.cli, "build_quotient", no_build)
+        code, out, err = run_cli([command, "--p", "3", "--level",
+                                  "t^3;(t+1)^3", *bounds], capsys)
+        assert (code, out, err) == (2, "", "error: %s\n" % message)
+
     def test_usage_error_exit_2(self, capsys):
         assert run_cli(["cusps", "--p", "2", "--level", "t^2+t"],
                        capsys)[0] == 2
@@ -405,21 +431,21 @@ class TestErrors:
     def test_internal_inconsistency_exit_3(self, capsys, monkeypatch):
         """A stabilizer frame that does not map its vertex onto the
         standard ray is caught by the frame labels: exit 3, not 2."""
-        import btquot.quotient
         from btquot.algebra import RationalFunction
         from btquot.btree import Matrix2
-        from btquot.hecke import StabDescriptor, stabilizer
+        from btquot.hecke import StabDescriptor, _StabColumn
+        stabilizer = _StabColumn.stabilizer
 
-        def wrong_frame(v, level):
-            stab = stabilizer(v, level)
-            F = level.field
+        def wrong_frame(column, v, red):
+            stab = stabilizer(column, v, red)
+            F = stab.field
             scale = Matrix2(RationalFunction.t_power(F, 1),
                             RationalFunction.zero(F),
                             RationalFunction.zero(F), RationalFunction.one(F))
             return StabDescriptor(v, scale @ stab.conjugator, stab.level_n,
-                                  level, stab.torus, stab.kernel)
+                                  stab.level, stab.torus, stab.kernel)
 
-        monkeypatch.setattr(btquot.quotient, "stabilizer", wrong_frame)
+        monkeypatch.setattr(_StabColumn, "stabilizer", wrong_frame)
         code, out, err = run_cli(
             ["quotient", "--p", "2", "--level", "t", "--depth", "5"], capsys)
         assert code == 3 and out == ""

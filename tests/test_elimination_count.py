@@ -1,8 +1,8 @@
 """Call counts behind every orbit and stabilizer test: no F_q elimination
 decides the torus pairs, which are read off gcd(c_dst*c_src, N_D); the
-one elimination left is `solve_affine` on the homogeneous system of a
-level-0 stabilizer; and the divisions that set a system up do not grow
-with the level n."""
+one elimination left is `solve_affine` on the homogeneous system of
+level 0, once per level-0 stabilizer column; and the divisions that set a
+system up do not grow with the level n."""
 
 import pytest
 
@@ -15,33 +15,48 @@ from btquot.quotient import build_quotient
 @pytest.fixture
 def counts(monkeypatch):
     """Counts of `_eliminate` and `solve_affine` calls, in total and by
-    the congruence system (`_stab_solution`) that makes them: its level
-    (0 or above) and mode (stabilizer or witness); and of the systems."""
-    tally = {"eliminate": 0, "solve_affine": 0, "systems": 0,
-             "level0 stabilizers": 0}
-    inside = []   # (level 0, stabilizer mode) of the open system
+    the solve that makes them: a stabilizer column (`hecke._StabColumn`),
+    its level-0 algebra or a witness solve, at level 0 or above; and of
+    the columns, the witness solves and the columns whose algebra was
+    read."""
+    tally = {"eliminate": 0, "solve_affine": 0, "columns": 0,
+             "witnesses": 0}
+    level0_columns = tally["level0 columns"] = set()
+    inside = []   # the open solve
 
-    def system(level, red_src, red_dst, stabilizer_mode):
-        key = (red_src.level_n == 0, stabilizer_mode)
-        tally["systems"] += 1
-        tally["level0 stabilizers"] += key == (True, True)
-        inside.append(key)
-        try:
-            return solve_system(level, red_src, red_dst, stabilizer_mode)
-        finally:
-            inside.pop()
+    def opened(kind, fn, count=None):
+        def wrapper(*args):
+            if count:
+                tally[count] += 1
+            inside.append(kind(*args))
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+        return wrapper
+
+    def algebra(column):
+        level0_columns.add(id(column))
+        return "algebra"
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
             tally[key] += 1
             if inside:
-                where = (key,) + inside[-1]
+                where = (key, inside[-1])
                 tally[where] = tally.get(where, 0) + 1
             return fn(*args, **kwargs)
         return wrapper
 
-    solve_system = hecke._stab_solution
-    monkeypatch.setattr(hecke, "_stab_solution", system)
+    column = hecke._StabColumn
+    monkeypatch.setattr(column, "__init__", opened(
+        lambda *args: "column", column.__init__, "columns"))
+    monkeypatch.setattr(column, "torus", opened(
+        lambda *args: "column", column.torus))
+    monkeypatch.setattr(column, "algebra", opened(algebra, column.algebra))
+    monkeypatch.setattr(hecke, "_witness_solution", opened(
+        lambda level, src, dst: ("witness", src.level_n == 0),
+        hecke._witness_solution, "witnesses"))
     for key in ("eliminate", "solve_affine"):
         name = "_" + key if key == "eliminate" else key
         monkeypatch.setattr(hecke, name, counted(key, getattr(hecke, name)))
@@ -54,18 +69,20 @@ def counts(monkeypatch):
                                            (2, 2, "t^2", 5)])
 def test_one_elimination_per_system(counts, p, s, lvl, depth):
     """No elimination decides a torus map: every `_eliminate` call is the
-    one inside a `solve_affine` call, each level-0 stabilizer makes
-    exactly one, and no system above level 0 makes any.  (The name dates
-    from one elimination per system.)"""
+    one inside a `solve_affine` call, each level-0 column makes exactly
+    one however many vertices share it, and no column part, torus map or
+    witness solve above level 0 makes any.  (The name dates from one
+    elimination per system.)"""
     level = hecke.parse_level(lvl, FieldSpec(p, s))
     build_quotient(level, depth)
-    assert counts["systems"] > counts["level0 stabilizers"] > 0
+    assert counts["columns"] + counts["witnesses"] > \
+        len(counts["level0 columns"]) > 0
     assert counts["eliminate"] == counts["solve_affine"]
-    assert counts.get(("solve_affine", True, True)) == \
-        counts["level0 stabilizers"]
-    assert not any(counts.get((key, False, mode))
+    assert counts.get(("solve_affine", "algebra")) == \
+        len(counts["level0 columns"])
+    assert not any(counts.get((key, where))
                    for key in ("eliminate", "solve_affine")
-                   for mode in (True, False))
+                   for where in ("column", ("witness", False)))
 
 
 def test_stabilizer_counts_over_f9(counts):
@@ -86,12 +103,13 @@ def test_three_divisions_per_stabilizer(monkeypatch, p, s, n):
     """A stabilizer at level n >= 1 divides by N_D for the residues of
     u = c*c and of the torus term a*c, which the other torus term shares
     since W21 * a = -W22 * c when the source and target reductions agree.
-    Its other divisions split a*c by e = gcd(u, N_D) and by M = N_D/e and
-    build the kernel, one division by M; e or M is N_D when gcd(u, N_D) is
-    N_D or 1.  So the divisions by N_D number the same at level n as at
-    level 1, and there are at most five, however large n is.  Checked on
-    v_n and on a vertex of level n whose reduction has c != 0.  (The name
-    dates from three divisions, one per torus term.)"""
+    Its other divisions split a*c by e = gcd(u, N_D) and by M = N_D/e; e
+    or M is N_D when gcd(u, N_D) is N_D or 1.  The kernel basis, one more
+    division by M, is built only when read.  So the divisions by N_D
+    number the same at level n as at level 1, and there are at most four,
+    however large n is.  Checked on v_n and on a vertex of level n whose
+    reduction has c != 0.  (The name dates from three divisions, one per
+    torus term.)"""
     field = FieldSpec(p, s)
     level = hecke.parse_level("t^3;t+1", field)
     one, zero, t = (Polynomial.one(field), Polynomial.zero(field),
@@ -117,5 +135,5 @@ def test_three_divisions_per_stabilizer(monkeypatch, p, s, n):
         at_1 = calls.count(modulus)
         del calls[:]
         hecke.stabilizer(v, level)
-        assert calls[:2] == [modulus] * 2 and len(calls) <= 5
+        assert calls[:2] == [modulus] * 2 and len(calls) <= 4
         assert calls.count(modulus) == at_1

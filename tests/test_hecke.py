@@ -800,7 +800,7 @@ class TestGeneratingSet:
         entry: the same matrix as the product of the three, on triangular
         witnesses and on level-0 ones with c != 0."""
         from btquot.hecke import (_frame_matrix, _level0_extras,
-                                  _stab_solution, orbit_witness)
+                                  _witness_solution, orbit_witness)
         rng = random.Random(41)
         lower = 0
         for field in ORACLE_FIELDS:
@@ -820,8 +820,7 @@ class TestGeneratingSet:
                 for v, h in pairs:
                     w = act(h, v)
                     red_v, red_w = reduce_vertex(v), reduce_vertex(w)
-                    torus, kernel = _stab_solution(lvl, red_v, red_w,
-                                                   False)
+                    torus, kernel = _witness_solution(lvl, red_v, red_w)
                     if torus:
                         (ai, bi), part, _ = expand_torus(field, torus)[0]
                         frame = (ai, part, 0, bi)
@@ -866,9 +865,9 @@ class TestGeneratingSet:
                               (2,) + sd.torus[1:], ())
         with pytest.raises(HeckeInconsistency, match="torus pairs"):
             line.generator_frames()
-        torus_map = hecke._torus_map
-        monkeypatch.setattr(hecke, "_torus_map",
-                            lambda *args: (2,) + torus_map(*args)[1:])
+        torus = hecke._StabColumn.torus
+        monkeypatch.setattr(hecke._StabColumn, "torus",
+                            lambda self, n: (2,) + torus(self, n)[1:])
         assert main(["stab", "--p", "3", "--level", "t",
                      "--vertex", "r=-2;a=0"]) == 3
 
@@ -950,7 +949,9 @@ class TestClosedFormSolve:
             for red in [cls.reduction for cls in Q.classes] + moved:
                 old = torus_blocks(*reference_system(level, red, red),
                                    field)
-                new = hecke._stab_solution(level, red, red, True)[0]
+                mu, na, nc, m = hecke._StabColumn(level, red.g).torus(
+                    red.level_n)
+                new = mu, na, nc, hecke._kernel_basis(field, m, red.level_n)
                 assert new[0] == old[0] and new[3] == old[3], (level, red)
                 if new[0] is None:
                     assert new[1:3] == old[1:3], (level, red)
@@ -982,7 +983,7 @@ class TestClosedFormSolve:
         field, n = level.field, src.level_n
         columns, va, vc = reference_system(level, src, dst)
         old = torus_blocks(columns, va, vc, field)
-        new = hecke._stab_solution(level, src, dst, False)[0]
+        new = hecke._witness_solution(level, src, dst)[0]
         seen.update(self.kind(level, src, dst))
         if old is None:
             seen.add("no witness")
@@ -993,7 +994,7 @@ class TestClosedFormSolve:
             dst.g.c * src.g.c, -(dst.g.c * src.g.a), dst.g.a * src.g.c)]
         mu, na, nc, m = hecke._torus_map(field, modulus.packed_coeffs, n,
                                          *packed)
-        assert new == (mu, na, nc, ()), (level, src, dst)
+        assert new == (mu, na, nc, m), (level, src, dst)
         assert mu == old[0], (level, src, dst)
         assert hecke._kernel_basis(field, m, n) == old[3], (level, src, dst)
         if mu is None:
@@ -1005,10 +1006,12 @@ class TestClosedFormSolve:
 
 class TestPackedPath:
     def test_solve_and_witness_make_no_polynomial(self, monkeypatch):
-        """`_stab_solution` works on packed coefficient lists: a stabilizer
-        solve and a witness solve, level 0 included, create no
-        `Polynomial`; the witness makes exactly its four entries."""
-        from btquot.hecke import _stab_solution, orbit_witness
+        """The stabilizer column and the witness solve work on packed
+        coefficient lists: a column with its torus map and level-0 algebra,
+        and a witness solve, level 0 included, create no `Polynomial`; the
+        witness makes exactly its four entries."""
+        from btquot.hecke import (_StabColumn, _witness_solution,
+                                  orbit_witness)
         made = []
         of, init = Polynomial.__dict__["_of"], Polynomial.__init__
 
@@ -1034,9 +1037,10 @@ class TestPackedPath:
         monkeypatch.setattr(Polynomial, "__init__", counted_init)
         found = 0
         for lvl, red_v, red_w in cases:
-            _stab_solution(lvl, red_v, red_v, True)
+            column = _StabColumn(lvl, red_v.g)
+            column.torus(red_v.level_n), column.algebra()
             assert not made
-            blocks, kernel = _stab_solution(lvl, red_v, red_w, False)
+            blocks, kernel = _witness_solution(lvl, red_v, red_w)
             assert not made and (blocks or kernel)
             found += orbit_witness(lvl, red_v, red_w) is not None
             assert len(made) == 4

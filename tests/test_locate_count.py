@@ -1,31 +1,40 @@
 """Call counts of the solves behind `QuotientGraph.locate` during a build:
-one stabilizer per reduced vertex, and witness solves only between
+one stabilizer descriptor per reduced vertex, one congruence solve per
+distinct first column of the reductions, and witness solves only between
 vertices whose stabilizers have the same class key."""
 
 import pytest
 
-from btquot import quotient
+from btquot import hecke, quotient
 from btquot.algebra import FieldSpec
 from btquot.hecke import parse_level
 
 
 @pytest.fixture
 def tally(monkeypatch):
-    """Counts of `reduce_vertex` and `stabilizer` calls made by the
-    quotient module, and the class keys of both sides of each
-    `orbit_witness` call, looked up by the reductions the stabilizers were
-    computed from (each vertex keeps its one reduction)."""
-    out = {"reduce": 0, "stabilizer": 0, "witness_keys": []}
+    """Counts of `reduce_vertex` calls made by the quotient module, of the
+    column solves (`hecke._StabColumn`) and of the descriptors built from
+    them, the first columns of the reductions, and the class keys of both
+    sides of each `orbit_witness` call, looked up by the reductions the
+    descriptors were built from (each vertex keeps its one reduction)."""
+    out = {"reduce": 0, "columns": 0, "descriptors": 0, "firsts": set(),
+           "witness_keys": []}
     keys = {}   # id of a reduction -> class key of its stabilizer
 
     def reduce_vertex(v):
         out["reduce"] += 1
-        return reduce(v)
+        red = reduce(v)
+        out["firsts"].add((red.g.a.packed_coeffs, red.g.c.packed_coeffs))
+        return red
 
-    def stabilizer(v, level):
-        out["stabilizer"] += 1
-        stab = stab_of(v, level)
-        keys[id(reduce(v))] = quotient.class_key(stab)
+    def column(self, level, g):
+        out["columns"] += 1
+        solve(self, level, g)
+
+    def stabilizer(self, v, red):
+        out["descriptors"] += 1
+        stab = describe(self, v, red)
+        keys[id(red)] = quotient.class_key(stab)
         return stab
 
     def orbit_witness(level, red_src, red_dst):
@@ -33,10 +42,12 @@ def tally(monkeypatch):
                                     keys.get(id(red_dst))))
         return witness(level, red_src, red_dst)
 
-    reduce, stab_of, witness = (quotient.reduce_vertex, quotient.stabilizer,
-                                quotient.orbit_witness)
+    reduce, witness = quotient.reduce_vertex, quotient.orbit_witness
+    solve, describe = (hecke._StabColumn.__init__,
+                       hecke._StabColumn.stabilizer)
     monkeypatch.setattr(quotient, "reduce_vertex", reduce_vertex)
-    monkeypatch.setattr(quotient, "stabilizer", stabilizer)
+    monkeypatch.setattr(hecke._StabColumn, "__init__", column)
+    monkeypatch.setattr(hecke._StabColumn, "stabilizer", stabilizer)
     monkeypatch.setattr(quotient, "orbit_witness", orbit_witness)
     return out
 
@@ -46,7 +57,11 @@ def tally(monkeypatch):
                                            (3, 2, "t", 4)])
 def test_one_stabilizer_per_vertex_and_keyed_witnesses(tally, p, s, lvl,
                                                        depth):
+    """One descriptor per reduced vertex, read off one column solve per
+    distinct first column of the reductions."""
     Q = quotient.build_quotient(parse_level(lvl, FieldSpec(p, s)), depth)
-    assert tally["stabilizer"] == tally["reduce"] >= len(Q.classes)
+    assert tally["descriptors"] == tally["reduce"] >= len(Q.classes)
+    assert tally["columns"] == len(tally["firsts"]) == len(Q.columns)
+    assert tally["columns"] < tally["descriptors"]
     assert all(src is not None and src == dst
                for src, dst in tally["witness_keys"])

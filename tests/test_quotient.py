@@ -278,10 +278,10 @@ class TestClassKey:
         pair set {(1, 1)}, and the solver returns both forms (mu = 1 for a
         row (1, 1) past the rank): a descriptor built from either has the
         same key, order, pairs and generators."""
-        from btquot.hecke import StabDescriptor, _stab_solution
+        from btquot.hecke import StabDescriptor, _StabColumn
         from btquot.quotient import class_key
         Q = build(FieldSpec(2), "t^2", 6)
-        mus = [_stab_solution(Q.level, c.reduction, c.reduction, True)[0][0]
+        mus = [_StabColumn(Q.level, c.reduction.g).torus(c.level_n)[0]
                for c in Q.classes]
         assert 1 in mus and None in mus
         for c in Q.classes:
