@@ -3,9 +3,11 @@
 Every invocation is deterministic: the same arguments produce byte-identical
 output.  Exit codes: 0 success, 2 argument errors, 3 internal consistency
 failures (a certified count above the closed-form count or bound, or short
-of an exact count by more than the boundary classes that end no certified
-chain; a failed self-test; or computed data contradicting each other), so
-the tool can serve as a verification oracle in CI.
+of an exact count when every boundary class ends a certified chain; a
+failed self-test; or computed data contradicting each other), so the tool
+can serve as a verification oracle in CI.  A count short of an exact one
+while some boundary class ends no certified chain is reported as
+UNCERTIFIED and exits 0: any number of cusps may lie beyond such a class.
 """
 
 from __future__ import annotations
@@ -150,13 +152,13 @@ def _cmd_cusps(args):
     for c in sorted(cusps, key=lambda c: c.germ):
         lines.append("cusp germ=%r split=%s tower=%r"
                      % (c.germ, c.splitness, c.stab_tower))
-    # a boundary class that ends no certified chain may carry a cusp that a
-    # larger depth certifies, so a shortfall up to their number is a bound
-    # of the run, not a contradiction
+    # beyond a boundary class that ends no certified chain the quotient may
+    # hold any number of cusps, which a larger depth certifies, so a
+    # shortfall is a contradiction only when no such class is left
     open_ends = len({c.id for c in Q.classes if not c.expanded}
                     - {c.chain[-1] for c in cusps})
     shortfall = formula - len(cusps) if exact else 0
-    mismatch = exact and not 0 <= shortfall <= open_ends
+    mismatch = exact and (shortfall < 0 or (shortfall > 0 and not open_ends))
     overflow = (not exact) and isinstance(formula, int) \
         and len(cusps) > formula
     if shortfall > 0 and not mismatch:

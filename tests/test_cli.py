@@ -58,6 +58,22 @@ class TestCusps:
                              "boundary classes ending no certified chain: 1")
         assert "MISMATCH" not in out
 
+    @pytest.mark.parametrize("lvl", ["t^11", "t^5;(t+1)^5"])
+    def test_many_cusps_beyond_open_classes_are_uncertified(self, capsys,
+                                                            lvl):
+        """At depth 6 one of the 64 cusps is certified, and the 63 others
+        lie beyond fewer open boundary classes: a bound of the run, not a
+        contradiction, so the run exits 0."""
+        code, out, err = run_cli(
+            ["cusps", "--p", "2", "--level", lvl, "--depth", "6"], capsys)
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[0] == "certified=1 formula=64 exact=true"
+        assert lines[-1].startswith("UNCERTIFIED: depth 6 certifies 1 of 64 "
+                                    "cusps; boundary classes ending no "
+                                    "certified chain: ")
+        assert "MISMATCH" not in out
+
     def test_level_zero_above_the_enumeration_cap(self, capsys):
         """D = 0 at q=19: the base vertex group GL2(F_19), 123,120
         elements, is described by its level-0 kernel, not walked, so the
@@ -69,13 +85,15 @@ class TestCusps:
 
     @pytest.mark.parametrize("count", [2, 5])
     def test_contradicting_count_exits_3(self, capsys, monkeypatch, count):
-        """An exact count below the certified 3, or above it by more than
-        the one uncertified boundary class, is a contradiction."""
+        """An exact count below the certified 3 (depth 6), or above the
+        certified 4 when every boundary class ends a certified chain
+        (depth 8), is a contradiction."""
         import btquot.cli
         monkeypatch.setattr(btquot.cli, "cusp_count",
                             lambda level, q: (count, True))
+        depth = {2: "6", 5: "8"}[count]
         code, out, _ = run_cli(
-            ["cusps", "--p", "2", "--level", "t^3", "--depth", "6"], capsys)
+            ["cusps", "--p", "2", "--level", "t^3", "--depth", depth], capsys)
         assert code == 3
         assert out.splitlines()[-1] == ("MISMATCH: exact formula disagrees "
                                         "with certification")
