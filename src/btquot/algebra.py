@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 
 INF = math.inf
 
@@ -1005,7 +1006,7 @@ def parse_polynomial(text, field, var="t"):
             if rest == "":
                 exp = 1
             elif rest.startswith("^") and rest[1:].isdigit():
-                exp = int(rest[1:])
+                exp = decimal_value(rest[1:], "exponent", src, at)
             else:
                 raise ParseError("bad exponent %r" % rest, src, at)
         out.extend([0] * (exp + 1 - len(out)))
@@ -1013,8 +1014,22 @@ def parse_polynomial(text, field, var="t"):
     return Polynomial._of(field, out)
 
 
+def decimal_value(digits, what, src, at):
+    """The int of the decimal string `digits`, which `str.isdigit`
+    accepted, or ParseError: isdigit also admits digits that `int` refuses,
+    and `int` reads at most `sys.get_int_max_str_digits()` of them."""
+    try:
+        return int(digits)
+    except ValueError:
+        shown = ("%r" % digits if len(digits) <= 20
+                 else "of %d digits" % len(digits))
+        raise ParseError("%s %s is not a decimal number of at most %d digits"
+                         % (what, shown, sys.get_int_max_str_digits()),
+                         src, at) from None
+
+
 def _packed_coefficient(digits, field, src, at):
-    value = int(digits)
+    value = decimal_value(digits, "coefficient", src, at)
     if value >= field.q:
         raise ParseError("coefficient %d out of range for q=%d"
                          % (value, field.q), src, at)

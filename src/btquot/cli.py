@@ -1,13 +1,19 @@
 """Command-line front end.
 
 Every invocation is deterministic: the same arguments produce byte-identical
-output.  Exit codes: 0 success, 2 argument errors, 3 internal consistency
-failures (a certified count above the closed-form count or bound, or short
-of an exact count when every boundary class ends a certified chain; a
-failed self-test; or computed data contradicting each other), so the tool
-can serve as a verification oracle in CI.  A count short of an exact one
-while some boundary class ends no certified chain is reported as
-UNCERTIFIED and exits 0: any number of cusps may lie beyond such a class.
+output.  Exit codes:
+- 0 success;
+- 2 bad input: an error class of the package, an argument argparse refuses,
+  or an OSError from --out;
+- 3 an internal consistency failure, so the tool can serve as a
+  verification oracle in CI: a certified count above the closed-form count
+  or bound, or short of an exact count when every boundary class ends a
+  certified chain; a failed self-test; computed data contradicting each
+  other; or any other ValueError, a fault of the program, printed as
+  "error: internal: ...".
+A count short of an exact one while some boundary class ends no certified
+chain prints UNCERTIFIED and exits 0, as any number of cusps may lie
+beyond such a class.
 """
 
 from __future__ import annotations
@@ -17,14 +23,15 @@ import sys
 
 from .algebra import AlgebraError, FieldSpec, Polynomial, parse_polynomial
 from .btree import BallVertex, TreeError
-from .formulas import PicardData, cusp_count, formula_report
+from .formulas import FormulaError, PicardData, cusp_count, formula_report
 from .hecke import (HeckeError, HeckeInconsistency, orbit_equivalent,
                     orbit_equivalent_brute_force, parse_level, reduce_vertex,
                     stabilizer, stabilizer_brute_force)
-from .presentation import (build_graph_of_groups, emit_presentation,
-                           presentation_json, presentation_text)
-from .quotient import (InconsistencyError, build_quotient, certify_cusps,
-                       check_window, export)
+from .presentation import (PresentationError, build_graph_of_groups,
+                           emit_presentation, presentation_json,
+                           presentation_text)
+from .quotient import (InconsistencyError, QuotientError, build_quotient,
+                       certify_cusps, check_window, export)
 
 
 EXIT_OK = 0
@@ -64,6 +71,17 @@ def _add_common(sub, level=True, depth=True):
     sub.add_argument("--out", default=None, help="output path (default stdout)")
 
 
+def _pic_r_order(text):
+    """The order of Pic(R): an int, or 'infinite'."""
+    if text == "infinite":
+        return text
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "expected an integer or 'infinite'") from None
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="btquot",
@@ -86,7 +104,7 @@ def build_parser():
     sp.add_argument("--g2-order", type=int, default=1)
     sp.add_argument("--index-theorem", type=int, default=1)
     sp.add_argument("--index-component", type=int, default=1)
-    sp.add_argument("--pic-r-order", default="1")
+    sp.add_argument("--pic-r-order", default="1", type=_pic_r_order)
 
     sp = sub.add_parser("reduce", help="reduce a vertex to the standard ray")
     _add_common(sp, level=False, depth=False)
@@ -176,12 +194,10 @@ def _cmd_cusps(args):
 def _cmd_formula(args):
     field = _field_from_args(args)
     level = parse_level(args.level, field)
-    pic_r = args.pic_r_order
-    pic_r = pic_r if pic_r == "infinite" else int(pic_r)
     pic = PicardData(g2_order=args.g2_order,
                      index_theorem=args.index_theorem,
                      index_component=args.index_component,
-                     pic_R_order=pic_r)
+                     pic_R_order=args.pic_r_order)
     rep = formula_report(level, field.q, pic)
     lines = ["level=%s q=%d" % (level, field.q)]
     if rep.serre_case:
@@ -295,9 +311,15 @@ def main(argv=None):
     except (InconsistencyError, HeckeInconsistency) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_INCONSISTENT
-    except (AlgebraError, HeckeError, TreeError, ValueError, OSError) as exc:
+    except (AlgebraError, HeckeError, TreeError, QuotientError,
+            PresentationError, FormulaError, OSError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_USAGE
+    except ValueError as exc:
+        # the package raises its own error classes for bad input, so any
+        # other ValueError is a fault of the program
+        sys.stderr.write("error: internal: %s\n" % exc)
+        return EXIT_INCONSISTENT
 
 
 if __name__ == "__main__":

@@ -56,9 +56,9 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .algebra import (AlgebraError, Polynomial, format_polynomial,
-                      packed_add, packed_combination, packed_divmod,
-                      packed_gcd, packed_mul, parse_polynomial)
+from .algebra import (AlgebraError, Polynomial, decimal_value,
+                      format_polynomial, packed_add, packed_combination,
+                      packed_divmod, packed_gcd, packed_mul, parse_polynomial)
 from .btree import BallVertex, Matrix2, act
 
 
@@ -183,7 +183,9 @@ def parse_level(text, field):
                 except AlgebraError:
                     poly = None
                 if poly is not None:
-                    factors.append((poly, int(tail)))
+                    factors.append((poly, decimal_value(
+                        tail, "multiplicity", text,
+                        t.index(raw) + len(head) + 1)))
                     continue
         poly = parse_polynomial(body, field)
         factors.append((poly, mult))

@@ -469,6 +469,46 @@ class TestErrors:
         assert code == 3 and out == ""
         assert err.startswith("error: the frame of vertex ")
 
+    @pytest.mark.parametrize("args,message", [
+        (["reduce", "--p", "2", "--vertex", "r=1;a=%s*s^0" % ("1" * 5000)],
+         "coefficient of 5000 digits"),
+        (["formula", "--p", "2", "--level", "%s*t" % ("1" * 5000)],
+         "coefficient of 5000 digits"),
+        (["formula", "--p", "2", "--level", "t^" + "9" * 5000],
+         "multiplicity of 5000 digits"),
+        (["formula", "--p", "2", "--level", "t^%s+1" % ("9" * 5000)],
+         "exponent of 5000 digits"),
+    ])
+    def test_overlong_digit_strings_exit_2(self, args, message, capsys):
+        """Digit strings longer than `int` reads are bad input, reported
+        with the package's own message."""
+        code, out, err = run_cli(args, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: %s is not a decimal number of at most "
+                              % message)
+
+    def test_pic_r_order_is_a_number_or_infinite(self, capsys):
+        code, out, err = run_cli(["formula", "--p", "2", "--level", "t",
+                                  "--pic-r-order", "abc"], capsys)
+        assert (code, out) == (2, "")
+        assert "argument --pic-r-order: expected an integer or 'infinite'" \
+            in err
+        code, out, _ = run_cli(["formula", "--p", "2", "--level", "t",
+                                "--pic-r-order", "infinite"], capsys)
+        assert code == 0 and out.startswith("level=t q=2")
+
+    def test_plain_value_error_is_internal(self, capsys, monkeypatch):
+        """A ValueError that is none of the package's error classes is a
+        fault of the program, not bad input: exit 3."""
+        import btquot.cli
+
+        def broken(v):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(btquot.cli, "reduce_vertex", broken)
+        assert run_cli(["reduce", "--p", "2", "--vertex", "r=0;a=0"],
+                       capsys) == (3, "", "error: internal: boom\n")
+
     def test_unknown_command(self, capsys):
         code, _, _ = run_cli(["frobnicate"], capsys)
         assert code == 2
