@@ -1015,17 +1015,14 @@ def parse_polynomial(text, field, var="t"):
 
 
 def decimal_value(digits, what, src, at):
-    """The int of the decimal string `digits`, which `str.isdigit`
-    accepted, or ParseError: isdigit also admits digits that `int` refuses,
-    and `int` reads at most `sys.get_int_max_str_digits()` of them."""
+    """int(digits) for a string `str.isdigit` accepted, or ParseError:
+    isdigit admits digits int refuses, and int reads a bounded number."""
     try:
         return int(digits)
     except ValueError:
-        shown = ("%r" % digits if len(digits) <= 20
-                 else "of %d digits" % len(digits))
-        raise ParseError("%s %s is not a decimal number of at most %d digits"
-                         % (what, shown, sys.get_int_max_str_digits()),
-                         src, at) from None
+        raise ParseError("%s is not a decimal number of at most %d digits"
+                         % (what, sys.get_int_max_str_digits()), src, at) \
+            from None
 
 
 def _packed_coefficient(digits, field, src, at):

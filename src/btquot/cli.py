@@ -1,19 +1,14 @@
 """Command-line front end.
 
 Every invocation is deterministic: the same arguments produce byte-identical
-output.  Exit codes:
-- 0 success;
-- 2 bad input: an error class of the package, an argument argparse refuses,
-  or an OSError from --out;
-- 3 an internal consistency failure, so the tool can serve as a
-  verification oracle in CI: a certified count above the closed-form count
-  or bound, or short of an exact count when every boundary class ends a
-  certified chain; a failed self-test; computed data contradicting each
-  other; or any other ValueError, a fault of the program, printed as
-  "error: internal: ...".
-A count short of an exact one while some boundary class ends no certified
-chain prints UNCERTIFIED and exits 0, as any number of cusps may lie
-beyond such a class.
+output.  Exit codes: 0 success, 2 bad input (an error class of the package
+or an OSError), 3 internal consistency failures (a certified count above
+the closed-form count or bound, or short of an exact count when every
+boundary class ends a certified chain; a failed self-test; computed data
+contradicting each other; or any other ValueError, "error: internal"), so
+the tool can serve as a verification oracle in CI.  A shortfall while some
+boundary class ends no certified chain, beyond which any number of cusps
+may lie, prints UNCERTIFIED and exits 0.
 """
 
 from __future__ import annotations
@@ -71,15 +66,9 @@ def _add_common(sub, level=True, depth=True):
     sub.add_argument("--out", default=None, help="output path (default stdout)")
 
 
-def _pic_r_order(text):
-    """The order of Pic(R): an int, or 'infinite'."""
-    if text == "infinite":
-        return text
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            "expected an integer or 'infinite'") from None
+def integer_or_infinite(text):
+    """The order of Pic(R) that --pic-r-order reads: an int or 'infinite'."""
+    return text if text == "infinite" else int(text)
 
 
 def build_parser():
@@ -104,7 +93,7 @@ def build_parser():
     sp.add_argument("--g2-order", type=int, default=1)
     sp.add_argument("--index-theorem", type=int, default=1)
     sp.add_argument("--index-component", type=int, default=1)
-    sp.add_argument("--pic-r-order", default="1", type=_pic_r_order)
+    sp.add_argument("--pic-r-order", default="1", type=integer_or_infinite)
 
     sp = sub.add_parser("reduce", help="reduce a vertex to the standard ray")
     _add_common(sp, level=False, depth=False)

@@ -17,18 +17,19 @@ kept on the vertex, so each vertex object is reduced once.
 Whether a candidate lies in H_D is the congruence x*u = alpha*va +
 beta*vc (mod N_D) in the torus pair (alpha, beta) and b = x of degree
 <= n, u = c_dst*c_src, whose reduced echelon form is a closed form
-(`_torus_map`): with e = gcd(u, N_D) and M = N_D/e, x*u = 0 iff M | x, so
+(`_Congruence`): with e = gcd(u, N_D) and M = N_D/e, x*u = 0 iff M | x, so
 the pivots are the columns t^j*u below deg M, the kernel is t^j -
 (t^j mod M) for deg M <= j <= n (`_kernel_basis`), and y lies in the span
 iff e | y and x(y) = (y/e)(u/e)^-1 mod M, the particular solution, has
 degree <= n.  One extended Euclid decides every torus pair: all, one line
 alpha = mu*beta or none, with solutions alpha*na + beta*nc +
-span(kernel); a stabilizer's scalar line stores na = nc = 0, as only
-na + nc is read.  A stabilizer's system reads g only through its first
-column (a, c), u = c^2 and va = -vc = -a*c, so its solve has a column part,
-one Euclid that a build shares among the vertices of one column, and a
-level part, a slice at n (`_StabColumn`); its descriptor keeps M until the
-kernel basis is read.  Elimination runs only on the homogeneous system of
+span(kernel); a stabilizer's scalar line has na = nc = 0.  The system reads
+g_dst and g_src only through their first columns, and a stabilizer is the
+system of the pair (col, col), with u = c^2 and va = -vc = -a*c: its part
+that does not depend on n is one Euclid, which a build shares among the
+vertices of one column, and its level part is a slice at n.  A
+stabilizer's descriptor keeps M until the kernel basis is read.
+Elimination runs only on the homogeneous system of
 level 0 (`solve_affine`); the q^(n+3) enumeration is an oracle
 (`stabilizer_brute_force`, `orbit_equivalent_brute_force`) up to
 ENUMERATION_CAP elements.
@@ -379,43 +380,6 @@ def _torus_restrict(field, mu, rows):
         elif mu is not None and add(mul(mu, x), y):
             return 0
     return mu
-
-
-def _particular(field, y, e, inv, m):
-    """(y mod e, x(y - y mod e)) for e = gcd(u, N), inv = (u/e)^-1 mod M
-    and M = N/e: x(y) = (y/e)(u/e)^-1 mod M is the particular solution of
-    x*u = y (mod N) when e | y (module docstring)."""
-    quo, rest = packed_divmod(field, y, e)
-    return rest, packed_divmod(field, packed_mul(field, quo, inv), m)[1]
-
-
-def _torus_map(field, modulus, n, u, va, vc):
-    """The torus map (mu, na, nc) of x*u = alpha*va + beta*vc (mod N), x of
-    degree <= n, and M = N/gcd(u, N), or None when no pair is consistent;
-    packed lists reduced mod the monic N.  y is in the span iff
-    L(y) = (y mod e, the coefficients of x(y - y mod e) above t^n)
-    vanishes, x(y) then its particular solution (module docstring).  All
-    pairs have na = x(va), nc = x(vc); a line alpha = mu*beta has
-    na = x(va + vc/mu), nc = 0."""
-    e, inv, m = packed_gcd(field, u, modulus, cofactor=True)
-    width = max(len(m) - 1, n + 1)
-
-    def split(y):
-        # (L(y), x(y - y mod e) padded to `width`)
-        rest, x = _particular(field, y, e, inv, m)
-        x += [0] * (width - len(x))
-        return rest + [0] * (len(e) - 1 - len(rest)) + x[n + 1:], x
-
-    lc, xc = split(vc)
-    nc, zero = tuple(xc[:n + 1]), (0,) * (n + 1)
-    vadd, vscale = _vector_ops(field)
-    la, xa = split(va)
-    mu = _torus_restrict(field, None, zip(la, lc))
-    if mu == 0:
-        return None
-    if mu is None:
-        return None, tuple(xa[:n + 1]), nc, m
-    return mu, vadd(xa[:n + 1], vscale(field.inv(mu), nc)), zero, m
 
 
 def _kernel_basis(field, m, n):
@@ -834,68 +798,85 @@ def _check_unknowns(n):
                         "above the cap %d" % (n, n + 1, SOLVE_UNKNOWNS_CAP))
 
 
-def _level0_algebra(level, va, u, x, y, vc):
-    """A basis of the level-0 solutions (a, b, c, d) of
-    a*va - b*u + c*x*y + d*vc = 0 (mod N_D), the F_q-algebra V of a
-    stabilizer, kept if some c != 0 in it, else ()."""
-    field, modulus = level.field, level.modulus.packed_coeffs
-    size = len(modulus) - 1
-    cols4 = [tuple(col) + (0,) * (size - len(col)) for col in (
-        va, packed_mul(field, u, [field.neg(1)]),
-        _residue(field, x, y, modulus), vc)]
-    _, kernel = solve_affine(cols4, (0,) * size, field)
-    kernel = tuple(tuple(map(field.packed, vec)) for vec in kernel)
-    return kernel if any(vec[2] for vec in kernel) else ()
+class _Congruence:
+    """The system x*u = alpha*va + beta*vc (mod N_D), x of degree <= n, of
+    the packed first columns (a_dst, c_dst) of g_dst and (a_src, c_src) of
+    g_src: u = c_dst*c_src, va = -c_dst*a_src, vc = a_dst*c_src mod N_D
+    (`orbit_witness`).  A stabilizer is the pair (col, col); given as one
+    object, va = -vc and its parts are those of vc negated.  The
+    constructor runs what n does not change: one extended Euclid (e, (u/e)^-1
+    mod M and M), the particular parts x(y - y mod e) of va and vc, and the
+    rows y mod e of L(y), folded into the torus set mu.  `torus(n)` is the
+    level slice; `algebra()` solves the level-0 system on first use."""
 
+    __slots__ = ("level", "a_pair", "u", "va", "vc", "m", "xa", "xc", "mu",
+                 "_algebra")
 
-class _StabColumn:
-    """The column part of a stabilizer solve, which reads only N_D and the
-    first column (a, c) of the reduction g: with g_src = g_dst the system
-    is x*u = (beta - alpha)*vc for u = c*c and vc = a*c mod N_D, and one
-    extended Euclid gives M and, when e | vc, x(vc).  The level part
-    (`torus`) is a slice; the level-0 algebra is solved on first use."""
-
-    __slots__ = ("level", "a", "u", "vc", "m", "particular", "_algebra")
-
-    def __init__(self, level, g):
+    def __init__(self, level, dst, src):
         field, modulus = level.field, level.modulus.packed_coeffs
-        a, c = g.a.packed_coeffs, g.c.packed_coeffs
-        self.level, self.a = level, a
-        self.u, self.vc = (_residue(field, c, c, modulus),
-                           _residue(field, a, c, modulus))
+        (a_dst, c_dst), (a_src, c_src) = dst, src
+        self.level, self.a_pair = level, (a_dst, a_src)
+        self.u = _residue(field, c_dst, c_src, modulus)
+        self.vc = _residue(field, a_dst, c_src, modulus)
         e, inv, self.m = packed_gcd(field, self.u, modulus, cofactor=True)
-        rest, x = _particular(field, self.vc, e, inv, self.m)
-        # (na, nc) = (-x(vc), x(vc)) unpadded, or None when e does not
-        # divide vc
-        self.particular = None if rest else (tuple(map(field.neg, x)),
-                                             tuple(x))
+
+        def parts(y):
+            # (y mod e, x(y - y mod e)) for x(y) = (y/e)(u/e)^-1 mod M
+            quo, rest = packed_divmod(field, y, e)
+            return rest, packed_divmod(field, packed_mul(field, quo, inv),
+                                       self.m)[1]
+
+        rest_c, self.xc = parts(self.vc)
+        if dst is src:
+            self.va, rest_a, self.xa = ([field.neg(x) for x in y]
+                                        for y in (self.vc, rest_c, self.xc))
+        else:
+            self.va = _residue(field, packed_mul(field, c_dst, [field.neg(1)]),
+                               a_src, modulus)
+            rest_a, self.xa = parts(self.va)
+        self.mu = _torus_restrict(
+            field, None, itertools.zip_longest(rest_a, rest_c, fillvalue=0))
         self._algebra = None
 
     def torus(self, n):
-        """The torus map (mu, na, nc, M) at level n: all pairs, na =
-        -x(vc) and nc = x(vc), iff e | vc and deg x(vc) <= n, else the
-        scalar line with na = nc = 0, as only na + nc is read there."""
+        """The torus map (mu, na, nc, M) at level n, or None when no pair is
+        consistent.  y is in the span iff L(y) = (y mod e, the coefficients
+        of x(y - y mod e) above t^n) vanishes (module docstring), so the
+        rows above t^n cut mu.  All pairs have na = x(va), nc = x(vc); a
+        line alpha = mu*beta has na = x(va + vc/mu), nc = 0."""
+        _check_unknowns(n)
+        field, xa, xc = self.level.field, self.xa, self.xc
+        mu = _torus_restrict(field, self.mu, itertools.zip_longest(
+            xa[n + 1:], xc[n + 1:], fillvalue=0))
+        if mu == 0:
+            return None
         zero = (0,) * (n + 1)
-        if self.particular is None or len(self.particular[1]) > n + 1:
-            return 1, zero, zero, self.m
-        na, nc = self.particular
-        return None, na + zero[len(na):], nc + zero[len(nc):], self.m
+        na, nc = (tuple(x[:n + 1]) + zero[len(x):] for x in (xa, xc))
+        if mu is None:
+            return None, na, nc, self.m
+        vadd, vscale = _vector_ops(field)
+        return mu, vadd(na, vscale(field.inv(mu), nc)), zero, self.m
 
     def algebra(self):
-        """The level-0 algebra V (`_level0_algebra`), solved on first
-        use."""
+        """A basis of the level-0 solutions (a, b, c, d) of
+        a*va - b*u + c*a_dst*a_src + d*vc = 0 (mod N_D), kept if some c != 0
+        in it, else (): the F_q-algebra V of a stabilizer, or the space whose
+        units with c != 0 are the level-0 witnesses.  Solved on first use."""
         if self._algebra is None:
-            f = self.level.field
-            self._algebra = _level0_algebra(
-                self.level, packed_mul(f, self.vc, [f.neg(1)]), self.u,
-                self.a, self.a, self.vc)
+            field, modulus = self.level.field, self.level.modulus.packed_coeffs
+            size = len(modulus) - 1
+            cols4 = [tuple(col) + (0,) * (size - len(col)) for col in (
+                self.va, packed_mul(field, self.u, [field.neg(1)]),
+                _residue(field, *self.a_pair, modulus), self.vc)]
+            _, kernel = solve_affine(cols4, (0,) * size, field)
+            kernel = tuple(tuple(map(field.packed, vec)) for vec in kernel)
+            self._algebra = kernel if any(vec[2] for vec in kernel) else ()
         return self._algebra
 
     def stabilizer(self, v, red):
-        """The descriptor of Stab(v), for the vertex v of reduction `red`,
-        whose g has this column."""
+        """The descriptor of Stab(v), for the vertex v of reduction `red`
+        whose g has the column of this (col, col) system."""
         n = red.level_n
-        _check_unknowns(n)
         return StabDescriptor(v, red.g, n, self.level, self.torus(n),
                               self.algebra() if n == 0 else ())
 
@@ -903,56 +884,39 @@ class _StabColumn:
 def stabilizer(v, level):
     """Descriptor of Stab_{H_D}(v), computed by the linear solver."""
     red = reduce_vertex(v)
-    return _StabColumn(level, red.g).stabilizer(v, red)
+    col = red.g.a.packed_coeffs, red.g.c.packed_coeffs
+    return _Congruence(level, col, col).stabilizer(v, red)
 
 
-def _witness_solution(level, red_src, red_dst):
-    """The torus map of {s : g_dst^-1 s g_src in H_D} and, at level 0 when
-    no torus pair is consistent, the algebra of its solutions
-    (`_level0_algebra`), whose units with c != 0 are the witnesses.
+def orbit_witness(level, red_src, red_dst):
+    """Some h in H_D with act(h, src) = dst, or None, given both
+    reductions: g_dst^-1 s g_src for the first s the solve finds
+    (`_conjugate`).  Levels must already agree.
 
     The condition is N_D | (g_dst^{-1} s g_src)[2,1].  With W = adj(g_dst)
     and (a, c) the first column of g_src, the entry of W s g_src is
     alpha*(W21*a) + beta*(W22*c) + b*(W21*c) for triangular s, plus the
     lower-row terms at level 0.  W = delta g_dst^{-1} with delta = det g_dst
     a unit, so N_D divides the entry of W s g_src iff it divides that of
-    g_dst^{-1} s g_src, and delta is never computed: W21 = -c_dst and
-    W22 = a_dst.
+    g_dst^{-1} s g_src, and W21 = -c_dst and W22 = a_dst give the system
+    of `_Congruence`.
     """
-    field = level.field
-    n = red_src.level_n
-    _check_unknowns(n)
-    modulus = level.modulus.packed_coeffs
-    c_dst, w22 = red_dst.g.c.packed_coeffs, red_dst.g.a.packed_coeffs
-    a, c = red_src.g.a.packed_coeffs, red_src.g.c.packed_coeffs
-    # b*(W21*c) + alpha*(W21*a) + beta*(W22*c) = 0 is x*u = alpha*va +
-    # beta*vc for u = c_dst*c, va = W21*a and vc = W22*c
-    u, vc = (_residue(field, c_dst, c, modulus),
-             _residue(field, w22, c, modulus))
-    va = _residue(field, packed_mul(field, c_dst, [field.neg(1)]), a, modulus)
-    torus = _torus_map(field, modulus, n, u, va, vc)
-    if torus or n > 0:
-        return torus, ()
-    # the ambient stabilizer is GL2(F_q)
-    return None, _level0_algebra(level, va, u, w22, a, vc)
-
-
-def orbit_witness(level, red_src, red_dst):
-    """Some h in H_D with act(h, src) = dst, or None, given both
-    reductions: g_dst^-1 s g_src for the first s the solve finds
-    (`_conjugate`).  Levels must already agree."""
-    field = level.field
-    torus, kernel = _witness_solution(level, red_src, red_dst)
+    field, n = level.field, red_src.level_n
+    dst = tuple(x.packed_coeffs for x in red_dst.g.entries())
+    src = dst if red_src is red_dst else tuple(
+        x.packed_coeffs for x in red_src.g.entries())
+    col = dst[::2]
+    system = _Congruence(level, col, col if src is dst else src[::2])
+    torus = system.torus(n)
     if torus:
         # the first pair: (1, 1), or (1, 1/mu) on the line alpha = mu*beta
         frame = _torus_frame(field, torus, 1, field.inv(torus[0] or 1))
     else:
-        frame = next(_level0_extras(field, kernel), None)
+        # at level 0 the ambient stabilizer is GL2(F_q)
+        frame = next(_level0_extras(field, system.algebra()), None) \
+            if n == 0 else None
         if frame is None:
             return None
-    dst = tuple(x.packed_coeffs for x in red_dst.g.entries())
-    src = dst if red_src is red_dst else tuple(
-        x.packed_coeffs for x in red_src.g.entries())
     # det g_dst is a constant, so A(0) D(0) - B(0) C(0)
     A0, B0, C0, D0 = (x[0] if x else 0 for x in dst)
     mul = field.mul

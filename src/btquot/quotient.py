@@ -1,10 +1,11 @@
 """Quotient graph of the tree under a Hecke congruence group.
 
-The quotient graph owns the one vertex-to-class lookup, `locate`, which
-only the build runs; it caches the class it found for every vertex it has
-looked up, and the vertex object, which keeps its own reduction
-(`hecke.reduce_vertex`).  Cusp certification and the graph of groups look
-nothing up: they read the classes and strands the build recorded.
+The quotient graph owns the one vertex-to-class lookup, the build's search,
+which `locate` runs too for a vertex not yet located.  One record per
+located vertex holds its class and the vertex object, which keeps its own
+reduction (`hecke.reduce_vertex`); `locate` forms the witness matrix only
+when asked.  Cusp certification and the graph of groups look nothing up:
+they read the classes and strands the build recorded.
 
 The build runs a breadth-first search over orbit classes starting from the
 class of the base vertex: each class representative contributes its q+1 tree
@@ -16,9 +17,9 @@ level, the torus pairs (mu) and the unipotent dimension above it
 (`class_key`), so the witness solves run only between classes that share
 it.  The stabilizer's congruence reads the reduction g only through its
 first column (a, c), which Nagao's g keeps along a cusp tail: the build
-solves it once per distinct column (`hecke._StabColumn`, kept in
-`columns`), not once per new vertex, and reads each vertex's torus map off
-that solve.  Classes and edges found at
+solves it once per distinct column (`hecke._Congruence` of the pair
+(column, column), kept in `columns`), not once per new vertex, and reads
+each vertex's torus map off that solve.  Classes and edges found at
 depth d are kept when the search is widened, so the output is a growing
 snapshot of the full quotient.  A class records its `parent`, the class
 whose expansion found it, and a strand its `end`, the vertex object
@@ -63,7 +64,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .algebra import packed_add, packed_mul
 from .btree import BallVertex, Matrix2
-from .hecke import (HeckeInconsistency, StabDescriptor, _cut, _StabColumn,
+from .hecke import (HeckeInconsistency, StabDescriptor, _Congruence, _cut,
                     _torus_restrict, orbit_witness, reduce_vertex)
 
 
@@ -154,12 +155,10 @@ class QuotientGraph:
     cusps: list = dc_field(default_factory=list)
     # class key -> ids of the classes with that key, in creation order
     buckets: dict = dc_field(default_factory=dict, repr=False)
-    # vertex key -> (class id, h in H_D with act(h, v) = rep(class id)); h
-    # is the identity for the representatives
+    # vertex key -> (class id, the vertex object located, which keeps its
+    # reduction)
     located: dict = dc_field(default_factory=dict, repr=False)
-    # vertex key -> the vertex object located, which keeps its reduction
-    vertices: dict = dc_field(default_factory=dict, repr=False)
-    # packed first column (a, c) of a reduction -> its `hecke._StabColumn`
+    # packed first column (a, c) -> the `hecke._Congruence` of (col, col)
     columns: dict = dc_field(default_factory=dict, repr=False)
 
     def class_by_id(self, cid):
@@ -174,33 +173,42 @@ class QuotientGraph:
         return {cid: sorted(d.items()) for cid, d in adj.items()}
 
     def locate(self, v):
-        """(class id, witness mapping v onto the class representative) for
-        the known class containing v, or None when no class does.
+        """(class id, witness h in H_D with act(h, v) = the class
+        representative) for the known class containing v, or None when no
+        class does.
 
-        The witness is sought only among the classes whose `class_key`
+        The class is sought only among the classes whose `class_key`
         equals the key of Stab(v).  The key is a class invariant and
         classes are distinct orbits, so at most one of them has a witness;
-        that class is the first one found.
+        that class is the first one found.  h is formed on demand: the
+        identity for a representative, else the `orbit_witness` of the
+        search that located v.
         """
         found = self.located.get(v.key())
         if found is None:
-            found, _, _ = self._search(v)
-        return found
+            found = self._search(v)[0]
+            if found is None:
+                return None
+        cid, w = found
+        cls = self.classes[cid]
+        if w is cls.representative:
+            return cid, Matrix2.identity(self.field)
+        return cid, orbit_witness(self.level, reduce_vertex(w),
+                                  cls.reduction)
 
     def _search(self, v):
-        """(the `locate` result, the reduction of v, Stab(v)) for a vertex
-        not yet located."""
+        """((class id, v) or None, the reduction of v, Stab(v)) for a vertex
+        not yet located; a found class is recorded in `located`."""
         red = reduce_vertex(v)
-        key = red.g.a.packed_coeffs, red.g.c.packed_coeffs
-        column = self.columns.get(key)
-        if column is None:
-            column = self.columns[key] = _StabColumn(self.level, red.g)
-        stab = column.stabilizer(v, red)
+        col = red.g.a.packed_coeffs, red.g.c.packed_coeffs
+        system = self.columns.get(col)
+        if system is None:
+            system = self.columns[col] = _Congruence(self.level, col, col)
+        stab = system.stabilizer(v, red)
         for cid in self.buckets.get(class_key(stab), ()):
-            h = orbit_witness(self.level, red, self.classes[cid].reduction)
-            if h is not None:
-                found = self.located[v.key()] = (cid, h)
-                self.vertices[v.key()] = v
+            if orbit_witness(self.level, red,
+                             self.classes[cid].reduction) is not None:
+                found = self.located[v.key()] = (cid, v)
                 return found, red, stab
         return None, red, stab
 
@@ -219,9 +227,8 @@ class QuotientGraph:
                 id=cid, representative=v, level_n=red.level_n, layer=layer,
                 parent=parent, stab=stab, reduction=red))
             self.buckets.setdefault(class_key(stab), []).append(cid)
-            found = self.located[v.key()] = (cid, Matrix2.identity(self.field))
-            self.vertices[v.key()] = v
-        return found[0], self.vertices[v.key()]
+            found = self.located[v.key()] = (cid, v)
+        return found
 
     def _expand(self, cls):
         v = cls.representative

@@ -451,11 +451,11 @@ class TestErrors:
         standard ray is caught by the frame labels: exit 3, not 2."""
         from btquot.algebra import RationalFunction
         from btquot.btree import Matrix2
-        from btquot.hecke import StabDescriptor, _StabColumn
-        stabilizer = _StabColumn.stabilizer
+        from btquot.hecke import StabDescriptor, _Congruence
+        stabilizer = _Congruence.stabilizer
 
-        def wrong_frame(column, v, red):
-            stab = stabilizer(column, v, red)
+        def wrong_frame(system, v, red):
+            stab = stabilizer(system, v, red)
             F = stab.field
             scale = Matrix2(RationalFunction.t_power(F, 1),
                             RationalFunction.zero(F),
@@ -463,7 +463,7 @@ class TestErrors:
             return StabDescriptor(v, scale @ stab.conjugator, stab.level_n,
                                   stab.level, stab.torus, stab.kernel)
 
-        monkeypatch.setattr(_StabColumn, "stabilizer", wrong_frame)
+        monkeypatch.setattr(_Congruence, "stabilizer", wrong_frame)
         code, out, err = run_cli(
             ["quotient", "--p", "2", "--level", "t", "--depth", "5"], capsys)
         assert code == 3 and out == ""
@@ -471,13 +471,14 @@ class TestErrors:
 
     @pytest.mark.parametrize("args,message", [
         (["reduce", "--p", "2", "--vertex", "r=1;a=%s*s^0" % ("1" * 5000)],
-         "coefficient of 5000 digits"),
+         "coefficient"),
         (["formula", "--p", "2", "--level", "%s*t" % ("1" * 5000)],
-         "coefficient of 5000 digits"),
+         "coefficient"),
         (["formula", "--p", "2", "--level", "t^" + "9" * 5000],
-         "multiplicity of 5000 digits"),
+         "multiplicity"),
         (["formula", "--p", "2", "--level", "t^%s+1" % ("9" * 5000)],
-         "exponent of 5000 digits"),
+         "exponent"),
+        (["formula", "--p", "2", "--level", "t^²"], "multiplicity"),
     ])
     def test_overlong_digit_strings_exit_2(self, args, message, capsys):
         """Digit strings longer than `int` reads are bad input, reported
@@ -491,8 +492,8 @@ class TestErrors:
         code, out, err = run_cli(["formula", "--p", "2", "--level", "t",
                                   "--pic-r-order", "abc"], capsys)
         assert (code, out) == (2, "")
-        assert "argument --pic-r-order: expected an integer or 'infinite'" \
-            in err
+        assert "argument --pic-r-order: invalid integer_or_infinite value: " \
+            "'abc'" in err
         code, out, _ = run_cli(["formula", "--p", "2", "--level", "t",
                                 "--pic-r-order", "infinite"], capsys)
         assert code == 0 and out.startswith("level=t q=2")

@@ -15,29 +15,35 @@ from btquot.quotient import build_quotient
 @pytest.fixture
 def counts(monkeypatch):
     """Counts of `_eliminate` and `solve_affine` calls, in total and by
-    the solve that makes them: a stabilizer column (`hecke._StabColumn`),
-    its level-0 algebra or a witness solve, at level 0 or above; and of
-    the columns, the witness solves and the columns whose algebra was
-    read."""
+    the part of a congruence system (`hecke._Congruence`) that makes them:
+    its constructor, its level slice `torus` or its level-0 `algebra`, for
+    a stabilizer column (the pair (col, col)) or a witness, the algebra
+    with the level of the system's last slice; and of the columns, the
+    witness systems and the columns whose algebra was read at level 0."""
     tally = {"eliminate": 0, "solve_affine": 0, "columns": 0,
              "witnesses": 0}
     level0_columns = tally["level0 columns"] = set()
-    inside = []   # the open solve
+    kinds = {}    # id of a system -> [column or witness, level of its slice]
+    inside = []   # the open part of a system
 
-    def opened(kind, fn, count=None):
-        def wrapper(*args):
-            if count:
-                tally[count] += 1
-            inside.append(kind(*args))
+    def opened(part, fn):
+        def wrapper(system, *args):
+            if part == "constructor":
+                kind = "column" if args[1] is args[2] else "witness"
+                tally["columns" if kind == "column" else "witnesses"] += 1
+                kinds[id(system)] = [kind, None]
+            elif part == "torus":
+                kinds[id(system)][1] = args[0]
+            kind, n = kinds[id(system)]
+            if part == "algebra" and kind == "column" and n == 0:
+                level0_columns.add(id(system))
+            inside.append((kind, part, n) if part == "algebra"
+                          else (kind, part))
             try:
-                return fn(*args)
+                return fn(system, *args)
             finally:
                 inside.pop()
         return wrapper
-
-    def algebra(column):
-        level0_columns.add(id(column))
-        return "algebra"
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -48,15 +54,10 @@ def counts(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    column = hecke._StabColumn
-    monkeypatch.setattr(column, "__init__", opened(
-        lambda *args: "column", column.__init__, "columns"))
-    monkeypatch.setattr(column, "torus", opened(
-        lambda *args: "column", column.torus))
-    monkeypatch.setattr(column, "algebra", opened(algebra, column.algebra))
-    monkeypatch.setattr(hecke, "_witness_solution", opened(
-        lambda level, src, dst: ("witness", src.level_n == 0),
-        hecke._witness_solution, "witnesses"))
+    system = hecke._Congruence
+    for part, name in (("constructor", "__init__"), ("torus", "torus"),
+                       ("algebra", "algebra")):
+        monkeypatch.setattr(system, name, opened(part, getattr(system, name)))
     for key in ("eliminate", "solve_affine"):
         name = "_" + key if key == "eliminate" else key
         monkeypatch.setattr(hecke, name, counted(key, getattr(hecke, name)))
@@ -70,19 +71,18 @@ def counts(monkeypatch):
 def test_one_elimination_per_system(counts, p, s, lvl, depth):
     """No elimination decides a torus map: every `_eliminate` call is the
     one inside a `solve_affine` call, each level-0 column makes exactly
-    one however many vertices share it, and no column part, torus map or
-    witness solve above level 0 makes any.  (The name dates from one
+    one however many vertices share it, and no constructor, level slice,
+    or algebra read above level 0 makes any.  (The name dates from one
     elimination per system.)"""
     level = hecke.parse_level(lvl, FieldSpec(p, s))
     build_quotient(level, depth)
     assert counts["columns"] + counts["witnesses"] > \
         len(counts["level0 columns"]) > 0
     assert counts["eliminate"] == counts["solve_affine"]
-    assert counts.get(("solve_affine", "algebra")) == \
+    assert counts.get(("solve_affine", ("column", "algebra", 0))) == \
         len(counts["level0 columns"])
-    assert not any(counts.get((key, where))
-                   for key in ("eliminate", "solve_affine")
-                   for where in ("column", ("witness", False)))
+    assert all(entry[1][1:] == ("algebra", 0) for entry in counts
+               if isinstance(entry, tuple))
 
 
 def test_stabilizer_counts_over_f9(counts):

@@ -799,8 +799,8 @@ class TestGeneratingSet:
         """`orbit_witness` forms g_dst^-1 s g_src as one combination per
         entry: the same matrix as the product of the three, on triangular
         witnesses and on level-0 ones with c != 0."""
-        from btquot.hecke import (_frame_matrix, _level0_extras,
-                                  _witness_solution, orbit_witness)
+        from btquot.hecke import (_Congruence, _frame_matrix,
+                                  _level0_extras, orbit_witness)
         rng = random.Random(41)
         lower = 0
         for field in ORACLE_FIELDS:
@@ -820,12 +820,13 @@ class TestGeneratingSet:
                 for v, h in pairs:
                     w = act(h, v)
                     red_v, red_w = reduce_vertex(v), reduce_vertex(w)
-                    torus, kernel = _witness_solution(lvl, red_v, red_w)
+                    system = _Congruence(lvl, column(red_w), column(red_v))
+                    torus = system.torus(red_v.level_n)
                     if torus:
                         (ai, bi), part, _ = expand_torus(field, torus)[0]
                         frame = (ai, part, 0, bi)
                     else:
-                        frame = next(_level0_extras(field, kernel))
+                        frame = next(_level0_extras(field, system.algebra()))
                         lower += 1
                     assert orbit_witness(lvl, red_v, red_w) == \
                         red_w.g.inverse() @ _frame_matrix(field, frame) \
@@ -865,8 +866,8 @@ class TestGeneratingSet:
                               (2,) + sd.torus[1:], ())
         with pytest.raises(HeckeInconsistency, match="torus pairs"):
             line.generator_frames()
-        torus = hecke._StabColumn.torus
-        monkeypatch.setattr(hecke._StabColumn, "torus",
+        torus = hecke._Congruence.torus
+        monkeypatch.setattr(hecke._Congruence, "torus",
                             lambda self, n: (2,) + torus(self, n)[1:])
         assert main(["stab", "--p", "3", "--level", "t",
                      "--vertex", "r=-2;a=0"]) == 3
@@ -892,6 +893,11 @@ def levels_up_to(field, degree):
     return [Level(field, factors) for factors in extend(0, degree, [])]
 
 
+def column(red):
+    """The packed first column (a, c) of the reduction's g."""
+    return red.g.a.packed_coeffs, red.g.c.packed_coeffs
+
+
 def reference_system(level, red_src, red_dst):
     """The congruence system of the pair of reductions as the elimination
     took it, from `Polynomial` arithmetic: the columns t^j*(-c_dst*c_src),
@@ -910,9 +916,10 @@ def reference_system(level, red_src, red_dst):
 
 
 class TestClosedFormSolve:
-    """The torus map read off e = gcd(c_dst*c_src, N_D) equals the one the
-    elimination of the system gives (`torus_blocks`), on every class of
-    every level of small degree and on seeded pairs of vertices."""
+    """The torus map read off e = gcd(c_dst*c_src, N_D) (`hecke._Congruence`)
+    equals the one the elimination of the system gives (`torus_blocks`), on
+    every class of every level of small degree, as the stabilizer system of
+    the pair (col, col), and on seeded pairs of vertices."""
 
     LEVELS = ((FieldSpec(2), 4), (FieldSpec(3), 3), (FieldSpec(2, 2), 2),
               (FieldSpec(5), 2))
@@ -949,7 +956,8 @@ class TestClosedFormSolve:
             for red in [cls.reduction for cls in Q.classes] + moved:
                 old = torus_blocks(*reference_system(level, red, red),
                                    field)
-                mu, na, nc, m = hecke._StabColumn(level, red.g).torus(
+                col = column(red)
+                mu, na, nc, m = hecke._Congruence(level, col, col).torus(
                     red.level_n)
                 new = mu, na, nc, hecke._kernel_basis(field, m, red.level_n)
                 assert new[0] == old[0] and new[3] == old[3], (level, red)
@@ -976,25 +984,20 @@ class TestClosedFormSolve:
         assert systems > 1000 and pairs > 2000, (systems, pairs)
 
     def check_witness_pair(self, level, src, dst, seen):
-        """The witness-mode torus map of (src, dst) against the reference:
+        """The torus map of the system of (dst, src) against the reference:
         mu and the kernel, the particular solutions for all pairs, and the
         one for the pair a witness uses on a line."""
         from btquot import hecke
         field, n = level.field, src.level_n
         columns, va, vc = reference_system(level, src, dst)
         old = torus_blocks(columns, va, vc, field)
-        new = hecke._witness_solution(level, src, dst)[0]
+        new = hecke._Congruence(level, column(dst), column(src)).torus(n)
         seen.update(self.kind(level, src, dst))
         if old is None:
             seen.add("no witness")
             assert new is None, (level, src, dst)
             return
-        modulus = level.modulus
-        packed = [(p % modulus).packed_coeffs for p in (
-            dst.g.c * src.g.c, -(dst.g.c * src.g.a), dst.g.a * src.g.c)]
-        mu, na, nc, m = hecke._torus_map(field, modulus.packed_coeffs, n,
-                                         *packed)
-        assert new == (mu, na, nc, m), (level, src, dst)
+        mu, na, nc, m = new
         assert mu == old[0], (level, src, dst)
         assert hecke._kernel_basis(field, m, n) == old[3], (level, src, dst)
         if mu is None:
@@ -1006,12 +1009,11 @@ class TestClosedFormSolve:
 
 class TestPackedPath:
     def test_solve_and_witness_make_no_polynomial(self, monkeypatch):
-        """The stabilizer column and the witness solve work on packed
-        coefficient lists: a column with its torus map and level-0 algebra,
-        and a witness solve, level 0 included, create no `Polynomial`; the
-        witness makes exactly its four entries."""
-        from btquot.hecke import (_StabColumn, _witness_solution,
-                                  orbit_witness)
+        """The congruence systems work on packed coefficient lists: a
+        stabilizer system (col, col) and a witness system, with their torus
+        maps and level-0 algebras, create no `Polynomial`; the witness makes
+        exactly its four entries."""
+        from btquot.hecke import _Congruence, orbit_witness
         made = []
         of, init = Polynomial.__dict__["_of"], Polynomial.__init__
 
@@ -1037,11 +1039,13 @@ class TestPackedPath:
         monkeypatch.setattr(Polynomial, "__init__", counted_init)
         found = 0
         for lvl, red_v, red_w in cases:
-            column = _StabColumn(lvl, red_v.g)
-            column.torus(red_v.level_n), column.algebra()
+            col = column(red_v)
+            stab = _Congruence(lvl, col, col)
+            stab.torus(red_v.level_n), stab.algebra()
             assert not made
-            blocks, kernel = _witness_solution(lvl, red_v, red_w)
-            assert not made and (blocks or kernel)
+            witness = _Congruence(lvl, column(red_w), col)
+            assert witness.torus(red_v.level_n) or witness.algebra()
+            assert not made
             found += orbit_witness(lvl, red_v, red_w) is not None
             assert len(made) == 4
             del made[:]

@@ -1,7 +1,7 @@
 """Call counts of the solves behind `QuotientGraph.locate` during a build:
-one stabilizer descriptor per reduced vertex, one congruence solve per
-distinct first column of the reductions, and witness solves only between
-vertices whose stabilizers have the same class key."""
+one stabilizer descriptor per reduced vertex, one stabilizer congruence
+system per distinct first column of the reductions, and witness solves only
+between vertices whose stabilizers have the same class key."""
 
 import pytest
 
@@ -13,8 +13,8 @@ from btquot.hecke import parse_level
 @pytest.fixture
 def tally(monkeypatch):
     """Counts of `reduce_vertex` calls made by the quotient module, of the
-    column solves (`hecke._StabColumn`) and of the descriptors built from
-    them, the first columns of the reductions, and the class keys of both
+    stabilizer systems (`hecke._Congruence` of a pair (col, col)) and of
+    the descriptors built from them, the first columns of the reductions, and the class keys of both
     sides of each `orbit_witness` call, looked up by the reductions the
     descriptors were built from (each vertex keeps its one reduction)."""
     out = {"reduce": 0, "columns": 0, "descriptors": 0, "firsts": set(),
@@ -27,9 +27,9 @@ def tally(monkeypatch):
         out["firsts"].add((red.g.a.packed_coeffs, red.g.c.packed_coeffs))
         return red
 
-    def column(self, level, g):
-        out["columns"] += 1
-        solve(self, level, g)
+    def column(self, level, dst, src):
+        out["columns"] += dst is src
+        solve(self, level, dst, src)
 
     def stabilizer(self, v, red):
         out["descriptors"] += 1
@@ -43,11 +43,11 @@ def tally(monkeypatch):
         return witness(level, red_src, red_dst)
 
     reduce, witness = quotient.reduce_vertex, quotient.orbit_witness
-    solve, describe = (hecke._StabColumn.__init__,
-                       hecke._StabColumn.stabilizer)
+    solve, describe = (hecke._Congruence.__init__,
+                       hecke._Congruence.stabilizer)
     monkeypatch.setattr(quotient, "reduce_vertex", reduce_vertex)
-    monkeypatch.setattr(hecke._StabColumn, "__init__", column)
-    monkeypatch.setattr(hecke._StabColumn, "stabilizer", stabilizer)
+    monkeypatch.setattr(hecke._Congruence, "__init__", column)
+    monkeypatch.setattr(hecke._Congruence, "stabilizer", stabilizer)
     monkeypatch.setattr(quotient, "orbit_witness", orbit_witness)
     return out
 
@@ -57,8 +57,8 @@ def tally(monkeypatch):
                                            (3, 2, "t", 4)])
 def test_one_stabilizer_per_vertex_and_keyed_witnesses(tally, p, s, lvl,
                                                        depth):
-    """One descriptor per reduced vertex, read off one column solve per
-    distinct first column of the reductions."""
+    """One descriptor per reduced vertex, read off one stabilizer system
+    per distinct first column of the reductions."""
     Q = quotient.build_quotient(parse_level(lvl, FieldSpec(p, s)), depth)
     assert tally["descriptors"] == tally["reduce"] >= len(Q.classes)
     assert tally["columns"] == len(tally["firsts"]) == len(Q.columns)

@@ -75,7 +75,7 @@ def test_graph_of_groups_reuses_the_build_reductions(monkeypatch):
     monkeypatch.setattr(hecke, "_nagao_reduction", counted)
     G = build_graph_of_groups(Q)
     assert runs == []
-    assert all(G.lifts[cid] is Q.vertices[G.lifts[cid].key()]
+    assert all(G.lifts[cid] is Q.located[G.lifts[cid].key()][1]
                for cid in G.lifts)
 
 

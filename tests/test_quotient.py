@@ -278,11 +278,13 @@ class TestClassKey:
         pair set {(1, 1)}, and the solver returns both forms (mu = 1 for a
         row (1, 1) past the rank): a descriptor built from either has the
         same key, order, pairs and generators."""
-        from btquot.hecke import StabDescriptor, _StabColumn
+        from btquot.hecke import StabDescriptor, _Congruence
         from btquot.quotient import class_key
         Q = build(FieldSpec(2), "t^2", 6)
-        mus = [_StabColumn(Q.level, c.reduction.g).torus(c.level_n)[0]
-               for c in Q.classes]
+        cols = [(c.reduction.g.a.packed_coeffs, c.reduction.g.c.packed_coeffs)
+                for c in Q.classes]
+        mus = [_Congruence(Q.level, col, col).torus(c.level_n)[0]
+               for c, col in zip(Q.classes, cols)]
         assert 1 in mus and None in mus
         for c in Q.classes:
             stab = c.stab

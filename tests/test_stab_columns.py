@@ -1,8 +1,10 @@
 """The build solves each stabilizer congruence once per first column (a, c)
-of the reductions (`hecke._StabColumn`), and a solver's descriptor keeps
-the modulus M of its unipotent space until its basis is read: each class's
-descriptor equals a fresh `hecke.stabilizer`, the columns are counted, and
-no kernel basis is built by the build or by certification."""
+of the reductions (`hecke._Congruence` of the pair (col, col)), and a
+solver's descriptor keeps the modulus M of its unipotent space until its
+basis is read: each class's descriptor equals a fresh `hecke.stabilizer`,
+the columns are counted, no kernel basis is built by the build or by
+certification, and the system of a column passed as one object equals the
+system of two equal but distinct column tuples."""
 
 import itertools
 
@@ -44,21 +46,38 @@ CENSUS_COLUMNS = [(2, "t", 10, 2), (2, "t;t+1", 12, 5), (2, "t^3", 12, 8),
                   (3, "t^2", 10, 4)]
 
 
+def check_shortcut(Q):
+    """On every column the build solved: the system of the pair (col, col),
+    which reads the parts of va off those of vc = -va, equals the system
+    of col and an equal but distinct tuple, which divides both, in every
+    field and in the torus map at each level up to the build's depth, and
+    their level-0 algebras are equal."""
+    for col in Q.columns:
+        same, full = (hecke._Congruence(Q.level, col, other)
+                      for other in (col, (col[0], col[1])))
+        assert [getattr(same, k) for k in same.__slots__] == \
+            [getattr(full, k) for k in full.__slots__], col
+        assert [same.torus(n) for n in range(Q.depth + 2)] == \
+            [full.torus(n) for n in range(Q.depth + 2)], col
+        assert same.algebra() == full.algebra(), col
+
+
 @pytest.fixture
 def solves(monkeypatch):
-    """Counts of the column solves and of the kernel bases built."""
+    """Counts of the column solves, the systems of a pair (col, col), and
+    of the kernel bases built."""
     out = {"columns": 0, "kernel bases": 0}
-    init, basis = hecke._StabColumn.__init__, hecke._kernel_basis
+    init, basis = hecke._Congruence.__init__, hecke._kernel_basis
 
-    def column(self, level, g):
-        out["columns"] += 1
-        init(self, level, g)
+    def column(self, level, dst, src):
+        out["columns"] += dst is src
+        init(self, level, dst, src)
 
     def kernel_basis(field, m, n):
         out["kernel bases"] += 1
         return basis(field, m, n)
 
-    monkeypatch.setattr(hecke._StabColumn, "__init__", column)
+    monkeypatch.setattr(hecke._Congruence, "__init__", column)
     monkeypatch.setattr(hecke, "_kernel_basis", kernel_basis)
     return out
 
@@ -73,7 +92,7 @@ def test_class_descriptors_equal_fresh_stabilizers(level):
     descriptor given the kernel basis, where `frame_orbits` reads the t^n
     coordinates of the vectors."""
     Q = build_quotient(level, 2 * level.degree + 4)
-    assert len(Q.columns) <= len(Q.vertices)
+    assert len(Q.columns) <= len(Q.located)
     for c in Q.classes:
         stab, fresh = c.stab, stabilizer(c.representative, level)
         summary = (stab.order, stab.unipotent_dim(), class_key(stab),
@@ -86,9 +105,11 @@ def test_class_descriptors_equal_fresh_stabilizers(level):
                            class_key(explicit), frame_orbits(explicit)), c.id
         assert (stab.conjugator, stab.torus, stab.kernel) == \
             (fresh.conjugator, fresh.torus, fresh.kernel), c.id
+        col = c.reduction.g.a.packed_coeffs, c.reduction.g.c.packed_coeffs
         assert stab.torus[3] == hecke._kernel_basis(
-            level.field, hecke._StabColumn(level, c.reduction.g).m,
+            level.field, hecke._Congruence(level, col, col).m,
             c.level_n), c.id
+    check_shortcut(Q)
 
 
 @pytest.mark.parametrize("q,lvl,depth,columns", CENSUS_COLUMNS)
@@ -102,5 +123,6 @@ def test_census_column_solves(solves, q, lvl, depth, columns):
         Q = build_quotient(level, depth)
         certify_cusps(Q)
         assert solves["columns"] == len(Q.columns) == columns
-        assert len(Q.vertices) > columns
+        assert len(Q.located) > columns
     assert solves["kernel bases"] == 0
+    check_shortcut(Q)
