@@ -828,14 +828,16 @@ class _Congruence:
 
         rest_c, self.xc = parts(self.vc)
         if dst is src:
-            self.va, rest_a, self.xa = ([field.neg(x) for x in y]
-                                        for y in (self.vc, rest_c, self.xc))
+            # the rows (-r, r) of L(va) = -L(vc) leave the scalar line
+            neg = field.neg
+            self.va, self.xa = list(map(neg, self.vc)), list(map(neg, self.xc))
+            self.mu = 1 if rest_c else None
         else:
             self.va = _residue(field, packed_mul(field, c_dst, [field.neg(1)]),
                                a_src, modulus)
             rest_a, self.xa = parts(self.va)
-        self.mu = _torus_restrict(
-            field, None, itertools.zip_longest(rest_a, rest_c, fillvalue=0))
+            self.mu = _torus_restrict(field, None, itertools.zip_longest(
+                rest_a, rest_c, fillvalue=0))
         self._algebra = None
 
     def torus(self, n):
@@ -845,17 +847,19 @@ class _Congruence:
         rows above t^n cut mu.  All pairs have na = x(va), nc = x(vc); a
         line alpha = mu*beta has na = x(va + vc/mu), nc = 0."""
         _check_unknowns(n)
-        field, xa, xc = self.level.field, self.xa, self.xc
-        mu = _torus_restrict(field, self.mu, itertools.zip_longest(
-            xa[n + 1:], xc[n + 1:], fillvalue=0))
+        field, xa, xc, mu = self.level.field, self.xa, self.xc, self.mu
+        if max(len(xa), len(xc)) > n + 1:
+            mu = _torus_restrict(field, mu, itertools.zip_longest(
+                xa[n + 1:], xc[n + 1:], fillvalue=0))
         if mu == 0:
             return None
+        if mu is not None:
+            xa = packed_add(field, xa, xc if mu == 1 else
+                            packed_mul(field, xc, [field.inv(mu)]))
+            xc = []
         zero = (0,) * (n + 1)
-        na, nc = (tuple(x[:n + 1]) + zero[len(x):] for x in (xa, xc))
-        if mu is None:
-            return None, na, nc, self.m
-        vadd, vscale = _vector_ops(field)
-        return mu, vadd(na, vscale(field.inv(mu), nc)), zero, self.m
+        return (mu, tuple(xa[:n + 1]) + zero[len(xa):],
+                tuple(xc[:n + 1]) + zero[len(xc):], self.m)
 
     def algebra(self):
         """A basis of the level-0 solutions (a, b, c, d) of
@@ -905,7 +909,7 @@ def orbit_witness(level, red_src, red_dst):
     dst = tuple(x.packed_coeffs for x in red_dst.g.entries())
     src = dst if red_src is red_dst else tuple(
         x.packed_coeffs for x in red_src.g.entries())
-    col = dst[::2]
+    col = dst[::2]   # the first column (a, c)
     system = _Congruence(level, col, col if src is dst else src[::2])
     torus = system.torus(n)
     if torus:
