@@ -1026,7 +1026,10 @@ def decimal_value(digits, what, src, at):
 
 
 def _packed_coefficient(digits, field, src, at):
-    value = decimal_value(digits, "coefficient", src, at)
+    try:
+        value = int(digits)   # every vertex term passes here
+    except ValueError:
+        value = decimal_value(digits, "coefficient", src, at)   # raises
     if value >= field.q:
         raise ParseError("coefficient %d out of range for q=%d"
                          % (value, field.q), src, at)

@@ -305,8 +305,7 @@ def main(argv=None):
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_USAGE
     except ValueError as exc:
-        # the package raises its own error classes for bad input, so any
-        # other ValueError is a fault of the program
+        # bad input raises the package's own classes: this is a fault
         sys.stderr.write("error: internal: %s\n" % exc)
         return EXIT_INCONSISTENT
 

@@ -792,12 +792,6 @@ def _residue(field, x, y, modulus):
     return packed_divmod(field, packed_mul(field, x, y), modulus)[1]
 
 
-def _check_unknowns(n):
-    if n + 1 > SOLVE_UNKNOWNS_CAP:
-        raise SizeError("the congruence solve at level %d has %d unknowns, "
-                        "above the cap %d" % (n, n + 1, SOLVE_UNKNOWNS_CAP))
-
-
 class _Congruence:
     """The system x*u = alpha*va + beta*vc (mod N_D), x of degree <= n, of
     the packed first columns (a_dst, c_dst) of g_dst and (a_src, c_src) of
@@ -823,14 +817,14 @@ class _Congruence:
         def parts(y):
             # (y mod e, x(y - y mod e)) for x(y) = (y/e)(u/e)^-1 mod M
             quo, rest = packed_divmod(field, y, e)
-            return rest, packed_divmod(field, packed_mul(field, quo, inv),
-                                       self.m)[1]
+            return rest, tuple(packed_divmod(
+                field, packed_mul(field, quo, inv), self.m)[1])
 
         rest_c, self.xc = parts(self.vc)
         if dst is src:
             # the rows (-r, r) of L(va) = -L(vc) leave the scalar line
             neg = field.neg
-            self.va, self.xa = list(map(neg, self.vc)), list(map(neg, self.xc))
+            self.va, self.xa = list(map(neg, self.vc)), tuple(map(neg, self.xc))
             self.mu = 1 if rest_c else None
         else:
             self.va = _residue(field, packed_mul(field, c_dst, [field.neg(1)]),
@@ -846,7 +840,9 @@ class _Congruence:
         of x(y - y mod e) above t^n) vanishes (module docstring), so the
         rows above t^n cut mu.  All pairs have na = x(va), nc = x(vc); a
         line alpha = mu*beta has na = x(va + vc/mu), nc = 0."""
-        _check_unknowns(n)
+        if n + 1 > SOLVE_UNKNOWNS_CAP:
+            raise SizeError("the congruence solve at level %d has %d unknowns,"
+                            " above the cap %d" % (n, n + 1, SOLVE_UNKNOWNS_CAP))
         field, xa, xc, mu = self.level.field, self.xa, self.xc, self.mu
         if max(len(xa), len(xc)) > n + 1:
             mu = _torus_restrict(field, mu, itertools.zip_longest(
@@ -854,12 +850,12 @@ class _Congruence:
         if mu == 0:
             return None
         if mu is not None:
-            xa = packed_add(field, xa, xc if mu == 1 else
-                            packed_mul(field, xc, [field.inv(mu)]))
-            xc = []
+            xa = tuple(packed_add(field, xa, xc if mu == 1 else
+                                  packed_mul(field, xc, [field.inv(mu)])))
+            xc = ()
         zero = (0,) * (n + 1)
-        return (mu, tuple(xa[:n + 1]) + zero[len(xa):],
-                tuple(xc[:n + 1]) + zero[len(xc):], self.m)
+        return (mu, xa[:n + 1] + zero[len(xa):], xc[:n + 1] + zero[len(xc):],
+                self.m)
 
     def algebra(self):
         """A basis of the level-0 solutions (a, b, c, d) of

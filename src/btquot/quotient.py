@@ -173,9 +173,8 @@ class QuotientGraph:
         return {cid: sorted(d.items()) for cid, d in adj.items()}
 
     def locate(self, v):
-        """(class id, witness h in H_D with act(h, v) = the class
-        representative) for the known class containing v, or None when no
-        class does.
+        """(class id, h in H_D with act(h, v) = the representative) for the
+        known class containing v, or None when no class does.
 
         The class is sought only among the classes whose `class_key`
         equals the key of Stab(v).  The key is a class invariant and
