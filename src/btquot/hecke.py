@@ -823,8 +823,8 @@ class _Congruence:
         rest_c, self.xc = parts(self.vc)
         if dst is src:
             # the rows (-r, r) of L(va) = -L(vc) leave the scalar line
-            neg = field.neg
-            self.va, self.xa = list(map(neg, self.vc)), tuple(map(neg, self.xc))
+            self.va = list(map(field.neg, self.vc))
+            self.xa = tuple(map(field.neg, self.xc))
             self.mu = 1 if rest_c else None
         else:
             self.va = _residue(field, packed_mul(field, c_dst, [field.neg(1)]),
@@ -841,8 +841,9 @@ class _Congruence:
         rows above t^n cut mu.  All pairs have na = x(va), nc = x(vc); a
         line alpha = mu*beta has na = x(va + vc/mu), nc = 0."""
         if n + 1 > SOLVE_UNKNOWNS_CAP:
-            raise SizeError("the congruence solve at level %d has %d unknowns,"
-                            " above the cap %d" % (n, n + 1, SOLVE_UNKNOWNS_CAP))
+            raise SizeError("the congruence solve at level %d has %d "
+                            "unknowns, above the cap %d"
+                            % (n, n + 1, SOLVE_UNKNOWNS_CAP))
         field, xa, xc, mu = self.level.field, self.xa, self.xc, self.mu
         if max(len(xa), len(xc)) > n + 1:
             mu = _torus_restrict(field, mu, itertools.zip_longest(

@@ -183,11 +183,9 @@ class QuotientGraph:
         identity for a representative, else the `orbit_witness` of the
         search that located v.
         """
-        found = self.located.get(v.key())
+        found = self.located.get(v.key()) or self._search(v)[0]
         if found is None:
-            found = self._search(v)[0]
-            if found is None:
-                return None
+            return None
         cid, w = found
         cls = self.classes[cid]
         if w is cls.representative:

@@ -2,8 +2,8 @@
 run in process through `btquot.cli.main`, and one sha256 per command of
 its exit code, stdout and stderr.
 
-    PYTHONPATH=src python tests/digest_sweep.py           # check every command
-    PYTHONPATH=src python tests/digest_sweep.py --write   # regenerate the golden
+    PYTHONPATH=src python tests/digest_sweep.py          # check every command
+    PYTHONPATH=src python tests/digest_sweep.py --write  # regenerate golden
 
 The set covers `quotient` (json, text, dot), `cusps`, `amalgam` (text,
 json), `stab` and `orbit` (some with `--brute-force`) and `reduce`: every

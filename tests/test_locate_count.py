@@ -14,9 +14,10 @@ from btquot.hecke import parse_level
 def tally(monkeypatch):
     """Counts of `reduce_vertex` calls made by the quotient module, of the
     stabilizer systems (`hecke._Congruence` of a pair (col, col)) and of
-    the descriptors built from them, the first columns of the reductions, and the class keys of both
-    sides of each `orbit_witness` call, looked up by the reductions the
-    descriptors were built from (each vertex keeps its one reduction)."""
+    the descriptors built from them, the first columns of the reductions,
+    and the class keys of both sides of each `orbit_witness` call, looked
+    up by the reductions the descriptors were built from (each vertex
+    keeps its one reduction)."""
     out = {"reduce": 0, "columns": 0, "descriptors": 0, "firsts": set(),
            "witness_keys": []}
     keys = {}   # id of a reduction -> class key of its stabilizer
