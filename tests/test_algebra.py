@@ -190,6 +190,21 @@ class TestPackedArithmetic:
                 assert x.inverse().to_int() == ref.inverse(a)
                 assert (x ** -3).to_int() == ref.power(ref.inverse(a), 3)
 
+    @pytest.mark.parametrize("field", ALL_FIELDS, ids=repr)
+    def test_field_ops_equal_coordinate_arithmetic(self, field):
+        """`FieldSpec.add`, `neg`, `mul` and `inv`, the operations the
+        package computes with, on every pair; inv(0) raises."""
+        ref = CoordinateField(field)
+        for a, b in itertools.product(range(field.q), repeat=2):
+            assert field.add(a, b) == ref.add(a, b), (a, b)
+            assert field.mul(a, b) == ref.mul(a, b), (a, b)
+        for a in range(field.q):
+            assert field.neg(a) == ref.neg(a), a
+            if a:
+                assert field.inv(a) == ref.inverse(a), a
+        with pytest.raises(AlgebraError, match="inversion of zero"):
+            field.inv(0)
+
     def test_polynomial_key_is_the_packed_coefficients(self):
         rng = random.Random(11)
         for field in ALL_FIELDS:
