@@ -5,8 +5,9 @@ Conventions used throughout the package:
 
   * an element of F_q, q = p^s, is its packed int v in 0..q-1, whose
     base-p digits (little-endian) are its coordinates in the polynomial
-    basis of the field modulus; `FieldElement` is the interned handle of v.
-    A prime field (s = 1) computes mod p and takes any p.  An extension
+    basis of the field modulus, and F_q arithmetic is `FieldSpec.add`,
+    `neg`, `mul` and `inv` on packed ints; `FieldElement` is the interned,
+    read-only handle of v.  A prime field (s = 1) computes mod p and takes any p.  An extension
     field (s >= 2) looks sums, negatives, products and inverses up in
     q x q tables built once per `FieldSpec` from the coordinate
     arithmetic, as the `galois` package (Hostetter) does; the tables cap
@@ -211,12 +212,6 @@ class FieldSpec:
             raise AlgebraError("prime field has no extension generator")
         return self.element(self.p)
 
-    def elements(self):
-        return [self.element(i) for i in range(self.q)]
-
-    def units(self):
-        return [self.element(i) for i in range(1, self.q)]
-
     def __eq__(self, other):
         return (isinstance(other, FieldSpec)
                 and (self.p, self.s, self.modulus)
@@ -233,9 +228,10 @@ class FieldElement:
     """Interned handle of the packed int `value` of an element of F_q.
 
     An element equals an element of an equal field with the same value, and
-    an int exactly when the int is its value; it hashes as its value.  Each
-    operator is one modular operation (prime field) or one table lookup
-    (extension field) on the values, and a lookup of the interned result.
+    an int exactly when the int is its value; it hashes as its value.  The
+    field computes on the values (`FieldSpec.add`, `neg`, `mul`, `inv`);
+    the one operator, `*`, is a product and a lookup of the interned
+    result, kept as the F_q kernel the benchmark times.
     """
 
     __slots__ = ("field", "value")
@@ -247,54 +243,14 @@ class FieldElement:
     def to_int(self):
         return self.value
 
-    def is_zero(self):
-        return not self.value
-
     def __bool__(self):
         return bool(self.value)
-
-    def __add__(self, other):
-        f, a = self.field, self.value
-        b = (other.value if type(other) is FieldElement
-             and other.field is f else f.packed(other))
-        return f._handles[(a + b) % f.p if f.s == 1 else f._add[a][b]]
-
-    def __neg__(self):
-        f, a = self.field, self.value
-        return f._handles[-a % f.p if f.s == 1 else f._neg[a]]
-
-    def __sub__(self, other):
-        f, a = self.field, self.value
-        b = (other.value if type(other) is FieldElement
-             and other.field is f else f.packed(other))
-        return f._handles[(a - b) % f.p if f.s == 1
-                          else f._add[a][f._neg[b]]]
 
     def __mul__(self, other):
         f, a = self.field, self.value
         b = (other.value if type(other) is FieldElement
              and other.field is f else f.packed(other))
         return f._handles[a * b % f.p if f.s == 1 else f._mul[a][b]]
-
-    def inverse(self):
-        f = self.field
-        return f._handles[f.inv(self.value)]
-
-    def __truediv__(self, other):
-        f = self.field
-        return f._handles[f.mul(self.value, f.inv(f.packed(other)))]
-
-    def __pow__(self, e):
-        f = self.field
-        base = f.inv(self.value) if e < 0 else self.value
-        e = abs(e)
-        out = 1
-        while e:
-            if e & 1:
-                out = f.mul(out, base)
-            base = f.mul(base, base)
-            e >>= 1
-        return f._handles[out]
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
@@ -475,7 +431,7 @@ def packed_combination(field, terms):
 class Polynomial:
     """Element of F_q[t]; packed_coeffs[i] is the packed int of the
     coefficient of t^i, trailing zeros stripped so the representation is
-    canonical.  `coeffs` and `leading` give `FieldElement`s.
+    canonical.  `coeffs` gives them as `FieldElement`s.
     """
 
     __slots__ = ("field", "packed_coeffs")
@@ -528,14 +484,6 @@ class Polynomial:
 
     def __bool__(self):
         return bool(self.packed_coeffs)
-
-    def is_constant(self):
-        return len(self.packed_coeffs) <= 1
-
-    def leading(self):
-        if not self.packed_coeffs:
-            raise AlgebraError("zero polynomial has no leading coefficient")
-        return self.field._handles[self.packed_coeffs[-1]]
 
     def is_monic(self):
         return bool(self.packed_coeffs) and self.packed_coeffs[-1] == 1

@@ -348,25 +348,21 @@ def _eliminate(rows, ncols, field):
 
 
 def solve_affine(columns, rhs, field):
-    """Solve sum_j x_j * columns[j] = rhs over F_q, entries given as field
-    elements or packed ints.
+    """Solve sum_j x_j * columns[j] = rhs over F_q, on packed ints.
 
     Returns (particular, kernel_basis) or (None, kernel_basis) when
-    inconsistent; vectors are tuples of field elements of length
-    len(columns).  With an empty equation list everything solves.
+    inconsistent; vectors are packed-int tuples of length len(columns).
+    With an empty equation list everything solves.
     """
     ncols = len(columns)
-    packed = field.packed
-    rows = [[packed(col[i]) for col in columns] + [packed(x)]
-            for i, x in enumerate(rhs)]
+    rows = [[col[i] for col in columns] + [x] for i, x in enumerate(rhs)]
     pivots, kernel = _eliminate(rows, ncols, field)
-    kernel = tuple(tuple(map(field.element, vec)) for vec in kernel)
     if any(row[ncols] for row in rows[len(pivots):]):
         return None, kernel
     part = [0] * ncols
     for row, col in zip(rows, pivots):
         part[col] = row[ncols]
-    return tuple(map(field.element, part)), kernel
+    return tuple(part), kernel
 
 
 def _torus_restrict(field, mu, rows):
@@ -662,7 +658,7 @@ class StabDescriptor:
         if mu is None or f.s == 1:
             return kb
         basis = list(kb)
-        omega = w = f.packed(f.generator())
+        omega = w = f.p   # the packed int of the generator g
         for _ in range(1, f.s):
             basis.extend(tuple(f.mul(w, x) for x in vec) for vec in kb)
             w = f.mul(w, omega)
@@ -870,7 +866,6 @@ class _Congruence:
                 self.va, packed_mul(field, self.u, [field.neg(1)]),
                 _residue(field, *self.a_pair, modulus), self.vc)]
             _, kernel = solve_affine(cols4, (0,) * size, field)
-            kernel = tuple(tuple(map(field.packed, vec)) for vec in kernel)
             self._algebra = kernel if any(vec[2] for vec in kernel) else ()
         return self._algebra
 

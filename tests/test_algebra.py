@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import time
@@ -111,8 +112,7 @@ class TestFieldSpec:
 
     def test_large_prime_accepted(self):
         F = FieldSpec(101)
-        a = F.element(57)
-        assert a * a.inverse() == F.one
+        assert F.mul(57, F.inv(57)) == 1
 
     def test_packed_encoding(self):
         # over F_4 the packed integer 2 is the generator g
@@ -146,16 +146,16 @@ class TestFieldSpec:
         t0 = time.perf_counter()
         F = FieldSpec(1000003)
         assert time.perf_counter() - t0 < 0.1
-        a = F.element(123456)
-        assert a * a.inverse() == F.one
-        assert a * F.element(1000002) == -a
-        assert (a / a) ** 5 == F.one
+        a = 123456
+        assert F.mul(a, F.inv(a)) == 1
+        assert F.mul(a, 1000002) == F.neg(a) == 1000003 - a
 
     def test_extension_field_cap(self):
         F = FieldSpec(2, 10, modulus=(1, 0, 0, 1) + (0,) * 6 + (1,))
         assert F.q == MAX_EXTENSION_Q
-        g = F.generator()
-        assert g ** (F.q - 1) == F.one and g * g.inverse() == F.one
+        g = F.generator().to_int()
+        assert functools.reduce(F.mul, [g] * (F.q - 1)) == 1
+        assert F.mul(g, F.inv(g)) == 1
         with pytest.raises(AlgebraError, match="q=10201"):
             FieldSpec(101, 2, modulus=(99, 0, 1))
         with pytest.raises(AlgebraError, match="q=2048"):
@@ -172,32 +172,16 @@ class TestPackedArithmetic:
     arithmetic is the reference."""
 
     @pytest.mark.parametrize("field", ALL_FIELDS, ids=repr)
-    def test_every_pair_equals_coordinate_arithmetic(self, field):
-        ref = CoordinateField(field)
-        for x, y in itertools.product(field.elements(), repeat=2):
-            a, b = x.to_int(), y.to_int()
-            assert (x + y).to_int() == ref.add(a, b)
-            assert (x - y).to_int() == ref.add(a, ref.neg(b))
-            assert (x * y).to_int() == ref.mul(a, b)
-            if b:
-                assert (x / y).to_int() == ref.mul(a, ref.inverse(b))
-        for x in field.elements():
-            a = x.to_int()
-            assert (-x).to_int() == ref.neg(a)
-            for e in range(field.q + 1):
-                assert (x ** e).to_int() == ref.power(a, e)
-            if a:
-                assert x.inverse().to_int() == ref.inverse(a)
-                assert (x ** -3).to_int() == ref.power(ref.inverse(a), 3)
-
-    @pytest.mark.parametrize("field", ALL_FIELDS, ids=repr)
     def test_field_ops_equal_coordinate_arithmetic(self, field):
         """`FieldSpec.add`, `neg`, `mul` and `inv`, the operations the
-        package computes with, on every pair; inv(0) raises."""
+        package computes with, and the handle product `*`, on every pair;
+        inv(0) raises."""
         ref = CoordinateField(field)
         for a, b in itertools.product(range(field.q), repeat=2):
             assert field.add(a, b) == ref.add(a, b), (a, b)
             assert field.mul(a, b) == ref.mul(a, b), (a, b)
+            product = field.element(a) * field.element(b)
+            assert product is field.element(ref.mul(a, b)), (a, b)
         for a in range(field.q):
             assert field.neg(a) == ref.neg(a), a
             if a:
@@ -212,7 +196,6 @@ class TestPackedArithmetic:
                 p = rand_poly(field, rng, max_deg=6)
                 assert p.key() == tuple(c.to_int() for c in p.coeffs)
                 assert all(isinstance(c, FieldElement) for c in p.coeffs)
-                assert p.is_zero() or p.leading() == p.coeffs[-1]
 
     def test_equal_fields_mix(self):
         A, B = FieldSpec(3, 2), FieldSpec(3, 2)
@@ -221,13 +204,12 @@ class TestPackedArithmetic:
             x, y = A.element(i), B.element(i)
             assert x == y and hash(x) == hash(y)
             assert x * B.element(5) == A.element(i) * A.element(5)
-            assert x + y == A.element(i) + A.element(i)
         pa, pb = Polynomial(A, [1, 2, 3]), Polynomial(B, [1, 2, 3])
         assert pa == pb and hash(pa) == hash(pb)
         assert pa * pb == pa * pa and (pa + pb) - pb == pa
         assert divmod(pa * pb, pb) == (pa, Polynomial.zero(A))
         with pytest.raises(AlgebraError):
-            F3.one + F9.one
+            F3.one * F9.one
         assert F3.one != F9.one
 
 
@@ -241,7 +223,7 @@ class TestElementEquality:
 
     def test_hash_is_the_hash_of_the_packed_value(self):
         for field in ALL_FIELDS:
-            for x in field.elements():
+            for x in map(field.element, range(field.q)):
                 assert hash(x) == hash(x.to_int())
         assert 1 in {F2.one} and F2.one in {1}
         assert {F9.element(5): "g+2"}[5] == "g+2"
@@ -249,32 +231,32 @@ class TestElementEquality:
 
 class TestFieldOps:
     def test_char_two(self):
-        assert (F2.one + F2.one).is_zero()
+        assert F2.add(1, 1) == 0
 
     def test_f4_generator_square(self):
-        g = F4.generator()
-        assert g * g == g + F4.one
+        g = F4.generator().to_int()
+        assert F4.mul(g, g) == F4.add(g, 1)
 
     def test_f5_inverse(self):
-        assert F5.element(2).inverse() == F5.element(3)
+        assert F5.inv(2) == 3
 
     def test_inversion_of_zero_raises(self):
         with pytest.raises(AlgebraError):
-            F3.zero.inverse()
+            F3.inv(0)
 
     def test_field_axioms_sampled(self):
         rng = random.Random(1)
         cases = 0
         for field in ALL_FIELDS:
-            elements = field.elements()
+            add, mul = field.add, field.mul
             for _ in range(30):
-                a, b, c = (rng.choice(elements) for _ in range(3))
-                assert (a + b) + c == a + (b + c)
-                assert a * (b + c) == a * b + a * c
-                assert (a * b) * c == a * (b * c)
-                assert a + (-a) == field.zero
+                a, b, c = (rng.randrange(field.q) for _ in range(3))
+                assert add(add(a, b), c) == add(a, add(b, c))
+                assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+                assert mul(mul(a, b), c) == mul(a, mul(b, c))
+                assert add(a, field.neg(a)) == 0
                 if a:
-                    assert a * a.inverse() == field.one
+                    assert mul(a, field.inv(a)) == 1
                 cases += 1
         assert cases >= 200
 

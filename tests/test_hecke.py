@@ -170,7 +170,7 @@ class TestReduce:
             assert red.level_n >= 0
             assert act(red.g, v) == BallVertex.standard(field, red.level_n)
             det = red.g.det()
-            assert det.is_polynomial() and det.num.is_constant() and det
+            assert det.is_polynomial() and det.num.degree == 0
             assert red.g.is_polynomial()
 
 
@@ -333,18 +333,16 @@ class TestBallNativeReduction:
 
 class TestSolveAffine:
     def test_unique_solution(self):
-        cols = [(F3.element(1), F3.element(0)), (F3.element(0), F3.element(1))]
-        part, kern = solve_affine(cols, (F3.element(2), F3.element(1)), F3)
-        assert part == (F3.element(2), F3.element(1)) and kern == ()
+        part, kern = solve_affine([(1, 0), (0, 1)], (2, 1), F3)
+        assert part == (2, 1) and kern == ()
 
     def test_inconsistent(self):
-        cols = [(F3.element(0), F3.element(0))]
-        part, kern = solve_affine(cols, (F3.element(1), F3.element(0)), F3)
-        assert part is None and len(kern) == 1
+        part, kern = solve_affine([(0, 0)], (1, 0), F3)
+        assert part is None and kern == ((1,),)
 
     def test_no_equations(self):
         part, kern = solve_affine([(), ()], (), F3)
-        assert part == (F3.zero, F3.zero) and len(kern) == 2
+        assert part == (0, 0) and kern == ((1, 0), (0, 1))
 
     def test_torus_blocks_equal_per_pair_solves(self):
         """One elimination of [columns | va | vc] gives, for every torus
@@ -373,14 +371,10 @@ class TestSolveAffine:
                                                    field.mul(bi, y)))
                                for x, y in zip(va, vc)]
                         part, kernel = solve_affine(columns, rhs, field)
-                        kernel = tuple(tuple(map(field.packed, k))
-                                       for k in kernel)
                         if part is None:
                             seen["inconsistent"] += 1
                             continue
-                        expected.append(((ai, bi),
-                                         tuple(map(field.packed, part)),
-                                         kernel))
+                        expected.append(((ai, bi), part, kernel))
                 seen["deficient"] += len(kernel) > max(ncols - nrows, 0)
                 seen["empty"] += nrows == 0
                 assert expand_torus(field, torus_blocks(
