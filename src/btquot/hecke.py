@@ -28,13 +28,15 @@ g_dst and g_src only through their first columns, and a stabilizer is the
 system of the pair (col, col), with u = c^2 and va = -vc = -a*c: its part
 that does not depend on n is one Euclid, which a build shares among the
 vertices of one column, and its level part is a slice at n.  A
-stabilizer's descriptor keeps M until the kernel basis is read.
+descriptor keeps its kernel as M and a top degree k <= n, the basis
+t^j - (t^j mod M) for deg M <= j <= k being built only when read.
 Elimination runs only on the homogeneous system of
 level 0 (`solve_affine`); the q^(n+3) enumeration is an oracle
 (`stabilizer_brute_force`, `orbit_equivalent_brute_force`) up to
 ENUMERATION_CAP elements.
 A span point is one vector add (`_span_points`); an edge group is the
-same data cut by one linear row (`_cut`).  At
+same data with a translation label fixed (top degree n - 1) or its torus
+pairs restricted, and a level-0 algebra cut by one linear row (`_cut`).  At
 level 0 the stabilizer is the unit group of the F_q-algebra V of solutions:
 its order comes from the type of V (`_level0_unit_group`), and its elements
 with c != 0 are walked only on demand (`_level0_extras`).
@@ -378,15 +380,16 @@ def _torus_restrict(field, mu, rows):
     return mu
 
 
-def _kernel_basis(field, m, n):
-    """t^j - (t^j mod M) for deg M <= j <= n, packed-int vectors of length
-    n + 1: the kernel of the columns t^j*u mod N for M = N/gcd(u, N).  The
-    low part -(t^j mod M) is t^(j - deg M) times that of M, mod M."""
+def _kernel_basis(field, m, k, n):
+    """t^j - (t^j mod M) for deg M <= j <= k, packed-int vectors of length
+    n + 1: for k = n the kernel of the columns t^j*u mod N for
+    M = N/gcd(u, N).  The low part -(t^j mod M) is t^(j - deg M) times that
+    of M, mod M."""
     dm = len(m) - 1
-    if dm > n:
+    if dm > k:
         return ()
     return tuple(low + (0,) * i + (1,) + (0,) * (n - dm - i) for i, low in
-                 enumerate(_mod_vectors(field, m[:dm], m, n + 1 - dm)))
+                 enumerate(_mod_vectors(field, m[:dm], m, k + 1 - dm)))
 
 
 def _torus_frame(field, torus, ai, bi):
@@ -507,11 +510,13 @@ class StabDescriptor:
     polynomials of degree <= n, for the torus pairs (alpha, beta): all of
     (F_q*)^2 for mu None, else the line alpha = mu*beta (`torus` =
     (mu, na, nc, kb) of packed ints; mu None at q = 2, where the two are
-    one set).  The solver passes the modulus M, a packed list, in place of
-    kb: its basis t^j - (t^j mod M), deg M <= j <= n (`_kernel_basis`), is
-    built on the first read of `torus`, and until then the order, the
-    unipotent dimension and the neighbor orbits read only its dimension
-    max(0, n + 1 - deg M).  At level 0 the ambient stabilizer is all of
+    one set).  kb is given by the modulus M, a packed list, and its top
+    degree k: it is t^j - (t^j mod M) for deg M <= j <= k (`_kernel_basis`),
+    k = n for a vertex group and n - 1 for an edge group cut by a
+    translation label (`quotient.frame_fixers`).  The basis is built on the
+    first read of `torus`; the order, the unipotent dimension and the
+    neighbor orbits read only its dimension max(0, k + 1 - deg M).  At
+    level 0 the ambient stabilizer is all of
     GL2(F_q), and the solutions form an F_q-algebra V; when some of them
     have a nonzero lower-left entry, `kernel` holds a basis of V, as
     packed-int tuples (a, b, c, d), and is empty otherwise.
@@ -529,21 +534,21 @@ class StabDescriptor:
     """
 
     __slots__ = ("base_vertex", "conjugator", "level_n", "level", "field",
-                 "torus_map", "_span", "_dim", "kernel", "_triangular",
-                 "_order", "_products")
+                 "torus_map", "m", "top", "_kb", "_dim", "kernel",
+                 "_triangular", "_order", "_products")
 
     def __init__(self, base_vertex, conjugator, level_n, level, torus,
-                 kernel):
+                 kernel, top=None):
         self.base_vertex = base_vertex
         self.conjugator = conjugator
         self.level_n = level_n
         self.level = level
         self.field = base_vertex.field
-        q, (mu, na, nc, span) = self.field.q, torus
+        q, (mu, na, nc, self.m) = self.field.q, torus
         self.torus_map = (None if q == 2 else mu, na, nc)
-        self._span = span
-        self._dim = (max(0, level_n + 2 - len(span)) if isinstance(span, list)
-                     else len(span))
+        self.top = level_n if top is None else top
+        self._kb = None
+        self._dim = max(0, self.top + 2 - len(self.m))
         self.kernel = tuple(kernel)
         # the elements with c = 0: q^dim kb for each torus pair
         self._triangular = (q - 1) ** (2 if self.torus_map[0] is None else 1) \
@@ -554,11 +559,12 @@ class StabDescriptor:
 
     @property
     def torus(self):
-        """(mu, na, nc, kb), kb built from M on the first read; the
+        """(mu, na, nc, kb), kb built from M and k on the first read; the
         `torus_map` (mu, na, nc) reads no kb."""
-        if isinstance(self._span, list):
-            self._span = _kernel_basis(self.field, self._span, self.level_n)
-        return self.torus_map + (self._span,)
+        if self._kb is None:
+            self._kb = _kernel_basis(self.field, self.m, self.top,
+                                     self.level_n)
+        return self.torus_map + (self._kb,)
 
     @property
     def order(self):
@@ -567,11 +573,9 @@ class StabDescriptor:
     def holds_translations(self):
         """Whether some vector of kb has a t^n coordinate, so that the
         group holds every translation of the labels of the neighbors
-        (`quotient.frame_orbits`).  The solver's basis has one iff it is
-        not empty: its last vector is t^n - (t^n mod M)."""
-        if isinstance(self._span, list):
-            return self._dim > 0
-        return any(vec[self.level_n] for vec in self._span)
+        (`quotient.frame_orbits`): only t^n - (t^n mod M) has one, the last
+        vector when k = n."""
+        return self.top == self.level_n and self._dim > 0
 
     def unipotent_dim(self):
         """log_q of the order of the largest normal unipotent subgroup, an

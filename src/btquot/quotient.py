@@ -65,7 +65,8 @@ from dataclasses import dataclass, field as dc_field
 from .algebra import packed_add, packed_mul
 from .btree import BallVertex, Matrix2
 from .hecke import (HeckeInconsistency, StabDescriptor, _Congruence, _cut,
-                    _torus_restrict, orbit_witness, reduce_vertex)
+                    _kernel_basis, _torus_restrict, _vector_ops,
+                    orbit_witness, reduce_vertex)
 
 
 class QuotientError(ValueError):
@@ -345,30 +346,31 @@ def frame_fixers(stab, w):
     """The edge group Stab(v) n Stab(w), v the vertex of `stab` and w a
     tree neighbor, as a `StabDescriptor` in the frame of v: the elements
     whose Moebius map fixes the label x of w, c = 0 for x = infinity and
-    c x^2 + (d - a) x - b_n = 0 else.  At c = 0, b_n = x (beta - alpha)
-    cuts na and nc by -x and x (`hecke._cut`), or the torus pairs
-    (`hecke._torus_restrict`) when no kernel vector moves b_n; a cut
-    level-0 kernel is kept only while some c != 0 in it.  No element is
+    c x^2 + (d - a) x - b_n = 0 else.  At c = 0, b_n = x (beta - alpha):
+    when the group holds translations, the one kernel vector with a t^n
+    coordinate, t^n - (t^n mod M), is dropped (top degree n - 1) and moves
+    na and nc to b_n = -x and x; else the row cuts the torus pairs
+    (`hecke._torus_restrict`).  A level-0 kernel is cut by its row
+    (`hecke._cut`) and kept only while some c != 0 in it.  No element is
     formed or listed."""
     x = _frame_label(stab, w)
     n, f = stab.level_n, stab.field
-    torus, kernel = stab.torus, ()
+    (mu, na, nc), top, kernel = stab.torus_map, stab.top, ()
     if x is not None:
-        mu, na, nc, kb = torus
-        if any(vec[n] for vec in kb):
-            row = tuple(int(i == n) for i in range(n + 1))
-            na, _ = _cut(f, na, kb, row, f.neg(x))
-            nc, kb = _cut(f, nc, kb, row, x)
+        if stab.holds_translations():
+            vadd, vscale = _vector_ops(f)
+            last, top = _kernel_basis(f, stab.m, n, n)[-1], n - 1
+            na = vadd(na, vscale(f.add(f.neg(x), f.neg(na[n])), last))
+            nc = vadd(nc, vscale(f.add(x, f.neg(nc[n])), last))
         else:
             mu = _torus_restrict(f, mu, [(f.add(na[n], x),
                                           f.add(nc[n], f.neg(x)))])
-        torus = mu, na, nc, kb
         if stab.kernel:
             row = (f.neg(x), f.neg(1), f.mul(x, x), x)
             _, kernel = _cut(f, (0,) * 4, stab.kernel, row, 0)
             kernel = kernel if any(vec[2] for vec in kernel) else ()
     return StabDescriptor(stab.base_vertex, stab.conjugator, n, stab.level,
-                          torus, kernel)
+                          (mu, na, nc, stab.m), kernel, top)
 
 
 def build_quotient(level, depth):

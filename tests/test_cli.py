@@ -461,7 +461,8 @@ class TestErrors:
                             RationalFunction.zero(F),
                             RationalFunction.zero(F), RationalFunction.one(F))
             return StabDescriptor(v, scale @ stab.conjugator, stab.level_n,
-                                  stab.level, stab.torus, stab.kernel)
+                                  stab.level, stab.torus_map + (stab.m,),
+                                  stab.kernel)
 
         monkeypatch.setattr(_Congruence, "stabilizer", wrong_frame)
         code, out, err = run_cli(

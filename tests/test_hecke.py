@@ -857,7 +857,7 @@ class TestGeneratingSet:
         sd = stabilizer(v, parse_level("t", F3))
         assert len(sd.torus_pairs()) == 4
         line = StabDescriptor(v, sd.conjugator, sd.level_n, sd.level,
-                              (2,) + sd.torus[1:], ())
+                              (2,) + sd.torus_map[1:] + (sd.m,), ())
         with pytest.raises(HeckeInconsistency, match="torus pairs"):
             line.generator_frames()
         torus = hecke._Congruence.torus
@@ -950,10 +950,9 @@ class TestClosedFormSolve:
             for red in [cls.reduction for cls in Q.classes] + moved:
                 old = torus_blocks(*reference_system(level, red, red),
                                    field)
-                col = column(red)
-                mu, na, nc, m = hecke._Congruence(level, col, col).torus(
-                    red.level_n)
-                new = mu, na, nc, hecke._kernel_basis(field, m, red.level_n)
+                col, n = column(red), red.level_n
+                mu, na, nc, m = hecke._Congruence(level, col, col).torus(n)
+                new = mu, na, nc, hecke._kernel_basis(field, m, n, n)
                 assert new[0] == old[0] and new[3] == old[3], (level, red)
                 if new[0] is None:
                     assert new[1:3] == old[1:3], (level, red)
@@ -993,7 +992,8 @@ class TestClosedFormSolve:
             return
         mu, na, nc, m = new
         assert mu == old[0], (level, src, dst)
-        assert hecke._kernel_basis(field, m, n) == old[3], (level, src, dst)
+        assert hecke._kernel_basis(field, m, n, n) == old[3], \
+            (level, src, dst)
         if mu is None:
             assert (na, nc) == old[1:3], (level, src, dst)
         else:

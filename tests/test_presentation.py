@@ -473,8 +473,8 @@ def reference_graph(Q):
     for cid in order:
         stab, (_, h) = Q.class_by_id(cid).stab, Q.locate(lifts[cid])
         stabs[cid] = StabDescriptor(lifts[cid], stab.conjugator @ h,
-                                    stab.level_n, Q.level, stab.torus,
-                                    stab.kernel)
+                                    stab.level_n, Q.level,
+                                    stab.torus_map + (stab.m,), stab.kernel)
     one = Matrix2.identity(Q.field)
     strands = [(parent[cid], cid, lifts[cid], one) for cid in order[1:]]
     for e, tree_carries_one in extra:

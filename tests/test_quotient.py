@@ -290,7 +290,8 @@ class TestClassKey:
             stab = c.stab
             line, full = (StabDescriptor(
                 stab.base_vertex, stab.conjugator, stab.level_n, Q.level,
-                (mu,) + stab.torus[1:], stab.kernel) for mu in (1, None))
+                (mu,) + stab.torus_map[1:] + (stab.m,), stab.kernel)
+                for mu in (1, None))
             assert class_key(line) == class_key(full) == class_key(stab)
             assert line.order == full.order == stab.order
             assert line.torus_pairs() == full.torus_pairs() == ((1, 1),)
@@ -635,7 +636,7 @@ def moved_descriptor(Q, c):
     stab = c.stab
     return StabDescriptor(act(m, c.representative),
                           stab.conjugator @ m.inverse(), stab.level_n,
-                          Q.level, stab.torus, stab.kernel)
+                          Q.level, stab.torus_map + (stab.m,), stab.kernel)
 
 
 class TestFrameOrbits:
@@ -770,8 +771,8 @@ class TestFrameOrbits:
         for c in Q.classes:
             stab = c.stab
             wrong = StabDescriptor(stab.base_vertex, scale @ stab.conjugator,
-                                   stab.level_n, Q.level, stab.torus,
-                                   stab.kernel)
+                                   stab.level_n, Q.level,
+                                   stab.torus_map + (stab.m,), stab.kernel)
             with pytest.raises(InconsistencyError):
                 frame_orbits(wrong)
 
@@ -789,8 +790,8 @@ class TestFrameOrbits:
             shift = Matrix2.translation(
                 Polynomial.t(Q.field).shift(stab.level_n + 1))
             wrong = StabDescriptor(stab.base_vertex, shift @ stab.conjugator,
-                                   stab.level_n, Q.level, stab.torus,
-                                   stab.kernel)
+                                   stab.level_n, Q.level,
+                                   stab.torus_map + (stab.m,), stab.kernel)
             with pytest.raises(InconsistencyError, match="singular"):
                 frame_orbits(wrong)
 
@@ -841,8 +842,9 @@ def test_closed_form_orbits_in_every_branch():
             for g in (m, Matrix2(one, one, low, one + low)):
                 v, st = act(g, c.representative), c.stab
                 stabs += [StabDescriptor(v, st.conjugator @ g.inverse(),
-                                         st.level_n, Q.level, st.torus,
-                                         st.kernel), stabilizer(v, Q.level)]
+                                         st.level_n, Q.level,
+                                         st.torus_map + (st.m,), st.kernel),
+                           stabilizer(v, Q.level)]
             for stab in stabs:
                 assert frame_orbits(stab) == orbit_partition_by_act(
                     stab.base_vertex.neighbors(), stab.generators()), \
@@ -859,7 +861,8 @@ class TestForgedDescriptors:
         from btquot.hecke import StabDescriptor
         return StabDescriptor(stab.base_vertex, stab.conjugator,
                               stab.level_n, stab.level,
-                              (mu, na) + stab.torus[2:], stab.kernel)
+                              (mu, na, stab.torus_map[2], stab.m),
+                              stab.kernel)
 
     def test_torus_line_off_the_identity(self):
         """The line alpha = 2*beta at q = 3 misses (1, 1)."""

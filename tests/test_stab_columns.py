@@ -12,7 +12,7 @@ import pytest
 
 from btquot import hecke
 from btquot.algebra import FieldSpec, Polynomial
-from btquot.hecke import Level, StabDescriptor, parse_level, stabilizer
+from btquot.hecke import Level, parse_level, stabilizer
 from btquot.quotient import (build_quotient, certify_cusps, class_key,
                              frame_orbits)
 
@@ -73,9 +73,9 @@ def solves(monkeypatch):
         out["columns"] += dst is src
         init(self, level, dst, src)
 
-    def kernel_basis(field, m, n):
+    def kernel_basis(field, m, k, n):
         out["kernel bases"] += 1
-        return basis(field, m, n)
+        return basis(field, m, k, n)
 
     monkeypatch.setattr(hecke._Congruence, "__init__", column)
     monkeypatch.setattr(hecke, "_kernel_basis", kernel_basis)
@@ -87,10 +87,9 @@ def solves(monkeypatch):
                               for lv in ORACLE_LEVELS])
 def test_class_descriptors_equal_fresh_stabilizers(level):
     """Each class's descriptor, read off the build's shared column, equals
-    `stabilizer` of its representative; its order, unipotent dimension,
-    class key and neighbor orbits, read from M, equal those of a
-    descriptor given the kernel basis, where `frame_orbits` reads the t^n
-    coordinates of the vectors."""
+    `stabilizer` of its representative, in its order, unipotent dimension,
+    class key and neighbor orbits, all read from M, and in its kernel
+    basis, built from M."""
     Q = build_quotient(level, 2 * level.degree + 4)
     assert len(Q.columns) <= len(Q.located)
     for c in Q.classes:
@@ -99,16 +98,12 @@ def test_class_descriptors_equal_fresh_stabilizers(level):
                    frame_orbits(stab))
         assert summary == (fresh.order, fresh.unipotent_dim(),
                            class_key(fresh), frame_orbits(fresh)), c.id
-        explicit = StabDescriptor(c.representative, fresh.conjugator,
-                                  c.level_n, level, fresh.torus, fresh.kernel)
-        assert summary == (explicit.order, explicit.unipotent_dim(),
-                           class_key(explicit), frame_orbits(explicit)), c.id
         assert (stab.conjugator, stab.torus, stab.kernel) == \
             (fresh.conjugator, fresh.torus, fresh.kernel), c.id
         col = c.reduction.g.a.packed_coeffs, c.reduction.g.c.packed_coeffs
         assert stab.torus[3] == hecke._kernel_basis(
             level.field, hecke._Congruence(level, col, col).m,
-            c.level_n), c.id
+            c.level_n, c.level_n), c.id
     check_shortcut(Q)
 
 
