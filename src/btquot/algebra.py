@@ -7,11 +7,14 @@ Conventions used throughout the package:
     base-p digits (little-endian) are its coordinates in the polynomial
     basis of the field modulus, and F_q arithmetic is `FieldSpec.add`,
     `neg`, `mul` and `inv` on packed ints; `FieldElement` is the interned,
-    read-only handle of v.  A prime field (s = 1) computes mod p and takes any p.  An extension
-    field (s >= 2) looks sums, negatives, products and inverses up in
-    q x q tables built once per `FieldSpec` from the coordinate
+    read-only handle of v.  A prime field (s = 1) computes mod p and takes
+    any prime p below 3.3e24, where primality is decided exactly.  An
+    extension field (s >= 2) looks sums, negatives, products and inverses
+    up in q x q tables built once per `FieldSpec` from the coordinate
     arithmetic, as the `galois` package (Hostetter) does; the tables cap
     q at MAX_EXTENSION_Q;
+  * a parsed exponent, and the degree of a level's modulus, is at most
+    MAX_DEGREE;
   * a `Polynomial` holds its coefficients as a tuple of packed ints, and
     F_q[t] arithmetic runs on lists of them (`packed_add`, `packed_mul`,
     `packed_divmod`, `packed_combination`), shared with `hecke`;
@@ -37,6 +40,11 @@ INF = math.inf
 # entries each, about a million at the cap.
 MAX_EXTENSION_Q = 1024
 
+# Largest exponent a parsed polynomial may hold, and largest degree of the
+# modulus N_D of a level (`hecke.Level`): F_q[t] values are dense lists, so
+# a larger one is refused before any list is allocated or product formed.
+MAX_DEGREE = 4096
+
 
 class AlgebraError(ValueError):
     pass
@@ -49,16 +57,36 @@ class ParseError(AlgebraError):
         self.text = text
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# below this bound (Sorenson and Webster, 2015)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n):
+    """Whether n is prime, by deterministic Miller-Rabin; AlgebraError for
+    n at or above _PRIME_BOUND, where the bases no longer decide."""
+    if n >= _PRIME_BOUND:
+        raise AlgebraError("characteristic %d is too large: primality is "
+                           "decided below %d" % (n, _PRIME_BOUND))
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in _PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    d, r = n - 1, 0
+    while not d & 1:
+        d, r = d >> 1, r + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -955,6 +983,9 @@ def parse_polynomial(text, field, var="t"):
                 exp = 1
             elif rest.startswith("^") and rest[1:].isdigit():
                 exp = decimal_value(rest[1:], "exponent", src, at)
+                if exp > MAX_DEGREE:
+                    raise ParseError("exponent %d is above the degree cap %d"
+                                     % (exp, MAX_DEGREE), src, at)
             else:
                 raise ParseError("bad exponent %r" % rest, src, at)
         out.extend([0] * (exp + 1 - len(out)))

@@ -59,7 +59,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .algebra import (AlgebraError, Polynomial, decimal_value,
+from .algebra import (MAX_DEGREE, AlgebraError, Polynomial, decimal_value,
                       format_polynomial, packed_add, packed_combination,
                       packed_divmod, packed_gcd, packed_mul, parse_polynomial)
 from .btree import BallVertex, Matrix2, act
@@ -120,6 +120,9 @@ class Level:
         prs.sort(key=lambda pm: (pm[0].degree, pm[0].key()))
         self.field = field
         self.primes = tuple(prs)
+        if self.degree > MAX_DEGREE:
+            raise HeckeError("level of degree %d is above the degree cap %d"
+                             % (self.degree, MAX_DEGREE))
         modulus = [1]
         for poly, mult in prs:
             for _ in range(mult):

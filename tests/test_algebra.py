@@ -1,14 +1,16 @@
 import functools
 import itertools
+import math
 import random
 import time
 
 import pytest
 
-from btquot.algebra import (INF, MAX_EXTENSION_Q, AlgebraError, FieldElement,
-                            FieldSpec, LaurentFragment, ParseError, Polynomial,
-                            RationalFunction, expand_at_infinity,
-                            expand_pair, format_polynomial, format_rational,
+from btquot.algebra import (INF, MAX_DEGREE, MAX_EXTENSION_Q, AlgebraError,
+                            FieldElement, FieldSpec, LaurentFragment,
+                            ParseError, Polynomial, RationalFunction,
+                            _is_prime, expand_at_infinity, expand_pair,
+                            format_polynomial, format_rational,
                             parse_fragment, parse_polynomial, parse_rational,
                             poly_gcd)
 
@@ -164,6 +166,47 @@ class TestFieldSpec:
         with pytest.raises(AlgebraError, match="q=2\\^1000000000"):
             FieldSpec(2, 10 ** 9)
         assert time.perf_counter() - t0 < 0.1
+
+
+class TestPrimality:
+    """`_is_prime` is Miller-Rabin with the first 13 primes as bases,
+    exact below 3.3e24, and refuses larger numbers."""
+
+    def test_equals_trial_division(self):
+        def by_trial_division(n):
+            return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+        for n in range(10 ** 4 + 1):
+            assert _is_prime(n) == by_trial_division(n), n
+
+    def test_carmichael_numbers_and_strong_pseudoprimes(self):
+        """Carmichael numbers fool the Fermat test to every coprime base;
+        the two strong pseudoprimes fool Miller-Rabin to the first 9 and
+        the first 12 prime bases."""
+        carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841,
+                      29341, 41041, 46657, 52633, 62745, 63973, 75361,
+                      101101, 115921, 126217, 162401, 172081, 188461,
+                      252601, 278545, 294409, 314821, 334153, 340561,
+                      399001, 410041, 449065, 488881, 512461, 9746347772161]
+        strong = {3825123056546413051: 149491,
+                  318665857834031151167461: 399165290221}
+        for n in carmichael:
+            assert all(pow(a, n - 1, n) == 1 for a in range(2, 50)
+                       if math.gcd(a, n) == 1), n
+            assert not _is_prime(n), n
+        for n, factor in strong.items():
+            assert n % factor == 0 and not _is_prime(n), n
+
+    def test_large_primes_answer_and_beyond_the_bound_raise(self):
+        t0 = time.perf_counter()
+        for p in (1000000000000000003, 2 ** 61 - 1, 2 ** 31 - 1):
+            assert _is_prime(p) and FieldSpec(p).q == p
+        assert not _is_prime(2 ** 61 + 1)
+        for p in (3317044064679887385961981, 2 ** 89 - 1, 10 ** 4000):
+            with pytest.raises(AlgebraError, match="primality is decided "
+                               "below 3317044064679887385961981"):
+                FieldSpec(p)
+        assert time.perf_counter() - t0 < 1.0
 
 
 class TestPackedArithmetic:
@@ -514,6 +557,18 @@ class TestParserPinning:
             cases.append(("2*t-t", two * t - t))
         for text, expected in cases:
             assert parse_polynomial(text, field) == expected, text
+
+    def test_exponent_cap(self):
+        """An exponent above MAX_DEGREE is refused before its dense list
+        is allocated."""
+        assert parse_polynomial("t^%d" % MAX_DEGREE, F2).degree == MAX_DEGREE
+        t0 = time.perf_counter()
+        for text in ("t^%d" % (MAX_DEGREE + 1), "t^1000000000000+1",
+                     "1+t^10000000000000000000000"):
+            with pytest.raises(ParseError, match="above the degree cap %d"
+                               % MAX_DEGREE):
+                parse_polynomial(text, F2)
+        assert time.perf_counter() - t0 < 1.0
 
     def test_repeated_terms_over_f2(self):
         t, one = Polynomial.t(F2), Polynomial.one(F2)

@@ -541,6 +541,36 @@ class TestErrors:
             ["formula", "--p", "1000003", "--level", "t"], capsys)
         assert code == 0 and "c_HD=2" in out
 
+    def test_large_characteristic_answers(self, capsys):
+        """Primality of --p is decided by Miller-Rabin, so a characteristic
+        of 19 digits answers at once, and one beyond the bound the bases
+        decide exits 2."""
+        t0 = time.perf_counter()
+        code, out, _ = run_cli(
+            ["formula", "--p", "1000000000000000003", "--level", "t"], capsys)
+        assert code == 0
+        assert out.splitlines()[:2] == ["level=t q=1000000000000000003",
+                                        "alpha=1"]
+        code, out, err = run_cli(
+            ["formula", "--p", str(2 ** 89 - 1), "--level", "t"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: characteristic %d is too large"
+                              % (2 ** 89 - 1))
+        assert time.perf_counter() - t0 < 1.0
+
+    @pytest.mark.parametrize("level", [
+        "t^99999999", "t^1000000000000+1", "t^10000000000000000000000+1"])
+    def test_huge_level_exponent_exits_2(self, level, capsys):
+        """An exponent or a level degree above the degree cap exits 2 with
+        a message that names the cap, before any product is formed."""
+        t0 = time.perf_counter()
+        code, out, err = run_cli(["formula", "--p", "2", "--level", level],
+                                 capsys)
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "above the degree cap 4096" in err
+        assert "Traceback" not in err
+
     def test_extension_field_cap(self, capsys):
         code, out, _ = run_cli(
             ["formula", "--p", "2", "--s", "10", "--modulus", "g^10+g^3+1",

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -116,6 +117,19 @@ class TestLevel:
 
     def test_degree(self):
         assert parse_level("t^3;t+1", F2).degree == 4
+
+    def test_degree_cap(self):
+        """A level of degree above MAX_DEGREE is refused before N_D is
+        formed, whether one multiplicity or the sum of several is too
+        large."""
+        from btquot.algebra import MAX_DEGREE
+        t0 = time.perf_counter()
+        for text in ("t^99999999", "t^%d" % (MAX_DEGREE + 1),
+                     "t^2048;(t+1)^2049", "t^%d" % 10 ** 100):
+            with pytest.raises(HeckeError, match="above the degree cap %d"
+                               % MAX_DEGREE):
+                parse_level(text, F2)
+        assert time.perf_counter() - t0 < 1.0
 
 
 class TestMembership:
