@@ -2,8 +2,10 @@
 run in process through `btquot.cli.main`, and one sha256 per command of
 its exit code, stdout and stderr.
 
-    PYTHONPATH=src python tests/digest_sweep.py          # check every command
-    PYTHONPATH=src python tests/digest_sweep.py --write  # regenerate golden
+    python tests/digest_sweep.py          # check every command
+    python tests/digest_sweep.py --write  # regenerate golden
+
+The script puts the checkout's `src` first on `sys.path` itself.
 
 The set covers `quotient` (json, text, dot), `cusps`, `amalgam` (text,
 json), `stab` and `orbit` (some with `--brute-force`) and `reduce`: every
@@ -24,6 +26,7 @@ import shlex
 import sys
 
 DIGESTS_GOLDEN = pathlib.Path(__file__).parent / "golden" / "digests.txt"
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 # (p, s) -> the levels swept over that field
 LEVELS = {
