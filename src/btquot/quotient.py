@@ -65,8 +65,8 @@ from dataclasses import dataclass, field as dc_field
 from .algebra import packed_add, packed_mul
 from .btree import BallVertex, Matrix2
 from .hecke import (HeckeInconsistency, StabDescriptor, _Congruence, _cut,
-                    _kernel_basis, _torus_restrict, _vector_ops,
-                    orbit_witness, reduce_vertex)
+                    _torus_restrict, _vector_ops, orbit_witness,
+                    reduce_vertex)
 
 
 class QuotientError(ValueError):
@@ -348,9 +348,9 @@ def frame_fixers(stab, w):
     whose Moebius map fixes the label x of w, c = 0 for x = infinity and
     c x^2 + (d - a) x - b_n = 0 else.  At c = 0, b_n = x (beta - alpha):
     when the group holds translations, the one kernel vector with a t^n
-    coordinate, t^n - (t^n mod M), is dropped (top degree n - 1) and moves
-    na and nc to b_n = -x and x; else the row cuts the torus pairs
-    (`hecke._torus_restrict`).  A level-0 kernel is cut by its row
+    coordinate, t^n - (t^n mod M), is dropped (top degree n - 1), and na
+    and nc move by multiples of it to b_n = -x and x; else the row cuts
+    the torus pairs (`hecke._torus_restrict`).  A level-0 kernel is cut by its row
     (`hecke._cut`) and kept only while some c != 0 in it.  No element is
     formed or listed."""
     x = _frame_label(stab, w)
@@ -359,7 +359,7 @@ def frame_fixers(stab, w):
     if x is not None:
         if stab.holds_translations():
             vadd, vscale = _vector_ops(f)
-            last, top = _kernel_basis(f, stab.m, n, n)[-1], n - 1
+            last, top = stab.torus[3][-1], n - 1
             na = vadd(na, vscale(f.add(f.neg(x), f.neg(na[n])), last))
             nc = vadd(nc, vscale(f.add(x, f.neg(nc[n])), last))
         else:
