@@ -519,10 +519,10 @@ class StabDescriptor:
     translation label (`quotient.frame_fixers`).  The basis is built on the
     first read of `torus`; the order, the unipotent dimension and the
     neighbor orbits read only its dimension max(0, k + 1 - deg M).  At
-    level 0 the ambient stabilizer is all of
-    GL2(F_q), and the solutions form an F_q-algebra V; when some of them
-    have a nonzero lower-left entry, `kernel` holds a basis of V, as
-    packed-int tuples (a, b, c, d), and is empty otherwise.
+    level 0 the ambient stabilizer is all of GL2(F_q), and the solutions
+    form an F_q-algebra V; when some of them have a nonzero lower-left
+    entry, `kernel` holds a basis of V, as packed-int tuples (a, b, c, d),
+    and is empty otherwise.
 
     With g = [[A, B], [C, D]] and delta = det g in F_q*, the entries of
     g^{-1} s g are F_q-linear in a, b, c, d, as (1,1) =
