@@ -13,8 +13,8 @@ Conventions used throughout the package:
     up in q x q tables built once per `FieldSpec` from the coordinate
     arithmetic, as the `galois` package (Hostetter) does; the tables cap
     q at MAX_EXTENSION_Q;
-  * a parsed exponent, and the degree of a level's modulus, is at most
-    MAX_DEGREE;
+  * a parsed exponent, of a polynomial or of a vertex term s^e (as |e|),
+    and the degree of a level's modulus, is at most MAX_DEGREE;
   * a `Polynomial` holds its coefficients as a tuple of packed ints, and
     F_q[t] arithmetic runs on lists of them (`packed_add`, `packed_mul`,
     `packed_divmod`, `packed_combination`), shared with `hecke`;
@@ -40,9 +40,10 @@ INF = math.inf
 # entries each, about a million at the cap.
 MAX_EXTENSION_Q = 1024
 
-# Largest exponent a parsed polynomial may hold, and largest degree of the
-# modulus N_D of a level (`hecke.Level`): F_q[t] values are dense lists, so
-# a larger one is refused before any list is allocated or product formed.
+# Largest exponent a parsed polynomial may hold, largest |e| of a parsed
+# vertex term s^e, and largest degree of the modulus N_D of a level
+# (`hecke.Level`): F_q[t] values and ball centers are dense lists, so a
+# larger one is refused before any list is allocated or product formed.
 MAX_DEGREE = 4096
 
 
@@ -1064,6 +1065,9 @@ def parse_fragment(text, field, cutoff):
             e = int(rest[2:])
         except ValueError:
             raise ParseError("bad exponent in %r" % raw, text, 0)
+        if abs(e) > MAX_DEGREE:
+            raise ParseError("exponent %d is outside the degree cap %d"
+                             % (e, MAX_DEGREE), text, 0)
         c = _packed_coefficient(cs, field, text, 0)
         if e in terms:
             raise ParseError("repeated exponent %d" % e, text, 0)

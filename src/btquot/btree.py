@@ -11,17 +11,19 @@ Neighbor convention: the parent of a vertex is the next larger ball
 (radius exponent r+1).  Valency is q+1.
 
 Group elements lie in GL2(F_q[t]) and are `Matrix2`s with `Polynomial`
-entries; F_q(t) appears only in lattice bases, where pi^r does.
+entries where a caller receives them; F_q(t) appears only in lattice
+bases, where pi^r does.
 
 The build, the certification and the presentation move no vertex with a
 matrix: `hecke.reduce_vertex` runs Nagao's moves tau_f and I on the exact
 center of the ball (Serre, Trees, II.1.6), on packed coefficient lists, and
 keeps the result on the vertex (`BallVertex._reduction`), so each vertex
-object is reduced once; the quotient build reads the labels of a vertex's
-neighbors off one residue matrix.  `act` forms the lattice basis
-g . (basis of v), a product over F_q(t), and canonicalizes it; it and
-`canonicalize` are the reference that the tests, the self-test and the
-brute-force oracle compare against.
+object is reduced once.  That result is the vertex's one frame: g as
+packed rows, and the residue matrix the moves induce on the neighbors,
+off which the quotient build reads their labels.  `act` forms the lattice
+basis g . (basis of v), a product over F_q(t), and canonicalizes it; it
+and `canonicalize` are the reference that the tests, the self-test and
+the brute-force oracle compare against.
 """
 
 from __future__ import annotations

@@ -12,8 +12,10 @@ triangular with a degree-n cap for n >= 1, all of GL2(F_q) for n = 0).
 The moves act on the ball a + pi^r*O itself: tau_f subtracts f from the
 center, and I maps it to 1/a + pi^(r-2m)*O with m = nu(a) < r (to
 B_0^{|-r|} for a ball holding 0), on the exact center P/t^K, so the reduction
-is Euclid's algorithm on (P, t^K) and never calls `act`.  Its result is
-kept on the vertex, so each vertex object is reduced once.
+is Euclid's algorithm on (P, t^K) and never calls `act`.  Its result,
+the vertex's one frame, holds g as packed rows and the residue matrix k
+that the moves induce on L_v/pi L_v, and is kept on the vertex, so each
+vertex object is reduced once.
 Whether a candidate lies in H_D is the congruence x*u = alpha*va +
 beta*vc (mod N_D) in the torus pair (alpha, beta) and b = x of degree
 <= n, u = c_dst*c_src, whose reduced echelon form is a closed form
@@ -49,8 +51,10 @@ its unipotent space and, at level 0, the extras that grow the orbit of
 infinity on P^1(F_q) (`StabDescriptor.generator_frames`).
 F_q[t] values stay packed coefficient lists from the reduction through
 the solve to the conjugation: `Polynomial` and `Matrix2` objects are made
-only for what a caller receives, the reduction's g, stabilizer elements
-and witnesses; the reduction's word stays packed.
+only for what a caller receives, stabilizer elements and witnesses, and
+for the reduction's g when it is read as a `Matrix2` (`ReductionResult.g`:
+the `reduce` command, `frame_of`, the witness check of the presentation
+and the brute-force oracles); the rows and the word stay packed.
 """
 
 from __future__ import annotations
@@ -123,10 +127,19 @@ class Level:
         if self.degree > MAX_DEGREE:
             raise HeckeError("level of degree %d is above the degree cap %d"
                              % (self.degree, MAX_DEGREE))
+        # P^(q^j) = P(t^(q^j)) over F_q, so each base-q digit d of a
+        # multiplicity multiplies d times by one spread of P: one shifted
+        # copy of the product per term of P
         modulus = [1]
         for poly, mult in prs:
-            for _ in range(mult):
-                modulus = packed_mul(field, modulus, poly.packed_coeffs)
+            terms = [(i, c) for i, c in enumerate(poly.packed_coeffs) if c]
+            step = 1
+            while mult:
+                mult, digit = divmod(mult, field.q)
+                for _ in range(digit):
+                    modulus = packed_combination(field, [
+                        (c, [0] * (i * step) + modulus) for i, c in terms])
+                step *= field.q
         self.modulus = Polynomial._of(field, modulus)
         self._key = tuple((p.key(), m) for p, m in prs)
 
@@ -210,15 +223,26 @@ def is_member(g, level):
 
 @dataclass(frozen=True)
 class ReductionResult:
+    """Nagao's reduction of a vertex v, the one frame v is read in: the
+    level n of v_n, the word, the packed rows (A, B, C, D) of g and its
+    residue matrix k (`reduce_vertex`), packed ints (k11, k12, k21, k22);
+    `g` is the `Matrix2` of the rows, made on its first read."""
     level_n: int
     word: tuple
-    g: Matrix2
+    rows: tuple
+    link: tuple
+    field: object
+
+    @functools.cached_property
+    def g(self):
+        return Matrix2(*(Polynomial._of(self.field, list(x))
+                         for x in self.rows))
 
 
 def reduce_vertex(v):
     """Reduce v to its standard-ray representative v_n = B_0^{|-n|}.
 
-    Returns (n, word, g) with g the composed word, entries in R and
+    Returns the `ReductionResult` of g, the composed word, entries in R and
     determinant in F_q*, such that act(g, v) = v_n.  The word alternates
     center-clearing translations tau_f, given by the packed list of f, with
     the inversion I, given by None; each I strictly shrinks the radius
@@ -232,6 +256,16 @@ def reduce_vertex(v):
     (P, t^K) stopped by the radius, so the cost does not depend on r.  g is
     composed by row operations over R; `act` is not called.
 
+    k, up to F_q*, maps the line (x : y) of L_v / pi L_v, the neighbor of v
+    that way, to the line of its image under g at v_n.  Each move carries
+    the lattice basis (x, 1), (pi^r, 0) of its ball to a multiple of the
+    next ball's basis mod pi, so k is a product, on the left, of one F_q
+    matrix per move: 1 for tau_f at r > 0, where the exact center moves
+    with the basis; diag(u, -1/u) for I off 0, u the pi^m coefficient of x,
+    m = nu(x); [[x_r, 1], [1, 0]] for I on a ball holding 0, x_r the pi^r
+    coefficient of x; and [[1, 0], [delta, 1]] for the clearing tau_f at
+    r <= 0, delta the t^-r coefficient of the untruncated quotient.
+
     The result is kept on v, so a vertex object is reduced once however
     often it is asked for.
     """
@@ -242,13 +276,14 @@ def reduce_vertex(v):
 
 
 def _nagao_reduction(v):
-    """The `reduce_vertex` loop on packed coefficient lists; the
-    `Polynomial` and `Matrix2` objects of g are made once, at the end."""
+    """The `reduce_vertex` loop on packed coefficient lists."""
     field = v.field
+    add, mul = field.add, field.mul
     neg_one = [field.neg(1)]
     moves = []   # f for each tau_f, None for each I
     # the rows of g = word[-1] @ ... @ word[0], over F_q[t]
     a, b, c, d = [1], [], [], [1]
+    k11, k12, k21, k22 = 1, 0, 0, 1
     num, k = v.center.fraction()
     den, r = [0] * k + [1], v.r
     while True:
@@ -256,6 +291,8 @@ def _nagao_reduction(v):
         if r <= 0:
             # the ball drops t^i for i <= -r; what is left of x lies in
             # pi^r O, so the center is cleared and the loop ends
+            delta = f[-r] if len(f) > -r else 0
+            k21, k22 = add(k21, mul(delta, k11)), add(k22, mul(delta, k12))
             f = [0] * (1 - r) + f[1 - r:] if len(f) > 1 - r else []
         if f:
             moves.append(f)
@@ -267,13 +304,19 @@ def _nagao_reduction(v):
         moves.append(None)
         a, b, c, d = c, d, a, b
         m = len(den) - len(num)
+        u = mul(num[-1], field.inv(den[-1])) if num else 0
         if not num or m >= r:
+            x_r = u if m == r else 0
+            k11, k12, k21, k22 = (add(mul(x_r, k11), k21),
+                                  add(mul(x_r, k12), k22), k11, k12)
             num, den, r = [], [1], -r
         else:
+            w = field.neg(field.inv(u))
+            k11, k12, k21, k22 = mul(u, k11), mul(u, k12), mul(w, k21), \
+                mul(w, k22)
             num, den, r = den, num, r - 2 * m
-    of = Polynomial._of
-    return ReductionResult(-r, tuple(moves), Matrix2(
-        of(field, a), of(field, b), of(field, c), of(field, d)))
+    return ReductionResult(-r, tuple(moves), tuple(map(tuple, (a, b, c, d))),
+                           (k11, k12, k21, k22), field)
 
 
 # ---------------------------------------------------------------------------
@@ -440,20 +483,11 @@ def _span_points(basis, field, origin=None):
 # stabilizers
 
 
-def _frame_matrix(field, frame):
-    """The frame element s = [[a, b], [c, d]] of the frame data
-    (a, b, c, d): packed ints, b as its packed coefficient vector."""
-    a, bvec, c, d = frame
-    return Matrix2(Polynomial.constant(field, a), Polynomial(field, bvec),
-                   Polynomial.constant(field, c),
-                   Polynomial.constant(field, d))
-
-
 def ray_frame(s, n):
     """The frame data (a, b, c, d) of s, b padded to n + 1 coefficients,
     for s over R with determinant in F_q*; None when s lies outside
     Stab(v_n), which by Nagao's theorem asks a, c and d constant, c = 0
-    when n >= 1, and deg b <= n.  The inverse of `_frame_matrix`."""
+    when n >= 1, and deg b <= n: the inverse of forming s from them."""
     a, b, c, d = (x.num.packed_coeffs for x in s.entries())
     if not s.is_polynomial() or len(a) > 1 or len(c) > (n == 0) \
             or len(d) > 1 or len(b) > n + 1:
@@ -504,7 +538,8 @@ def moebius_orbit(field, maps, x):
 
 
 class StabDescriptor:
-    """Compact description of Stab_{H_D}(v).
+    """Compact description of Stab_{H_D}(v), in the frame of the
+    `ReductionResult` of v.
 
     Elements are g^{-1} s g for the reduction g of v, each given by the
     frame data (a, b, c, d) of s = [[a, b], [c, d]]: packed ints, b as its
@@ -524,11 +559,11 @@ class StabDescriptor:
     entry, `kernel` holds a basis of V, as packed-int tuples (a, b, c, d),
     and is empty otherwise.
 
-    With g = [[A, B], [C, D]] and delta = det g in F_q*, the entries of
-    g^{-1} s g are F_q-linear in a, b, c, d, as (1,1) =
-    delta^{-1} (a AD - d BC - c AB + b CD) and (1,2) =
-    delta^{-1} ((a - d) BD - c BB + b DD) (`_conjugate`); the products of
-    entries of g are made once per descriptor, on first use.
+    With g = [[A, B], [C, D]], read off the packed rows of the reduction,
+    and delta = det g in F_q*, the entries of g^{-1} s g are F_q-linear in
+    a, b, c, d, as (1,1) = delta^{-1} (a AD - d BC - c AB + b CD) and
+    (1,2) = delta^{-1} ((a - d) BD - c BB + b DD) (`_conjugate`); the
+    products of entries of g are made once per descriptor, on first use.
 
     Conjugation by g is a group isomorphism, so products and orders of
     elements are taken on their frame data (`frame_product`,
@@ -536,15 +571,15 @@ class StabDescriptor:
     element; `frame_of` reads the frame data back off an element.
     """
 
-    __slots__ = ("base_vertex", "conjugator", "level_n", "level", "field",
+    __slots__ = ("base_vertex", "reduction", "level_n", "level", "field",
                  "torus_map", "m", "top", "_kb", "_dim", "kernel",
                  "_triangular", "_order", "_products")
 
-    def __init__(self, base_vertex, conjugator, level_n, level, torus,
-                 kernel, top=None):
+    def __init__(self, base_vertex, reduction, level, torus, kernel,
+                 top=None):
         self.base_vertex = base_vertex
-        self.conjugator = conjugator
-        self.level_n = level_n
+        self.reduction = reduction
+        self.level_n = level_n = reduction.level_n
         self.level = level
         self.field = base_vertex.field
         q, (mu, na, nc, self.m) = self.field.q, torus
@@ -607,7 +642,7 @@ class StabDescriptor:
         and keeps AD and BC as the first two products."""
         f = self.field
         if self._products is None:
-            g = tuple(x.packed_coeffs for x in self.conjugator.entries())
+            g = self.reduction.rows
             ad, bc = packed_mul(f, g[0], g[3]), packed_mul(f, g[1], g[2])
             det = packed_add(f, ad, packed_mul(f, bc, [f.neg(1)]))
             if len(det) != 1:
@@ -620,7 +655,7 @@ class StabDescriptor:
     def frame_of(self, h):
         """The frame data of s = g h g^{-1} (`ray_frame`): the inverse of
         `element`, and None unless h fixes the vertex."""
-        g = self.conjugator
+        g = self.reduction.g
         return ray_frame(g @ h @ g.inverse(), self.level_n)
 
     def identity_frame(self):
@@ -880,14 +915,14 @@ class _Congruence:
         """The descriptor of Stab(v), for the vertex v of reduction `red`
         whose g has the column of this (col, col) system."""
         n = red.level_n
-        return StabDescriptor(v, red.g, n, self.level, self.torus(n),
+        return StabDescriptor(v, red, self.level, self.torus(n),
                               self.algebra() if n == 0 else ())
 
 
 def stabilizer(v, level):
     """Descriptor of Stab_{H_D}(v), computed by the linear solver."""
     red = reduce_vertex(v)
-    col = red.g.a.packed_coeffs, red.g.c.packed_coeffs
+    col = red.rows[::2]
     return _Congruence(level, col, col).stabilizer(v, red)
 
 
@@ -905,9 +940,7 @@ def orbit_witness(level, red_src, red_dst):
     of `_Congruence`.
     """
     field, n = level.field, red_src.level_n
-    dst = tuple(x.packed_coeffs for x in red_dst.g.entries())
-    src = dst if red_src is red_dst else tuple(
-        x.packed_coeffs for x in red_src.g.entries())
+    dst, src = red_dst.rows, red_src.rows
     col = dst[::2]   # the first column (a, c)
     system = _Congruence(level, col, col if src is dst else src[::2])
     torus = system.torus(n)

@@ -406,7 +406,7 @@ def _check_witness(G, e):
     that is whether g' g_y g^-1 fixes v_n, read by `ray_frame`; no vertex
     is moved."""
     stab = G.vertex_stabs[e.dst]
-    s = reduce_vertex(e.lift_dst).g @ e.g_y @ stab.conjugator.inverse()
+    s = reduce_vertex(e.lift_dst).g @ e.g_y @ stab.reduction.g.inverse()
     if ray_frame(s, stab.level_n) is None:
         raise PresentationInconsistency(
             "witness g_y of a non-tree edge from class %d does not map the "

@@ -29,8 +29,9 @@ tree (`presentation`).
 
 The orbits are taken in the frame of the standard ray.  The reduction g of
 v maps it to v_n, so Stab(v) = g^-1 S g acts on the neighbors of v, the
-lines of F_q^2, as S on their images under one residue matrix k
-(`_link_matrix`), labelled by P^1(F_q): v_{n+1} is infinity and the child
+lines of F_q^2, as S on their images under one residue matrix k, which
+the reduction reads off its moves (`hecke.ReductionResult.link`),
+labelled by P^1(F_q): v_{n+1} is infinity and the child
 c t^n + t^(n-1) O of v_n is c.  S fixes a set F of labels, read off the
 solver's data, and is transitive on the rest, so the orbits are the points
 of F and one orbit of the others, and one neighbor is built per orbit
@@ -62,7 +63,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dc_field
 
-from .algebra import packed_add, packed_mul
 from .btree import BallVertex, Matrix2
 from .hecke import (HeckeInconsistency, StabDescriptor, _Congruence, _cut,
                     _torus_restrict, _vector_ops, orbit_witness,
@@ -198,7 +198,7 @@ class QuotientGraph:
         """((class id, v) or None, the reduction of v, Stab(v)) for a vertex
         not yet located; a found class is recorded in `located`."""
         red = reduce_vertex(v)
-        col = red.g.a.packed_coeffs, red.g.c.packed_coeffs
+        col = red.rows[::2]
         system = self.columns.get(col)
         if system is None:
             system = self.columns[col] = _Congruence(self.level, col, col)
@@ -241,48 +241,6 @@ class QuotientGraph:
 # stabilizer action on the neighbors, in the frame of v_n
 
 
-def _link_matrix(stab):
-    """The residue matrix k of the frame g = stab.conjugator at the vertex
-    v = B(a, r) of `stab`, packed ints (k11, k12, k21, k22).
-
-    With the lattice bases B_v = [[a, pi^r], [1, 0]] of v and
-    B_n = [[0, pi^-n], [1, 0]] of v_n, g B_v = B_n M for
-    M = B_n^-1 g B_v = [[C a + D, C pi^r], [pi^n (A a + B), A pi^(n+r)]],
-    g = [[A, B], [C, D]] and a = P/t^K the exact center.  g maps v to v_n
-    iff M is a scalar times an element of GL2(O); then k is M scaled by its
-    least valuation and reduced mod pi, and the neighbor of v on the line
-    (x : y) of L_v / pi L_v goes to the neighbor of v_n on the line
-    k (x, y).  A singular k shows that g does not map v to v_n, and a g
-    outside GL2(F_q[t]) with det g in F_q* is no frame at all.
-    """
-    v, n, g = stab.base_vertex, stab.level_n, stab.conjugator
-    if not g.is_polynomial():
-        raise InconsistencyError(
-            "the frame of vertex %s is not a reduction: %r has a "
-            "non-polynomial entry" % (v.to_text(), g))
-    f = stab.field
-    A, B, C, D = (x.num.packed_coeffs for x in g.entries())
-    minus_bc = packed_mul(f, packed_mul(f, B, C), [f.neg(1)])
-    if len(packed_add(f, packed_mul(f, A, D), minus_bc)) != 1:
-        raise InconsistencyError(
-            "the frame of vertex %s is not a reduction: the determinant of "
-            "%r is not a nonzero constant" % (v.to_text(), g))
-    num, K = v.center.fraction()
-    pad, r = (0,) * K, v.r
-    top = packed_add(f, packed_mul(f, C, num), D and pad + D)
-    low = packed_add(f, packed_mul(f, A, num), B and pad + B)
-    # each entry of M as P pi^e, P packed, of valuation e - deg P
-    entries = ((top, K), (C, r), (low, n + K), (A, n + r))
-    least = min(e - len(P) for P, e in entries if P)
-    k11, k12, k21, k22 = (P[-1] if P and e - len(P) == least else 0
-                          for P, e in entries)
-    if f.mul(k11, k22) == f.mul(k12, k21):
-        raise InconsistencyError(
-            "the frame of vertex %s does not map it to v_%d: its residue "
-            "matrix is singular" % (v.to_text(), n))
-    return k11, k12, k21, k22
-
-
 def _neighbor_line(v, w):
     """The line (x : y) of L_v / pi L_v, packed ints, of the tree neighbor
     w of v: (0 : 1) for the parent and (1 : c) for the child whose center
@@ -301,7 +259,7 @@ def _neighbor_line(v, w):
 def _frame_label(stab, w):
     """The label of the tree neighbor w of the vertex of `stab`: for the
     image line k (x : y) of its line, None (v_{n+1}) if x = 0, else y/x."""
-    k11, k12, k21, k22 = _link_matrix(stab)
+    k11, k12, k21, k22 = stab.reduction.link
     f = stab.field
     add, mul = f.add, f.mul
     x, y = _neighbor_line(stab.base_vertex, w)
@@ -315,7 +273,7 @@ def frame_orbits(stab):
     the fixed labels F of the module docstring, each z the line adj(k)
     (1 : z), or adj(k) (0 : 1) for infinity (the parent (0 : 1) is index 0,
     the child (1 : c) 1 + c; k is nonsingular), and the rest."""
-    k11, k12, k21, k22 = _link_matrix(stab)
+    k11, k12, k21, k22 = stab.reduction.link
     f, q, n = stab.field, stab.field.q, stab.level_n
     add, mul, neg = f.add, f.mul, f.neg
     mu, na, nc = stab.torus_map
@@ -369,7 +327,7 @@ def frame_fixers(stab, w):
             row = (f.neg(x), f.neg(1), f.mul(x, x), x)
             _, kernel = _cut(f, (0,) * 4, stab.kernel, row, 0)
             kernel = kernel if any(vec[2] for vec in kernel) else ()
-    return StabDescriptor(stab.base_vertex, stab.conjugator, n, stab.level,
+    return StabDescriptor(stab.base_vertex, stab.reduction, stab.level,
                           (mu, na, nc, stab.m), kernel, top)
 
 

@@ -447,28 +447,43 @@ class TestErrors:
         assert run_cli(args, capsys)[0] == 2
 
     def test_internal_inconsistency_exit_3(self, capsys, monkeypatch):
-        """A stabilizer frame that does not map its vertex onto the
-        standard ray is caught by the frame labels: exit 3, not 2."""
-        from btquot.algebra import RationalFunction
-        from btquot.btree import Matrix2
+        """A stabilizer whose torus pairs are the line alpha = 2*beta,
+        which misses the identity, is caught by the neighbor orbits: exit
+        3, not 2."""
         from btquot.hecke import StabDescriptor, _Congruence
         stabilizer = _Congruence.stabilizer
 
-        def wrong_frame(system, v, red):
+        def forged_torus(system, v, red):
             stab = stabilizer(system, v, red)
-            F = stab.field
-            scale = Matrix2(RationalFunction.t_power(F, 1),
-                            RationalFunction.zero(F),
-                            RationalFunction.zero(F), RationalFunction.one(F))
-            return StabDescriptor(v, scale @ stab.conjugator, stab.level_n,
-                                  stab.level, stab.torus_map + (stab.m,),
+            return StabDescriptor(v, red, stab.level,
+                                  (2,) + stab.torus_map[1:] + (stab.m,),
                                   stab.kernel)
 
-        monkeypatch.setattr(_Congruence, "stabilizer", wrong_frame)
+        monkeypatch.setattr(_Congruence, "stabilizer", forged_torus)
         code, out, err = run_cli(
-            ["quotient", "--p", "2", "--level", "t", "--depth", "5"], capsys)
+            ["quotient", "--p", "3", "--level", "t", "--depth", "5"], capsys)
         assert code == 3 and out == ""
-        assert err.startswith("error: the frame of vertex ")
+        assert err == ("error: the torus pairs alpha = 2*beta of a "
+                       "stabilizer miss the pair (1, 1)\n")
+
+    @pytest.mark.parametrize("vertex", ["r=0;a=1*s^-99999999",
+                                        "r=99999999;a=1*s^99999990",
+                                        "r=0;a=1*s^-4097"])
+    def test_vertex_exponent_above_the_cap_exit_2(self, vertex, capsys):
+        """A vertex term s^e with |e| above `MAX_DEGREE` is refused before
+        its dense center is made: exit 2 within a second."""
+        start = time.perf_counter()
+        code, out, err = run_cli(["reduce", "--p", "2", "--vertex", vertex],
+                                 capsys)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert "outside the degree cap 4096" in err
+
+    def test_vertex_exponent_at_the_cap_answers(self, capsys):
+        code, out, err = run_cli(["reduce", "--p", "2", "--vertex",
+                                  "r=0;a=1*s^-4096"], capsys)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[:2] == ["vertex=r=0;a=1*s^-4096", "level=0"]
 
     @pytest.mark.parametrize("args,message", [
         (["reduce", "--p", "2", "--vertex", "r=1;a=%s*s^0" % ("1" * 5000)],

@@ -5,12 +5,16 @@ among them, each run in process through `btquot.cli.main`.
 Every command must return 0, 2 or 3 without raising; 3 only where the
 exact cusp count was replaced by -1, a count below every certified one.
 Levels have degree <= 3 and depths are at most 7, so a seed runs in well
-under a second: `t^99` at depth 6 alone takes some 15 s.
+under a second: `t^99` at depth 6 alone takes some 15 s.  A second slice
+draws exponents near 10^8 and 10^20, in vertex terms and in levels: the
+degree cap refuses each before any dense list is made, so each such
+command exits 2 within a second.
 """
 
 import contextlib
 import io
 import random
+import time
 
 import pytest
 
@@ -114,3 +118,64 @@ def test_fuzzed_commands_exit_cleanly(seed, monkeypatch):
             assert err.getvalue().strip(), args
         codes.append(code)
     assert {0, 2, 3} <= set(codes)
+
+
+# exponents far above `MAX_DEGREE`, near 10^8 and 10^20
+HUGE = ["99999999", "100000000", "99999999999999999999",
+        "100000000000000000000"]
+
+
+def huge_vertex(rng, q):
+    """A vertex text with one term s^e, |e| near 10^8 or 10^20, at a small
+    or a huge radius exponent, beside a small term or alone."""
+    e = rng.choice(HUGE)
+    r = rng.choice(["0", "3", "-4", e, "-" + e])
+    terms = ["%d*s^%s%s" % (rng.randrange(1, q), rng.choice(["", "-"]), e)]
+    if rng.random() < 0.5:
+        terms.insert(rng.randrange(2), "1*s^-9")
+    return "r=%s;a=%s" % (r, "+".join(terms))
+
+
+def huge_level(rng):
+    """A level with an exponent near 10^8 or 10^20, as a multiplicity or
+    inside a factor."""
+    e = rng.choice(HUGE)
+    return rng.choice(["t^%s", "(t+1)^%s", "t^%s+1", "t;(t+1)^%s",
+                       "t+1;t^2+t+1;t^%s", "(t^%s+t)^2"]) % e
+
+
+def huge_command(rng):
+    """One command with a huge exponent in its vertex or in its level."""
+    field, q = rng.choice(FIELDS[:6])
+    kind = rng.choice(["quotient", "cusps", "amalgam", "formula", "reduce",
+                       "stab", "orbit"])
+    args = [kind] + field
+    vertex = kind == "reduce" or (kind in ("stab", "orbit")
+                                  and rng.random() < 0.5)
+    if kind != "reduce":
+        args += ["--level", "t" if vertex else huge_level(rng)]
+    if kind in ("quotient", "cusps", "amalgam"):
+        args += ["--depth", "5"]
+    if kind in ("reduce", "stab", "orbit"):
+        args += ["--vertex", huge_vertex(rng, q) if vertex else "r=1;a=0"]
+    if kind == "orbit":
+        args += ["--vertex2", "r=2;a=1*s^1"]
+        if vertex and rng.random() < 0.5:
+            i = args.index("--vertex")
+            args[i + 1], args[-1] = args[-1], args[i + 1]
+    return args
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_huge_exponents_exit_2_within_a_second(seed):
+    rng = random.Random(100 + seed)
+    for _ in range(40):
+        args = huge_command(rng)
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(args)
+        assert time.perf_counter() - start < 1.0, args
+        assert (code, out.getvalue()) == (2, ""), (args, err.getvalue())
+        assert err.getvalue().startswith("error: "), args
+        assert "Traceback" not in err.getvalue(), args

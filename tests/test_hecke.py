@@ -236,8 +236,8 @@ class TestPolynomialPart:
 
 
 def reduce_vertex_by_act(v):
-    """Reference reduction: each move goes through the generic `act`, and
-    g is the matrix product of the word."""
+    """Reference reduction (n, word, g): each move goes through the
+    generic `act`, and g is the matrix product of the word."""
     field = v.field
     inv = Matrix2.involution(field)
     word = []
@@ -262,7 +262,7 @@ def reduce_vertex_by_act(v):
     g = Matrix2.identity(field)
     for move in word:
         g = move @ g
-    return ReductionResult(n, tuple(word), g)
+    return n, tuple(word), g
 
 
 def packed_moves(word):
@@ -308,10 +308,10 @@ class TestBallNativeReduction:
 
     def test_reduction_equals_act_oracle(self, vertices):
         for v in vertices:
-            red, ref = reduce_vertex(v), reduce_vertex_by_act(v)
-            assert red.level_n == ref.level_n, v
-            assert list(red.word) == packed_moves(ref.word), v
-            assert red.g.key() == ref.g.key(), v
+            red, (n, word, g) = reduce_vertex(v), reduce_vertex_by_act(v)
+            assert red.level_n == n, v
+            assert list(red.word) == packed_moves(word), v
+            assert red.g.key() == g.key(), v
 
     def test_each_vertex_is_reduced_once(self, monkeypatch):
         """The reduction is kept on the vertex: `reduce_vertex`,
@@ -659,7 +659,9 @@ class TestBruteForceCheck:
             red = reduce_vertex(v)
             shift = Matrix2.translation(
                 Polynomial.t(F3).shift(red.level_n))
-            return ReductionResult(red.level_n, red.word, shift @ red.g)
+            rows = tuple(x.packed_coeffs for x in (shift @ red.g).entries())
+            return ReductionResult(red.level_n, red.word, rows, red.link,
+                                   red.field)
 
         monkeypatch.setattr(hecke, "reduce_vertex", tampered)
         with pytest.raises(HeckeError, match="does not map it to v_"):
@@ -807,8 +809,7 @@ class TestGeneratingSet:
         """`orbit_witness` forms g_dst^-1 s g_src as one combination per
         entry: the same matrix as the product of the three, on triangular
         witnesses and on level-0 ones with c != 0."""
-        from btquot.hecke import (_Congruence, _frame_matrix,
-                                  _level0_extras, orbit_witness)
+        from btquot.hecke import _Congruence, _level0_extras, orbit_witness
         rng = random.Random(41)
         lower = 0
         for field in ORACLE_FIELDS:
@@ -837,7 +838,7 @@ class TestGeneratingSet:
                         frame = next(_level0_extras(field, system.algebra()))
                         lower += 1
                     assert orbit_witness(lvl, red_v, red_w) == \
-                        red_w.g.inverse() @ _frame_matrix(field, frame) \
+                        red_w.g.inverse() @ frame_matrix(field, frame) \
                         @ red_v.g
         assert lower
 
@@ -870,7 +871,7 @@ class TestGeneratingSet:
         v = BallVertex.standard(F3, 2)
         sd = stabilizer(v, parse_level("t", F3))
         assert len(sd.torus_pairs()) == 4
-        line = StabDescriptor(v, sd.conjugator, sd.level_n, sd.level,
+        line = StabDescriptor(v, sd.reduction, sd.level,
                               (2,) + sd.torus_map[1:] + (sd.m,), ())
         with pytest.raises(HeckeInconsistency, match="torus pairs"):
             line.generator_frames()
@@ -901,9 +902,18 @@ def levels_up_to(field, degree):
     return [Level(field, factors) for factors in extend(0, degree, [])]
 
 
+def frame_matrix(field, frame):
+    """The frame element s = [[a, b], [c, d]] of the frame data
+    (a, b, c, d): packed ints, b as its packed coefficient vector."""
+    a, bvec, c, d = frame
+    return Matrix2(Polynomial.constant(field, a), Polynomial(field, bvec),
+                   Polynomial.constant(field, c),
+                   Polynomial.constant(field, d))
+
+
 def column(red):
     """The packed first column (a, c) of the reduction's g."""
-    return red.g.a.packed_coeffs, red.g.c.packed_coeffs
+    return red.rows[::2]
 
 
 def reference_system(level, red_src, red_dst):

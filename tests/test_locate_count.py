@@ -25,7 +25,7 @@ def tally(monkeypatch):
     def reduce_vertex(v):
         out["reduce"] += 1
         red = reduce(v)
-        out["firsts"].add((red.g.a.packed_coeffs, red.g.c.packed_coeffs))
+        out["firsts"].add(red.rows[::2])
         return red
 
     def column(self, level, dst, src):

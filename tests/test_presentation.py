@@ -429,13 +429,13 @@ def reference_graph(Q):
     Kruskal's tree over the edges, certified tail edges first; a breadth
     first lift of it from class 0, each child onto the first tree neighbor
     of its parent's lift that lies in its class; each lift's stabilizer in
-    the frame stab.conjugator @ h for its witness act(h, lift) = rep; and
+    its own reduction frame (`stabilizer`); and
     then, edge by edge, the strands off the tree from the orbits of the
     source lift's stabilizer on its neighbors, the orbit holding the
     tree's own neighbor left out, each with an `orbit_witness` g_y.
     Returns (tree, lifts, stabs, strands), a strand (src, dst, lifted dst,
     g_y) with g_y the identity on the tree."""
-    from btquot.hecke import StabDescriptor
+    from btquot.hecke import stabilizer
     from btquot.quotient import _neighbor_line, frame_orbits
 
     def in_class(v, cid):
@@ -469,12 +469,7 @@ def reference_graph(Q):
                                   if in_class(v, cid))
                 parent[cid] = cur
                 order.append(cid)
-    stabs = {}
-    for cid in order:
-        stab, (_, h) = Q.class_by_id(cid).stab, Q.locate(lifts[cid])
-        stabs[cid] = StabDescriptor(lifts[cid], stab.conjugator @ h,
-                                    stab.level_n, Q.level,
-                                    stab.torus_map + (stab.m,), stab.kernel)
+    stabs = {cid: stabilizer(lifts[cid], Q.level) for cid in order}
     one = Matrix2.identity(Q.field)
     strands = [(parent[cid], cid, lifts[cid], one) for cid in order[1:]]
     for e, tree_carries_one in extra:
@@ -515,8 +510,8 @@ class TestDiscoveryTreeOracle:
         assert sorted(G.vertex_stabs) == sorted(stabs)
         for cid, stab in stabs.items():
             got = G.vertex_stabs[cid]
-            assert (got.conjugator, got.torus, got.kernel) == \
-                (stab.conjugator, stab.torus, stab.kernel)
+            assert (got.reduction, got.torus, got.kernel) == \
+                (stab.reduction, stab.torus, stab.kernel)
         assert [(e.src, e.dst, e.lift_dst.key(), e.g_y) for e in G.edges] \
             == [(src, dst, w.key(), g_y) for src, dst, w, g_y in strands]
 

@@ -281,15 +281,14 @@ class TestClassKey:
         from btquot.hecke import StabDescriptor, _Congruence
         from btquot.quotient import class_key
         Q = build(FieldSpec(2), "t^2", 6)
-        cols = [(c.reduction.g.a.packed_coeffs, c.reduction.g.c.packed_coeffs)
-                for c in Q.classes]
+        cols = [c.reduction.rows[::2] for c in Q.classes]
         mus = [_Congruence(Q.level, col, col).torus(c.level_n)[0]
                for c, col in zip(Q.classes, cols)]
         assert 1 in mus and None in mus
         for c in Q.classes:
             stab = c.stab
             line, full = (StabDescriptor(
-                stab.base_vertex, stab.conjugator, stab.level_n, Q.level,
+                stab.base_vertex, stab.reduction, Q.level,
                 (mu,) + stab.torus_map[1:] + (stab.m,), stab.kernel)
                 for mu in (1, None))
             assert class_key(line) == class_key(full) == class_key(stab)
@@ -626,24 +625,31 @@ def closure_order(generators, identity, bound):
     return len(group)
 
 
+def frame_matrix(field, frame):
+    """The frame element s = [[a, b], [c, d]] of the frame data
+    (a, b, c, d): packed ints, b as its packed coefficient vector."""
+    from btquot.algebra import Polynomial
+    from btquot.btree import Matrix2
+    a, bvec, c, d = frame
+    return Matrix2(Polynomial.constant(field, a), Polynomial(field, bvec),
+                   Polynomial.constant(field, c),
+                   Polynomial.constant(field, d))
+
+
 def moved_descriptor(Q, c):
     """The descriptor of class c at its representative moved by
-    `mover(Q)`, in the class frame carried to it, as
-    `build_graph_of_groups` carries it."""
+    `mover(Q)`, in that vertex's own reduction frame, where a level-0
+    group may have many extras."""
     from btquot.btree import act
-    from btquot.hecke import StabDescriptor
-    m = mover(Q)
-    stab = c.stab
-    return StabDescriptor(act(m, c.representative),
-                          stab.conjugator @ m.inverse(), stab.level_n,
-                          Q.level, stab.torus_map + (stab.m,), stab.kernel)
+    from btquot.hecke import stabilizer
+    return stabilizer(act(mover(Q), c.representative), Q.level)
 
 
 class TestFrameOrbits:
     """The frame-label partition agrees with the `act` closure of the
-    conjugated generators on every class: from the representative in its
-    reduction frame, and from the representative moved by `mover`, in the
-    class frame carried to it as `build_graph_of_groups` carries it."""
+    conjugated generators on every class: from the representative, and
+    from the representative moved by `mover`, each in its own reduction
+    frame."""
 
     @pytest.fixture(params=FRAME_CASES,
                     ids=["q%d-%s-%d" % case for case in FRAME_CASES])
@@ -661,20 +667,6 @@ class TestFrameOrbits:
         for c in Q.classes:
             stab = moved_descriptor(Q, c) if moved else c.stab
             v = stab.base_vertex
-            neighbors = sorted(v.neighbors(), key=lambda u: u.key())
-            assert frame_orbits(stab) == orbit_partition_by_act(
-                neighbors, stab.generators()), (c.id, v)
-
-    def test_agrees_with_act_closure_in_own_frame(self, Q):
-        """The same from the representative moved by `mover`, with the
-        stabilizer solved in that vertex's own reduction frame, where a
-        level-0 group may have many extras."""
-        from btquot.btree import act
-        from btquot.hecke import stabilizer
-        from btquot.quotient import frame_orbits
-        for c in Q.classes:
-            v = act(mover(Q), c.representative)
-            stab = stabilizer(v, Q.level)
             neighbors = sorted(v.neighbors(), key=lambda u: u.key())
             assert frame_orbits(stab) == orbit_partition_by_act(
                 neighbors, stab.generators()), (c.id, v)
@@ -707,17 +699,16 @@ class TestFrameOrbits:
         of `materialize()` on classes of order at most 300, else its
         first 300 elements."""
         import itertools
-        from btquot.hecke import _frame_matrix
         for c in Q.classes:
             stab = moved_descriptor(Q, c) if moved else c.stab
-            g = stab.conjugator
+            g = stab.reduction.g
             g_inv = g.inverse()
             frames = list(itertools.islice(stab.frames(), 300))
             elements = (stab.materialize() if stab.order <= 300
                         else [stab.element(fr) for fr in frames])
             for fr, h in zip(stab.generator_frames() + frames,
                              stab.generators() + elements, strict=True):
-                assert h == g_inv @ _frame_matrix(Q.field, fr) @ g, \
+                assert h == g_inv @ frame_matrix(Q.field, fr) @ g, \
                     (c.id, fr)
 
     @pytest.mark.parametrize("moved", [False, True])
@@ -758,42 +749,127 @@ class TestFrameOrbits:
         if lvl in ("0", "t^2;t+1"):
             assert n_kernel
 
-    def test_wrong_frame_is_an_inconsistency(self):
+
+def link_matrix(v, n, g):
+    """Reference residue matrix of a frame g, a `Matrix2`, at the vertex
+    v = B(a, r) with act(g, v) = v_n: packed ints (k11, k12, k21, k22).
+
+    With the lattice bases B_v = [[a, pi^r], [1, 0]] of v and
+    B_n = [[0, pi^-n], [1, 0]] of v_n, g B_v = B_n M for
+    M = B_n^-1 g B_v = [[C a + D, C pi^r], [pi^n (A a + B), A pi^(n+r)]],
+    g = [[A, B], [C, D]] and a = P/t^K the exact center.  g maps v to v_n
+    iff M is a scalar times an element of GL2(O); then k is M scaled by its
+    least valuation and reduced mod pi.  ValueError for a g outside
+    GL2(F_q[t]) with determinant in F_q*, or for a singular k, which shows
+    that g does not map v to v_n."""
+    from btquot.algebra import packed_add, packed_mul
+    if not g.is_polynomial():
+        raise ValueError("%r has a non-polynomial entry" % g)
+    f = v.field
+    A, B, C, D = (x.num.packed_coeffs for x in g.entries())
+    minus_bc = packed_mul(f, packed_mul(f, B, C), [f.neg(1)])
+    if len(packed_add(f, packed_mul(f, A, D), minus_bc)) != 1:
+        raise ValueError("the determinant of %r is not a nonzero constant"
+                         % g)
+    num, K = v.center.fraction()
+    pad, r = (0,) * K, v.r
+    top = packed_add(f, packed_mul(f, C, num), D and pad + D)
+    low = packed_add(f, packed_mul(f, A, num), B and pad + B)
+    # each entry of M as P pi^e, P packed, of valuation e - deg P
+    entries = ((top, K), (C, r), (low, n + K), (A, n + r))
+    least = min(e - len(P) for P, e in entries if P)
+    k = tuple(P[-1] if P and e - len(P) == least else 0
+              for P, e in entries)
+    if f.mul(k[0], k[3]) == f.mul(k[1], k[2]):
+        raise ValueError("%r does not map %s to v_%d: its residue matrix "
+                         "is singular" % (g, v.to_text(), n))
+    return k
+
+
+def assert_link_is_the_reference(v):
+    """The residue matrix the reduction of v reads off its moves equals
+    `link_matrix` of its g up to a factor in F_q*."""
+    f, red = v.field, reduce_vertex(v)
+    ref = link_matrix(v, red.level_n, red.g)
+    i = next(i for i, x in enumerate(ref) if x)
+    scale = f.mul(red.link[i], f.inv(ref[i]))
+    assert scale and red.link == tuple(f.mul(scale, x) for x in ref), v
+
+
+def seeded_balls():
+    """Seeded vertices at q = 2, 3, 4, 5, 7, 8, 9: random centers with r in
+    [-6, 9] and radii up to +-40, whose reductions meet I on balls off 0
+    and on balls holding 0 (with x_r zero and nonzero) and the clearing
+    tau_f at r <= 0; and zero centers on both sides of r = 0."""
+    import random
+    from btquot.btree import BallVertex
+    from btquot.algebra import LaurentFragment
+    from btquot.selftest import _field
+    rng = random.Random(29)
+    out = []
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        field = _field(q)
+        for r in (-40, -3, 0, 1, 2, 5, 40):
+            out.append(BallVertex(field, r, LaurentFragment.zero(field, r)))
+        for _ in range(60):
+            r = rng.choice([rng.randint(-6, 9), rng.randint(-40, 40)])
+            exps = rng.sample(range(r - 12, r), rng.randint(1, 6))
+            out.append(BallVertex(field, r, LaurentFragment(
+                field, {e: rng.randrange(1, q) for e in exps}, r)))
+    return out
+
+
+class TestOneFrame:
+    """The residue matrix k that the reduction reads off its moves equals
+    the reference `link_matrix`, derived from g and the lattice of the
+    vertex, up to F_q*; and the reference refuses what is no frame."""
+
+    @pytest.mark.parametrize("q,lvl,depth", [case[:3] for case in CUSP_CASES]
+                             + FRAME_CASES)
+    def test_link_on_representatives_ends_and_neighbors(self, q, lvl,
+                                                        depth):
+        from btquot.selftest import _field
+        Q = build_quotient(parse_level(lvl, _field(q)), depth)
+        for c in Q.classes:
+            for v in [c.representative, *(st.end for st in c.strands),
+                      *c.representative.neighbors()]:
+                assert_link_is_the_reference(v)
+
+    def test_link_on_seeded_balls(self):
+        for v in seeded_balls():
+            assert_link_is_the_reference(v)
+
+    def test_reference_refuses_a_frame_outside_the_group(self):
+        """The frame times [[t^k, 0], [0, 1]] is refused: for k = -1 it
+        has an entry outside F_q[t], for k = 1 its determinant is not a
+        constant."""
         from btquot.algebra import RationalFunction
         from btquot.btree import Matrix2
-        from btquot.hecke import StabDescriptor
-        from btquot.quotient import InconsistencyError, frame_orbits
         Q = build(F3, "t", 4)
         F = Q.field
-        scale = Matrix2(RationalFunction.t_power(F, 1),
-                        RationalFunction.zero(F), RationalFunction.zero(F),
-                        RationalFunction.one(F))
-        for c in Q.classes:
-            stab = c.stab
-            wrong = StabDescriptor(stab.base_vertex, scale @ stab.conjugator,
-                                   stab.level_n, Q.level,
-                                   stab.torus_map + (stab.m,), stab.kernel)
-            with pytest.raises(InconsistencyError):
-                frame_orbits(wrong)
+        for k, message in ((-1, "non-polynomial"), (1, "determinant")):
+            scale = Matrix2(RationalFunction.t_power(F, k),
+                            RationalFunction.zero(F),
+                            RationalFunction.zero(F), RationalFunction.one(F))
+            for c in Q.classes:
+                red = c.reduction
+                with pytest.raises(ValueError, match=message):
+                    link_matrix(c.representative, red.level_n,
+                                scale @ red.g)
 
-    def test_frame_off_the_ray_is_an_inconsistency(self):
+    def test_reference_refuses_a_frame_off_the_ray(self):
         """A frame in GL2(F_q[t]) with constant determinant that maps the
         vertex to some vertex other than v_n has a singular residue
         matrix."""
         from btquot.algebra import Polynomial
         from btquot.btree import Matrix2
-        from btquot.hecke import StabDescriptor
-        from btquot.quotient import InconsistencyError, frame_orbits
         Q = build(F3, "t", 4)
         for c in Q.classes:
-            stab = c.stab
+            red = c.reduction
             shift = Matrix2.translation(
-                Polynomial.t(Q.field).shift(stab.level_n + 1))
-            wrong = StabDescriptor(stab.base_vertex, shift @ stab.conjugator,
-                                   stab.level_n, Q.level,
-                                   stab.torus_map + (stab.m,), stab.kernel)
-            with pytest.raises(InconsistencyError, match="singular"):
-                frame_orbits(wrong)
+                Polynomial.t(Q.field).shift(red.level_n + 1))
+            with pytest.raises(ValueError, match="singular"):
+                link_matrix(c.representative, red.level_n, shift @ red.g)
 
 
 BRANCH_CASES = [(2, "t^2;t+1", 4), (3, "t^2;t+1", 4), (4, "t^2;t+1", 3),
@@ -819,8 +895,8 @@ def test_closed_form_orbits_in_every_branch():
     """The closed-form orbits equal the `act` partition on every class of
     BRANCH_CASES: from the representative, and from the representative
     moved by `mover` and by the shear [[1, 1], [N, 1 + N]] (N as in
-    `mover`), each in the class frame carried to it and in its own
-    reduction frame.  Every case of the fixed-label rule occurs.  The
+    `mover`), each in its own reduction frame.  Every case of the
+    fixed-label rule occurs.  The
     Borel subalgebra occurs only in the own frame of the base vertex v_0
     moved by `mover` (the shear, `mover` times a translation that fixes
     v_0, moves it to the same vertex): Stab(v_0) is the upper Borel, with
@@ -829,7 +905,7 @@ def test_closed_form_orbits_in_every_branch():
     c != 0."""
     from collections import Counter
     from btquot.btree import Matrix2, act
-    from btquot.hecke import StabDescriptor, stabilizer
+    from btquot.hecke import stabilizer
     from btquot.quotient import frame_orbits
     from btquot.selftest import _field
     seen = Counter()
@@ -838,13 +914,9 @@ def test_closed_form_orbits_in_every_branch():
         m = mover(Q)
         one, low = m.a, m.c
         for c in Q.classes:
-            stabs = [c.stab]
-            for g in (m, Matrix2(one, one, low, one + low)):
-                v, st = act(g, c.representative), c.stab
-                stabs += [StabDescriptor(v, st.conjugator @ g.inverse(),
-                                         st.level_n, Q.level,
-                                         st.torus_map + (st.m,), st.kernel),
-                           stabilizer(v, Q.level)]
+            stabs = [c.stab] + [
+                stabilizer(act(g, c.representative), Q.level)
+                for g in (m, Matrix2(one, one, low, one + low))]
             for stab in stabs:
                 assert frame_orbits(stab) == orbit_partition_by_act(
                     stab.base_vertex.neighbors(), stab.generators()), \
@@ -859,8 +931,7 @@ class TestForgedDescriptors:
 
     def forged(self, stab, mu, na):
         from btquot.hecke import StabDescriptor
-        return StabDescriptor(stab.base_vertex, stab.conjugator,
-                              stab.level_n, stab.level,
+        return StabDescriptor(stab.base_vertex, stab.reduction, stab.level,
                               (mu, na, stab.torus_map[2], stab.m),
                               stab.kernel)
 
@@ -949,7 +1020,7 @@ class TestFrameOf:
         weyl = Matrix2.involution(field)
         for c in Q.classes:
             for stab in (c.stab, moved_descriptor(Q, c)):
-                g, n = stab.conjugator, stab.level_n
+                g, n = stab.reduction.g, stab.level_n
 
                 def frame(s):
                     return stab.frame_of(g.inverse() @ s @ g)
@@ -974,7 +1045,7 @@ def frame_label_by_move(stab, w):
     c t^n + t^(n-1) O of v_n, label c."""
     from btquot.btree import act
     n = stab.level_n
-    u = act(stab.conjugator, w)
+    u = act(stab.reduction.g, w)
     terms = u.center.packed_terms
     if u.r == -n - 1 and not terms:
         return None
