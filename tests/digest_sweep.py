@@ -11,7 +11,8 @@ The set covers `quotient` (json, text, dot), `cusps`, `amalgam` (text,
 json), `stab` and `orbit` (some with `--brute-force`) and `reduce`: every
 level of degree <= 3 at q = 2, a fixed choice of levels of degree <= 3 at
 q = 3 and of degree <= 2 at q = 4, 5, 7, 8, 9, depths 5 to 8, D = 0 up to
-q = 31, and the cusps of two levels of degree 10 and 11 at q = 2.
+q = 31, the cusps of two levels of degree 10 and 11 at q = 2, and three
+levels of degree 6 and 7 at q = 2, 3 built to depths 12 to 16.
 `selftest` is left out, as it prints timings.  The golden,
 `golden/digests.txt`, holds one line per command: its digest, its exit code
 and the command.  Regenerate it only when an output changes on purpose, in
@@ -51,6 +52,12 @@ ZERO_LEVEL_PRIMES = [11, 13, 17, 19, 23, 29, 31]
 # count falls short of the exact count by more than the open boundary
 # classes, as the quotient holds many cusps beyond one class
 DEEP_CUSP_LEVELS = ["t^11", "t^5;(t+1)^5"]
+
+# (p, level, depth) of deep builds whose cusps are swept: a few hundred
+# classes each, most of them at the same reduction level, so a vertex is
+# told apart from many classes that share its stabilizer
+DEEP_BUILDS = [(3, "t^3;(t+1)^3", 14), (2, "t^4;(t+1)^3", 16),
+               (3, "t^4;(t+1)^2", 14)]
 
 
 def _vertices(q):
@@ -130,6 +137,11 @@ def commands():
         for depth in (6, 8):
             cmds.append(["cusps", "--p", "2", "--level", level, "--depth",
                          str(depth)])
+    for p, level, depth in DEEP_BUILDS:
+        cmds.append(["cusps", "--p", str(p), "--level", level, "--depth",
+                     str(depth)])
+    cmds.append(["quotient", "--p", "3", "--level", "t^3;(t+1)^3", "--depth",
+                 "12", "--format", "json"])
     return cmds
 
 
