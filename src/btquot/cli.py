@@ -130,7 +130,7 @@ def _cmd_quotient(args):
     field = _field_from_args(args)
     level = parse_level(args.level, field)
     certify = args.depth >= args.window + 2
-    if certify:
+    if certify or args.window < 2:
         check_window(args.depth, args.window)
     Q = build_quotient(level, args.depth)
     if certify:

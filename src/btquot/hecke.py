@@ -63,9 +63,10 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .algebra import (MAX_DEGREE, AlgebraError, Polynomial, decimal_value,
-                      format_polynomial, packed_add, packed_combination,
-                      packed_divmod, packed_gcd, packed_mul, parse_polynomial)
+from .algebra import (MAX_DEGREE, AlgebraError, Polynomial,
+                      _strip_outer_parens, decimal_value, format_polynomial,
+                      packed_add, packed_combination, packed_divmod,
+                      packed_gcd, packed_mul, parse_polynomial)
 from .btree import BallVertex, Matrix2, act
 
 
@@ -181,7 +182,8 @@ def parse_level(text, field):
     """Parse 'poly^mult' factors separated by ';', e.g. "t;t+1" or "t^3".
 
     A trailing '^<uint>' on a factor is a multiplicity; anything else is part
-    of the polynomial (so "t^2+t+1" is a single degree-2 factor).
+    of the polynomial (so "t^2+t+1" is a single degree-2 factor).  The
+    parse error of a head in parentheses before it stands.
     """
     t = "".join(text.split())
     if t in ("", "0"):
@@ -190,24 +192,20 @@ def parse_level(text, field):
     for raw in t.split(";"):
         if not raw:
             raise HeckeError("empty level factor in %r" % text)
-        body, mult = raw, 1
-        if "^" in raw:
-            head, tail = raw.rsplit("^", 1)
-            if tail.isdigit() and head:
-                stripped = head
-                while stripped.startswith("(") and stripped.endswith(")"):
-                    stripped = stripped[1:-1]
-                try:
-                    poly = parse_polynomial(stripped, field)
-                except AlgebraError:
-                    poly = None
-                if poly is not None:
-                    factors.append((poly, decimal_value(
-                        tail, "multiplicity", text,
-                        t.index(raw) + len(head) + 1)))
-                    continue
-        poly = parse_polynomial(body, field)
-        factors.append((poly, mult))
+        head, _, tail = raw.rpartition("^")
+        inner = _strip_outer_parens(head)
+        if tail.isdigit() and head:
+            try:
+                poly = parse_polynomial(inner, field)
+            except AlgebraError:
+                if inner != head:
+                    raise
+            else:
+                factors.append((poly, decimal_value(
+                    tail, "multiplicity", text,
+                    t.index(raw) + len(head) + 1)))
+                continue
+        factors.append((parse_polynomial(raw, field), 1))
     return Level(field, factors)
 
 
@@ -830,6 +828,14 @@ def _residue(field, x, y, modulus):
     return packed_divmod(field, packed_mul(field, x, y), modulus)[1]
 
 
+def _split(field, y, e, inv, m):
+    """(y mod e, x(y - y mod e)) for x(y) = (y/e)*inv mod m, packed: the
+    parts of L(y) in `_Congruence.torus` and in `_Column._parts`."""
+    quo, rest = packed_divmod(field, y, e)
+    return rest, tuple(packed_divmod(field, packed_mul(field, quo, inv),
+                                     m)[1])
+
+
 class _Congruence:
     """The system x*u = alpha*va + beta*vc (mod N_D), x of degree <= n, of
     the packed first columns (a_dst, c_dst) of g_dst and (a_src, c_src) of
@@ -851,14 +857,7 @@ class _Congruence:
         self.u = _residue(field, c_dst, c_src, modulus)
         self.vc = _residue(field, a_dst, c_src, modulus)
         e, inv, self.m = packed_gcd(field, self.u, modulus, cofactor=True)
-
-        def parts(y):
-            # (y mod e, x(y - y mod e)) for x(y) = (y/e)(u/e)^-1 mod M
-            quo, rest = packed_divmod(field, y, e)
-            return rest, tuple(packed_divmod(
-                field, packed_mul(field, quo, inv), self.m)[1])
-
-        rest_c, self.xc = parts(self.vc)
+        rest_c, self.xc = _split(field, self.vc, e, inv, self.m)
         if dst is src:
             # the rows (-r, r) of L(va) = -L(vc) leave the scalar line
             self.va = list(map(field.neg, self.vc))
@@ -867,7 +866,7 @@ class _Congruence:
         else:
             self.va = _residue(field, packed_mul(field, c_dst, [field.neg(1)]),
                                a_src, modulus)
-            rest_a, self.xa = parts(self.va)
+            rest_a, self.xa = _split(field, self.va, e, inv, self.m)
             self.mu = _torus_restrict(field, None, itertools.zip_longest(
                 rest_a, rest_c, fillvalue=0))
         self._algebra = None
@@ -917,6 +916,52 @@ class _Congruence:
         n = red.level_n
         return StabDescriptor(v, red, self.level, self.torus(n),
                               self.algebra() if n == 0 else ())
+
+
+class _Column:
+    """A packed first column (a, c) of the reduction g of a vertex: the
+    stabilizer system of its vertices, the pair (col, col), and their orbit
+    id at each level, that of the orbit of the point (X : Y) = (-c : a) of
+    P^1(R/N_D), the bottom row of adj(g), under Stab(v_n) (README, "Notes
+    on conventions"): (n, e, L(d) scaled to a first nonzero entry 1) for
+    n >= 1 (`_parts`; (n, (1,), ()) at D = 0), and at n = 0 the least
+    level-0 id of the q + 1 points (X + zY : Y), z in F_q, and (a : c)."""
+
+    def __init__(self, level, col):
+        self.level, self.col = level, col
+        self.system = _Congruence(level, col, col)
+        self.parts = self._parts(0)
+
+    def _parts(self, z):
+        """(e, d mod g0, x(d)) of the point (X + zY : Y), or (a : c) at
+        z = q: e = gcd(X, N), M = N/e, d = Y (X/e)^-1 mod M, g0 = gcd(e, M),
+        x(d) = ((d - d mod g0)/g0) (e/g0)^-1 mod M/g0, padded to deg g0 and
+        deg M/g0 coefficients so that the entries of L(d) keep their places."""
+        field, modulus = self.level.field, self.level.modulus.packed_coeffs
+        a, c = self.col
+        x, y = (a, c) if z == field.q else (packed_combination(
+            field, [(field.neg(1), c), (z, a)]), a)
+        e, inv, m = packed_gcd(field, packed_divmod(field, x, modulus)[1],
+                               modulus, cofactor=True)
+        g0, inv0, m1 = packed_gcd(field, e, m, cofactor=True)
+        rest, top = _split(field, _residue(field, y, inv, m), g0, inv0, m1)
+        return (tuple(e), tuple(rest) + (0,) * (len(g0) - 1 - len(rest)),
+                top + (0,) * (len(m1) - 1 - len(top)))
+
+    def _id(self, parts, n):
+        (e, rest, top), field = parts, self.level.field
+        vec = rest + top[n + 1:]
+        lead = next((z for z in vec if z), 1)
+        return n, e, _vector_ops(field)[1](field.inv(lead), vec)
+
+    @functools.cached_property
+    def _zero(self):
+        return min(self._id(parts, 0) for parts in [self.parts, *map(
+            self._parts, range(1, self.level.field.q + 1))])
+
+    def orbit_id(self, n):
+        """The id of the orbit of this column's vertices at level n."""
+        return self._id(self.parts, n) if n else self._zero
 
 
 def stabilizer(v, level):

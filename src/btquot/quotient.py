@@ -1,31 +1,26 @@
 """Quotient graph of the tree under a Hecke congruence group.
 
-The quotient graph owns the one vertex-to-class lookup, the build's search,
-which `locate` runs too for a vertex not yet located.  One record per
-located vertex holds its class and the vertex object, which keeps its own
-reduction (`hecke.reduce_vertex`); `locate` forms the witness matrix only
-when asked.  Cusp certification and the graph of groups look nothing up:
-they read the classes and strands the build recorded.
+The quotient graph owns the one vertex-to-class lookup, a dict from the
+orbit id of a vertex (`hecke._Column`) to its class id, which the build
+and `locate` share; `locate` forms the witness matrix only when asked.
+Cusp certification and the graph of groups look nothing up: they read the
+classes and strands the build recorded.
 
 The build runs a breadth-first search over orbit classes starting from the
 class of the base vertex: each class representative contributes its q+1 tree
 neighbors, the stabilizer partitions them into orbits (one quotient edge per
 orbit), and each orbit representative is located among the known classes
-with its class key or opens a new class.  The key is read off the
-stabilizer, which a new class keeps: the order at reduction level 0, the
-level, the torus pairs (mu) and the unipotent dimension above it
-(`class_key`), so the witness solves run only between classes that share
-it.  The stabilizer's congruence reads the reduction g only through its
-first column (a, c), which Nagao's g keeps along a cusp tail: the build
-solves it once per distinct column (`hecke._Congruence` of the pair
-(column, column), kept in `columns`), not once per new vertex, and reads
-each vertex's torus map off that solve.  Classes and edges found at
-depth d are kept when the search is widened, so the output is a growing
-snapshot of the full quotient.  A class records its `parent`, the class
-whose expansion found it, and a strand its `end`, the vertex object
-located for the orbit representative: the classes joined to their parents
-form the discovery tree, which the graph of groups takes as its spanning
-tree (`presentation`).
+by its orbit id or opens a new class.  The id and the stabilizer read the
+reduction g only through its first column (a, c), which Nagao's g keeps
+along a cusp tail: the build keeps one `hecke._Column` per distinct column
+(`columns`), which solves the stabilizer congruence and reads the id's
+point once, and builds a stabilizer only for a new class.  Classes and
+edges found at depth d are kept when the search is widened, so the output
+is a growing snapshot of the full quotient.  A class records its `parent`,
+the class whose expansion found it, and a strand its `end`, the vertex
+object located for the orbit representative: the classes joined to their
+parents form the discovery tree, which the graph of groups takes as its
+spanning tree (`presentation`).
 
 The orbits are taken in the frame of the standard ray.  The reduction g of
 v maps it to v_n, so Stab(v) = g^-1 S g acts on the neighbors of v, the
@@ -64,7 +59,7 @@ import json
 from dataclasses import dataclass, field as dc_field
 
 from .btree import BallVertex, Matrix2
-from .hecke import (HeckeInconsistency, StabDescriptor, _Congruence, _cut,
+from .hecke import (HeckeInconsistency, StabDescriptor, _Column, _cut,
                     _torus_restrict, _vector_ops, orbit_witness,
                     reduce_vertex)
 
@@ -128,24 +123,6 @@ class CuspDescriptor:
     tail: tuple          # class ids of the maximal tail, innermost first
 
 
-def class_key(stab):
-    """The class key of the vertex of `stab`: equal on vertices of one
-    H_D-orbit, so a vertex can lie only in a class of its own key.
-
-    If w = h v with h in H_D, the frames g_v and g_w of the two vertices
-    give x = g_w h g_v^-1, which fixes v_n, and the stabilizers in the
-    frame satisfy S_w = x S_v x^-1.  For n >= 1, x is upper triangular
-    (Nagao), so the conjugation keeps the diagonal (alpha, beta) of each
-    element and maps the unipotent elements to unipotent ones: the torus
-    pairs (their set mu, `StabDescriptor.torus`) and the unipotent dimension
-    are invariants, and they fix the order.  At n = 0, x ranges over
-    GL2(F_q), which moves both, so the key is the order alone.
-    """
-    if stab.level_n == 0:
-        return 0, stab.order
-    return stab.level_n, stab.torus_map[0], stab.unipotent_dim()
-
-
 @dataclass
 class QuotientGraph:
     field: object
@@ -154,12 +131,9 @@ class QuotientGraph:
     classes: list = dc_field(default_factory=list)
     edges: list = dc_field(default_factory=list)
     cusps: list = dc_field(default_factory=list)
-    # class key -> ids of the classes with that key, in creation order
-    buckets: dict = dc_field(default_factory=dict, repr=False)
-    # vertex key -> (class id, the vertex object located, which keeps its
-    # reduction)
-    located: dict = dc_field(default_factory=dict, repr=False)
-    # packed first column (a, c) -> the `hecke._Congruence` of (col, col)
+    # orbit id (`hecke._Column.orbit_id`) -> class id
+    ids: dict = dc_field(default_factory=dict, repr=False)
+    # packed first column (a, c) -> its `hecke._Column`
     columns: dict = dc_field(default_factory=dict, repr=False)
 
     def class_by_id(self, cid):
@@ -175,65 +149,47 @@ class QuotientGraph:
 
     def locate(self, v):
         """(class id, h in H_D with act(h, v) = the representative) for the
-        known class containing v, or None when no class does.
-
-        The class is sought only among the classes whose `class_key`
-        equals the key of Stab(v).  The key is a class invariant and
-        classes are distinct orbits, so at most one of them has a witness;
-        that class is the first one found.  h is formed on demand: the
-        identity for a representative, else the `orbit_witness` of the
-        search that located v.
-        """
-        found = self.located.get(v.key()) or self._search(v)[0]
-        if found is None:
-            return None
-        cid, w = found
-        cls = self.classes[cid]
-        if w is cls.representative:
-            return cid, Matrix2.identity(self.field)
-        return cid, orbit_witness(self.level, reduce_vertex(w),
-                                  cls.reduction)
-
-    def _search(self, v):
-        """((class id, v) or None, the reduction of v, Stab(v)) for a vertex
-        not yet located; a found class is recorded in `located`."""
+        class of the orbit id of v, or None when no class has it; h is
+        formed on demand: the identity for the representative, else the
+        `orbit_witness` of v and the representative."""
         red = reduce_vertex(v)
+        cid = self.ids.get(self._orbit_id(red)[1])
+        if cid is None:
+            return None
+        cls = self.classes[cid]
+        if v == cls.representative:
+            return cid, Matrix2.identity(self.field)
+        return cid, orbit_witness(self.level, red, cls.reduction)
+
+    def _orbit_id(self, red):
+        """(the `hecke._Column` of the reduction `red`, its orbit id)."""
         col = red.rows[::2]
-        system = self.columns.get(col)
-        if system is None:
-            system = self.columns[col] = _Congruence(self.level, col, col)
-        stab = system.stabilizer(v, red)
-        for cid in self.buckets.get(class_key(stab), ()):
-            if orbit_witness(self.level, red,
-                             self.classes[cid].reduction) is not None:
-                found = self.located[v.key()] = (cid, v)
-                return found, red, stab
-        return None, red, stab
+        column = self.columns.get(col)
+        if column is None:
+            column = self.columns[col] = _Column(self.level, col)
+        return column, column.orbit_id(red.level_n)
 
     def _classify(self, v, parent):
-        """(class id of v, the vertex object located for it): a known class,
-        or else a new class represented by v, one layer out from the class
-        `parent` whose expansion found it (None for the base class), with
-        the stabilizer the search computed."""
-        found = self.located.get(v.key())
-        if found is None:
-            found, red, stab = self._search(v)
-        if found is None:
-            cid = len(self.classes)
+        """The class id of v: a known class, or else a new class represented
+        by v, one layer out from the class `parent` whose expansion found it
+        (None for the base class), its stabilizer read off its column."""
+        red = reduce_vertex(v)
+        column, key = self._orbit_id(red)
+        cid = self.ids.get(key)
+        if cid is None:
+            cid = self.ids[key] = len(self.classes)
             layer = 0 if parent is None else self.classes[parent].layer + 1
             self.classes.append(OrbitClass(
                 id=cid, representative=v, level_n=red.level_n, layer=layer,
-                parent=parent, stab=stab, reduction=red))
-            self.buckets.setdefault(class_key(stab), []).append(cid)
-            found = self.located[v.key()] = (cid, v)
-        return found
+                parent=parent, stab=column.system.stabilizer(v, red),
+                reduction=red))
+        return cid
 
     def _expand(self, cls):
-        v = cls.representative
         for orbit in frame_orbits(cls.stab):
-            dst, end = self._classify(v.neighbor(orbit[0]), cls.id)
-            cls.strands.append(Strand(orbit_size=len(orbit), dst=dst,
-                                      end=end))
+            end = cls.representative.neighbor(orbit[0])
+            cls.strands.append(Strand(len(orbit), self._classify(end, cls.id),
+                                      end))
         cls.expanded = True
 
 
@@ -562,6 +518,5 @@ __all__ = [
     "INDETERMINATE",
     "Strand", "OrbitClass", "QuotientEdge", "CuspDescriptor",
     "QuotientGraph", "build_quotient", "check_window", "certify_cusps",
-    "class_key",
     "classify_splitness", "export", "frame_orbits", "frame_fixers",
 ]

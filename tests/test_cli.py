@@ -391,6 +391,8 @@ class TestErrors:
     @pytest.mark.parametrize("command,bounds,message", [
         ("quotient", ("--depth", "12", "--window", "1"),
          "window must be >= 2"),
+        ("quotient", ("--depth", "2", "--window", "1"),
+         "window must be >= 2"),
         ("cusps", ("--depth", "12", "--window", "1"), "window must be >= 2"),
         ("cusps", ("--depth", "4"),
          "depth 4 too small for window 3 (need >= 5)"),
@@ -585,6 +587,22 @@ class TestErrors:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "above the degree cap 4096" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("level,message", [
+        ("(t+2)^2", "coefficient 2 out of range for q=2 at position 2 "
+                    "in 't+2'"),
+        ("(t^99999999+t)^2", "exponent 99999999 is above the degree cap "
+                             "4096 at position 0 in 't^99999999+t'")])
+    def test_factor_in_parentheses_names_its_own_error(self, level, message,
+                                                       capsys):
+        """A factor in parentheses with a multiplicity exits 2 with the
+        parse error of the polynomial inside, as that polynomial alone
+        does, not with an error of the whole factor."""
+        inner = level[1:level.rindex(")")]
+        for text in (level, inner):
+            code, out, err = run_cli(["formula", "--p", "2", "--level", text],
+                                     capsys)
+            assert (code, out, err) == (2, "", "error: %s\n" % message)
 
     def test_extension_field_cap(self, capsys):
         code, out, _ = run_cli(

@@ -75,14 +75,16 @@ def test_graph_of_groups_reuses_the_build_reductions(monkeypatch):
     monkeypatch.setattr(hecke, "_nagao_reduction", counted)
     G = build_graph_of_groups(Q)
     assert runs == []
-    assert all(G.lifts[cid] is Q.located[G.lifts[cid].key()][1]
-               for cid in G.lifts)
+    assert all(G.lifts[c.id] is c.representative for c in Q.classes)
+    assert all(e.lift_dst is Q.classes[e.dst].representative or any(
+        e.lift_dst is st.end for st in Q.classes[e.src].strands)
+        for e in G.edges)
 
 
 def test_graph_of_groups_searches_and_reduces_nothing(monkeypatch):
     """The graph of groups reads its tree, lifts and strands off the build:
     at q=3, D=t^3 (t+1)^3, depth 10, with strands off the tree, it makes no
-    `QuotientGraph._search`, `locate` or `frame_orbits` call, runs Nagao's
+    `QuotientGraph._orbit_id`, `locate` or `frame_orbits` call, runs Nagao's
     kernel on no vertex and multiplies no matrices."""
     from btquot import hecke, quotient
     from btquot.btree import Matrix2
@@ -96,7 +98,7 @@ def test_graph_of_groups_searches_and_reduces_nothing(monkeypatch):
             return fn(*args)
         return wrapper
 
-    for owner, name in ((quotient.QuotientGraph, "_search"),
+    for owner, name in ((quotient.QuotientGraph, "_orbit_id"),
                         (quotient.QuotientGraph, "locate"),
                         (quotient, "frame_orbits"),
                         (hecke, "_nagao_reduction"),

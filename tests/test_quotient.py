@@ -7,7 +7,8 @@ from btquot.algebra import FieldSpec
 from btquot.hecke import parse_level, reduce_vertex
 from btquot.quotient import (INDETERMINATE, NONSPLIT, SPLIT, BoundError,
                              QuotientError, _certified_step, build_quotient,
-                             certify_cusps, classify_splitness, export)
+                             certify_cusps, classify_splitness, export,
+                             frame_orbits)
 from btquot.selftest import CUSP_CASES
 
 F2 = FieldSpec(2)
@@ -236,11 +237,12 @@ KEY_CASES = [(q, lvl) for q in KEY_FIELDS
              for lvl in ("0", "t", "t^3", "t;t+1", "t^2;t+1")]
 
 
-class TestClassKey:
-    """`locate` tries witnesses only against the classes of the vertex's
-    class key, so the key must be equal on every vertex of a class, in
-    whichever frame its reduction gives, and the filtered search must find
-    what a scan of the whole reduction level finds."""
+class TestOrbitId:
+    """The build and `locate` find the class of a vertex by its orbit id
+    (`hecke._Column.orbit_id`), so the id must be equal on every vertex of a
+    class, in whichever frame its reduction gives, and distinct between
+    classes: the class it finds must be the one a witness scan of the whole
+    reduction level finds."""
 
     @pytest.fixture(scope="class", params=KEY_CASES,
                     ids=["q%d-%s" % case for case in KEY_CASES])
@@ -249,37 +251,55 @@ class TestClassKey:
         field = FieldSpec(*KEY_FIELDS[q])
         return build_quotient(parse_level(lvl, field), KEY_DEPTHS[q])
 
-    def test_key_is_a_class_invariant(self, quotient):
-        """On every neighbor of every expanded representative, and on the
-        representatives moved by [[1, 0], [N_D, 1]] in H_D, whose level-0
-        frames move the torus pairs and the unipotent dimension."""
+    def test_id_is_a_class_invariant(self, quotient):
+        """On the representatives moved by [[1, 0], [N_D, 1]] in H_D, whose
+        level-0 frames differ, and on every member of every neighbor orbit
+        of an expanded representative, which lies in the class of the
+        orbit's strand."""
         from btquot.btree import act
-        from btquot.hecke import stabilizer
-        from btquot.quotient import class_key
         Q = quotient
         m = mover(Q)
-        seen = set()
         for c in Q.classes:
-            key = class_key(c.stab)
-            moved = act(m, c.representative)
-            assert class_key(stabilizer(moved, Q.level)) == key
-            assert Q.locate(moved)[0] == c.id
+            assert Q.locate(act(m, c.representative))[0] == c.id
             if not c.expanded:
                 continue
-            for nb in c.representative.neighbors():
-                cid = Q.locate(nb)[0]
-                assert class_key(stabilizer(nb, Q.level)) == \
-                    class_key(Q.class_by_id(cid).stab)
-                seen.add(cid)
-        assert len(seen) > 1
+            for orbit, st in zip(frame_orbits(c.stab), c.strands):
+                assert {Q.locate(c.representative.neighbor(i))[0]
+                        for i in orbit} == {st.dst}
+        assert len(Q.ids) == len(Q.classes)
+
+    def test_hand_computed_ids(self):
+        """At q = 2, N = t^2 the point (X : Y) = (-c : a) of a column (a, c)
+        is (e : d), e in {1, t, t^2}.  For n >= 1, e = 1 gives g0 = 1,
+        M1 = t^2 and x = d, with no coefficient above t^n; e = t gives
+        g0 = t, M1 = 1 and d mod t = 1; e = t^2 gives M = 1.  At n = 0 the
+        t coefficient of x is read when e = 1, and the id is the least over
+        the points (X + zY : Y) and (Y : X), in the orbits
+        {(0 : 1), (1 : 1), (1 : 0)} and {(t : 1), (1 : 1+t), (1 : t)}."""
+        from btquot.hecke import _Column
+        level = parse_level("t^2", F2)
+        one, t, t2 = (1,), (0, 1), (0, 0, 1)
+        zero_orbit, t_orbit = (t2, ()), (t, (1,))
+        cases = [(((1,), ()), [zero_orbit] * 3),             # (0 : 1)
+                 (((1,), (0, 1)), [t_orbit] * 3),            # (t : 1)
+                 (((1,), (1,)), [zero_orbit] + [(one, ())] * 2),  # (1 : 1)
+                 (((0, 1), (1,)), [t_orbit] + [(one, ())] * 2),   # (1 : t)
+                 (((1, 1), (1,)), [t_orbit] + [(one, ())] * 2)]   # (1 : 1+t)
+        for col, ids in cases:
+            assert [_Column(level, col).orbit_id(n) for n in range(3)] == \
+                [(n, e, vec) for n, (e, vec) in enumerate(ids)], col
+        Q = build(F2, "t^2", 6)
+        assert sorted(k for k in Q.ids if k[0] == 0) == \
+            [(0,) + zero_orbit, (0,) + t_orbit]
+        assert sorted(k for k in Q.ids if k[0] == 1) == \
+            [(1,) + zero_orbit, (1,) + t_orbit, (1, one, ())]
 
     def test_two_torus_forms_at_q2_are_one(self):
         """At q = 2 the line alpha = beta and all of (F_q*)^2 are the one
         pair set {(1, 1)}, and the solver returns both forms (mu = 1 for a
         row (1, 1) past the rank): a descriptor built from either has the
-        same key, order, pairs and generators."""
+        same order, pairs and generators."""
         from btquot.hecke import StabDescriptor, _Congruence
-        from btquot.quotient import class_key
         Q = build(FieldSpec(2), "t^2", 6)
         cols = [c.reduction.rows[::2] for c in Q.classes]
         mus = [_Congruence(Q.level, col, col).torus(c.level_n)[0]
@@ -291,7 +311,6 @@ class TestClassKey:
                 stab.base_vertex, stab.reduction, Q.level,
                 (mu,) + stab.torus_map[1:] + (stab.m,), stab.kernel)
                 for mu in (1, None))
-            assert class_key(line) == class_key(full) == class_key(stab)
             assert line.order == full.order == stab.order
             assert line.torus_pairs() == full.torus_pairs() == ((1, 1),)
             assert line.generator_frames() == full.generator_frames()

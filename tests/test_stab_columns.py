@@ -1,10 +1,11 @@
 """The build solves each stabilizer congruence once per first column (a, c)
-of the reductions (`hecke._Congruence` of the pair (col, col)), and a
-solver's descriptor keeps the modulus M of its unipotent space until its
-basis is read: each class's descriptor equals a fresh `hecke.stabilizer`,
-the columns are counted, no kernel basis is built by the build or by
-certification, and the system of a column passed as one object equals the
-system of two equal but distinct column tuples."""
+of the reductions (`hecke._Congruence` of the pair (col, col), kept on its
+`hecke._Column`), and a solver's descriptor keeps the modulus M of its
+unipotent space until its basis is read: each class's descriptor equals a
+fresh `hecke.stabilizer`, each located vertex has a witness to its class
+representative, the columns are counted, no kernel basis is built by the
+build or by certification, and the system of a column passed as one object
+equals the system of two equal but distinct column tuples."""
 
 import itertools
 
@@ -12,9 +13,10 @@ import pytest
 
 from btquot import hecke
 from btquot.algebra import FieldSpec, Polynomial
-from btquot.hecke import Level, parse_level, stabilizer
-from btquot.quotient import (build_quotient, certify_cusps, class_key,
-                             frame_orbits)
+from btquot.btree import act
+from btquot.hecke import (Level, orbit_witness, parse_level, reduce_vertex,
+                          stabilizer)
+from btquot.quotient import build_quotient, certify_cusps, frame_orbits
 
 
 def levels(field, degree):
@@ -87,17 +89,16 @@ def solves(monkeypatch):
                               for lv in ORACLE_LEVELS])
 def test_class_descriptors_equal_fresh_stabilizers(level):
     """Each class's descriptor, read off the build's shared column, equals
-    `stabilizer` of its representative, in its order, unipotent dimension,
-    class key and neighbor orbits, all read from M, and in its kernel
-    basis, built from M."""
+    `stabilizer` of its representative, in its order, unipotent dimension
+    and neighbor orbits, all read from M, and in its kernel basis, built
+    from M."""
     Q = build_quotient(level, 2 * level.degree + 4)
-    assert len(Q.columns) <= len(Q.located)
+    assert len(Q.columns) <= 1 + sum(len(c.strands) for c in Q.classes)
     for c in Q.classes:
         stab, fresh = c.stab, stabilizer(c.representative, level)
-        summary = (stab.order, stab.unipotent_dim(), class_key(stab),
-                   frame_orbits(stab))
+        summary = (stab.order, stab.unipotent_dim(), frame_orbits(stab))
         assert summary == (fresh.order, fresh.unipotent_dim(),
-                           class_key(fresh), frame_orbits(fresh)), c.id
+                           frame_orbits(fresh)), c.id
         assert (stab.reduction, stab.torus, stab.kernel) == \
             (fresh.reduction, fresh.torus, fresh.kernel), c.id
         col = c.reduction.rows[::2]
@@ -105,6 +106,24 @@ def test_class_descriptors_equal_fresh_stabilizers(level):
             level.field, hecke._Congruence(level, col, col).m,
             c.level_n, c.level_n), c.id
     check_shortcut(Q)
+
+
+@pytest.mark.parametrize("level,depth", [
+    (lv, 2 * lv.degree + 4) for lv in ORACLE_LEVELS]
+    + [(parse_level("t^3;(t+1)^3", FieldSpec(3)), 10)],
+    ids=["q%d-%s" % (lv.field.q, lv) for lv in ORACLE_LEVELS] + ["deep"])
+def test_located_vertices_have_witnesses(level, depth):
+    """The orbit id puts each strand end in the class of its
+    representative: `orbit_witness` finds an h in H_D that moves the end
+    onto the representative.  The deep level has 234 classes at depth 10,
+    and an id whose parts are not padded to fixed lengths merges two."""
+    Q = build_quotient(level, depth)
+    for c in Q.classes:
+        for st in c.strands:
+            rep = Q.classes[st.dst].representative
+            h = orbit_witness(level, reduce_vertex(st.end),
+                              reduce_vertex(rep))
+            assert h is not None and act(h, st.end) == rep, (c.id, st.dst)
 
 
 @pytest.mark.parametrize("q,lvl,depth,columns", CENSUS_COLUMNS)
@@ -118,6 +137,6 @@ def test_census_column_solves(solves, q, lvl, depth, columns):
         Q = build_quotient(level, depth)
         certify_cusps(Q)
         assert solves["columns"] == len(Q.columns) == columns
-        assert len(Q.located) > columns
+        assert 1 + sum(len(c.strands) for c in Q.classes) > columns
     assert solves["kernel bases"] == 0
     check_shortcut(Q)
