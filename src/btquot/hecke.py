@@ -182,9 +182,8 @@ def parse_level(text, field):
     """Parse 'poly^mult' factors separated by ';', e.g. "t;t+1" or "t^3".
 
     A trailing '^<uint>' on a factor is a multiplicity; anything else is part
-    of the polynomial (so "t^2+t+1" is a single degree-2 factor).  The
-    parse error of a head in parentheses before it stands.
-    """
+    of the polynomial (so "t^2+t+1" is a single degree-2 factor); a head in
+    parentheses keeps its own parse error."""
     t = "".join(text.split())
     if t in ("", "0"):
         return Level(field, ())
@@ -832,8 +831,7 @@ def _split(field, y, e, inv, m):
     """(y mod e, x(y - y mod e)) for x(y) = (y/e)*inv mod m, packed: the
     parts of L(y) in `_Congruence.torus` and in `_Column._parts`."""
     quo, rest = packed_divmod(field, y, e)
-    return rest, tuple(packed_divmod(field, packed_mul(field, quo, inv),
-                                     m)[1])
+    return rest, tuple(_residue(field, quo, inv, m))
 
 
 class _Congruence:
@@ -921,16 +919,15 @@ class _Congruence:
 class _Column:
     """A packed first column (a, c) of the reduction g of a vertex: the
     stabilizer system of its vertices, the pair (col, col), and their orbit
-    id at each level, that of the orbit of the point (X : Y) = (-c : a) of
-    P^1(R/N_D), the bottom row of adj(g), under Stab(v_n) (README, "Notes
-    on conventions"): (n, e, L(d) scaled to a first nonzero entry 1) for
-    n >= 1 (`_parts`; (n, (1,), ()) at D = 0), and at n = 0 the least
-    level-0 id of the q + 1 points (X + zY : Y), z in F_q, and (a : c)."""
+    id at each level, which names the orbit of the point (X : Y) = (-c : a)
+    of P^1(R/N_D) under Stab(v_n) (README, "Notes on conventions"):
+    (n, e, L(d) scaled to a first nonzero entry 1) for n >= 1, and at n = 0
+    the least level-0 id of the q + 1 points (X + zY : Y) and (a : c)."""
 
     def __init__(self, level, col):
         self.level, self.col = level, col
         self.system = _Congruence(level, col, col)
-        self.parts = self._parts(0)
+        self.scale, self.parts = _vector_ops(level.field)[1], self._parts(0)
 
     def _parts(self, z):
         """(e, d mod g0, x(d)) of the point (X + zY : Y), or (a : c) at
@@ -952,7 +949,7 @@ class _Column:
         (e, rest, top), field = parts, self.level.field
         vec = rest + top[n + 1:]
         lead = next((z for z in vec if z), 1)
-        return n, e, _vector_ops(field)[1](field.inv(lead), vec)
+        return n, e, vec if lead == 1 else self.scale(field.inv(lead), vec)
 
     @functools.cached_property
     def _zero(self):

@@ -9,18 +9,19 @@ classes and strands the build recorded.
 The build runs a breadth-first search over orbit classes starting from the
 class of the base vertex: each class representative contributes its q+1 tree
 neighbors, the stabilizer partitions them into orbits (one quotient edge per
-orbit), and each orbit representative is located among the known classes
-by its orbit id or opens a new class.  The id and the stabilizer read the
-reduction g only through its first column (a, c), which Nagao's g keeps
-along a cusp tail: the build keeps one `hecke._Column` per distinct column
-(`columns`), which solves the stabilizer congruence and reads the id's
-point once, and builds a stabilizer only for a new class.  Classes and
-edges found at depth d are kept when the search is widened, so the output
-is a growing snapshot of the full quotient.  A class records its `parent`,
-the class whose expansion found it, and a strand its `end`, the vertex
-object located for the orbit representative: the classes joined to their
-parents form the discovery tree, which the graph of groups takes as its
-spanning tree (`presentation`).
+orbit), and each orbit representative, unless it is the representative of
+the class whose expansion found it, is located by its orbit id or opens a
+new class.  The id and the stabilizer read the reduction g only through
+its first column (a, c), which Nagao's g keeps along a cusp tail: the
+build keeps one `hecke._Column` per distinct column (`columns`), which
+solves the stabilizer congruence and reads the id's point once, and builds
+a stabilizer only for a new class.  Classes and edges found at depth d
+are kept when the search is widened, so the output is a growing snapshot
+of the full quotient.  A class records its `parent`, the class whose
+expansion found it, and a strand its `end`, the vertex object located for
+the orbit representative: the classes joined to their parents form the
+discovery tree, which the graph of groups takes as its spanning tree
+(`presentation`).
 
 The orbits are taken in the frame of the standard ray.  The reduction g of
 v maps it to v_n, so Stab(v) = g^-1 S g acts on the neighbors of v, the
@@ -149,9 +150,8 @@ class QuotientGraph:
 
     def locate(self, v):
         """(class id, h in H_D with act(h, v) = the representative) for the
-        class of the orbit id of v, or None when no class has it; h is
-        formed on demand: the identity for the representative, else the
-        `orbit_witness` of v and the representative."""
+        class of the orbit id of v, or None; h is formed on demand: the
+        identity for the representative, else an `orbit_witness`."""
         red = reduce_vertex(v)
         cid = self.ids.get(self._orbit_id(red)[1])
         if cid is None:
@@ -186,10 +186,12 @@ class QuotientGraph:
         return cid
 
     def _expand(self, cls):
+        back = cls.layer and self.classes[cls.parent].representative
         for orbit in frame_orbits(cls.stab):
             end = cls.representative.neighbor(orbit[0])
-            cls.strands.append(Strand(len(orbit), self._classify(end, cls.id),
-                                      end))
+            end, dst = ((back, cls.parent) if end == back
+                        else (end, self._classify(end, cls.id)))
+            cls.strands.append(Strand(len(orbit), dst, end))
         cls.expanded = True
 
 

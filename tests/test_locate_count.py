@@ -58,12 +58,17 @@ def tally(monkeypatch):
                                            (3, 2, "t", 4),
                                            (3, 1, "t^3;(t+1)^3", 14)])
 def test_one_descriptor_per_class_and_no_witness(tally, p, s, lvl, depth):
-    """One column and one stabilizer system per distinct first column of
-    the reductions, one descriptor per class, and no `orbit_witness` call: at
-    q=3, D=t^3 (t+1)^3, depth 14 a search by stabilizer keys made 13,812
-    witness solves."""
+    """One reduction per vertex looked up: the base vertex and each strand
+    end but the representative of the class whose expansion found the
+    class.  One column and one stabilizer system per distinct first column
+    of the reductions, one descriptor per class, and no `orbit_witness`
+    call: at q=3, D=t^3 (t+1)^3, depth 14 a search by stabilizer keys made
+    13,812 witness solves."""
     Q = quotient.build_quotient(parse_level(lvl, FieldSpec(p, s)), depth)
-    assert tally["reduce"] > len(Q.classes)
+    looked_up = [st.end for c in Q.classes for st in c.strands
+                 if c.parent is None
+                 or st.end is not Q.classes[c.parent].representative]
+    assert tally["reduce"] == 1 + len(looked_up) >= len(Q.classes)
     assert tally["points"] == tally["systems"] == len(tally["firsts"]) \
         == len(Q.columns) < tally["reduce"]
     assert tally["descriptors"] == len(Q.classes) == len(Q.ids)
