@@ -102,7 +102,7 @@ class BallVertex:
 
     def __eq__(self, other):
         return (isinstance(other, BallVertex)
-                and self.field == other.field and self._key == other._key)
+                and self._key == other._key and self.field == other.field)
 
     def __hash__(self):
         return hash((self.field.q, self._key))
