@@ -101,8 +101,8 @@ class BallVertex:
         return [self.neighbor(i) for i in range(self.field.q + 1)]
 
     def __eq__(self, other):
-        return (isinstance(other, BallVertex)
-                and self._key == other._key and self.field == other.field)
+        return (isinstance(other, BallVertex) and self._key == other._key
+                and (self.field is other.field or self.field == other.field))
 
     def __hash__(self):
         return hash((self.field.q, self._key))

@@ -828,8 +828,7 @@ def _residue(field, x, y, modulus):
 
 
 def _split(field, y, e, inv, m):
-    """(y mod e, x(y - y mod e)) for x(y) = (y/e)*inv mod m, packed: the
-    parts of L(y) in `_Congruence.torus` and in `_Column._parts`."""
+    """(y mod e, x(y - y mod e)), x(y) = (y/e) inv mod m: the parts of L."""
     quo, rest = packed_divmod(field, y, e)
     return rest, tuple(_residue(field, quo, inv, m))
 
@@ -919,10 +918,9 @@ class _Congruence:
 class _Column:
     """A packed first column (a, c) of the reduction g of a vertex: the
     stabilizer system of its vertices, the pair (col, col), and their orbit
-    id at each level, which names the orbit of the point (X : Y) = (-c : a)
-    of P^1(R/N_D) under Stab(v_n) (README, "Notes on conventions"):
-    (n, e, L(d) scaled to a first nonzero entry 1) for n >= 1, and at n = 0
-    the least level-0 id of the q + 1 points (X + zY : Y) and (a : c)."""
+    id, that of the point (X : Y) = (-c : a) of P^1(R/N_D) under Stab(v_n)
+    (README, "Notes on conventions"): (n, e, L(d) scaled to lead with 1) for
+    n >= 1, and at n = 0 the least level-0 id of (X + zY : Y) and (a : c)."""
 
     def __init__(self, level, col):
         self.level, self.col = level, col
@@ -932,16 +930,19 @@ class _Column:
     def _parts(self, z):
         """(e, d mod g0, x(d)) of the point (X + zY : Y), or (a : c) at
         z = q: e = gcd(X, N), M = N/e, d = Y (X/e)^-1 mod M, g0 = gcd(e, M),
-        x(d) = ((d - d mod g0)/g0) (e/g0)^-1 mod M/g0, padded to deg g0 and
-        deg M/g0 coefficients so that the entries of L(d) keep their places."""
+        x(d) = ((d - d mod g0)/g0) (e/g0)^-1 mod M/g0, or d if e or M is 1,
+        padded to deg g0 and deg M/g0 entries so that L(d) keeps its places."""
         field, modulus = self.level.field, self.level.modulus.packed_coeffs
         a, c = self.col
         x, y = (a, c) if z == field.q else (packed_combination(
             field, [(field.neg(1), c), (z, a)]), a)
         e, inv, m = packed_gcd(field, packed_divmod(field, x, modulus)[1],
                                modulus, cofactor=True)
+        d = _residue(field, y, inv, m)
+        if len(e) == 1 or len(m) == 1:
+            return tuple(e), (), tuple(d) + (0,) * (len(m) - 1 - len(d))
         g0, inv0, m1 = packed_gcd(field, e, m, cofactor=True)
-        rest, top = _split(field, _residue(field, y, inv, m), g0, inv0, m1)
+        rest, top = _split(field, d, g0, inv0, m1)
         return (tuple(e), tuple(rest) + (0,) * (len(g0) - 1 - len(rest)),
                 top + (0,) * (len(m1) - 1 - len(top)))
 
