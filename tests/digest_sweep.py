@@ -12,8 +12,10 @@ json), `stab` and `orbit` (some with `--brute-force`) and `reduce`: every
 level of degree <= 3 at q = 2, a fixed choice of levels of degree <= 3 at
 q = 3 and of degree <= 2 at q = 4, 5, 7, 8, 9, depths 5 to 8, D = 0 up to
 q = 31, the cusps of two levels of degree 10 and 11 at q = 2, and three
-levels of degree 6 and 7 at q = 2, 3 built to depths 12 to 16.
-`selftest` is left out, as it prints timings.  The golden,
+levels of degree 6 and 7 at q = 2, 3 built to depths 12 to 16.  `formula`
+runs on every level above, a few times with Picard data (`--g2-order`,
+`--pic-r-order`), after all other commands, so that its lines were added
+to the golden without moving any other.  `selftest` is left out, as it prints timings.  The golden,
 `golden/digests.txt`, holds one line per command: its digest, its exit code
 and the command.  Regenerate it only when an output changes on purpose, in
 a commit of its own that gives the reason for each changed line.
@@ -58,6 +60,16 @@ DEEP_CUSP_LEVELS = ["t^11", "t^5;(t+1)^5"]
 # told apart from many classes that share its stabilizer
 DEEP_BUILDS = [(3, "t^3;(t+1)^3", 14), (2, "t^4;(t+1)^3", 16),
                (3, "t^4;(t+1)^2", 14)]
+
+# (p, s, level, Picard data) of the `formula` commands that pass options
+PICARD_FORMULAS = [
+    (3, 1, "t;t+1", ["--g2-order", "2"]),
+    (3, 1, "t;t+1", ["--pic-r-order", "infinite"]),
+    (5, 1, "t^2+2", ["--g2-order", "2", "--pic-r-order", "infinite"]),
+    (2, 2, "t", ["--pic-r-order", "infinite"]),
+    (2, 1, "t^3", ["--g2-order", "2"]),
+    (3, 2, "t;t+1", ["--pic-r-order", "2"]),
+]
 
 
 def _vertices(q):
@@ -142,6 +154,15 @@ def commands():
                      str(depth)])
     cmds.append(["quotient", "--p", "3", "--level", "t^3;(t+1)^3", "--depth",
                  "12", "--format", "json"])
+    formulas = [(p, s, level) for (p, s), levels in LEVELS.items()
+                for level in levels]
+    formulas += [(2, 1, level) for level in DEEP_CUSP_LEVELS]
+    formulas += [(p, 1, level) for p, level, _ in DEEP_BUILDS]
+    for p, s, level in formulas:
+        cmds.append(["formula"] + _field_args(p, s) + ["--level", level])
+    for p, s, level, picard in PICARD_FORMULAS:
+        cmds.append(["formula"] + _field_args(p, s) + ["--level", level]
+                    + picard)
     return cmds
 
 
