@@ -16,22 +16,22 @@ is Euclid's algorithm on (P, t^K) and never calls `act`.  Its result,
 the vertex's one frame, holds g as packed rows and the residue matrix k
 that the moves induce on L_v/pi L_v, and is kept on the vertex, so each
 vertex object is reduced once.
-Whether a candidate lies in H_D is the congruence x*u = alpha*va +
+Whether a witness lies in H_D is the congruence x*u = alpha*va +
 beta*vc (mod N_D) in the torus pair (alpha, beta) and b = x of degree
 <= n, u = c_dst*c_src, whose reduced echelon form is a closed form
-(`_Congruence`): with e = gcd(u, N_D) and M = N_D/e, x*u = 0 iff M | x, so
-the pivots are the columns t^j*u below deg M, the kernel is t^j -
+(`_witness_torus`): with e = gcd(u, N_D) and M = N_D/e, x*u = 0 iff M | x,
+so the pivots are the columns t^j*u below deg M, the kernel is t^j -
 (t^j mod M) for deg M <= j <= n (`_kernel_basis`), and y lies in the span
 iff e | y and x(y) = (y/e)(u/e)^-1 mod M, the particular solution, has
 degree <= n.  One extended Euclid decides every torus pair: all, one line
-alpha = mu*beta or none, with solutions alpha*na + beta*nc +
-span(kernel); a stabilizer's scalar line has na = nc = 0.  The system reads
-g_dst and g_src only through their first columns, and a stabilizer is the
-system of the pair (col, col), with u = c^2 and va = -vc = -a*c: its part
-that does not depend on n is one Euclid, which a build shares among the
-vertices of one column, and its level part is a slice at n.  A
-descriptor keeps its kernel as M and a top degree k <= n, the basis
-t^j - (t^j mod M) for deg M <= j <= k being built only when read.
+alpha = mu*beta or none, with solutions alpha*na + beta*nc + span(kernel).
+A stabilizer is the system of the pair (col, col), u = c^2, which the
+point (-c : a) of P^1(R/N_D) naming its class already solves (`_Column`):
+gcd(c^2, N_D) = e*g0, its M is the point's M1 and x(a*c) = -x(d), so the
+torus map, all pairs or the scalar line (na = nc = 0), is read off the
+point's parts with no second Euclid.  A descriptor keeps its kernel as M
+and a top degree k <= n, the basis t^j - (t^j mod M) for deg M <= j <= k
+being built only when read.
 Elimination runs only on the homogeneous system of
 level 0 (`solve_affine`); the q^(n+3) enumeration is an oracle
 (`stabilizer_brute_force`, `orbit_equivalent_brute_force`) up to
@@ -647,7 +647,7 @@ class StabDescriptor:
                                    % format_polynomial(Polynomial._of(f, det)))
             self._products = g, f.inv(det[0]), {(0, 3): ad, (1, 2): bc}
         g, delta_inv, prods = self._products
-        return _conjugate(f, g, frame, g, delta_inv, prods)
+        return _conjugate(f, g, frame, g, delta_inv, prods, True)
 
     def frame_of(self, h):
         """The frame data of s = g h g^{-1} (`ray_frame`): the inverse of
@@ -833,105 +833,87 @@ def _split(field, y, e, inv, m):
     return rest, tuple(_residue(field, quo, inv, m))
 
 
-class _Congruence:
-    """The system x*u = alpha*va + beta*vc (mod N_D), x of degree <= n, of
-    the packed first columns (a_dst, c_dst) of g_dst and (a_src, c_src) of
-    g_src: u = c_dst*c_src, va = -c_dst*a_src, vc = a_dst*c_src mod N_D
-    (`orbit_witness`).  A stabilizer is the pair (col, col); given as one
-    object, va = -vc and its parts are those of vc negated.  The
-    constructor runs what n does not change: one extended Euclid (e, (u/e)^-1
-    mod M and M), the particular parts x(y - y mod e) of va and vc, and the
-    rows y mod e of L(y), folded into the torus set mu.  `torus(n)` is the
-    level slice; `algebra()` solves the level-0 system on first use."""
+def _check_unknowns(n):
+    """Refuse a congruence solve at level n above SOLVE_UNKNOWNS_CAP."""
+    if n + 1 > SOLVE_UNKNOWNS_CAP:
+        raise SizeError("the congruence solve at level %d has %d unknowns, "
+                        "above the cap %d" % (n, n + 1, SOLVE_UNKNOWNS_CAP))
 
-    __slots__ = ("level", "a_pair", "u", "va", "vc", "m", "xa", "xc", "mu",
-                 "_algebra")
 
-    def __init__(self, level, dst, src):
-        field, modulus = level.field, level.modulus.packed_coeffs
-        (a_dst, c_dst), (a_src, c_src) = dst, src
-        self.level, self.a_pair = level, (a_dst, a_src)
-        self.u = _residue(field, c_dst, c_src, modulus)
-        self.vc = _residue(field, a_dst, c_src, modulus)
-        e, inv, self.m = packed_gcd(field, self.u, modulus, cofactor=True)
-        rest_c, self.xc = _split(field, self.vc, e, inv, self.m)
-        if dst is src:
-            # the rows (-r, r) of L(va) = -L(vc) leave the scalar line
-            self.va = list(map(field.neg, self.vc))
-            self.xa = tuple(map(field.neg, self.xc))
-            self.mu = 1 if rest_c else None
-        else:
-            self.va = _residue(field, packed_mul(field, c_dst, [field.neg(1)]),
-                               a_src, modulus)
-            rest_a, self.xa = _split(field, self.va, e, inv, self.m)
-            self.mu = _torus_restrict(field, None, itertools.zip_longest(
-                rest_a, rest_c, fillvalue=0))
-        self._algebra = None
+def _terms(level, dst, src):
+    """(u, va, vc) = (c_dst*c_src, -c_dst*a_src, a_dst*c_src) mod N_D of the
+    packed first columns (a_dst, c_dst) of g_dst and (a_src, c_src) of
+    g_src."""
+    field, modulus = level.field, level.modulus.packed_coeffs
+    (a_dst, c_dst), (a_src, c_src) = dst, src
+    minus_c = packed_mul(field, c_dst, [field.neg(1)])
+    return tuple(_residue(field, x, y, modulus) for x, y in (
+        (c_dst, c_src), (minus_c, a_src), (a_dst, c_src)))
 
-    def torus(self, n):
-        """The torus map (mu, na, nc, M) at level n, or None when no pair is
-        consistent.  y is in the span iff L(y) = (y mod e, the coefficients
-        of x(y - y mod e) above t^n) vanishes (module docstring), so the
-        rows above t^n cut mu.  All pairs have na = x(va), nc = x(vc); a
-        line alpha = mu*beta has na = x(va + vc/mu), nc = 0."""
-        if n + 1 > SOLVE_UNKNOWNS_CAP:
-            raise SizeError("the congruence solve at level %d has %d "
-                            "unknowns, above the cap %d"
-                            % (n, n + 1, SOLVE_UNKNOWNS_CAP))
-        field, xa, xc, mu = self.level.field, self.xa, self.xc, self.mu
-        if max(len(xa), len(xc)) > n + 1:
-            mu = _torus_restrict(field, mu, itertools.zip_longest(
-                xa[n + 1:], xc[n + 1:], fillvalue=0))
-        if mu == 0:
-            return None
-        if mu is not None:
-            xa = tuple(packed_add(field, xa, xc if mu == 1 else
-                                  packed_mul(field, xc, [field.inv(mu)])))
-            xc = ()
-        zero = (0,) * (n + 1)
-        return (mu, xa[:n + 1] + zero[len(xa):], xc[:n + 1] + zero[len(xc):],
-                self.m)
 
-    def algebra(self):
-        """A basis of the level-0 solutions (a, b, c, d) of
-        a*va - b*u + c*a_dst*a_src + d*vc = 0 (mod N_D), kept if some c != 0
-        in it, else (): the F_q-algebra V of a stabilizer, or the space whose
-        units with c != 0 are the level-0 witnesses.  Solved on first use."""
-        if self._algebra is None:
-            field, modulus = self.level.field, self.level.modulus.packed_coeffs
-            size = len(modulus) - 1
-            cols4 = [tuple(col) + (0,) * (size - len(col)) for col in (
-                self.va, packed_mul(field, self.u, [field.neg(1)]),
-                _residue(field, *self.a_pair, modulus), self.vc)]
-            _, kernel = solve_affine(cols4, (0,) * size, field)
-            self._algebra = kernel if any(vec[2] for vec in kernel) else ()
-        return self._algebra
+def _witness_torus(level, dst, src, n):
+    """The torus map (mu, na, nc, M) at level n of the system
+    x*u = alpha*va + beta*vc (mod N_D), x of degree <= n, of the columns
+    dst and src (`_terms`), or None when no pair is consistent.  One
+    extended Euclid gives e, (u/e)^-1 mod M and M; y is in the span iff
+    L(y) = (y mod e, the coefficients of x(y - y mod e) above t^n)
+    vanishes (module docstring), so the rows of L(va) and L(vc) cut mu.
+    All pairs have na = x(va), nc = x(vc); a line alpha = mu*beta has
+    na = x(va + vc/mu), nc = 0."""
+    _check_unknowns(n)
+    field, modulus = level.field, level.modulus.packed_coeffs
+    u, va, vc = _terms(level, dst, src)
+    e, inv, m = packed_gcd(field, u, modulus, cofactor=True)
+    (rest_a, xa), (rest_c, xc) = (_split(field, y, e, inv, m)
+                                  for y in (va, vc))
+    mu = _torus_restrict(field, None, itertools.chain(
+        itertools.zip_longest(rest_a, rest_c, fillvalue=0),
+        itertools.zip_longest(xa[n + 1:], xc[n + 1:], fillvalue=0)))
+    if mu == 0:
+        return None
+    if mu is not None:
+        xa = tuple(packed_add(field, xa, xc if mu == 1 else
+                              packed_mul(field, xc, [field.inv(mu)])))
+        xc = ()
+    zero = (0,) * (n + 1)
+    return mu, xa[:n + 1] + zero[len(xa):], xc[:n + 1] + zero[len(xc):], m
 
-    def stabilizer(self, v, red):
-        """The descriptor of Stab(v), for the vertex v of reduction `red`
-        whose g has the column of this (col, col) system."""
-        n = red.level_n
-        return StabDescriptor(v, red, self.level, self.torus(n),
-                              self.algebra() if n == 0 else ())
+
+def _algebra(level, dst, src):
+    """A basis of the level-0 solutions (a, b, c, d) of
+    a*va - b*u + c*a_dst*a_src + d*vc = 0 (mod N_D) of the columns dst and
+    src (`_terms`), kept if some c != 0 in it, else (): the F_q-algebra V
+    of a stabilizer (dst = src), or the space whose units with c != 0 are
+    the level-0 witnesses."""
+    field, modulus = level.field, level.modulus.packed_coeffs
+    u, va, vc = _terms(level, dst, src)
+    size = len(modulus) - 1
+    cols4 = [tuple(col) + (0,) * (size - len(col)) for col in (
+        va, packed_mul(field, u, [field.neg(1)]),
+        _residue(field, dst[0], src[0], modulus), vc)]
+    _, kernel = solve_affine(cols4, (0,) * size, field)
+    return kernel if any(vec[2] for vec in kernel) else ()
 
 
 class _Column:
-    """A packed first column (a, c) of the reduction g of a vertex: the
-    stabilizer system of its vertices, the pair (col, col), and their orbit
-    id, that of the point (X : Y) = (-c : a) of P^1(R/N_D) under Stab(v_n)
-    (README, "Notes on conventions"): (n, e, L(d) scaled to lead with 1) for
+    """A packed first column (a, c) of the reduction g of a vertex, and the
+    point (X : Y) = (-c : a) of P^1(R/N_D) it gives, the bottom row of
+    adj(g) (README, "Notes on conventions").  The vertex group of its
+    vertices at level n is the stabilizer of the point in Stab(v_n), read
+    off the point's parts (`stabilizer`), and their orbit id names the
+    point's Stab(v_n)-orbit: (n, e, L(d) scaled to lead with 1) for
     n >= 1, and at n = 0 the least level-0 id of (X + zY : Y) and (a : c)."""
 
     def __init__(self, level, col):
         self.level, self.col = level, col
-        self.system = _Congruence(level, col, col)
         self.scale, self.parts = _vector_ops(level.field)[1], self._parts(0)
 
     def _parts(self, z):
-        """(e, d mod g0, x(d)) of the point (X + zY : Y), or (a : c) at
+        """(e, d mod g0, x(d), M1) of the point (X + zY : Y), or (a : c) at
         z = q: e = gcd(X, N), M = N/e, d = Y (X/e)^-1 mod M, g0 = gcd(e, M),
-        x(d) = ((d - d mod g0)/g0) (e/g0)^-1 mod M/g0, or d if e or M is 1,
-        padded to deg g0 and deg M/g0 entries so that L(d) keeps its places."""
+        M1 = M/g0, x(d) = ((d - d mod g0)/g0) (e/g0)^-1 mod M1, or d if e or
+        M is 1, padded to deg g0 and deg M1 entries so that L(d) keeps its
+        places."""
         field, modulus = self.level.field, self.level.modulus.packed_coeffs
         a, c = self.col
         x, y = (a, c) if z == field.q else (packed_combination(
@@ -940,14 +922,14 @@ class _Column:
                                modulus, cofactor=True)
         d = _residue(field, y, inv, m)
         if len(e) == 1 or len(m) == 1:
-            return tuple(e), (), tuple(d) + (0,) * (len(m) - 1 - len(d))
+            return tuple(e), (), tuple(d) + (0,) * (len(m) - 1 - len(d)), m
         g0, inv0, m1 = packed_gcd(field, e, m, cofactor=True)
         rest, top = _split(field, d, g0, inv0, m1)
         return (tuple(e), tuple(rest) + (0,) * (len(g0) - 1 - len(rest)),
-                top + (0,) * (len(m1) - 1 - len(top)))
+                top + (0,) * (len(m1) - 1 - len(top)), m1)
 
     def _id(self, parts, n):
-        (e, rest, top), field = parts, self.level.field
+        (e, rest, top, _), field = parts, self.level.field
         vec = rest + top[n + 1:]
         lead = next((z for z in vec if z), 1)
         return n, e, vec if lead == 1 else self.scale(field.inv(lead), vec)
@@ -961,12 +943,31 @@ class _Column:
         """The id of the orbit of this column's vertices at level n."""
         return self._id(self.parts, n) if n else self._zero
 
+    def stabilizer(self, v, red):
+        """The descriptor of Stab(v), for the vertex v of reduction `red`
+        whose g has this column.  With (e, rest, top, M1) the point's parts,
+        the torus map is the scalar line (1, 0, 0, M1) when L(d) =
+        rest + top[n + 1:] is nonzero, else all pairs with na = x = top cut
+        or padded to n + 1 entries and nc = -x (README, "Notes on
+        conventions"); at level 0 the kernel is the algebra V of (col, col)."""
+        n, field = red.level_n, self.level.field
+        _check_unknowns(n)
+        _, rest, top, m1 = self.parts
+        zero = (0,) * (n + 1)
+        if any(rest) or any(top[n + 1:]):
+            torus = 1, zero, zero, m1
+        else:
+            x = top[:n + 1] + zero[len(top):]
+            torus = None, x, self.scale(field.neg(1), x), m1
+        return StabDescriptor(v, red, self.level, torus, _algebra(
+            self.level, self.col, self.col) if n == 0 else ())
+
 
 def stabilizer(v, level):
-    """Descriptor of Stab_{H_D}(v), computed by the linear solver."""
+    """Descriptor of Stab_{H_D}(v), read off the P^1(R/N_D) point of the
+    first column of its reduction (`_Column.stabilizer`)."""
     red = reduce_vertex(v)
-    col = red.rows[::2]
-    return _Congruence(level, col, col).stabilizer(v, red)
+    return _Column(level, red.rows[::2]).stabilizer(v, red)
 
 
 def orbit_witness(level, red_src, red_dst):
@@ -980,19 +981,17 @@ def orbit_witness(level, red_src, red_dst):
     lower-row terms at level 0.  W = delta g_dst^{-1} with delta = det g_dst
     a unit, so N_D divides the entry of W s g_src iff it divides that of
     g_dst^{-1} s g_src, and W21 = -c_dst and W22 = a_dst give the system
-    of `_Congruence`.
+    of `_witness_torus`, and at level 0 that of `_algebra`.
     """
-    field, n = level.field, red_src.level_n
-    dst, src = red_dst.rows, red_src.rows
-    col = dst[::2]   # the first column (a, c)
-    system = _Congruence(level, col, col if src is dst else src[::2])
-    torus = system.torus(n)
+    field, n, dst = level.field, red_src.level_n, red_dst.rows
+    cols = dst[::2], red_src.rows[::2]   # the first columns (a, c)
+    torus = _witness_torus(level, *cols, n)
     if torus:
         # the first pair: (1, 1), or (1, 1/mu) on the line alpha = mu*beta
         frame = _torus_frame(field, torus, 1, field.inv(torus[0] or 1))
     else:
         # at level 0 the ambient stabilizer is GL2(F_q)
-        frame = next(_level0_extras(field, system.algebra()), None) \
+        frame = next(_level0_extras(field, _algebra(level, *cols)), None) \
             if n == 0 else None
         if frame is None:
             return None
@@ -1000,7 +999,7 @@ def orbit_witness(level, red_src, red_dst):
     A0, B0, C0, D0 = (x[0] if x else 0 for x in dst)
     mul = field.mul
     delta_inv = field.inv(field.add(mul(A0, D0), field.neg(mul(B0, C0))))
-    return _conjugate(field, dst, frame, src, delta_inv, {})
+    return _conjugate(field, dst, frame, red_src.rows, delta_inv, {})
 
 
 def _conjugation_terms(same):
@@ -1017,7 +1016,7 @@ def _conjugation_terms(same):
 _CONJUGATION_TERMS = (_conjugation_terms(False), _conjugation_terms(True))
 
 
-def _conjugate(field, dst, frame, src, delta_inv, prods):
+def _conjugate(field, dst, frame, src, delta_inv, prods, same=False):
     """g_dst^-1 s g_src, for the frame data (a, b, c, d) of s, the packed
     entries (A, B, C, D) of g_dst and of g_src, and delta_inv = 1/det g_dst.
 
@@ -1025,12 +1024,12 @@ def _conjugate(field, dst, frame, src, delta_inv, prods):
     nonzero slots s_kl of delta^-1 s_kl adj(g_dst)[i][k] g_src[l][j]
     (`_CONJUGATION_TERMS`): one combination of entry products, which
     `prods` keeps by index pair, b the polynomial delta^-1 b times its
-    product.  With g_dst = g_src (dst is src) the products are symmetric,
-    and a frame with a = d and c = 0 is a*1 + b*E12, whose a*1 conjugates
-    to itself and needs no AD or BC product."""
+    product.  With `same` (g_dst = g_src, a stabilizer element) the
+    products are symmetric, and a frame with a = d and c = 0 is
+    a*1 + b*E12, whose a*1 conjugates to itself and needs no AD or BC
+    product."""
     mul, neg = field.mul, field.neg
     a, bvec, c, d = frame
-    same = dst is src
     b = list(bvec)
     while b and not b[-1]:
         b.pop()

@@ -1,10 +1,9 @@
 """Quotient graph of the tree under a Hecke congruence group.
 
 The quotient graph owns the one vertex-to-class lookup, a dict from the
-orbit id of a vertex (`hecke._Column`) to its class id, which the build
-and `locate` share; `locate` forms the witness matrix only when asked.
-Cusp certification and the graph of groups look nothing up: they read the
-classes and strands the build recorded.
+orbit id of a vertex (`hecke._Column`) to its class id, which only the
+build reads.  Cusp certification and the graph of groups look nothing up:
+they read the classes and strands the build recorded.
 
 The build runs a breadth-first search over orbit classes starting from the
 class of the base vertex: each class representative contributes its q+1 tree
@@ -14,8 +13,8 @@ the class whose expansion found it, is located by its orbit id or opens a
 new class.  The id and the stabilizer read the reduction g only through
 its first column (a, c), which Nagao's g keeps along a cusp tail: the
 build keeps one `hecke._Column` per distinct column (`columns`), which
-solves the stabilizer congruence and reads the id's point once, and builds
-a stabilizer only for a new class.  Classes and edges found at depth d
+reads the column's point of P^1(R/N_D) once, and reads a stabilizer off
+that point only for a new class.  Classes and edges found at depth d
 are kept when the search is widened, so the output is a growing snapshot
 of the full quotient.  A class records its `parent`, the class whose
 expansion found it, and a strand its `end`, the vertex object located for
@@ -59,10 +58,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dc_field
 
-from .btree import BallVertex, Matrix2
+from .btree import BallVertex
 from .hecke import (HeckeInconsistency, StabDescriptor, _Column, _cut,
-                    _torus_restrict, _vector_ops, orbit_witness,
-                    reduce_vertex)
+                    _torus_restrict, _vector_ops, reduce_vertex)
 
 
 class QuotientError(ValueError):
@@ -148,40 +146,24 @@ class QuotientGraph:
             adj[e.dst][e.src] = e.multiplicity
         return {cid: sorted(d.items()) for cid, d in adj.items()}
 
-    def locate(self, v):
-        """(class id, h in H_D with act(h, v) = the representative) for the
-        class of the orbit id of v, or None; h is formed on demand: the
-        identity for the representative, else an `orbit_witness`."""
+    def _classify(self, v, parent):
+        """The class id of v, looked up by its orbit id: a known class, or
+        else a new class represented by v, one layer out from the class
+        `parent` whose expansion found it (None for the base class), its
+        stabilizer read off its column."""
         red = reduce_vertex(v)
-        cid = self.ids.get(self._orbit_id(red)[1])
-        if cid is None:
-            return None
-        cls = self.classes[cid]
-        if v == cls.representative:
-            return cid, Matrix2.identity(self.field)
-        return cid, orbit_witness(self.level, red, cls.reduction)
-
-    def _orbit_id(self, red):
-        """(the `hecke._Column` of the reduction `red`, its orbit id)."""
         col = red.rows[::2]
         column = self.columns.get(col)
         if column is None:
             column = self.columns[col] = _Column(self.level, col)
-        return column, column.orbit_id(red.level_n)
-
-    def _classify(self, v, parent):
-        """The class id of v: a known class, or else a new class represented
-        by v, one layer out from the class `parent` whose expansion found it
-        (None for the base class), its stabilizer read off its column."""
-        red = reduce_vertex(v)
-        column, key = self._orbit_id(red)
+        key = column.orbit_id(red.level_n)
         cid = self.ids.get(key)
         if cid is None:
             cid = self.ids[key] = len(self.classes)
             layer = 0 if parent is None else self.classes[parent].layer + 1
             self.classes.append(OrbitClass(
                 id=cid, representative=v, level_n=red.level_n, layer=layer,
-                parent=parent, stab=column.system.stabilizer(v, red),
+                parent=parent, stab=column.stabilizer(v, red),
                 reduction=red))
         return cid
 

@@ -15,9 +15,9 @@ q = 31, the cusps of two levels of degree 10 and 11 at q = 2, and three
 levels of degree 6 and 7 at q = 2, 3 built to depths 12 to 16.  `formula`
 runs on every level above, a few times with Picard data (`--g2-order`,
 `--pic-r-order`), after all other commands, so that its lines were added
-to the golden without moving any other.  `selftest` is left out, as it prints timings.  The golden,
-`golden/digests.txt`, holds one line per command: its digest, its exit code
-and the command.  Regenerate it only when an output changes on purpose, in
+to the golden without moving any other.  `selftest` is left out, as it
+prints timings.  The golden, `golden/digests.txt`, holds one line per
+command: its digest, its exit code and the command.  Regenerate it only when an output changes on purpose, in
 a commit of its own that gives the reason for each changed line.
 """
 

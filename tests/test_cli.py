@@ -319,8 +319,8 @@ class TestStabOrbit:
     @pytest.mark.parametrize("r", [-99999999, -4096])
     def test_deep_level_solve_cap_exits_2(self, r, capsys):
         """The congruence solve at level n takes n+1 unknowns and a kernel
-        basis of O(n^2) entries; past the cap it refuses before building
-        a column, with exit 2, where the reduction alone answers at
+        basis of O(n^2) entries; past the cap it refuses before it reads
+        a torus map, with exit 2, where the reduction alone answers at
         once."""
         t0 = time.perf_counter()
         code, out, err = run_cli(["stab", "--p", "2", "--level", "t",
@@ -452,16 +452,16 @@ class TestErrors:
         """A stabilizer whose torus pairs are the line alpha = 2*beta,
         which misses the identity, is caught by the neighbor orbits: exit
         3, not 2."""
-        from btquot.hecke import StabDescriptor, _Congruence
-        stabilizer = _Congruence.stabilizer
+        from btquot.hecke import StabDescriptor, _Column
+        stabilizer = _Column.stabilizer
 
-        def forged_torus(system, v, red):
-            stab = stabilizer(system, v, red)
+        def forged_torus(column, v, red):
+            stab = stabilizer(column, v, red)
             return StabDescriptor(v, red, stab.level,
                                   (2,) + stab.torus_map[1:] + (stab.m,),
                                   stab.kernel)
 
-        monkeypatch.setattr(_Congruence, "stabilizer", forged_torus)
+        monkeypatch.setattr(_Column, "stabilizer", forged_torus)
         code, out, err = run_cli(
             ["quotient", "--p", "3", "--level", "t", "--depth", "5"], capsys)
         assert code == 3 and out == ""

@@ -1,8 +1,9 @@
 """Call counts behind every orbit and stabilizer test: no F_q elimination
-decides the torus pairs, which are read off gcd(c_dst*c_src, N_D); the
-one elimination left is `solve_affine` on the homogeneous system of
-level 0, once per level-0 stabilizer column; and the divisions that set a
-system up do not grow with the level n."""
+decides the torus pairs, which a vertex group reads off its column's
+point of P^1(R/N_D) and a witness off gcd(c_dst*c_src, N_D); the one
+elimination left is `solve_affine` on the homogeneous system of level 0,
+once per level-0 stabilizer; and the divisions by N_D that a stabilizer
+makes do not grow with the level n."""
 
 import pytest
 
@@ -15,32 +16,23 @@ from btquot.quotient import build_quotient
 @pytest.fixture
 def counts(monkeypatch):
     """Counts of `_eliminate` and `solve_affine` calls, in total and by
-    the part of a congruence system (`hecke._Congruence`) that makes them:
-    its constructor, its level slice `torus` or its level-0 `algebra`, for
-    a stabilizer column (the pair (col, col)) or a witness, the algebra
-    with the level of the system's last slice; and of the columns, the
-    witness systems and the columns whose algebra was read at level 0."""
-    tally = {"eliminate": 0, "solve_affine": 0, "columns": 0,
-             "witnesses": 0}
-    level0_columns = tally["level0 columns"] = set()
-    kinds = {}    # id of a system -> [column or witness, level of its slice]
-    inside = []   # the open part of a system
+    the open calls that make them, innermost last: a vertex group
+    (`hecke._Column.stabilizer`) with the level of its vertex, a witness
+    system (`hecke._witness_torus`) or a level-0 algebra
+    (`hecke._algebra`); and of the vertex groups at level 0."""
+    tally = {"eliminate": 0, "solve_affine": 0, "level0 stabilizers": 0}
+    inside = []   # the open calls
 
     def opened(part, fn):
-        def wrapper(system, *args):
-            if part == "constructor":
-                kind = "column" if args[1] is args[2] else "witness"
-                tally["columns" if kind == "column" else "witnesses"] += 1
-                kinds[id(system)] = [kind, None]
-            elif part == "torus":
-                kinds[id(system)][1] = args[0]
-            kind, n = kinds[id(system)]
-            if part == "algebra" and kind == "column" and n == 0:
-                level0_columns.add(id(system))
-            inside.append((kind, part, n) if part == "algebra"
-                          else (kind, part))
+        def wrapper(*args):
+            if part == "stabilizer":
+                n = args[2].level_n
+                tally["level0 stabilizers"] += n == 0
+                inside.append((part, n))
+            else:
+                inside.append((part,))
             try:
-                return fn(system, *args)
+                return fn(*args)
             finally:
                 inside.pop()
         return wrapper
@@ -48,16 +40,16 @@ def counts(monkeypatch):
     def counted(key, fn):
         def wrapper(*args, **kwargs):
             tally[key] += 1
-            if inside:
-                where = (key, inside[-1])
-                tally[where] = tally.get(where, 0) + 1
+            where = (key,) + tuple(inside)
+            tally[where] = tally.get(where, 0) + 1
             return fn(*args, **kwargs)
         return wrapper
 
-    system = hecke._Congruence
-    for part, name in (("constructor", "__init__"), ("torus", "torus"),
-                       ("algebra", "algebra")):
-        monkeypatch.setattr(system, name, opened(part, getattr(system, name)))
+    monkeypatch.setattr(hecke._Column, "stabilizer", opened(
+        "stabilizer", hecke._Column.stabilizer))
+    for part in ("witness_torus", "algebra"):
+        name = "_" + part
+        monkeypatch.setattr(hecke, name, opened(part, getattr(hecke, name)))
     for key in ("eliminate", "solve_affine"):
         name = "_" + key if key == "eliminate" else key
         monkeypatch.setattr(hecke, name, counted(key, getattr(hecke, name)))
@@ -70,19 +62,19 @@ def counts(monkeypatch):
                                            (2, 2, "t^2", 5)])
 def test_one_elimination_per_system(counts, p, s, lvl, depth):
     """No elimination decides a torus map: every `_eliminate` call is the
-    one inside a `solve_affine` call, each level-0 column makes exactly
-    one however many vertices share it, and no constructor, level slice,
-    or algebra read above level 0 makes any.  (The name dates from one
-    elimination per system.)"""
+    one inside a `solve_affine` call, each level-0 stabilizer makes
+    exactly one, through its algebra, and no stabilizer above level 0 and
+    no witness system makes any.  (The name dates from one elimination per
+    system.)"""
     level = hecke.parse_level(lvl, FieldSpec(p, s))
     build_quotient(level, depth)
-    assert counts["columns"] + counts["witnesses"] > \
-        len(counts["level0 columns"]) > 0
-    assert counts["eliminate"] == counts["solve_affine"]
-    assert counts.get(("solve_affine", ("column", "algebra", 0))) == \
-        len(counts["level0 columns"])
-    assert all(entry[1][1:] == ("algebra", 0) for entry in counts
-               if isinstance(entry, tuple))
+    level0 = counts["level0 stabilizers"]
+    assert level0 > 0
+    assert counts["eliminate"] == counts["solve_affine"] == level0
+    assert counts[("solve_affine", ("stabilizer", 0), ("algebra",))] == \
+        level0
+    assert all(entry[1:] == (("stabilizer", 0), ("algebra",))
+               for entry in counts if isinstance(entry, tuple))
 
 
 def test_stabilizer_counts_over_f9(counts):
@@ -100,16 +92,16 @@ def test_stabilizer_counts_over_f9(counts):
 @pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (3, 2)])
 @pytest.mark.parametrize("n", [1, 4, 8, 12])
 def test_three_divisions_per_stabilizer(monkeypatch, p, s, n):
-    """A stabilizer at level n >= 1 divides by N_D for the residues of
-    u = c*c and of the torus term a*c, which the other torus term shares
-    since W21 * a = -W22 * c when the source and target reductions agree.
-    Its other divisions split a*c by e = gcd(u, N_D) and by M = N_D/e; e
-    or M is N_D when gcd(u, N_D) is N_D or 1.  The kernel basis, one more
-    division by M, is built only when read.  So the divisions by N_D
-    number the same at level n as at level 1, and there are at most four,
-    however large n is.  Checked on v_n and on a vertex of level n whose
-    reduction has c != 0.  (The name dates from three divisions, one per
-    torus term.)"""
+    """A stabilizer at level n >= 1 reads its torus map off the parts of
+    its column's point (`hecke._Column._parts`): one division by N_D
+    reduces X = -c, and a second reduces d = a*(X/e)^-1 by M = N_D/e,
+    which is N_D when e = gcd(X, N_D) is 1.  Splitting d by g0 = gcd(e, M)
+    and M1 = M/g0 makes two more when neither e nor M is 1.  The kernel
+    basis, one more division by M1, is built only when read.  So the
+    divisions by N_D number the same at level n as at level 1, and there
+    are at most four, however large n is.  Checked on v_n and on a vertex
+    of level n whose reduction has c != 0.  (The name dates from three
+    divisions, one per torus term.)"""
     field = FieldSpec(p, s)
     level = hecke.parse_level("t^3;t+1", field)
     one, zero, t = (Polynomial.one(field), Polynomial.zero(field),
@@ -135,5 +127,5 @@ def test_three_divisions_per_stabilizer(monkeypatch, p, s, n):
         at_1 = calls.count(modulus)
         del calls[:]
         hecke.stabilizer(v, level)
-        assert calls[:2] == [modulus] * 2 and len(calls) <= 4
+        assert calls[0] == modulus and len(calls) <= 4
         assert calls.count(modulus) == at_1

@@ -809,7 +809,8 @@ class TestGeneratingSet:
         """`orbit_witness` forms g_dst^-1 s g_src as one combination per
         entry: the same matrix as the product of the three, on triangular
         witnesses and on level-0 ones with c != 0."""
-        from btquot.hecke import _Congruence, _level0_extras, orbit_witness
+        from btquot.hecke import (_algebra, _level0_extras, _witness_torus,
+                                  orbit_witness)
         rng = random.Random(41)
         lower = 0
         for field in ORACLE_FIELDS:
@@ -829,13 +830,14 @@ class TestGeneratingSet:
                 for v, h in pairs:
                     w = act(h, v)
                     red_v, red_w = reduce_vertex(v), reduce_vertex(w)
-                    system = _Congruence(lvl, column(red_w), column(red_v))
-                    torus = system.torus(red_v.level_n)
+                    cols = column(red_w), column(red_v)
+                    torus = _witness_torus(lvl, *cols, red_v.level_n)
                     if torus:
                         (ai, bi), part, _ = expand_torus(field, torus)[0]
                         frame = (ai, part, 0, bi)
                     else:
-                        frame = next(_level0_extras(field, system.algebra()))
+                        frame = next(_level0_extras(field,
+                                                    _algebra(lvl, *cols)))
                         lower += 1
                     assert orbit_witness(lvl, red_v, red_w) == \
                         red_w.g.inverse() @ frame_matrix(field, frame) \
@@ -864,7 +866,8 @@ class TestGeneratingSet:
     def test_doctored_torus_pairs_are_an_inconsistency(self, monkeypatch):
         """Torus pairs that are neither all of (F_q*)^2 nor the scalar line,
         here the line alpha = 2*beta, cannot come from the solver:
-        `generator_frames` raises, and `stab` exits 3."""
+        `generator_frames` raises, and `stab`, given such a descriptor by
+        its column (`hecke._Column.stabilizer`), exits 3."""
         from btquot import hecke
         from btquot.cli import main
         from btquot.hecke import HeckeInconsistency, StabDescriptor
@@ -875,9 +878,15 @@ class TestGeneratingSet:
                               (2,) + sd.torus_map[1:] + (sd.m,), ())
         with pytest.raises(HeckeInconsistency, match="torus pairs"):
             line.generator_frames()
-        torus = hecke._Congruence.torus
-        monkeypatch.setattr(hecke._Congruence, "torus",
-                            lambda self, n: (2,) + torus(self, n)[1:])
+        stabilizer_of = hecke._Column.stabilizer
+
+        def forged_torus(column, v, red):
+            stab = stabilizer_of(column, v, red)
+            return StabDescriptor(v, red, stab.level,
+                                  (2,) + stab.torus_map[1:] + (stab.m,),
+                                  stab.kernel)
+
+        monkeypatch.setattr(hecke._Column, "stabilizer", forged_torus)
         assert main(["stab", "--p", "3", "--level", "t",
                      "--vertex", "r=-2;a=0"]) == 3
 
@@ -934,10 +943,11 @@ def reference_system(level, red_src, red_dst):
 
 
 class TestClosedFormSolve:
-    """The torus map read off e = gcd(c_dst*c_src, N_D) (`hecke._Congruence`)
-    equals the one the elimination of the system gives (`torus_blocks`), on
-    every class of every level of small degree, as the stabilizer system of
-    the pair (col, col), and on seeded pairs of vertices."""
+    """The torus map of a witness system, read off e = gcd(c_dst*c_src, N_D)
+    (`hecke._witness_torus`), equals the one the elimination of the system
+    gives (`torus_blocks`), on every class of every level of small degree,
+    as the system of the pair (col, col), and on seeded pairs of
+    vertices."""
 
     LEVELS = ((FieldSpec(2), 4), (FieldSpec(3), 3), (FieldSpec(2, 2), 2),
               (FieldSpec(5), 2))
@@ -975,7 +985,7 @@ class TestClosedFormSolve:
                 old = torus_blocks(*reference_system(level, red, red),
                                    field)
                 col, n = column(red), red.level_n
-                mu, na, nc, m = hecke._Congruence(level, col, col).torus(n)
+                mu, na, nc, m = hecke._witness_torus(level, col, col, n)
                 new = mu, na, nc, hecke._kernel_basis(field, m, n, n)
                 assert new[0] == old[0] and new[3] == old[3], (level, red)
                 if new[0] is None:
@@ -1008,7 +1018,7 @@ class TestClosedFormSolve:
         field, n = level.field, src.level_n
         columns, va, vc = reference_system(level, src, dst)
         old = torus_blocks(columns, va, vc, field)
-        new = hecke._Congruence(level, column(dst), column(src)).torus(n)
+        new = hecke._witness_torus(level, column(dst), column(src), n)
         seen.update(self.kind(level, src, dst))
         if old is None:
             seen.add("no witness")
@@ -1027,11 +1037,12 @@ class TestClosedFormSolve:
 
 class TestPackedPath:
     def test_solve_and_witness_make_no_polynomial(self, monkeypatch):
-        """The congruence systems work on packed coefficient lists: a
-        stabilizer system (col, col) and a witness system, with their torus
-        maps and level-0 algebras, create no `Polynomial`; the witness makes
-        exactly its four entries."""
-        from btquot.hecke import _Congruence, orbit_witness
+        """The congruence solves work on packed coefficient lists: a
+        stabilizer read off its column's point, and a witness system, with
+        its torus map and level-0 algebra, create no `Polynomial`; the
+        witness makes exactly its four entries."""
+        from btquot.hecke import (_algebra, _Column, _witness_torus,
+                                  orbit_witness)
         made = []
         of, init = Polynomial.__dict__["_of"], Polynomial.__init__
 
@@ -1052,17 +1063,18 @@ class TestPackedPath:
                     v = ball(field, r, {e: rng.randrange(field.q)
                                         for e in range(r - 3, r)})
                     w = act(rand_member(field, lvl, rng), v)
-                    cases.append((lvl, reduce_vertex(v), reduce_vertex(w)))
+                    cases.append((lvl, v, reduce_vertex(v),
+                                  reduce_vertex(w)))
         monkeypatch.setattr(Polynomial, "_of", classmethod(counted_of))
         monkeypatch.setattr(Polynomial, "__init__", counted_init)
         found = 0
-        for lvl, red_v, red_w in cases:
+        for lvl, v, red_v, red_w in cases:
             col = column(red_v)
-            stab = _Congruence(lvl, col, col)
-            stab.torus(red_v.level_n), stab.algebra()
+            _Column(lvl, col).stabilizer(v, red_v), _algebra(lvl, col, col)
             assert not made
-            witness = _Congruence(lvl, column(red_w), col)
-            assert witness.torus(red_v.level_n) or witness.algebra()
+            cols = column(red_w), col
+            assert _witness_torus(lvl, *cols, red_v.level_n) or \
+                _algebra(lvl, *cols)
             assert not made
             found += orbit_witness(lvl, red_v, red_w) is not None
             assert len(made) == 4

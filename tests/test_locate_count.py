@@ -1,7 +1,7 @@
 """Call counts of the solves behind the build's lookup: one column
-(`hecke._Column`), with its orbit-id point and its stabilizer system, per
-distinct first column of the reductions, one stabilizer descriptor per
-class, and no witness solve."""
+(`hecke._Column`), which reads its orbit-id point and the vertex groups
+off it, per distinct first column of the reductions, one stabilizer
+descriptor per class, and no witness solve."""
 
 import pytest
 
@@ -13,11 +13,11 @@ from btquot.hecke import parse_level
 @pytest.fixture
 def tally(monkeypatch):
     """Counts of `reduce_vertex` calls made by the quotient module, of the
-    orbit-id columns, of the stabilizer systems (`hecke._Congruence` of a
-    pair (col, col)) and of the descriptors built from them, of the
-    `orbit_witness` calls, and the first columns of the reductions."""
-    out = {"reduce": 0, "points": 0, "systems": 0, "descriptors": 0,
-           "witnesses": 0, "firsts": set()}
+    columns (`hecke._Column`) and of the descriptors read off them, of the
+    `orbit_witness` calls and of the witness systems they solve
+    (`hecke._witness_torus`), and the first columns of the reductions."""
+    out = {"reduce": 0, "columns": 0, "descriptors": 0, "witnesses": 0,
+           "witness tori": 0, "firsts": set()}
 
     def reduce_vertex(v):
         out["reduce"] += 1
@@ -26,30 +26,28 @@ def tally(monkeypatch):
         return red
 
     def column(self, level, col):
-        out["points"] += 1
-        point(self, level, col)
-
-    def system(self, level, dst, src):
-        out["systems"] += dst is src
-        solve(self, level, dst, src)
+        out["columns"] += 1
+        init(self, level, col)
 
     def stabilizer(self, v, red):
         out["descriptors"] += 1
         return describe(self, v, red)
 
-    def orbit_witness(level, red_src, red_dst):
-        out["witnesses"] += 1
-        return witness(level, red_src, red_dst)
+    def counted(key, fn):
+        def wrapper(*args):
+            out[key] += 1
+            return fn(*args)
+        return wrapper
 
-    reduce, witness = quotient.reduce_vertex, quotient.orbit_witness
-    point, solve, describe = (hecke._Column.__init__,
-                              hecke._Congruence.__init__,
-                              hecke._Congruence.stabilizer)
+    reduce = quotient.reduce_vertex
+    init, describe = hecke._Column.__init__, hecke._Column.stabilizer
     monkeypatch.setattr(quotient, "reduce_vertex", reduce_vertex)
     monkeypatch.setattr(hecke._Column, "__init__", column)
-    monkeypatch.setattr(hecke._Congruence, "__init__", system)
-    monkeypatch.setattr(hecke._Congruence, "stabilizer", stabilizer)
-    monkeypatch.setattr(quotient, "orbit_witness", orbit_witness)
+    monkeypatch.setattr(hecke._Column, "stabilizer", stabilizer)
+    monkeypatch.setattr(hecke, "orbit_witness",
+                        counted("witnesses", hecke.orbit_witness))
+    monkeypatch.setattr(hecke, "_witness_torus",
+                        counted("witness tori", hecke._witness_torus))
     return out
 
 
@@ -60,16 +58,16 @@ def tally(monkeypatch):
 def test_one_descriptor_per_class_and_no_witness(tally, p, s, lvl, depth):
     """One reduction per vertex looked up: the base vertex and each strand
     end but the representative of the class whose expansion found the
-    class.  One column and one stabilizer system per distinct first column
-    of the reductions, one descriptor per class, and no `orbit_witness`
-    call: at q=3, D=t^3 (t+1)^3, depth 14 a search by stabilizer keys made
-    13,812 witness solves."""
+    class.  One column per distinct first column of the reductions, one
+    descriptor per class, and no `orbit_witness` or witness system: at
+    q=3, D=t^3 (t+1)^3, depth 14 a search by stabilizer keys made 13,812
+    witness solves."""
     Q = quotient.build_quotient(parse_level(lvl, FieldSpec(p, s)), depth)
     looked_up = [st.end for c in Q.classes for st in c.strands
                  if c.parent is None
                  or st.end is not Q.classes[c.parent].representative]
     assert tally["reduce"] == 1 + len(looked_up) >= len(Q.classes)
-    assert tally["points"] == tally["systems"] == len(tally["firsts"]) \
-        == len(Q.columns) < tally["reduce"]
+    assert tally["columns"] == len(tally["firsts"]) == len(Q.columns) \
+        < tally["reduce"]
     assert tally["descriptors"] == len(Q.classes) == len(Q.ids)
-    assert tally["witnesses"] == 0
+    assert tally["witnesses"] == tally["witness tori"] == 0

@@ -84,7 +84,7 @@ def test_graph_of_groups_reuses_the_build_reductions(monkeypatch):
 def test_graph_of_groups_searches_and_reduces_nothing(monkeypatch):
     """The graph of groups reads its tree, lifts and strands off the build:
     at q=3, D=t^3 (t+1)^3, depth 10, with strands off the tree, it makes no
-    `QuotientGraph._orbit_id`, `locate` or `frame_orbits` call, runs Nagao's
+    `QuotientGraph._classify` or `frame_orbits` call, runs Nagao's
     kernel on no vertex and multiplies no matrices."""
     from btquot import hecke, quotient
     from btquot.btree import Matrix2
@@ -98,8 +98,7 @@ def test_graph_of_groups_searches_and_reduces_nothing(monkeypatch):
             return fn(*args)
         return wrapper
 
-    for owner, name in ((quotient.QuotientGraph, "_orbit_id"),
-                        (quotient.QuotientGraph, "locate"),
+    for owner, name in ((quotient.QuotientGraph, "_classify"),
                         (quotient, "frame_orbits"),
                         (hecke, "_nagao_reduction"),
                         (Matrix2, "__matmul__")):

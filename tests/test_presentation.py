@@ -15,6 +15,7 @@ from btquot.presentation import (PresentationError,
                                  presentation_json, presentation_text,
                                  smith_normal_form)
 from btquot.quotient import InconsistencyError, build_quotient, certify_cusps
+from test_stab_columns import locate
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -439,7 +440,7 @@ def reference_graph(Q):
     from btquot.quotient import _neighbor_line, frame_orbits
 
     def in_class(v, cid):
-        found = Q.locate(v)
+        found = locate(Q, v)
         return found is not None and found[0] == cid
 
     tail_keys = {(min(a, b), max(a, b)) for cusp in Q.cusps

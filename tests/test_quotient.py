@@ -10,6 +10,7 @@ from btquot.quotient import (INDETERMINATE, NONSPLIT, SPLIT, BoundError,
                              certify_cusps, classify_splitness, export,
                              frame_orbits)
 from btquot.selftest import CUSP_CASES
+from test_stab_columns import locate
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -217,12 +218,12 @@ class TestLocate:
         small = [c for c in Q.classes if c.level_n <= 5]
         assert any(c.expanded for c in small)
         for c in small:
-            assert Q.locate(c.representative) == (c.id,
+            assert locate(Q, c.representative) == (c.id,
                                                   Matrix2.identity(F2))
             if not c.expanded:
                 continue
             for nb in c.representative.neighbors():
-                cid, h = Q.locate(nb)
+                cid, h = locate(Q, nb)
                 assert act(h, nb) == Q.class_by_id(cid).representative
                 level_n = reduce_vertex(nb).level_n
                 hits = [d.id for d in Q.classes if d.level_n == level_n
@@ -238,8 +239,9 @@ KEY_CASES = [(q, lvl) for q in KEY_FIELDS
 
 
 class TestOrbitId:
-    """The build and `locate` find the class of a vertex by its orbit id
-    (`hecke._Column.orbit_id`), so the id must be equal on every vertex of a
+    """The build and the tests' `locate` find the class of a vertex by its
+    orbit id (`hecke._Column.orbit_id`), so the id must be equal on every
+    vertex of a
     class, in whichever frame its reduction gives, and distinct between
     classes: the class it finds must be the one a witness scan of the whole
     reduction level finds."""
@@ -260,11 +262,11 @@ class TestOrbitId:
         Q = quotient
         m = mover(Q)
         for c in Q.classes:
-            assert Q.locate(act(m, c.representative))[0] == c.id
+            assert locate(Q, act(m, c.representative))[0] == c.id
             if not c.expanded:
                 continue
             for orbit, st in zip(frame_orbits(c.stab), c.strands):
-                assert {Q.locate(c.representative.neighbor(i))[0]
+                assert {locate(Q, c.representative.neighbor(i))[0]
                         for i in orbit} == {st.dst}
         assert len(Q.ids) == len(Q.classes)
 
@@ -296,13 +298,13 @@ class TestOrbitId:
 
     def test_two_torus_forms_at_q2_are_one(self):
         """At q = 2 the line alpha = beta and all of (F_q*)^2 are the one
-        pair set {(1, 1)}, and the solver returns both forms (mu = 1 for a
-        row (1, 1) past the rank): a descriptor built from either has the
-        same order, pairs and generators."""
-        from btquot.hecke import StabDescriptor, _Congruence
+        pair set {(1, 1)}, and the solver of the pair (col, col) returns
+        both forms (mu = 1 for a row (1, 1) past the rank): a descriptor
+        built from either has the same order, pairs and generators."""
+        from btquot.hecke import StabDescriptor, _witness_torus
         Q = build(FieldSpec(2), "t^2", 6)
         cols = [c.reduction.rows[::2] for c in Q.classes]
-        mus = [_Congruence(Q.level, col, col).torus(c.level_n)[0]
+        mus = [_witness_torus(Q.level, col, col, c.level_n)[0]
                for c, col in zip(Q.classes, cols)]
         assert 1 in mus and None in mus
         for c in Q.classes:
@@ -322,7 +324,7 @@ class TestOrbitId:
             if not c.expanded:
                 continue
             for nb in c.representative.neighbors():
-                cid, h = Q.locate(nb)
+                cid, h = locate(Q, nb)
                 red = reduce_vertex(nb)
                 scan = [(d.id, orbit_witness(Q.level, red, d.reduction))
                         for d in Q.classes if d.level_n == red.level_n]
@@ -404,7 +406,7 @@ def certify_by_lifting(Q, chain, window, start):
     lifted = [start]
     for cid in chain[1:]:
         nxt = next((v for v in lifted[-1].neighbors()
-                    if (Q.locate(v) or (None,))[0] == cid), None)
+                    if (locate(Q, v) or (None,))[0] == cid), None)
         if nxt is None:
             return None
         lifted.append(nxt)

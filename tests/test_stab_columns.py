@@ -1,22 +1,25 @@
-"""The build solves each stabilizer congruence once per first column (a, c)
-of the reductions (`hecke._Congruence` of the pair (col, col), kept on its
-`hecke._Column`), and a solver's descriptor keeps the modulus M of its
-unipotent space until its basis is read: each class's descriptor equals a
-fresh `hecke.stabilizer`, each located vertex has a witness to its class
-representative, the columns are counted, no kernel basis is built by the
-build or by certification, and the system of a column passed as one object
-equals the system of two equal but distinct column tuples."""
+"""A build reads each vertex group off the P^1(R/N_D) point of the first
+column (a, c) of its reduction (`hecke._Column`), once per column, and a
+descriptor keeps the modulus M of its unipotent space until its basis is
+read: each class's descriptor equals a fresh `hecke.stabilizer`, its torus
+map equals the elimination of the stabilizer system and the witness
+system of the pair (col, col), each located vertex has a witness to its
+class representative, the columns are counted, and no kernel basis is
+built by the build or by certification."""
 
 import itertools
 
 import pytest
 
+import dataclasses
+
 from btquot import hecke
 from btquot.algebra import FieldSpec, Polynomial
-from btquot.btree import act
+from btquot.btree import Matrix2, act
 from btquot.hecke import (Level, orbit_witness, parse_level, reduce_vertex,
                           stabilizer)
 from btquot.quotient import build_quotient, certify_cusps, frame_orbits
+from test_hecke import reference_system, torus_blocks
 
 
 def levels(field, degree):
@@ -48,38 +51,22 @@ CENSUS_COLUMNS = [(2, "t", 10, 2), (2, "t;t+1", 12, 5), (2, "t^3", 12, 8),
                   (3, "t^2", 10, 4)]
 
 
-def check_shortcut(Q):
-    """On every column the build solved: the system of the pair (col, col),
-    which reads the parts of va off those of vc = -va, equals the system
-    of col and an equal but distinct tuple, which divides both, in every
-    field and in the torus map at each level up to the build's depth, and
-    their level-0 algebras are equal."""
-    for col in Q.columns:
-        same, full = (hecke._Congruence(Q.level, col, other)
-                      for other in (col, (col[0], col[1])))
-        assert [getattr(same, k) for k in same.__slots__] == \
-            [getattr(full, k) for k in full.__slots__], col
-        assert [same.torus(n) for n in range(Q.depth + 2)] == \
-            [full.torus(n) for n in range(Q.depth + 2)], col
-        assert same.algebra() == full.algebra(), col
-
-
 @pytest.fixture
 def solves(monkeypatch):
-    """Counts of the column solves, the systems of a pair (col, col), and
-    of the kernel bases built."""
+    """Counts of the columns (`hecke._Column`) and of the kernel bases
+    built."""
     out = {"columns": 0, "kernel bases": 0}
-    init, basis = hecke._Congruence.__init__, hecke._kernel_basis
+    init, basis = hecke._Column.__init__, hecke._kernel_basis
 
-    def column(self, level, dst, src):
-        out["columns"] += dst is src
-        init(self, level, dst, src)
+    def column(self, level, col):
+        out["columns"] += 1
+        init(self, level, col)
 
     def kernel_basis(field, m, k, n):
         out["kernel bases"] += 1
         return basis(field, m, k, n)
 
-    monkeypatch.setattr(hecke._Congruence, "__init__", column)
+    monkeypatch.setattr(hecke._Column, "__init__", column)
     monkeypatch.setattr(hecke, "_kernel_basis", kernel_basis)
     return out
 
@@ -103,15 +90,70 @@ def test_class_descriptors_equal_fresh_stabilizers(level):
             (fresh.reduction, fresh.torus, fresh.kernel), c.id
         col = c.reduction.rows[::2]
         assert stab.torus[3] == hecke._kernel_basis(
-            level.field, hecke._Congruence(level, col, col).m,
+            level.field, hecke._witness_torus(level, col, col, c.level_n)[3],
             c.level_n, c.level_n), c.id
-    check_shortcut(Q)
 
 
-@pytest.mark.parametrize("level,depth", [
+# the oracle levels at the depth of their builds, and one deep level
+ORACLE_BUILDS = pytest.mark.parametrize("level,depth", [
     (lv, 2 * lv.degree + 4) for lv in ORACLE_LEVELS]
     + [(parse_level("t^3;(t+1)^3", FieldSpec(3)), 10)],
     ids=["q%d-%s" % (lv.field.q, lv) for lv in ORACLE_LEVELS] + ["deep"])
+
+
+@ORACLE_BUILDS
+def test_vertex_groups_equal_the_elimination(level, depth):
+    """The torus map a column reads off its point
+    (`hecke._Column.stabilizer`) equals the one the elimination of the
+    stabilizer system gives (`torus_blocks`), on every class: mu and the
+    kernel, and na and nc for all pairs, where the scalar line stores
+    na = nc = 0 and the reference's sum na + nc vanishes.  On every column
+    of the build it also equals, at each level n <= depth + 1, the torus
+    map of the witness system of the column and an equal but distinct
+    tuple (`hecke._witness_torus`), which solves the system of u = c^2 by
+    its own Euclid.  At q = 2 a descriptor stores the scalar line as
+    mu = None (`StabDescriptor`)."""
+    Q, field = build_quotient(level, depth), level.field
+    for c in Q.classes:
+        red, n, stab = c.reduction, c.level_n, c.stab
+        mu, na, nc, kernel = torus_blocks(*reference_system(level, red, red),
+                                          field)
+        assert stab.torus[3] == kernel, c.id
+        assert stab.torus_map[0] == (None if field.q == 2 else mu), c.id
+        if mu is None:
+            assert stab.torus_map[1:] == (na, nc), c.id
+        else:
+            assert mu == 1 and not any(stab.torus_map[1] + stab.torus_map[2])
+            assert not any(field.add(x, y) for x, y in zip(na, nc)), c.id
+    base = reduce_vertex(Q.classes[0].representative)
+    for col, column in Q.columns.items():
+        for n in range(depth + 2):
+            stab = column.stabilizer(Q.classes[0].representative,
+                                     dataclasses.replace(base, level_n=n))
+            mu, na, nc, m = hecke._witness_torus(level, col, (col[0], col[1]),
+                                                 n)
+            assert stab.torus_map + (stab.m,) == \
+                (None if field.q == 2 else mu, na, nc, m), (col, n)
+
+
+def locate(Q, v):
+    """(class id, h in H_D with act(h, v) = the representative) for the
+    class of the orbit id of v in the build Q, or None: the identity for
+    the representative, else an `orbit_witness`.  The build's own lookup
+    reads the same id (`QuotientGraph._classify`)."""
+    red = reduce_vertex(v)
+    col = red.rows[::2]
+    column = Q.columns.get(col) or hecke._Column(Q.level, col)
+    cid = Q.ids.get(column.orbit_id(red.level_n))
+    if cid is None:
+        return None
+    cls = Q.classes[cid]
+    if v == cls.representative:
+        return cid, Matrix2.identity(Q.field)
+    return cid, orbit_witness(Q.level, red, cls.reduction)
+
+
+@ORACLE_BUILDS
 def test_located_vertices_have_witnesses(level, depth):
     """The orbit id puts each strand end in the class of its
     representative: `orbit_witness` finds an h in H_D that moves the end
@@ -139,4 +181,3 @@ def test_census_column_solves(solves, q, lvl, depth, columns):
         assert solves["columns"] == len(Q.columns) == columns
         assert 1 + sum(len(c.strands) for c in Q.classes) > columns
     assert solves["kernel bases"] == 0
-    check_shortcut(Q)
