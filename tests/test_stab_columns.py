@@ -125,11 +125,12 @@ def test_vertex_groups_equal_the_elimination(level, depth):
         else:
             assert mu == 1 and not any(stab.torus_map[1] + stab.torus_map[2])
             assert not any(field.add(x, y) for x, y in zip(na, nc)), c.id
-    base = reduce_vertex(Q.classes[0].representative)
+    # the torus map reads only the level of the reduction it is given
+    base = Q.classes[0]
     for col, column in Q.columns.items():
         for n in range(depth + 2):
-            stab = column.stabilizer(Q.classes[0].representative,
-                                     dataclasses.replace(base, level_n=n))
+            stab = column.stabilizer(base.representative, dataclasses.replace(
+                base.reduction, level_n=n))
             mu, na, nc, m = hecke._witness_torus(level, col, (col[0], col[1]),
                                                  n)
             assert stab.torus_map + (stab.m,) == \
