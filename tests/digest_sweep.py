@@ -15,8 +15,9 @@ q = 31, the cusps of two levels of degree 10 and 11 at q = 2, and three
 levels of degree 6 and 7 at q = 2, 3 built to depths 12 to 16.  `formula`
 runs on every level above, a few times with Picard data (`--g2-order`,
 `--pic-r-order`), after all other commands, so that its lines were added
-to the golden without moving any other.  `selftest` is left out, as it
-prints timings.  The golden, `golden/digests.txt`, holds one line per
+to the golden without moving any other; a few `orbit` commands on chosen
+pairs (`ORBIT_PAIRS`) come last, for the same reason.  `selftest` is left
+out, as it prints timings.  The golden, `golden/digests.txt`, holds one line per
 command: its digest, its exit code and the command.  Regenerate it only when an output changes on purpose, in
 a commit of its own that gives the reason for each changed line.
 """
@@ -69,6 +70,23 @@ PICARD_FORMULAS = [
     (2, 2, "t", ["--pic-r-order", "infinite"]),
     (2, 1, "t^3", ["--g2-order", "2"]),
     (3, 2, "t;t+1", ["--pic-r-order", "2"]),
+]
+
+
+# (p, level, vertex, vertex2) of `orbit` commands run last: four pairs whose
+# witness lies on a torus line alpha = mu*beta with mu = 2, 4, 2 and 3, the
+# second vertex the first moved by [[a, 0], [N_D, 1]], and three pairs whose
+# points have distinct e = gcd(X, N_D) of equal degree, at levels 1 and 0
+ORBIT_PAIRS = [
+    (5, "t^2", "r=2;a=1*s^1+2*s^-1", "r=8;a=3*s^2+1*s^5+2*s^7"),
+    (7, "t^2", "r=4;a=1*s^3+2*s^1", "r=6;a=4*s^2+5*s^3+1*s^4+4*s^5"),
+    (5, "t;t+1", "r=2;a=1*s^1+2*s^-1",
+     "r=8;a=3*s^2+2*s^3+3*s^4+3*s^5+1*s^6+2*s^7"),
+    (7, "t;t+1", "r=2;a=2*s^1+6*s^-1+4*s^-2",
+     "r=10;a=5*s^2+2*s^3+5*s^4+2*s^5+2*s^6+2*s^7+3*s^8+1*s^9"),
+    (3, "t;t+1", "r=9;a=1*s^1+2*s^5+1*s^6+2*s^7+2*s^8", "r=5;a=1*s^1+1*s^4"),
+    (2, "t;t+1", "r=3;a=1*s^1+1*s^2", "r=3;a=1*s^1"),
+    (3, "t;t+1", "r=8;a=1*s^1+1*s^5+1*s^7", "r=8;a=1*s^1+2*s^4+2*s^7"),
 ]
 
 
@@ -163,6 +181,9 @@ def commands():
     for p, s, level, picard in PICARD_FORMULAS:
         cmds.append(["formula"] + _field_args(p, s) + ["--level", level]
                     + picard)
+    for p, level, vertex, other in ORBIT_PAIRS:
+        cmds.append(["orbit", "--p", str(p), "--level", level, "--vertex",
+                     vertex, "--vertex2", other])
     return cmds
 
 
