@@ -16,22 +16,19 @@ is Euclid's algorithm on (P, t^K) and never calls `act`.  Its result,
 the vertex's one frame, holds g as packed rows and the residue matrix k
 that the moves induce on L_v/pi L_v, and is kept on the vertex, so each
 vertex object is reduced once.
-Whether a witness lies in H_D is the congruence x*u = alpha*va +
-beta*vc (mod N_D) in the torus pair (alpha, beta) and b = x of degree
-<= n, u = c_dst*c_src, whose reduced echelon form is a closed form
-(`_witness_torus`): with e = gcd(u, N_D) and M = N_D/e, x*u = 0 iff M | x,
-so the pivots are the columns t^j*u below deg M, the kernel is t^j -
-(t^j mod M) for deg M <= j <= n (`_kernel_basis`), and y lies in the span
-iff e | y and x(y) = (y/e)(u/e)^-1 mod M, the particular solution, has
-degree <= n.  One extended Euclid decides every torus pair: all, one line
-alpha = mu*beta or none, with solutions alpha*na + beta*nc + span(kernel).
-A stabilizer is the system of the pair (col, col), u = c^2, which the
-point (-c : a) of P^1(R/N_D) naming its class already solves (`_Column`):
-gcd(c^2, N_D) = e*g0, its M is the point's M1 and x(a*c) = -x(d), so the
-torus map, all pairs or the scalar line (na = nc = 0), is read off the
-point's parts with no second Euclid.  A descriptor keeps its kernel as M
-and a top degree k <= n, the basis t^j - (t^j mod M) for deg M <= j <= k
-being built only when read.
+A witness g_dst^-1 s g_src lies in H_D iff s moves the point (-c : a) of
+P^1(R/N_D) of the first column (a, c) of g_src to that of g_dst, so the
+vertex group, the pair (col, col), and the witnesses are read off the
+points' parts (`_Column.torus`): with e = gcd(-c, N_D), M = N_D/e,
+d = a (-c/e)^-1 mod M, g0 = gcd(e, M), M1 = M/g0 and
+x(d) = ((d - d mod g0)/g0) (e/g0)^-1 mod M1, s = [[alpha, b], [0, beta]]
+with deg b <= n does iff the e agree, alpha*L(d_src) = beta*L(d_dst)
+for the linear map L(d) = (d mod g0, the coefficients of x(d) above t^n),
+and b = alpha*x(d_src) - beta*x(d_dst) + M1*F_q[t].  So the pairs are all,
+one line alpha = mu*beta or none, with solutions alpha*na + beta*nc +
+span(kernel), the kernel t^j - (t^j mod M1) for deg M1 <= j <= n
+(`_kernel_basis`).  A descriptor keeps its kernel as M1 and a top degree
+k <= n, the basis being built only when read.
 Elimination runs only on the homogeneous system of
 level 0 (`solve_affine`); the q^(n+3) enumeration is an oracle
 (`stabilizer_brute_force`, `orbit_equivalent_brute_force`) up to
@@ -425,9 +422,9 @@ def _torus_restrict(field, mu, rows):
 
 def _kernel_basis(field, m, k, n):
     """t^j - (t^j mod M) for deg M <= j <= k, packed-int vectors of length
-    n + 1: for k = n the kernel of the columns t^j*u mod N for
-    M = N/gcd(u, N).  The low part -(t^j mod M) is t^(j - deg M) times that
-    of M, mod M."""
+    n + 1: for k = n and M = M1 of a point (`_Column`) the b of degree
+    <= n with b*e = 0 mod N_D/e.  The low part -(t^j mod M) is
+    t^(j - deg M) times that of M, mod M."""
     dm = len(m) - 1
     if dm > k:
         return ()
@@ -545,7 +542,9 @@ class StabDescriptor:
     polynomials of degree <= n, for the torus pairs (alpha, beta): all of
     (F_q*)^2 for mu None, else the line alpha = mu*beta (`torus` =
     (mu, na, nc, kb) of packed ints; mu None at q = 2, where the two are
-    one set).  kb is given by the modulus M, a packed list, and its top
+    one set).  A vertex group has na = x and nc = -x for the x of its
+    point (`_Column.torus`), so na + nc = 0 on the scalar line.  kb is
+    given by the modulus M, the point's M1, a packed list, and its top
     degree k: it is t^j - (t^j mod M) for deg M <= j <= k (`_kernel_basis`),
     k = n for a vertex group and n - 1 for an edge group cut by a
     translation label (`quotient.frame_fixers`).  The basis is built on the
@@ -827,12 +826,6 @@ def _residue(field, x, y, modulus):
     return packed_divmod(field, packed_mul(field, x, y), modulus)[1]
 
 
-def _split(field, y, e, inv, m):
-    """(y mod e, x(y - y mod e)), x(y) = (y/e) inv mod m: the parts of L."""
-    quo, rest = packed_divmod(field, y, e)
-    return rest, tuple(_residue(field, quo, inv, m))
-
-
 def _check_unknowns(n):
     """Refuse a congruence solve at level n above SOLVE_UNKNOWNS_CAP."""
     if n + 1 > SOLVE_UNKNOWNS_CAP:
@@ -840,57 +833,22 @@ def _check_unknowns(n):
                         "above the cap %d" % (n, n + 1, SOLVE_UNKNOWNS_CAP))
 
 
-def _terms(level, dst, src):
-    """(u, va, vc) = (c_dst*c_src, -c_dst*a_src, a_dst*c_src) mod N_D of the
-    packed first columns (a_dst, c_dst) of g_dst and (a_src, c_src) of
-    g_src."""
+def _algebra(level, dst, src):
+    """A basis of the level-0 solutions (a, b, c, d) of
+    -c_dst*(a*a_src + b*c_src) + a_dst*(c*a_src + d*c_src) = 0 (mod N_D),
+    the lower-left entry of adj(g_dst) s g_src, of the packed first columns
+    dst = (a_dst, c_dst) of g_dst and src = (a_src, c_src) of g_src, kept
+    if some c != 0 in it, else (): the F_q-algebra V of a stabilizer
+    (dst = src), or the space whose units with c != 0 are the level-0
+    witnesses."""
     field, modulus = level.field, level.modulus.packed_coeffs
     (a_dst, c_dst), (a_src, c_src) = dst, src
     minus_c = packed_mul(field, c_dst, [field.neg(1)])
-    return tuple(_residue(field, x, y, modulus) for x, y in (
-        (c_dst, c_src), (minus_c, a_src), (a_dst, c_src)))
-
-
-def _witness_torus(level, dst, src, n):
-    """The torus map (mu, na, nc, M) at level n of the system
-    x*u = alpha*va + beta*vc (mod N_D), x of degree <= n, of the columns
-    dst and src (`_terms`), or None when no pair is consistent.  One
-    extended Euclid gives e, (u/e)^-1 mod M and M; y is in the span iff
-    L(y) = (y mod e, the coefficients of x(y - y mod e) above t^n)
-    vanishes (module docstring), so the rows of L(va) and L(vc) cut mu.
-    All pairs have na = x(va), nc = x(vc); a line alpha = mu*beta has
-    na = x(va + vc/mu), nc = 0."""
-    _check_unknowns(n)
-    field, modulus = level.field, level.modulus.packed_coeffs
-    u, va, vc = _terms(level, dst, src)
-    e, inv, m = packed_gcd(field, u, modulus, cofactor=True)
-    (rest_a, xa), (rest_c, xc) = (_split(field, y, e, inv, m)
-                                  for y in (va, vc))
-    mu = _torus_restrict(field, None, itertools.chain(
-        itertools.zip_longest(rest_a, rest_c, fillvalue=0),
-        itertools.zip_longest(xa[n + 1:], xc[n + 1:], fillvalue=0)))
-    if mu == 0:
-        return None
-    if mu is not None:
-        xa = tuple(packed_add(field, xa, xc if mu == 1 else
-                              packed_mul(field, xc, [field.inv(mu)])))
-        xc = ()
-    zero = (0,) * (n + 1)
-    return mu, xa[:n + 1] + zero[len(xa):], xc[:n + 1] + zero[len(xc):], m
-
-
-def _algebra(level, dst, src):
-    """A basis of the level-0 solutions (a, b, c, d) of
-    a*va - b*u + c*a_dst*a_src + d*vc = 0 (mod N_D) of the columns dst and
-    src (`_terms`), kept if some c != 0 in it, else (): the F_q-algebra V
-    of a stabilizer (dst = src), or the space whose units with c != 0 are
-    the level-0 witnesses."""
-    field, modulus = level.field, level.modulus.packed_coeffs
-    u, va, vc = _terms(level, dst, src)
     size = len(modulus) - 1
     cols4 = [tuple(col) + (0,) * (size - len(col)) for col in (
-        va, packed_mul(field, u, [field.neg(1)]),
-        _residue(field, dst[0], src[0], modulus), vc)]
+        _residue(field, x, y, modulus) for x, y in (
+            (minus_c, a_src), (minus_c, c_src), (a_dst, a_src),
+            (a_dst, c_src)))]
     _, kernel = solve_affine(cols4, (0,) * size, field)
     return kernel if any(vec[2] for vec in kernel) else ()
 
@@ -898,15 +856,18 @@ def _algebra(level, dst, src):
 class _Column:
     """A packed first column (a, c) of the reduction g of a vertex, and the
     point (X : Y) = (-c : a) of P^1(R/N_D) it gives, the bottom row of
-    adj(g) (README, "Notes on conventions").  The vertex group of its
-    vertices at level n is the stabilizer of the point in Stab(v_n), read
-    off the point's parts (`stabilizer`), and their orbit id names the
+    adj(g) (README, "Notes on conventions").  The torus map of a pair of
+    points at level n, the elements of Stab(v_n) that move one to the
+    other, is read off their parts (`torus`): the vertex group of its
+    vertices is that of the point and itself (`stabilizer`), a witness
+    that of two points (`orbit_witness`).  Their orbit id names the
     point's Stab(v_n)-orbit: (n, e, L(d) scaled to lead with 1) for
     n >= 1, and at n = 0 the least level-0 id of (X + zY : Y) and (a : c)."""
 
     def __init__(self, level, col):
         self.level, self.col = level, col
         self.scale, self.parts = _vector_ops(level.field)[1], self._parts(0)
+        self._minus_x = self.scale(level.field.neg(1), self.parts[2])
 
     def _parts(self, z):
         """(e, d mod g0, x(d), M1) of the point (X + zY : Y), or (a : c) at
@@ -917,16 +878,18 @@ class _Column:
         field, modulus = self.level.field, self.level.modulus.packed_coeffs
         a, c = self.col
         x, y = (a, c) if z == field.q else (packed_combination(
-            field, [(field.neg(1), c), (z, a)]), a)
+            field, [(field.neg(1), c), (z, a)]) if z else packed_mul(
+                field, c, [field.neg(1)]), a)
         e, inv, m = packed_gcd(field, packed_divmod(field, x, modulus)[1],
                                modulus, cofactor=True)
         d = _residue(field, y, inv, m)
         if len(e) == 1 or len(m) == 1:
             return tuple(e), (), tuple(d) + (0,) * (len(m) - 1 - len(d)), m
         g0, inv0, m1 = packed_gcd(field, e, m, cofactor=True)
-        rest, top = _split(field, d, g0, inv0, m1)
+        quo, rest = packed_divmod(field, d, g0)
+        top = _residue(field, quo, inv0, m1)
         return (tuple(e), tuple(rest) + (0,) * (len(g0) - 1 - len(rest)),
-                top + (0,) * (len(m1) - 1 - len(top)), m1)
+                tuple(top) + (0,) * (len(m1) - 1 - len(top)), m1)
 
     def _id(self, parts, n):
         (e, rest, top, _), field = parts, self.level.field
@@ -943,24 +906,40 @@ class _Column:
         """The id of the orbit of this column's vertices at level n."""
         return self._id(self.parts, n) if n else self._zero
 
+    def torus(self, src, n):
+        """The torus map (mu, na, nc, M1) at level n of the elements
+        [[alpha, b], [0, beta]] of Stab(v_n) that move the point of the
+        column `src` to this one's, or None.  With (e, rest, top, M1) each
+        point's parts, L = rest + top[n + 1:] and x = top cut or padded to
+        n + 1 entries, the e agree and alpha*L_src = beta*L_dst: all pairs
+        (mu None) when both L vanish, else the line L_dst = mu*L_src; and
+        b = alpha*x_src - beta*x_dst + M1*F_q[t] (README, "Notes on
+        conventions")."""
+        _check_unknowns(n)
+        field, (e, rest, top, m1) = self.level.field, self.parts
+        e_src, rest_src, top_src, _ = src.parts
+        if e != e_src:
+            return None
+        vec, vec_src = rest + top[n + 1:], rest_src + top_src[n + 1:]
+        if vec == vec_src:
+            mu = 1 if any(vec) else None
+        else:
+            i = next((i for i, z in enumerate(vec_src) if z), None)
+            mu = i is not None and field.mul(vec[i], field.inv(vec_src[i]))
+            if not mu or self.scale(mu, vec_src) != vec:
+                return None
+        zero = (0,) * (n + 1)
+        return (mu, top_src[:n + 1] + zero[len(top_src):],
+                self._minus_x[:n + 1] + zero[len(top):], m1)
+
     def stabilizer(self, v, red):
         """The descriptor of Stab(v), for the vertex v of reduction `red`
-        whose g has this column.  With (e, rest, top, M1) the point's parts,
-        the torus map is the scalar line (1, 0, 0, M1) when L(d) =
-        rest + top[n + 1:] is nonzero, else all pairs with na = x = top cut
-        or padded to n + 1 entries and nc = -x (README, "Notes on
-        conventions"); at level 0 the kernel is the algebra V of (col, col)."""
-        n, field = red.level_n, self.level.field
-        _check_unknowns(n)
-        _, rest, top, m1 = self.parts
-        zero = (0,) * (n + 1)
-        if any(rest) or any(top[n + 1:]):
-            torus = 1, zero, zero, m1
-        else:
-            x = top[:n + 1] + zero[len(top):]
-            torus = None, x, self.scale(field.neg(1), x), m1
-        return StabDescriptor(v, red, self.level, torus, _algebra(
-            self.level, self.col, self.col) if n == 0 else ())
+        whose g has this column: the torus map of the point and itself,
+        and at level 0 the algebra V of (col, col)."""
+        n = red.level_n
+        return StabDescriptor(v, red, self.level, self.torus(self, n),
+                              _algebra(self.level, self.col, self.col)
+                              if n == 0 else ())
 
 
 def stabilizer(v, level):
@@ -972,20 +951,17 @@ def stabilizer(v, level):
 
 def orbit_witness(level, red_src, red_dst):
     """Some h in H_D with act(h, src) = dst, or None, given both
-    reductions: g_dst^-1 s g_src for the first s the solve finds
-    (`_conjugate`).  Levels must already agree.
+    reductions: g_dst^-1 s g_src for the first s found (`_conjugate`).
+    Levels must already agree.
 
-    The condition is N_D | (g_dst^{-1} s g_src)[2,1].  With W = adj(g_dst)
-    and (a, c) the first column of g_src, the entry of W s g_src is
-    alpha*(W21*a) + beta*(W22*c) + b*(W21*c) for triangular s, plus the
-    lower-row terms at level 0.  W = delta g_dst^{-1} with delta = det g_dst
-    a unit, so N_D divides the entry of W s g_src iff it divides that of
-    g_dst^{-1} s g_src, and W21 = -c_dst and W22 = a_dst give the system
-    of `_witness_torus`, and at level 0 that of `_algebra`.
+    h lies in H_D iff s moves the P^1(R/N_D) point of the first column of
+    g_src to that of g_dst, so the triangular s are the torus map of the
+    two points (`_Column.torus`), and at level 0 with no torus pair the
+    units with c != 0 of `_algebra`.
     """
     field, n, dst = level.field, red_src.level_n, red_dst.rows
     cols = dst[::2], red_src.rows[::2]   # the first columns (a, c)
-    torus = _witness_torus(level, *cols, n)
+    torus = _Column(level, cols[0]).torus(_Column(level, cols[1]), n)
     if torus:
         # the first pair: (1, 1), or (1, 1/mu) on the line alpha = mu*beta
         frame = _torus_frame(field, torus, 1, field.inv(torus[0] or 1))

@@ -1,6 +1,6 @@
 """Call counts behind every orbit and stabilizer test: no F_q elimination
-decides the torus pairs, which a vertex group reads off its column's
-point of P^1(R/N_D) and a witness off gcd(c_dst*c_src, N_D); the one
+decides the torus pairs, which a vertex group and a witness read off the
+points of P^1(R/N_D) of their columns (`hecke._Column.torus`); the one
 elimination left is `solve_affine` on the homogeneous system of level 0,
 once per level-0 stabilizer; and the divisions by N_D that a stabilizer
 makes do not grow with the level n."""
@@ -17,9 +17,9 @@ from btquot.quotient import build_quotient
 def counts(monkeypatch):
     """Counts of `_eliminate` and `solve_affine` calls, in total and by
     the open calls that make them, innermost last: a vertex group
-    (`hecke._Column.stabilizer`) with the level of its vertex, a witness
-    system (`hecke._witness_torus`) or a level-0 algebra
-    (`hecke._algebra`); and of the vertex groups at level 0."""
+    (`hecke._Column.stabilizer`) with the level of its vertex, a torus map
+    (`hecke._Column.torus`) or a level-0 algebra (`hecke._algebra`); and
+    of the vertex groups at level 0."""
     tally = {"eliminate": 0, "solve_affine": 0, "level0 stabilizers": 0}
     inside = []   # the open calls
 
@@ -45,11 +45,10 @@ def counts(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(hecke._Column, "stabilizer", opened(
-        "stabilizer", hecke._Column.stabilizer))
-    for part in ("witness_torus", "algebra"):
-        name = "_" + part
-        monkeypatch.setattr(hecke, name, opened(part, getattr(hecke, name)))
+    for part in ("stabilizer", "torus"):
+        monkeypatch.setattr(hecke._Column, part, opened(
+            part, getattr(hecke._Column, part)))
+    monkeypatch.setattr(hecke, "_algebra", opened("algebra", hecke._algebra))
     for key in ("eliminate", "solve_affine"):
         name = "_" + key if key == "eliminate" else key
         monkeypatch.setattr(hecke, name, counted(key, getattr(hecke, name)))
@@ -64,7 +63,7 @@ def test_one_elimination_per_system(counts, p, s, lvl, depth):
     """No elimination decides a torus map: every `_eliminate` call is the
     one inside a `solve_affine` call, each level-0 stabilizer makes
     exactly one, through its algebra, and no stabilizer above level 0 and
-    no witness system makes any.  (The name dates from one elimination per
+    no torus map makes any.  (The name dates from one elimination per
     system.)"""
     level = hecke.parse_level(lvl, FieldSpec(p, s))
     build_quotient(level, depth)

@@ -809,7 +809,7 @@ class TestGeneratingSet:
         """`orbit_witness` forms g_dst^-1 s g_src as one combination per
         entry: the same matrix as the product of the three, on triangular
         witnesses and on level-0 ones with c != 0."""
-        from btquot.hecke import (_algebra, _level0_extras, _witness_torus,
+        from btquot.hecke import (_algebra, _Column, _level0_extras,
                                   orbit_witness)
         rng = random.Random(41)
         lower = 0
@@ -831,7 +831,8 @@ class TestGeneratingSet:
                     w = act(h, v)
                     red_v, red_w = reduce_vertex(v), reduce_vertex(w)
                     cols = column(red_w), column(red_v)
-                    torus = _witness_torus(lvl, *cols, red_v.level_n)
+                    torus = _Column(lvl, cols[0]).torus(
+                        _Column(lvl, cols[1]), red_v.level_n)
                     if torus:
                         (ai, bi), part, _ = expand_torus(field, torus)[0]
                         frame = (ai, part, 0, bi)
@@ -943,11 +944,12 @@ def reference_system(level, red_src, red_dst):
 
 
 class TestClosedFormSolve:
-    """The torus map of a witness system, read off e = gcd(c_dst*c_src, N_D)
-    (`hecke._witness_torus`), equals the one the elimination of the system
-    gives (`torus_blocks`), on every class of every level of small degree,
-    as the system of the pair (col, col), and on seeded pairs of
-    vertices."""
+    """The torus map of a pair of points, read off the parts of the two
+    columns (`hecke._Column.torus`), equals the one the elimination of the
+    witness system gives (`torus_blocks`), on every class of every level of
+    small degree, as the pair (col, col), and on seeded pairs of vertices:
+    some on lines alpha = mu*beta with mu != 1, -1, some with no witness,
+    and some whose points have distinct e of equal degree."""
 
     LEVELS = ((FieldSpec(2), 4), (FieldSpec(3), 3), (FieldSpec(2, 2), 2),
               (FieldSpec(5), 2))
@@ -984,8 +986,8 @@ class TestClosedFormSolve:
             for red in [cls.reduction for cls in Q.classes] + moved:
                 old = torus_blocks(*reference_system(level, red, red),
                                    field)
-                col, n = column(red), red.level_n
-                mu, na, nc, m = hecke._witness_torus(level, col, col, n)
+                col, n = hecke._Column(level, column(red)), red.level_n
+                mu, na, nc, m = col.torus(col, n)
                 new = mu, na, nc, hecke._kernel_basis(field, m, n, n)
                 assert new[0] == old[0] and new[3] == old[3], (level, red)
                 if new[0] is None:
@@ -1006,8 +1008,19 @@ class TestClosedFormSolve:
                     src, dst = rng.choice(reds), rng.choice(reds)
                     self.check_witness_pair(level, src, dst, seen)
                     pairs += 1
+            # each representative moved by [[a, 0], [N_D, 1]] in H_D: a
+            # witness on the line alpha = mu*beta for some mu != 1, -1
+            for cls in Q.classes:
+                for a in range(2, field.q):
+                    mover = Matrix2(Polynomial.constant(field, a),
+                                    Polynomial.zero(field), level.modulus,
+                                    Polynomial.one(field))
+                    image = reduce_vertex(act(mover, cls.representative))
+                    self.check_witness_pair(level, cls.reduction, image, seen)
+                    pairs += 1
         assert seen >= {"u = 0", "gcd 1", "proper e", "n < deg M", "mu = 1",
-                        "no witness"}, seen
+                        "mu != 1, -1", "no witness",
+                        "distinct e of equal degree"}, seen
         assert systems > 1000 and pairs > 2000, (systems, pairs)
 
     def check_witness_pair(self, level, src, dst, seen):
@@ -1018,31 +1031,36 @@ class TestClosedFormSolve:
         field, n = level.field, src.level_n
         columns, va, vc = reference_system(level, src, dst)
         old = torus_blocks(columns, va, vc, field)
-        new = hecke._witness_torus(level, column(dst), column(src), n)
+        col_dst = hecke._Column(level, column(dst))
+        col_src = hecke._Column(level, column(src))
+        new = col_dst.torus(col_src, n)
         seen.update(self.kind(level, src, dst))
+        e_dst, e_src = col_dst.parts[0], col_src.parts[0]
+        if e_dst != e_src and len(e_dst) == len(e_src):
+            seen.add("distinct e of equal degree")
         if old is None:
             seen.add("no witness")
             assert new is None, (level, src, dst)
             return
         mu, na, nc, m = new
         assert mu == old[0], (level, src, dst)
+        if mu not in (None, 1, field.neg(1)):
+            seen.add("mu != 1, -1")
         assert hecke._kernel_basis(field, m, n, n) == old[3], \
             (level, src, dst)
-        if mu is None:
-            assert (na, nc) == old[1:3], (level, src, dst)
-        else:
-            witness = expand_torus(field, (mu, na, nc, ()))[0]
-            assert witness == expand_torus(field, old[:3] + ((),))[0]
+        # every pair's particular solution is the elimination's, which is 0
+        # on the free columns
+        assert expand_torus(field, (mu, na, nc, ())) == \
+            expand_torus(field, old[:3] + ((),)), (level, src, dst)
 
 
 class TestPackedPath:
     def test_solve_and_witness_make_no_polynomial(self, monkeypatch):
         """The congruence solves work on packed coefficient lists: a
-        stabilizer read off its column's point, and a witness system, with
-        its torus map and level-0 algebra, create no `Polynomial`; the
+        stabilizer read off its column's point, and the torus map of a pair
+        of points and its level-0 algebra, create no `Polynomial`; the
         witness makes exactly its four entries."""
-        from btquot.hecke import (_algebra, _Column, _witness_torus,
-                                  orbit_witness)
+        from btquot.hecke import _algebra, _Column, orbit_witness
         made = []
         of, init = Polynomial.__dict__["_of"], Polynomial.__init__
 
@@ -1073,8 +1091,8 @@ class TestPackedPath:
             _Column(lvl, col).stabilizer(v, red_v), _algebra(lvl, col, col)
             assert not made
             cols = column(red_w), col
-            assert _witness_torus(lvl, *cols, red_v.level_n) or \
-                _algebra(lvl, *cols)
+            assert _Column(lvl, cols[0]).torus(
+                _Column(lvl, cols[1]), red_v.level_n) or _algebra(lvl, *cols)
             assert not made
             found += orbit_witness(lvl, red_v, red_w) is not None
             assert len(made) == 4

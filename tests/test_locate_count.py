@@ -1,7 +1,7 @@
 """Call counts of the solves behind the build's lookup: one column
 (`hecke._Column`), which reads its orbit-id point and the vertex groups
 off it, per distinct first column of the reductions, one stabilizer
-descriptor per class, and no witness solve."""
+descriptor and one torus map per class, and no witness."""
 
 import pytest
 
@@ -13,11 +13,11 @@ from btquot.hecke import parse_level
 @pytest.fixture
 def tally(monkeypatch):
     """Counts of `reduce_vertex` calls made by the quotient module, of the
-    columns (`hecke._Column`) and of the descriptors read off them, of the
-    `orbit_witness` calls and of the witness systems they solve
-    (`hecke._witness_torus`), and the first columns of the reductions."""
+    columns (`hecke._Column`), of the descriptors and the torus maps read
+    off them (`hecke._Column.torus`), of the `orbit_witness` calls, and the
+    first columns of the reductions."""
     out = {"reduce": 0, "columns": 0, "descriptors": 0, "witnesses": 0,
-           "witness tori": 0, "firsts": set()}
+           "tori": 0, "firsts": set()}
 
     def reduce_vertex(v):
         out["reduce"] += 1
@@ -44,10 +44,10 @@ def tally(monkeypatch):
     monkeypatch.setattr(quotient, "reduce_vertex", reduce_vertex)
     monkeypatch.setattr(hecke._Column, "__init__", column)
     monkeypatch.setattr(hecke._Column, "stabilizer", stabilizer)
+    monkeypatch.setattr(hecke._Column, "torus",
+                        counted("tori", hecke._Column.torus))
     monkeypatch.setattr(hecke, "orbit_witness",
                         counted("witnesses", hecke.orbit_witness))
-    monkeypatch.setattr(hecke, "_witness_torus",
-                        counted("witness tori", hecke._witness_torus))
     return out
 
 
@@ -59,9 +59,9 @@ def test_one_descriptor_per_class_and_no_witness(tally, p, s, lvl, depth):
     """One reduction per vertex looked up: the base vertex and each strand
     end but the representative of the class whose expansion found the
     class.  One column per distinct first column of the reductions, one
-    descriptor per class, and no `orbit_witness` or witness system: at
-    q=3, D=t^3 (t+1)^3, depth 14 a search by stabilizer keys made 13,812
-    witness solves."""
+    descriptor and one torus map, of its point and itself, per class, and
+    no `orbit_witness`: at q=3, D=t^3 (t+1)^3, depth 14 a search by
+    stabilizer keys made 13,812 witness solves."""
     Q = quotient.build_quotient(parse_level(lvl, FieldSpec(p, s)), depth)
     looked_up = [st.end for c in Q.classes for st in c.strands
                  if c.parent is None
@@ -69,5 +69,6 @@ def test_one_descriptor_per_class_and_no_witness(tally, p, s, lvl, depth):
     assert tally["reduce"] == 1 + len(looked_up) >= len(Q.classes)
     assert tally["columns"] == len(tally["firsts"]) == len(Q.columns) \
         < tally["reduce"]
-    assert tally["descriptors"] == len(Q.classes) == len(Q.ids)
-    assert tally["witnesses"] == tally["witness tori"] == 0
+    assert tally["descriptors"] == tally["tori"] == len(Q.classes) \
+        == len(Q.ids)
+    assert tally["witnesses"] == 0

@@ -298,13 +298,13 @@ class TestOrbitId:
 
     def test_two_torus_forms_at_q2_are_one(self):
         """At q = 2 the line alpha = beta and all of (F_q*)^2 are the one
-        pair set {(1, 1)}, and the solver of the pair (col, col) returns
-        both forms (mu = 1 for a row (1, 1) past the rank): a descriptor
-        built from either has the same order, pairs and generators."""
-        from btquot.hecke import StabDescriptor, _witness_torus
+        pair set {(1, 1)}, and the torus map of the pair (col, col) takes
+        both forms (mu = 1 when L(d) is nonzero): a descriptor built from
+        either has the same order, pairs and generators."""
+        from btquot.hecke import StabDescriptor, _Column
         Q = build(FieldSpec(2), "t^2", 6)
-        cols = [c.reduction.rows[::2] for c in Q.classes]
-        mus = [_witness_torus(Q.level, col, col, c.level_n)[0]
+        cols = [_Column(Q.level, c.reduction.rows[::2]) for c in Q.classes]
+        mus = [col.torus(col, c.level_n)[0]
                for c, col in zip(Q.classes, cols)]
         assert 1 in mus and None in mus
         for c in Q.classes:

@@ -2,10 +2,9 @@
 column (a, c) of its reduction (`hecke._Column`), once per column, and a
 descriptor keeps the modulus M of its unipotent space until its basis is
 read: each class's descriptor equals a fresh `hecke.stabilizer`, its torus
-map equals the elimination of the stabilizer system and the witness
-system of the pair (col, col), each located vertex has a witness to its
-class representative, the columns are counted, and no kernel basis is
-built by the build or by certification."""
+map equals the elimination of the stabilizer system, each located vertex
+has a witness to its class representative, the columns are counted, and
+no kernel basis is built by the build or by certification."""
 
 import itertools
 
@@ -78,7 +77,8 @@ def test_class_descriptors_equal_fresh_stabilizers(level):
     """Each class's descriptor, read off the build's shared column, equals
     `stabilizer` of its representative, in its order, unipotent dimension
     and neighbor orbits, all read from M, and in its kernel basis, built
-    from M."""
+    from M; `test_vertex_groups_equal_the_elimination` checks that basis
+    against the elimination."""
     Q = build_quotient(level, 2 * level.degree + 4)
     assert len(Q.columns) <= 1 + sum(len(c.strands) for c in Q.classes)
     for c in Q.classes:
@@ -88,10 +88,6 @@ def test_class_descriptors_equal_fresh_stabilizers(level):
                            frame_orbits(fresh)), c.id
         assert (stab.reduction, stab.torus, stab.kernel) == \
             (fresh.reduction, fresh.torus, fresh.kernel), c.id
-        col = c.reduction.rows[::2]
-        assert stab.torus[3] == hecke._kernel_basis(
-            level.field, hecke._witness_torus(level, col, col, c.level_n)[3],
-            c.level_n, c.level_n), c.id
 
 
 # the oracle levels at the depth of their builds, and one deep level
@@ -103,38 +99,33 @@ ORACLE_BUILDS = pytest.mark.parametrize("level,depth", [
 
 @ORACLE_BUILDS
 def test_vertex_groups_equal_the_elimination(level, depth):
-    """The torus map a column reads off its point
+    """The torus map a column reads off its point and itself
     (`hecke._Column.stabilizer`) equals the one the elimination of the
     stabilizer system gives (`torus_blocks`), on every class: mu and the
-    kernel, and na and nc for all pairs, where the scalar line stores
-    na = nc = 0 and the reference's sum na + nc vanishes.  On every column
-    of the build it also equals, at each level n <= depth + 1, the torus
-    map of the witness system of the column and an equal but distinct
-    tuple (`hecke._witness_torus`), which solves the system of u = c^2 by
-    its own Euclid.  At q = 2 a descriptor stores the scalar line as
-    mu = None (`StabDescriptor`)."""
+    kernel, and na and nc for all pairs, and on the scalar line, where
+    only na + nc is read, na + nc and the reference's sum vanish entry by
+    entry.  The same holds on every column of the build at each level
+    n <= depth + 1, as the torus map reads only the level of the reduction
+    it is given.  At q = 2 a descriptor stores the scalar line as mu = None
+    (`StabDescriptor`)."""
     Q, field = build_quotient(level, depth), level.field
-    for c in Q.classes:
-        red, n, stab = c.reduction, c.level_n, c.stab
+    base = Q.classes[0]
+    reductions = [(c.id, c.reduction, c.stab) for c in Q.classes] + [
+        ((col, n), red, column.stabilizer(base.representative, red))
+        for col, column in Q.columns.items() for n in range(depth + 2)
+        for red in [dataclasses.replace(base.reduction, level_n=n,
+                                        rows=(col[0], (), col[1], ()))]]
+    for key, red, stab in reductions:
         mu, na, nc, kernel = torus_blocks(*reference_system(level, red, red),
                                           field)
-        assert stab.torus[3] == kernel, c.id
-        assert stab.torus_map[0] == (None if field.q == 2 else mu), c.id
+        assert stab.torus[3] == kernel, key
+        assert stab.torus_map[0] == (None if field.q == 2 else mu), key
         if mu is None:
-            assert stab.torus_map[1:] == (na, nc), c.id
+            assert stab.torus_map[1:] == (na, nc), key
         else:
-            assert mu == 1 and not any(stab.torus_map[1] + stab.torus_map[2])
-            assert not any(field.add(x, y) for x, y in zip(na, nc)), c.id
-    # the torus map reads only the level of the reduction it is given
-    base = Q.classes[0]
-    for col, column in Q.columns.items():
-        for n in range(depth + 2):
-            stab = column.stabilizer(base.representative, dataclasses.replace(
-                base.reduction, level_n=n))
-            mu, na, nc, m = hecke._witness_torus(level, col, (col[0], col[1]),
-                                                 n)
-            assert stab.torus_map + (stab.m,) == \
-                (None if field.q == 2 else mu, na, nc, m), (col, n)
+            assert mu == 1 and not any(
+                field.add(x, y) for x, y in zip(*stab.torus_map[1:])), key
+            assert not any(field.add(x, y) for x, y in zip(na, nc)), key
 
 
 def locate(Q, v):
