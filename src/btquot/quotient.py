@@ -282,7 +282,29 @@ def build_quotient(level, depth):
             if cls.layer == layer and not cls.expanded:
                 Q._expand(cls)
     Q.edges = _aggregate_edges(Q.classes, level.field.q)
+    _check_mass(Q)
     return Q
+
+
+def _check_mass(Q):
+    """Raise unless, on each level n, the mass m_n = sum |G_n|/|Stab(c)|
+    over the classes c over v_n is a sum of integers at most
+    |P^1(R/N_D)| = prod q^(d_i (n_i - 1)) (q^d_i + 1): the classes are the
+    G_n = Stab(v_n)-orbits on P^1(R/N_D), |G_0| = |GL2(F_q)| and
+    |G_n| = (q-1)^2 q^(n+1), with equality once every class is built."""
+    q, points, mass = Q.field.q, 1, {}
+    for poly, mult in Q.level.primes:
+        points *= q ** (poly.degree * (mult - 1)) * (q ** poly.degree + 1)
+    for c in Q.classes:
+        n = c.level_n
+        size, rest = divmod((q * q - 1) * (q * q - q) if n == 0 else
+                            (q - 1) ** 2 * q ** (n + 1), c.stab.order)
+        mass[n] = mass.get(n, 0) + size
+        if rest or mass[n] > points:
+            raise InconsistencyError(
+                "the orbits of the classes over v_%d do not fit in the %d "
+                "points of P^1(R/N_D): class %d has stabilizer order %d"
+                % (n, points, c.id, c.stab.order))
 
 
 def _aggregate_edges(classes, q):

@@ -160,6 +160,71 @@ def test_located_vertices_have_witnesses(level, depth):
             assert h is not None and act(h, st.end) == rep, (c.id, st.dst)
 
 
+def p1_points(level):
+    """|P^1(R/N_D)|, counted point by point, prime power by prime power
+    (R/N_D is their product): the pairs (X, Y) mod P^k that P does not
+    both divide, over the units X mod P^k."""
+    field, out = level.field, 1
+    for poly, mult in level.primes:
+        size = poly.degree * mult
+        residues = [Polynomial(field, cs) for cs in
+                    itertools.product(range(field.q), repeat=size)]
+        prime = [bool(x % poly) for x in residues]
+        pairs = sum(x or y for x in prime for y in prime)
+        out *= pairs // sum(prime)
+    return out
+
+
+def orbit_masses(Q):
+    """{n: sum over the classes c over v_n of |G_n|/|Stab(c)|}, with
+    G_0 = GL2(F_q) and G_n = Stab(v_n) of order (q-1)^2 q^(n+1); each
+    quotient must be an integer."""
+    q, mass = Q.field.q, {}
+    for c in Q.classes:
+        n = c.level_n
+        group = (q * q - 1) * (q * q - q) if n == 0 else \
+            (q - 1) ** 2 * q ** (n + 1)
+        assert group % c.stab.order == 0, c.id
+        mass[n] = mass.get(n, 0) + group // c.stab.order
+    return mass
+
+
+@ORACLE_BUILDS
+def test_orbit_stabilizer_mass(level, depth):
+    """The classes over v_n are the Stab(v_n)-orbits on P^1(R/N_D), so on
+    each level their orbit sizes sum to at most |P^1(R/N_D)|, and to
+    exactly that on the levels n <= depth - 2 deg N + 2, where every class
+    is built (`quotient._check_mass` raises on the bound)."""
+    mass, points = orbit_masses(build_quotient(level, depth)), \
+        p1_points(level)
+    assert all(m <= points for m in mass.values()), (mass, points)
+    complete = [n for n in mass if n <= depth - 2 * level.degree + 2]
+    assert complete and all(mass[n] == points for n in complete), \
+        (mass, points)
+
+
+@pytest.mark.parametrize("forge", [lambda order, q: order + 1,
+                                   lambda order, q: max(1, order // q)],
+                         ids=["non-integral", "above the bound"])
+def test_mass_contradiction_exits_3(monkeypatch, capsys, forge):
+    """A stabilizer order that leaves an orbit size non-integral, or a
+    level's mass above |P^1(R/N_D)|, is an internal contradiction: the
+    build raises and the command exits 3."""
+    from btquot.cli import main
+    stabilizer_of = hecke._Column.stabilizer
+
+    def forged_order(column, v, red):
+        stab = stabilizer_of(column, v, red)
+        stab._order = forge(stab.order, stab.field.q)
+        return stab
+
+    monkeypatch.setattr(hecke._Column, "stabilizer", forged_order)
+    assert main(["quotient", "--p", "3", "--level", "t", "--depth",
+                 "6"]) == 3
+    assert "do not fit in the 4 points of P^1(R/N_D)" in \
+        capsys.readouterr().err
+
+
 @pytest.mark.parametrize("q,lvl,depth,columns", CENSUS_COLUMNS)
 def test_census_column_solves(solves, q, lvl, depth, columns):
     """One solve per distinct column, none repeated by a second build from
