@@ -168,7 +168,8 @@ class Level:
         parts = []
         for poly, mult in self.primes:
             base = format_polynomial(poly)
-            parts.append(base if mult == 1 else "%s^%d" % (base, mult))
+            parts.append(base if mult == 1 else "%s^%d" % (
+                base if base == "t" else "(%s)" % base, mult))
         return ";".join(parts)
 
     def __repr__(self):

@@ -93,6 +93,22 @@ class TestLevel:
         assert lvl.primes[0][1] == 3
         assert lvl.modulus == poly("t^3", F2)
 
+    def test_text_round_trips(self):
+        """Every factor but t is parenthesized when it has a multiplicity,
+        and the text of each level the digest sweep runs parses back to
+        the level."""
+        from digest_sweep import DEEP_BUILDS, DEEP_CUSP_LEVELS, LEVELS
+        assert str(parse_level("t^3;(t+1)^3", F2)) == "t^3;(t+1)^3"
+        assert str(parse_level("(t^2+t+1)^2;t+1", F2)) == \
+            "t+1;(t^2+t+1)^2"
+        texts = [(FieldSpec(p, s), text) for (p, s), levels in LEVELS.items()
+                 for text in levels]
+        texts += [(F2, text) for text in DEEP_CUSP_LEVELS]
+        texts += [(FieldSpec(p), text) for p, text, _ in DEEP_BUILDS]
+        for field, text in texts:
+            level = parse_level(text, field)
+            assert parse_level(str(level), field) == level, text
+
     def test_caret_is_multiplicity_not_power(self):
         lvl = parse_level("t^2+t+1", F2)
         assert lvl.primes[0][0] == poly("t^2+t+1", F2)
