@@ -169,9 +169,9 @@ def p1_points(level):
         size = poly.degree * mult
         residues = [Polynomial(field, cs) for cs in
                     itertools.product(range(field.q), repeat=size)]
-        prime = [bool(x % poly) for x in residues]
-        pairs = sum(x or y for x in prime for y in prime)
-        out *= pairs // sum(prime)
+        unit = [bool(x % poly) for x in residues]
+        pairs = sum(x or y for x in unit for y in unit)
+        out *= pairs // sum(unit)
     return out
 
 
