@@ -16,7 +16,8 @@ levels of degree 6 and 7 at q = 2, 3 built to depths 12 to 16.  `formula`
 runs on every level above, a few times with Picard data (`--g2-order`,
 `--pic-r-order`), after all other commands, so that its lines were added
 to the golden without moving any other; a few `orbit` commands on chosen
-pairs (`ORBIT_PAIRS`) come last, for the same reason.  `selftest` is left
+pairs (`ORBIT_PAIRS`) follow, for the same reason, and three deep
+`amalgam` commands (`DEEP_AMALGAMS`) come last.  `selftest` is left
 out, as it prints timings.  The golden, `golden/digests.txt`, holds one line per
 command: its digest, its exit code and the command.  Regenerate it only when an output changes on purpose, in
 a commit of its own that gives the reason for each changed line.
@@ -88,6 +89,12 @@ ORBIT_PAIRS = [
     (2, "t;t+1", "r=3;a=1*s^1+1*s^2", "r=3;a=1*s^1"),
     (3, "t;t+1", "r=8;a=1*s^1+1*s^5+1*s^7", "r=8;a=1*s^1+2*s^4+2*s^7"),
 ]
+
+# (p, s, level, depth) of `amalgam` commands run after the orbit pairs: deep
+# presentations with 288, 73 and 7 witnesses g_y, whose relations and
+# witnesses are each checked by matrix products
+DEEP_AMALGAMS = [(3, 1, "t^3;(t+1)^3", 14), (2, 1, "t^4;(t+1)^3", 14),
+                 (2, 2, "t^2;t+1", 9)]
 
 
 def _vertices(q):
@@ -184,6 +191,9 @@ def commands():
     for p, level, vertex, other in ORBIT_PAIRS:
         cmds.append(["orbit", "--p", str(p), "--level", level, "--vertex",
                      vertex, "--vertex2", other])
+    for p, s, level, depth in DEEP_AMALGAMS:
+        cmds.append(["amalgam"] + _field_args(p, s) + ["--level", level,
+                                                       "--depth", str(depth)])
     return cmds
 
 
