@@ -10,9 +10,11 @@ Neighbor convention: the parent of a vertex is the next larger ball
 (radius exponent r-1); its q children are the maximal sub-balls
 (radius exponent r+1).  Valency is q+1.
 
-Group elements lie in GL2(F_q[t]) and are `Matrix2`s with `Polynomial`
-entries where a caller receives them; F_q(t) appears only in lattice
-bases, where pi^r does.
+Group elements lie in GL2(F_q[t]).  The program multiplies them as packed
+rows (A, B, C, D), the packed coefficient lists of [[A, B], [C, D]]
+(`_rows_product`, `_rows_inverse`); a caller receives a `Matrix2` with
+`Polynomial` entries, whose `key()` is its packed rows.  F_q(t) appears
+only in lattice bases, where pi^r does.
 
 The build, the certification and the presentation move no vertex with a
 matrix: `hecke.reduce_vertex` runs Nagao's moves tau_f and I on the exact
@@ -29,8 +31,9 @@ the brute-force oracle compare against.
 from __future__ import annotations
 
 from .algebra import (AlgebraError, LaurentFragment, Polynomial,
-                      RationalFunction, expand_at_infinity,
-                      format_fragment, format_rational, parse_fragment)
+                      RationalFunction, expand_at_infinity, format_fragment,
+                      format_polynomial, format_rational, packed_add,
+                      packed_mul, parse_fragment)
 
 
 class TreeError(ValueError):
@@ -145,17 +148,20 @@ class Matrix2:
         self._key = (a.key(), b.key(), c.key(), d.key())
 
     @classmethod
+    def of_rows(cls, field, rows):
+        """The matrix over F_q[t] of the packed rows (A, B, C, D)."""
+        a, b, c, d = rows
+        return cls(Polynomial._of(field, a), Polynomial._of(field, b),
+                   Polynomial._of(field, c), Polynomial._of(field, d))
+
+    @classmethod
     def identity(cls, field):
-        one = Polynomial.one(field)
-        zero = Polynomial.zero(field)
-        return cls(one, zero, zero, one)
+        return cls.of_rows(field, ([1], [], [], [1]))
 
     @classmethod
     def involution(cls, field):
         """I = [[0,1],[1,0]]."""
-        one = Polynomial.one(field)
-        zero = Polynomial.zero(field)
-        return cls(zero, one, one, zero)
+        return cls.of_rows(field, ([], [1], [1], []))
 
     @classmethod
     def translation(cls, f):
@@ -213,6 +219,34 @@ class Matrix2:
     def __repr__(self):
         return "[[%s, %s], [%s, %s]]" % tuple(
             format_rational(x) for x in self.entries())
+
+
+def _rows_product(field, x, y):
+    """The packed rows of x y, for the packed rows x and y of two matrices
+    over F_q[t]."""
+    (a, b, c, d), (e, f, g, h) = x, y
+    return [packed_add(field, packed_mul(field, u, w), packed_mul(field, v, z))
+            for u, v in ((a, b), (c, d)) for w, z in ((e, g), (f, h))]
+
+
+def _det_inverse(field, ad, bc):
+    """1 / (AD - BC), for the packed products AD and BC of a matrix over
+    F_q[t] whose determinant must lie in F_q*."""
+    det = packed_add(field, ad, packed_mul(field, bc, [field.neg(1)]))
+    if len(det) != 1:
+        raise AlgebraError("%s is not a unit of F_q[t]"
+                           % format_polynomial(Polynomial._of(field, det)))
+    return field.inv(det[0])
+
+
+def _rows_inverse(field, x):
+    """The packed rows of x^-1 = adj(x) / det x, for the packed rows x of a
+    matrix over F_q[t] whose determinant must lie in F_q*."""
+    a, b, c, d = x
+    inv = _det_inverse(field, packed_mul(field, a, d), packed_mul(field, b, c))
+    minus = [field.neg(inv)]
+    return [packed_mul(field, d, [inv]), packed_mul(field, b, minus),
+            packed_mul(field, c, minus), packed_mul(field, a, [inv])]
 
 
 def canonicalize(m):

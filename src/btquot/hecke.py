@@ -46,12 +46,9 @@ is `ray_frame`, which also decides whether a matrix lies in Stab(v_n).
 A stabilizer is generated by at most two torus lifts, the F_p-basis of
 its unipotent space and, at level 0, the extras that grow the orbit of
 infinity on P^1(F_q) (`StabDescriptor.generator_frames`).
-F_q[t] values stay packed coefficient lists from the reduction through
-the solve to the conjugation: `Polynomial` and `Matrix2` objects are made
-only for what a caller receives, stabilizer elements and witnesses, and
-for the reduction's g when it is read as a `Matrix2` (`ReductionResult.g`:
-the `reduce` command, `frame_of`, the witness check of the presentation
-and the brute-force oracles); the rows and the word stay packed.
+F_q[t] values stay packed lists from the reduction to the frame reader:
+an element is its packed rows (A, B, C, D) (`btree._rows_product`), and a
+`Matrix2` is made only for what a caller receives (`Matrix2.of_rows`).
 """
 
 from __future__ import annotations
@@ -64,7 +61,8 @@ from .algebra import (MAX_DEGREE, AlgebraError, Polynomial,
                       _strip_outer_parens, decimal_value, format_polynomial,
                       packed_add, packed_combination, packed_divmod,
                       packed_gcd, packed_mul, parse_polynomial)
-from .btree import BallVertex, Matrix2, act
+from .btree import (BallVertex, Matrix2, _det_inverse, _rows_inverse,
+                    _rows_product, act)
 
 
 class HeckeError(ValueError):
@@ -230,8 +228,7 @@ class ReductionResult:
 
     @functools.cached_property
     def g(self):
-        return Matrix2(*(Polynomial._of(self.field, list(x))
-                         for x in self.rows))
+        return Matrix2.of_rows(self.field, self.rows)
 
 
 def reduce_vertex(v):
@@ -479,15 +476,14 @@ def _span_points(basis, field, origin=None):
 
 
 def ray_frame(s, n):
-    """The frame data (a, b, c, d) of s, b padded to n + 1 coefficients,
-    for s over R with determinant in F_q*; None when s lies outside
-    Stab(v_n), which by Nagao's theorem asks a, c and d constant, c = 0
-    when n >= 1, and deg b <= n: the inverse of forming s from them."""
-    a, b, c, d = (x.num.packed_coeffs for x in s.entries())
-    if not s.is_polynomial() or len(a) > 1 or len(c) > (n == 0) \
-            or len(d) > 1 or len(b) > n + 1:
+    """The frame data (a, b, c, d) of the packed rows s of a matrix over R
+    with determinant in F_q*, b padded to n + 1 coefficients; None off
+    Stab(v_n), which by Nagao's theorem asks a, c, d constant, c = 0 when
+    n >= 1, and deg b <= n: the inverse of forming s from them."""
+    a, b, c, d = s
+    if len(a) > 1 or len(c) > (n == 0) or len(d) > 1 or len(b) > n + 1:
         return None
-    return (a[0] if a else 0, b + (0,) * (n + 1 - len(b)),
+    return (a[0] if a else 0, tuple(b) + (0,) * (n + 1 - len(b)),
             c[0] if c else 0, d[0] if d else 0)
 
 
@@ -634,26 +630,28 @@ class StabDescriptor:
                      if mu is None or ai == f.mul(mu, bi))
 
     def element(self, frame):
-        """g^{-1} s g for the frame data (a, b, c, d) of s.  The first call
-        reads the entries of g, checks that det g = AD - BC is a constant
-        and keeps AD and BC as the first two products."""
+        """The `Matrix2` of `element_rows`."""
+        return Matrix2.of_rows(self.field, self.element_rows(frame))
+
+    def element_rows(self, frame):
+        """The packed rows of g^{-1} s g for the frame data (a, b, c, d) of
+        s.  The first call checks that det g = AD - BC is a constant and
+        keeps AD and BC as the first two products."""
         f = self.field
         if self._products is None:
             g = self.reduction.rows
             ad, bc = packed_mul(f, g[0], g[3]), packed_mul(f, g[1], g[2])
-            det = packed_add(f, ad, packed_mul(f, bc, [f.neg(1)]))
-            if len(det) != 1:
-                raise AlgebraError("%s is not a unit of F_q[t]"
-                                   % format_polynomial(Polynomial._of(f, det)))
-            self._products = g, f.inv(det[0]), {(0, 3): ad, (1, 2): bc}
+            self._products = g, _det_inverse(f, ad, bc), {(0, 3): ad,
+                                                          (1, 2): bc}
         g, delta_inv, prods = self._products
         return _conjugate(f, g, frame, g, delta_inv, prods, True)
 
     def frame_of(self, h):
-        """The frame data of s = g h g^{-1} (`ray_frame`): the inverse of
-        `element`, and None unless h fixes the vertex."""
-        g = self.reduction.g
-        return ray_frame(g @ h @ g.inverse(), self.level_n)
+        """The frame data of s = g h g^{-1} (`ray_frame`), h packed rows:
+        the inverse of `element_rows`, and None unless h fixes the vertex."""
+        f, g = self.field, self.reduction.rows
+        return ray_frame(_rows_product(f, _rows_product(f, g, h),
+                                       _rows_inverse(f, g)), self.level_n)
 
     def identity_frame(self):
         """Frame data of the identity."""
@@ -950,10 +948,10 @@ def stabilizer(v, level):
     return _Column(level, red.rows[::2]).stabilizer(v, red)
 
 
-def orbit_witness(level, red_src, red_dst):
+def orbit_witness(level, red_src, red_dst, columns=None):
     """Some h in H_D with act(h, src) = dst, or None, given both
-    reductions: g_dst^-1 s g_src for the first s found (`_conjugate`).
-    Levels must already agree.
+    reductions, whose levels must agree: g_dst^-1 s g_src for the first s
+    found (`_conjugate`).  `columns` maps first columns to known `_Column`s.
 
     h lies in H_D iff s moves the P^1(R/N_D) point of the first column of
     g_src to that of g_dst, so the triangular s are the torus map of the
@@ -962,7 +960,9 @@ def orbit_witness(level, red_src, red_dst):
     """
     field, n, dst = level.field, red_src.level_n, red_dst.rows
     cols = dst[::2], red_src.rows[::2]   # the first columns (a, c)
-    torus = _Column(level, cols[0]).torus(_Column(level, cols[1]), n)
+    point, point_src = (columns and columns.get(col) or _Column(level, col)
+                        for col in cols)
+    torus = point.torus(point_src, n)
     if torus:
         # the first pair: (1, 1), or (1, 1/mu) on the line alpha = mu*beta
         frame = _torus_frame(field, torus, 1, field.inv(torus[0] or 1))
@@ -976,7 +976,8 @@ def orbit_witness(level, red_src, red_dst):
     A0, B0, C0, D0 = (x[0] if x else 0 for x in dst)
     mul = field.mul
     delta_inv = field.inv(field.add(mul(A0, D0), field.neg(mul(B0, C0))))
-    return _conjugate(field, dst, frame, red_src.rows, delta_inv, {})
+    return Matrix2.of_rows(field, _conjugate(field, dst, frame, red_src.rows,
+                                             delta_inv, {}))
 
 
 def _conjugation_terms(same):
@@ -994,8 +995,8 @@ _CONJUGATION_TERMS = (_conjugation_terms(False), _conjugation_terms(True))
 
 
 def _conjugate(field, dst, frame, src, delta_inv, prods, same=False):
-    """g_dst^-1 s g_src, for the frame data (a, b, c, d) of s, the packed
-    entries (A, B, C, D) of g_dst and of g_src, and delta_inv = 1/det g_dst.
+    """Packed rows of g_dst^-1 s g_src, for the frame data (a, b, c, d) of s,
+    the packed rows of g_dst and of g_src, and delta_inv = 1/det g_dst.
 
     g_dst^-1 = delta^-1 adj(g_dst), so entry (i, j) is the sum over the
     nonzero slots s_kl of delta^-1 s_kl adj(g_dst)[i][k] g_src[l][j]
@@ -1029,8 +1030,7 @@ def _conjugate(field, dst, frame, src, delta_inv, prods, same=False):
             if slot == 1:
                 x, prod = 1, packed_mul(field, coef, prod)
             entries[e].append((neg(x) if negated else x, prod))
-    return Matrix2(*(Polynomial._of(field, packed_combination(field, terms))
-                     for terms in entries))
+    return [packed_combination(field, terms) for terms in entries]
 
 
 def orbit_equivalent(v, w, level):
@@ -1098,7 +1098,7 @@ def stabilizer_brute_force(v, level, verify_action=False):
     w = red.g.inverse()
     out = []
     for s in _congruent_ray_elements(level, red, red):
-        if verify_action and ray_frame(s, n) is None:
+        if verify_action and ray_frame(s.key(), n) is None:
             raise HeckeError("ambient stabilizer produced a non-fixing "
                              "element; reduction is inconsistent")
         out.append(w @ s @ red.g)

@@ -9,10 +9,10 @@ source, cut from the source's solution spaces (`quotient.frame_fixers`),
 so both give generators by one rule (`generator_frames`).  A matrix is
 read in the frame of a vertex one way, by `hecke.ray_frame` (through
 `StabDescriptor.frame_of`): for the edge injections, the junction
-eigenpairs of the line amalgam and the check of every witness g_y.
-Matrices over F_q[t] are formed only for the printed generators, the
-witnesses g_y and the edge groups' generators, to order the generators,
-read an injected element's frame and check every relation.
+eigenpairs of the line amalgam and the check of every witness g_y.  These
+reads, the edge injections and the relation checks multiply packed rows
+(`btree._rows_product`); a `Matrix2` is formed only for a printed
+generator: a vertex group's, or a witness g_y.
 
 The spanning tree is the build's discovery tree: each class but the base
 one is joined to its `parent`, the class whose expansion found it, by the
@@ -39,8 +39,9 @@ import math
 from dataclasses import dataclass
 from itertools import groupby
 
-from .btree import Matrix2
-from .hecke import _primitive_element, orbit_witness, ray_frame, reduce_vertex
+from . import hecke
+from .btree import Matrix2, _rows_inverse, _rows_product
+from .hecke import _primitive_element, ray_frame, reduce_vertex
 from .quotient import SPLIT, InconsistencyError, frame_fixers
 
 
@@ -216,20 +217,21 @@ def build_graph_of_groups(Q):
         target = Q.class_by_id(e.dst).reduction
         in_tree = (e.src, e.dst) in tree
         for lift_dst in ends[in_tree:]:
-            g_y = orbit_witness(level, target, reduce_vertex(lift_dst))
+            g_y = hecke.orbit_witness(level, target, reduce_vertex(lift_dst),
+                                      Q.columns)
             if g_y is None:
                 raise PresentationInconsistency(
                     "no witness for a non-tree edge between classes %d and "
                     "%d" % (e.src, e.dst))
             strands.append((e.src, e.dst, lift_dst, g_y))
-    edges = []
+    edges, one = [], Matrix2.identity(Q.field)
     for src_id, dst_id, lift_dst, g_y in strands:
         group = None
         if src_id in finite_classes and dst_id in finite_classes:
             group = frame_fixers(vertex_stabs[src_id], lift_dst)
         edges.append(GogEdge(
             src=src_id, dst=dst_id, lift_dst=lift_dst, in_tree=g_y is None,
-            g_y=Matrix2.identity(Q.field) if g_y is None else g_y,
+            g_y=one if g_y is None else g_y,
             edge_group=group))
 
     tails_out = [_tail_descriptor(Q, cusp, tail, vertex_stabs, edges)
@@ -322,9 +324,10 @@ def emit_presentation(G):
     generator c, c on a tree edge and g_y^-1 c g_y on a non-tree edge, is
     read as a frame of the target with `frame_of`; None means it does not
     fix the target lift.
-    Every relation is then evaluated by matrix arithmetic over F_q[t] and
-    must be the identity, and every witness g_y must map the lift of its
-    target class to the edge's lifted end (`_check_witness`).
+    Every relation is then evaluated by 2x2 matrix products over F_q[t],
+    on packed rows, and must be the identity, and every witness g_y must
+    map the lift of its target class to the edge's lifted end
+    (`_check_witness`).  Only the printed generators are `Matrix2`s.
     """
     field = G.base.field
     gen_names = []
@@ -336,7 +339,8 @@ def emit_presentation(G):
         frames = stab.generator_frames()
         names = ["v%d_g%d" % (cid, k) for k in range(len(frames))]
         for fr, name in zip(frames, names):
-            all_named[name] = g = stab.element(fr)
+            g = stab.element(fr)
+            all_named[name] = g.key()
             gen_names.append((name, g))
             relations.append(((name, stab.frame_order(fr)),))
         parents = {stab.identity_frame(): None}
@@ -345,20 +349,23 @@ def emit_presentation(G):
 
     edge_counter = 0
     for e in G.edges:
+        g_y = e.g_y.key()
         if not e.in_tree:
             hname = "h%d" % edge_counter
             edge_counter += 1
             gen_names.append((hname, e.g_y))
-            all_named[hname] = e.g_y
+            all_named[hname] = g_y
         if e.edge_group is None:
             continue
         src, dst = G.vertex_stabs[e.src], G.vertex_stabs[e.dst]
-        for fr, c in sorted(((fr, src.element(fr))
+        g_y_inv = None if e.in_tree else _rows_inverse(field, g_y)
+        # packed rows sort as their `Matrix2.key()`s
+        for fr, c in sorted(((fr, src.element_rows(fr))
                              for fr in e.edge_group.generator_frames()),
-                            key=lambda pair: pair[1].key()):
+                            key=lambda pair: pair[1]):
             word_src = _word_search(fr, *gen_by_class[e.src], src)
-            image = dst.frame_of(c if e.in_tree
-                                 else e.g_y.inverse() @ c @ e.g_y)
+            image = dst.frame_of(c if e.in_tree else _rows_product(
+                field, _rows_product(field, g_y_inv, c), g_y))
             if image is None:
                 raise PresentationInconsistency(
                     "edge injection image does not stabilize the target")
@@ -380,22 +387,21 @@ def emit_presentation(G):
 
 
 def _verify_relation(rel, named, field):
-    """Raise PresentationInconsistency unless the word `rel` evaluates to the
-    identity; each power is taken by binary powering."""
-    ident = Matrix2.identity(field)
-    acc = ident
+    """Raise PresentationInconsistency unless the word `rel`, in generators
+    named by their packed rows, evaluates to the identity; each power is
+    taken by binary powering."""
+    acc = None
     for name, exp in rel:
         g = named[name]
         if exp < 0:
-            g = g.inverse()
-            exp = -exp
+            g, exp = _rows_inverse(field, g), -exp
         while exp:
             if exp & 1:
-                acc = g if acc is ident else acc @ g
+                acc = g if acc is None else _rows_product(field, acc, g)
             exp >>= 1
             if exp:
-                g = g @ g
-    if acc != ident:
+                g = _rows_product(field, g, g)
+    if acc is not None and list(map(list, acc)) != [[1], [], [], [1]]:
         raise PresentationInconsistency(
             "relation %r does not evaluate to the identity" % (rel,))
 
@@ -405,8 +411,10 @@ def _check_witness(G, e):
     lift_dst.  With g and g' the reductions of the two vertices to v_n,
     that is whether g' g_y g^-1 fixes v_n, read by `ray_frame`; no vertex
     is moved."""
-    stab = G.vertex_stabs[e.dst]
-    s = reduce_vertex(e.lift_dst).g @ e.g_y @ stab.reduction.g.inverse()
+    stab, field = G.vertex_stabs[e.dst], G.base.field
+    s = _rows_product(field, _rows_product(
+        field, reduce_vertex(e.lift_dst).rows, e.g_y.key()),
+        _rows_inverse(field, stab.reduction.rows))
     if ray_frame(s, stab.level_n) is None:
         raise PresentationInconsistency(
             "witness g_y of a non-tree edge from class %d does not map the "
@@ -462,9 +470,9 @@ def presentation_json(P, Q):
 
 
 def _torus_pair(stab, h):
-    """Ordered eigenvalue pair (alpha, beta) of h, packed ints, read in the
-    frame of `stab`, whose element s = [[alpha, b], [0, beta]] must be
-    upper triangular; None otherwise."""
+    """Ordered eigenvalue pair (alpha, beta) of the element of packed rows
+    h, packed ints, read in the frame of `stab`, whose element
+    s = [[alpha, b], [0, beta]] must be upper triangular; None otherwise."""
     fr = stab.frame_of(h)
     if fr is None or fr[2]:
         return None
@@ -473,14 +481,15 @@ def _torus_pair(stab, h):
 
 def _junction(G, starts):
     """The edge group of the one tree edge joining the classes `starts` and
-    its generators' elements; None unless exactly one tree edge joins them."""
+    its generators' packed rows; None unless exactly one tree edge joins
+    them."""
     junction = [e for e in G.edges
                 if e.in_tree and e.edge_group is not None
                 and {e.src, e.dst} == starts]
     if len(junction) != 1:
         return None
     group = junction[0].edge_group
-    return group, [group.element(fr) for fr in group.generator_frames()]
+    return group, [group.element_rows(fr) for fr in group.generator_frames()]
 
 
 def _discrete_logs(field):
@@ -611,9 +620,9 @@ def amalgam_example_check(field, depth=8, window=3):
         sorted(h.key() for h in G.vertex_stabs[t.chain[0]].materialize())
         for t in sides)
     check("upper junction group is [[F*, F],[0, F*]]",
-          got_upper == sorted(m.key() for m in _borel_consts(field, True)))
+          got_upper == _borel_keys(field, True))
     check("lower junction group is [[F*, 0],[tF, F*]]",
-          got_lower == sorted(m.key() for m in _borel_consts(field, False)))
+          got_lower == _borel_keys(field, False))
     junction = _junction(G, {tails[0].chain[0], tails[1].chain[0]})
     check("tails glued along one edge", junction is not None)
     if junction is not None:
@@ -641,25 +650,14 @@ def amalgam_example_check(field, depth=8, window=3):
     return report
 
 
-def _borel_consts(field, upper):
-    """[[alpha, b],[0, beta]] with b constant, or [[alpha, 0],[c*t, beta]]
-    with c constant; the two junction vertex groups of the (t)-level line."""
-    from .algebra import Polynomial
-    out = []
-    t = Polynomial.t(field)
-    for ai in range(1, field.q):
-        for bi in range(1, field.q):
-            for ci in range(field.q):
-                alpha = Polynomial.constant(field, ai)
-                beta = Polynomial.constant(field, bi)
-                off = Polynomial.constant(field, ci)
-                if upper:
-                    out.append(Matrix2(alpha, off, Polynomial.zero(field),
-                                       beta))
-                else:
-                    out.append(Matrix2(alpha, Polynomial.zero(field),
-                                       off * t, beta))
-    return out
+def _borel_keys(field, upper):
+    """The sorted `Matrix2.key()`s, packed rows, of [[alpha, b],[0, beta]]
+    with b constant, or of [[alpha, 0],[c*t, beta]] with c constant; the
+    two junction vertex groups of the (t)-level line."""
+    units = range(1, field.q)
+    return sorted(((a,), (c,) if c else (), (), (b,)) if upper
+                  else ((a,), (), (0, c) if c else (), (b,))
+                  for a in units for b in units for c in range(field.q))
 
 
 __all__ = [

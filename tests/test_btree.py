@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from btquot.algebra import (FieldSpec, LaurentFragment, Polynomial,
-                            RationalFunction, expand_at_infinity)
-from btquot.btree import (BallVertex, Matrix2, TreeError, act, canonicalize,
-                          distance, distance_bfs, distance_invariant_factors)
+from btquot.algebra import (AlgebraError, FieldSpec, LaurentFragment,
+                            Polynomial, RationalFunction, expand_at_infinity)
+from btquot.btree import (BallVertex, Matrix2, TreeError, _rows_inverse,
+                          _rows_product, act, canonicalize, distance,
+                          distance_bfs, distance_invariant_factors)
 from btquot.hecke import parse_level
 
 F2 = FieldSpec(2)
@@ -259,6 +260,38 @@ class TestPolynomialMatrix:
                   Matrix2(one, one, one, one)):
             with pytest.raises(TreeError):
                 g.inverse()
+
+
+class TestPackedRows:
+    """`_rows_product` and `_rows_inverse`, the 2x2 products and inverses
+    on packed rows that check the presentation, give the `key()` of the
+    `Matrix2.__matmul__` product and of `Matrix2.inverse`."""
+
+    @pytest.mark.parametrize("field", [F2, F3, F4, F9],
+                             ids=["q2", "q3", "q4", "q9"])
+    def test_equal_the_matrix_arithmetic(self, field):
+        rng = random.Random(field.q)
+        for _ in range(60):
+            x, y = (rand_matrix(field, rng, rng.randint(0, 3))
+                    for _ in range(2))
+            rows = _rows_product(field, x.key(), y.key())
+            assert tuple(map(tuple, rows)) == (x @ y).key(), (x, y)
+            assert Matrix2.of_rows(field, rows) == x @ y
+        units = [g for g, v in move_cases() if v.field is field]
+        assert len(units) == 44
+        for g in units:
+            rows = _rows_inverse(field, g.key())
+            assert tuple(map(tuple, rows)) == g.inverse().key(), g
+            assert _rows_product(field, rows, g.key()) == [[1], [], [], [1]]
+
+    def test_inverse_rejects_non_constant_determinant(self):
+        t = Polynomial.t(F3)
+        one = Polynomial.one(F3)
+        zero = Polynomial.zero(F3)
+        for g in (Matrix2(t, zero, zero, one), Matrix2(one, t, t, one),
+                  Matrix2(one, one, one, one)):
+            with pytest.raises(AlgebraError, match="not a unit"):
+                _rows_inverse(F3, g.key())
 
 
 class TestVertexText:

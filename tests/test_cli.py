@@ -368,6 +368,38 @@ class TestAmalgam:
         assert err.startswith("error: relation ")
         assert "does not evaluate to the identity" in err
 
+    @pytest.mark.parametrize("p,s", [(2, 2), (3, 2)])
+    def test_raised_order_exits_3(self, capsys, monkeypatch, p, s):
+        """One more than the order of any one generator is caught by the
+        relation check on packed rows, over F_4 and F_9, whose arithmetic
+        runs on the extension-field tables."""
+        from btquot.hecke import StabDescriptor
+        frame_order = StabDescriptor.frame_order
+        args = ["amalgam", "--p", str(p), "--s", str(s), "--level", "t",
+                "--depth", "8"]
+        assert run_cli(args, capsys)[0] == 0
+        count = [0]
+
+        def counted(self, frame):
+            count[0] += 1
+            return frame_order(self, frame)
+
+        monkeypatch.setattr(StabDescriptor, "frame_order", counted)
+        run_cli(args, capsys)
+        assert count[0] >= 4
+        for target in range(count[0]):
+            seen = []
+
+            def raised(self, frame):
+                seen.append(frame)
+                return frame_order(self, frame) + (len(seen) == target + 1)
+
+            monkeypatch.setattr(StabDescriptor, "frame_order", raised)
+            code, out, err = run_cli(args, capsys)
+            assert (code, out) == (3, ""), target
+            assert err.startswith("error: relation ")
+            assert "does not evaluate to the identity" in err
+
     def test_vertex_group_cap_exits_2(self, capsys, monkeypatch):
         """A finite vertex group above VERTEX_GROUP_CAP is a size limit of
         the run, not a contradiction."""

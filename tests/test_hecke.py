@@ -761,7 +761,7 @@ class TestLevelZeroUnitGroup:
                 red = reduce_vertex(v)
                 assert red.level_n == 0
                 group = [(a, b[0], c, d) for a, b, c, d in (
-                    ray_frame(s, 0)
+                    ray_frame(s.key(), 0)
                     for s in _congruent_ray_elements(lvl, red, red))]
                 sd = stabilizer(v, lvl)
                 assert sd.order == len(group), (text, v)

@@ -1,11 +1,12 @@
 """Call counts of the solves behind the build's lookup: one column
 (`hecke._Column`), which reads its orbit-id point and the vertex groups
 off it, per distinct first column of the reductions, one stabilizer
-descriptor and one torus map per class, and no witness."""
+descriptor and one torus map per class, and no witness.  The graph of
+groups reads the witnesses of its strands off the build's columns."""
 
 import pytest
 
-from btquot import hecke, quotient
+from btquot import hecke, presentation, quotient
 from btquot.algebra import FieldSpec
 from btquot.hecke import parse_level
 
@@ -72,3 +73,20 @@ def test_one_descriptor_per_class_and_no_witness(tally, p, s, lvl, depth):
     assert tally["descriptors"] == tally["tori"] == len(Q.classes) \
         == len(Q.ids)
     assert tally["witnesses"] == 0
+
+
+def test_graph_of_groups_reads_the_build_columns(tally):
+    """The witnesses g_y of the strands off the spanning tree read their
+    points off the build's columns (`QuotientGraph.columns`):
+    `build_graph_of_groups` makes no `_Column`, where at q=3,
+    D=t^3 (t+1)^3, depth 10 it made two per witness, 288, every one of them
+    already in the build's columns.  It calls `orbit_witness` through the
+    `hecke` module, where a tracer sees it, once per such strand."""
+    Q = quotient.build_quotient(parse_level("t^3;(t+1)^3", FieldSpec(3)), 10)
+    quotient.certify_cusps(Q, 3)
+    before = tally["columns"]
+    G = presentation.build_graph_of_groups(Q)
+    off_tree = sum(not e.in_tree for e in G.edges)
+    assert off_tree == 144
+    assert tally["columns"] == before
+    assert tally["witnesses"] == off_tree

@@ -1001,12 +1001,13 @@ def random_frames(rng, stab, count):
 
 
 class TestFrameOf:
-    """`frame_of` reads the frame data back off an element: the inverse of
-    `element` on Stab(v_n), and None off it."""
+    """`frame_of` reads the frame data back off the packed rows of an
+    element: the inverse of `element_rows` on Stab(v_n), and None off
+    it."""
 
     @pytest.mark.parametrize("q,lvl,depth", FRAME_OF_CASES)
     def test_inverts_element(self, q, lvl, depth):
-        """frame_of(element(fr)) == fr on seeded frames, from the
+        """frame_of(element_rows(fr)) == fr on seeded frames, from the
         representative and from the moved descriptor of every class."""
         import random
         from btquot.hecke import _level0_extras
@@ -1023,7 +1024,8 @@ class TestFrameOf:
                           + rng.sample(extra, min(4, len(extra)))
                           + stab.generator_frames()[:8])
                 for fr in frames:
-                    assert stab.frame_of(stab.element(fr)) == fr, (c.id, fr)
+                    assert stab.frame_of(stab.element_rows(fr)) == fr, \
+                        (c.id, fr)
         assert levels == {0, 1}
         assert extras or lvl != "0"
 
@@ -1044,7 +1046,7 @@ class TestFrameOf:
                 g, n = stab.reduction.g, stab.level_n
 
                 def frame(s):
-                    return stab.frame_of(g.inverse() @ s @ g)
+                    return stab.frame_of((g.inverse() @ s @ g).key())
 
                 assert frame(Matrix2(one, zero, t, one)) is None
                 assert frame(Matrix2.translation(t.shift(n))) is None
