@@ -12,7 +12,9 @@ Neighbor convention: the parent of a vertex is the next larger ball
 
 Group elements lie in GL2(F_q[t]).  The program multiplies them as packed
 rows (A, B, C, D), the packed coefficient lists of [[A, B], [C, D]]
-(`_rows_product`, `_rows_inverse`); a caller receives a `Matrix2` with
+(`_rows_product`, `_rows_inverse`): a conjugate g^-1 s g, or g s g^-1, is
+two products through the inverse of g that its reduction keeps
+(`hecke.ReductionResult.inverse`).  A caller receives a `Matrix2` with
 `Polynomial` entries, whose `key()` is its packed rows.  F_q(t) appears
 only in lattice bases, where pi^r does.
 
@@ -229,21 +231,17 @@ def _rows_product(field, x, y):
             for u, v in ((a, b), (c, d)) for w, z in ((e, g), (f, h))]
 
 
-def _det_inverse(field, ad, bc):
-    """1 / (AD - BC), for the packed products AD and BC of a matrix over
-    F_q[t] whose determinant must lie in F_q*."""
-    det = packed_add(field, ad, packed_mul(field, bc, [field.neg(1)]))
-    if len(det) != 1:
-        raise AlgebraError("%s is not a unit of F_q[t]"
-                           % format_polynomial(Polynomial._of(field, det)))
-    return field.inv(det[0])
-
-
 def _rows_inverse(field, x):
     """The packed rows of x^-1 = adj(x) / det x, for the packed rows x of a
     matrix over F_q[t] whose determinant must lie in F_q*."""
     a, b, c, d = x
-    inv = _det_inverse(field, packed_mul(field, a, d), packed_mul(field, b, c))
+    det = packed_add(field, packed_mul(field, a, d),
+                     packed_mul(field, packed_mul(field, b, c),
+                                [field.neg(1)]))
+    if len(det) != 1:
+        raise AlgebraError("%s is not a unit of F_q[t]"
+                           % format_polynomial(Polynomial._of(field, det)))
+    inv = field.inv(det[0])
     minus = [field.neg(inv)]
     return [packed_mul(field, d, [inv]), packed_mul(field, b, minus),
             packed_mul(field, c, minus), packed_mul(field, a, [inv])]

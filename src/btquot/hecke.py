@@ -40,9 +40,10 @@ level 0 the stabilizer is the unit group of the F_q-algebra V of solutions:
 its order comes from the type of V (`_level0_unit_group`), and its elements
 with c != 0 are walked only on demand (`_level0_extras`).
 A stabilizer element g^{-1} s g, and an orbit witness g_dst^{-1} s g_src,
-is F_q-linear in the frame data of s: one combination per entry of
-products of the entries of g_dst and g_src (`_conjugate`).  The way back
-is `ray_frame`, which also decides whether a matrix lies in Stab(v_n).
+is two products of packed rows through the inverse of g_dst that its
+reduction keeps (`_conjugate`, `ReductionResult.inverse`).  The way back
+is g h g^-1 through the same inverse, read by `ray_frame`, which also
+decides whether a matrix lies in Stab(v_n).
 A stabilizer is generated by at most two torus lifts, the F_p-basis of
 its unipotent space and, at level 0, the extras that grow the orbit of
 infinity on P^1(F_q) (`StabDescriptor.generator_frames`).
@@ -61,8 +62,8 @@ from .algebra import (MAX_DEGREE, AlgebraError, Polynomial,
                       _strip_outer_parens, decimal_value, format_polynomial,
                       packed_add, packed_combination, packed_divmod,
                       packed_gcd, packed_mul, parse_polynomial)
-from .btree import (BallVertex, Matrix2, _det_inverse, _rows_inverse,
-                    _rows_product, act)
+from .btree import (BallVertex, Matrix2, _rows_inverse, _rows_product,
+                    act)
 
 
 class HeckeError(ValueError):
@@ -219,7 +220,8 @@ class ReductionResult:
     """Nagao's reduction of a vertex v, the one frame v is read in: the
     level n of v_n, the word, the packed rows (A, B, C, D) of g and its
     residue matrix k (`reduce_vertex`), packed ints (k11, k12, k21, k22);
-    `g` is the `Matrix2` of the rows, made on its first read."""
+    `g` is the `Matrix2` of the rows and `inverse` the packed rows of
+    g^-1, each made on its first read."""
     level_n: int
     word: tuple
     rows: tuple
@@ -229,6 +231,10 @@ class ReductionResult:
     @functools.cached_property
     def g(self):
         return Matrix2.of_rows(self.field, self.rows)
+
+    @functools.cached_property
+    def inverse(self):
+        return _rows_inverse(self.field, self.rows)
 
 
 def reduce_vertex(v):
@@ -552,11 +558,8 @@ class StabDescriptor:
     entry, `kernel` holds a basis of V, as packed-int tuples (a, b, c, d),
     and is empty otherwise.
 
-    With g = [[A, B], [C, D]], read off the packed rows of the reduction,
-    and delta = det g in F_q*, the entries of g^{-1} s g are F_q-linear in
-    a, b, c, d, as (1,1) = delta^{-1} (a AD - d BC - c AB + b CD) and
-    (1,2) = delta^{-1} ((a - d) BD - c BB + b DD) (`_conjugate`); the
-    products of entries of g are made once per descriptor, on first use.
+    An element is the product of packed rows g^{-1} s g, with g^{-1} the
+    inverse the reduction keeps (`_conjugate`).
 
     Conjugation by g is a group isomorphism, so products and orders of
     elements are taken on their frame data (`frame_product`,
@@ -566,7 +569,7 @@ class StabDescriptor:
 
     __slots__ = ("base_vertex", "reduction", "level_n", "level", "field",
                  "torus_map", "m", "top", "_kb", "_dim", "kernel",
-                 "_triangular", "_order", "_products")
+                 "_triangular", "_order")
 
     def __init__(self, base_vertex, reduction, level, torus, kernel,
                  top=None):
@@ -586,7 +589,6 @@ class StabDescriptor:
             * q ** self._dim
         self._order = (_level0_unit_group(self.field, self.kernel)[0]
                        if self.kernel else self._triangular)
-        self._products = None
 
     @property
     def torus(self):
@@ -635,23 +637,16 @@ class StabDescriptor:
 
     def element_rows(self, frame):
         """The packed rows of g^{-1} s g for the frame data (a, b, c, d) of
-        s.  The first call checks that det g = AD - BC is a constant and
-        keeps AD and BC as the first two products."""
-        f = self.field
-        if self._products is None:
-            g = self.reduction.rows
-            ad, bc = packed_mul(f, g[0], g[3]), packed_mul(f, g[1], g[2])
-            self._products = g, _det_inverse(f, ad, bc), {(0, 3): ad,
-                                                          (1, 2): bc}
-        g, delta_inv, prods = self._products
-        return _conjugate(f, g, frame, g, delta_inv, prods, True)
+        s."""
+        red = self.reduction
+        return _conjugate(self.field, red, frame, red.rows)
 
     def frame_of(self, h):
         """The frame data of s = g h g^{-1} (`ray_frame`), h packed rows:
         the inverse of `element_rows`, and None unless h fixes the vertex."""
-        f, g = self.field, self.reduction.rows
-        return ray_frame(_rows_product(f, _rows_product(f, g, h),
-                                       _rows_inverse(f, g)), self.level_n)
+        f, red = self.field, self.reduction
+        return ray_frame(_rows_product(f, _rows_product(f, red.rows, h),
+                                       red.inverse), self.level_n)
 
     def identity_frame(self):
         """Frame data of the identity."""
@@ -951,15 +946,16 @@ def stabilizer(v, level):
 def orbit_witness(level, red_src, red_dst, columns=None):
     """Some h in H_D with act(h, src) = dst, or None, given both
     reductions, whose levels must agree: g_dst^-1 s g_src for the first s
-    found (`_conjugate`).  `columns` maps first columns to known `_Column`s.
+    found, through the inverse `red_dst` keeps (`_conjugate`).  `columns`
+    maps first columns to known `_Column`s.
 
     h lies in H_D iff s moves the P^1(R/N_D) point of the first column of
     g_src to that of g_dst, so the triangular s are the torus map of the
     two points (`_Column.torus`), and at level 0 with no torus pair the
     units with c != 0 of `_algebra`.
     """
-    field, n, dst = level.field, red_src.level_n, red_dst.rows
-    cols = dst[::2], red_src.rows[::2]   # the first columns (a, c)
+    field, n = level.field, red_src.level_n
+    cols = red_dst.rows[::2], red_src.rows[::2]   # the first columns (a, c)
     point, point_src = (columns and columns.get(col) or _Column(level, col)
                         for col in cols)
     torus = point.torus(point_src, n)
@@ -972,65 +968,20 @@ def orbit_witness(level, red_src, red_dst, columns=None):
             if n == 0 else None
         if frame is None:
             return None
-    # det g_dst is a constant, so A(0) D(0) - B(0) C(0)
-    A0, B0, C0, D0 = (x[0] if x else 0 for x in dst)
-    mul = field.mul
-    delta_inv = field.inv(field.add(mul(A0, D0), field.neg(mul(B0, C0))))
-    return Matrix2.of_rows(field, _conjugate(field, dst, frame, red_src.rows,
-                                             delta_inv, {}))
+    return Matrix2.of_rows(field, _conjugate(field, red_dst, frame,
+                                             red_src.rows))
 
 
-def _conjugation_terms(same):
-    """For each frame slot s_kl, in the order a, b, c, d, the terms it adds
-    to g_dst^-1 s g_src: (entry 2i + j, (dst index, src index), negated),
-    as adj(g_dst)[i][k] is g_dst[1-k][1-i], negated when i != k.  With
-    `same` (g_dst = g_src) each index pair is ordered."""
-    return [[(2 * i + j, tuple(sorted(key)) if same else key, i != k)
-             for i in (0, 1) for j in (0, 1)
-             for key in [(3 - 2 * k - i, 2 * l + j)]]
-            for k, l in ((0, 0), (0, 1), (1, 0), (1, 1))]
-
-
-_CONJUGATION_TERMS = (_conjugation_terms(False), _conjugation_terms(True))
-
-
-def _conjugate(field, dst, frame, src, delta_inv, prods, same=False):
-    """Packed rows of g_dst^-1 s g_src, for the frame data (a, b, c, d) of s,
-    the packed rows of g_dst and of g_src, and delta_inv = 1/det g_dst.
-
-    g_dst^-1 = delta^-1 adj(g_dst), so entry (i, j) is the sum over the
-    nonzero slots s_kl of delta^-1 s_kl adj(g_dst)[i][k] g_src[l][j]
-    (`_CONJUGATION_TERMS`): one combination of entry products, which
-    `prods` keeps by index pair, b the polynomial delta^-1 b times its
-    product.  With `same` (g_dst = g_src, a stabilizer element) the
-    products are symmetric, and a frame with a = d and c = 0 is
-    a*1 + b*E12, whose a*1 conjugates to itself and needs no AD or BC
-    product."""
-    mul, neg = field.mul, field.neg
-    a, bvec, c, d = frame
-    b = list(bvec)
+def _conjugate(field, red_dst, frame, src):
+    """Packed rows of g_dst^-1 s g_src, for the reduction of g_dst, the
+    frame data (a, b, c, d) of s and the packed rows of g_src: two
+    products through the inverse the reduction keeps."""
+    a, b, c, d = frame
+    b = list(b)
     while b and not b[-1]:
         b.pop()
-    coefs = [mul(a, delta_inv), packed_mul(field, b, [delta_inv]),
-             mul(c, delta_inv), mul(d, delta_inv)]
-    entries = ([], [], [], [])
-    if same and a == d and not c:
-        entries[0].append((a, (1,)))
-        entries[3].append((a, (1,)))
-        coefs[0] = coefs[3] = 0
-    for slot, coef in enumerate(coefs):
-        if not coef:
-            continue
-        for e, key, negated in _CONJUGATION_TERMS[same][slot]:
-            prod = prods.get(key)
-            if prod is None:
-                prod = prods[key] = packed_mul(field, dst[key[0]],
-                                               src[key[1]])
-            x = coef
-            if slot == 1:
-                x, prod = 1, packed_mul(field, coef, prod)
-            entries[e].append((neg(x) if negated else x, prod))
-    return [packed_combination(field, terms) for terms in entries]
+    s = [a] if a else [], b, [c] if c else [], [d] if d else []
+    return _rows_product(field, _rows_product(field, red_dst.inverse, s), src)
 
 
 def orbit_equivalent(v, w, level):

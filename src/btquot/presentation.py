@@ -34,6 +34,7 @@ along the certified ray), which is exactly what separates the split shape
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -328,8 +329,11 @@ def emit_presentation(G):
     on packed rows, and must be the identity, and every witness g_y must
     map the lift of its target class to the edge's lifted end
     (`_check_witness`).  Only the printed generators are `Matrix2`s.
+    The inverse of a g_y or of a generator is made once per distinct
+    packed rows (`inverse`).
     """
     field = G.base.field
+    inverse = functools.cache(functools.partial(_rows_inverse, field))
     gen_names = []
     gen_by_class = {}
     all_named = {}
@@ -358,7 +362,7 @@ def emit_presentation(G):
         if e.edge_group is None:
             continue
         src, dst = G.vertex_stabs[e.src], G.vertex_stabs[e.dst]
-        g_y_inv = None if e.in_tree else _rows_inverse(field, g_y)
+        g_y_inv = None if e.in_tree else inverse(g_y)
         # packed rows sort as their `Matrix2.key()`s
         for fr, c in sorted(((fr, src.element_rows(fr))
                              for fr in e.edge_group.generator_frames()),
@@ -378,7 +382,7 @@ def emit_presentation(G):
                                  + back)
 
     for rel in relations:
-        _verify_relation(rel, all_named, field)
+        _verify_relation(rel, all_named, field, inverse)
     for e in G.edges:
         if not e.in_tree:
             _check_witness(G, e)
@@ -386,15 +390,16 @@ def emit_presentation(G):
                         tail_summaries=list(G.tails))
 
 
-def _verify_relation(rel, named, field):
+def _verify_relation(rel, named, field, inverse):
     """Raise PresentationInconsistency unless the word `rel`, in generators
     named by their packed rows, evaluates to the identity; each power is
-    taken by binary powering."""
+    taken by binary powering, and `inverse` gives the packed rows of the
+    inverse of a generator's."""
     acc = None
     for name, exp in rel:
         g = named[name]
         if exp < 0:
-            g, exp = _rows_inverse(field, g), -exp
+            g, exp = inverse(g), -exp
         while exp:
             if exp & 1:
                 acc = g if acc is None else _rows_product(field, acc, g)
@@ -414,7 +419,7 @@ def _check_witness(G, e):
     stab, field = G.vertex_stabs[e.dst], G.base.field
     s = _rows_product(field, _rows_product(
         field, reduce_vertex(e.lift_dst).rows, e.g_y.key()),
-        _rows_inverse(field, stab.reduction.rows))
+        stab.reduction.inverse)
     if ray_frame(s, stab.level_n) is None:
         raise PresentationInconsistency(
             "witness g_y of a non-tree edge from class %d does not map the "

@@ -822,9 +822,10 @@ class TestOrbitEquivalence:
 
 class TestGeneratingSet:
     def test_witness_is_the_matrix_product(self):
-        """`orbit_witness` forms g_dst^-1 s g_src as one combination per
-        entry: the same matrix as the product of the three, on triangular
-        witnesses and on level-0 ones with c != 0."""
+        """`orbit_witness` forms g_dst^-1 s g_src by packed-row products
+        through the inverse its reduction keeps: the same matrix as the
+        `Matrix2` product of the three, on triangular witnesses and on
+        level-0 ones with c != 0."""
         from btquot.hecke import (_algebra, _Column, _level0_extras,
                                   orbit_witness)
         rng = random.Random(41)

@@ -4,11 +4,13 @@ the frame of its reduction, whose g stays packed rows
 (`hecke.ReductionResult`) and whose residue matrix labels the neighbors,
 and finds the class of a vertex by its orbit id, so it forms no matrix.
 The presentation checks its relations, edge images and witnesses on
-packed rows, so it forms only the generators it prints."""
+packed rows, so it forms only the generators it prints, and it inverts
+each distinct matrix once, but for reductions that share one g."""
 
 import pytest
 
-from btquot.btree import Matrix2
+from btquot import hecke, presentation
+from btquot.btree import Matrix2, _rows_inverse
 from btquot.hecke import parse_level
 from btquot.presentation import build_graph_of_groups, emit_presentation
 from btquot.quotient import build_quotient, certify_cusps
@@ -58,3 +60,25 @@ def test_amalgam_pass_makes_only_the_printed_generators(made):
                   for Q in graphs)
     assert printed == 26
     assert len(made) == printed + len(AMALGAM)
+
+
+def test_presentation_inverts_each_matrix_once(monkeypatch):
+    """One `emit_presentation` at q=3, D=t^3;(t+1)^3, depth 10 makes 343
+    `_rows_inverse` calls on 289 distinct matrices; it made 1,145 on 288.
+    A g_y or a generator is inverted once per distinct packed rows, and a
+    reduction keeps its inverse; the repeats are reductions of distinct
+    vertices that share one g, such as the identity of the standard
+    ray."""
+    Q = build_quotient(parse_level("t^3;(t+1)^3", _field(3)), 10)
+    certify_cusps(Q, 3)
+    G = build_graph_of_groups(Q)
+    calls = []
+
+    def counted(field, x):
+        calls.append(tuple(map(tuple, x)))
+        return _rows_inverse(field, x)
+
+    for module in (hecke, presentation):
+        monkeypatch.setattr(module, "_rows_inverse", counted)
+    emit_presentation(G)
+    assert (len(calls), len(set(calls))) == (343, 289)
