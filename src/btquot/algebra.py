@@ -1045,7 +1045,7 @@ def parse_rational(text, field, var="t"):
 # fragment format: '+'-separated "c*s^e" with s denoting pi; "0" when empty
 
 def format_fragment(fr):
-    if not fr.terms:
+    if not fr.packed_terms:
         return "0"
     return "+".join("%d*s^%d" % (c, e) for e, c in fr.packed_terms)
 

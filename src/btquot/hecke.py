@@ -83,9 +83,9 @@ class HeckeInconsistency(HeckeError):
 # ambient stabilizer the brute-force oracles search
 ENUMERATION_CAP = 100000
 
-# the most unknowns b_0..b_n a congruence solve takes: its kernel basis costs
-# O(n^2) time and memory, so a vertex at level n >= SOLVE_UNKNOWNS_CAP is
-# refused before its torus map is read
+# the most coefficients b_0..b_n of a level-n torus map: the kernel basis
+# that the printed generators read costs O(n^2) time and memory, so a vertex
+# at level n >= SOLVE_UNKNOWNS_CAP is refused before its torus map is read
 SOLVE_UNKNOWNS_CAP = 4096
 
 
@@ -442,23 +442,20 @@ def _torus_frame(field, torus, ai, bi):
     return ai, vadd(vscale(ai, torus[1]), vscale(bi, torus[2])), 0, bi
 
 
-def _cut(field, part, basis, row, value):
-    """part + span(basis), packed-int vectors, cut by <row, v> = value:
-    (point, basis), or None when empty.  The last basis vector off the
-    hyperplane's direction is eliminated, so `_span_points` lists the cut
-    in the order it lists the space's points on the hyperplane."""
+def _cut(field, basis, row):
+    """A basis of span(basis), packed-int vectors, cut by <row, v> = 0.
+    The last basis vector off the hyperplane is eliminated, so
+    `_span_points` lists the cut in the order it lists the span's points
+    on the hyperplane."""
     vadd, vscale = _vector_ops(field)
     add, mul, neg = field.add, field.mul, field.neg
-    dots = [functools.reduce(add, map(mul, row, vec), 0)
-            for vec in [part, *basis]]
-    rest = add(value, neg(dots.pop(0)))
+    dots = [functools.reduce(add, map(mul, row, vec), 0) for vec in basis]
     j = max((i for i, x in enumerate(dots) if x), default=None)
     if j is None:
-        return None if rest else (part, basis)
+        return basis
     inv, pivot = field.inv(dots[j]), basis[j]
-    return (vadd(part, vscale(mul(rest, inv), pivot)),
-            tuple(vadd(vec, vscale(neg(mul(x, inv)), pivot))
-                  for i, (vec, x) in enumerate(zip(basis, dots)) if i != j))
+    return tuple(vadd(vec, vscale(neg(mul(x, inv)), pivot))
+                 for i, (vec, x) in enumerate(zip(basis, dots)) if i != j)
 
 
 def _span_points(basis, field, origin=None):
@@ -550,9 +547,9 @@ class StabDescriptor:
     given by the modulus M, the point's M1, a packed list, and its top
     degree k: it is t^j - (t^j mod M) for deg M <= j <= k (`_kernel_basis`),
     k = n for a vertex group and n - 1 for an edge group cut by a
-    translation label (`quotient.frame_fixers`).  The basis is built on the
-    first read of `torus`; the order, the unipotent dimension and the
-    neighbor orbits read only its dimension max(0, k + 1 - deg M).  At
+    translation label (`edge_group`).  The basis is built on the first
+    read of `torus`; the order, the unipotent dimension and the fixed
+    labels read only its dimension max(0, k + 1 - deg M).  At
     level 0 the ambient stabilizer is all of GL2(F_q), and the solutions
     form an F_q-algebra V; when some of them have a nonzero lower-left
     entry, `kernel` holds a basis of V, as packed-int tuples (a, b, c, d),
@@ -605,10 +602,72 @@ class StabDescriptor:
 
     def holds_translations(self):
         """Whether some vector of kb has a t^n coordinate, so that the
-        group holds every translation of the labels of the neighbors
-        (`quotient.frame_orbits`): only t^n - (t^n mod M) has one, the last
-        vector when k = n."""
+        group holds every translation of the neighbor labels: only
+        t^n - (t^n mod M) has one, the last vector when k = n."""
         return self.top == self.level_n and self._dim > 0
+
+    def fixed_labels(self):
+        """The neighbor labels the group fixes, as a list; it is transitive
+        on the others.  A neighbor of v is labelled in the frame of v_n by
+        P^1(F_q): v_{n+1} is infinity (None) and the child c t^n + t^(n-1) O
+        of v_n is c (`quotient.frame_label`).
+
+        Triangular S (Nagao) moves x to (alpha x + b_n) / beta.  If S holds
+        translations, it fixes only infinity.  Else b_n = alpha na_n +
+        beta nc_n, the pair (1, 1) is the identity iff na_n + nc_n = 0, and
+        S scales about nc_n by alpha/beta: it fixes infinity and nc_n, or
+        every label on the scalar line or at q = 2.  A level-0 kernel V has
+        some c != 0, and S fixes its common eigenlines, the common roots z
+        of c z^2 + (d - a) z - b: none for M2 and F_{q^2} (its units mod
+        F_q*, of order q + 1, act freely); the line of a Borel subalgebra,
+        or the kernel of N in the dual numbers F_q[N], where 1 + lambda N
+        moves the other q lines transitively; the two eigenlines of
+        F_q x F_q, whose units scale the others transitively."""
+        f, q, n = self.field, self.field.q, self.level_n
+        add, mul, neg = f.add, f.mul, f.neg
+        mu, na, nc = self.torus_map
+        if mu not in (None, 1):
+            raise HeckeInconsistency("the torus pairs alpha = %d*beta of a "
+                                     "stabilizer miss the pair (1, 1)" % mu)
+        if self.kernel:
+            return [z for z in range(q) if all(
+                add(mul(add(mul(c, z), add(d, neg(a))), z), neg(b)) == 0
+                for a, b, c, d in self.kernel)]
+        if self.holds_translations():
+            return [None]
+        if add(na[n], nc[n]):
+            raise HeckeInconsistency(
+                "the pair (1, 1) of the stabilizer of %s is no identity"
+                % self.base_vertex.to_text())
+        return [None, *range(q)] if mu == 1 or q == 2 else [None, nc[n]]
+
+    def edge_group(self, x):
+        """The edge group Stab(v) n Stab(w), w the neighbor of v of label x
+        (`fixed_labels`), as a descriptor in the frame of v: the elements
+        whose Moebius map fixes x, c = 0 for x = infinity and
+        c x^2 + (d - a) x - b_n = 0 else.  At c = 0, b_n = x (beta - alpha):
+        when the group holds translations, t^n - (t^n mod M) is dropped (top
+        degree n - 1), and na and nc move by multiples of it to b_n = -x and
+        x; else the row cuts the torus pairs (`_torus_restrict`).  A level-0
+        kernel is cut by its row (`_cut`) and kept only while some c != 0 in
+        it.  No element is formed or listed."""
+        n, f = self.level_n, self.field
+        (mu, na, nc), top, kernel = self.torus_map, self.top, ()
+        if x is not None:
+            if self.holds_translations():
+                vadd, vscale = _vector_ops(f)
+                last, top = self.torus[3][-1], n - 1
+                na = vadd(na, vscale(f.add(f.neg(x), f.neg(na[n])), last))
+                nc = vadd(nc, vscale(f.add(x, f.neg(nc[n])), last))
+            else:
+                mu = _torus_restrict(f, mu, [(f.add(na[n], x),
+                                              f.add(nc[n], f.neg(x)))])
+            if self.kernel:
+                kernel = _cut(f, self.kernel, (f.neg(x), f.neg(1),
+                                               f.mul(x, x), x))
+                kernel = kernel if any(vec[2] for vec in kernel) else ()
+        return StabDescriptor(self.base_vertex, self.reduction, self.level,
+                              (mu, na, nc, self.m), kernel, top)
 
     def unipotent_dim(self):
         """log_q of the order of the largest normal unipotent subgroup, an
@@ -821,7 +880,9 @@ def _residue(field, x, y, modulus):
 
 
 def _check_unknowns(n):
-    """Refuse a congruence solve at level n above SOLVE_UNKNOWNS_CAP."""
+    """Refuse a torus map at level n above SOLVE_UNKNOWNS_CAP.  Its b_0..b_n
+    are the unknowns of the congruence b = alpha*x_src - beta*x_dst mod M1,
+    answered in closed form; the kernel basis costs O(n^2) in them."""
     if n + 1 > SOLVE_UNKNOWNS_CAP:
         raise SizeError("the congruence solve at level %d has %d unknowns, "
                         "above the cap %d" % (n, n + 1, SOLVE_UNKNOWNS_CAP))

@@ -5,7 +5,8 @@ infinite cusp tails, and a verified generators-and-relations emission.
 A finite vertex group is g^-1 S g for a subgroup S of the finite group
 Stab(v_n) (Nagao), kept as its `StabDescriptor` and worked on in frame
 data.  An edge group is a `StabDescriptor` too, in the frame of its
-source, cut from the source's solution spaces (`quotient.frame_fixers`),
+source, cut from the source's solution spaces by the label of the
+strand's end (`hecke.StabDescriptor.edge_group`, `quotient.frame_label`),
 so both give generators by one rule (`generator_frames`).  A matrix is
 read in the frame of a vertex one way, by `hecke.ray_frame` (through
 `StabDescriptor.frame_of`): for the edge injections, the junction
@@ -43,7 +44,7 @@ from itertools import groupby
 from . import hecke
 from .btree import Matrix2, _rows_inverse, _rows_product
 from .hecke import _primitive_element, ray_frame, reduce_vertex
-from .quotient import SPLIT, InconsistencyError, frame_fixers
+from .quotient import SPLIT, InconsistencyError, frame_label
 
 
 class PresentationError(ValueError):
@@ -204,34 +205,37 @@ def build_graph_of_groups(Q):
     for cid in finite_classes:
         vertex_stabs[cid].check_order(VERTEX_GROUP_CAP)
 
-    # (src, dst, lifted dst, g_y): the tree edges in id order, g_y None,
-    # then every other strand, by edge, with its witness; a tree edge's
-    # first strand is the one that found its child
-    strands = [(c.parent, c.id, c.representative, None) for c in children]
+    # (src, dst, strand, g_y): the tree edges in id order, g_y None, then
+    # every other strand, by edge, with its witness; a tree edge's first
+    # strand is the one that found its child
+    found, off_tree = {}, []
     for e in Q.edges:
-        ends = [st.end for st in Q.class_by_id(e.src).strands
-                if st.dst == e.dst]
-        if len(ends) != e.multiplicity:
+        into = [st for st in Q.class_by_id(e.src).strands if st.dst == e.dst]
+        if len(into) != e.multiplicity:
             raise PresentationInconsistency(
                 "class %d has %d strands into class %d, an edge of "
-                "multiplicity %d" % (e.src, len(ends), e.dst, e.multiplicity))
+                "multiplicity %d" % (e.src, len(into), e.dst, e.multiplicity))
         target = Q.class_by_id(e.dst).reduction
         in_tree = (e.src, e.dst) in tree
-        for lift_dst in ends[in_tree:]:
-            g_y = hecke.orbit_witness(level, target, reduce_vertex(lift_dst),
+        if in_tree:
+            found[e.dst] = into[0]
+        for st in into[in_tree:]:
+            g_y = hecke.orbit_witness(level, target, reduce_vertex(st.end),
                                       Q.columns)
             if g_y is None:
                 raise PresentationInconsistency(
                     "no witness for a non-tree edge between classes %d and "
                     "%d" % (e.src, e.dst))
-            strands.append((e.src, e.dst, lift_dst, g_y))
+            off_tree.append((e.src, e.dst, st, g_y))
+    strands = [(c.parent, c.id, found[c.id], None) for c in children]
     edges, one = [], Matrix2.identity(Q.field)
-    for src_id, dst_id, lift_dst, g_y in strands:
+    for src_id, dst_id, st, g_y in strands + off_tree:
         group = None
         if src_id in finite_classes and dst_id in finite_classes:
-            group = frame_fixers(vertex_stabs[src_id], lift_dst)
+            stab = vertex_stabs[src_id]
+            group = stab.edge_group(frame_label(stab, st.index))
         edges.append(GogEdge(
-            src=src_id, dst=dst_id, lift_dst=lift_dst, in_tree=g_y is None,
+            src=src_id, dst=dst_id, lift_dst=st.end, in_tree=g_y is None,
             g_y=one if g_y is None else g_y,
             edge_group=group))
 
@@ -296,12 +300,12 @@ def _group_walk(stab, gens, parents):
         frontier = nxt_frontier
 
 
-def _word_search(target, walk, names, stab):
-    """Express the frame `target` of `stab` as a word, with positive
-    exponents (the groups are finite), in the generators named `names` of
-    the walk (parents, `_group_walk`): its path in the walk's tree, walked
-    on only until it reaches `target`.  The order is fixed, so this is the
-    word a fresh search stopping there finds."""
+def _word_search(target, walk, names):
+    """Express the frame `target` as a word, with positive exponents (the
+    groups are finite), in the generators named `names` of the walk
+    (parents, `_group_walk`): its path in the walk's tree, walked on only
+    until it reaches `target`.  The order is fixed, so this is the word a
+    fresh search stopping there finds."""
     parents, frames = walk
     if target not in parents and all(fr != target for fr in frames):
         raise PresentationInconsistency("element not in the generated group")
@@ -367,13 +371,13 @@ def emit_presentation(G):
         for fr, c in sorted(((fr, src.element_rows(fr))
                              for fr in e.edge_group.generator_frames()),
                             key=lambda pair: pair[1]):
-            word_src = _word_search(fr, *gen_by_class[e.src], src)
+            word_src = _word_search(fr, *gen_by_class[e.src])
             image = dst.frame_of(c if e.in_tree else _rows_product(
                 field, _rows_product(field, g_y_inv, c), g_y))
             if image is None:
                 raise PresentationInconsistency(
                     "edge injection image does not stabilize the target")
-            word_dst = _word_search(image, *gen_by_class[e.dst], dst)
+            word_dst = _word_search(image, *gen_by_class[e.dst])
             back = tuple((nm, -k) for nm, k in reversed(word_dst))
             if e.in_tree:
                 relations.append(word_src + back)

@@ -26,22 +26,9 @@ The orbits are taken in the frame of the standard ray.  The reduction g of
 v maps it to v_n, so Stab(v) = g^-1 S g acts on the neighbors of v, the
 lines of F_q^2, as S on their images under one residue matrix k, which
 the reduction reads off its moves (`hecke.ReductionResult.link`),
-labelled by P^1(F_q): v_{n+1} is infinity and the child
-c t^n + t^(n-1) O of v_n is c.  S fixes a set F of labels, read off the
-solver's data, and is transitive on the rest, so the orbits are the points
-of F and one orbit of the others, and one neighbor is built per orbit
-(`frame_orbits`).  Triangular S (Nagao) moves x to (alpha x + b_n) / beta.
-If a kernel vector of the torus map has a t^n coordinate, S holds every
-translation: F = {infinity}.  Else b_n = alpha na_n + beta nc_n, the pair
-(1, 1) is the identity iff na_n + nc_n = 0, and S scales about nc_n by
-alpha/beta: F = {infinity, nc_n}, or all labels on the scalar line or at
-q = 2.  A level-0 kernel V has some c != 0, and F is the set of its common
-eigenlines, the common roots z of c z^2 + (d - a) z - b: none for M2
-(transitive) and F_{q^2} (its units mod F_q*, of order q + 1, act
-freely); the line of a Borel subalgebra, or the kernel of N in the dual
-numbers F_q[N], where the unipotents 1 + lambda N move the other q lines
-transitively; the two eigenlines of F_q x F_q, whose units scale the others
-transitively.
+labelled by P^1(F_q) (`frame_label`).  S fixes a set of labels and is
+transitive on the rest (`hecke.StabDescriptor.fixed_labels`), so one
+neighbor is built per fixed label and one for the others (`frame_orbits`).
 
 Cusp certification walks inward once from each boundary class whose only
 edge has multiplicity 1, under one step rule: the stabilizer of the inner
@@ -59,8 +46,7 @@ import json
 from dataclasses import dataclass, field as dc_field
 
 from .btree import BallVertex
-from .hecke import (HeckeInconsistency, StabDescriptor, _Column, _cut,
-                    _torus_restrict, _vector_ops, reduce_vertex)
+from .hecke import _Column, reduce_vertex
 
 
 class QuotientError(ValueError):
@@ -84,11 +70,13 @@ INDETERMINATE = "indeterminate"
 @dataclass
 class Strand:
     """One stabilizer orbit on the tree neighbors of a class representative:
-    its size, the class it lies in, and its end, the orbit's representative
-    neighbor as the vertex object the build located."""
+    its size, the class it lies in, its end, the orbit's representative
+    neighbor as the vertex object the build located, and the index of the
+    end in `BallVertex.neighbors`."""
     orbit_size: int
     dst: int
     end: BallVertex
+    index: int
 
 
 @dataclass
@@ -173,7 +161,7 @@ class QuotientGraph:
             end = cls.representative.neighbor(orbit[0])
             end, dst = ((back, cls.parent) if end == back
                         else (end, self._classify(end, cls.id)))
-            cls.strands.append(Strand(len(orbit), dst, end))
+            cls.strands.append(Strand(len(orbit), dst, end, orbit[0]))
         cls.expanded = True
 
 
@@ -181,28 +169,14 @@ class QuotientGraph:
 # stabilizer action on the neighbors, in the frame of v_n
 
 
-def _neighbor_line(v, w):
-    """The line (x : y) of L_v / pi L_v, packed ints, of the tree neighbor
-    w of v: (0 : 1) for the parent and (1 : c) for the child whose center
-    has c at pi^r."""
-    terms = w.center.packed_terms
-    if w.r == v.r + 1:
-        c = terms[-1][1] if terms and terms[-1][0] == v.r else 0
-        if (terms[:-1] if c else terms) == v.center.packed_terms:
-            return 1, c
-    elif w.r == v.r - 1 and w == v.parent():
-        return 0, 1
-    raise InconsistencyError("%s is not a tree neighbor of vertex %s"
-                             % (w.to_text(), v.to_text()))
-
-
-def _frame_label(stab, w):
-    """The label of the tree neighbor w of the vertex of `stab`: for the
-    image line k (x : y) of its line, None (v_{n+1}) if x = 0, else y/x."""
+def frame_label(stab, i):
+    """The label of neighbor i, in `BallVertex.neighbors` order, of the
+    vertex of `stab`: for the image k (x : y) of its line, (0 : 1) for the
+    parent and (1 : i - 1) for a child, None (v_{n+1}) if x = 0, else y/x."""
     k11, k12, k21, k22 = stab.reduction.link
     f = stab.field
     add, mul = f.add, f.mul
-    x, y = _neighbor_line(stab.base_vertex, w)
+    x, y = (1, i - 1) if i else (0, 1)
     top = add(mul(k11, x), mul(k12, y))
     return mul(add(mul(k21, x), mul(k22, y)), f.inv(top)) if top else None
 
@@ -210,65 +184,19 @@ def _frame_label(stab, w):
 def frame_orbits(stab):
     """The Stab-orbits on the tree neighbors of the vertex of `stab`, as
     sorted lists of indices in `BallVertex.neighbors` order, by least index:
-    the fixed labels F of the module docstring, each z the line adj(k)
-    (1 : z), or adj(k) (0 : 1) for infinity (the parent (0 : 1) is index 0,
-    the child (1 : c) 1 + c; k is nonsingular), and the rest."""
+    the fixed labels (`hecke.StabDescriptor.fixed_labels`), each z the line
+    adj(k) (1 : z), or adj(k) (0 : 1) for infinity (the parent (0 : 1) is
+    index 0, the child (1 : c) 1 + c; k is nonsingular), and the rest."""
     k11, k12, k21, k22 = stab.reduction.link
-    f, q, n = stab.field, stab.field.q, stab.level_n
+    f, q = stab.field, stab.field.q
     add, mul, neg = f.add, f.mul, f.neg
-    mu, na, nc = stab.torus_map
-    if mu not in (None, 1):
-        raise HeckeInconsistency("the torus pairs alpha = %d*beta of a "
-                                 "stabilizer miss the pair (1, 1)" % mu)
-    if stab.kernel:
-        fixed = [z for z in range(q) if all(
-            add(mul(add(mul(c, z), add(d, neg(a))), z), neg(b)) == 0
-            for a, b, c, d in stab.kernel)]
-    elif stab.holds_translations():
-        fixed = [None]
-    elif add(na[n], nc[n]):
-        raise InconsistencyError("the pair (1, 1) of the stabilizer of %s "
-                                 "is no identity" % stab.base_vertex.to_text())
-    else:
-        fixed = [None, *range(q)] if mu == 1 or q == 2 else [None, nc[n]]
     index = set()
-    for z in fixed:
+    for z in stab.fixed_labels():
         x, y = ((neg(k12), k11) if z is None else
                 (add(k22, neg(mul(k12, z))), add(mul(k11, z), neg(k21))))
         index.add(1 + mul(y, f.inv(x)) if x else 0)
     rest = [i for i in range(q + 1) if i not in index]
     return sorted([[i] for i in index] + ([rest] if rest else []))
-
-
-def frame_fixers(stab, w):
-    """The edge group Stab(v) n Stab(w), v the vertex of `stab` and w a
-    tree neighbor, as a `StabDescriptor` in the frame of v: the elements
-    whose Moebius map fixes the label x of w, c = 0 for x = infinity and
-    c x^2 + (d - a) x - b_n = 0 else.  At c = 0, b_n = x (beta - alpha):
-    when the group holds translations, the one kernel vector with a t^n
-    coordinate, t^n - (t^n mod M), is dropped (top degree n - 1), and na
-    and nc move by multiples of it to b_n = -x and x; else the row cuts
-    the torus pairs (`hecke._torus_restrict`).  A level-0 kernel is cut by its row
-    (`hecke._cut`) and kept only while some c != 0 in it.  No element is
-    formed or listed."""
-    x = _frame_label(stab, w)
-    n, f = stab.level_n, stab.field
-    (mu, na, nc), top, kernel = stab.torus_map, stab.top, ()
-    if x is not None:
-        if stab.holds_translations():
-            vadd, vscale = _vector_ops(f)
-            last, top = stab.torus[3][-1], n - 1
-            na = vadd(na, vscale(f.add(f.neg(x), f.neg(na[n])), last))
-            nc = vadd(nc, vscale(f.add(x, f.neg(nc[n])), last))
-        else:
-            mu = _torus_restrict(f, mu, [(f.add(na[n], x),
-                                          f.add(nc[n], f.neg(x)))])
-        if stab.kernel:
-            row = (f.neg(x), f.neg(1), f.mul(x, x), x)
-            _, kernel = _cut(f, (0,) * 4, stab.kernel, row, 0)
-            kernel = kernel if any(vec[2] for vec in kernel) else ()
-    return StabDescriptor(stab.base_vertex, stab.reduction, stab.level,
-                          (mu, na, nc, stab.m), kernel, top)
 
 
 def build_quotient(level, depth):
@@ -524,5 +452,5 @@ __all__ = [
     "INDETERMINATE",
     "Strand", "OrbitClass", "QuotientEdge", "CuspDescriptor",
     "QuotientGraph", "build_quotient", "check_window", "certify_cusps",
-    "classify_splitness", "export", "frame_orbits", "frame_fixers",
+    "classify_splitness", "export", "frame_label", "frame_orbits",
 ]

@@ -207,7 +207,7 @@ def check_even_multiplicity_bound(fast=False):
                                                         exact)
 
 
-def _closed_form_ray_stabilizer(field, n, level_t):
+def _closed_form_ray_stabilizer(field, n):
     """Stab_{H_(t)}(B_0^{|n|}) built from its closed form: upper triangular
     with deg(b) <= -n for n <= 0 (constants at n = 0), lower triangular with
     c in t*F[t]_{n-1} for n > 0."""
@@ -256,7 +256,7 @@ def check_stabilizer_closed_forms(fast=False):
         for n in span:
             v = BallVertex(field, n, LaurentFragment.zero(field, n))
             sd = stabilizer(v, level)
-            enum = _closed_form_ray_stabilizer(field, n, level)
+            enum = _closed_form_ray_stabilizer(field, n)
             if sd.order != len(enum):
                 return False, ("q=%d n=%d: solver %d vs closed form %d"
                                % (q, n, sd.order, len(enum)))

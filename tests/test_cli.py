@@ -353,8 +353,8 @@ class TestAmalgam:
         word_search = presentation._word_search
         calls = []
 
-        def tampered(target, gens, names, stab):
-            word = word_search(target, gens, names, stab)
+        def tampered(target, gens, names):
+            word = word_search(target, gens, names)
             calls.append(word)
             if len(calls) == 1:
                 name, k = word[-1]

@@ -229,17 +229,17 @@ class TestRelationCheck:
         word_search = presentation._word_search
         seen = []
 
-        def recorded(target, gens, names, stab):
+        def recorded(target, gens, names):
             seen.append(target)
-            return word_search(target, gens, names, stab)
+            return word_search(target, gens, names)
 
         monkeypatch.setattr(presentation, "_word_search", recorded)
         assert emit_presentation(G).relations[-1][0][0] == "h1"
         target = len(seen) - 1 if last else 0
         seen.clear()
 
-        def tampered(target_frame, gens, names, stab):
-            word = recorded(target_frame, gens, names, stab)
+        def tampered(target_frame, gens, names):
+            word = recorded(target_frame, gens, names)
             if len(seen) == target + 1:
                 name, k = word[-1]
                 word = word[:-1] + ((name, k + 1),)
@@ -437,7 +437,7 @@ def reference_graph(Q):
     Returns (tree, lifts, stabs, strands), a strand (src, dst, lifted dst,
     g_y) with g_y the identity on the tree."""
     from btquot.hecke import stabilizer
-    from btquot.quotient import _neighbor_line, frame_orbits
+    from btquot.quotient import frame_orbits
 
     def in_class(v, cid):
         found = locate(Q, v)
@@ -478,8 +478,7 @@ def reference_graph(Q):
         other = e.src + e.dst - side
         v, tree_index = lifts[side], None
         if tree_carries_one:
-            x, y = _neighbor_line(v, lifts[other])
-            tree_index = 1 + y if x else 0
+            tree_index = v.neighbors().index(lifts[other])
         for orbit in frame_orbits(stabs[side]):
             w = v.neighbor(orbit[0])
             if tree_index not in orbit and in_class(w, other):
@@ -611,18 +610,25 @@ class TestResumableWordSearch:
             products.append(1)
             return product(self, x, y)
 
-        word_search = presentation._word_search
-        searched, walked, fresh = [], [0], []
+        word_search, group_walk = (presentation._word_search,
+                                   presentation._group_walk)
+        searched, walked, fresh, stab_of = [], [0], [], {}
 
-        def recorded(target, walk, names, stab):
+        def walk_recorded(stab, gens, parents):
+            stab_of[id(parents)] = stab
+            return group_walk(stab, gens, parents)
+
+        def recorded(target, walk, names):
             before = len(products)
-            word = word_search(target, walk, names, stab)
+            word = word_search(target, walk, names)
             walked[0] += len(products) - before
+            stab = stab_of[id(walk[0])]
             searched.append((word, target, stab.generator_frames(), names,
                              stab))
             return word
 
         monkeypatch.setattr(StabDescriptor, "frame_product", counted)
+        monkeypatch.setattr(presentation, "_group_walk", walk_recorded)
         monkeypatch.setattr(presentation, "_word_search", recorded)
         emit_presentation(G)
         # at q = 2 the vertex groups of D = t have no edge words to find

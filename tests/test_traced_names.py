@@ -1,6 +1,7 @@
 """The benchmark tracer rebinds package functions and methods by name; each
 name it lists must still exist, or the traced benchmark run crashes."""
 
+import ast
 import importlib.util
 import pathlib
 
@@ -36,6 +37,25 @@ def test_production_modules_do_not_bind_act():
     for module in (btquot.quotient, btquot.presentation):
         assert "act" not in vars(module), module.__name__
         assert "canonicalize" not in vars(module), module.__name__
+
+
+def test_only_hecke_reads_and_builds_stabilizer_descriptors():
+    """A descriptor's form is known to `hecke` alone: the quotient and the
+    presentation reach the neighbor rules through `fixed_labels` and
+    `edge_group`, so they bind none of the descriptor's class or helpers,
+    and no other module reads its torus map, kernel or translation test."""
+    for module in (btquot.quotient, btquot.presentation):
+        for name in ("StabDescriptor", "_cut", "_torus_restrict",
+                     "_vector_ops"):
+            assert name not in vars(module), (module.__name__, name)
+    internal = {"torus_map", "kernel", "holds_translations"}
+    src = pathlib.Path(btquot.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        if path.name == "hecke.py":
+            continue
+        read = {node.attr for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Attribute)}
+        assert not read & internal, (path.name, sorted(read & internal))
 
 
 def test_group_modules_do_not_bind_rational_functions():
