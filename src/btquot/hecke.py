@@ -16,23 +16,14 @@ is Euclid's algorithm on (P, t^K) and never calls `act`.  Its result,
 the vertex's one frame, holds g as packed rows and the residue matrix k
 that the moves induce on L_v/pi L_v, and is kept on the vertex, so each
 vertex object is reduced once.
-A witness g_dst^-1 s g_src lies in H_D iff s moves the point (-c : a) of
-P^1(R/N_D) of the first column (a, c) of g_src to that of g_dst, so the
-vertex group, the pair (col, col), and the witnesses are read off the
-points' parts (`_Column.torus`): with e = gcd(-c, N_D), M = N_D/e,
-d = a (-c/e)^-1 mod M, g0 = gcd(e, M), M1 = M/g0 and
-x(d) = ((d - d mod g0)/g0) (e/g0)^-1 mod M1, s = [[alpha, b], [0, beta]]
-with deg b <= n does iff the e agree, alpha*L(d_src) = beta*L(d_dst)
-for the linear map L(d) = (d mod g0, the coefficients of x(d) above t^n),
-and b = alpha*x(d_src) - beta*x(d_dst) + M1*F_q[t].  So the pairs are all,
-one line alpha = mu*beta or none, with solutions alpha*na + beta*nc +
-span(kernel), the kernel t^j - (t^j mod M1) for deg M1 <= j <= n
-(`_kernel_basis`).  A descriptor keeps its kernel as M1 and a top degree
-k <= n, the basis being built only when read.
-Elimination runs only on the homogeneous system of
-level 0 (`solve_affine`); the q^(n+3) enumeration is an oracle
-(`stabilizer_brute_force`, `orbit_equivalent_brute_force`) up to
-ENUMERATION_CAP elements.
+A witness g_dst^-1 s g_src lies in H_D iff s moves the P^1(R/N_D) point
+of the first column of g_src to that of g_dst, so a vertex group is read
+off its point and itself, and a witness off two points: their torus map
+and, at level 0, their algebra V (`points`, which states the rule).  A
+descriptor keeps its kernel as M1 and a top degree k <= n, the basis
+being built only when read (`_kernel_basis`); the q^(n+3) enumeration is
+an oracle (`stabilizer_brute_force`, `orbit_equivalent_brute_force`) up
+to ENUMERATION_CAP elements.
 A span point is one vector add (`_span_points`); an edge group is the
 same data with a translation label fixed (top degree n - 1) or its torus
 pairs restricted, and a level-0 algebra cut by one linear row (`_cut`).  At
@@ -61,9 +52,12 @@ from dataclasses import dataclass
 from .algebra import (MAX_DEGREE, AlgebraError, Polynomial,
                       _strip_outer_parens, decimal_value, format_polynomial,
                       packed_add, packed_combination, packed_divmod,
-                      packed_gcd, packed_mul, parse_polynomial)
+                      packed_mul, parse_polynomial)
 from .btree import (BallVertex, Matrix2, _rows_inverse, _rows_product,
                     act)
+# solve_affine is bound here too, so that perfbench traces the level-0
+# solves of `points` as `hecke.solve_affine`
+from .points import Point, _vector_ops, solve_affine
 
 
 class HeckeError(ValueError):
@@ -318,19 +312,7 @@ def _nagao_reduction(v):
 
 
 # ---------------------------------------------------------------------------
-# linear algebra over F_q
-
-
-def _vector_ops(field):
-    """The sum of two packed-int vectors and a packed int times one, as
-    tuples: one operation mod p or one table lookup per entry."""
-    if field.s == 1:
-        p = field.p
-        return (lambda u, v: tuple([(x + y) % p for x, y in zip(u, v)]),
-                lambda c, v: tuple([c * x % p for x in v]))
-    add, mul = field._add, field._mul
-    return (lambda u, v: tuple([add[x][y] for x, y in zip(u, v)]),
-            lambda c, v: tuple(map(mul[c].__getitem__, v)))
+# kernels and spans over F_q
 
 
 def _mod_vectors(field, x, modulus, count=1):
@@ -349,68 +331,6 @@ def _mod_vectors(field, x, modulus, count=1):
     return out[:count]
 
 
-def _eliminate(rows, ncols, field):
-    """Gauss-Jordan elimination, in place, of augmented rows of packed ints:
-    the first `ncols` entries of a row are coefficients, the rest are
-    right-hand sides.
-
-    Pivots are chosen among the coefficient columns only, so the row
-    operations do not depend on the right-hand sides: each side is reduced
-    as if it had been eliminated alone, and a combination of sides reduces
-    to the same combination of the reduced sides.  A side is consistent iff
-    it vanishes on the rows from len(pivots) on, and its particular solution
-    has the entry of row k at column pivots[k] and zeros elsewhere.
-
-    Returns (pivots, kernel): the pivot column of each leading row and a
-    basis of the kernel of the coefficient columns, as packed-int tuples.
-    """
-    nrows = len(rows)
-    vadd, vscale = _vector_ops(field)
-    neg = field.neg
-    pivots = []
-    for col in range(ncols):
-        rank = len(pivots)
-        if rank == nrows:
-            break
-        piv = next((ri for ri in range(rank, nrows) if rows[ri][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        rows[rank] = prow = vscale(field.inv(rows[rank][col]), rows[rank])
-        for ri in range(nrows):
-            if ri != rank and rows[ri][col]:
-                rows[ri] = vadd(rows[ri], vscale(neg(rows[ri][col]), prow))
-        pivots.append(col)
-    kernel = []
-    for fc in range(ncols):
-        if fc in pivots:
-            continue
-        vec = [0] * ncols
-        vec[fc] = 1
-        for k, col in enumerate(pivots):
-            vec[col] = neg(rows[k][fc])
-        kernel.append(tuple(vec))
-    return pivots, tuple(kernel)
-
-
-def solve_affine(columns, rhs, field):
-    """Solve sum_j x_j * columns[j] = rhs over F_q, on packed ints.
-
-    Returns (particular, kernel_basis) or (None, kernel_basis) when
-    inconsistent; vectors are packed-int tuples of length len(columns).
-    With an empty equation list everything solves.
-    """
-    ncols = len(columns)
-    rows = [[col[i] for col in columns] + [x] for i, x in enumerate(rhs)]
-    pivots, kernel = _eliminate(rows, ncols, field)
-    if any(row[ncols] for row in rows[len(pivots):]):
-        return None, kernel
-    part = [0] * ncols
-    for row, col in zip(rows, pivots):
-        part[col] = row[ncols]
-    return tuple(part), kernel
-
-
 def _torus_restrict(field, mu, rows):
     """The pairs of the torus set mu with alpha*x + beta*y = 0 on each row
     (x, y), as a torus set: None for all of (F_q*)^2, mu for the line
@@ -426,7 +346,7 @@ def _torus_restrict(field, mu, rows):
 
 def _kernel_basis(field, m, k, n):
     """t^j - (t^j mod M) for deg M <= j <= k, packed-int vectors of length
-    n + 1: for k = n and M = M1 of a point (`_Column`) the b of degree
+    n + 1: for k = n and M = M1 of a point (`points`) the b of degree
     <= n with b*e = 0 mod N_D/e.  The low part -(t^j mod M) is
     t^(j - deg M) times that of M, mod M."""
     dm = len(m) - 1
@@ -491,7 +411,7 @@ def ray_frame(s, n):
 
 
 @functools.lru_cache(maxsize=32)
-def _primitive_element(field):
+def primitive_element(field):
     """The least packed int of multiplicative order q - 1: it generates
     F_q*."""
     def order(w):
@@ -543,7 +463,7 @@ class StabDescriptor:
     (F_q*)^2 for mu None, else the line alpha = mu*beta (`torus` =
     (mu, na, nc, kb) of packed ints; mu None at q = 2, where the two are
     one set).  A vertex group has na = x and nc = -x for the x of its
-    point (`_Column.torus`), so na + nc = 0 on the scalar line.  kb is
+    point (`points.Point.torus`), so na + nc = 0 on the scalar line.  kb is
     given by the modulus M, the point's M1, a packed list, and its top
     degree k: it is t^j - (t^j mod M) for deg M <= j <= k (`_kernel_basis`),
     k = n for a vertex group and n - 1 for an edge group cut by a
@@ -762,7 +682,7 @@ class StabDescriptor:
         omega the least generator of F_q*; none at q = 2.  A group holds the
         identity, so any other line alpha = mu*beta is an inconsistency."""
         f = self.field
-        mu, w = self.torus_map[0], _primitive_element(f)
+        mu, w = self.torus_map[0], primitive_element(f)
         if mu is None:
             pairs = ((w, 1), (1, w))
         elif mu == 1:
@@ -874,11 +794,6 @@ def _level0_extras(field, kernel):
             yield sa, (sb,), sc, sd
 
 
-def _residue(field, x, y, modulus):
-    """x*y mod N_D, packed."""
-    return packed_divmod(field, packed_mul(field, x, y), modulus)[1]
-
-
 def _check_unknowns(n):
     """Refuse a torus map at level n above SOLVE_UNKNOWNS_CAP.  Its b_0..b_n
     are the unknowns of the congruence b = alpha*x_src - beta*x_dst mod M1,
@@ -888,145 +803,41 @@ def _check_unknowns(n):
                         "above the cap %d" % (n, n + 1, SOLVE_UNKNOWNS_CAP))
 
 
-def _algebra(level, dst, src):
-    """A basis of the level-0 solutions (a, b, c, d) of
-    -c_dst*(a*a_src + b*c_src) + a_dst*(c*a_src + d*c_src) = 0 (mod N_D),
-    the lower-left entry of adj(g_dst) s g_src, of the packed first columns
-    dst = (a_dst, c_dst) of g_dst and src = (a_src, c_src) of g_src, kept
-    if some c != 0 in it, else (): the F_q-algebra V of a stabilizer
-    (dst = src), or the space whose units with c != 0 are the level-0
-    witnesses."""
-    field, modulus = level.field, level.modulus.packed_coeffs
-    (a_dst, c_dst), (a_src, c_src) = dst, src
-    minus_c = packed_mul(field, c_dst, [field.neg(1)])
-    size = len(modulus) - 1
-    cols4 = [tuple(col) + (0,) * (size - len(col)) for col in (
-        _residue(field, x, y, modulus) for x, y in (
-            (minus_c, a_src), (minus_c, c_src), (a_dst, a_src),
-            (a_dst, c_src)))]
-    _, kernel = solve_affine(cols4, (0,) * size, field)
-    return kernel if any(vec[2] for vec in kernel) else ()
-
-
-class _Column:
-    """A packed first column (a, c) of the reduction g of a vertex, and the
-    point (X : Y) = (-c : a) of P^1(R/N_D) it gives, the bottom row of
-    adj(g) (README, "Notes on conventions").  The torus map of a pair of
-    points at level n, the elements of Stab(v_n) that move one to the
-    other, is read off their parts (`torus`): the vertex group of its
-    vertices is that of the point and itself (`stabilizer`), a witness
-    that of two points (`orbit_witness`).  Their orbit id names the
-    point's Stab(v_n)-orbit: (n, e, L(d) scaled to lead with 1) for
-    n >= 1, and at n = 0 the least level-0 id of (X + zY : Y) and (a : c)."""
-
-    def __init__(self, level, col):
-        self.level, self.col = level, col
-        self.scale, self.parts = _vector_ops(level.field)[1], self._parts(0)
-        self._minus_x = self.scale(level.field.neg(1), self.parts[2])
-
-    def _parts(self, z):
-        """(e, d mod g0, x(d), M1) of the point (X + zY : Y), or (a : c) at
-        z = q: e = gcd(X, N), M = N/e, d = Y (X/e)^-1 mod M, g0 = gcd(e, M),
-        M1 = M/g0, x(d) = ((d - d mod g0)/g0) (e/g0)^-1 mod M1, or d if e or
-        M is 1, padded to deg g0 and deg M1 entries so that L(d) keeps its
-        places."""
-        field, modulus = self.level.field, self.level.modulus.packed_coeffs
-        a, c = self.col
-        x, y = (a, c) if z == field.q else (packed_combination(
-            field, [(field.neg(1), c), (z, a)]) if z else packed_mul(
-                field, c, [field.neg(1)]), a)
-        e, inv, m = packed_gcd(field, packed_divmod(field, x, modulus)[1],
-                               modulus, cofactor=True)
-        d = _residue(field, y, inv, m)
-        if len(e) == 1 or len(m) == 1:
-            return tuple(e), (), tuple(d) + (0,) * (len(m) - 1 - len(d)), m
-        g0, inv0, m1 = packed_gcd(field, e, m, cofactor=True)
-        quo, rest = packed_divmod(field, d, g0)
-        top = _residue(field, quo, inv0, m1)
-        return (tuple(e), tuple(rest) + (0,) * (len(g0) - 1 - len(rest)),
-                tuple(top) + (0,) * (len(m1) - 1 - len(top)), m1)
-
-    def _id(self, parts, n):
-        (e, rest, top, _), field = parts, self.level.field
-        vec = rest + top[n + 1:]
-        lead = next((z for z in vec if z), 1)
-        return n, e, vec if lead == 1 else self.scale(field.inv(lead), vec)
-
-    @functools.cached_property
-    def _zero(self):
-        return min(self._id(parts, 0) for parts in [self.parts, *map(
-            self._parts, range(1, self.level.field.q + 1))])
-
-    def orbit_id(self, n):
-        """The id of the orbit of this column's vertices at level n."""
-        return self._id(self.parts, n) if n else self._zero
-
-    def torus(self, src, n):
-        """The torus map (mu, na, nc, M1) at level n of the elements
-        [[alpha, b], [0, beta]] of Stab(v_n) that move the point of the
-        column `src` to this one's, or None.  With (e, rest, top, M1) each
-        point's parts, L = rest + top[n + 1:] and x = top cut or padded to
-        n + 1 entries, the e agree and alpha*L_src = beta*L_dst: all pairs
-        (mu None) when both L vanish, else the line L_dst = mu*L_src; and
-        b = alpha*x_src - beta*x_dst + M1*F_q[t] (README, "Notes on
-        conventions")."""
-        _check_unknowns(n)
-        field, (e, rest, top, m1) = self.level.field, self.parts
-        e_src, rest_src, top_src, _ = src.parts
-        if e != e_src:
-            return None
-        vec, vec_src = rest + top[n + 1:], rest_src + top_src[n + 1:]
-        if vec == vec_src:
-            mu = 1 if any(vec) else None
-        else:
-            i = next((i for i, z in enumerate(vec_src) if z), None)
-            mu = i is not None and field.mul(vec[i], field.inv(vec_src[i]))
-            if not mu or self.scale(mu, vec_src) != vec:
-                return None
-        zero = (0,) * (n + 1)
-        return (mu, top_src[:n + 1] + zero[len(top_src):],
-                self._minus_x[:n + 1] + zero[len(top):], m1)
-
-    def stabilizer(self, v, red):
-        """The descriptor of Stab(v), for the vertex v of reduction `red`
-        whose g has this column: the torus map of the point and itself,
-        and at level 0 the algebra V of (col, col)."""
-        n = red.level_n
-        return StabDescriptor(v, red, self.level, self.torus(self, n),
-                              _algebra(self.level, self.col, self.col)
-                              if n == 0 else ())
+def point_stabilizer(point, v, red):
+    """The descriptor of Stab(v), for the vertex v of reduction `red` whose
+    g has the first column of `point`: the torus map of the point and
+    itself, and at level 0 its algebra V (`points`)."""
+    n = red.level_n
+    _check_unknowns(n)
+    return StabDescriptor(v, red, point.level, point.torus(point, n),
+                          point.algebra(point) if n == 0 else ())
 
 
 def stabilizer(v, level):
     """Descriptor of Stab_{H_D}(v), read off the P^1(R/N_D) point of the
-    first column of its reduction (`_Column.stabilizer`)."""
+    first column of its reduction (`point_stabilizer`)."""
     red = reduce_vertex(v)
-    return _Column(level, red.rows[::2]).stabilizer(v, red)
+    return point_stabilizer(Point(level, red.rows[::2]), v, red)
 
 
 def orbit_witness(level, red_src, red_dst, columns=None):
     """Some h in H_D with act(h, src) = dst, or None, given both
     reductions, whose levels must agree: g_dst^-1 s g_src for the first s
-    found, through the inverse `red_dst` keeps (`_conjugate`).  `columns`
-    maps first columns to known `_Column`s.
-
-    h lies in H_D iff s moves the P^1(R/N_D) point of the first column of
-    g_src to that of g_dst, so the triangular s are the torus map of the
-    two points (`_Column.torus`), and at level 0 with no torus pair the
-    units with c != 0 of `_algebra`.
-    """
+    that moves the point of g_src to that of g_dst (`points`), through
+    the inverse `red_dst` keeps (`_conjugate`).  `columns` maps first
+    columns to known `Point`s."""
     field, n = level.field, red_src.level_n
-    cols = red_dst.rows[::2], red_src.rows[::2]   # the first columns (a, c)
-    point, point_src = (columns and columns.get(col) or _Column(level, col)
-                        for col in cols)
+    _check_unknowns(n)
+    point, point_src = (columns and columns.get(col) or Point(level, col)
+                        for col in (red_dst.rows[::2], red_src.rows[::2]))
     torus = point.torus(point_src, n)
     if torus:
         # the first pair: (1, 1), or (1, 1/mu) on the line alpha = mu*beta
         frame = _torus_frame(field, torus, 1, field.inv(torus[0] or 1))
     else:
         # at level 0 the ambient stabilizer is GL2(F_q)
-        frame = next(_level0_extras(field, _algebra(level, *cols)), None) \
-            if n == 0 else None
+        frame = next(_level0_extras(field, point.algebra(point_src)),
+                     None) if n == 0 else None
         if frame is None:
             return None
     return Matrix2.of_rows(field, _conjugate(field, red_dst, frame,

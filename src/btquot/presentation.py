@@ -43,7 +43,7 @@ from itertools import groupby
 
 from . import hecke
 from .btree import Matrix2, _rows_inverse, _rows_product
-from .hecke import _primitive_element, ray_frame, reduce_vertex
+from .hecke import primitive_element, ray_frame, reduce_vertex
 from .quotient import SPLIT, InconsistencyError, frame_label
 
 
@@ -503,8 +503,8 @@ def _junction(G, starts):
 
 def _discrete_logs(field):
     """dlog table of F_q*, on packed ints, with respect to the least
-    primitive element (`_primitive_element`)."""
-    g, logs, acc = _primitive_element(field), {}, 1
+    primitive element (`primitive_element`)."""
+    g, logs, acc = primitive_element(field), {}, 1
     for e in range(field.q - 1):
         logs[acc] = e
         acc = field.mul(acc, g)

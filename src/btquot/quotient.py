@@ -1,9 +1,10 @@
 """Quotient graph of the tree under a Hecke congruence group.
 
 The quotient graph owns the one vertex-to-class lookup, a dict from the
-orbit id of a vertex (`hecke._Column`) to its class id, which only the
-build reads.  Cusp certification and the graph of groups look nothing up:
-they read the classes and strands the build recorded.
+orbit id of the P^1(R/N_D) point of a vertex (`points.Point`) to its class
+id, which only the build reads.  Cusp certification and the graph of
+groups look nothing up: they read the classes and strands the build
+recorded.
 
 The build runs a breadth-first search over orbit classes starting from the
 class of the base vertex: each class representative contributes its q+1 tree
@@ -12,7 +13,7 @@ orbit), and each orbit representative, unless it is the representative of
 the class whose expansion found it, is located by its orbit id or opens a
 new class.  The id and the stabilizer read the reduction g only through
 its first column (a, c), which Nagao's g keeps along a cusp tail: the
-build keeps one `hecke._Column` per distinct column (`columns`), which
+build keeps one `points.Point` per distinct column (`columns`), which
 reads the column's point of P^1(R/N_D) once, and reads a stabilizer off
 that point only for a new class.  Classes and edges found at depth d
 are kept when the search is widened, so the output is a growing snapshot
@@ -46,7 +47,8 @@ import json
 from dataclasses import dataclass, field as dc_field
 
 from .btree import BallVertex
-from .hecke import _Column, reduce_vertex
+from .hecke import point_stabilizer, reduce_vertex
+from .points import Point
 
 
 class QuotientError(ValueError):
@@ -118,9 +120,9 @@ class QuotientGraph:
     classes: list = dc_field(default_factory=list)
     edges: list = dc_field(default_factory=list)
     cusps: list = dc_field(default_factory=list)
-    # orbit id (`hecke._Column.orbit_id`) -> class id
+    # orbit id (`points.Point.orbit_id`) -> class id
     ids: dict = dc_field(default_factory=dict, repr=False)
-    # packed first column (a, c) -> its `hecke._Column`
+    # packed first column (a, c) -> its point (`points.Point`)
     columns: dict = dc_field(default_factory=dict, repr=False)
 
     def class_by_id(self, cid):
@@ -141,17 +143,17 @@ class QuotientGraph:
         stabilizer read off its column."""
         red = reduce_vertex(v)
         col = red.rows[::2]
-        column = self.columns.get(col)
-        if column is None:
-            column = self.columns[col] = _Column(self.level, col)
-        key = column.orbit_id(red.level_n)
+        point = self.columns.get(col)
+        if point is None:
+            point = self.columns[col] = Point(self.level, col)
+        key = point.orbit_id(red.level_n)
         cid = self.ids.get(key)
         if cid is None:
             cid = self.ids[key] = len(self.classes)
             layer = 0 if parent is None else self.classes[parent].layer + 1
             self.classes.append(OrbitClass(
                 id=cid, representative=v, level_n=red.level_n, layer=layer,
-                parent=parent, stab=column.stabilizer(v, red),
+                parent=parent, stab=point_stabilizer(point, v, red),
                 reduction=red))
         return cid
 

@@ -330,6 +330,17 @@ class TestStabOrbit:
         assert err == ("error: the congruence solve at level %d has %d "
                        "unknowns, above the cap 4096\n" % (-r, 1 - r))
 
+    def test_deep_level_witness_cap_exits_2(self, capsys):
+        """`orbit` refuses a pair past the cap as `stab` does, before it
+        reads the points' torus map."""
+        vertex = "r=-4096;a=0"
+        code, out, err = run_cli(["orbit", "--p", "2", "--level", "t",
+                                  "--vertex", vertex, "--vertex2", vertex],
+                                 capsys)
+        assert (code, out) == (2, "")
+        assert err == ("error: the congruence solve at level 4096 has 4097 "
+                       "unknowns, above the cap 4096\n")
+
     def test_deep_level_below_the_cap_answers(self, capsys):
         code, out, err = run_cli(["stab", "--p", "2", "--level", "t",
                                   "--vertex", "r=-4000;a=0"], capsys)
@@ -484,16 +495,17 @@ class TestErrors:
         """A stabilizer whose torus pairs are the line alpha = 2*beta,
         which misses the identity, is caught by the neighbor orbits: exit
         3, not 2."""
-        from btquot.hecke import StabDescriptor, _Column
-        stabilizer = _Column.stabilizer
+        from btquot import quotient
+        from btquot.hecke import StabDescriptor
+        stabilizer = quotient.point_stabilizer
 
-        def forged_torus(column, v, red):
-            stab = stabilizer(column, v, red)
+        def forged_torus(point, v, red):
+            stab = stabilizer(point, v, red)
             return StabDescriptor(v, red, stab.level,
                                   (2,) + stab.torus_map[1:] + (stab.m,),
                                   stab.kernel)
 
-        monkeypatch.setattr(_Column, "stabilizer", forged_torus)
+        monkeypatch.setattr(quotient, "point_stabilizer", forged_torus)
         code, out, err = run_cli(
             ["quotient", "--p", "3", "--level", "t", "--depth", "5"], capsys)
         assert code == 3 and out == ""

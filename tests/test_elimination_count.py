@@ -1,13 +1,13 @@
 """Call counts behind every orbit and stabilizer test: no F_q elimination
 decides the torus pairs, which a vertex group and a witness read off the
-points of P^1(R/N_D) of their columns (`hecke._Column.torus`); the one
+points of P^1(R/N_D) of their columns (`points.Point.torus`); the one
 elimination left is `solve_affine` on the homogeneous system of level 0,
 once per level-0 stabilizer; and the divisions by N_D that a stabilizer
 makes do not grow with the level n."""
 
 import pytest
 
-from btquot import hecke
+from btquot import hecke, points, quotient
 from btquot.algebra import FieldSpec, Polynomial
 from btquot.btree import BallVertex, Matrix2, act
 from btquot.quotient import build_quotient
@@ -17,8 +17,9 @@ from btquot.quotient import build_quotient
 def counts(monkeypatch):
     """Counts of `_eliminate` and `solve_affine` calls, in total and by
     the open calls that make them, innermost last: a vertex group
-    (`hecke._Column.stabilizer`) with the level of its vertex, a torus map
-    (`hecke._Column.torus`) or a level-0 algebra (`hecke._algebra`); and
+    (`point_stabilizer`, as `quotient` and `hecke` look it up) with the
+    level of its vertex, a torus map (`points.Point.torus`) or a level-0
+    algebra (`points.Point.algebra`); and
     of the vertex groups at level 0."""
     tally = {"eliminate": 0, "solve_affine": 0, "level0 stabilizers": 0}
     inside = []   # the open calls
@@ -45,13 +46,15 @@ def counts(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for part in ("stabilizer", "torus"):
-        monkeypatch.setattr(hecke._Column, part, opened(
-            part, getattr(hecke._Column, part)))
-    monkeypatch.setattr(hecke, "_algebra", opened("algebra", hecke._algebra))
+    for module in (quotient, hecke):
+        monkeypatch.setattr(module, "point_stabilizer", opened(
+            "stabilizer", module.point_stabilizer))
+    for part in ("torus", "algebra"):
+        monkeypatch.setattr(points.Point, part, opened(
+            part, getattr(points.Point, part)))
     for key in ("eliminate", "solve_affine"):
         name = "_" + key if key == "eliminate" else key
-        monkeypatch.setattr(hecke, name, counted(key, getattr(hecke, name)))
+        monkeypatch.setattr(points, name, counted(key, getattr(points, name)))
     return tally
 
 
@@ -92,7 +95,7 @@ def test_stabilizer_counts_over_f9(counts):
 @pytest.mark.parametrize("n", [1, 4, 8, 12])
 def test_three_divisions_per_stabilizer(monkeypatch, p, s, n):
     """A stabilizer at level n >= 1 reads its torus map off the parts of
-    its column's point (`hecke._Column._parts`): one division by N_D
+    its column's point (`points.Point`): one division by N_D
     reduces X = -c, and a second reduces d = a*(X/e)^-1 by M = N_D/e,
     which is N_D when e = gcd(X, N_D) is 1.  Splitting d by g0 = gcd(e, M)
     and M1 = M/g0 makes two more when neither e nor M is 1.  The kernel
@@ -118,7 +121,8 @@ def test_three_divisions_per_stabilizer(monkeypatch, p, s, n):
         calls.append(tuple(b))
         return divmod_(field, a, b)
 
-    monkeypatch.setattr(hecke, "packed_divmod", counted)
+    for module in (hecke, points):
+        monkeypatch.setattr(module, "packed_divmod", counted)
     modulus = level.modulus.packed_coeffs
     for v, v_1 in zip(*vertices):
         del calls[:]

@@ -35,7 +35,8 @@ def torus_blocks(columns, va, vc, field):
     vanishes beyond the rank, ra and rc the reduced va and vc (the torus
     set mu of `_torus_restrict`), and its particular solution is
     alpha*na + beta*nc, na and nc being -ra and -rc on the pivot rows."""
-    from btquot.hecke import _eliminate, _torus_restrict
+    from btquot.hecke import _torus_restrict
+    from btquot.points import _eliminate
     ncols = len(columns)
     rows = [[col[i] for col in columns] + [x, y]
             for i, (x, y) in enumerate(zip(va, vc))]
@@ -420,7 +421,7 @@ class TestSolveAffine:
         in the column span (every pair consistent), vc = lam*va modulo the
         span with va outside it (a line), or both outside (none, or a line
         by chance); each case occurs over every field."""
-        from btquot.hecke import _eliminate
+        from btquot.points import _eliminate
         rng = random.Random(26)
 
         def reference(columns, va, vc, field):
@@ -826,8 +827,8 @@ class TestGeneratingSet:
         through the inverse its reduction keeps: the same matrix as the
         `Matrix2` product of the three, on triangular witnesses and on
         level-0 ones with c != 0."""
-        from btquot.hecke import (_algebra, _Column, _level0_extras,
-                                  orbit_witness)
+        from btquot.hecke import _level0_extras, orbit_witness
+        from btquot.points import Point
         rng = random.Random(41)
         lower = 0
         for field in ORACLE_FIELDS:
@@ -848,14 +849,13 @@ class TestGeneratingSet:
                     w = act(h, v)
                     red_v, red_w = reduce_vertex(v), reduce_vertex(w)
                     cols = column(red_w), column(red_v)
-                    torus = _Column(lvl, cols[0]).torus(
-                        _Column(lvl, cols[1]), red_v.level_n)
+                    dst, src = Point(lvl, cols[0]), Point(lvl, cols[1])
+                    torus = dst.torus(src, red_v.level_n)
                     if torus:
                         (ai, bi), part, _ = expand_torus(field, torus)[0]
                         frame = (ai, part, 0, bi)
                     else:
-                        frame = next(_level0_extras(field,
-                                                    _algebra(lvl, *cols)))
+                        frame = next(_level0_extras(field, dst.algebra(src)))
                         lower += 1
                     assert orbit_witness(lvl, red_v, red_w) == \
                         red_w.g.inverse() @ frame_matrix(field, frame) \
@@ -885,7 +885,7 @@ class TestGeneratingSet:
         """Torus pairs that are neither all of (F_q*)^2 nor the scalar line,
         here the line alpha = 2*beta, cannot come from the solver:
         `generator_frames` raises, and `stab`, given such a descriptor by
-        its column (`hecke._Column.stabilizer`), exits 3."""
+        its point (`hecke.point_stabilizer`), exits 3."""
         from btquot import hecke
         from btquot.cli import main
         from btquot.hecke import HeckeInconsistency, StabDescriptor
@@ -896,15 +896,15 @@ class TestGeneratingSet:
                               (2,) + sd.torus_map[1:] + (sd.m,), ())
         with pytest.raises(HeckeInconsistency, match="torus pairs"):
             line.generator_frames()
-        stabilizer_of = hecke._Column.stabilizer
+        stabilizer_of = hecke.point_stabilizer
 
-        def forged_torus(column, v, red):
-            stab = stabilizer_of(column, v, red)
+        def forged_torus(point, v, red):
+            stab = stabilizer_of(point, v, red)
             return StabDescriptor(v, red, stab.level,
                                   (2,) + stab.torus_map[1:] + (stab.m,),
                                   stab.kernel)
 
-        monkeypatch.setattr(hecke._Column, "stabilizer", forged_torus)
+        monkeypatch.setattr(hecke, "point_stabilizer", forged_torus)
         assert main(["stab", "--p", "3", "--level", "t",
                      "--vertex", "r=-2;a=0"]) == 3
 
@@ -962,7 +962,7 @@ def reference_system(level, red_src, red_dst):
 
 class TestClosedFormSolve:
     """The torus map of a pair of points, read off the parts of the two
-    columns (`hecke._Column.torus`), equals the one the elimination of the
+    columns (`points.Point.torus`), equals the one the elimination of the
     witness system gives (`torus_blocks`), on every class of every level of
     small degree, as the pair (col, col), and on seeded pairs of vertices:
     some on lines alpha = mu*beta with mu != 1, -1, some with no witness,
@@ -985,6 +985,7 @@ class TestClosedFormSolve:
 
     def test_closed_form_equals_elimination(self):
         from btquot import hecke
+        from btquot.points import Point
         from btquot.quotient import build_quotient
         rng = random.Random(44)
         levels = [lvl for field, degree in self.LEVELS
@@ -1003,7 +1004,7 @@ class TestClosedFormSolve:
             for red in [cls.reduction for cls in Q.classes] + moved:
                 old = torus_blocks(*reference_system(level, red, red),
                                    field)
-                col, n = hecke._Column(level, column(red)), red.level_n
+                col, n = Point(level, column(red)), red.level_n
                 mu, na, nc, m = col.torus(col, n)
                 new = mu, na, nc, hecke._kernel_basis(field, m, n, n)
                 assert new[0] == old[0] and new[3] == old[3], (level, red)
@@ -1045,11 +1046,12 @@ class TestClosedFormSolve:
         mu and the kernel, the particular solutions for all pairs, and the
         one for the pair a witness uses on a line."""
         from btquot import hecke
+        from btquot.points import Point
         field, n = level.field, src.level_n
         columns, va, vc = reference_system(level, src, dst)
         old = torus_blocks(columns, va, vc, field)
-        col_dst = hecke._Column(level, column(dst))
-        col_src = hecke._Column(level, column(src))
+        col_dst = Point(level, column(dst))
+        col_src = Point(level, column(src))
         new = col_dst.torus(col_src, n)
         seen.update(self.kind(level, src, dst))
         e_dst, e_src = col_dst.parts[0], col_src.parts[0]
@@ -1077,7 +1079,8 @@ class TestPackedPath:
         stabilizer read off its column's point, and the torus map of a pair
         of points and its level-0 algebra, create no `Polynomial`; the
         witness makes exactly its four entries."""
-        from btquot.hecke import _algebra, _Column, orbit_witness
+        from btquot.hecke import orbit_witness, point_stabilizer
+        from btquot.points import Point
         made = []
         of, init = Polynomial.__dict__["_of"], Polynomial.__init__
 
@@ -1104,12 +1107,11 @@ class TestPackedPath:
         monkeypatch.setattr(Polynomial, "__init__", counted_init)
         found = 0
         for lvl, v, red_v, red_w in cases:
-            col = column(red_v)
-            _Column(lvl, col).stabilizer(v, red_v), _algebra(lvl, col, col)
+            point = Point(lvl, column(red_v))
+            point_stabilizer(point, v, red_v), point.algebra(point)
             assert not made
-            cols = column(red_w), col
-            assert _Column(lvl, cols[0]).torus(
-                _Column(lvl, cols[1]), red_v.level_n) or _algebra(lvl, *cols)
+            dst = Point(lvl, column(red_w))
+            assert dst.torus(point, red_v.level_n) or dst.algebra(point)
             assert not made
             found += orbit_witness(lvl, red_v, red_w) is not None
             assert len(made) == 4

@@ -1,12 +1,12 @@
 """Call counts of the solves behind the build's lookup: one column
-(`hecke._Column`), which reads its orbit-id point and the vertex groups
+(`points.Point`), which reads its orbit id and the vertex groups
 off it, per distinct first column of the reductions, one stabilizer
 descriptor and one torus map per class, and no witness.  The graph of
 groups reads the witnesses of its strands off the build's columns."""
 
 import pytest
 
-from btquot import hecke, presentation, quotient
+from btquot import hecke, points, presentation, quotient
 from btquot.algebra import FieldSpec
 from btquot.hecke import parse_level
 
@@ -14,8 +14,8 @@ from btquot.hecke import parse_level
 @pytest.fixture
 def tally(monkeypatch):
     """Counts of `reduce_vertex` calls made by the quotient module, of the
-    columns (`hecke._Column`), of the descriptors and the torus maps read
-    off them (`hecke._Column.torus`), of the `orbit_witness` calls, and the
+    points (`points.Point`), of the descriptors and the torus maps read
+    off them (`points.Point.torus`), of the `orbit_witness` calls, and the
     first columns of the reductions."""
     out = {"reduce": 0, "columns": 0, "descriptors": 0, "witnesses": 0,
            "tori": 0, "firsts": set()}
@@ -30,9 +30,9 @@ def tally(monkeypatch):
         out["columns"] += 1
         init(self, level, col)
 
-    def stabilizer(self, v, red):
+    def stabilizer(point, v, red):
         out["descriptors"] += 1
-        return describe(self, v, red)
+        return describe(point, v, red)
 
     def counted(key, fn):
         def wrapper(*args):
@@ -41,12 +41,12 @@ def tally(monkeypatch):
         return wrapper
 
     reduce = quotient.reduce_vertex
-    init, describe = hecke._Column.__init__, hecke._Column.stabilizer
+    init, describe = points.Point.__init__, quotient.point_stabilizer
     monkeypatch.setattr(quotient, "reduce_vertex", reduce_vertex)
-    monkeypatch.setattr(hecke._Column, "__init__", column)
-    monkeypatch.setattr(hecke._Column, "stabilizer", stabilizer)
-    monkeypatch.setattr(hecke._Column, "torus",
-                        counted("tori", hecke._Column.torus))
+    monkeypatch.setattr(points.Point, "__init__", column)
+    monkeypatch.setattr(quotient, "point_stabilizer", stabilizer)
+    monkeypatch.setattr(points.Point, "torus",
+                        counted("tori", points.Point.torus))
     monkeypatch.setattr(hecke, "orbit_witness",
                         counted("witnesses", hecke.orbit_witness))
     return out
@@ -78,7 +78,7 @@ def test_one_descriptor_per_class_and_no_witness(tally, p, s, lvl, depth):
 def test_graph_of_groups_reads_the_build_columns(tally):
     """The witnesses g_y of the strands off the spanning tree read their
     points off the build's columns (`QuotientGraph.columns`):
-    `build_graph_of_groups` makes no `_Column`, where at q=3,
+    `build_graph_of_groups` makes no `Point`, where at q=3,
     D=t^3 (t+1)^3, depth 10 it made two per witness, 288, every one of them
     already in the build's columns.  It calls `orbit_witness` through the
     `hecke` module, where a tracer sees it, once per such strand."""

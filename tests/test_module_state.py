@@ -41,7 +41,7 @@ def test_no_module_state_grows_across_builds():
     field = FieldSpec(3)
     pipeline(parse_level("t", field), 6)
     before = state_sizes()
-    assert any(name == "_primitive_element" for _, _, name in before)
+    assert any(name == "primitive_element" for _, _, name in before)
     for text, depth in (("t^3", 10), ("t^2", 8)):
         pipeline(parse_level(text, field), depth)
     after = state_sizes()

@@ -240,7 +240,7 @@ KEY_CASES = [(q, lvl) for q in KEY_FIELDS
 
 class TestOrbitId:
     """The build and the tests' `locate` find the class of a vertex by its
-    orbit id (`hecke._Column.orbit_id`), so the id must be equal on every
+    orbit id (`points.Point.orbit_id`), so the id must be equal on every
     vertex of a
     class, in whichever frame its reduction gives, and distinct between
     classes: the class it finds must be the one a witness scan of the whole
@@ -278,7 +278,7 @@ class TestOrbitId:
         t coefficient of x is read when e = 1, and the id is the least over
         the points (X + zY : Y) and (Y : X), in the orbits
         {(0 : 1), (1 : 1), (1 : 0)} and {(t : 1), (1 : 1+t), (1 : t)}."""
-        from btquot.hecke import _Column
+        from btquot.points import Point
         level = parse_level("t^2", F2)
         one, t, t2 = (1,), (0, 1), (0, 0, 1)
         zero_orbit, t_orbit = (t2, ()), (t, (1,))
@@ -288,7 +288,7 @@ class TestOrbitId:
                  (((0, 1), (1,)), [t_orbit] + [(one, ())] * 2),   # (1 : t)
                  (((1, 1), (1,)), [t_orbit] + [(one, ())] * 2)]   # (1 : 1+t)
         for col, ids in cases:
-            assert [_Column(level, col).orbit_id(n) for n in range(3)] == \
+            assert [Point(level, col).orbit_id(n) for n in range(3)] == \
                 [(n, e, vec) for n, (e, vec) in enumerate(ids)], col
         Q = build(F2, "t^2", 6)
         assert sorted(k for k in Q.ids if k[0] == 0) == \
@@ -301,9 +301,10 @@ class TestOrbitId:
         pair set {(1, 1)}, and the torus map of the pair (col, col) takes
         both forms (mu = 1 when L(d) is nonzero): a descriptor built from
         either has the same order, pairs and generators."""
-        from btquot.hecke import StabDescriptor, _Column
+        from btquot.hecke import StabDescriptor
+        from btquot.points import Point
         Q = build(FieldSpec(2), "t^2", 6)
-        cols = [_Column(Q.level, c.reduction.rows[::2]) for c in Q.classes]
+        cols = [Point(Q.level, c.reduction.rows[::2]) for c in Q.classes]
         mus = [col.torus(col, c.level_n)[0]
                for c, col in zip(Q.classes, cols)]
         assert 1 in mus and None in mus

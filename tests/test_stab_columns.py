@@ -1,5 +1,5 @@
 """A build reads each vertex group off the P^1(R/N_D) point of the first
-column (a, c) of its reduction (`hecke._Column`), once per column, and a
+column (a, c) of its reduction (`points.Point`), once per column, and a
 descriptor keeps the modulus M of its unipotent space until its basis is
 read: each class's descriptor equals a fresh `hecke.stabilizer`, its torus
 map equals the elimination of the stabilizer system, each located vertex
@@ -12,7 +12,7 @@ import pytest
 
 import dataclasses
 
-from btquot import hecke
+from btquot import hecke, points, quotient
 from btquot.algebra import FieldSpec, Polynomial
 from btquot.btree import Matrix2, act
 from btquot.hecke import (Level, orbit_witness, parse_level, reduce_vertex,
@@ -52,10 +52,10 @@ CENSUS_COLUMNS = [(2, "t", 10, 2), (2, "t;t+1", 12, 5), (2, "t^3", 12, 8),
 
 @pytest.fixture
 def solves(monkeypatch):
-    """Counts of the columns (`hecke._Column`) and of the kernel bases
+    """Counts of the points (`points.Point`) and of the kernel bases
     built."""
     out = {"columns": 0, "kernel bases": 0}
-    init, basis = hecke._Column.__init__, hecke._kernel_basis
+    init, basis = points.Point.__init__, hecke._kernel_basis
 
     def column(self, level, col):
         out["columns"] += 1
@@ -65,7 +65,7 @@ def solves(monkeypatch):
         out["kernel bases"] += 1
         return basis(field, m, k, n)
 
-    monkeypatch.setattr(hecke._Column, "__init__", column)
+    monkeypatch.setattr(points.Point, "__init__", column)
     monkeypatch.setattr(hecke, "_kernel_basis", kernel_basis)
     return out
 
@@ -100,7 +100,7 @@ ORACLE_BUILDS = pytest.mark.parametrize("level,depth", [
 @ORACLE_BUILDS
 def test_vertex_groups_equal_the_elimination(level, depth):
     """The torus map a column reads off its point and itself
-    (`hecke._Column.stabilizer`) equals the one the elimination of the
+    (`hecke.point_stabilizer`) equals the one the elimination of the
     stabilizer system gives (`torus_blocks`), on every class: mu and the
     kernel, and na and nc for all pairs, and on the scalar line, where
     only na + nc is read, na + nc and the reference's sum vanish entry by
@@ -111,8 +111,9 @@ def test_vertex_groups_equal_the_elimination(level, depth):
     Q, field = build_quotient(level, depth), level.field
     base = Q.classes[0]
     reductions = [(c.id, c.reduction, c.stab) for c in Q.classes] + [
-        ((col, n), red, column.stabilizer(base.representative, red))
-        for col, column in Q.columns.items() for n in range(depth + 2)
+        ((col, n), red, hecke.point_stabilizer(point, base.representative,
+                                               red))
+        for col, point in Q.columns.items() for n in range(depth + 2)
         for red in [dataclasses.replace(base.reduction, level_n=n,
                                         rows=(col[0], (), col[1], ()))]]
     for key, red, stab in reductions:
@@ -135,8 +136,8 @@ def locate(Q, v):
     reads the same id (`QuotientGraph._classify`)."""
     red = reduce_vertex(v)
     col = red.rows[::2]
-    column = Q.columns.get(col) or hecke._Column(Q.level, col)
-    cid = Q.ids.get(column.orbit_id(red.level_n))
+    point = Q.columns.get(col) or points.Point(Q.level, col)
+    cid = Q.ids.get(point.orbit_id(red.level_n))
     if cid is None:
         return None
     cls = Q.classes[cid]
@@ -211,14 +212,14 @@ def test_mass_contradiction_exits_3(monkeypatch, capsys, forge):
     level's mass above |P^1(R/N_D)|, is an internal contradiction: the
     build raises and the command exits 3."""
     from btquot.cli import main
-    stabilizer_of = hecke._Column.stabilizer
+    stabilizer_of = quotient.point_stabilizer
 
-    def forged_order(column, v, red):
-        stab = stabilizer_of(column, v, red)
+    def forged_order(point, v, red):
+        stab = stabilizer_of(point, v, red)
         stab._order = forge(stab.order, stab.field.q)
         return stab
 
-    monkeypatch.setattr(hecke._Column, "stabilizer", forged_order)
+    monkeypatch.setattr(quotient, "point_stabilizer", forged_order)
     assert main(["quotient", "--p", "3", "--level", "t", "--depth",
                  "6"]) == 3
     assert "do not fit in the 4 points of P^1(R/N_D)" in \

@@ -58,6 +58,36 @@ def test_only_hecke_reads_and_builds_stabilizer_descriptors():
         assert not read & internal, (path.name, sorted(read & internal))
 
 
+def test_only_points_reads_a_point():
+    """A point of P^1(R/N_D) is stored as `points` alone knows: no other
+    module reads its parts or cached ids, the quotient and the
+    presentation import no private name of `hecke` or `points`, and
+    `hecke` binds the level-0 solver of `points` itself, so that the
+    tracer, which rebinds it by identity, counts the solves `points`
+    makes."""
+    internal = {"parts", "_parts", "_minus_x", "_zero"}
+    src = pathlib.Path(btquot.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        if path.name == "points.py":
+            continue
+        read = {node.attr for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Attribute)}
+        assert not read & internal, (path.name, sorted(read & internal))
+    for name in ("quotient", "presentation"):
+        tree = ast.parse((src / (name + ".py")).read_text())
+        private = [(node.module, alias.name) for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom)
+                   and node.module in ("hecke", "points")
+                   for alias in node.names if alias.name.startswith("_")]
+        private += [(node.value.id, node.attr) for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in ("hecke", "points")
+                    and node.attr.startswith("_")]
+        assert private == [], (name, private)
+    assert btquot.hecke.solve_affine is btquot.points.solve_affine
+
+
 def test_group_modules_do_not_bind_rational_functions():
     """Elements of GL2(F_q[t]) hold `Polynomial` entries; F_q(t) stays in
     the lattice bases of `btree`, so the Hecke layer, the quotient build
