@@ -9,7 +9,6 @@ which is the only case the tree pipeline itself computes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -28,7 +27,6 @@ VERDICT_OUT = "out-of-theorem"
 INFINITE = "infinite"
 
 
-@dataclass(frozen=True)
 class PicardData:
     """Class-group quantities entering the counts.
 
@@ -40,12 +38,13 @@ class PicardData:
     Defaults are the trivial values for P^1 with deg(P_inf) = 1.
     """
 
-    g2_order: int = 1
-    index_theorem: int = 1
-    index_component: int = 1
-    pic_R_order: object = 1
+    __slots__ = ("g2_order", "index_theorem", "index_component",
+                 "pic_R_order")
 
-    def __post_init__(self):
+    def __init__(self, g2_order=1, index_theorem=1, index_component=1,
+                 pic_R_order=1):
+        self.g2_order, self.index_theorem = g2_order, index_theorem
+        self.index_component, self.pic_R_order = index_component, pic_R_order
         for name in ("g2_order", "index_theorem", "index_component"):
             v = getattr(self, name)
             if not (isinstance(v, int) and v >= 1):
@@ -54,6 +53,10 @@ class PicardData:
         if v != INFINITE and not (isinstance(v, int) and v >= 1):
             raise FormulaError("pic_R_order must be a positive integer or "
                                "'infinite'")
+
+
+# the Picard data of P^1, taken when a caller passes none
+_TRIVIAL_PICARD = PicardData()
 
 
 def alpha(level, q):
@@ -80,7 +83,7 @@ def cusp_count(level, q, pic=None):
     otherwise it is an upper bound for the certified count.  The zero level
     is the full GL2(R) case, counted by |Pic(R)| and always exact.
     """
-    pic = pic or PicardData()
+    pic = pic or _TRIVIAL_PICARD
     if level.is_zero():
         value = math.inf if pic.pic_R_order == INFINITE else pic.pic_R_order
         return value, True
@@ -101,7 +104,7 @@ def split_counts(level, q, pic=None):
     Requires every multiplicity odd and g(2) trivial; the split count is
     2^r * index and the rest of c(H_D) is non-split.
     """
-    pic = pic or PicardData()
+    pic = pic or _TRIVIAL_PICARD
     return _split_counts(level, pic, cusp_count(level, q, pic)[0])
 
 
@@ -126,7 +129,7 @@ def _split_counts(level, pic, c):
 def classifying_cusp_count(level, q, pic=None):
     """Cusps of one connected component of the level-D classifying graph:
     alpha(D) times the component index."""
-    pic = pic or PicardData()
+    pic = pic or _TRIVIAL_PICARD
     if level.is_zero():
         raise FormulaError("classifying count is undefined for level zero")
     return int(alpha(level, q) * pic.index_component)
@@ -145,21 +148,23 @@ def abelianization_verdict(level):
     return VERDICT_INF_FP
 
 
-@dataclass(frozen=True)
 class FormulaReport:
-    level: object
-    q: int
-    alpha: object          # Fraction (None for level zero)
-    c_HD: object           # int or math.inf
-    exact: bool
-    serre_case: bool
-    card_D: object         # int or None when hypotheses fail
-    card_I: object
-    abelianization: str
+    __slots__ = ("level", "q", "alpha", "c_HD", "exact", "serre_case",
+                 "card_D", "card_I", "abelianization")
+
+    def __init__(self, level, q, alpha, c_HD, exact, serre_case, card_D,
+                 card_I, abelianization):
+        self.level, self.q = level, q
+        self.alpha = alpha             # Fraction (None for level zero)
+        self.c_HD = c_HD               # int or math.inf
+        self.exact, self.serre_case = exact, serre_case
+        self.card_D = card_D           # int or None when hypotheses fail
+        self.card_I = card_I
+        self.abelianization = abelianization
 
 
 def formula_report(level, q, pic=None):
-    pic = pic or PicardData()
+    pic = pic or _TRIVIAL_PICARD
     serre = level.is_zero()
     a = None if serre else alpha(level, q)
     c, exact = (cusp_count(level, q, pic) if serre

@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 from .algebra import (MAX_DEGREE, AlgebraError, Polynomial,
                       _strip_outer_parens, decimal_value, format_polynomial,
@@ -209,18 +208,24 @@ def is_member(g, level):
 # Nagao reduction to the standard ray
 
 
-@dataclass(frozen=True)
 class ReductionResult:
     """Nagao's reduction of a vertex v, the one frame v is read in: the
     level n of v_n, the word, the packed rows (A, B, C, D) of g and its
     residue matrix k (`reduce_vertex`), packed ints (k11, k12, k21, k22);
     `g` is the `Matrix2` of the rows and `inverse` the packed rows of
-    g^-1, each made on its first read."""
-    level_n: int
-    word: tuple
-    rows: tuple
-    link: tuple
-    field: object
+    g^-1, each made on its first read.  Two reductions are equal when
+    their five parts are."""
+
+    def __init__(self, level_n, word, rows, link, field):
+        self.level_n, self.word, self.rows = level_n, word, rows
+        self.link, self.field = link, field
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.level_n, self.word, self.rows, self.link,
+                self.field) == (other.level_n, other.word, other.rows,
+                                other.link, other.field)
 
     @functools.cached_property
     def g(self):

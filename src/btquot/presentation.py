@@ -38,7 +38,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
 from itertools import groupby
 
 from . import hecke
@@ -127,37 +126,55 @@ def smith_normal_form(rows, ncols):
 # graph of groups
 
 
-@dataclass
 class GogEdge:
-    src: int                  # class id of the source side (lift known)
-    dst: int
-    lift_dst: object          # tree neighbor of lifts[src] lying in class dst
-    in_tree: bool
-    g_y: object               # identity on tree edges; act(g_y, lifts[dst]) = lift_dst
-    edge_group: object        # StabDescriptor of the edge group in the
-                              # source frame if both ends are finite, else None
+    __slots__ = ("src", "dst", "lift_dst", "in_tree", "g_y", "edge_group")
+
+    def __init__(self, src, dst, lift_dst, in_tree, g_y, edge_group):
+        # class ids of the source side (lift known) and of the target
+        self.src, self.dst = src, dst
+        # tree neighbor of lifts[src] lying in class dst
+        self.lift_dst = lift_dst
+        self.in_tree = in_tree
+        # identity on tree edges; act(g_y, lifts[dst]) = lift_dst
+        self.g_y = g_y
+        # StabDescriptor of the edge group in the source frame if both
+        # ends are finite, else None
+        self.edge_group = edge_group
 
 
-@dataclass
 class CuspGroupDescriptor:
-    cusp: object
-    chain: tuple              # maximal certified tail, innermost class first
-    splitness: str
-    torus: str                # "full", "scalar", or "trivial" (q = 2)
-    unipotent_tower: tuple
-    junction_order: object    # order of the junction edge group, or None
+    __slots__ = ("cusp", "chain", "splitness", "torus", "unipotent_tower",
+                 "junction_order")
+
+    def __init__(self, cusp, chain, splitness, torus, unipotent_tower,
+                 junction_order):
+        self.cusp = cusp
+        # maximal certified tail, innermost class first
+        self.chain = chain
+        self.splitness = splitness
+        # "full", "scalar", or "trivial" (q = 2)
+        self.torus = torus
+        self.unipotent_tower = unipotent_tower
+        # order of the junction edge group, or None
+        self.junction_order = junction_order
 
 
-@dataclass
 class GraphOfGroups:
-    base: object
-    spanning_tree: tuple      # unordered edge keys
-    lifts: dict               # class id -> lifted vertex, coherent on the tree
-    vertex_stabs: dict        # class id -> StabDescriptor at the lift
-    finite_classes: tuple     # sorted class ids of the finite part
-    edges: list
-    tails: list
-    y_classes: tuple
+    __slots__ = ("base", "spanning_tree", "lifts", "vertex_stabs",
+                 "finite_classes", "edges", "tails", "y_classes")
+
+    def __init__(self, base, spanning_tree, lifts, vertex_stabs,
+                 finite_classes, edges, tails, y_classes):
+        self.base = base
+        # unordered edge keys
+        self.spanning_tree = spanning_tree
+        # class id -> lifted vertex, coherent on the tree
+        self.lifts = lifts
+        # class id -> StabDescriptor at the lift
+        self.vertex_stabs = vertex_stabs
+        # sorted class ids of the finite part
+        self.finite_classes = finite_classes
+        self.edges, self.tails, self.y_classes = edges, tails, y_classes
 
 
 def _maximal_tails(Q):
@@ -275,11 +292,15 @@ def _tail_descriptor(Q, cusp, tail, vertex_stabs, edges):
 # presentation emission
 
 
-@dataclass
 class Presentation:
-    generators: list          # (name, Matrix2)
-    relations: list           # each a tuple of (name, exponent)
-    tail_summaries: list
+    __slots__ = ("generators", "relations", "tail_summaries")
+
+    def __init__(self, generators, relations, tail_summaries):
+        # (name, Matrix2)
+        self.generators = generators
+        # each a tuple of (name, exponent)
+        self.relations = relations
+        self.tail_summaries = tail_summaries
 
 
 def _group_walk(stab, gens, parents):

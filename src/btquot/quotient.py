@@ -44,7 +44,6 @@ the classes it passed are stored on the cusp as its maximal tail.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
 
 from .btree import BallVertex
 from .hecke import point_stabilizer, reduce_vertex
@@ -69,61 +68,73 @@ NONSPLIT = "nonsplit"
 INDETERMINATE = "indeterminate"
 
 
-@dataclass
 class Strand:
     """One stabilizer orbit on the tree neighbors of a class representative:
     its size, the class it lies in, its end, the orbit's representative
     neighbor as the vertex object the build located, and the index of the
     end in `BallVertex.neighbors`."""
-    orbit_size: int
-    dst: int
-    end: BallVertex
-    index: int
+
+    __slots__ = ("orbit_size", "dst", "end", "index")
+
+    def __init__(self, orbit_size, dst, end, index):
+        self.orbit_size, self.dst, self.end, self.index = \
+            orbit_size, dst, end, index
 
 
-@dataclass
 class OrbitClass:
-    id: int
-    representative: BallVertex
-    level_n: int
-    layer: int
-    parent: object       # id of the class whose expansion found it, or None
-    stab: object
-    reduction: object
-    expanded: bool = False
-    strands: list = dc_field(default_factory=list)
+    __slots__ = ("id", "representative", "level_n", "layer", "parent",
+                 "stab", "reduction", "expanded", "strands")
+
+    def __init__(self, id, representative, level_n, layer, parent, stab,
+                 reduction, expanded=False, strands=None):
+        self.id, self.representative = id, representative
+        self.level_n, self.layer = level_n, layer
+        # id of the class whose expansion found it, or None
+        self.parent = parent
+        self.stab, self.reduction = stab, reduction
+        self.expanded = expanded
+        self.strands = [] if strands is None else strands
 
 
-@dataclass
 class QuotientEdge:
-    src: int
-    dst: int
-    multiplicity: int
+    __slots__ = ("src", "dst", "multiplicity")
+
+    def __init__(self, src, dst, multiplicity):
+        self.src, self.dst, self.multiplicity = src, dst, multiplicity
 
 
-@dataclass
 class CuspDescriptor:
-    germ: tuple          # (inner class id, next class id) of the certified pair
-    certified_depth: int
-    splitness: str
-    stab_tower: tuple    # stabilizer orders along the certified ray
-    chain: tuple         # class ids, innermost certified vertex first
-    unipotent_tower: tuple
-    tail: tuple          # class ids of the maximal tail, innermost first
+    __slots__ = ("germ", "certified_depth", "splitness", "stab_tower",
+                 "chain", "unipotent_tower", "tail")
+
+    def __init__(self, germ, certified_depth, splitness, stab_tower, chain,
+                 unipotent_tower, tail):
+        # (inner class id, next class id) of the certified pair
+        self.germ = germ
+        self.certified_depth, self.splitness = certified_depth, splitness
+        # stabilizer orders along the certified ray
+        self.stab_tower = stab_tower
+        # class ids, innermost certified vertex first
+        self.chain = chain
+        self.unipotent_tower = unipotent_tower
+        # class ids of the maximal tail, innermost first
+        self.tail = tail
 
 
-@dataclass
 class QuotientGraph:
-    field: object
-    level: object
-    depth: int
-    classes: list = dc_field(default_factory=list)
-    edges: list = dc_field(default_factory=list)
-    cusps: list = dc_field(default_factory=list)
-    # orbit id (`points.Point.orbit_id`) -> class id
-    ids: dict = dc_field(default_factory=dict, repr=False)
-    # packed first column (a, c) -> its point (`points.Point`)
-    columns: dict = dc_field(default_factory=dict, repr=False)
+    __slots__ = ("field", "level", "depth", "classes", "edges", "cusps",
+                 "ids", "columns")
+
+    def __init__(self, field, level, depth, classes=None, edges=None,
+                 cusps=None, ids=None, columns=None):
+        self.field, self.level, self.depth = field, level, depth
+        self.classes = [] if classes is None else classes
+        self.edges = [] if edges is None else edges
+        self.cusps = [] if cusps is None else cusps
+        # orbit id (`points.Point.orbit_id`) -> class id
+        self.ids = {} if ids is None else ids
+        # packed first column (a, c) -> its point (`points.Point`)
+        self.columns = {} if columns is None else columns
 
     def class_by_id(self, cid):
         return self.classes[cid]

@@ -198,6 +198,8 @@ class TestFormulaReport:
             assert report.abelianization == abelianization_verdict(level)
 
     def test_alpha_and_picard_data_once(self, monkeypatch):
+        """A report computes alpha once; the default Picard data was built
+        once, at import, and no call builds it again."""
         from btquot import formulas
         calls = {"alpha": 0, "pic": 0}
 
@@ -213,7 +215,7 @@ class TestFormulaReport:
         for text in ("t^3", "t^2", "t;t+1"):
             calls.update(alpha=0, pic=0)
             formula_report(lvl(text), 2)
-            assert calls == {"alpha": 1, "pic": 1}
+            assert calls == {"alpha": 1, "pic": 0}
         calls.update(alpha=0, pic=0)
         formula_report(lvl("0"), 2)
-        assert calls == {"alpha": 0, "pic": 1}
+        assert calls == {"alpha": 0, "pic": 0}

@@ -1,9 +1,12 @@
 """Every name a module of `btquot` imports is used in it.  `__init__.py`,
 which imports to re-export, is left out, and so are `__future__` imports;
-a name listed in the module's `__all__` counts as used."""
+a name listed in the module's `__all__` counts as used.  Importing the
+package and its command line loads neither `dataclasses` nor `inspect`."""
 
 import ast
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -40,3 +43,14 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("name", MODULES)
 def test_no_unused_import(name):
     assert unused_imports((SRC / name).read_text()) == []
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    """In a fresh interpreter, as pytest has loaded both modules; `-S`
+    keeps out what the site's .pth files import."""
+    code = ("import sys; sys.path.insert(0, %r); import btquot, btquot.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+            % str(SRC.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", code],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -7,7 +7,7 @@ import pytest
 from btquot.algebra import FieldSpec, Polynomial
 from btquot.btree import Matrix2, act
 from btquot.hecke import Level, orbit_witness, parse_level, reduce_vertex
-from btquot.presentation import (PresentationError,
+from btquot.presentation import (GogEdge, GraphOfGroups, PresentationError,
                                  PresentationInconsistency,
                                  abelianization_of_line_amalgam,
                                  amalgam_example_check,
@@ -22,6 +22,15 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 9: (3, 2)}
 
 _cache = {}
+
+
+def with_witness(G, i, g_y):
+    """A copy of the graph of groups G whose edge i has the witness g_y."""
+    edges = list(G.edges)
+    e = edges[i]
+    edges[i] = GogEdge(e.src, e.dst, e.lift_dst, e.in_tree, g_y, e.edge_group)
+    return GraphOfGroups(G.base, G.spanning_tree, G.lifts, G.vertex_stabs,
+                         G.finite_classes, edges, G.tails, G.y_classes)
 
 
 def line_setup(q, depth=8):
@@ -356,7 +365,6 @@ class TestNonTreeEdges:
         order 4.  At q=3, D=t^3 every non-tree edge group is the center
         {I, 2I}, which any g_y maps onto itself; the witness check catches
         a wrong g_y there (next test)."""
-        import dataclasses
         Q = build_quotient(parse_level("t^2;t+1", FieldSpec(3)), 10)
         certify_cusps(Q, 3)
         G = build_graph_of_groups(Q)
@@ -365,12 +373,10 @@ class TestNonTreeEdges:
                     and e.edge_group and e.edge_group.order > Q.field.q - 1]
         assert tampered
         for i in tampered:
-            edges = list(G.edges)
-            edges[i] = dataclasses.replace(edges[i],
-                                           g_y=Matrix2.identity(Q.field))
             with pytest.raises(PresentationInconsistency,
                                match="injection image"):
-                emit_presentation(dataclasses.replace(G, edges=edges))
+                emit_presentation(
+                    with_witness(G, i, Matrix2.identity(Q.field)))
 
     def test_wrong_witness_on_central_edge_groups_is_caught(self):
         """At q=3, D=t^3 both non-tree edge groups are the center {I, 2I},
@@ -378,7 +384,6 @@ class TestNonTreeEdges:
         identity, or the other strand's g_y, in place of either g_y does
         not map the lift of the target class to the edge's end, and the
         witness check says so."""
-        import dataclasses
         Q = build_quotient(parse_level("t^3", FieldSpec(3)), 10)
         certify_cusps(Q, 3)
         G = build_graph_of_groups(Q)
@@ -388,11 +393,9 @@ class TestNonTreeEdges:
         assert all(G.edges[i].edge_group.order == 2 for i in nontree)
         for i, j in (nontree, nontree[::-1]):
             for g_y in (Matrix2.identity(Q.field), G.edges[j].g_y):
-                edges = list(G.edges)
-                edges[i] = dataclasses.replace(edges[i], g_y=g_y)
                 with pytest.raises(PresentationInconsistency,
                                    match="witness g_y"):
-                    emit_presentation(dataclasses.replace(G, edges=edges))
+                    emit_presentation(with_witness(G, i, g_y))
 
 
 def _levels(q, deg):

@@ -10,8 +10,6 @@ import itertools
 
 import pytest
 
-import dataclasses
-
 from btquot import hecke, points, quotient
 from btquot.algebra import FieldSpec, Polynomial
 from btquot.btree import Matrix2, act
@@ -114,8 +112,9 @@ def test_vertex_groups_equal_the_elimination(level, depth):
         ((col, n), red, hecke.point_stabilizer(point, base.representative,
                                                red))
         for col, point in Q.columns.items() for n in range(depth + 2)
-        for red in [dataclasses.replace(base.reduction, level_n=n,
-                                        rows=(col[0], (), col[1], ()))]]
+        for red in [hecke.ReductionResult(
+            n, base.reduction.word, (col[0], (), col[1], ()),
+            base.reduction.link, base.reduction.field)]]
     for key, red, stab in reductions:
         mu, na, nc, kernel = torus_blocks(*reference_system(level, red, red),
                                           field)
