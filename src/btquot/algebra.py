@@ -884,7 +884,7 @@ def expand_pair(num, den, cutoff):
 # "poly / poly" with optional parentheses; whitespace is ignored.
 
 
-def format_polynomial(poly, var="t"):
+def format_polynomial(poly):
     if poly.is_zero():
         return "0"
     parts = []
@@ -895,18 +895,17 @@ def format_polynomial(poly, var="t"):
         if i == 0:
             parts.append(str(ci))
         elif i == 1:
-            parts.append(var if ci == 1 else "%d*%s" % (ci, var))
+            parts.append("t" if ci == 1 else "%d*t" % ci)
         else:
-            parts.append("%s^%d" % (var, i) if ci == 1
-                         else "%d*%s^%d" % (ci, var, i))
+            parts.append("t^%d" % i if ci == 1 else "%d*t^%d" % (ci, i))
     return "+".join(parts)
 
 
-def format_rational(rf, var="t"):
+def format_rational(rf):
     if rf.is_polynomial():
-        return format_polynomial(rf.num, var)
-    num = format_polynomial(rf.num, var)
-    den = format_polynomial(rf.den, var)
+        return format_polynomial(rf.num)
+    num = format_polynomial(rf.num)
+    den = format_polynomial(rf.den)
     if rf.num.degree > 0:
         num = "(%s)" % num
     if rf.den.degree > 0:
@@ -1016,7 +1015,7 @@ def _packed_coefficient(digits, field, src, at):
     return value
 
 
-def parse_rational(text, field, var="t"):
+def parse_rational(text, field):
     src = text
     t = "".join(text.split())
     depth = 0
@@ -1031,12 +1030,12 @@ def parse_rational(text, field, var="t"):
                 raise ParseError("multiple '/'", src, i)
             slash = i
     if slash == -1:
-        return RationalFunction(parse_polynomial(t, field, var))
-    num = parse_polynomial(_strip_outer_parens(t[:slash]), field, var)
+        return RationalFunction(parse_polynomial(t, field))
+    num = parse_polynomial(_strip_outer_parens(t[:slash]), field)
     den_text = _strip_outer_parens(t[slash + 1:])
     if not den_text:
         raise ParseError("missing denominator", src, slash)
-    den = parse_polynomial(den_text, field, var)
+    den = parse_polynomial(den_text, field)
     if den.is_zero():
         raise ParseError("zero denominator", src, slash)
     return RationalFunction(num, den)

@@ -92,7 +92,7 @@ class Level:
 
     __slots__ = ("field", "primes", "modulus", "_key")
 
-    def __init__(self, field, primes=()):
+    def __init__(self, field, primes):
         seen = set()
         prs = []
         for poly, mult in primes:
@@ -320,7 +320,7 @@ def _nagao_reduction(v):
 # kernels and spans over F_q
 
 
-def _mod_vectors(field, x, modulus, count=1):
+def _mod_vectors(field, x, modulus, count):
     """Packed coefficient vectors, of length deg N, of t^i * x mod N for
     i < count, x and the monic N packed coefficient lists: one division,
     then each the previous one shifted up, less its top coefficient
@@ -489,16 +489,14 @@ class StabDescriptor:
     element; `frame_of` reads the frame data back off an element.
     """
 
-    __slots__ = ("base_vertex", "reduction", "level_n", "level", "field",
+    __slots__ = ("base_vertex", "reduction", "level_n", "field",
                  "torus_map", "m", "top", "_kb", "_dim", "kernel",
                  "_triangular", "_order")
 
-    def __init__(self, base_vertex, reduction, level, torus, kernel,
-                 top=None):
+    def __init__(self, base_vertex, reduction, torus, kernel, top=None):
         self.base_vertex = base_vertex
         self.reduction = reduction
         self.level_n = level_n = reduction.level_n
-        self.level = level
         self.field = base_vertex.field
         q, (mu, na, nc, self.m) = self.field.q, torus
         self.torus_map = (None if q == 2 else mu, na, nc)
@@ -591,7 +589,7 @@ class StabDescriptor:
                 kernel = _cut(f, self.kernel, (f.neg(x), f.neg(1),
                                                f.mul(x, x), x))
                 kernel = kernel if any(vec[2] for vec in kernel) else ()
-        return StabDescriptor(self.base_vertex, self.reduction, self.level,
+        return StabDescriptor(self.base_vertex, self.reduction,
                               (mu, na, nc, self.m), kernel, top)
 
     def unipotent_dim(self):
@@ -758,16 +756,22 @@ class StabDescriptor:
             raise SizeError("stabilizer order %d exceeds cap %d"
                             % (self.order, cap))
 
-    def materialize(self, cap=ENUMERATION_CAP):
+    def materialize(self):
         """Full element list, the triangular elements before the level-0
-        extras, as an oracle; raises SizeError beyond cap."""
-        self.check_order(cap)
+        extras, as an oracle; raises SizeError beyond ENUMERATION_CAP."""
+        self.check_order(ENUMERATION_CAP)
         return [self.element(fr) for fr in self.frames()]
 
     def __repr__(self):
         return ("StabDescriptor(level_n=%d, order=%d, mu=%s, kernel=%d)"
                 % (self.level_n, self.order, self.torus_map[0],
                    len(self.kernel)))
+
+
+def ray_stab_order(q, n):
+    """|Stab(v_n)| in GL2(F_q[t]), determinant in F_q*: |GL2(F_q)| at
+    n = 0, and (q - 1)^2 q^(n + 1) for the triangular elements above."""
+    return (q * q - 1) * (q * q - q) if n == 0 else (q - 1) ** 2 * q ** (n + 1)
 
 
 def _level0_unit_group(field, kernel):
@@ -780,7 +784,7 @@ def _level0_unit_group(field, kernel):
     polynomial of x has none, one or two roots in F_q."""
     q = field.q
     if len(kernel) == 4:
-        return (q * q - 1) * (q * q - q), 0
+        return ray_stab_order(q, 0), 0
     if len(kernel) == 3:
         return (q - 1) ** 2 * q, 1
     add, mul, neg = field.add, field.mul, field.neg
@@ -814,7 +818,7 @@ def point_stabilizer(point, v, red):
     itself, and at level 0 its algebra V (`points`)."""
     n = red.level_n
     _check_unknowns(n)
-    return StabDescriptor(v, red, point.level, point.torus(point, n),
+    return StabDescriptor(v, red, point.torus(point, n),
                           point.algebra(point) if n == 0 else ())
 
 
@@ -881,7 +885,7 @@ def _ray_stab_tuples(field, n):
     Deterministic order.  Raises SizeError, before the first tuple, when
     the group has more than ENUMERATION_CAP elements."""
     q = field.q
-    order = (q * q - 1) * (q * q - q) if n == 0 else (q - 1) ** 2 * q ** (n + 1)
+    order = ray_stab_order(q, n)
     if order > ENUMERATION_CAP:
         raise SizeError("brute force would enumerate %d elements of "
                         "Stab(v_%d), above the cap %d"

@@ -143,12 +143,11 @@ class GogEdge:
 
 
 class CuspGroupDescriptor:
-    __slots__ = ("cusp", "chain", "splitness", "torus", "unipotent_tower",
+    __slots__ = ("chain", "splitness", "torus", "unipotent_tower",
                  "junction_order")
 
-    def __init__(self, cusp, chain, splitness, torus, unipotent_tower,
+    def __init__(self, chain, splitness, torus, unipotent_tower,
                  junction_order):
-        self.cusp = cusp
         # maximal certified tail, innermost class first
         self.chain = chain
         self.splitness = splitness
@@ -282,7 +281,7 @@ def _tail_descriptor(Q, cusp, tail, vertex_stabs, edges):
             if other not in tail and e.edge_group is not None:
                 junction_order = e.edge_group.order
                 break
-    return CuspGroupDescriptor(cusp=cusp, chain=tuple(tail),
+    return CuspGroupDescriptor(chain=tuple(tail),
                                splitness=cusp.splitness, torus=torus,
                                unipotent_tower=dims,
                                junction_order=junction_order)
@@ -588,7 +587,7 @@ def abelianization_of_line_amalgam(G):
     }
 
 
-def amalgam_example_check(field, depth=8, window=3):
+def amalgam_example_check(field, depth=8):
     """End-to-end structural check of the degree-one level D = (t): the
     quotient is a line, the two certified cusps match the closed form, the
     tails carry the upper/lower triangular tower shapes, and they are glued
@@ -614,7 +613,7 @@ def amalgam_example_check(field, depth=8, window=3):
     check("line: tree of max valency 2",
           len(Q.edges) == len(Q.classes) - 1
           and all(len(v) <= 2 for v in adj.values()))
-    cusps = certify_cusps(Q, window)
+    cusps = certify_cusps(Q)
     formula, exact = cusp_count(level, field.q)
     check("two certified cusps", len(cusps) == 2, "%d" % len(cusps))
     check("closed form agrees and is exact",

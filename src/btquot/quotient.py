@@ -46,7 +46,7 @@ from __future__ import annotations
 import json
 
 from .btree import BallVertex
-from .hecke import point_stabilizer, reduce_vertex
+from .hecke import point_stabilizer, ray_stab_order, reduce_vertex
 from .points import Point
 
 
@@ -86,14 +86,13 @@ class OrbitClass:
                  "stab", "reduction", "expanded", "strands")
 
     def __init__(self, id, representative, level_n, layer, parent, stab,
-                 reduction, expanded=False, strands=None):
+                 reduction):
         self.id, self.representative = id, representative
         self.level_n, self.layer = level_n, layer
         # id of the class whose expansion found it, or None
         self.parent = parent
         self.stab, self.reduction = stab, reduction
-        self.expanded = expanded
-        self.strands = [] if strands is None else strands
+        self.expanded, self.strands = False, []
 
 
 class QuotientEdge:
@@ -125,16 +124,13 @@ class QuotientGraph:
     __slots__ = ("field", "level", "depth", "classes", "edges", "cusps",
                  "ids", "columns")
 
-    def __init__(self, field, level, depth, classes=None, edges=None,
-                 cusps=None, ids=None, columns=None):
-        self.field, self.level, self.depth = field, level, depth
-        self.classes = [] if classes is None else classes
-        self.edges = [] if edges is None else edges
-        self.cusps = [] if cusps is None else cusps
+    def __init__(self, level, depth):
+        self.field, self.level, self.depth = level.field, level, depth
+        self.classes, self.edges, self.cusps = [], [], []
         # orbit id (`points.Point.orbit_id`) -> class id
-        self.ids = {} if ids is None else ids
+        self.ids = {}
         # packed first column (a, c) -> its point (`points.Point`)
-        self.columns = {} if columns is None else columns
+        self.columns = {}
 
     def class_by_id(self, cid):
         return self.classes[cid]
@@ -216,12 +212,14 @@ def build_quotient(level, depth):
     """Quotient snapshot of radius `depth` around the base vertex class."""
     if depth < 1:
         raise QuotientError("depth must be >= 1")
-    Q = QuotientGraph(field=level.field, level=level, depth=depth)
+    Q = QuotientGraph(level, depth)
     Q._classify(BallVertex.base(level.field), None)
-    for layer in range(depth):
-        for cls in list(Q.classes):
-            if cls.layer == layer and not cls.expanded:
-                Q._expand(cls)
+    # a new class lies one layer out from the class whose expansion found
+    # it, so the list, expanded in order as it grows, is in layer order
+    for cls in Q.classes:
+        if cls.layer == depth:
+            break
+        Q._expand(cls)
     Q.edges = _aggregate_edges(Q.classes, level.field.q)
     _check_mass(Q)
     return Q
@@ -231,15 +229,14 @@ def _check_mass(Q):
     """Raise unless, on each level n, the mass m_n = sum |G_n|/|Stab(c)|
     over the classes c over v_n is a sum of integers at most
     |P^1(R/N_D)| = prod q^(d_i (n_i - 1)) (q^d_i + 1): the classes are the
-    G_n = Stab(v_n)-orbits on P^1(R/N_D), |G_0| = |GL2(F_q)| and
-    |G_n| = (q-1)^2 q^(n+1), with equality once every class is built."""
+    G_n = Stab(v_n)-orbits on P^1(R/N_D) (`hecke.ray_stab_order`), with
+    equality once every class is built."""
     q, points, mass = Q.field.q, 1, {}
     for poly, mult in Q.level.primes:
         points *= q ** (poly.degree * (mult - 1)) * (q ** poly.degree + 1)
     for c in Q.classes:
         n = c.level_n
-        size, rest = divmod((q * q - 1) * (q * q - q) if n == 0 else
-                            (q - 1) ** 2 * q ** (n + 1), c.stab.order)
+        size, rest = divmod(ray_stab_order(q, n), c.stab.order)
         mass[n] = mass.get(n, 0) + size
         if rest or mass[n] > points:
             raise InconsistencyError(

@@ -36,13 +36,13 @@ def _field(q):
     return _FIELDS[q]
 
 
-def _build(q, level_text, depth, window=3):
-    key = (q, level_text, depth, window)
+def _build(q, level_text, depth):
+    key = (q, level_text, depth)
     if key not in _BUILDS:
         field = _field(q)
         level = parse_level(level_text, field)
         Q = build_quotient(level, depth)
-        certify_cusps(Q, window)
+        certify_cusps(Q)
         _BUILDS[key] = Q
     return _BUILDS[key]
 
@@ -66,17 +66,17 @@ def _random_poly(field, rng, max_deg=2):
                               for _ in range(max_deg + 1)])
 
 
-def _random_invertible_poly_matrix(field, rng, max_deg=2):
+def _random_invertible_poly_matrix(field, rng):
     while True:
-        m = Matrix2(*(_random_poly(field, rng, max_deg) for _ in range(4)))
+        m = Matrix2(*(_random_poly(field, rng) for _ in range(4)))
         if not m.det().is_zero():
             return m
 
 
-def _random_member(field, level, rng, steps=4):
-    """Random element of H_D as a product of obvious members."""
+def _random_member(field, level, rng):
+    """Random element of H_D as a product of four obvious members."""
     g = Matrix2.identity(field)
-    for _ in range(steps):
+    for _ in range(4):
         kind = rng.randrange(3)
         if kind == 0:
             m = Matrix2.translation(_random_poly(field, rng, 2))
@@ -94,8 +94,8 @@ def _random_member(field, level, rng, steps=4):
 
 def _random_o_unimodular(field, rng):
     """Random 2x2 matrix over the valuation ring with unit determinant."""
-    def integral(max_m=3):
-        m = rng.randint(0, max_m)
+    def integral():
+        m = rng.randint(0, 3)
         num = Polynomial(field, [rng.randrange(field.q)
                                  for _ in range(m + 1)])
         return RationalFunction(num, Polynomial.one(field).shift(m))
@@ -309,12 +309,12 @@ def check_amalgam_example(fast=False):
 
 
 # ---------------------------------------------------------------------------
-# property suites (criterion 8); each runs >= `cases` randomized checks
+# property suites (criterion 8): 200 randomized checks each, fewer if fast
 
 
-def suite_action_isometry(cases=200, fast=False):
+def suite_action_isometry(fast=False):
     rng = random.Random(101)
-    n = cases if not fast else 60
+    n = 60 if fast else 200
     for i in range(n):
         field = _field((2, 3, 4)[i % 3])
         v = _random_vertex(field, rng)
@@ -329,9 +329,9 @@ def suite_action_isometry(cases=200, fast=False):
     return True, "%d cases" % n
 
 
-def suite_action_law(cases=200, fast=False):
+def suite_action_law(fast=False):
     rng = random.Random(102)
-    n = cases if not fast else 60
+    n = 60 if fast else 200
     for i in range(n):
         field = _field((2, 3, 5)[i % 3])
         v = _random_vertex(field, rng)
@@ -342,9 +342,9 @@ def suite_action_law(cases=200, fast=False):
     return True, "%d cases" % n
 
 
-def suite_canonical_invariance(cases=200, fast=False):
+def suite_canonical_invariance(fast=False):
     rng = random.Random(103)
-    n = cases if not fast else 60
+    n = 60 if fast else 200
     for i in range(n):
         field = _field((2, 3, 4)[i % 3])
         m = _random_invertible_poly_matrix(field, rng)
@@ -360,9 +360,9 @@ def suite_canonical_invariance(cases=200, fast=False):
     return True, "%d cases" % n
 
 
-def suite_distance_agreement(cases=200, fast=False):
+def suite_distance_agreement(fast=False):
     rng = random.Random(104)
-    n = cases if not fast else 50
+    n = 50 if fast else 200
     for i in range(n):
         field = _field((2, 3)[i % 2])
         v = _random_vertex(field, rng, rmin=-3, rmax=3, span=3)
@@ -378,9 +378,9 @@ def suite_distance_agreement(cases=200, fast=False):
     return True, "%d cases" % n
 
 
-def suite_orbit_relation_laws(cases=200, fast=False):
+def suite_orbit_relation_laws(fast=False):
     rng = random.Random(105)
-    n = cases if not fast else 50
+    n = 50 if fast else 200
     performed = 0
     for i in range(n):
         q = (2, 3)[i % 2]
@@ -420,9 +420,9 @@ def suite_orbit_relation_laws(cases=200, fast=False):
     return True, "%d cases" % performed
 
 
-def suite_solver_vs_brute_force(cases=200, fast=False):
+def suite_solver_vs_brute_force(fast=False):
     rng = random.Random(106)
-    n = cases if not fast else 40
+    n = 40 if fast else 200
     level_texts = ("t", "t^2", "t;t+1")
     for i in range(n):
         q = (2, 3)[i % 2]

@@ -501,7 +501,7 @@ class TestErrors:
 
         def forged_torus(point, v, red):
             stab = stabilizer(point, v, red)
-            return StabDescriptor(v, red, stab.level,
+            return StabDescriptor(v, red,
                                   (2,) + stab.torus_map[1:] + (stab.m,),
                                   stab.kernel)
 

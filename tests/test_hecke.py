@@ -568,11 +568,13 @@ class TestStabilizer:
             assert is_member(h, lvl)
             assert act(h, v) == v
 
-    def test_materialize_cap(self):
+    def test_materialize_cap(self, monkeypatch):
+        from btquot import hecke
         lvl = parse_level("t", F2)
         sd = stabilizer(BallVertex.standard(F2, 6), lvl)
+        monkeypatch.setattr(hecke, "ENUMERATION_CAP", 0)
         with pytest.raises(SizeError):
-            sd.materialize(cap=0)
+            sd.materialize()
 
     def test_level_zero_kernel_cap(self):
         """At D = 0 the level-0 system has no equations, so its kernel is
@@ -892,7 +894,7 @@ class TestGeneratingSet:
         v = BallVertex.standard(F3, 2)
         sd = stabilizer(v, parse_level("t", F3))
         assert len(sd.torus_pairs()) == 4
-        line = StabDescriptor(v, sd.reduction, sd.level,
+        line = StabDescriptor(v, sd.reduction,
                               (2,) + sd.torus_map[1:] + (sd.m,), ())
         with pytest.raises(HeckeInconsistency, match="torus pairs"):
             line.generator_frames()
@@ -900,7 +902,7 @@ class TestGeneratingSet:
 
         def forged_torus(point, v, red):
             stab = stabilizer_of(point, v, red)
-            return StabDescriptor(v, red, stab.level,
+            return StabDescriptor(v, red,
                                   (2,) + stab.torus_map[1:] + (stab.m,),
                                   stab.kernel)
 

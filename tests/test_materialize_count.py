@@ -20,9 +20,9 @@ def test_graph_of_groups_and_presentation_materialize_nothing(
     materialize, frames = StabDescriptor.materialize, StabDescriptor.frames
     torus_pairs = StabDescriptor.torus_pairs
 
-    def counted(self, cap=100000):
+    def counted(self):
         calls.append(self)
-        return materialize(self, cap)
+        return materialize(self)
 
     def counted_frames(self):
         listed.append(self)

@@ -58,6 +58,25 @@ class TestBuild:
         assert [(e.src, e.dst, e.multiplicity) for e in a.edges] == \
             [(e.src, e.dst, e.multiplicity) for e in b.edges]
 
+    def test_classes_expand_once_in_id_order(self, monkeypatch):
+        """The build expands the classes in id order, each once, up to the
+        last class inside the radius: the order the spanning tree of the
+        graph of groups relies on (`presentation`)."""
+        from btquot.quotient import QuotientGraph
+        expand, seen = QuotientGraph._expand, []
+
+        def counted(Q, cls):
+            seen.append(cls.id)
+            return expand(Q, cls)
+
+        monkeypatch.setattr(QuotientGraph, "_expand", counted)
+        for field, lvl, depth in ((F2, "t^3;t+1", 8), (F3, "t^2;t+1", 6)):
+            seen.clear()
+            Q = build_quotient(parse_level(lvl, field), depth)
+            assert seen == list(range(len(seen)))
+            assert seen == [c.id for c in Q.classes if c.expanded]
+            assert seen == [c.id for c in Q.classes if c.layer < depth]
+
     def test_class_levels_match_reductions(self):
         Q = build(F3, "t", 4)
         for c in Q.classes:
@@ -311,7 +330,7 @@ class TestOrbitId:
         for c in Q.classes:
             stab = c.stab
             line, full = (StabDescriptor(
-                stab.base_vertex, stab.reduction, Q.level,
+                stab.base_vertex, stab.reduction,
                 (mu,) + stab.torus_map[1:] + (stab.m,), stab.kernel)
                 for mu in (1, None))
             assert line.order == full.order == stab.order
@@ -953,7 +972,7 @@ class TestForgedDescriptors:
 
     def forged(self, stab, mu, na):
         from btquot.hecke import StabDescriptor
-        return StabDescriptor(stab.base_vertex, stab.reduction, stab.level,
+        return StabDescriptor(stab.base_vertex, stab.reduction,
                               (mu, na, stab.torus_map[2], stab.m),
                               stab.kernel)
 
