@@ -5,8 +5,9 @@ Conventions used throughout the package:
 
   * an element of F_q, q = p^s, is its packed int v in 0..q-1, whose
     base-p digits (little-endian) are its coordinates in the polynomial
-    basis of the field modulus, and F_q arithmetic is `FieldSpec.add`,
-    `neg`, `mul` and `inv` on packed ints; `FieldElement` is the interned,
+    basis of the field modulus, and F_q arithmetic is the ops a `FieldSpec`
+    binds when it is made (`add`, `neg`, `mul`, `inv`, `vadd`, `vscale`),
+    no other module reading how v is stored; `FieldElement` is the interned,
     read-only handle of v.  A prime field (s = 1) computes mod p and takes
     any prime p below 3.3e24, where primality is decided exactly.  An
     extension field (s >= 2) looks sums, negatives, products and inverses
@@ -30,6 +31,7 @@ threads.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import sys
@@ -98,13 +100,26 @@ _BUILTIN_MODULI = {
 }
 
 
+def _cyclic_powers(q, times):
+    """The powers 1, w, ..., w^(q-2) under `times` of the least packed int
+    w of multiplicative order q - 1: the elements of F_q*, w = 1 at q = 2."""
+    for w in range(1, q):
+        powers, x = [1], w
+        while x != 1:
+            powers.append(x)
+            x = times(x, w)
+        if len(powers) == q - 1:
+            return powers
+
+
 def _extension_tables(p, s, modulus):
     """Addition, negation, multiplication and inversion tables of
-    F_p[g]/(modulus) on packed ints.
+    F_p[g]/(modulus) on packed ints, and the powers of its least primitive
+    element (`_cyclic_powers`).
 
     Sums are digit-wise mod p, built one base-p digit at a time; products
-    and inverses come from the powers (exp/log) of a primitive element,
-    found by multiplying coordinate vectors modulo the modulus.
+    and inverses come from the powers (exp/log), found by multiplying
+    coordinate vectors modulo the modulus.
     """
     q = p ** s
     values = list(range(q))   # table entries share these int objects
@@ -125,30 +140,55 @@ def _extension_tables(p, s, modulus):
         rem = packed_divmod(prime, prod, modulus)[1]
         return sum(x * p ** i for i, x in enumerate(rem))
 
-    for gen in range(2, q):
-        exp = [1]
-        x = gen
-        while x != 1:
-            exp.append(x)
-            x = times(x, gen)
-        if len(exp) == q - 1:
-            break
+    powers = _cyclic_powers(q, times)
     log = [0] * q
-    for k, x in enumerate(exp):
+    for k, x in enumerate(powers):
         log[x] = k
-    exp = exp + exp
+    exp = powers + powers
     logs = log[1:]
     mul = [[0] * q] + [[0] + [exp[la + lb] for lb in logs] for la in logs]
     inv = [0] + [exp[q - 1 - la] for la in logs]
-    return add, neg, mul, inv
+    return add, neg, mul, inv, powers
+
+
+def _prime_ops(p):
+    """add, neg, mul, inv, vadd and vscale of F_p, on ints mod p."""
+    def inv(a):
+        if not a:
+            raise AlgebraError("inversion of zero")
+        return pow(a, p - 2, p)
+
+    return (lambda a, b: (a + b) % p, lambda a: -a % p,
+            lambda a, b: a * b % p, inv,
+            lambda u, v: tuple([(x + y) % p for x, y in zip(u, v)]),
+            lambda c, v: tuple([c * x % p for x in v]))
+
+
+def _table_ops(add, neg, mul, inv):
+    """The same ops of an extension field, as lookups in its tables."""
+    def invert(a):
+        if not a:
+            raise AlgebraError("inversion of zero")
+        return inv[a]
+
+    return (lambda a, b: add[a][b], neg.__getitem__,
+            lambda a, b: mul[a][b], invert,
+            lambda u, v: tuple([add[x][y] for x, y in zip(u, v)]),
+            lambda c, v: tuple(map(mul[c].__getitem__, v)))
 
 
 class FieldSpec:
     """The field F_q, q = p^s, with elements in the polynomial basis of a
     fixed monic irreducible modulus of degree s over F_p.
 
-    Besides the `FieldElement` handles (`element`, `zero`, `one`), the
-    field does arithmetic on packed ints: `add`, `neg`, `mul`, `inv`.
+    The representation is chosen once, at construction: ints mod p when
+    q = p, tables when s >= 2.  Arithmetic on packed ints is bound on the
+    instance: `add`, `neg`, `mul`, `inv`, and on packed-int tuples the sum
+    `vadd(u, v)` and the multiple `vscale(c, v)`, each a tuple.  The field
+    also holds the F_p-basis (1, g, ..., g^(s-1)) of F_q as packed ints
+    (`basis`), its least primitive element (`primitive`) and the discrete
+    logs to that base (`logs`), and the `FieldElement` handles
+    (`element`).  No other module reads how an element is stored.
     """
 
     def __init__(self, p, s=1, modulus=None):
@@ -182,15 +222,16 @@ class FieldSpec:
                                    % (modulus, p))
         # every monic linear modulus gives the same coordinates
         self.modulus = modulus if s > 1 else None
+        self.basis = tuple(p ** i for i in range(s))
         if s == 1:
-            self._add = self._neg = self._mul = self._inv = None
+            ops = _prime_ops(p)
+            self._handles = _Handles(self)
         else:
-            self._add, self._neg, self._mul, self._inv = _extension_tables(
-                p, s, modulus)
-        self._handles = (_Handles(self) if s == 1 else
-                         [FieldElement(self, v) for v in range(self.q)])
-        self.zero = self._handles[0]
-        self.one = self._handles[1]
+            (self._add, self._neg, self._mul, inv,
+             self._powers) = _extension_tables(p, s, modulus)
+            ops = _table_ops(self._add, self._neg, self._mul, inv)
+            self._handles = [FieldElement(self, v) for v in range(self.q)]
+        self.add, self.neg, self.mul, self.inv, self.vadd, self.vscale = ops
 
     # -- packed ints ----------------------------------------------------------
 
@@ -211,19 +252,25 @@ class FieldSpec:
         raise AlgebraError("packed value %d out of range for q=%d"
                            % (value, self.q))
 
-    def add(self, a, b):
-        return (a + b) % self.p if self.s == 1 else self._add[a][b]
+    # -- the multiplicative group ---------------------------------------------
 
-    def neg(self, a):
-        return -a % self.p if self.s == 1 else self._neg[a]
+    @functools.cached_property
+    def _powers(self):
+        """The powers of `primitive` (`_cyclic_powers`); an extension field
+        has them from building its tables."""
+        return _cyclic_powers(self.q, self.mul)
 
-    def mul(self, a, b):
-        return a * b % self.p if self.s == 1 else self._mul[a][b]
+    @property
+    def primitive(self):
+        """The least packed int of multiplicative order q - 1: it generates
+        F_q*, and is 1 at q = 2."""
+        return self._powers[1] if self.q > 2 else 1
 
-    def inv(self, a):
-        if not a:
-            raise AlgebraError("inversion of zero")
-        return pow(a, self.p - 2, self.p) if self.s == 1 else self._inv[a]
+    @functools.cached_property
+    def logs(self):
+        """The discrete log of each element of F_q* to the base
+        `primitive`, as a dict keyed by packed int."""
+        return {x: k for k, x in enumerate(self._powers)}
 
     # -- element handles ------------------------------------------------------
 
@@ -235,11 +282,6 @@ class FieldSpec:
             self.packed(value)
             return value
         return self._handles[self.packed(value)]
-
-    def generator(self):
-        if self.s == 1:
-            raise AlgebraError("prime field has no extension generator")
-        return self.element(self.p)
 
     def __eq__(self, other):
         return (isinstance(other, FieldSpec)
@@ -465,7 +507,7 @@ class Polynomial:
 
     __slots__ = ("field", "packed_coeffs")
 
-    def __init__(self, field, coeffs=()):
+    def __init__(self, field, coeffs):
         cs = [field.packed(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
@@ -767,7 +809,7 @@ class LaurentFragment:
     stored exponent strictly below `cutoff`.  The exponent of t^m is -m.
 
     `packed_terms` holds the (exponent, packed int) pairs in increasing
-    exponent; `terms` gives the same pairs with `FieldElement`s.
+    exponent.
     """
 
     __slots__ = ("field", "packed_terms", "cutoff", "_key")
@@ -791,11 +833,6 @@ class LaurentFragment:
     @classmethod
     def zero(cls, field, cutoff):
         return cls(field, (), cutoff)
-
-    @property
-    def terms(self):
-        handles = self.field._handles
-        return tuple((e, handles[c]) for e, c in self.packed_terms)
 
     def is_zero(self):
         return not self.packed_terms

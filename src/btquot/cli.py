@@ -92,7 +92,6 @@ def build_parser():
     _add_common(sp, depth=False)
     sp.add_argument("--g2-order", type=int, default=1)
     sp.add_argument("--index-theorem", type=int, default=1)
-    sp.add_argument("--index-component", type=int, default=1)
     sp.add_argument("--pic-r-order", default="1", type=integer_or_infinite)
 
     sp = sub.add_parser("reduce", help="reduce a vertex to the standard ray")
@@ -185,7 +184,6 @@ def _cmd_formula(args):
     level = parse_level(args.level, field)
     pic = PicardData(g2_order=args.g2_order,
                      index_theorem=args.index_theorem,
-                     index_component=args.index_component,
                      pic_R_order=args.pic_r_order)
     rep = formula_report(level, field.q, pic)
     lines = ["level=%s q=%d" % (level, field.q)]

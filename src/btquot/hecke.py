@@ -56,7 +56,7 @@ from .btree import (BallVertex, Matrix2, _rows_inverse, _rows_product,
                     act)
 # solve_affine is bound here too, so that perfbench traces the level-0
 # solves of `points` as `hecke.solve_affine`
-from .points import Point, _vector_ops, solve_affine
+from .points import Point, solve_affine
 
 
 class HeckeError(ValueError):
@@ -325,14 +325,13 @@ def _mod_vectors(field, x, modulus, count):
     i < count, x and the monic N packed coefficient lists: one division,
     then each the previous one shifted up, less its top coefficient
     times N."""
-    vadd, vscale = _vector_ops(field)
     m = len(modulus) - 1
     low = tuple(map(field.neg, modulus[:m]))
     rem = tuple(packed_divmod(field, x, modulus)[1])
     out = [rem + (0,) * (m - len(rem))]
     while len(out) < count:
         top, vec = m and out[-1][-1], ((0,) + out[-1])[:m]
-        out.append(vadd(vec, vscale(top, low)) if top else vec)
+        out.append(field.vadd(vec, field.vscale(top, low)) if top else vec)
     return out[:count]
 
 
@@ -363,8 +362,8 @@ def _kernel_basis(field, m, k, n):
 
 def _torus_frame(field, torus, ai, bi):
     """Frame data of the particular element of the pair (alpha, beta)."""
-    vadd, vscale = _vector_ops(field)
-    return ai, vadd(vscale(ai, torus[1]), vscale(bi, torus[2])), 0, bi
+    vscale = field.vscale
+    return ai, field.vadd(vscale(ai, torus[1]), vscale(bi, torus[2])), 0, bi
 
 
 def _cut(field, basis, row):
@@ -372,14 +371,13 @@ def _cut(field, basis, row):
     The last basis vector off the hyperplane is eliminated, so
     `_span_points` lists the cut in the order it lists the span's points
     on the hyperplane."""
-    vadd, vscale = _vector_ops(field)
     add, mul, neg = field.add, field.mul, field.neg
     dots = [functools.reduce(add, map(mul, row, vec), 0) for vec in basis]
     j = max((i for i, x in enumerate(dots) if x), default=None)
     if j is None:
         return basis
     inv, pivot = field.inv(dots[j]), basis[j]
-    return tuple(vadd(vec, vscale(neg(mul(x, inv)), pivot))
+    return tuple(field.vadd(vec, field.vscale(neg(mul(x, inv)), pivot))
                  for i, (vec, x) in enumerate(zip(basis, dots)) if i != j)
 
 
@@ -391,9 +389,8 @@ def _span_points(basis, field, origin=None):
     if not basis:
         yield () if origin is None else origin
         return
-    vadd, vscale = _vector_ops(field)
-    last = tuple(map(field.packed, basis[-1]))
-    table = [vscale(c, last) for c in range(field.q)]
+    vadd, last = field.vadd, tuple(map(field.packed, basis[-1]))
+    table = [field.vscale(c, last) for c in range(field.q)]
     for acc in _span_points(basis[:-1], field, origin or (0,) * len(last)):
         for vec in table:
             yield vadd(acc, vec)
@@ -413,19 +410,6 @@ def ray_frame(s, n):
         return None
     return (a[0] if a else 0, tuple(b) + (0,) * (n + 1 - len(b)),
             c[0] if c else 0, d[0] if d else 0)
-
-
-@functools.lru_cache(maxsize=32)
-def primitive_element(field):
-    """The least packed int of multiplicative order q - 1: it generates
-    F_q*."""
-    def order(w):
-        x, k = w, 1
-        while x != 1:
-            x, k = field.mul(x, w), k + 1
-        return k
-
-    return next(w for w in range(1, field.q) if order(w) == field.q - 1)
 
 
 def moebius(field, m, x):
@@ -578,7 +562,7 @@ class StabDescriptor:
         (mu, na, nc), top, kernel = self.torus_map, self.top, ()
         if x is not None:
             if self.holds_translations():
-                vadd, vscale = _vector_ops(f)
+                vadd, vscale = f.vadd, f.vscale
                 last, top = self.torus[3][-1], n - 1
                 na = vadd(na, vscale(f.add(f.neg(x), f.neg(na[n])), last))
                 nc = vadd(nc, vscale(f.add(x, f.neg(nc[n])), last))
@@ -667,25 +651,22 @@ class StabDescriptor:
         alpha/beta, so its F_q-basis generates it only over the subfield
         they generate: F_q for all of (F_q*)^2, F_p for the scalar line,
         the one line a group has (`_torus_lifts`), where the basis times
-        omega^i, 1 <= i < s, omega the field generator, completes it."""
+        each of 1, g, ..., g^(s-1), the F_p-basis of F_q (`FieldSpec.basis`),
+        spans it."""
         f, (mu, _, _, kb) = self.field, self.torus
-        if mu is None or f.s == 1:
+        if mu is None:
             return kb
-        basis = list(kb)
-        omega = w = f.p   # the packed int of the generator g
-        for _ in range(1, f.s):
-            basis.extend(tuple(f.mul(w, x) for x in vec) for vec in kb)
-            w = f.mul(w, omega)
-        return basis
+        return [f.vscale(w, vec) for w in f.basis for vec in kb]
 
     def _torus_lifts(self):
         """Frame data of lifts of generators of the torus pairs: the
         particular elements of (omega, 1) and (1, omega) when the pairs are
         all of (F_q*)^2, of (omega, omega) when they are the scalar line,
-        omega the least generator of F_q*; none at q = 2.  A group holds the
-        identity, so any other line alpha = mu*beta is an inconsistency."""
+        omega the least generator of F_q* (`FieldSpec.primitive`); none at
+        q = 2.  A group holds the identity, so any other line alpha =
+        mu*beta is an inconsistency."""
         f = self.field
-        mu, w = self.torus_map[0], primitive_element(f)
+        mu, w = self.torus_map[0], f.primitive
         if mu is None:
             pairs = ((w, 1), (1, w))
         elif mu == 1:

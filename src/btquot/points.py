@@ -32,18 +32,6 @@ import functools
 from .algebra import packed_combination, packed_divmod, packed_gcd, packed_mul
 
 
-def _vector_ops(field):
-    """The sum of two packed-int vectors and a packed int times one, as
-    tuples: one operation mod p or one table lookup per entry."""
-    if field.s == 1:
-        p = field.p
-        return (lambda u, v: tuple([(x + y) % p for x, y in zip(u, v)]),
-                lambda c, v: tuple([c * x % p for x in v]))
-    add, mul = field._add, field._mul
-    return (lambda u, v: tuple([add[x][y] for x, y in zip(u, v)]),
-            lambda c, v: tuple(map(mul[c].__getitem__, v)))
-
-
 def _eliminate(rows, ncols, field):
     """Gauss-Jordan elimination, in place, of augmented rows of packed ints:
     the first `ncols` entries of a row are coefficients, the rest are
@@ -60,8 +48,7 @@ def _eliminate(rows, ncols, field):
     basis of the kernel of the coefficient columns, as packed-int tuples.
     """
     nrows = len(rows)
-    vadd, vscale = _vector_ops(field)
-    neg = field.neg
+    vadd, vscale, neg = field.vadd, field.vscale, field.neg
     pivots = []
     for col in range(ncols):
         rank = len(pivots)
@@ -117,8 +104,8 @@ class Point:
 
     def __init__(self, level, col):
         self.level, self.col = level, col
-        self.scale, self.parts = _vector_ops(level.field)[1], self._parts(0)
-        self._minus_x = self.scale(level.field.neg(1), self.parts[2])
+        self.parts, field = self._parts(0), level.field
+        self._minus_x = field.vscale(field.neg(1), self.parts[2])
 
     def _parts(self, z):
         """(e, d mod g0, x(d), M1) of the point (X + zY : Y), or (a : c) at
@@ -144,7 +131,7 @@ class Point:
         (e, rest, top, _), field = parts, self.level.field
         vec = rest + top[n + 1:]
         lead = next((z for z in vec if z), 1)
-        return n, e, vec if lead == 1 else self.scale(field.inv(lead), vec)
+        return n, e, vec if lead == 1 else field.vscale(field.inv(lead), vec)
 
     @functools.cached_property
     def _zero(self):
@@ -170,7 +157,7 @@ class Point:
         else:
             i = next((i for i, z in enumerate(vec_src) if z), None)
             mu = i is not None and field.mul(vec[i], field.inv(vec_src[i]))
-            if not mu or self.scale(mu, vec_src) != vec:
+            if not mu or field.vscale(mu, vec_src) != vec:
                 return None
         zero = (0,) * (n + 1)
         return (mu, top_src[:n + 1] + zero[len(top_src):],

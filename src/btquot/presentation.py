@@ -42,7 +42,7 @@ from itertools import groupby
 
 from . import hecke
 from .btree import Matrix2, _rows_inverse, _rows_product
-from .hecke import primitive_element, ray_frame, reduce_vertex
+from .hecke import ray_frame, reduce_vertex
 from .quotient import SPLIT, InconsistencyError, frame_label
 
 
@@ -521,16 +521,6 @@ def _junction(G, starts):
     return group, [group.element_rows(fr) for fr in group.generator_frames()]
 
 
-def _discrete_logs(field):
-    """dlog table of F_q*, on packed ints, with respect to the least
-    primitive element (`primitive_element`)."""
-    g, logs, acc = primitive_element(field), {}, 1
-    for e in range(field.q - 1):
-        logs[acc] = e
-        acc = field.mul(acc, g)
-    return logs
-
-
 def abelianization_of_line_amalgam(G):
     """Abelianization of the fundamental group when the base is a doubly
     infinite line carrying exactly two split tails glued along one edge.
@@ -539,7 +529,8 @@ def abelianization_of_line_amalgam(G):
     scaling ratio != 1 kills the unipotent part, which needs q >= 3), the
     junction group maps to both tail tori by ordered eigenvalue pairs, a
     homomorphism, and the cokernel is read off an integer Smith normal
-    form of the images of its generators.
+    form of the images of its generators, each eigenvalue as its discrete
+    log (`FieldSpec.logs`).
     """
     Q = G.base
     q = Q.field.q
@@ -559,7 +550,7 @@ def abelianization_of_line_amalgam(G):
     if junction is None:
         raise PresentationError("tails do not meet along a single edge")
     stabs = [G.vertex_stabs[t.chain[0]] for t in G.tails]
-    logs = _discrete_logs(Q.field)
+    logs = Q.field.logs
     m = q - 1
     rows = [[m, 0, 0, 0], [0, m, 0, 0], [0, 0, m, 0], [0, 0, 0, m]]
     for h in junction[1]:
@@ -587,7 +578,7 @@ def abelianization_of_line_amalgam(G):
     }
 
 
-def amalgam_example_check(field, depth=8):
+def amalgam_example_check(field, depth):
     """End-to-end structural check of the degree-one level D = (t): the
     quotient is a line, the two certified cusps match the closed form, the
     tails carry the upper/lower triangular tower shapes, and they are glued
@@ -660,10 +651,11 @@ def amalgam_example_check(field, depth=8):
         check("junction group order (q-1)^2", group.order == m * m,
               "order %d" % group.order)
         # of order (q-1)^2, the group is the diagonal torus iff its pairs
-        # map onto (F_q*)^2: iff the generators' logs span (Z/(q-1))^2
+        # map onto (F_q*)^2: iff the generators' logs (`FieldSpec.logs`)
+        # span (Z/(q-1))^2
         stab = G.vertex_stabs[tails[0].chain[0]]
         pairs = [_torus_pair(stab, h) for h in gens]
-        logs = _discrete_logs(field)
+        logs = field.logs
         check("junction group is the diagonal torus",
               None not in pairs and smith_normal_form(
                   [[m, 0], [0, m]] + [[logs[a], logs[b]] for a, b in pairs],

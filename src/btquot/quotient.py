@@ -370,7 +370,7 @@ def _sorted_class_ids(Q):
                                  key=lambda c: (c.level_n, c.representative.key()))]
 
 
-def export(Q, fmt="json"):
+def export(Q, fmt):
     if fmt == "json":
         return _export_json(Q)
     if fmt == "dot":

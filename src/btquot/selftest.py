@@ -121,7 +121,7 @@ def _random_o_unimodular(field, rng):
 # acceptance criteria
 
 
-def check_line_quotients(fast=False):
+def check_line_quotients(fast):
     """Degree-one level: doubly infinite line with two cusps, q in 2..5."""
     qs = (2, 3) if fast else (2, 3, 4, 5)
     depth = 6 if fast else 10
@@ -145,7 +145,7 @@ def check_line_quotients(fast=False):
     return True, "; ".join(details)
 
 
-def check_serre_baseline(fast=False):
+def check_serre_baseline(fast):
     """Level zero: the quotient is a ray with a single cusp."""
     depth = 6 if fast else 10
     details = []
@@ -177,7 +177,7 @@ CUSP_CASES = [
 ]
 
 
-def check_cusp_formula(fast=False):
+def check_cusp_formula(fast):
     """Certified counts equal the closed form on odd-multiplicity levels."""
     cases = CUSP_CASES[:3] if fast else CUSP_CASES
     details = []
@@ -196,7 +196,7 @@ def check_cusp_formula(fast=False):
     return True, "; ".join(details)
 
 
-def check_even_multiplicity_bound(fast=False):
+def check_even_multiplicity_bound(fast):
     """Even multiplicity: the closed form is only an upper bound."""
     depth = 8 if fast else 10
     Q = _build(3, "t^2", depth)
@@ -243,7 +243,7 @@ def _closed_form_ray_stabilizer(field, n):
     return out
 
 
-def check_stabilizer_closed_forms(fast=False):
+def check_stabilizer_closed_forms(fast):
     """Solver stabilizers at B_0^{|n|} equal the closed-form matrix sets for
     the degree-one level, n in [-6, 6]; each enumerated element is a member
     and a sample is re-verified to fix the vertex through the action."""
@@ -275,7 +275,7 @@ def check_stabilizer_closed_forms(fast=False):
     return True, "%d (q, n) pairs, element sets equal" % checked
 
 
-def check_split_counts(fast=False):
+def check_split_counts(fast):
     """q=3, D=t^3: two split and two non-split certified cusps."""
     depth = 12 if fast else 14
     Q = _build(3, "t^3", depth)
@@ -288,7 +288,7 @@ def check_split_counts(fast=False):
                                                           card_d, card_i)
 
 
-def check_amalgam_example(fast=False):
+def check_amalgam_example(fast):
     """Structural line-amalgam check and its abelianization order."""
     qs = (2, 3) if fast else (2, 3, 4, 5)
     depth = 6 if fast else 8
@@ -312,7 +312,7 @@ def check_amalgam_example(fast=False):
 # property suites (criterion 8): 200 randomized checks each, fewer if fast
 
 
-def suite_action_isometry(fast=False):
+def suite_action_isometry(fast):
     rng = random.Random(101)
     n = 60 if fast else 200
     for i in range(n):
@@ -329,7 +329,7 @@ def suite_action_isometry(fast=False):
     return True, "%d cases" % n
 
 
-def suite_action_law(fast=False):
+def suite_action_law(fast):
     rng = random.Random(102)
     n = 60 if fast else 200
     for i in range(n):
@@ -342,7 +342,7 @@ def suite_action_law(fast=False):
     return True, "%d cases" % n
 
 
-def suite_canonical_invariance(fast=False):
+def suite_canonical_invariance(fast):
     rng = random.Random(103)
     n = 60 if fast else 200
     for i in range(n):
@@ -360,7 +360,7 @@ def suite_canonical_invariance(fast=False):
     return True, "%d cases" % n
 
 
-def suite_distance_agreement(fast=False):
+def suite_distance_agreement(fast):
     rng = random.Random(104)
     n = 50 if fast else 200
     for i in range(n):
@@ -378,7 +378,7 @@ def suite_distance_agreement(fast=False):
     return True, "%d cases" % n
 
 
-def suite_orbit_relation_laws(fast=False):
+def suite_orbit_relation_laws(fast):
     rng = random.Random(105)
     n = 50 if fast else 200
     performed = 0
@@ -420,7 +420,7 @@ def suite_orbit_relation_laws(fast=False):
     return True, "%d cases" % performed
 
 
-def suite_solver_vs_brute_force(fast=False):
+def suite_solver_vs_brute_force(fast):
     rng = random.Random(106)
     n = 40 if fast else 200
     level_texts = ("t", "t^2", "t;t+1")
@@ -451,7 +451,7 @@ def suite_solver_vs_brute_force(fast=False):
     return True, "%d cases" % n
 
 
-def suite_quotient_invariants(fast=False):
+def suite_quotient_invariants(fast):
     """Edge consistency, neighbor accounting, parity bipartiteness, and
     breadth-monotonicity on built quotients."""
     specs = [(2, "t", 10), (3, "t^3", 12), (2, "t^3", 12)]
@@ -514,7 +514,7 @@ CHECKS = [
 ]
 
 
-def run_all(fast=False):
+def run_all(fast):
     lines = []
     all_ok = True
     t_start = time.time()

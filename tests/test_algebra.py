@@ -119,8 +119,9 @@ class TestFieldSpec:
     def test_packed_encoding(self):
         # over F_4 the packed integer 2 is the generator g
         g = F4.element(2)
-        assert g == F4.generator()
+        assert F4.basis == (1, 2) and F9.basis == (1, 3) and F5.basis == (1,)
         assert g.to_int() == 2
+        assert g * g == F4.element(F4.add(2, 1))
 
     def test_prime_field_modulus_is_validated(self):
         for modulus in ((1, 0, 1), (1, 2), (1,)):
@@ -155,7 +156,7 @@ class TestFieldSpec:
     def test_extension_field_cap(self):
         F = FieldSpec(2, 10, modulus=(1, 0, 0, 1) + (0,) * 6 + (1,))
         assert F.q == MAX_EXTENSION_Q
-        g = F.generator().to_int()
+        g = F.basis[1]
         assert functools.reduce(F.mul, [g] * (F.q - 1)) == 1
         assert F.mul(g, F.inv(g)) == 1
         with pytest.raises(AlgebraError, match="q=10201"):
@@ -252,23 +253,24 @@ class TestPackedArithmetic:
         assert pa * pb == pa * pa and (pa + pb) - pb == pa
         assert divmod(pa * pb, pb) == (pa, Polynomial.zero(A))
         with pytest.raises(AlgebraError):
-            F3.one * F9.one
-        assert F3.one != F9.one
+            F3.element(1) * F9.element(1)
+        assert F3.element(1) != F9.element(1)
 
 
 class TestElementEquality:
     def test_int_equals_only_the_packed_value(self):
-        assert F2.one == 1 and 1 == F2.one
+        one = F2.element(1)
+        assert one == 1 and 1 == one
         assert F9.element(5) == 5
         for n in (0, 2, 5, -1, 10 ** 20):
-            assert not F2.one == n and F2.one != n
+            assert not one == n and one != n
         assert F3.element(2) != -1
 
     def test_hash_is_the_hash_of_the_packed_value(self):
         for field in ALL_FIELDS:
             for x in map(field.element, range(field.q)):
                 assert hash(x) == hash(x.to_int())
-        assert 1 in {F2.one} and F2.one in {1}
+        assert 1 in {F2.element(1)} and F2.element(1) in {1}
         assert {F9.element(5): "g+2"}[5] == "g+2"
 
 
@@ -277,7 +279,7 @@ class TestFieldOps:
         assert F2.add(1, 1) == 0
 
     def test_f4_generator_square(self):
-        g = F4.generator().to_int()
+        g = F4.basis[1]
         assert F4.mul(g, g) == F4.add(g, 1)
 
     def test_f5_inverse(self):
@@ -302,6 +304,37 @@ class TestFieldOps:
                     assert mul(a, field.inv(a)) == 1
                 cases += 1
         assert cases >= 200
+
+    def test_vector_ops_are_the_scalar_ops_entrywise(self):
+        rng = random.Random(4)
+        for field in ALL_FIELDS:
+            for _ in range(20):
+                c = rng.randrange(field.q)
+                u, v = (tuple(rng.randrange(field.q) for _ in range(5))
+                        for _ in range(2))
+                assert field.vadd(u, v) == tuple(map(field.add, u, v))
+                assert field.vscale(c, v) == tuple(field.mul(c, x)
+                                                   for x in v)
+            assert field.vadd((), ()) == field.vscale(1, ()) == ()
+
+    def test_primitive_is_the_least_generator_and_logs_invert_it(self):
+        for field in ALL_FIELDS + [FieldSpec(101), FieldSpec(3, 3,
+                                                             (1, 2, 0, 1))]:
+            def order(w):
+                x, k = w, 1
+                while x != 1:
+                    x, k = field.mul(x, w), k + 1
+                return k
+
+            g = field.primitive
+            assert g == min(w for w in range(1, field.q)
+                            if order(w) == field.q - 1)
+            assert sorted(field.logs) == list(range(1, field.q))
+            assert sorted(field.logs.values()) == list(range(field.q - 1))
+            for x, k in field.logs.items():
+                assert functools.reduce(field.mul, [g] * k, 1) == x
+        assert F2.primitive == 1 and F3.primitive == 2
+        assert F4.primitive == 2 and F9.primitive == 4
 
 
 class TestPolynomial:
@@ -414,8 +447,7 @@ class TestExpansion:
     def test_geometric_series(self):
         t = RationalFunction(Polynomial.t(F2))
         frag = expand_at_infinity(RationalFunction.one(F2) / (t - 1), 4)
-        assert dict((e, c.to_int()) for e, c in frag.terms) == {1: 1, 2: 1,
-                                                               3: 1}
+        assert dict(frag.packed_terms) == {1: 1, 2: 1, 3: 1}
 
     def test_zero(self):
         assert expand_at_infinity(RationalFunction.zero(F2), 0).is_zero()
@@ -428,7 +460,7 @@ class TestExpansion:
                 f = rand_rational(field, rng)
                 cutoff = rng.randint(-6, 6)
                 frag = expand_at_infinity(f, cutoff)
-                assert all(e < cutoff for e, _ in frag.terms)
+                assert all(e < cutoff for e, _ in frag.packed_terms)
                 diff = f - frag.to_rational()
                 assert diff.valuation() >= cutoff
                 cases += 1
@@ -476,7 +508,7 @@ class TestFragmentArithmetic:
             for _ in range(24):
                 frag = rand_fragment(field, rng)
                 ref = RationalFunction.zero(field)
-                for e, c in frag.terms:
+                for e, c in frag.packed_terms:
                     ref = ref + RationalFunction.t_power(field, -e) * \
                         RationalFunction.constant(field, c)
                 out = frag.to_rational()

@@ -484,6 +484,7 @@ class TestErrors:
         ["amalgam", "--p", "2", "--level", "t", "--format", "dot"],
         ["cusps", "--p", "2", "--level", "t", "--format", "json"],
         ["formula", "--p", "2", "--level", "t", "--format", "json"],
+        ["formula", "--p", "3", "--level", "t^3", "--index-component", "7"],
         ["cusps", "--p", "2", "--level", "t", "--brute-force"],
         ["quotient", "--p", "2", "--level", "t", "--brute-force"],
         ["amalgam", "--p", "2", "--level", "t", "--brute-force"],

@@ -11,7 +11,13 @@ function sets every parameter of that name, as a dispatch through a
 table does (`selftest.run_all` calls its checks as `fn(fast=fast)`).
 An argument of a package function that is one of its own parameters with
 a default, passed on unchanged, sets the callee's parameter only where a
-caller sets the one passed on."""
+caller sets the one passed on.
+
+The converse holds too: every default is one some call falls back on, a
+call in the tests included.  A call, matched to its functions the same
+way, falls back on each parameter it sets neither by keyword nor by a
+position before any starred argument; a call through a name that is no
+package function falls back on none."""
 
 import ast
 import pathlib
@@ -19,6 +25,7 @@ import pathlib
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "btquot"
 OTHERS = [ROOT / "demos", ROOT / "perfbench"]
+TESTS = ROOT / "tests"
 
 # (function, parameter) kept as options whether or not a caller sets them
 ALLOWED = {
@@ -64,10 +71,16 @@ def _scan(tree):
     return functions, calls
 
 
-def unset_options(package, others):
-    """(function key, parameter) of each parameter with a default in the
-    sources `package` that no call in them or in the sources `others`
-    sets, sorted."""
+def _callee(call):
+    """The name a call is matched by: of a name or of an attribute."""
+    f = call.func
+    return f.id if isinstance(f, ast.Name) else \
+        f.attr if isinstance(f, ast.Attribute) else None
+
+
+def _parse(package, others):
+    """The functions of the sources `package`, and the calls in them and in
+    the sources `others`, as `_scan` gives them."""
     functions, calls = [], []
     for src in package:
         f, c = _scan(ast.parse(src))
@@ -75,6 +88,14 @@ def unset_options(package, others):
         calls += c
     for src in others:
         calls += [(call, None) for call, _ in _scan(ast.parse(src))[1]]
+    return functions, calls
+
+
+def unset_options(package, others):
+    """(function key, parameter) of each parameter with a default in the
+    sources `package` that no call in them or in the sources `others`
+    sets, sorted."""
+    functions, calls = _parse(package, others)
     by_key = {}
     for key, pos, kwonly, _ in functions:
         by_key.setdefault(key, []).append((pos, kwonly))
@@ -90,9 +111,7 @@ def unset_options(package, others):
             direct.add(target)
 
     for call, enclosing in calls:
-        f = call.func
-        name = f.id if isinstance(f, ast.Name) else \
-            f.attr if isinstance(f, ast.Attribute) else None
+        name = _callee(call)
         if name not in by_key:
             for k in call.keywords:
                 if k.arg is not None:
@@ -125,6 +144,26 @@ def unset_options(package, others):
                    for p in defaulted if not is_set((key, p))})
 
 
+def unused_defaults(package, others):
+    """(function key, parameter) of each parameter with a default in the
+    sources `package` that every call in them and in the sources `others`
+    sets, sorted."""
+    functions, calls = _parse(package, others)
+    by_key = {}
+    for key, pos, kwonly, _ in functions:
+        by_key.setdefault(key, []).append(pos + kwonly)
+    omitted = set()
+    for call, _ in calls:
+        name = _callee(call)
+        starred = next((i for i, x in enumerate(call.args)
+                        if isinstance(x, ast.Starred)), len(call.args))
+        for params in by_key.get(name, ()):
+            given = set(params[:starred]) | {k.arg for k in call.keywords}
+            omitted.update((name, p) for p in params if p not in given)
+    return sorted({(key, p) for key, _, _, defaulted in functions
+                   for p in defaulted if (key, p) not in omitted})
+
+
 def test_the_check_sees_an_unset_option():
     package = ("def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n"
                "class C:\n    def __init__(self, x, y=0, z=0):\n"
@@ -147,4 +186,24 @@ def test_every_option_is_set_by_a_caller():
     package = [p.read_text() for p in sorted(SRC.glob("*.py"))]
     others = [p.read_text() for d in OTHERS for p in sorted(d.glob("*.py"))]
     assert [option for option in unset_options(package, others)
+            if option not in ALLOWED] == []
+
+
+def test_the_check_sees_an_unused_default():
+    package = ("def f(a, b=1, c=2, *, d=3):\n    pass\n"
+               "class C:\n    def __init__(self, x, y=0):\n        pass\n"
+               "def g(fast=False):\n    pass\n"
+               "def h(p=0, q=0, r=0):\n    pass\n"
+               "def run(fast=False):\n    g(fast=fast)\n"
+               "    fn(fast=fast)\n    h(*fast)\n    h(1, **fast)\n")
+    others = ["f(1, 2, d=5)\nf(1, c=0, d=0)\nC(1, 2)\nrun(True)\n"]
+    assert unused_defaults([package], others) == [
+        ("C", "y"), ("f", "d"), ("g", "fast"), ("run", "fast")]
+
+
+def test_every_default_is_used_by_a_caller():
+    package = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    others = [p.read_text() for d in OTHERS + [TESTS]
+              for p in sorted(d.glob("*.py"))]
+    assert [option for option in unused_defaults(package, others)
             if option not in ALLOWED] == []

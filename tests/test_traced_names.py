@@ -94,3 +94,39 @@ def test_group_modules_do_not_bind_rational_functions():
     and the presentation never name `RationalFunction`."""
     for module in (btquot.hecke, btquot.quotient, btquot.presentation):
         assert "RationalFunction" not in vars(module), module.__name__
+
+
+def field_storage_reads(sources):
+    """(module, attribute) of each read, in the modules `sources` (name ->
+    source), of how a `FieldSpec` stores an element: its tables or handles
+    outside `algebra`, or its p or s in `hecke` or `points`, which compute
+    through the ops the field binds."""
+    tables = {"_add", "_mul", "_neg", "_inv", "_handles"}
+    reads = set()
+    for name, source in sources.items():
+        banned = set() if name == "algebra" else set(tables)
+        if name in ("hecke", "points"):
+            banned |= {"p", "s"}
+        reads |= {(name, node.attr) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr in banned}
+    return sorted(reads)
+
+
+def test_the_check_sees_a_field_storage_read():
+    reads = field_storage_reads({
+        "algebra": "f._mul[a][b]\nf.s\n",
+        "points": "f._add[x][y]\nf.p\nf.q\n",
+        "hecke": "f.s == 1\nf.add(a, b)\n",
+        "quotient": "f.p\nf._handles[0]\n"})
+    assert reads == [("hecke", "s"), ("points", "_add"), ("points", "p"),
+                     ("quotient", "_handles")]
+
+
+def test_only_algebra_reads_how_a_field_stores_an_element():
+    """F_q is stored as `algebra` alone knows: ints mod p or lookup tables,
+    chosen once when the `FieldSpec` is made.  Every other module computes
+    with the ops the field binds (`add`, `neg`, `mul`, `inv`, `vadd`,
+    `vscale`) and reads its `primitive`, `logs` and `basis`."""
+    src = pathlib.Path(btquot.__file__).parent
+    sources = {path.stem: path.read_text() for path in src.glob("*.py")}
+    assert field_storage_reads(sources) == []
