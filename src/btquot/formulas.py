@@ -3,13 +3,13 @@
 The evaluators take the Picard-group quantities as inputs so they remain
 usable for general base curves; the defaults are the values for the
 projective line with a degree-one place at infinity (trivial Picard data),
-which is the only case the tree pipeline itself computes.
+which is the only case the tree pipeline itself computes.  Every count is
+an int or `math.inf`.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 
 class FormulaError(ValueError):
@@ -65,15 +65,12 @@ def alpha(level, q):
 
     Counted by summing the semi-decomposition fibers, which factor prime by
     prime into a geometric series; 1 accounts for the totally decomposed
-    class.  Always an integer (asserted).
+    class.  An int: q^e = 1 (mod q - 1), so the division is exact.
     """
     if level.is_zero():
         raise FormulaError("alpha is undefined for the zero level")
     e = sum(p.degree * (m // 2) for p, m in level.primes)
-    value = 1 + Fraction(q ** e - 1, q - 1)
-    if value.denominator != 1:
-        raise FormulaError("alpha(%s) = %s is not integral" % (level, value))
-    return value
+    return 1 + (q ** e - 1) // (q - 1)
 
 
 def cusp_count(level, q, pic=None):
@@ -95,7 +92,7 @@ def _cusp_count(level, pic, a):
     c = (2 ** level.r) * pic.g2_order * pic.index_theorem * a
     exact = (pic.g2_order == 1
              and all(m % 2 == 1 for m in level.multiplicities()))
-    return int(c), exact
+    return c, exact
 
 
 def split_counts(level, q, pic=None):
@@ -132,7 +129,7 @@ def classifying_cusp_count(level, q, pic=None):
     pic = pic or _TRIVIAL_PICARD
     if level.is_zero():
         raise FormulaError("classifying count is undefined for level zero")
-    return int(alpha(level, q) * pic.index_component)
+    return alpha(level, q) * pic.index_component
 
 
 def abelianization_verdict(level):
@@ -155,7 +152,7 @@ class FormulaReport:
     def __init__(self, level, q, alpha, c_HD, exact, serre_case, card_D,
                  card_I, abelianization):
         self.level, self.q = level, q
-        self.alpha = alpha             # Fraction (None for level zero)
+        self.alpha = alpha             # int (None for level zero)
         self.c_HD = c_HD               # int or math.inf
         self.exact, self.serre_case = exact, serre_case
         self.card_D = card_D           # int or None when hypotheses fail
@@ -169,10 +166,9 @@ def formula_report(level, q, pic=None):
     a = None if serre else alpha(level, q)
     c, exact = (cusp_count(level, q, pic) if serre
                 else _cusp_count(level, pic, a))
-    try:
-        card_d, card_i = _split_counts(level, pic, c)
-    except PreconditionError:
-        card_d = card_i = None
+    # split counts need an exact count at a nonzero level
+    card_d, card_i = ((None, None) if serre or not exact
+                      else _split_counts(level, pic, c))
     return FormulaReport(level=level, q=q, alpha=a, c_HD=c, exact=exact,
                          serre_case=serre, card_D=card_d, card_I=card_i,
                          abelianization=abelianization_verdict(level))

@@ -88,9 +88,11 @@ SOLVE_UNKNOWNS_CAP = 4096
 
 class Level:
     """Effective divisor D = sum n_i P_i on the affine line, P_i monic
-    irreducible and pairwise distinct; the empty divisor encodes D = 0."""
+    irreducible and pairwise distinct; the empty divisor encodes D = 0.
+    It keeps the point of each first column it reads (`point`), a cache
+    outside its value."""
 
-    __slots__ = ("field", "primes", "modulus", "_key")
+    __slots__ = ("field", "primes", "modulus", "_key", "points")
 
     def __init__(self, field, primes):
         seen = set()
@@ -132,6 +134,14 @@ class Level:
                 step *= field.q
         self.modulus = Polynomial._of(field, modulus)
         self._key = tuple((p.key(), m) for p, m in prs)
+        self.points = {}
+
+    def point(self, col):
+        """The `points.Point` of a packed first column (a, c), made once."""
+        point = self.points.get(col)
+        if point is None:
+            point = self.points[col] = Point(self, col)
+        return point
 
     @property
     def r(self):
@@ -807,19 +817,18 @@ def stabilizer(v, level):
     """Descriptor of Stab_{H_D}(v), read off the P^1(R/N_D) point of the
     first column of its reduction (`point_stabilizer`)."""
     red = reduce_vertex(v)
-    return point_stabilizer(Point(level, red.rows[::2]), v, red)
+    return point_stabilizer(level.point(red.rows[::2]), v, red)
 
 
-def orbit_witness(level, red_src, red_dst, columns=None):
+def orbit_witness(level, red_src, red_dst):
     """Some h in H_D with act(h, src) = dst, or None, given both
     reductions, whose levels must agree: g_dst^-1 s g_src for the first s
     that moves the point of g_src to that of g_dst (`points`), through
-    the inverse `red_dst` keeps (`_conjugate`).  `columns` maps first
-    columns to known `Point`s."""
+    the inverse `red_dst` keeps (`_conjugate`)."""
     field, n = level.field, red_src.level_n
     _check_unknowns(n)
-    point, point_src = (columns and columns.get(col) or Point(level, col)
-                        for col in (red_dst.rows[::2], red_src.rows[::2]))
+    point, point_src = map(level.point, (red_dst.rows[::2],
+                                         red_src.rows[::2]))
     torus = point.torus(point_src, n)
     if torus:
         # the first pair: (1, 1), or (1, 1/mu) on the line alpha = mu*beta

@@ -5,7 +5,8 @@ P^1(R/N_D): a reduction g of a vertex gives the point (X : Y) = (-c : a)
 of its first column (a, c), the bottom row of adj(g) (README, "Notes on
 conventions").  A witness g_dst^-1 s g_src lies in H_D iff s moves the
 point of g_src to that of g_dst, and the vertex group of v is read off
-its point and itself.
+its point and itself.  A level makes each column's point once
+(`hecke.Level.point`).
 
 Each point keeps its parts (`Point`): e = gcd(X, N_D), M = N_D/e,
 d = Y (X/e)^-1 mod M, g0 = gcd(e, M), M1 = M/g0 and

@@ -236,8 +236,7 @@ def build_graph_of_groups(Q):
         if in_tree:
             found[e.dst] = into[0]
         for st in into[in_tree:]:
-            g_y = hecke.orbit_witness(level, target, reduce_vertex(st.end),
-                                      Q.columns)
+            g_y = hecke.orbit_witness(level, target, reduce_vertex(st.end))
             if g_y is None:
                 raise PresentationInconsistency(
                     "no witness for a non-tree edge between classes %d and "

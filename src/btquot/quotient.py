@@ -13,11 +13,10 @@ orbit), and each orbit representative, unless it is the representative of
 the class whose expansion found it, is located by its orbit id or opens a
 new class.  The id and the stabilizer read the reduction g only through
 its first column (a, c), which Nagao's g keeps along a cusp tail: the
-build keeps one `points.Point` per distinct column (`columns`), which
-reads the column's point of P^1(R/N_D) once, and reads a stabilizer off
-that point only for a new class.  Classes and edges found at depth d
-are kept when the search is widened, so the output is a growing snapshot
-of the full quotient.  A class records its `parent`, the class whose
+column's point of P^1(R/N_D) is read once per level (`hecke.Level.point`),
+and a stabilizer off it only for a new class.  Classes and edges found at
+depth d are kept when the search is widened, so the output is a growing
+snapshot of the full quotient.  A class records its `parent`, the class whose
 expansion found it, and a strand its `end`, the vertex object located for
 the orbit representative: the classes joined to their parents form the
 discovery tree, which the graph of groups takes as its spanning tree
@@ -47,7 +46,6 @@ import json
 
 from .btree import BallVertex
 from .hecke import point_stabilizer, ray_stab_order, reduce_vertex
-from .points import Point
 
 
 class QuotientError(ValueError):
@@ -122,15 +120,13 @@ class CuspDescriptor:
 
 class QuotientGraph:
     __slots__ = ("field", "level", "depth", "classes", "edges", "cusps",
-                 "ids", "columns")
+                 "ids")
 
     def __init__(self, level, depth):
         self.field, self.level, self.depth = level.field, level, depth
         self.classes, self.edges, self.cusps = [], [], []
         # orbit id (`points.Point.orbit_id`) -> class id
         self.ids = {}
-        # packed first column (a, c) -> its point (`points.Point`)
-        self.columns = {}
 
     def class_by_id(self, cid):
         return self.classes[cid]
@@ -149,10 +145,7 @@ class QuotientGraph:
         `parent` whose expansion found it (None for the base class), its
         stabilizer read off its column."""
         red = reduce_vertex(v)
-        col = red.rows[::2]
-        point = self.columns.get(col)
-        if point is None:
-            point = self.columns[col] = Point(self.level, col)
+        point = self.level.point(red.rows[::2])
         key = point.orbit_id(red.level_n)
         cid = self.ids.get(key)
         if cid is None:

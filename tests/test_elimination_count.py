@@ -102,7 +102,8 @@ def test_three_divisions_per_stabilizer(monkeypatch, p, s, n):
     basis, one more division by M1, is built only when read.  So the
     divisions by N_D number the same at level n as at level 1, and there
     are at most four, however large n is.  Checked on v_n and on a vertex
-    of level n whose reduction has c != 0.  (The name dates from three
+    of level n whose reduction has c != 0, each on a fresh level, which
+    has read no point yet (`Level.point`).  (The name dates from three
     divisions, one per torus term.)"""
     field = FieldSpec(p, s)
     level = hecke.parse_level("t^3;t+1", field)
@@ -125,10 +126,12 @@ def test_three_divisions_per_stabilizer(monkeypatch, p, s, n):
         monkeypatch.setattr(module, "packed_divmod", counted)
     modulus = level.modulus.packed_coeffs
     for v, v_1 in zip(*vertices):
+        level_1, level_n = (hecke.parse_level("t^3;t+1", field)
+                            for _ in range(2))
         del calls[:]
-        hecke.stabilizer(v_1, level)
+        hecke.stabilizer(v_1, level_1)
         at_1 = calls.count(modulus)
         del calls[:]
-        hecke.stabilizer(v, level)
+        hecke.stabilizer(v, level_n)
         assert calls[0] == modulus and len(calls) <= 4
         assert calls.count(modulus) == at_1

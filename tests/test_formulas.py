@@ -1,6 +1,5 @@
 import itertools
 import math
-from fractions import Fraction
 
 import pytest
 
@@ -42,10 +41,13 @@ class TestAlpha:
         assert alpha(lvl("t^2"), 3) == 2
 
     def test_integral(self):
+        """alpha is an int, 1 + q^0 + ... + q^(e-1) for the exponent e."""
         for q in (2, 3, 4, 5, 7, 8, 9):
-            for text in ("t^2", "t^3", "t^5", "t^3;t+1"):
+            for text, e in (("t^2", 1), ("t^3", 1), ("t^5", 2),
+                            ("t^3;t+1", 1)):
                 a = alpha(lvl(text), q)
-                assert isinstance(a, Fraction) and a.denominator == 1
+                assert type(a) is int and a == 1 + sum(
+                    q ** i for i in range(e))
 
     def test_zero_level_rejected(self):
         with pytest.raises(FormulaError):

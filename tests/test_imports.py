@@ -1,7 +1,8 @@
 """Every name a module of `btquot` imports is used in it.  `__init__.py`,
 which imports to re-export, is left out, and so are `__future__` imports;
 a name listed in the module's `__all__` counts as used.  Importing the
-package and its command line loads neither `dataclasses` nor `inspect`."""
+package and its command line loads neither `dataclasses` nor `inspect`,
+nor `fractions`, `decimal` or `numbers`."""
 
 import ast
 import pathlib
@@ -46,11 +47,13 @@ def test_no_unused_import(name):
 
 
 def test_import_loads_no_dataclasses_or_inspect():
-    """In a fresh interpreter, as pytest has loaded both modules; `-S`
-    keeps out what the site's .pth files import."""
+    """In a fresh interpreter, as pytest has loaded these modules; `-S`
+    keeps out what the site's .pth files import.  The formulas count in
+    ints, so `fractions` and the `decimal` and `numbers` it loads stay
+    out too."""
     code = ("import sys; sys.path.insert(0, %r); import btquot, btquot.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-            % str(SRC.parent))
+            "print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal', "
+            "'numbers'} & set(sys.modules)))" % str(SRC.parent))
     out = subprocess.run([sys.executable, "-S", "-c", code],
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"

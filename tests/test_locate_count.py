@@ -1,13 +1,15 @@
 """Call counts of the solves behind the build's lookup: one column
 (`points.Point`), which reads its orbit id and the vertex groups
 off it, per distinct first column of the reductions, one stabilizer
-descriptor and one torus map per class, and no witness.  The graph of
-groups reads the witnesses of its strands off the build's columns."""
+descriptor and one torus map per class, and no witness.  The points are
+the level's (`hecke.Level.point`), and the graph of groups reads the
+witnesses of its strands off those the build made."""
 
 import pytest
 
 from btquot import hecke, points, presentation, quotient
-from btquot.algebra import FieldSpec
+from btquot.algebra import FieldSpec, Polynomial
+from btquot.btree import BallVertex, Matrix2, act
 from btquot.hecke import parse_level
 
 
@@ -68,7 +70,7 @@ def test_one_descriptor_per_class_and_no_witness(tally, p, s, lvl, depth):
                  if c.parent is None
                  or st.end is not Q.classes[c.parent].representative]
     assert tally["reduce"] == 1 + len(looked_up) >= len(Q.classes)
-    assert tally["columns"] == len(tally["firsts"]) == len(Q.columns) \
+    assert tally["columns"] == len(tally["firsts"]) == len(Q.level.points) \
         < tally["reduce"]
     assert tally["descriptors"] == tally["tori"] == len(Q.classes) \
         == len(Q.ids)
@@ -77,10 +79,10 @@ def test_one_descriptor_per_class_and_no_witness(tally, p, s, lvl, depth):
 
 def test_graph_of_groups_reads_the_build_columns(tally):
     """The witnesses g_y of the strands off the spanning tree read their
-    points off the build's columns (`QuotientGraph.columns`):
+    points off the level, which the build filled (`Level.points`):
     `build_graph_of_groups` makes no `Point`, where at q=3,
     D=t^3 (t+1)^3, depth 10 it made two per witness, 288, every one of them
-    already in the build's columns.  It calls `orbit_witness` through the
+    already among the build's points.  It calls `orbit_witness` through the
     `hecke` module, where a tracer sees it, once per such strand."""
     Q = quotient.build_quotient(parse_level("t^3;(t+1)^3", FieldSpec(3)), 10)
     quotient.certify_cusps(Q, 3)
@@ -90,3 +92,21 @@ def test_graph_of_groups_reads_the_build_columns(tally):
     assert off_tree == 144
     assert tally["columns"] == before
     assert tally["witnesses"] == off_tree
+
+
+def test_stabilizer_then_witness_read_one_point_per_column(tally):
+    """A stabilizer of v and then a witness from v to w read v's point off
+    the level (`Level.point`): two `Point`s, v's and w's, where a fresh
+    point per call made three."""
+    field = FieldSpec(3)
+    level = parse_level("t^2;t+1", field)
+    one, zero, t = (Polynomial.one(field), Polynomial.zero(field),
+                    Polynomial.t(field))
+    x = Matrix2(one, zero, level.modulus, one) @ Matrix2.translation(t)
+    v = BallVertex.standard(field, 2)
+    w = act(x, v)
+    hecke.stabilizer(v, level)
+    assert tally["columns"] == 1
+    h = hecke.orbit_equivalent(v, w, level)
+    assert act(h, v) == w
+    assert tally["columns"] == len(level.points) == 2

@@ -1,6 +1,6 @@
 """No module of the package keeps state across builds: what a build
-caches belongs to its `QuotientGraph`, so a process that builds many
-quotients holds no more between them than after its first."""
+caches belongs to its `QuotientGraph` or its `Level`, so a process that
+builds many quotients holds no more between them than after its first."""
 
 import sys
 

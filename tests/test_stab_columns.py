@@ -37,6 +37,12 @@ def levels(field, degree):
     return out
 
 
+def unread(level):
+    """The same level with no point read yet, as the test levels are
+    shared and a level keeps the points it reads (`Level.points`)."""
+    return Level(level.field, level.primes)
+
+
 ORACLE_LEVELS = ([lv for (p, s), degree in (((2, 1), 3), ((3, 1), 3),
                                            ((2, 2), 2), ((5, 1), 2))
                   for lv in levels(FieldSpec(p, s), degree)]
@@ -73,14 +79,16 @@ def solves(monkeypatch):
                               for lv in ORACLE_LEVELS])
 def test_class_descriptors_equal_fresh_stabilizers(level):
     """Each class's descriptor, read off the build's shared column, equals
-    `stabilizer` of its representative, in its order, unipotent dimension
-    and neighbor orbits, all read from M, and in its kernel basis, built
-    from M; `test_vertex_groups_equal_the_elimination` checks that basis
-    against the elimination."""
+    `stabilizer` of its representative on a level that has read no point,
+    in its order, unipotent dimension and neighbor orbits, all read from
+    M, and in its kernel basis, built from M;
+    `test_vertex_groups_equal_the_elimination` checks that basis against
+    the elimination."""
+    level, apart = unread(level), unread(level)
     Q = build_quotient(level, 2 * level.degree + 4)
-    assert len(Q.columns) <= 1 + sum(len(c.strands) for c in Q.classes)
+    assert len(level.points) <= 1 + sum(len(c.strands) for c in Q.classes)
     for c in Q.classes:
-        stab, fresh = c.stab, stabilizer(c.representative, level)
+        stab, fresh = c.stab, stabilizer(c.representative, apart)
         summary = (stab.order, stab.unipotent_dim(), frame_orbits(stab))
         assert summary == (fresh.order, fresh.unipotent_dim(),
                            frame_orbits(fresh)), c.id
@@ -106,12 +114,13 @@ def test_vertex_groups_equal_the_elimination(level, depth):
     n <= depth + 1, as the torus map reads only the level of the reduction
     it is given.  At q = 2 a descriptor stores the scalar line as mu = None
     (`StabDescriptor`)."""
+    level = unread(level)
     Q, field = build_quotient(level, depth), level.field
     base = Q.classes[0]
     reductions = [(c.id, c.reduction, c.stab) for c in Q.classes] + [
         ((col, n), red, hecke.point_stabilizer(point, base.representative,
                                                red))
-        for col, point in Q.columns.items() for n in range(depth + 2)
+        for col, point in level.points.items() for n in range(depth + 2)
         for red in [hecke.ReductionResult(
             n, base.reduction.word, (col[0], (), col[1], ()),
             base.reduction.link, base.reduction.field)]]
@@ -134,8 +143,7 @@ def locate(Q, v):
     the representative, else an `orbit_witness`.  The build's own lookup
     reads the same id (`QuotientGraph._classify`)."""
     red = reduce_vertex(v)
-    col = red.rows[::2]
-    point = Q.columns.get(col) or points.Point(Q.level, col)
+    point = Q.level.point(red.rows[::2])
     cid = Q.ids.get(point.orbit_id(red.level_n))
     if cid is None:
         return None
@@ -228,13 +236,14 @@ def test_mass_contradiction_exits_3(monkeypatch, capsys, forge):
 @pytest.mark.parametrize("q,lvl,depth,columns", CENSUS_COLUMNS)
 def test_census_column_solves(solves, q, lvl, depth, columns):
     """One solve per distinct column, none repeated by a second build from
-    the same `Level`, and no kernel basis built by the build or by
-    certification."""
+    the same `Level`, which keeps its points (`Level.point`), and no
+    kernel basis built by the build or by certification."""
     level = parse_level(lvl, FieldSpec(q))
-    for _ in range(2):
+    for made in (columns, 0):
         solves["columns"] = 0
         Q = build_quotient(level, depth)
         certify_cusps(Q)
-        assert solves["columns"] == len(Q.columns) == columns
+        assert solves["columns"] == made
+        assert len(level.points) == columns
         assert 1 + sum(len(c.strands) for c in Q.classes) > columns
     assert solves["kernel bases"] == 0

@@ -34,21 +34,36 @@ def test_production_modules_do_not_bind_act():
     reduce vertices and read neighbor labels off the residue matrix.  `act`
     stays in `btree` as the reference, so the traced `btree.act.calls`
     counts oracle calls only."""
+    assert {"act", "canonicalize"} <= package_names()
     for module in (btquot.quotient, btquot.presentation):
         assert "act" not in vars(module), module.__name__
         assert "canonicalize" not in vars(module), module.__name__
+
+
+def package_names():
+    """Every name that a source file of `btquot` defines, binds or reads,
+    so that a check can tell that a name it forbids still exists."""
+    src = pathlib.Path(btquot.__file__).parent
+    return {name for path in src.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            for name in [getattr(node, "name", None),
+                         getattr(node, "attr", None),
+                         getattr(node, "id", None)] if name}
 
 
 def test_only_hecke_reads_and_builds_stabilizer_descriptors():
     """A descriptor's form is known to `hecke` alone: the quotient and the
     presentation reach the neighbor rules through `fixed_labels` and
     `edge_group`, so they bind none of the descriptor's class or helpers,
-    and no other module reads its torus map, kernel or translation test."""
-    for module in (btquot.quotient, btquot.presentation):
-        for name in ("StabDescriptor", "_cut", "_torus_restrict",
-                     "_vector_ops"):
-            assert name not in vars(module), (module.__name__, name)
+    and no other module reads its torus map, kernel or translation test.
+    Each forbidden name exists in the package, so that no entry passes
+    because its name is gone."""
+    bound = ("StabDescriptor", "_cut", "_torus_restrict")
     internal = {"torus_map", "kernel", "holds_translations"}
+    assert internal.union(bound) <= package_names()
+    for module in (btquot.quotient, btquot.presentation):
+        for name in bound:
+            assert name not in vars(module), (module.__name__, name)
     src = pathlib.Path(btquot.__file__).parent
     for path in sorted(src.glob("*.py")):
         if path.name == "hecke.py":
@@ -66,6 +81,7 @@ def test_only_points_reads_a_point():
     tracer, which rebinds it by identity, counts the solves `points`
     makes."""
     internal = {"parts", "_parts", "_minus_x", "_zero"}
+    assert internal <= package_names()
     src = pathlib.Path(btquot.__file__).parent
     for path in sorted(src.glob("*.py")):
         if path.name == "points.py":
@@ -92,6 +108,7 @@ def test_group_modules_do_not_bind_rational_functions():
     """Elements of GL2(F_q[t]) hold `Polynomial` entries; F_q(t) stays in
     the lattice bases of `btree`, so the Hecke layer, the quotient build
     and the presentation never name `RationalFunction`."""
+    assert "RationalFunction" in package_names()
     for module in (btquot.hecke, btquot.quotient, btquot.presentation):
         assert "RationalFunction" not in vars(module), module.__name__
 
